@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 

@@ -12,6 +12,12 @@
 //! * the cluster clock advances with the job, and the job's load and
 //!   traffic are registered on the cluster so monitors (and Fig. 5's
 //!   load-per-core measurement) see it.
+//!
+//! A step's rating (`rate_step`) reads the cluster through a shared
+//! borrow, so within one run it can change only when the executor itself
+//! advances the cluster. A step is therefore rated once per (phase, cluster
+//! state): the next step reuses the last rating while its phase compares
+//! equal, and is re-rated only after the executor advances the cluster.
 
 use crate::collectives::expand;
 use crate::comm::Communicator;
@@ -22,7 +28,7 @@ use nlrm_obs::span::{SpanId, TraceId};
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Causal-trace context for one job execution: the job's trace and the
 /// broker span execution should hang under (typically the lease's
@@ -64,12 +70,14 @@ impl JobTiming {
 }
 
 /// Effective per-process core speed on a node: nominal frequency scaled by
-/// how many cores the job's `procs` must share with background activity.
-fn effective_speed_ghz(cluster: &ClusterSim, node: NodeId, procs: u32, own_load: f64) -> f64 {
+/// how many cores the job's `procs` there must share with background
+/// activity.
+fn effective_speed_ghz(cluster: &ClusterSim, node: NodeId, procs: u32) -> f64 {
     let spec = cluster.spec(node);
     let state = cluster.node_state(node);
     // background demand: runnable queue (minus our own registered load)
     // plus interactive utilization that occupies cores without queueing
+    let own_load = procs as f64;
     let bg_queue = (state.cpu_load - own_load).max(0.0);
     let bg_util_cores = (state.cpu_util * spec.cores as f64 - own_load).max(0.0);
     let busy = bg_queue.max(bg_util_cores);
@@ -79,21 +87,9 @@ fn effective_speed_ghz(cluster: &ClusterSim, node: NodeId, procs: u32, own_load:
     spec.freq_ghz * share
 }
 
-/// Convert rank-level messages to node-level flows, dropping intra-node
-/// messages into a synthetic self-flow (handled as a memory copy).
-fn to_flows(comm: &Communicator, messages: &[Message]) -> Vec<Flow> {
-    messages
-        .iter()
-        .map(|m| Flow {
-            src: comm.node_of(m.src),
-            dst: comm.node_of(m.dst),
-            bytes: m.bytes,
-        })
-        .collect()
-}
-
 /// Rate one round of concurrent messages and return (duration, per-link
-/// utilization fractions used for job-traffic registration).
+/// utilization fractions used for job-traffic registration). Messages
+/// between ranks on one node become self-flows (memory copies).
 fn run_round(
     cluster: &ClusterSim,
     comm: &Communicator,
@@ -102,7 +98,14 @@ fn run_round(
     if messages.is_empty() {
         return (0.0, HashMap::new());
     }
-    let flows = to_flows(comm, messages);
+    let flows: Vec<Flow> = messages
+        .iter()
+        .map(|m| Flow {
+            src: comm.node_of(m.src),
+            dst: comm.node_of(m.dst),
+            bytes: m.bytes,
+        })
+        .collect();
     let rated = fair_share_rates(cluster, &flows);
     let duration = round_duration_s(&rated);
     let mut util: HashMap<LinkId, f64> = HashMap::new();
@@ -115,6 +118,213 @@ fn run_round(
         }
     }
     (duration, util)
+}
+
+/// One BSP step rated against one cluster state.
+pub(crate) struct StepRate {
+    /// Compute seconds per rank; `None` for ranks with no work.
+    pub rank_compute_s: Vec<Option<f64>>,
+    /// Slowest rank's compute seconds (the BSP gate).
+    pub compute_s: f64,
+    /// Duration of the P2P round, seconds.
+    pub p2p_s: f64,
+    /// Number of P2P messages.
+    pub messages: usize,
+    /// Per collective, in phase order: (label, seconds, rounds).
+    pub collectives: Vec<(&'static str, f64, usize)>,
+    /// Communication seconds: the P2P round plus every collective.
+    pub comm_s: f64,
+    /// Mean utilization per link over the step, sorted by link.
+    pub link_util: Vec<(LinkId, f64)>,
+    /// Fig. 5 sample: CPU load per logical core over the job's nodes.
+    pub load_per_core: f64,
+}
+
+/// Rate one step of `phase` on `comm` against the cluster's current state.
+/// Pure: the same cluster state and phase always give the same rating.
+pub(crate) fn rate_step(cluster: &ClusterSim, comm: &Communicator, phase: &Phase) -> StepRate {
+    // Fig. 5 metric: load per logical core over the job's nodes
+    let mut load = 0.0;
+    let mut cores = 0.0;
+    for (node, _) in comm.placement() {
+        load += cluster.node_state(node).cpu_load;
+        cores += cluster.spec(node).cores as f64;
+    }
+
+    // --- compute: slowest rank gates the step (BSP) ---
+    let mut compute_s: f64 = 0.0;
+    let rank_compute_s = phase
+        .compute_gcycles
+        .iter()
+        .enumerate()
+        .map(|(rank, &work)| {
+            let node = comm.node_of(rank);
+            let speed = effective_speed_ghz(cluster, node, comm.procs_on(node));
+            (work > 0.0).then(|| {
+                let rank_s = work / speed.max(1e-6);
+                compute_s = compute_s.max(rank_s);
+                rank_s
+            })
+        })
+        .collect();
+
+    // --- communication: P2P round, then each collective's rounds ---
+    let mut link_acc: BTreeMap<LinkId, f64> = BTreeMap::new();
+    let mut weighted_util = |util: HashMap<LinkId, f64>, dur: f64| {
+        for (l, u) in util {
+            *link_acc.entry(l).or_insert(0.0) += u * dur;
+        }
+    };
+    let (p2p_s, util) = run_round(cluster, comm, &phase.messages);
+    let mut comm_s = p2p_s;
+    weighted_util(util, p2p_s);
+    let mut collectives = Vec::with_capacity(phase.collectives.len());
+    for coll in &phase.collectives {
+        let mut coll_s = 0.0;
+        let mut rounds = 0usize;
+        for round in expand(coll, comm) {
+            let (d, util) = run_round(cluster, comm, &round);
+            coll_s += d;
+            rounds += 1;
+            weighted_util(util, d);
+        }
+        comm_s += coll_s;
+        collectives.push((coll.label(), coll_s, rounds));
+    }
+
+    let step_s = compute_s + comm_s;
+    StepRate {
+        rank_compute_s,
+        compute_s,
+        p2p_s,
+        messages: phase.messages.len(),
+        collectives,
+        comm_s,
+        link_util: link_acc
+            .into_iter()
+            .map(|(l, acc)| (l, (acc / step_s.max(1e-9)).min(1.0)))
+            .collect(),
+        load_per_core: load / cores,
+    }
+}
+
+/// An open `exec` span: the run's span subtree in the installed observer.
+///
+/// Spans live on the virtual interval [t0, t0 + timing.total_s]; the
+/// cluster clock may overshoot past the end (5 s dynamics quanta), so span
+/// stamps derive from the job's own accumulated time, not `now()`.
+struct ExecSpan {
+    trace: TraceId,
+    span: SpanId,
+    track: String,
+    t0: SimTime,
+}
+
+impl ExecSpan {
+    /// Open the `exec` span, if `trace` is given and an observer is
+    /// installed.
+    fn start(
+        trace: Option<&TraceCtx>,
+        workload: &dyn Workload,
+        comm: &Communicator,
+        t0: SimTime,
+    ) -> Option<Self> {
+        let tc = trace.filter(|_| nlrm_obs::ctx::is_active())?;
+        let track = format!("mpi:{}", workload.name());
+        let span = nlrm_obs::ctx::span_start_kv(
+            tc.trace,
+            tc.parent,
+            "exec",
+            &format!("{track}/exec"),
+            t0,
+            vec![
+                ("workload".into(), workload.name()),
+                ("ranks".into(), comm.size().to_string()),
+            ],
+        )?;
+        Some(ExecSpan {
+            trace: tc.trace,
+            span,
+            track,
+            t0,
+        })
+    }
+
+    fn at(&self, offset_s: f64) -> SimTime {
+        self.t0 + Duration::from_secs_f64(offset_s)
+    }
+
+    /// Record one rated step, starting `start_s` into the run, as a `step`
+    /// span with per-rank `compute` children and `p2p`/`collective`
+    /// children for the communication.
+    fn step(&self, comm: &Communicator, step: usize, start_s: f64, rate: &StepRate) {
+        let trace = self.trace;
+        let track = &self.track;
+        let Some(step_span) = nlrm_obs::ctx::span_start_kv(
+            trace,
+            Some(self.span),
+            "step",
+            &format!("{track}/exec"),
+            self.at(start_s),
+            vec![("step".into(), step.to_string())],
+        ) else {
+            return;
+        };
+        for (rank, &rank_s) in rate.rank_compute_s.iter().enumerate() {
+            if let Some(rank_s) = rank_s {
+                nlrm_obs::ctx::span_closed(
+                    trace,
+                    Some(step_span),
+                    "compute",
+                    &format!("{track}/rank{rank}"),
+                    self.at(start_s),
+                    self.at(start_s + rank_s),
+                    vec![("node".into(), comm.node_of(rank).to_string())],
+                );
+            }
+        }
+        let compute_s = rate.compute_s;
+        if rate.p2p_s > 0.0 {
+            nlrm_obs::ctx::span_closed(
+                trace,
+                Some(step_span),
+                "p2p",
+                &format!("{track}/net"),
+                self.at(start_s + compute_s),
+                self.at(start_s + compute_s + rate.p2p_s),
+                vec![("messages".into(), rate.messages.to_string())],
+            );
+        }
+        let mut comm_s = rate.p2p_s;
+        for &(op, coll_s, rounds) in &rate.collectives {
+            let coll_start_s = compute_s + comm_s;
+            comm_s += coll_s;
+            if coll_s > 0.0 {
+                nlrm_obs::ctx::span_closed(
+                    trace,
+                    Some(step_span),
+                    "collective",
+                    &format!("{track}/net"),
+                    self.at(start_s + coll_start_s),
+                    self.at(start_s + coll_start_s + coll_s),
+                    vec![
+                        ("op".into(), op.to_string()),
+                        ("rounds".into(), rounds.to_string()),
+                    ],
+                );
+            }
+        }
+        // the step's duration summed as the executor sums it
+        let step_s = compute_s + rate.comm_s;
+        nlrm_obs::ctx::span_end(step_span, self.at(start_s + step_s));
+    }
+
+    /// Close the `exec` span at the end of the run.
+    fn end(self, timing: &JobTiming) {
+        nlrm_obs::ctx::span_annotate(self.span, "compute_s", format!("{:.3}", timing.compute_s));
+        nlrm_obs::ctx::span_annotate(self.span, "comm_s", format!("{:.3}", timing.comm_s));
+        nlrm_obs::ctx::span_end(self.span, self.at(timing.total_s));
+    }
 }
 
 /// Execute `workload` on `comm` over `cluster`, advancing virtual time.
@@ -147,26 +357,7 @@ pub fn execute_traced(
         cluster.add_job_load(node, procs as f64);
     }
 
-    // spans live on the virtual interval [t0, t0 + timing.total_s]; the
-    // cluster clock may overshoot past the end (5 s dynamics quanta), so
-    // span stamps derive from the job's own accumulated time, not `now()`
-    let t0 = cluster.now();
-    let job_track = format!("mpi:{}", workload.name());
-    let tracing = trace.filter(|_| nlrm_obs::ctx::is_active());
-    let exec_span = tracing.and_then(|tc| {
-        nlrm_obs::ctx::span_start_kv(
-            tc.trace,
-            tc.parent,
-            "exec",
-            &format!("{job_track}/exec"),
-            t0,
-            vec![
-                ("workload".into(), workload.name()),
-                ("ranks".into(), comm.size().to_string()),
-            ],
-        )
-    });
-    let at = |offset_s: f64| -> SimTime { t0 + Duration::from_secs_f64(offset_s) };
+    let exec_span = ExecSpan::start(trace, workload, comm, cluster.now());
 
     let mut timing = JobTiming::default();
     let mut load_per_core_acc = 0.0;
@@ -174,6 +365,9 @@ pub fn execute_traced(
     // usually much shorter than the cluster's 5 s dynamics resolution)
     let mut pending_s = 0.0f64;
     let resolution_s = 5.0;
+    // the last step's phase and rating; only the advance block below
+    // changes the cluster, and it clears this
+    let mut rated: Option<(Phase, StepRate)> = None;
 
     for step in 0..workload.steps() {
         let phase: Phase = workload.phase(step, comm);
@@ -182,109 +376,19 @@ pub fn execute_traced(
             comm.size(),
             "phase work vector must match communicator size"
         );
-        let step_start_s = timing.total_s;
-        let step_span = exec_span.and_then(|es| {
-            nlrm_obs::ctx::span_start_kv(
-                tracing.expect("exec span implies trace ctx").trace,
-                Some(es),
-                "step",
-                &format!("{job_track}/exec"),
-                at(step_start_s),
-                vec![("step".into(), step.to_string())],
-            )
-        });
+        if rated.as_ref().is_none_or(|(last, _)| *last != phase) {
+            let rate = rate_step(cluster, comm, &phase);
+            rated = Some((phase, rate));
+        }
+        let (_, rate) = rated.as_ref().expect("rated above");
 
-        // Fig. 5 metric: load per logical core over the job's nodes
-        let mut load = 0.0;
-        let mut cores = 0.0;
-        for (node, _) in comm.placement() {
-            load += cluster.node_state(node).cpu_load;
-            cores += cluster.spec(node).cores as f64;
+        if let Some(es) = &exec_span {
+            es.step(comm, step, timing.total_s, rate);
         }
-        load_per_core_acc += load / cores;
-
-        // --- compute: slowest rank gates the step (BSP) ---
-        let mut compute_s: f64 = 0.0;
-        for (rank, &work) in phase.compute_gcycles.iter().enumerate() {
-            let node = comm.node_of(rank);
-            let own = comm.procs_on(node) as f64;
-            let speed = effective_speed_ghz(cluster, node, comm.procs_on(node), own);
-            if work > 0.0 {
-                let rank_s = work / speed.max(1e-6);
-                compute_s = compute_s.max(rank_s);
-                if let (Some(ss), Some(tc)) = (step_span, tracing) {
-                    nlrm_obs::ctx::span_closed(
-                        tc.trace,
-                        Some(ss),
-                        "compute",
-                        &format!("{job_track}/rank{rank}"),
-                        at(step_start_s),
-                        at(step_start_s + rank_s),
-                        vec![("node".into(), node.to_string())],
-                    );
-                }
-            }
-        }
-
-        // --- communication: P2P round, then each collective's rounds ---
-        let mut comm_s = 0.0;
-        let mut link_util: HashMap<LinkId, f64> = HashMap::new();
-        let mut weighted_util = |util: HashMap<LinkId, f64>, dur: f64| {
-            for (l, u) in util {
-                *link_util.entry(l).or_insert(0.0) += u * dur;
-            }
-        };
-        let (d, util) = run_round(cluster, comm, &phase.messages);
-        comm_s += d;
-        weighted_util(util, d);
-        if d > 0.0 {
-            if let (Some(ss), Some(tc)) = (step_span, tracing) {
-                nlrm_obs::ctx::span_closed(
-                    tc.trace,
-                    Some(ss),
-                    "p2p",
-                    &format!("{job_track}/net"),
-                    at(step_start_s + compute_s),
-                    at(step_start_s + compute_s + d),
-                    vec![("messages".into(), phase.messages.len().to_string())],
-                );
-            }
-        }
-        for coll in &phase.collectives {
-            let coll_start_s = compute_s + comm_s;
-            let mut coll_s = 0.0;
-            let mut rounds = 0usize;
-            for round in expand(coll, comm) {
-                let (d, util) = run_round(cluster, comm, &round);
-                coll_s += d;
-                rounds += 1;
-                weighted_util(util, d);
-            }
-            comm_s += coll_s;
-            if coll_s > 0.0 {
-                if let (Some(ss), Some(tc)) = (step_span, tracing) {
-                    nlrm_obs::ctx::span_closed(
-                        tc.trace,
-                        Some(ss),
-                        "collective",
-                        &format!("{job_track}/net"),
-                        at(step_start_s + coll_start_s),
-                        at(step_start_s + coll_start_s + coll_s),
-                        vec![
-                            ("op".into(), coll.label().to_string()),
-                            ("rounds".into(), rounds.to_string()),
-                        ],
-                    );
-                }
-            }
-        }
-
-        let step_s = compute_s + comm_s;
-        if let Some(ss) = step_span {
-            nlrm_obs::ctx::span_end(ss, at(step_start_s + step_s));
-        }
-        timing.compute_s += compute_s;
-        timing.comm_s += comm_s;
+        load_per_core_acc += rate.load_per_core;
+        let step_s = rate.compute_s + rate.comm_s;
+        timing.compute_s += rate.compute_s;
+        timing.comm_s += rate.comm_s;
         timing.total_s += step_s;
 
         // advance the cluster across this step with the job's average
@@ -294,18 +398,15 @@ pub fn execute_traced(
         pending_s += step_s;
         if pending_s >= resolution_s {
             let whole = (pending_s / resolution_s).floor() * resolution_s;
-            let mean_util: Vec<(LinkId, f64)> = link_util
-                .iter()
-                .map(|(&l, &acc)| (l, (acc / step_s.max(1e-9)).min(1.0)))
-                .collect();
-            for &(l, u) in &mean_util {
+            for &(l, u) in &rate.link_util {
                 cluster.add_job_util(l, u);
             }
             cluster.advance(Duration::from_secs_f64(whole));
-            for &(l, u) in &mean_util {
+            for &(l, u) in &rate.link_util {
                 cluster.add_job_util(l, -u);
             }
             pending_s -= whole;
+            rated = None;
         }
         timing.steps += 1;
     }
@@ -324,9 +425,7 @@ pub fn execute_traced(
         0.0
     };
     if let Some(es) = exec_span {
-        nlrm_obs::ctx::span_annotate(es, "compute_s", format!("{:.3}", timing.compute_s));
-        nlrm_obs::ctx::span_annotate(es, "comm_s", format!("{:.3}", timing.comm_s));
-        nlrm_obs::ctx::span_end(es, at(timing.total_s));
+        es.end(&timing);
     }
     timing
 }

@@ -15,16 +15,13 @@
 //! Approximation (documented): rates are frozen per step; a job starting
 //! mid-step of another affects that other job only from its next step on.
 
-use crate::collectives::expand;
 use crate::comm::Communicator;
-use crate::contention::{fair_share_rates, round_duration_s, Flow};
-use crate::exec::JobTiming;
-use crate::pattern::{Message, Workload};
+use crate::exec::{rate_step, JobTiming};
+use crate::pattern::Workload;
 use nlrm_cluster::ClusterSim;
 use nlrm_sim_core::event::EventQueue;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::LinkId;
-use std::collections::HashMap;
 
 /// One job in a concurrent set.
 pub struct ConcurrentJob<'a> {
@@ -50,100 +47,6 @@ struct JobState {
 enum Event {
     Start(usize),
     StepDone(usize),
-}
-
-/// Effective per-process speed, as in the solo executor.
-fn effective_speed_ghz(
-    cluster: &ClusterSim,
-    node: nlrm_topology::NodeId,
-    procs: u32,
-    own_load: f64,
-) -> f64 {
-    let spec = cluster.spec(node);
-    let state = cluster.node_state(node);
-    let bg_queue = (state.cpu_load - own_load).max(0.0);
-    let bg_util_cores = (state.cpu_util * spec.cores as f64 - own_load).max(0.0);
-    let busy = bg_queue.max(bg_util_cores);
-    let demand = busy + procs as f64;
-    let cores = spec.cores as f64;
-    let share = if demand <= cores { 1.0 } else { cores / demand };
-    spec.freq_ghz * share
-}
-
-/// Rate one message round against current residuals.
-fn rate_round(
-    cluster: &ClusterSim,
-    comm: &Communicator,
-    messages: &[Message],
-) -> (f64, HashMap<LinkId, f64>) {
-    if messages.is_empty() {
-        return (0.0, HashMap::new());
-    }
-    let flows: Vec<Flow> = messages
-        .iter()
-        .map(|m| Flow {
-            src: comm.node_of(m.src),
-            dst: comm.node_of(m.dst),
-            bytes: m.bytes,
-        })
-        .collect();
-    let rated = fair_share_rates(cluster, &flows);
-    let duration = round_duration_s(&rated);
-    let mut util = HashMap::new();
-    for r in &rated {
-        if r.rate_bps.is_finite() {
-            for &l in &r.links {
-                let cap = cluster.topology().link(l).params.capacity_bps;
-                *util.entry(l).or_insert(0.0) += r.rate_bps / cap;
-            }
-        }
-    }
-    (duration, util)
-}
-
-/// Compute one step's duration and mean link utils for a job, against the
-/// cluster's *current* residual state.
-fn plan_step(
-    cluster: &ClusterSim,
-    state: &JobState,
-    workload: &dyn Workload,
-) -> (f64, f64, Vec<(LinkId, f64)>) {
-    let phase = workload.phase(state.step, &state.comm);
-    let mut compute_s: f64 = 0.0;
-    for (rank, &work) in phase.compute_gcycles.iter().enumerate() {
-        let node = state.comm.node_of(rank);
-        let own = state.comm.procs_on(node) as f64;
-        let speed = effective_speed_ghz(cluster, node, state.comm.procs_on(node), own);
-        if work > 0.0 {
-            compute_s = compute_s.max(work / speed.max(1e-6));
-        }
-    }
-    let mut comm_s = 0.0;
-    let mut acc: HashMap<LinkId, f64> = HashMap::new();
-    let mut fold = |util: HashMap<LinkId, f64>, d: f64| {
-        for (l, u) in util {
-            *acc.entry(l).or_insert(0.0) += u * d;
-        }
-    };
-    let (d, util) = rate_round(cluster, &state.comm, &phase.messages);
-    comm_s += d;
-    fold(util, d);
-    for coll in &phase.collectives {
-        for round in expand(coll, &state.comm) {
-            let (d, util) = rate_round(cluster, &state.comm, &round);
-            comm_s += d;
-            fold(util, d);
-        }
-    }
-    let step_s = compute_s + comm_s;
-    let mean_utils: Vec<(LinkId, f64)> = if step_s > 0.0 {
-        acc.into_iter()
-            .map(|(l, a)| (l, (a / step_s).min(1.0)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    (compute_s, comm_s, mean_utils)
 }
 
 /// Execute `jobs` concurrently; returns one [`JobTiming`] per job, in input
@@ -222,25 +125,21 @@ fn schedule_next(
         }
         return;
     }
-    // Fig. 5 metric sample
-    let mut load = 0.0;
-    let mut cores = 0.0;
-    for (node, _) in states[i].comm.placement() {
-        load += cluster.node_state(node).cpu_load;
-        cores += cluster.spec(node).cores as f64;
-    }
-    states[i].load_acc += load / cores;
-
-    let (compute_s, comm_s, utils) = plan_step(cluster, &states[i], jobs[i].workload);
-    for &(l, u) in &utils {
+    // every step registers utilization, so no step can reuse a rating
+    let phase = jobs[i].workload.phase(states[i].step, &states[i].comm);
+    let rate = rate_step(cluster, &states[i].comm, &phase);
+    for &(l, u) in &rate.link_util {
         cluster.add_job_util(l, u);
     }
-    states[i].live_utils = utils;
-    states[i].timing.compute_s += compute_s;
-    states[i].timing.comm_s += comm_s;
-    states[i].timing.total_s += compute_s + comm_s;
+    let step_s = rate.compute_s + rate.comm_s;
+    let state = &mut states[i];
+    state.load_acc += rate.load_per_core;
+    state.timing.compute_s += rate.compute_s;
+    state.timing.comm_s += rate.comm_s;
+    state.timing.total_s += step_s;
+    state.live_utils = rate.link_util;
     queue.push(
-        now + Duration::from_secs_f64((compute_s + comm_s).max(1e-9)),
+        now + Duration::from_secs_f64(step_s.max(1e-9)),
         Event::StepDone(i),
     );
 }
@@ -249,7 +148,7 @@ fn schedule_next(
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use crate::pattern::{Collective, Phase};
+    use crate::pattern::{Collective, Message, Phase};
     use nlrm_cluster::iitk::small_cluster_with_profile;
     use nlrm_cluster::ClusterProfile;
     use nlrm_topology::NodeId;
