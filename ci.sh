@@ -5,7 +5,7 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
 # build artifacts must never be tracked (they were once; .gitignore plus
@@ -160,8 +160,7 @@ assert bench["pass"], f"incident gate failed: {bench}"
 PY
 test -s "$OBS_DIR/incident_report.md"
 
-# rustdoc for the observability and monitoring crates is part of their
-# API contract
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p nlrm-obs -p nlrm-monitor
+# rustdoc is part of every crate's API contract
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 
 echo "ci: all green"

@@ -123,34 +123,39 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn finish_arm(
+/// What one arm's replay loop counted, before it is turned into rates.
+struct ArmTally {
     arm: &'static str,
     arrivals: usize,
     started: usize,
     rejected: usize,
     ticks: u64,
     tick_wall_s: f64,
-    mut waits: Vec<f64>,
+    waits: Vec<f64>,
     busy_proc_s: f64,
     capacity: u64,
     t0: SimTime,
     t_end: SimTime,
     derives: u64,
-) -> ArmResult {
-    waits.sort_by(f64::total_cmp);
-    let makespan_s = t_end.since(t0).as_secs_f64().max(1.0);
-    ArmResult {
-        arm,
-        arrivals,
-        started,
-        rejected,
-        ticks,
-        sched_jobs_per_sec: started as f64 / tick_wall_s.max(1e-9),
-        wait_p50_s: percentile(&waits, 0.50),
-        wait_p99_s: percentile(&waits, 0.99),
-        utilization: busy_proc_s / (capacity as f64 * makespan_s),
-        derives_per_tick: derives as f64 / ticks.max(1) as f64,
-        makespan_s,
+}
+
+impl ArmTally {
+    fn finish(mut self) -> ArmResult {
+        self.waits.sort_by(f64::total_cmp);
+        let makespan_s = self.t_end.since(self.t0).as_secs_f64().max(1.0);
+        ArmResult {
+            arm: self.arm,
+            arrivals: self.arrivals,
+            started: self.started,
+            rejected: self.rejected,
+            ticks: self.ticks,
+            sched_jobs_per_sec: self.started as f64 / self.tick_wall_s.max(1e-9),
+            wait_p50_s: percentile(&self.waits, 0.50),
+            wait_p99_s: percentile(&self.waits, 0.99),
+            utilization: self.busy_proc_s / (self.capacity as f64 * makespan_s),
+            derives_per_tick: self.derives as f64 / self.ticks.max(1) as f64,
+            makespan_s,
+        }
     }
 }
 
@@ -240,28 +245,33 @@ fn run_batched(
         if next >= stream.len() && broker.queued().is_empty() && completions.is_empty() {
             break;
         }
-        now = now + Duration::from_secs(QUANTUM_S);
+        now += Duration::from_secs(QUANTUM_S);
         assert!(
             now.since(t0).as_secs_f64() < 400.0 * 24.0 * 3600.0,
             "{arm}: stream did not drain within a virtual year"
         );
     }
     let derives = obs.metrics.counter_value("loads_derive_total");
-    finish_arm(
+    ArmTally {
         arm,
-        stream.len(),
+        arrivals: stream.len(),
         started,
         rejected,
         ticks,
-        tick_wall,
+        tick_wall_s: tick_wall,
         waits,
         busy_proc_s,
         capacity,
         t0,
         t_end,
         derives,
-    )
+    }
+    .finish()
 }
+
+/// A running job in the Slurm-shaped baseline: (end time, stream index,
+/// per-node reserved processes).
+type Completion = (SimTime, usize, Vec<(usize, u32)>);
 
 /// Replay a stream through a Slurm-shaped baseline: strict FIFO, head-only
 /// (no backfill), first-fit over ascending node ids, no load awareness.
@@ -278,8 +288,7 @@ fn run_slurm_baseline(arm: &'static str, stream: &[ArrivingJob], seed: u64) -> A
 
     let mut reserved = vec![0u32; n_nodes];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize, Vec<(usize, u32)>)>> =
-        BinaryHeap::new();
+    let mut completions: BinaryHeap<std::cmp::Reverse<Completion>> = BinaryHeap::new();
     let mut waits = Vec::new();
     let mut busy_proc_s = 0.0f64;
     let (mut started, mut ticks) = (0usize, 0u64);
@@ -337,26 +346,27 @@ fn run_slurm_baseline(arm: &'static str, stream: &[ArrivingJob], seed: u64) -> A
         if next >= stream.len() && queue.is_empty() && completions.is_empty() {
             break;
         }
-        now = now + Duration::from_secs(QUANTUM_S);
+        now += Duration::from_secs(QUANTUM_S);
         assert!(
             now.since(t0).as_secs_f64() < 400.0 * 24.0 * 3600.0,
             "{arm}: stream did not drain within a virtual year"
         );
     }
-    finish_arm(
+    ArmTally {
         arm,
-        stream.len(),
+        arrivals: stream.len(),
         started,
-        0,
+        rejected: 0,
         ticks,
-        tick_wall,
+        tick_wall_s: tick_wall,
         waits,
         busy_proc_s,
         capacity,
         t0,
         t_end,
-        0,
-    )
+        derives: 0,
+    }
+    .finish()
 }
 
 /// Effective process capacity of the warmed cluster under the paper's

@@ -65,7 +65,7 @@ fn sweep_size(v: u64) -> SizeRow {
     let central = central_cycle_cost(v as usize);
     // a v-node round-robin tournament covers all pairs in v−1 rounds
     // (v rounds when v is odd)
-    let central_rounds = if v % 2 == 0 { v - 1 } else { v };
+    let central_rounds = if v.is_multiple_of(2) { v - 1 } else { v };
 
     // intra-shard sweeps: every shard probes its own pairs, in parallel
     let full = v / PER_SWITCH;
@@ -108,7 +108,7 @@ fn sweep_size(v: u64) -> SizeRow {
 
     // per-shard sweeps run concurrently, so cycle "rounds" = the longest
     // shard tournament plus the gossip rounds to disseminate summaries
-    let shard_rounds = if PER_SWITCH % 2 == 0 {
+    let shard_rounds = if PER_SWITCH.is_multiple_of(2) {
         PER_SWITCH - 1
     } else {
         PER_SWITCH

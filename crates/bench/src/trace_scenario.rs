@@ -12,7 +12,9 @@
 //! - `scoring` / `placement` instants from the allocator,
 //! - the per-step / per-rank / per-collective execution subtree from
 //!   [`nlrm_mpi::execute_traced`],
-//! - the root closed by [`Broker::complete_at`] when the job finishes.
+//! - the root closed by
+//!   [`Broker::complete_at`](nlrm_core::broker::Broker::complete_at) when
+//!   the job finishes.
 //!
 //! The result carries the observer (spans + journal + metrics) and a
 //! per-job record, enough to build critical paths and a Chrome trace

@@ -346,7 +346,7 @@ mod tests {
         let mut c = small();
         c.advance_to(SimTime::from_secs(60));
         let before = c.available_bandwidth_bps(NodeId(0), NodeId(1));
-        for l in c.topology().path(NodeId(0), NodeId(1)) {
+        for &l in c.topology().route(NodeId(0), NodeId(1)).iter() {
             c.add_job_util(l, 0.6);
         }
         let after = c.available_bandwidth_bps(NodeId(0), NodeId(1));

@@ -172,18 +172,18 @@ impl NetworkSim {
         if u == v {
             return f64::INFINITY;
         }
-        topo.path(u, v)
-            .into_iter()
-            .map(|l| self.residual_bps(topo, l))
+        topo.route(u, v)
+            .iter()
+            .map(|&l| self.residual_bps(topo, l))
             .fold(f64::INFINITY, f64::min)
     }
 
     /// Current latency between two nodes in seconds: base propagation plus
     /// congestion-dependent queueing on every hop.
     pub fn latency_s(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        topo.path(u, v)
-            .into_iter()
-            .map(|l| {
+        topo.route(u, v)
+            .iter()
+            .map(|&l| {
                 let base = topo.link(l).params.latency_s;
                 let util = self.total_util(l);
                 base * (1.0 + QUEUE_FACTOR * (util / (1.0 - util)).min(20.0))
@@ -198,9 +198,9 @@ impl NetworkSim {
         if u == v {
             return f64::INFINITY;
         }
-        topo.path(u, v)
-            .into_iter()
-            .map(|l| topo.link(l).params.capacity_bps)
+        topo.route(u, v)
+            .iter()
+            .map(|&l| topo.link(l).params.capacity_bps)
             .fold(f64::INFINITY, f64::min)
     }
 }
@@ -285,7 +285,7 @@ mod tests {
     fn latency_grows_with_congestion() {
         let (topo, mut net) = network();
         let quiet = net.latency_s(&topo, NodeId(0), NodeId(2));
-        for l in topo.path(NodeId(0), NodeId(2)) {
+        for &l in topo.route(NodeId(0), NodeId(2)).iter() {
             net.add_job_util(l, 0.9);
         }
         let busy = net.latency_s(&topo, NodeId(0), NodeId(2));

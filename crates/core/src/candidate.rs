@@ -16,13 +16,13 @@
 //!   only until `n` processes are covered — a bounded partial selection,
 //!   O(V + k log V) per start node.
 //! * On a tiered network-load representation
-//!   ([`TieredNl`](crate::tiered::TieredNl)), [`generate_all_candidates`]
+//!   ([`TieredNl`]), [`generate_all_candidates`]
 //!   exploits that every node of a foreign switch shares the same
 //!   `NL(v,·)` term: per-switch streams pre-sorted by compute load are
 //!   lazily merged per start node, so no start node ever scans the whole
 //!   cluster.
 //! * Start nodes are fanned out over worker threads
-//!   ([`par`](crate::par)); outputs land in input order, so the candidate
+//!   ([`par`]); outputs land in input order, so the candidate
 //!   vector is identical to the serial path.
 //!
 //! Candidates that cannot host a single process (every usable node at

@@ -5,7 +5,7 @@
 //! set*, so a candidate's score is unknowable until every candidate exists —
 //! pruning under that objective is unsound. This module therefore scores
 //! groups with the *globally* normalized
-//! [`group_cost`](crate::select::group_cost) (`α·C_G/C_all + β·N_G/N_all`),
+//! [`group_cost`] (`α·C_G/C_all + β·N_G/N_all`),
 //! whose denominators are fixed by the universe. The global denominators
 //! are constants, so a candidate's rank no longer depends on which other
 //! candidates happen to exist — though it is *not* always the Eq. 4 rank:

@@ -136,7 +136,7 @@ proptest! {
                 .unwrap();
         }
         broker.tick(&snap);
-        let mut per_node = vec![0u32; NODES];
+        let mut per_node = [0u32; NODES];
         for lease in broker.running() {
             for &(node, procs) in &lease.allocation.nodes {
                 per_node[node.index()] += procs;

@@ -234,7 +234,7 @@ impl CentralMonitor {
                 at: now,
             });
             nlrm_obs::ctx::add("monitor_heartbeat_bytes_total", hb.len() as u64);
-            store.put(paths::heartbeat("master"), now, hb);
+            store.put(paths::MASTER_HEARTBEAT, now, hb);
             self.supervise(now, cluster, store, daemons);
             if !self.slave.alive {
                 if let Some(host) = Self::pick_host(cluster, self.master.host) {
@@ -253,7 +253,7 @@ impl CentralMonitor {
             }
         } else if self.slave.alive {
             // slave duties: watch the master heartbeat; promote on staleness
-            let master_stale = match store.get(&paths::heartbeat("master")) {
+            let master_stale = match store.get(paths::MASTER_HEARTBEAT) {
                 None => true,
                 Some(rec) => {
                     nlrm_obs::ctx::add("monitor_heartbeat_bytes_total", rec.data.len() as u64);
@@ -298,17 +298,6 @@ impl CentralMonitor {
         // both dead: nothing happens — daemons run unsupervised (paper §4)
     }
 
-    /// Age of the newest record under `prefix`, if any record exists.
-    fn freshest_age(store: &SharedStore, prefix: &str, now: SimTime) -> Option<Duration> {
-        store
-            .list_prefix(prefix)
-            .iter()
-            .filter_map(|k| store.get(k))
-            .map(|r| r.written_at)
-            .max()
-            .map(|t| now.since(t))
-    }
-
     /// One supervision sweep over every daemon (master duty).
     ///
     /// A daemon is restarted when it is dead, or when it is nominally alive
@@ -327,35 +316,38 @@ impl CentralMonitor {
         daemons: &mut DaemonSet,
     ) {
         let cfg = self.config;
-        let mut watched: Vec<(DaemonKind, Option<Duration>, Duration)> = vec![
+        let age = |written: Option<SimTime>| written.map(|t| now.since(t));
+        let probers = [
             (
                 DaemonKind::Livehosts,
-                store.get(paths::LIVEHOSTS).map(|r| now.since(r.written_at)),
+                age(store.written_at(paths::LIVEHOSTS)),
                 cfg.livehosts_period,
             ),
             (
                 DaemonKind::Latency,
-                Self::freshest_age(store, "latency/", now),
+                age(store.newest_under(paths::LATENCY_PREFIX)),
                 cfg.latency_period,
             ),
             (
                 DaemonKind::Bandwidth,
-                Self::freshest_age(store, "bandwidth/", now),
+                age(store.newest_under(paths::BANDWIDTH_PREFIX)),
                 cfg.bandwidth_period,
             ),
         ];
-        for d in &daemons.nodestate {
-            if !cluster.is_up(d.node()) {
-                continue; // a down node's sampler is expected to be silent
-            }
-            watched.push((
-                DaemonKind::NodeState(d.node()),
-                store
-                    .get(&paths::node_state(d.node()))
-                    .map(|r| now.since(r.written_at)),
-                cfg.nodestate_period,
-            ));
-        }
+        let samplers = daemons
+            .nodestate
+            .iter()
+            // a down node's sampler is expected to be silent
+            .filter(|d| cluster.is_up(d.node()))
+            .map(|d| {
+                (
+                    DaemonKind::NodeState(d.node()),
+                    age(store.written_at(d.store_path())),
+                    cfg.nodestate_period,
+                )
+            });
+        let watched: Vec<(DaemonKind, Option<Duration>, Duration)> =
+            probers.into_iter().chain(samplers).collect();
 
         for (kind, age, period) in watched {
             let alive = daemons.is_alive(kind);

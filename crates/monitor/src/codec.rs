@@ -162,9 +162,55 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Size of `record`'s encoding in bytes, so [`encode`] allocates its
+/// buffer once.
+fn encoded_len(record: &MonitorRecord) -> usize {
+    const WINDOWED: usize = 4 * 8;
+    let body = match record {
+        MonitorRecord::Livehosts(hosts) => 4 + 4 * hosts.len(),
+        MonitorRecord::Sample(s) => 4 + 8 + spec_len(&s.spec) + 4 * WINDOWED + 4,
+        MonitorRecord::LatencyRow { stats, .. } => 4 + 4 + 3 * 8 * stats.len(),
+        MonitorRecord::BandwidthRow {
+            avail_bps,
+            peak_bps,
+            ..
+        } => 4 + 4 + 8 * (avail_bps.len() + peak_bps.len()),
+        MonitorRecord::Heartbeat { role, .. } => 4 + role.len() + 4 + 8,
+        MonitorRecord::ShardNl {
+            members,
+            lat_s,
+            avail_bps,
+            peak_bps,
+            ..
+        } => {
+            4 + 8
+                + 8
+                + 4
+                + 4 * members.len()
+                + 8 * (lat_s.len() + avail_bps.len() + peak_bps.len())
+                + 8
+        }
+        MonitorRecord::InterEstimate {
+            switches, direct, ..
+        } => {
+            8 + 8
+                + 4
+                + 8
+                + 8
+                + 4
+                + (4 + 7 * 8) * switches.len()
+                + 4
+                + (4 + 4 + 3 * 8) * direct.len()
+        }
+    };
+    // version and tag bytes
+    2 + body
+}
+
 /// Encode a record to bytes.
 pub fn encode(record: &MonitorRecord) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+    let len = encoded_len(record);
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u8(VERSION);
     match record {
         MonitorRecord::Livehosts(hosts) => {
@@ -291,6 +337,7 @@ pub fn encode(record: &MonitorRecord) -> Bytes {
             }
         }
     }
+    debug_assert_eq!(buf.len(), len, "encoded_len out of step with encode");
     buf.freeze()
 }
 
@@ -452,6 +499,10 @@ pub fn decode(mut data: &[u8]) -> Result<MonitorRecord, CodecError> {
         }
         other => Err(CodecError::BadTag(other)),
     }
+}
+
+fn spec_len(spec: &NodeSpec) -> usize {
+    4 + spec.hostname.len() + 4 + 8 + 8
 }
 
 fn put_spec(buf: &mut BytesMut, spec: &NodeSpec) {

@@ -258,6 +258,8 @@ impl LivehostsD {
 #[derive(Debug, Clone)]
 pub struct NodeStateD {
     node: NodeId,
+    /// Store path of this node's state record.
+    path: String,
     health: Health,
     cpu_load: MultiWindowMean,
     cpu_util: MultiWindowMean,
@@ -270,6 +272,7 @@ impl NodeStateD {
     pub fn new(node: NodeId) -> Self {
         NodeStateD {
             node,
+            path: paths::node_state(node),
             health: Health::default(),
             cpu_load: MultiWindowMean::new(),
             cpu_util: MultiWindowMean::new(),
@@ -281,6 +284,11 @@ impl NodeStateD {
     /// The node this daemon runs on.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// The store path this daemon publishes to.
+    pub fn store_path(&self) -> &str {
+        &self.path
     }
 
     /// Whether the daemon is running.
@@ -332,13 +340,21 @@ impl NodeStateD {
             users: state.users,
         };
         if self.health.can_publish(t) {
-            store.put(
-                paths::node_state(self.node),
-                t,
-                encode(&MonitorRecord::Sample(sample)),
-            );
+            store.put(&self.path, t, encode(&MonitorRecord::Sample(sample)));
         }
     }
+}
+
+/// `row(node)` for every node, indexed by node id.
+fn per_node_paths(n: usize, row: fn(NodeId) -> String) -> Vec<String> {
+    (0..n).map(|i| row(NodeId(i as u32))).collect()
+}
+
+/// Index of the unordered pair `{a, b}` (`a ≠ b`) in a strict upper
+/// triangle of an `n × n` matrix.
+fn pair_index(n: usize, a: usize, b: usize) -> usize {
+    let (i, j) = (a.min(b), a.max(b));
+    i * (2 * n - i - 1) / 2 + j - i - 1
 }
 
 /// Pairwise latency prober with 1/5-minute windows per pair.
@@ -346,9 +362,13 @@ impl NodeStateD {
 pub struct LatencyD {
     health: Health,
     n: usize,
-    /// Per-pair (upper-triangle) windows: (1-min, 5-min).
+    /// Per unordered pair (strict upper triangle, see [`pair_index`]):
+    /// (1-min, 5-min) windows. A pair's probes feed one window pair, read
+    /// from either end's row.
     windows: Vec<(WindowedMean, WindowedMean)>,
     latest: SymMatrix<f64>,
+    /// Store path of each node's row.
+    row_paths: Vec<String>,
 }
 
 impl LatencyD {
@@ -357,7 +377,7 @@ impl LatencyD {
         LatencyD {
             health: Health::default(),
             n,
-            windows: (0..n * n)
+            windows: (0..n * n.saturating_sub(1) / 2)
                 .map(|_| {
                     (
                         WindowedMean::new(Duration::from_mins(1)),
@@ -366,6 +386,7 @@ impl LatencyD {
                 })
                 .collect(),
             latest: SymMatrix::new(n, f64::NAN),
+            row_paths: per_node_paths(n, paths::latency_row),
         }
     }
 
@@ -418,12 +439,9 @@ impl LatencyD {
                     fold.u64(u.index() as u64).u64(v.index() as u64).f64(lat);
                 }
                 self.latest.set(u, v, lat);
-                let idx = u.index() * self.n + v.index();
-                self.windows[idx].0.push(t, lat);
-                self.windows[idx].1.push(t, lat);
-                let mirror = v.index() * self.n + u.index();
-                self.windows[mirror].0.push(t, lat);
-                self.windows[mirror].1.push(t, lat);
+                let window = &mut self.windows[pair_index(self.n, u.index(), v.index())];
+                window.0.push(t, lat);
+                window.1.push(t, lat);
                 pairs += 1;
             }
         }
@@ -446,22 +464,22 @@ impl LatencyD {
                     if v == u.index() {
                         return LatencyStat::constant(0.0);
                     }
-                    let idx = u.index() * self.n + v;
                     let instant = self.latest.get(u, NodeId(v as u32));
                     if instant.is_nan() {
                         // never measured (peer down since start)
                         return LatencyStat::constant(f64::INFINITY);
                     }
+                    let window = &self.windows[pair_index(self.n, u.index(), v)];
                     LatencyStat {
                         instant,
-                        m1: self.windows[idx].0.mean().unwrap_or(instant),
-                        m5: self.windows[idx].1.mean().unwrap_or(instant),
+                        m1: window.0.mean().unwrap_or(instant),
+                        m5: window.1.mean().unwrap_or(instant),
                     }
                 })
                 .collect();
             let data = encode(&MonitorRecord::LatencyRow { node: u, stats });
             round_bytes += data.len() as u64;
-            store.put(paths::latency_row(u), t, data);
+            store.put(&self.row_paths[u.index()], t, data);
         }
         nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
         nlrm_obs::ctx::set_gauge("monitor_round_bytes", round_bytes as f64);
@@ -476,6 +494,8 @@ pub struct BandwidthD {
     n: usize,
     latest: SymMatrix<f64>,
     peak: SymMatrix<f64>,
+    /// Store path of each node's row.
+    row_paths: Vec<String>,
 }
 
 impl BandwidthD {
@@ -486,6 +506,7 @@ impl BandwidthD {
             n,
             latest: SymMatrix::new(n, f64::NAN),
             peak: SymMatrix::new(n, f64::NAN),
+            row_paths: per_node_paths(n, paths::bandwidth_row),
         }
     }
 
@@ -576,7 +597,7 @@ impl BandwidthD {
                 peak_bps: peak,
             });
             round_bytes += data.len() as u64;
-            store.put(paths::bandwidth_row(u), t, data);
+            store.put(&self.row_paths[u.index()], t, data);
         }
         nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
         nlrm_obs::ctx::set_gauge("monitor_round_bytes", round_bytes as f64);

@@ -89,6 +89,8 @@ pub struct ShardSweepReport {
 #[derive(Debug, Clone)]
 pub struct ShardSweeper {
     members: Vec<Vec<NodeId>>,
+    /// Store path of each shard's NL record.
+    paths: Vec<String>,
     epoch: u64,
 }
 
@@ -98,7 +100,14 @@ impl ShardSweeper {
         let members = (0..index.num_switches())
             .map(|s| index.members(nlrm_topology::SwitchId(s as u32)).to_vec())
             .collect();
-        ShardSweeper { members, epoch: 0 }
+        let paths = (0..index.num_switches())
+            .map(|s| paths::shard_nl(s as u32))
+            .collect();
+        ShardSweeper {
+            members,
+            paths,
+            epoch: 0,
+        }
     }
 
     /// Number of shards (including empty ones).
@@ -172,7 +181,7 @@ impl ShardSweeper {
                 probe_bytes,
             });
             let publish_bytes = record.len() as u64;
-            store.put(paths::shard_nl(shard as u32), now, record);
+            store.put(&self.paths[shard], now, record);
             report.pairs += pairs;
             report.probe_bytes += probe_bytes;
             report.publish_bytes += publish_bytes;

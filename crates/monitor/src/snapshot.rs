@@ -442,7 +442,7 @@ mod tests {
     fn corrupt_record_is_reported() {
         let (store, now) = populated(3);
         store.put(
-            paths::node_state(NodeId(1)),
+            &paths::node_state(NodeId(1)),
             now,
             bytes::Bytes::from_static(&[1, 2, 3]),
         );

@@ -37,24 +37,29 @@ impl SharedStore {
         Self::default()
     }
 
-    /// Write (or overwrite) the record at `path`.
-    pub fn put(&self, path: impl Into<String>, written_at: SimTime, data: Bytes) {
-        let path = path.into();
+    /// Write (or overwrite) the record at `path`. An existing record is
+    /// replaced in place; the key is allocated only on the first write.
+    pub fn put(&self, path: &str, written_at: SimTime, data: Bytes) {
         if nlrm_obs::ctx::is_active() {
             nlrm_obs::ctx::emit(
                 nlrm_obs::Severity::Debug,
                 written_at,
                 nlrm_obs::EventKind::Publish {
-                    daemon: daemon_of(&path).to_string(),
-                    path: path.clone(),
+                    daemon: daemon_of(path).to_string(),
+                    path: path.to_string(),
                 },
             );
             nlrm_obs::ctx::inc("store_publish_total");
             nlrm_obs::ctx::add("store_publish_bytes_total", data.len() as u64);
         }
-        self.inner
-            .write()
-            .insert(path, StoreRecord { written_at, data });
+        let record = StoreRecord { written_at, data };
+        let mut map = self.inner.write();
+        match map.get_mut(path) {
+            Some(slot) => *slot = record,
+            None => {
+                map.insert(path.to_owned(), record);
+            }
+        }
     }
 
     /// Read the record at `path`, if present.
@@ -65,6 +70,21 @@ impl SharedStore {
     /// Remove the record at `path`; returns whether it existed.
     pub fn remove(&self, path: &str) -> bool {
         self.inner.write().remove(path).is_some()
+    }
+
+    /// Write time of the record at `path`, if present.
+    pub fn written_at(&self, path: &str) -> Option<SimTime> {
+        self.inner.read().get(path).map(|r| r.written_at)
+    }
+
+    /// Write time of the newest record whose path starts with `prefix`.
+    pub fn newest_under(&self, prefix: &str) -> Option<SimTime> {
+        self.inner
+            .read()
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix))
+            .map(|(_, r)| r.written_at)
+            .max()
     }
 
     /// All paths with the given prefix, sorted.
@@ -123,20 +143,24 @@ pub mod paths {
         format!("nodestate/{}", node.0)
     }
 
+    /// Prefix of every latency row.
+    pub const LATENCY_PREFIX: &str = "latency/";
+
+    /// Prefix of every bandwidth row.
+    pub const BANDWIDTH_PREFIX: &str = "bandwidth/";
+
     /// Per-node latency row.
     pub fn latency_row(node: NodeId) -> String {
-        format!("latency/{}", node.0)
+        format!("{LATENCY_PREFIX}{}", node.0)
     }
 
     /// Per-node bandwidth row.
     pub fn bandwidth_row(node: NodeId) -> String {
-        format!("bandwidth/{}", node.0)
+        format!("{BANDWIDTH_PREFIX}{}", node.0)
     }
 
-    /// Central-monitor heartbeat for a role.
-    pub fn heartbeat(role_name: &str) -> String {
-        format!("central/{role_name}")
-    }
+    /// The master central monitor's heartbeat.
+    pub const MASTER_HEARTBEAT: &str = "central/master";
 
     /// Per-shard intra-NL record (sharded topology).
     pub fn shard_nl(shard: u32) -> String {
@@ -184,11 +208,28 @@ mod tests {
     fn prefix_listing_is_sorted() {
         let s = SharedStore::new();
         for i in [3u32, 1, 2] {
-            s.put(format!("nodestate/{i}"), SimTime::ZERO, Bytes::new());
+            s.put(&format!("nodestate/{i}"), SimTime::ZERO, Bytes::new());
         }
         s.put("latency/0", SimTime::ZERO, Bytes::new());
         let keys = s.list_prefix("nodestate/");
         assert_eq!(keys, vec!["nodestate/1", "nodestate/2", "nodestate/3"]);
+    }
+
+    #[test]
+    fn write_times_by_path_and_prefix() {
+        let s = SharedStore::new();
+        assert_eq!(s.written_at("latency/0"), None);
+        assert_eq!(s.newest_under("latency/"), None);
+        s.put("latency/0", SimTime::from_secs(7), Bytes::new());
+        s.put("latency/1", SimTime::from_secs(9), Bytes::new());
+        s.put("latencyx", SimTime::from_secs(99), Bytes::new());
+        s.put("bandwidth/0", SimTime::from_secs(50), Bytes::new());
+        assert_eq!(s.written_at("latency/0"), Some(SimTime::from_secs(7)));
+        assert_eq!(s.newest_under("latency/"), Some(SimTime::from_secs(9)));
+        // an overwrite moves the write time in place
+        s.put("latency/0", SimTime::from_secs(11), Bytes::new());
+        assert_eq!(s.newest_under("latency/"), Some(SimTime::from_secs(11)));
+        assert_eq!(s.len(), 4);
     }
 
     #[test]
@@ -200,7 +241,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for j in 0..100 {
                         s.put(
-                            format!("t{i}/{j}"),
+                            &format!("t{i}/{j}"),
                             SimTime::from_secs(j),
                             Bytes::from(vec![i as u8]),
                         );

@@ -55,7 +55,7 @@ pub fn fair_share_rates(cluster: &ClusterSim, flows: &[Flow]) -> Vec<RatedFlow> 
     let mut rated: Vec<RatedFlow> = flows
         .iter()
         .map(|f| {
-            let links = topo.path(f.src, f.dst);
+            let links = topo.route(f.src, f.dst).to_vec();
             let latency_s = if links.is_empty() {
                 0.0
             } else {

@@ -93,40 +93,40 @@ impl HealthTracker {
     /// Derive one snapshot from the registry at `now` and mirror it back as
     /// `health_*` gauges.
     pub fn observe(&mut self, now: SimTime, metrics: &Metrics) -> HealthSnapshot {
-        let capacity = metrics.gauge_value("broker_total_capacity");
-        let free = metrics.gauge_value("broker_free_procs");
-        let largest_free = metrics.gauge_value("broker_largest_free_block");
-        let utilization = if capacity > 0.0 {
-            (1.0 - free / capacity).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let fragmentation = if free > 0.0 {
-            (1.0 - largest_free / free).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let queue_by_class = [
-            metrics.gauge_value("broker_queue_depth_batch") as u64,
-            metrics.gauge_value("broker_queue_depth_normal") as u64,
-            metrics.gauge_value("broker_queue_depth_urgent") as u64,
-        ];
-        let snap = HealthSnapshot {
-            at: now,
-            utilization,
-            fragmentation,
-            queue_depth: metrics.gauge_value("broker_queue_depth") as u64,
-            queue_by_class,
-            oldest_wait_secs: metrics.gauge_value("broker_oldest_wait_secs"),
-            wait_p99_secs: metrics
-                .histogram_snapshot("broker_job_wait_secs")
-                .and_then(|h| h.quantile(0.99)),
-            stale_fraction: metrics.gauge_value("loads_stale_fraction"),
-            mean_cpu_load: metrics.gauge_value("cluster_mean_cpu_load"),
-            round_pairs: metrics.gauge_value("monitor_round_pairs") as u64,
-            round_bytes: metrics.gauge_value("monitor_round_bytes") as u64,
-            gossip_round_bytes: metrics.gauge_value("monitor_gossip_round_bytes") as u64,
-        };
+        let snap = metrics.read(|m| {
+            let capacity = m.gauge("broker_total_capacity");
+            let free = m.gauge("broker_free_procs");
+            let largest_free = m.gauge("broker_largest_free_block");
+            let utilization = if capacity > 0.0 {
+                (1.0 - free / capacity).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let fragmentation = if free > 0.0 {
+                (1.0 - largest_free / free).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let queue_by_class = [
+                m.gauge("broker_queue_depth_batch") as u64,
+                m.gauge("broker_queue_depth_normal") as u64,
+                m.gauge("broker_queue_depth_urgent") as u64,
+            ];
+            HealthSnapshot {
+                at: now,
+                utilization,
+                fragmentation,
+                queue_depth: m.gauge("broker_queue_depth") as u64,
+                queue_by_class,
+                oldest_wait_secs: m.gauge("broker_oldest_wait_secs"),
+                wait_p99_secs: m.quantile("broker_job_wait_secs", 0.99),
+                stale_fraction: m.gauge("loads_stale_fraction"),
+                mean_cpu_load: m.gauge("cluster_mean_cpu_load"),
+                round_pairs: m.gauge("monitor_round_pairs") as u64,
+                round_bytes: m.gauge("monitor_round_bytes") as u64,
+                gossip_round_bytes: m.gauge("monitor_gossip_round_bytes") as u64,
+            }
+        });
         metrics.set("health_utilization", snap.utilization);
         metrics.set("health_fragmentation", snap.fragmentation);
         metrics.set("health_stale_fraction", snap.stale_fraction);

@@ -260,12 +260,49 @@ pub fn sanitize_metric_name(s: &str) -> String {
     out
 }
 
+/// `map[name]`, created by `make` on first use. The key is allocated only
+/// then, so updating an existing metric never touches the heap.
+fn get_or_insert<T: Clone>(
+    map: &mut BTreeMap<String, T>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    if let Some(v) = map.get(name) {
+        return v.clone();
+    }
+    map.entry(name.to_owned()).or_insert_with(make).clone()
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Arc<Mutex<Histogram>>>,
     help: BTreeMap<String, String>,
+}
+
+/// Read-only view of a locked registry (see [`Metrics::read`]). Absent
+/// metrics read as 0, and as `None` for quantiles.
+pub struct Values<'a>(&'a Inner);
+
+impl Values<'_> {
+    /// Current value of the counter `name`.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.0.counters.get(name).map_or(0, Counter::get)
+    }
+
+    /// Current value of the gauge `name`.
+    pub fn gauge(&self, name: &str) -> f64 {
+        self.0.gauges.get(name).map_or(0.0, Gauge::get)
+    }
+
+    /// [`Histogram::quantile`] of the histogram `name`.
+    pub fn quantile(&self, name: &str, q: f64) -> Option<f64> {
+        self.0
+            .histograms
+            .get(name)
+            .and_then(|h| lock::lock(h).quantile(q))
+    }
 }
 
 /// Registry of named metrics (cheap clonable handle).
@@ -282,30 +319,24 @@ impl Metrics {
 
     /// The counter named `name`, creating it at 0 on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        lock::lock(&self.inner)
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_insert(
+            &mut lock::lock(&self.inner).counters,
+            name,
+            Counter::default,
+        )
     }
 
     /// The gauge named `name`, creating it at 0 on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        lock::lock(&self.inner)
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_insert(&mut lock::lock(&self.inner).gauges, name, Gauge::default)
     }
 
     /// The histogram named `name`, creating it with `bounds` on first use
     /// (later calls keep the original bounds).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Mutex<Histogram>> {
-        lock::lock(&self.inner)
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(Histogram::new(bounds))))
-            .clone()
+        get_or_insert(&mut lock::lock(&self.inner).histograms, name, || {
+            Arc::new(Mutex::new(Histogram::new(bounds)))
+        })
     }
 
     /// Add 1 to the counter `name`.
@@ -332,18 +363,19 @@ impl Metrics {
 
     /// Current value of the counter `name` (0 if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        lock::lock(&self.inner)
-            .counters
-            .get(name)
-            .map_or(0, Counter::get)
+        self.read(|v| v.counter(name))
     }
 
     /// Current value of the gauge `name` (0 if absent).
     pub fn gauge_value(&self, name: &str) -> f64 {
-        lock::lock(&self.inner)
-            .gauges
-            .get(name)
-            .map_or(0.0, Gauge::get)
+        self.read(|v| v.gauge(name))
+    }
+
+    /// Run `f` over the registry's current values under one lock, for
+    /// loops that read many metrics per tick. `f` must not update this
+    /// registry (the lock is not reentrant).
+    pub fn read<R>(&self, f: impl FnOnce(&Values<'_>) -> R) -> R {
+        f(&Values(&lock::lock(&self.inner)))
     }
 
     /// Attach `# HELP` text to the metric `name` for the Prometheus

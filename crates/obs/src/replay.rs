@@ -331,47 +331,51 @@ pub fn compare(expected: &Record, actual: &Record) -> ReplayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{ArrivalRecord, JournalDigest, Record, StreamRecord};
+    use crate::recorder::{ArrivalRecord, JournalDigest, Record, RecordHeader, StreamRecord};
     use nlrm_sim_core::time::SimTime;
 
     fn base() -> Record {
-        let mut rec = Record::default();
-        rec.version = crate::recorder::RECORD_VERSION;
-        rec.header.seed = 7;
-        rec.header.nodes = 8;
-        rec.arrivals = vec![
-            ArrivalRecord {
-                at: SimTime::from_secs(10),
-                name: "a".into(),
-                procs: 4,
+        Record {
+            version: crate::recorder::RECORD_VERSION,
+            header: RecordHeader {
+                seed: 7,
+                nodes: 8,
+                ..RecordHeader::default()
             },
-            ArrivalRecord {
-                at: SimTime::from_secs(20),
-                name: "b".into(),
-                procs: 8,
-            },
-        ];
-        rec.streams = vec![StreamRecord {
-            at: SimTime::from_secs(12),
-            kind: "probe:latency".into(),
-            count: 28,
-            digest: 0xabc,
-        }];
-        rec.journal = vec![
-            JournalDigest {
-                seq: 0,
-                kind: "daemon_tick".into(),
-                digest: 1,
-            },
-            JournalDigest {
-                seq: 1,
-                kind: "alloc_granted".into(),
-                digest: 2,
-            },
-        ];
-        rec.journal_len = 2;
-        rec.metrics_digest = 0xfff;
-        rec
+            arrivals: vec![
+                ArrivalRecord {
+                    at: SimTime::from_secs(10),
+                    name: "a".into(),
+                    procs: 4,
+                },
+                ArrivalRecord {
+                    at: SimTime::from_secs(20),
+                    name: "b".into(),
+                    procs: 8,
+                },
+            ],
+            streams: vec![StreamRecord {
+                at: SimTime::from_secs(12),
+                kind: "probe:latency".into(),
+                count: 28,
+                digest: 0xabc,
+            }],
+            journal: vec![
+                JournalDigest {
+                    seq: 0,
+                    kind: "daemon_tick".into(),
+                    digest: 1,
+                },
+                JournalDigest {
+                    seq: 1,
+                    kind: "alloc_granted".into(),
+                    digest: 2,
+                },
+            ],
+            journal_len: 2,
+            metrics_digest: 0xfff,
+            ..Record::default()
+        }
     }
 
     #[test]

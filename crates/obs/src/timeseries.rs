@@ -19,7 +19,6 @@
 use crate::json;
 use crate::metrics::Metrics;
 use nlrm_sim_core::time::{Duration, SimTime};
-use std::collections::BTreeMap;
 
 /// One aggregated point: `count` raw samples folded together.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -243,12 +242,18 @@ pub enum SourceKind {
     HistogramQuantile(f64),
 }
 
-/// One registered source: a metric name plus how to read it.
+/// One registered source: a metric name, how to read it, and the series
+/// its samples land in.
 #[derive(Debug, Clone)]
 struct Source {
-    series: String,
+    name: String,
     metric: String,
     kind: SourceKind,
+    series: Series,
+    /// Counter value at the previous tick (deltas only). Series names are
+    /// unique and a delta series is named after its counter, so no two
+    /// sources share one.
+    prev_counter: u64,
 }
 
 /// Snapshots registered metrics into [`Series`] on a virtual-time cadence.
@@ -256,9 +261,8 @@ struct Source {
 pub struct Sampler {
     cadence: Duration,
     capacity: usize,
+    /// In registration order; series names are unique.
     sources: Vec<Source>,
-    series: BTreeMap<String, Series>,
-    prev_counters: BTreeMap<String, u64>,
     last_tick: Option<SimTime>,
     ticks: u64,
 }
@@ -271,24 +275,29 @@ impl Sampler {
             cadence,
             capacity,
             sources: Vec::new(),
-            series: BTreeMap::new(),
-            prev_counters: BTreeMap::new(),
             last_tick: None,
             ticks: 0,
         }
     }
 
-    fn track(&mut self, series: String, metric: &str, kind: SourceKind) {
-        if self.series.contains_key(&series) {
+    fn track(&mut self, name: String, metric: &str, kind: SourceKind) {
+        if self.series(&name).is_some() {
             return; // already tracked
         }
-        self.series
-            .insert(series.clone(), Series::new(self.capacity));
         self.sources.push(Source {
-            series,
+            name,
             metric: metric.to_string(),
             kind,
+            series: Series::new(self.capacity),
+            prev_counter: 0,
         });
+    }
+
+    /// Sources sorted by series name.
+    fn by_name(&self) -> Vec<&Source> {
+        let mut sorted: Vec<&Source> = self.sources.iter().collect();
+        sorted.sort_by(|a, b| a.name.cmp(&b.name));
+        sorted
     }
 
     /// Track a counter as a per-tick delta series named after the metric.
@@ -331,45 +340,46 @@ impl Sampler {
     pub fn sample(&mut self, now: SimTime, metrics: &Metrics) {
         self.last_tick = Some(now);
         self.ticks += 1;
-        for src in &self.sources {
-            let value = match src.kind {
-                SourceKind::CounterDelta => {
-                    let cur = metrics.counter_value(&src.metric);
-                    let prev = self
-                        .prev_counters
-                        .insert(src.metric.clone(), cur)
-                        .unwrap_or(0);
-                    Some(cur.saturating_sub(prev) as f64)
-                }
-                SourceKind::Gauge => Some(metrics.gauge_value(&src.metric)),
-                SourceKind::HistogramQuantile(q) => metrics
-                    .histogram_snapshot(&src.metric)
-                    .and_then(|h| h.quantile(q)),
-            };
-            if let Some(v) = value {
-                if let Some(series) = self.series.get_mut(&src.series) {
-                    series.push(now, v);
+        metrics.read(|m| {
+            for src in &mut self.sources {
+                let value = match src.kind {
+                    SourceKind::CounterDelta => {
+                        let cur = m.counter(&src.metric);
+                        let prev = std::mem::replace(&mut src.prev_counter, cur);
+                        Some(cur.saturating_sub(prev) as f64)
+                    }
+                    SourceKind::Gauge => Some(m.gauge(&src.metric)),
+                    SourceKind::HistogramQuantile(q) => m.quantile(&src.metric, q),
+                };
+                if let Some(v) = value {
+                    src.series.push(now, v);
                 }
             }
-        }
+        });
     }
 
     /// The series named `name`, if tracked.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.get(name)
+        self.sources
+            .iter()
+            .find(|src| src.name == name)
+            .map(|src| &src.series)
     }
 
     /// All tracked series names, sorted.
     pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
+        self.by_name()
+            .into_iter()
+            .map(|src| src.name.as_str())
+            .collect()
     }
 
     /// Export every series as one JSON object keyed by series name.
     pub fn to_json(&self) -> String {
         let pairs: Vec<(&str, String)> = self
-            .series
-            .iter()
-            .map(|(k, s)| (k.as_str(), s.to_json()))
+            .by_name()
+            .into_iter()
+            .map(|src| (src.name.as_str(), src.series.to_json()))
             .collect();
         json::object(&pairs)
     }

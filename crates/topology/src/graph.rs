@@ -99,6 +99,8 @@ struct SwitchRec {
     parent: Option<SwitchId>,
     /// Link to the parent switch, when `parent` is set.
     uplink: Option<LinkId>,
+    /// Trunk hops from this switch up to the root (the root has depth 0).
+    depth: u32,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -151,6 +153,7 @@ impl Topology {
             switches.push(SwitchRec {
                 parent: parent.map(|p| SwitchId(p as u32)),
                 uplink,
+                depth: 0,
             });
         }
         let mut nodes = Vec::with_capacity(node_switches.len());
@@ -171,12 +174,12 @@ impl Topology {
                 access_link: id,
             });
         }
-        let topo = Topology {
+        let mut topo = Topology {
             switches,
             nodes,
             links,
         };
-        topo.assert_tree();
+        topo.assert_tree_and_set_depths();
         topo
     }
 
@@ -218,8 +221,9 @@ impl Topology {
         Topology::star_of_switches(&[n], access, access)
     }
 
-    fn assert_tree(&self) {
-        // Walking parents from every switch must reach the root without cycling.
+    fn assert_tree_and_set_depths(&mut self) {
+        // Walking parents from every switch must reach the root without
+        // cycling; the number of steps is the switch's depth.
         for s in 0..self.switches.len() {
             let mut seen = 0;
             let mut cur = SwitchId(s as u32);
@@ -231,6 +235,7 @@ impl Topology {
                     "cycle in switch tree at switch {s}"
                 );
             }
+            self.switches[s].depth = seen as u32;
         }
     }
 
@@ -294,15 +299,14 @@ impl Topology {
         order
     }
 
-    /// Switch ancestors from `sw` up to and including the root.
-    pub(crate) fn ancestors(&self, sw: SwitchId) -> Vec<SwitchId> {
-        let mut out = vec![sw];
-        let mut cur = sw;
-        while let Some(p) = self.switches[cur.index()].parent {
-            out.push(p);
-            cur = p;
-        }
-        out
+    /// The parent of a switch (`None` for the root).
+    pub(crate) fn parent(&self, sw: SwitchId) -> Option<SwitchId> {
+        self.switches[sw.index()].parent
+    }
+
+    /// Trunk hops from a switch up to the root.
+    pub(crate) fn depth(&self, sw: SwitchId) -> u32 {
+        self.switches[sw.index()].depth
     }
 }
 
@@ -351,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_tree_ancestors() {
+    fn deep_tree_depths() {
         // chain: 2 -> 1 -> 0
         let t = Topology::tree(
             &[None, Some(0), Some(1)],
@@ -359,7 +363,9 @@ mod tests {
             LinkParams::gigabit(),
             LinkParams::gigabit(),
         );
-        let anc = t.ancestors(SwitchId(2));
-        assert_eq!(anc, vec![SwitchId(2), SwitchId(1), SwitchId(0)]);
+        let depths: Vec<u32> = (0..3).map(|s| t.depth(SwitchId(s))).collect();
+        assert_eq!(depths, vec![0, 1, 2]);
+        assert_eq!(t.parent(SwitchId(2)), Some(SwitchId(1)));
+        assert_eq!(t.parent(SwitchId(0)), None);
     }
 }

@@ -15,4 +15,5 @@ pub mod route;
 pub mod tier;
 
 pub use graph::{Link, LinkId, LinkParams, NodeId, SwitchId, Topology};
+pub use route::Route;
 pub use tier::SwitchIndex;

@@ -1,51 +1,100 @@
 //! Routing: the unique tree path between any two nodes.
 
-use crate::graph::{LinkId, NodeId, Topology};
+use crate::graph::{LinkId, NodeId, SwitchId, Topology};
+use std::ops::Deref;
+
+/// Links a [`Route`] holds without touching the heap: three trunk levels
+/// on each side of the lowest common ancestor. Routes on the paper's
+/// testbed and on `campus` clusters have at most four links.
+const INLINE_LINKS: usize = 8;
+
+/// The ordered links of one tree path (see [`Topology::route`]).
+///
+/// Held inline, so building one does not allocate, unless the path is
+/// longer than the inline buffer; deeper trees spill to a `Vec`. Derefs
+/// to `[LinkId]`.
+#[derive(Debug, Clone)]
+pub struct Route {
+    len: usize,
+    inline: [LinkId; INLINE_LINKS],
+    spill: Vec<LinkId>,
+}
+
+impl Deref for Route {
+    type Target = [LinkId];
+    fn deref(&self) -> &[LinkId] {
+        if self.len > INLINE_LINKS {
+            &self.spill
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+}
 
 impl Topology {
-    /// Ordered list of links on the unique path from `u` to `v`.
+    /// Ordered links on the unique path from `u` to `v`.
     ///
     /// Empty when `u == v`. The path is `u`'s access link, trunks up to the
     /// lowest common ancestor switch, trunks back down, and `v`'s access link.
-    pub fn path(&self, u: NodeId, v: NodeId) -> Vec<LinkId> {
+    pub fn route(&self, u: NodeId, v: NodeId) -> Route {
+        let mut route = Route {
+            len: 0,
+            inline: [LinkId(0); INLINE_LINKS],
+            spill: Vec::new(),
+        };
         if u == v {
-            return Vec::new();
+            return route;
         }
-        let su = self.switch_of(u);
-        let sv = self.switch_of(v);
-        let mut path = vec![self.access_link(u)];
-        if su != sv {
-            let anc_u = self.ancestors(su);
-            let anc_v = self.ancestors(sv);
-            // lowest common ancestor: first switch on u's ancestor chain that
-            // also appears on v's chain
-            let lca = *anc_u
-                .iter()
-                .find(|s| anc_v.contains(s))
-                .expect("tree has a single root, LCA must exist");
-            for &s in anc_u.iter().take_while(|&&s| s != lca) {
-                path.push(self.uplink(s).expect("non-root ancestor has uplink"));
-            }
-            let down: Vec<LinkId> = anc_v
-                .iter()
-                .take_while(|&&s| s != lca)
-                .map(|&s| self.uplink(s).expect("non-root ancestor has uplink"))
-                .collect();
-            path.extend(down.into_iter().rev());
+        let (su, sv) = (self.switch_of(u), self.switch_of(v));
+        let parent = |s: SwitchId| self.parent(s).expect("non-root switch has a parent");
+        let uplink = |s: SwitchId| self.uplink(s).expect("non-root switch has an uplink");
+        // lowest common ancestor: lift the deeper switch to the other's
+        // depth, then lift both until they meet
+        let (mut a, mut b) = (su, sv);
+        while self.depth(a) > self.depth(b) {
+            a = parent(a);
         }
-        path.push(self.access_link(v));
-        path
+        while self.depth(b) > self.depth(a) {
+            b = parent(b);
+        }
+        while a != b {
+            a = parent(a);
+            b = parent(b);
+        }
+        let up = (self.depth(su) - self.depth(a)) as usize;
+        let down = (self.depth(sv) - self.depth(a)) as usize;
+        route.len = up + down + 2;
+        let links: &mut [LinkId] = if route.len > INLINE_LINKS {
+            route.spill = vec![LinkId(0); route.len];
+            &mut route.spill
+        } else {
+            &mut route.inline[..route.len]
+        };
+        links[0] = self.access_link(u);
+        let mut s = su;
+        for link in &mut links[1..=up] {
+            *link = uplink(s);
+            s = parent(s);
+        }
+        // walking up from v's switch visits the down leg back to front
+        let mut s = sv;
+        for link in links[up + 1..=up + down].iter_mut().rev() {
+            *link = uplink(s);
+            s = parent(s);
+        }
+        links[up + down + 1] = self.access_link(v);
+        route
     }
 
     /// Number of links on the path (the paper's "hops": 2 within a switch,
     /// up to 4 across the core).
     pub fn hops(&self, u: NodeId, v: NodeId) -> usize {
-        self.path(u, v).len()
+        self.route(u, v).len()
     }
 
     /// Sum of base latencies along the path, in seconds.
     pub fn base_latency(&self, u: NodeId, v: NodeId) -> f64 {
-        self.path(u, v)
+        self.route(u, v)
             .iter()
             .map(|&l| self.link(l).params.latency_s)
             .sum()
@@ -54,7 +103,7 @@ impl Topology {
     /// Minimum raw capacity along the path, in bits/s (0 for `u == v`,
     /// meaning "no network involved").
     pub fn path_capacity(&self, u: NodeId, v: NodeId) -> f64 {
-        self.path(u, v)
+        self.route(u, v)
             .iter()
             .map(|&l| self.link(l).params.capacity_bps)
             .fold(f64::INFINITY, f64::min)
@@ -74,7 +123,7 @@ mod tests {
     #[test]
     fn same_node_empty_path() {
         let t = star();
-        assert!(t.path(NodeId(0), NodeId(0)).is_empty());
+        assert!(t.route(NodeId(0), NodeId(0)).is_empty());
         assert_eq!(t.hops(NodeId(0), NodeId(0)), 0);
     }
 
@@ -104,8 +153,8 @@ mod tests {
     #[test]
     fn path_is_symmetric_in_link_set() {
         let t = star();
-        let mut p1 = t.path(NodeId(2), NodeId(4));
-        let mut p2 = t.path(NodeId(4), NodeId(2));
+        let mut p1 = t.route(NodeId(2), NodeId(4)).to_vec();
+        let mut p2 = t.route(NodeId(4), NodeId(2)).to_vec();
         p1.sort();
         p2.sort();
         assert_eq!(p1, p2);

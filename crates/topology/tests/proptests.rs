@@ -1,7 +1,20 @@
 //! Property-based tests for topology routing on arbitrary trees.
 
-use nlrm_topology::{LinkParams, NodeId, Topology};
+use nlrm_topology::{LinkId, LinkParams, NodeId, SwitchId, Topology};
 use proptest::prelude::*;
+
+fn build(parents: &[Option<usize>], node_counts: &[usize]) -> Topology {
+    let mut node_switches = Vec::new();
+    for (sw, &count) in node_counts.iter().enumerate() {
+        node_switches.extend(std::iter::repeat_n(sw, count));
+    }
+    Topology::tree(
+        parents,
+        &node_switches,
+        LinkParams::gigabit(),
+        LinkParams::ten_gigabit(),
+    )
+}
 
 /// Strategy: a random tree of up to 8 switches (parent < child index, so
 /// it is always a valid rooted tree) with 1–5 nodes per switch.
@@ -17,20 +30,100 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
         .prop_map(|(parent_tail, node_counts)| {
             let mut parents: Vec<Option<usize>> = vec![None];
             parents.extend(parent_tail);
-            let mut node_switches = Vec::new();
-            for (sw, &count) in node_counts.iter().enumerate() {
-                node_switches.extend(std::iter::repeat_n(sw, count));
-            }
-            Topology::tree(
-                &parents,
-                &node_switches,
-                LinkParams::gigabit(),
-                LinkParams::ten_gigabit(),
-            )
+            build(&parents, &node_counts)
         })
 }
 
+/// Strategy: deep, narrow trees of 14–28 switches, each hanging below
+/// one of the two switches before it. The last switch is at least 7 trunks
+/// below the root, so some paths run past a route's inline buffer (8
+/// links).
+fn arb_deep_topology() -> impl Strategy<Value = Topology> {
+    (14usize..28)
+        .prop_flat_map(|num_switches| {
+            let parents = (1..num_switches)
+                .map(|i| (i.saturating_sub(2)..i).prop_map(Some).boxed())
+                .collect::<Vec<_>>();
+            let node_counts = proptest::collection::vec(1usize..3, num_switches);
+            (parents, node_counts)
+        })
+        .prop_map(|(parent_tail, node_counts)| {
+            let mut parents: Vec<Option<usize>> = vec![None];
+            parents.extend(parent_tail);
+            build(&parents, &node_counts)
+        })
+}
+
+/// Reference routing: build both switches' full ancestor chains, take the
+/// first switch on `u`'s chain that is also on `v`'s as the LCA, and
+/// concatenate access, up leg, reversed down leg, access.
+fn reference_path(topo: &Topology, u: NodeId, v: NodeId) -> Vec<LinkId> {
+    if u == v {
+        return Vec::new();
+    }
+    // a switch's parent is the far end of its uplink
+    let parent = |s: SwitchId| {
+        topo.uplink(s).map(|l| match topo.link(l).b {
+            nlrm_topology::graph::Endpoint::Switch(p) => p,
+            other => panic!("uplink ends at {other:?}"),
+        })
+    };
+    let chain = |mut s: SwitchId| {
+        let mut out = vec![s];
+        while let Some(p) = parent(s) {
+            out.push(p);
+            s = p;
+        }
+        out
+    };
+    let anc_u = chain(topo.switch_of(u));
+    let anc_v = chain(topo.switch_of(v));
+    let lca = *anc_u.iter().find(|s| anc_v.contains(s)).expect("one root");
+    let mut path = vec![topo.access_link(u)];
+    for &s in anc_u.iter().take_while(|&&s| s != lca) {
+        path.push(topo.uplink(s).expect("non-root"));
+    }
+    let down: Vec<LinkId> = anc_v
+        .iter()
+        .take_while(|&&s| s != lca)
+        .map(|&s| topo.uplink(s).expect("non-root"))
+        .collect();
+    path.extend(down.into_iter().rev());
+    path.push(topo.access_link(v));
+    path
+}
+
+fn assert_routes_match_reference(topo: &Topology) -> Result<(), String> {
+    let n = topo.num_nodes();
+    for u in 0..n {
+        for v in 0..n {
+            let (u, v) = (NodeId(u as u32), NodeId(v as u32));
+            prop_assert_eq!(topo.route(u, v).to_vec(), reference_path(topo, u, v));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The route equals the ancestor-chain reference link for link, in
+    /// order, on arbitrary trees.
+    #[test]
+    fn route_matches_reference(topo in arb_topology()) {
+        assert_routes_match_reference(&topo)?;
+    }
+
+    /// Same on trees deep enough that routes spill past the inline buffer.
+    #[test]
+    fn deep_route_matches_reference(topo in arb_deep_topology()) {
+        // node 0 sits on the root switch
+        let longest = (0..topo.num_nodes())
+            .map(|v| topo.hops(NodeId(0), NodeId(v as u32)))
+            .max()
+            .unwrap_or(0);
+        prop_assert!(longest > 8, "deep tree too shallow: {} links", longest);
+        assert_routes_match_reference(&topo)?;
+    }
+
     /// Routing basics on arbitrary trees: self-paths empty, distinct pairs
     /// have ≥ 2 hops, path link-sets are symmetric, hops are bounded by the
     /// tree diameter.
@@ -40,7 +133,7 @@ proptest! {
         for u in 0..n {
             for v in 0..n {
                 let (u, v) = (NodeId(u as u32), NodeId(v as u32));
-                let path = topo.path(u, v);
+                let path = topo.route(u, v).to_vec();
                 if u == v {
                     prop_assert!(path.is_empty());
                     continue;
@@ -50,7 +143,7 @@ proptest! {
                 prop_assert!(path.len() <= 2 + 2 * topo.num_switches());
                 // symmetric as a set of links
                 let mut fwd = path.clone();
-                let mut bwd = topo.path(v, u);
+                let mut bwd = topo.route(v, u).to_vec();
                 fwd.sort();
                 bwd.sort();
                 prop_assert_eq!(fwd, bwd);
