@@ -5,6 +5,10 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q --workspace
+# the benchmark package is its own workspace (path deps on crates/*), so
+# the workspace build never compiles it; a nlrm-core API change must not
+# break it unnoticed
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 

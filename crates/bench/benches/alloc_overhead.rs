@@ -3,13 +3,13 @@
 //! The paper claims "the total run-time of the whole algorithm … is ~1–2 ms"
 //! at V = 60 nodes, with complexity O(V² log V) for candidate generation
 //! (§3.3.2). This bench verifies the absolute number on the paper's cluster
-//! size, the scaling shape over V, the baselines for comparison, and the
-//! §3.3.2 switch-group variant at large V.
+//! size, the scaling shape over V, and the baselines for comparison. The
+//! switch-tiered pruned path behind large V is timed by `scale_sweep` and
+//! the `scale_micro` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_cluster::{ClusterProfile, ClusterSim, NodeSpec};
-use nlrm_core::groups::ScalableAllocator;
 use nlrm_core::{AllocationRequest, LoadAwarePolicy, NetworkLoadAwarePolicy, Policy, RandomPolicy};
 use nlrm_monitor::{ClusterSnapshot, MonitorRuntime};
 use nlrm_sim_core::time::Duration;
@@ -90,27 +90,5 @@ fn bench_baselines(c: &mut Criterion) {
     });
 }
 
-/// The §3.3.2 two-level variant at a scale where flat allocation strains.
-fn bench_scalable_variant(c: &mut Criterion) {
-    let mut cluster = synthetic_cluster(256, 11);
-    let snap = snapshot_for(&mut cluster);
-    let topo = cluster.topology().clone();
-    let req = AllocationRequest::minimd(32);
-    c.bench_function("scalable_allocate_v256", |b| {
-        let alloc = ScalableAllocator::new();
-        b.iter(|| {
-            alloc
-                .allocate(black_box(&topo), black_box(&snap), black_box(&req))
-                .unwrap()
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_paper_cluster,
-    bench_scaling,
-    bench_baselines,
-    bench_scalable_variant
-);
+criterion_group!(benches, bench_paper_cluster, bench_scaling, bench_baselines);
 criterion_main!(benches);

@@ -188,7 +188,7 @@ fn epsilon_for(name: &'static str, mut cluster: nlrm_cluster::ClusterSim) -> Eps
     let inter = rt.inter_estimate().expect("estimate published");
     let est =
         Loads::derive_sharded(&snap, &inter, &idx, &cw, &nw, Some(4), &policy).expect("derive");
-    assert!(matches!(est.nl, NlRep::Estimated(_)));
+    assert!(matches!(*est.nl, NlRep::Estimated(_)));
     let exact_snap = oracle_snapshot(&snap, &cluster);
     let exact_dense =
         Loads::derive_with_policy(&exact_snap, &cw, &nw, Some(4), &policy).expect("derive exact");

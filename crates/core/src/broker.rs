@@ -16,8 +16,9 @@
 //! cycle ([`SchedMode::Batched`]) derives once per distinct *request
 //! shape* (ppn + weight vectors) per tick, scores the top-K jobs of the
 //! priority order against that shared derivation, and commits starts
-//! greedily against the reservation ledger, rebuilding only the cheap
-//! reservation-restricted view when the ledger actually changes.
+//! greedily against the reservation ledger. Each placement scores a
+//! reservation-restricted [`Loads::restrict`] view, which is O(V) and
+//! shares the derivation's network load instead of copying it.
 //!
 //! # Starvation and the head reservation
 //!
@@ -31,10 +32,9 @@
 //! left over once the head starts. Priority aging is the second backstop:
 //! every second of queue wait adds [`BrokerConfig::aging_rate`] points.
 
-use crate::candidate::generate_all_candidates;
 use crate::loads::Loads;
-use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
-use crate::select::{explain_selection, group_mean_network_load, select_best};
+use crate::policies::place;
+use crate::request::{AllocError, Allocation, AllocationRequest};
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_obs::span::{SpanId, TraceId};
 use nlrm_sim_core::time::{Duration, SimTime};
@@ -43,9 +43,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Histogram bucket bounds (seconds) for job queue-wait time.
 const JOB_WAIT_BOUNDS: &[f64] = &[0.0, 10.0, 30.0, 60.0, 120.0, 300.0, 900.0, 3600.0];
-
-/// Top-k candidate groups kept in a decision's explain trace.
-const EXPLAIN_TOP_K: usize = 3;
 
 /// Broker-assigned job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -234,7 +231,7 @@ pub enum BrokerEvent {
 /// Why a placement attempt failed, split by whether freed capacity could
 /// cure it: `Capacity` failures arm the head reservation, `Advisory` ones
 /// (the §6 "recommend waiting" signal, monitoring gaps) do not.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PlaceFailure {
     Capacity(String),
     Advisory(String),
@@ -736,11 +733,8 @@ impl Broker {
         });
 
         let batch = jobs.len().min(max_per_tick.max(1));
-        // one derivation per request shape per tick…
+        // one derivation per request shape per tick
         let mut bases: HashMap<ShapeKey, Result<Loads, String>> = HashMap::new();
-        // …and one reservation-restricted view per shape per ledger state
-        // (cleared whenever a start changes the ledger)
-        let mut views: HashMap<ShapeKey, Result<Loads, PlaceFailure>> = HashMap::new();
         let mut head_res: Option<HeadReservation> = None;
         let mut started = vec![false; jobs.len()];
 
@@ -813,17 +807,7 @@ impl Broker {
                 }
             };
 
-            // reservation-restricted view, shared until the ledger changes
-            if !views.contains_key(&key) {
-                views.insert(key.clone(), self.restrict(base));
-            }
-            let outcome: Result<Lease, PlaceFailure> = match views.get(&key).expect("just inserted")
-            {
-                Ok(view) => self.place_on(view, &jobs[idx], snap),
-                Err(fail) => Err(fail.clone()),
-            };
-
-            match outcome {
+            match self.place_on(base, &jobs[idx], snap) {
                 Ok(lease) => {
                     if observed {
                         observe_start(&jobs[idx], &lease, now, cycle);
@@ -839,7 +823,6 @@ impl Broker {
                     events.push(BrokerEvent::Started(Box::new(lease.clone())));
                     self.commit_start(&jobs[idx], lease, now);
                     started[idx] = true;
-                    views.clear();
                 }
                 Err(fail) => {
                     let capacity_blocked = matches!(fail, PlaceFailure::Capacity(_));
@@ -1031,29 +1014,9 @@ impl Broker {
         (None, 0)
     }
 
-    /// Shrink a derivation's capacities by current reservations, dropping
-    /// fully-booked nodes.
-    fn restrict(&self, base: &Loads) -> Result<Loads, PlaceFailure> {
-        let mut usable = Vec::new();
-        let mut cl = Vec::new();
-        let mut pc = Vec::new();
-        for (i, &node) in base.usable.iter().enumerate() {
-            let free = base.pc[i].saturating_sub(self.reserved_on(node));
-            if free > 0 {
-                usable.push(node);
-                cl.push(base.cl[i]);
-                pc.push(free);
-            }
-        }
-        if usable.is_empty() {
-            return Err(PlaceFailure::Capacity("all nodes fully reserved".into()));
-        }
-        Ok(Loads::from_parts(usable, cl, base.nl.clone(), pc))
-    }
-
     /// Attempt to place one job (legacy path): derive fresh, then place.
-    /// Also hands back the unrestricted derivation (when one succeeded)
-    /// so the caller can publish capacity gauges without re-deriving.
+    /// Also hands back the derivation (when one succeeded) so the caller
+    /// can publish capacity gauges without re-deriving.
     fn try_start(
         &self,
         job: &QueuedJob,
@@ -1064,38 +1027,35 @@ impl Broker {
             Ok(l) => l,
             Err(e) => return (None, Err(e.to_string())),
         };
-        let outcome = match self.restrict(&loads) {
-            Ok(adjusted) => self
-                .place_on(&adjusted, job, snap)
-                .map_err(PlaceFailure::into_message),
-            Err(fail) => Err(fail.into_message()),
-        };
+        let outcome = self
+            .place_on(&loads, job, snap)
+            .map_err(PlaceFailure::into_message);
         (Some(loads), outcome)
     }
 
-    /// Score and place one job against a reservation-restricted view.
+    /// Score and place one job on `base` shrunk by current reservations
+    /// (fully-booked nodes dropped).
     fn place_on(
         &self,
-        adjusted: &Loads,
+        base: &Loads,
         job: &QueuedJob,
         snap: &ClusterSnapshot,
     ) -> Result<Lease, PlaceFailure> {
         let req = &job.request;
-        let free_capacity = adjusted.total_capacity();
+        let free_capacity = self.free_capacity(base);
+        if free_capacity == 0 {
+            return Err(PlaceFailure::Capacity("all nodes fully reserved".into()));
+        }
         if free_capacity < req.procs as u64 {
             return Err(PlaceFailure::Capacity(format!(
                 "insufficient free capacity: {free_capacity} < {}",
                 req.procs
             )));
         }
-        let candidates = generate_all_candidates(adjusted, req.procs, req.alpha, req.beta);
-        if candidates.is_empty() {
-            return Err(PlaceFailure::Capacity(
-                "no candidate group can host the request".into(),
-            ));
-        }
-        let selection = select_best(adjusted, &candidates, req.alpha, req.beta);
-        let winner = &candidates[selection.best];
+        let view = base.restrict(|node, pc| pc.saturating_sub(self.reserved_on(node)));
+        let allocation = place(&view, req, None, "network-load-aware/broker").map_err(|_| {
+            PlaceFailure::Capacity("no candidate group can host the request".into())
+        })?;
 
         // §6 deferral: is even the best group too loaded? A winner node
         // missing from the snapshot (its node-state record vanished after
@@ -1103,7 +1063,7 @@ impl Broker {
         if let Some(limit) = self.config.max_load_per_core {
             let mut load = 0.0;
             let mut cores = 0.0;
-            for &node in &winner.nodes {
+            for &(node, _) in &allocation.nodes {
                 let Some(info) = snap.info(node) else {
                     return Err(PlaceFailure::Advisory(format!(
                         "node {node} has no sample in the snapshot (stale or partial view)"
@@ -1120,11 +1080,9 @@ impl Broker {
             }
         }
 
-        let selected = winner.nodes.clone();
-        let mean_cl =
-            selected.iter().map(|&u| adjusted.cl_of(u)).sum::<f64>() / selected.len() as f64;
         if nlrm_obs::ctx::is_active() {
             let now = snap.taken_at;
+            let d = &allocation.diagnostics;
             // instant marks: scoring and placement consume no virtual time
             // in this simulation, but their attributes record what the
             // decision saw (candidate count, winning cost, data freshness)
@@ -1136,8 +1094,8 @@ impl Broker {
                 now,
                 now,
                 vec![
-                    ("candidates".into(), candidates.len().to_string()),
-                    ("best_cost".into(), format!("{:.6}", selection.best_cost)),
+                    ("candidates".into(), d.candidate_costs.len().to_string()),
+                    ("best_cost".into(), format!("{:.6}", d.total_cost)),
                     (
                         "snapshot_age_s".into(),
                         format!(
@@ -1147,7 +1105,11 @@ impl Broker {
                     ),
                 ],
             );
-            let node_list: Vec<String> = selected.iter().map(|n| n.to_string()).collect();
+            let node_list: Vec<String> = allocation
+                .node_list()
+                .iter()
+                .map(|n| n.to_string())
+                .collect();
             nlrm_obs::ctx::span_closed(
                 job.id.trace(),
                 job.root_span,
@@ -1157,7 +1119,10 @@ impl Broker {
                 now,
                 vec![
                     ("nodes".into(), node_list.join(",")),
-                    ("mean_compute_load".into(), format!("{mean_cl:.4}")),
+                    (
+                        "mean_compute_load".into(),
+                        format!("{:.4}", d.mean_compute_load),
+                    ),
                 ],
             );
         }
@@ -1166,24 +1131,7 @@ impl Broker {
             name: job.name.clone(),
             trace: job.id.trace(),
             root_span: job.root_span,
-            allocation: Allocation {
-                policy: "network-load-aware/broker".into(),
-                rank_map: Allocation::block_rank_map(&winner.assignment()),
-                nodes: winner.assignment(),
-                diagnostics: Diagnostics {
-                    total_cost: selection.best_cost,
-                    mean_compute_load: mean_cl,
-                    mean_network_load: group_mean_network_load(adjusted, &selected),
-                    explain: Some(explain_selection(
-                        &candidates,
-                        &selection,
-                        req.alpha,
-                        req.beta,
-                        EXPLAIN_TOP_K,
-                    )),
-                    candidate_costs: selection.costs,
-                },
-            },
+            allocation,
         })
     }
 }
@@ -1191,6 +1139,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Diagnostics;
     use nlrm_cluster::iitk::small_cluster;
     use nlrm_monitor::MonitorRuntime;
     use nlrm_obs::{install, Obs};
@@ -1254,6 +1203,23 @@ mod tests {
         // reservations cleared
         for node in lease.allocation.node_list() {
             assert_eq!(broker.reserved_on(node), 0);
+        }
+    }
+
+    #[test]
+    fn fully_reserved_cluster_defers_on_capacity() {
+        for mode in [SchedMode::PerJob, SchedMode::Batched { max_per_tick: 8 }] {
+            let snap = snapshot(4, 5); // 16 capacity
+            let mut broker = Broker::new(BrokerConfig { mode, ..no_defer() });
+            broker.submit("fill", req(16)).unwrap();
+            broker.tick(&snap);
+            let late = broker.submit("late", req(4)).unwrap();
+            let events = broker.tick(&snap);
+            assert!(
+                matches!(&events[..], [BrokerEvent::Deferred { id, reason }]
+                    if *id == late && reason == "all nodes fully reserved"),
+                "{mode:?}: {events:?}"
+            );
         }
     }
 

@@ -648,7 +648,7 @@ mod tests {
         let starved = Loads::from_parts(
             l.usable.clone(),
             l.cl.clone(),
-            l.nl.clone(),
+            (*l.nl).clone(),
             vec![0; l.usable.len()],
         );
         let cands = generate_all_candidates(&starved, 8, 0.3, 0.7);

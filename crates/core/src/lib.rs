@@ -19,19 +19,20 @@
 //!    selection.
 //! 6. [`policies`] — the four allocation policies compared in §5 (random,
 //!    sequential, load-aware, network-and-load-aware) plus a brute-force
-//!    optimum for validating the heuristic on small clusters.
+//!    optimum for validating the heuristic on small clusters, and
+//!    [`policies::place`], the one Algorithm 1–2 placement stage behind the
+//!    network-and-load-aware policy, the broker and the SLURM adapter.
 //! 7. [`advisor`] — the §6 extension: recommend *waiting* when the cluster
 //!    is too loaded for any allocation to help; [`broker`] — the multi-job
 //!    resource broker with reservation accounting and backfill.
-//! 8. [`groups`] — the §3.3.2 scaling note: switch-level grouping so the
-//!    algorithm scales past a few hundred nodes; [`slurm`] — the §6
-//!    integration path: the allocator behind a SLURM-select-plugin-shaped
-//!    interface.
+//! 8. [`tiered`] and [`scalable`] — the §3.3.2 scaling note: switch-tiered
+//!    network load and bound-pruned selection so the algorithm scales past
+//!    a few hundred nodes; [`slurm`] — the §6 integration path: the
+//!    allocator behind a SLURM-select-plugin-shaped interface.
 
 pub mod advisor;
 pub mod broker;
 pub mod candidate;
-pub mod groups;
 pub mod loads;
 pub mod par;
 pub mod policies;

@@ -11,6 +11,7 @@ use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use crate::tiered::NlRep;
 
@@ -77,8 +78,9 @@ pub struct Loads {
     pub cl: Vec<f64>,
     /// Pairwise network load over the node-id space — dense (exact V×V) or
     /// tiered (exact intra-switch, aggregated inter-switch). Only entries
-    /// between usable nodes are meaningful. Lower is better.
-    pub nl: NlRep,
+    /// between usable nodes are meaningful. Lower is better. Shared, not
+    /// copied, by every [`Loads::restrict`] view of this derivation.
+    pub nl: Arc<NlRep>,
     /// Effective processor count per usable node (parallel to `usable`).
     pub pc: Vec<u32>,
     index_of: HashMap<NodeId, usize>,
@@ -318,21 +320,7 @@ impl Loads {
             })
             .collect();
 
-        let nl = NlRep::Dense(nl);
-        let index_of = usable.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let (c_all, n_all) = universe_totals(&usable, &cl, &nl);
-        Ok((
-            Loads {
-                usable,
-                cl,
-                nl,
-                pc,
-                index_of,
-                c_all,
-                n_all,
-            },
-            norm,
-        ))
+        Ok((Loads::from_parts(usable, cl, NlRep::Dense(nl), pc), norm))
     }
 
     /// Derive loads from a *sharded* snapshot whose inter-shard pairs were
@@ -360,7 +348,7 @@ impl Loads {
         policy: &StalenessPolicy,
     ) -> Result<Loads, AllocError> {
         let (loads, norm) = Self::derive_core(snap, compute_weights, network_weights, ppn, policy)?;
-        let dense = match &loads.nl {
+        let dense = match &*loads.nl {
             NlRep::Dense(d) => d,
             _ => unreachable!("derive_core always builds a dense matrix"),
         };
@@ -393,18 +381,42 @@ impl Loads {
         Ok(Loads::from_parts(loads.usable, loads.cl, nl, loads.pc))
     }
 
-    /// Assemble a `Loads` from precomputed parts (used by the two-level
-    /// scalable allocator to restrict the universe to a shortlist, and by
-    /// the scale benches to synthesize tiered universes directly).
+    /// Assemble a `Loads` from precomputed parts (used by the scale
+    /// benches to synthesize tiered universes directly).
     pub fn from_parts(
         usable: Vec<NodeId>,
         cl: Vec<f64>,
         nl: impl Into<NlRep>,
         pc: Vec<u32>,
     ) -> Loads {
+        Self::assemble(usable, cl, Arc::new(nl.into()), pc)
+    }
+
+    /// A view of this derivation over fewer nodes or less capacity:
+    /// `capacity(node, pc)` gives each usable node its new processor
+    /// count, and 0 drops the node. The view shares this derivation's NL
+    /// representation (no copy) and recomputes the universe totals over
+    /// the kept nodes, exactly as [`Loads::from_parts`] would. Restricting
+    /// to nothing yields an empty universe; callers map that to their own
+    /// error.
+    pub fn restrict(&self, mut capacity: impl FnMut(NodeId, u32) -> u32) -> Loads {
+        let mut usable = Vec::new();
+        let mut cl = Vec::new();
+        let mut pc = Vec::new();
+        for (i, &node) in self.usable.iter().enumerate() {
+            let cap = capacity(node, self.pc[i]);
+            if cap > 0 {
+                usable.push(node);
+                cl.push(self.cl[i]);
+                pc.push(cap);
+            }
+        }
+        Self::assemble(usable, cl, Arc::clone(&self.nl), pc)
+    }
+
+    fn assemble(usable: Vec<NodeId>, cl: Vec<f64>, nl: Arc<NlRep>, pc: Vec<u32>) -> Loads {
         assert_eq!(usable.len(), cl.len());
         assert_eq!(usable.len(), pc.len());
-        let nl = nl.into();
         let index_of = usable.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let (c_all, n_all) = universe_totals(&usable, &cl, &nl);
         Loads {
@@ -423,11 +435,10 @@ impl Loads {
     /// values, inter-switch cells aggregate to the per-switch-pair mean.
     /// A no-op when the representation is already tiered.
     pub fn into_tiered(self, index: &SwitchIndex) -> Loads {
-        let nl = match self.nl {
-            NlRep::Tiered(t) => NlRep::Tiered(t),
-            NlRep::Estimated(e) => NlRep::Estimated(e),
-            NlRep::Dense(d) => NlRep::Tiered(TieredNl::from_dense(&d, &self.usable, index)),
+        let NlRep::Dense(d) = &*self.nl else {
+            return self;
         };
+        let nl = TieredNl::from_dense(d, &self.usable, index);
         Loads::from_parts(self.usable, self.cl, nl, self.pc)
     }
 
@@ -935,5 +946,64 @@ mod tests {
             Loads::derive(&snap, &w, &NetworkWeights::paper_default(), Some(4)),
             Err(AllocError::InvalidRequest(_))
         ));
+    }
+
+    #[test]
+    fn restrict_shares_nl_and_matches_from_parts() {
+        let dense = derive(&snapshot(8, 3));
+        let tiered = dense.clone().into_tiered(&SwitchIndex::uniform(8, 3));
+        let point = tiered.nl.as_tiered().unwrap().clone();
+        let s = point.num_switches();
+        let estimated = Loads::from_parts(
+            dense.usable.clone(),
+            dense.cl.clone(),
+            NlRep::Estimated(EstimatedNl::new(point, vec![0.0; s * s], vec![9.0; s * s])),
+            dense.pc.clone(),
+        );
+        // drop nodes 1 and 6, halve the capacity of the even ones
+        let capacity = |n: NodeId, pc: u32| match n.0 {
+            1 | 6 => 0,
+            i if i % 2 == 0 => pc / 2,
+            _ => pc,
+        };
+        for base in [&dense, &tiered, &estimated] {
+            let view = base.restrict(capacity);
+            assert!(Arc::ptr_eq(&view.nl, &base.nl), "NL was copied");
+            let kept: Vec<NodeId> = base
+                .usable
+                .iter()
+                .copied()
+                .filter(|&n| capacity(n, base.pc_of(n)) > 0)
+                .collect();
+            assert_eq!(view.usable, kept);
+            assert_eq!(view.usable.len(), 6);
+            for &u in &kept {
+                assert_eq!(view.cl_of(u).to_bits(), base.cl_of(u).to_bits());
+                assert_eq!(view.pc_of(u), capacity(u, base.pc_of(u)));
+                for &v in &kept {
+                    assert_eq!(
+                        view.nl_between(u, v).to_bits(),
+                        base.nl_between(u, v).to_bits()
+                    );
+                }
+            }
+            let rebuilt = Loads::from_parts(
+                view.usable.clone(),
+                view.cl.clone(),
+                (*base.nl).clone(),
+                view.pc.clone(),
+            );
+            assert_eq!(
+                view.total_compute_load().to_bits(),
+                rebuilt.total_compute_load().to_bits()
+            );
+            assert_eq!(
+                view.total_network_load().to_bits(),
+                rebuilt.total_network_load().to_bits()
+            );
+            let nothing = base.restrict(|_, _| 0);
+            assert!(nothing.usable.is_empty());
+            assert_eq!(nothing.total_capacity(), 0);
+        }
     }
 }

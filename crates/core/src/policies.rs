@@ -7,9 +7,11 @@
 //!   nodes (topologically) as required", i.e. consecutive node numbers.
 //! * **load-aware** — "selects the group of nodes with minimal load" (our
 //!   Eq. 1 compute load, network ignored).
-//! * **network-and-load-aware** — the contribution: Algorithms 1 + 2.
+//! * **network-and-load-aware** — the contribution: Algorithms 1 + 2, run
+//!   by [`place`], the one placement stage the policy, the broker and the
+//!   SLURM adapter share.
 
-use crate::candidate::generate_all_candidates;
+use crate::candidate::{generate_all_candidates, generate_candidate};
 use crate::loads::Loads;
 use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
 use crate::select::{explain_selection, group_cost, group_mean_network_load, select_best};
@@ -65,7 +67,7 @@ fn pack(loads: &Loads, order: &[NodeId], n: u32) -> Vec<(NodeId, u32)> {
 }
 
 fn build_allocation(
-    policy: &'static str,
+    policy: &str,
     loads: &Loads,
     assignment: Vec<(NodeId, u32)>,
     extra: Diagnostics,
@@ -87,6 +89,48 @@ fn build_allocation(
             ..extra
         },
     }
+}
+
+/// The placement stage: Algorithm 1 candidates → Algorithm 2 selection by
+/// Eq. 4 → explain trace → [`Allocation`], over an already-derived (and
+/// possibly [restricted](Loads::restrict)) `view`.
+///
+/// `starts` pins Algorithm 1's start nodes (SLURM `--nodelist`); each must
+/// be usable in `view`. `None` grows one candidate from every usable node.
+/// Candidates that cannot place all `req.procs` never reach selection, and
+/// when none is left the stage fails with [`AllocError::NoCapacity`] — its
+/// only error.
+pub fn place(
+    view: &Loads,
+    req: &AllocationRequest,
+    starts: Option<&[NodeId]>,
+    policy: &str,
+) -> Result<Allocation, AllocError> {
+    let candidates = match starts {
+        None => generate_all_candidates(view, req.procs, req.alpha, req.beta),
+        Some(starts) => starts
+            .iter()
+            .map(|&v| generate_candidate(view, v, req.procs, req.alpha, req.beta))
+            .filter(|c| c.total_procs() as u64 >= req.procs as u64)
+            .collect(),
+    };
+    if candidates.is_empty() {
+        return Err(AllocError::NoCapacity);
+    }
+    let selection = select_best(view, &candidates, req.alpha, req.beta);
+    let explain = explain_selection(&candidates, &selection, req.alpha, req.beta, 3);
+    let winner = &candidates[selection.best];
+    Ok(build_allocation(
+        policy,
+        view,
+        winner.assignment(),
+        Diagnostics {
+            total_cost: selection.best_cost,
+            candidate_costs: selection.costs,
+            explain: Some(explain),
+            ..Diagnostics::default()
+        },
+    ))
 }
 
 fn derive(snap: &ClusterSnapshot, req: &AllocationRequest) -> Result<Loads, AllocError> {
@@ -258,29 +302,13 @@ impl Policy for NetworkLoadAwarePolicy {
     ) -> Result<Allocation, AllocError> {
         let started = std::time::Instant::now();
         let loads = derive(snap, req)?;
-        let candidates = generate_all_candidates(&loads, req.procs, req.alpha, req.beta);
-        if candidates.is_empty() {
-            return Err(AllocError::NoCapacity);
-        }
-        let selection = select_best(&loads, &candidates, req.alpha, req.beta);
-        let explain = explain_selection(&candidates, &selection, req.alpha, req.beta, 3);
-        let winner = &candidates[selection.best];
+        let allocation = place(&loads, req, None, "network-load-aware")?;
         nlrm_obs::ctx::observe(
             "alloc_decision_seconds",
             crate::scalable::DECISION_SECONDS_BOUNDS,
             started.elapsed().as_secs_f64(),
         );
-        Ok(build_allocation(
-            "network-load-aware",
-            &loads,
-            winner.assignment(),
-            Diagnostics {
-                total_cost: selection.best_cost,
-                candidate_costs: selection.costs,
-                explain: Some(explain),
-                ..Diagnostics::default()
-            },
-        ))
+        Ok(allocation)
     }
 }
 
@@ -396,14 +424,6 @@ fn search(
         search(loads, universe, i + 1, k, alpha, beta, subset, best);
         subset.pop();
     }
-}
-
-/// Convenience: run the paper's allocator once with default construction.
-pub fn allocate_network_load_aware(
-    snap: &ClusterSnapshot,
-    req: &AllocationRequest,
-) -> Result<Allocation, AllocError> {
-    NetworkLoadAwarePolicy::new().allocate(snap, req)
 }
 
 #[cfg(test)]

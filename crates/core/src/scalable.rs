@@ -323,7 +323,7 @@ mod tests {
         let starved = Loads::from_parts(
             l.usable.clone(),
             l.cl.clone(),
-            l.nl.clone(),
+            (*l.nl).clone(),
             vec![0; l.usable.len()],
         );
         assert!(allocate_pruned(&starved, 8, 0.3, 0.7).is_none());

@@ -11,8 +11,8 @@
 //! `select/nlrm` plugin.
 
 use crate::loads::Loads;
+use crate::policies::place;
 use crate::request::{AllocError, Allocation, AllocationRequest};
-use crate::select::{explain_selection, group_mean_network_load, select_best};
 use nlrm_monitor::ClusterSnapshot;
 use nlrm_topology::NodeId;
 
@@ -171,49 +171,36 @@ impl SelectPlugin for NlrmSelect {
 
         // restrict the universe to the bitmap minus exclusions
         let loads = Loads::derive(snap, &req.compute_weights, &req.network_weights, req.ppn)?;
-        let mut usable = Vec::new();
-        let mut cl = Vec::new();
-        let mut pc = Vec::new();
-        for (i, &node) in loads.usable.iter().enumerate() {
+        let restricted = loads.restrict(|node, pc| {
             if avail.contains(node) && !excluded.contains(&node) {
-                usable.push(node);
-                cl.push(loads.cl[i]);
-                pc.push(loads.pc[i]);
+                pc
+            } else {
+                0
             }
-        }
-        if usable.is_empty() {
+        });
+        if restricted.usable.is_empty() {
             return Err(AllocError::NoUsableNodes);
         }
-        let restricted = Loads::from_parts(usable, cl, loads.nl.clone(), pc);
+        // a required host the derivation dropped (down, or a stale sample)
+        // cannot start a candidate
+        if let Some(r) = required.iter().find(|&&r| restricted.index(r).is_none()) {
+            return Err(AllocError::InvalidRequest(format!(
+                "required node {r} is not available"
+            )));
+        }
 
         // candidate search; required hosts pin the start nodes
-        let candidates: Vec<_> = if required.is_empty() {
-            crate::candidate::generate_all_candidates(&restricted, req.procs, req.alpha, req.beta)
-        } else {
-            required
-                .iter()
-                .map(|&r| {
-                    crate::candidate::generate_candidate(
-                        &restricted,
-                        r,
-                        req.procs,
-                        req.alpha,
-                        req.beta,
-                    )
-                })
-                // a pinned start on a zero-capacity universe yields a
-                // candidate that places nothing; it must not reach selection
-                .filter(|c| c.total_procs() as u64 >= req.procs as u64)
-                .collect()
-        };
-        if candidates.is_empty() {
-            return Err(AllocError::NoCapacity);
-        }
-        let selection = select_best(&restricted, &candidates, req.alpha, req.beta);
-        let winner = &candidates[selection.best];
+        let starts = (!required.is_empty()).then_some(required.as_slice());
+        let allocation = place(
+            &restricted,
+            &req,
+            starts,
+            "network-load-aware/select-plugin",
+        )?;
+        let nodes = allocation.node_list();
 
         // node-count window (SLURM's --nodes=<min>-<max>)
-        let n_nodes = winner.nodes.len() as u32;
+        let n_nodes = nodes.len() as u32;
         if job.min_nodes > 0 && n_nodes < job.min_nodes {
             return Err(AllocError::NotEnoughNodes {
                 available: n_nodes as usize,
@@ -226,41 +213,16 @@ impl SelectPlugin for NlrmSelect {
                 job.max_nodes
             )));
         }
-        if !required.is_empty() {
-            for &r in &required {
-                if !winner.nodes.contains(&r) {
-                    return Err(AllocError::InvalidRequest(format!(
-                        "required node {r} could not be honoured"
-                    )));
-                }
-            }
+        if let Some(r) = required.iter().find(|r| !nodes.contains(r)) {
+            return Err(AllocError::InvalidRequest(format!(
+                "required node {r} could not be honoured"
+            )));
         }
 
         let mut bitmap = NodeBitmap::none(snap.latency.len());
-        for &n in &winner.nodes {
+        for n in nodes {
             bitmap.set(n, true);
         }
-        let selected = winner.nodes.clone();
-        let mean_cl =
-            selected.iter().map(|&u| restricted.cl_of(u)).sum::<f64>() / selected.len() as f64;
-        let allocation = Allocation {
-            policy: "network-load-aware/select-plugin".into(),
-            rank_map: Allocation::block_rank_map(&winner.assignment()),
-            nodes: winner.assignment(),
-            diagnostics: crate::request::Diagnostics {
-                total_cost: selection.best_cost,
-                mean_compute_load: mean_cl,
-                mean_network_load: group_mean_network_load(&restricted, &selected),
-                explain: Some(explain_selection(
-                    &candidates,
-                    &selection,
-                    req.alpha,
-                    req.beta,
-                    3,
-                )),
-                candidate_costs: selection.costs,
-            },
-        };
         Ok((bitmap, allocation))
     }
 }
@@ -368,6 +330,17 @@ mod tests {
         let mut avail = NodeBitmap::all(4);
         avail.set(NodeId(2), false);
         assert!(NlrmSelect::new().select_nodes(&job, &avail, &snap).is_err());
+        // in the bitmap but outside the derived universe (down or stale)
+        let mut snap = snapshot(6, 5);
+        snap.nodes[3].live = false;
+        let mut job = JobDescriptor::tasks(4, 4);
+        job.required_hosts = vec!["test3".into()];
+        assert_eq!(
+            NlrmSelect::new().select_nodes(&job, &NodeBitmap::all(6), &snap),
+            Err(AllocError::InvalidRequest(
+                "required node n3 is not available".into()
+            ))
+        );
     }
 
     #[test]
@@ -381,6 +354,13 @@ mod tests {
             ),
             Err(AllocError::NoUsableNodes)
         ));
+        // exclusions can empty the universe just as the bitmap can
+        let mut job = JobDescriptor::tasks(4, 4);
+        job.excluded_hosts = (0..4).map(|i| format!("test{i}")).collect();
+        assert_eq!(
+            NlrmSelect::new().select_nodes(&job, &NodeBitmap::all(4), &snap),
+            Err(AllocError::NoUsableNodes)
+        );
         assert!(NodeBitmap::none(4).is_empty());
         assert_eq!(NodeBitmap::all(4).len(), 4);
         assert_eq!(NodeBitmap::all(4).iter().count(), 4);

@@ -52,7 +52,7 @@ fn dense_loads() -> Loads {
 fn estimated_loads(margin: f64) -> Loads {
     let dense = dense_loads();
     let index = switch_index();
-    let point = match &dense.nl {
+    let point = match &*dense.nl {
         NlRep::Dense(d) => TieredNl::from_dense(d, &dense.usable, &index),
         _ => unreachable!(),
     };
@@ -215,7 +215,7 @@ fn sharded_estimate_allocation_cost_is_within_5_percent_of_exact() {
         let inter = rt.inter_estimate().expect("estimate published");
         let est = Loads::derive_sharded(&snap, &inter, &idx, &cw, &nw, Some(4), &policy).unwrap();
         assert!(
-            matches!(est.nl, NlRep::Estimated(_)),
+            matches!(*est.nl, NlRep::Estimated(_)),
             "derive_sharded must produce the estimated representation"
         );
         let exact_snap = oracle_snapshot(&snap, &cluster);
@@ -266,7 +266,7 @@ fn derive_sharded_bounds_contain_point_values() {
         &StalenessPolicy::off(),
     )
     .unwrap();
-    let NlRep::Estimated(e) = &loads.nl else {
+    let NlRep::Estimated(e) = &*loads.nl else {
         panic!("expected estimated representation");
     };
     for (i, &u) in loads.usable.iter().enumerate() {

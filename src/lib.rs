@@ -12,7 +12,7 @@
 //!   master/slave central monitor, snapshots),
 //! * [`core`] — the Node Allocator: SAW attribute model, compute/network
 //!   loads, Algorithms 1–2, baseline policies, wait advisor, and the
-//!   switch-group scaling extension,
+//!   switch-tiered, bound-pruned scaling extension,
 //! * [`mpi`] — the simulated MPI runtime (communicators, collectives,
 //!   contention-aware BSP executor),
 //! * [`obs`] — observability: virtual-time event journal, metrics registry,

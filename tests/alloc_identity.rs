@@ -1,0 +1,336 @@
+//! Golden digests of every allocation the Algorithm 1–2 placement stage
+//! produces, through each of its three callers: the network-and-load-aware
+//! policy, the SLURM select adapter and the resource broker.
+//!
+//! Each digest folds the chosen nodes and process counts, the rank map,
+//! the bits of `total_cost`, every `candidate_costs` entry and both mean
+//! loads, and the explain trace (top-k groups with their cost components,
+//! margin and verdict). Errors fold their full text. The broker runs fold
+//! every event's kind and reason, the journal and the decision spans. The
+//! expected values were captured before the four hand-built placement
+//! chains were collapsed into one stage, so any drift in a winner, a cost
+//! bit, an explain trace or a deferral string fails here.
+
+use nlrm::core::broker::{Broker, BrokerConfig, BrokerEvent, SchedMode, SubmitOptions};
+use nlrm::core::slurm::{JobDescriptor, NlrmSelect, NodeBitmap, SelectPlugin};
+use nlrm::core::{AllocError, Allocation};
+use nlrm::obs::{install, DigestFold};
+use nlrm::prelude::*;
+use nlrm::topology::NodeId;
+
+fn warm(seed: u64) -> (ClusterSim, ClusterSnapshot) {
+    let mut cluster = iitk_cluster(seed);
+    let mut rt = MonitorRuntime::new(&cluster);
+    let snap = rt
+        .warm_snapshot(&mut cluster, Duration::from_secs(360))
+        .unwrap();
+    (cluster, snap)
+}
+
+fn fold_allocation(fold: &mut DigestFold, a: &Allocation) {
+    fold.bytes(a.policy.as_bytes()).u64(a.nodes.len() as u64);
+    for &(n, p) in &a.nodes {
+        fold.u64(n.index() as u64).u64(p as u64);
+    }
+    fold.u64(a.rank_map.len() as u64);
+    for n in &a.rank_map {
+        fold.u64(n.index() as u64);
+    }
+    let d = &a.diagnostics;
+    fold.f64(d.total_cost)
+        .f64(d.mean_compute_load)
+        .f64(d.mean_network_load)
+        .u64(d.candidate_costs.len() as u64);
+    for &(n, c) in &d.candidate_costs {
+        fold.u64(n.index() as u64).f64(c);
+    }
+    match &d.explain {
+        None => {
+            fold.u64(0);
+        }
+        Some(e) => {
+            fold.u64(1)
+                .f64(e.alpha)
+                .f64(e.beta)
+                .u64(e.considered as u64)
+                .f64(e.margin)
+                .bytes(e.verdict.as_bytes())
+                .u64(e.top.len() as u64);
+            for g in &e.top {
+                fold.u64(g.rank as u64)
+                    .u64(g.start.index() as u64)
+                    .f64(g.compute_term)
+                    .f64(g.network_term)
+                    .f64(g.total)
+                    .u64(g.nodes.len() as u64);
+                for n in &g.nodes {
+                    fold.u64(n.index() as u64);
+                }
+            }
+        }
+    }
+}
+
+fn fold_error(fold: &mut DigestFold, e: &AllocError) {
+    fold.bytes(format!("{e:?}").as_bytes());
+}
+
+fn nla_digest(seed: u64) -> u64 {
+    let (_, snap) = warm(seed);
+    let mut fold = DigestFold::new();
+    for &procs in &[4u32, 16, 32, 64, 120] {
+        for &ppn in &[Some(4u32), None] {
+            for &(alpha, beta) in &[(0.3, 0.7), (0.5, 0.5), (0.8, 0.2), (1.0, 0.0), (0.0, 1.0)] {
+                let req = AllocationRequest::new(procs, ppn, alpha, beta);
+                match NetworkLoadAwarePolicy::new().allocate(&snap, &req) {
+                    Ok(a) => fold_allocation(&mut fold, &a),
+                    Err(e) => fold_error(&mut fold, &e),
+                }
+            }
+        }
+    }
+    fold.value()
+}
+
+#[test]
+fn nla_policy_seed_1_allocates_golden_groups() {
+    assert_eq!(
+        nla_digest(1),
+        13820537484424916256,
+        "NLA seed 1 allocations moved"
+    );
+}
+
+#[test]
+fn nla_policy_seed_4_allocates_golden_groups() {
+    assert_eq!(
+        nla_digest(4),
+        14442901234779474096,
+        "NLA seed 4 allocations moved"
+    );
+}
+
+fn slurm_digest() -> u64 {
+    let (_, snap) = warm(1);
+    let n = snap.nodes.len();
+    let host = |i: usize| snap.nodes[i].sample.spec.hostname.clone();
+    // every third node is already taken by other jobs
+    let mut partial = NodeBitmap::all(n);
+    for i in (0..n).step_by(3) {
+        partial.set(NodeId(i as u32), false);
+    }
+
+    let mut jobs: Vec<(JobDescriptor, NodeBitmap)> = Vec::new();
+    jobs.push((JobDescriptor::tasks(32, 4), NodeBitmap::all(n)));
+    jobs.push((JobDescriptor::tasks(32, 4), partial.clone()));
+    let mut excl = JobDescriptor::tasks(48, 4);
+    excl.excluded_hosts = vec![host(1), host(2), host(20), host(44)];
+    jobs.push((excl.clone(), partial.clone()));
+    let mut req1 = JobDescriptor::tasks(24, 4);
+    req1.required_hosts = vec![host(31)];
+    jobs.push((req1, partial.clone()));
+    let mut req2 = excl.clone();
+    req2.required_hosts = vec![host(4), host(50)];
+    req2.alpha = 0.6;
+    jobs.push((req2, partial.clone()));
+    let mut req3 = JobDescriptor::tasks(32, 4);
+    req3.required_hosts = vec![host(31), host(38)];
+    jobs.push((req3, partial.clone()));
+    let mut loose = JobDescriptor::tasks(40, 4);
+    loose.ntasks_per_node = None;
+    loose.alpha = 0.9;
+    jobs.push((loose, NodeBitmap::all(n)));
+    let mut too_few = JobDescriptor::tasks(32, 4);
+    too_few.min_nodes = 9;
+    jobs.push((too_few, partial.clone()));
+    let mut too_many = JobDescriptor::tasks(32, 4);
+    too_many.max_nodes = 7;
+    jobs.push((too_many, partial.clone()));
+    let mut taken = JobDescriptor::tasks(8, 4);
+    taken.required_hosts = vec![host(3)];
+    jobs.push((taken, partial.clone()));
+    let mut excluded_required = excl.clone();
+    excluded_required.required_hosts = vec![host(20)];
+    jobs.push((excluded_required, NodeBitmap::all(n)));
+    jobs.push((JobDescriptor::tasks(8, 4), NodeBitmap::none(n)));
+    jobs.push((JobDescriptor::tasks(0, 4), NodeBitmap::all(n)));
+
+    let mut fold = DigestFold::new();
+    for (job, avail) in &jobs {
+        match NlrmSelect::new().select_nodes(job, avail, &snap) {
+            Ok((bitmap, a)) => {
+                for v in bitmap.iter() {
+                    fold.u64(v.index() as u64);
+                }
+                fold_allocation(&mut fold, &a);
+            }
+            Err(e) => fold_error(&mut fold, &e),
+        }
+    }
+    fold.value()
+}
+
+#[test]
+fn slurm_select_picks_golden_groups() {
+    assert_eq!(
+        slurm_digest(),
+        2456423544672324711,
+        "SLURM select allocations moved"
+    );
+}
+
+/// Move a snapshot's clock forward without staling its samples.
+fn advance(snap: &mut ClusterSnapshot, now: SimTime) {
+    snap.taken_at = now;
+    for n in snap.nodes.iter_mut() {
+        n.sample.taken_at = now;
+    }
+}
+
+fn fold_events(fold: &mut DigestFold, events: &[BrokerEvent]) {
+    for e in events {
+        match e {
+            BrokerEvent::Started(lease) => {
+                fold.bytes(b"started")
+                    .u64(lease.id.0)
+                    .bytes(lease.name.as_bytes());
+                fold_allocation(fold, &lease.allocation);
+            }
+            BrokerEvent::Deferred { id, reason } => {
+                fold.bytes(b"deferred").u64(id.0).bytes(reason.as_bytes());
+            }
+        }
+    }
+}
+
+fn job(procs: u32, walltime_s: Option<u64>, at: SimTime) -> (AllocationRequest, SubmitOptions) {
+    (
+        AllocationRequest::new(procs, Some(4), 0.3, 0.7),
+        SubmitOptions {
+            walltime: walltime_s.map(Duration::from_secs),
+            submitted_at: Some(at),
+            ..SubmitOptions::default()
+        },
+    )
+}
+
+/// Two waves on the 60-node, 240-proc cluster: two starts fill 192
+/// procs, a 96-proc head is capacity-blocked and arms the EASY
+/// reservation, a short job backfills ahead of it, later jobs hit the
+/// capacity and reservation gates; completions then admit the head. A
+/// separate broker with a zero load-per-core limit raises the §6
+/// advisory deferral, and a third runs on a caller-supplied tiered
+/// derivation.
+fn broker_digest(mode: SchedMode) -> u64 {
+    let (cluster, mut snap) = warm(4);
+    let obs = Obs::new();
+    let guard = install(&obs);
+    let mut fold = DigestFold::new();
+    let t0 = snap.taken_at;
+
+    let mut broker = Broker::new(BrokerConfig {
+        max_load_per_core: None,
+        mode,
+        ..BrokerConfig::default()
+    });
+    let wave1 = [
+        (128, Some(600)),
+        (64, Some(1200)),
+        (96, Some(1800)),
+        (32, Some(300)),
+        (40, Some(3600)),
+        (16, Some(3600)),
+        (8, None),
+        (200, None),
+    ];
+    let mut ids = Vec::new();
+    for (i, &(procs, wt)) in wave1.iter().enumerate() {
+        let (req, opts) = job(procs, wt, t0);
+        ids.push(broker.submit_opts(format!("w1-{i}"), req, opts).unwrap());
+    }
+    fold_events(&mut fold, &broker.tick(&snap));
+
+    let t1 = t0 + Duration::from_secs(600);
+    advance(&mut snap, t1);
+    broker.complete_at(ids[0], t1);
+    let (req, opts) = job(24, Some(900), t1);
+    broker.submit_opts("w2-0", req, opts).unwrap();
+    fold_events(&mut fold, &broker.tick(&snap));
+
+    let t2 = t0 + Duration::from_secs(1200);
+    advance(&mut snap, t2);
+    for &id in &ids[1..4] {
+        broker.complete_at(id, t2);
+    }
+    fold_events(&mut fold, &broker.tick(&snap));
+    fold.u64(broker.total_reserved());
+
+    let mut advisory = Broker::new(BrokerConfig {
+        max_load_per_core: Some(0.0),
+        mode,
+        ..BrokerConfig::default()
+    });
+    let (req, opts) = job(32, Some(600), t2);
+    advisory.submit_opts("advisory", req, opts).unwrap();
+    fold_events(&mut fold, &advisory.tick(&snap));
+
+    let base = Loads::derive(
+        &snap,
+        &ComputeWeights::paper_default(),
+        &NetworkWeights::paper_default(),
+        Some(4),
+    )
+    .unwrap()
+    .into_tiered(&cluster.topology().switch_index());
+    let mut tiered = Broker::new(BrokerConfig {
+        max_load_per_core: None,
+        mode,
+        ..BrokerConfig::default()
+    });
+    for (i, procs) in [100u32, 100, 60].into_iter().enumerate() {
+        let (req, opts) = job(procs, Some(600), t2);
+        tiered
+            .submit_opts(format!("tiered-{i}"), req, opts)
+            .unwrap();
+    }
+    fold_events(&mut fold, &tiered.tick_with_loads(&base, &snap));
+
+    drop(guard);
+    for e in obs.journal.events() {
+        fold.bytes(e.to_json().as_bytes());
+    }
+    for s in obs.spans.spans() {
+        fold.bytes(s.kind.as_bytes())
+            .bytes(s.track.as_bytes())
+            .u64(s.start.as_micros())
+            .u64(s.end.map_or(u64::MAX, |e| e.as_micros()));
+        for (k, v) in &s.attrs {
+            fold.bytes(k.as_bytes()).bytes(v.as_bytes());
+        }
+    }
+    assert!(
+        obs.metrics
+            .histogram_snapshot("alloc_decision_seconds")
+            .is_none(),
+        "broker placements must not feed the wall-clock decision histogram"
+    );
+    fold.value()
+}
+
+#[test]
+fn batched_broker_ticks_are_golden() {
+    assert_eq!(
+        broker_digest(SchedMode::Batched { max_per_tick: 64 }),
+        10133676723712811054,
+        "batched broker events moved"
+    );
+}
+
+#[test]
+fn per_job_broker_ticks_are_golden() {
+    assert_eq!(
+        broker_digest(SchedMode::PerJob),
+        9985541185089893186,
+        "per-job broker events moved"
+    );
+}
