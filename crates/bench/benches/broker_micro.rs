@@ -1,16 +1,15 @@
 //! Microbenchmarks for the broker's batch-cycle hot path.
 //!
 //! `broker_sweep` measures whole streams; this file isolates one `tick`:
-//! the batched cycle vs the legacy per-job walk over the same 64-job
-//! queue (the headline O(jobs × V²) → O(V²) win), and the priority-sort
+//! the scheduling cycle over a 64-job queue, and the priority-sort
 //! overhead on a deep 1024-job queue with a single examination slot.
 //!
 //! Brokers are cloned per iteration (`iter_batched`) because a tick
 //! mutates the queue and reservation ledger.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nlrm_cluster::iitk::iitk_cluster;
-use nlrm_core::broker::{Broker, BrokerConfig, PriorityClass, SchedMode, SubmitOptions};
+use nlrm_core::broker::{Broker, BrokerConfig, PriorityClass, SubmitOptions};
 use nlrm_core::AllocationRequest;
 use nlrm_monitor::{ClusterSnapshot, MonitorRuntime};
 use nlrm_sim_core::time::Duration;
@@ -24,10 +23,10 @@ fn snapshot(seed: u64) -> ClusterSnapshot {
 }
 
 /// A broker with `jobs` queued 4–16 proc requests in mixed classes.
-fn loaded_broker(mode: SchedMode, jobs: usize) -> Broker {
+fn loaded_broker(max_per_tick: usize, jobs: usize) -> Broker {
     let mut broker = Broker::new(BrokerConfig {
         max_load_per_core: None,
-        mode,
+        max_per_tick,
         ..BrokerConfig::default()
     });
     for i in 0..jobs {
@@ -51,30 +50,23 @@ fn loaded_broker(mode: SchedMode, jobs: usize) -> Broker {
     broker
 }
 
-fn bench_tick_modes(c: &mut Criterion) {
+fn bench_tick(c: &mut Criterion) {
     let snap = snapshot(42);
-    let mut group = c.benchmark_group("broker_tick_64_jobs");
-    for (label, mode) in [
-        ("batched", SchedMode::Batched { max_per_tick: 64 }),
-        ("per_job", SchedMode::PerJob),
-    ] {
-        let broker = loaded_broker(mode, 64);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &broker, |b, broker| {
-            b.iter_batched(
-                || broker.clone(),
-                |mut br| black_box(br.tick(&snap)),
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
+    let broker = loaded_broker(64, 64);
+    c.bench_function("broker_tick_64_jobs", |b| {
+        b.iter_batched(
+            || broker.clone(),
+            |mut br| black_box(br.tick(&snap)),
+            BatchSize::SmallInput,
+        );
+    });
 }
 
 fn bench_deep_queue_sort(c: &mut Criterion) {
     let snap = snapshot(42);
     // max_per_tick = 1: the tick is dominated by stamping + priority-
     // sorting the 1024-deep queue, not by placement
-    let broker = loaded_broker(SchedMode::Batched { max_per_tick: 1 }, 1024);
+    let broker = loaded_broker(1, 1024);
     c.bench_function("broker_priority_sort_1024_deep", |b| {
         b.iter_batched(
             || broker.clone(),
@@ -84,5 +76,5 @@ fn bench_deep_queue_sort(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_tick_modes, bench_deep_queue_sort);
+criterion_group!(benches, bench_tick, bench_deep_queue_sort);
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //! Output: `results/ablation_forecast.csv`.
 
 use nlrm_apps::MiniMd;
-use nlrm_bench::report::{fmt_secs, write_result, Table};
+use nlrm_bench::report::{self, fmt_secs, write_result, Table};
 use nlrm_bench::runner::Experiment;
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_core::{AllocationRequest, NetworkLoadAwarePolicy};
@@ -23,7 +23,7 @@ use nlrm_sim_core::time::Duration;
 
 fn main() {
     let progress = Progress::start("ablation_forecast");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

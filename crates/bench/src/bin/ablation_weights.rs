@@ -11,7 +11,7 @@
 //! Output: `results/ablation_weights.csv`.
 
 use nlrm_apps::MiniMd;
-use nlrm_bench::report::{fmt_secs, write_result, Table};
+use nlrm_bench::report::{self, fmt_secs, write_result, Table};
 use nlrm_bench::runner::Experiment;
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_core::{AllocationRequest, ComputeWeights, NetworkLoadAwarePolicy, NetworkWeights};
@@ -33,7 +33,7 @@ fn uniform_weights() -> ComputeWeights {
 
 fn main() {
     let progress = Progress::start("ablation_weights");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

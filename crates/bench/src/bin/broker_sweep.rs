@@ -31,7 +31,6 @@ use nlrm_obs::{install, Obs};
 use nlrm_sim_core::time::{Duration, SimTime};
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 /// Virtual scheduling quantum.
@@ -385,7 +384,7 @@ fn effective_capacity(snap: &ClusterSnapshot) -> u64 {
 }
 
 fn main() {
-    let quick = std::env::var("NLRM_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let quick = report::quick();
     let seed = 0xB20C0DE;
     let (nla_sizes, slurm_size, overload_size): (&[usize], usize, usize) = if quick {
         (&[300], 300, 200)
@@ -494,18 +493,7 @@ fn main() {
     let _ = writeln!(json, "}}");
     nlrm_obs::json::validate(&json).expect("BENCH_broker.json is valid JSON");
 
-    // BENCH_*.json at the repository root are the committed perf
-    // trajectory — only full runs belong there; quick (CI smoke) runs
-    // land next to the other generated results instead
-    let out = if quick {
-        report::results_dir().join("BENCH_broker.json")
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root exists")
-            .join("BENCH_broker.json")
-    };
+    let out = report::bench_path("BENCH_broker.json", quick);
     std::fs::write(&out, &json).expect("write BENCH_broker.json");
     if !nlrm_obs::progress::quiet() {
         println!("wrote {}", out.display());

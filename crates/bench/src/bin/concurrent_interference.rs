@@ -12,7 +12,7 @@
 //! Output: `results/concurrent_interference.csv`.
 
 use nlrm_apps::MiniMd;
-use nlrm_bench::report::{fmt_secs, write_result, Table};
+use nlrm_bench::report::{self, fmt_secs, write_result, Table};
 use nlrm_bench::runner::Experiment;
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_core::broker::{Broker, BrokerConfig, BrokerEvent};
@@ -24,7 +24,7 @@ use nlrm_sim_core::time::Duration;
 
 fn main() {
     let progress = Progress::start("concurrent_interference");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -58,7 +58,6 @@ fn main() {
 
         // --- broker: reservation-aware disjoint placement ---
         let mut broker = Broker::new(BrokerConfig {
-            backfill: true,
             max_load_per_core: None,
             ..BrokerConfig::default()
         });

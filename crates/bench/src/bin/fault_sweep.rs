@@ -13,7 +13,7 @@
 //! counts).
 
 use nlrm_apps::MiniMd;
-use nlrm_bench::report::{write_result, Table};
+use nlrm_bench::report::{self, write_result, Table};
 use nlrm_bench::runner::Experiment;
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_core::{AllocationRequest, NetworkLoadAwarePolicy};
@@ -83,7 +83,7 @@ fn random_plan(
 
 fn main() {
     let progress = Progress::start("fault_sweep");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -10,6 +10,7 @@
 //! stdout summary against the paper's reported bands.
 
 use nlrm_bench::plot::LinePlot;
+use nlrm_bench::report;
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_obs::Progress;
 use nlrm_sim_core::series::TimeSeries;
@@ -22,11 +23,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2020);
-    let hours = if std::env::var("NLRM_QUICK").is_ok() {
-        6
-    } else {
-        48
-    };
+    let hours = if report::quick() { 6 } else { 48 };
     progress.block(format!(
         "== Fig. 1: resource-usage variation over {hours} h (seed {seed}) ==\n"
     ));
@@ -97,7 +94,7 @@ fn main() {
     let buckets = (hours * 6) as usize;
     let grid = |s: &TimeSeries| s.resample(SimTime::ZERO, Duration::from_mins(10), buckets);
     let w = |name: &str, series: &[&TimeSeries]| {
-        nlrm_bench::report::write_result(name, &TimeSeries::to_csv(series)).expect("write result");
+        report::write_result(name, &TimeSeries::to_csv(series)).expect("write result");
     };
     let (ra, rb, ravg) = (grid(&load_a), grid(&load_b), grid(&load_avg));
     w("fig1a_cpu_load.csv", &[&ra, &rb, &ravg]);
@@ -117,19 +114,16 @@ fn main() {
     f1a.series("node A", to_pts(&ra))
         .series("node B", to_pts(&rb))
         .series("20-node avg", to_pts(&ravg));
-    nlrm_bench::report::write_result("fig1a_cpu_load.svg", &f1a.to_svg(760, 360))
-        .expect("write result");
+    report::write_result("fig1a_cpu_load.svg", &f1a.to_svg(760, 360)).expect("write result");
     let mut f1b = LinePlot::new("Fig. 1(b): network I/O variation", "hours", "Mbit/s");
     f1b.series("node A", to_pts(&ia))
         .series("node B", to_pts(&ib))
         .series("20-node avg", to_pts(&iavg));
-    nlrm_bench::report::write_result("fig1b_network_io.svg", &f1b.to_svg(760, 360))
-        .expect("write result");
+    report::write_result("fig1b_network_io.svg", &f1b.to_svg(760, 360)).expect("write result");
     let mut f1c = LinePlot::new("Fig. 1(c): CPU utilization & memory", "hours", "fraction");
     f1c.series("cpu util (avg)", to_pts(&ua))
         .series("mem used (avg)", to_pts(&ma));
-    nlrm_bench::report::write_result("fig1c_util_mem.svg", &f1c.to_svg(760, 360))
-        .expect("write result");
+    report::write_result("fig1c_util_mem.svg", &f1c.to_svg(760, 360)).expect("write result");
 
     // paper-band check
     let us = util_avg.summary().unwrap();

@@ -11,7 +11,7 @@
 
 use nlrm_bench::heatmap;
 use nlrm_bench::plot::{heatmap_svg, LinePlot};
-use nlrm_bench::report::write_result;
+use nlrm_bench::report::{self, write_result};
 use nlrm_cluster::iitk::iitk30;
 use nlrm_monitor::SymMatrix;
 use nlrm_obs::Progress;
@@ -25,11 +25,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2020);
-    let hours = if std::env::var("NLRM_QUICK").is_ok() {
-        6
-    } else {
-        48
-    };
+    let hours = if report::quick() { 6 } else { 48 };
     progress.block(format!(
         "== Fig. 2: P2P bandwidth variation (seed {seed}) ==\n"
     ));

@@ -13,7 +13,7 @@
 use nlrm_apps::MiniFe;
 use nlrm_bench::gains::{GainTable, PolicyTimes};
 use nlrm_bench::plot::LinePlot;
-use nlrm_bench::report::{fmt_secs, write_result, Table};
+use nlrm_bench::report::{self, fmt_secs, write_result, Table};
 use nlrm_bench::runner::{paper_policies, Experiment};
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_core::AllocationRequest;
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 fn main() {
     let progress = Progress::start("fig6_minife");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

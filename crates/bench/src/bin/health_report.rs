@@ -18,29 +18,29 @@
 //! - `BENCH_health.json` — sampler/telemetry overhead as a fraction of
 //!   scenario runtime (repo root on full runs, results dir on quick).
 
-use nlrm_bench::obs_scenario::{
-    run_broker_scenario, ObsScenarioResult, ScenarioOptions, FULL_CHECKPOINTS, QUICK_CHECKPOINTS,
-};
 use nlrm_bench::report::{self, write_result, Table};
+use nlrm_bench::scenario::{self, ScenarioRun, ScenarioSpec};
 use nlrm_obs::{json, Progress};
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
-/// One scenario arm plus the wall-clock it took.
+/// One scenario arm: its name and what the run produced.
 struct Arm {
     name: &'static str,
-    result: ObsScenarioResult,
-    wall_secs: f64,
+    result: ScenarioRun,
 }
 
-fn run_arm(name: &'static str, seed: u64, checkpoints: &[u64], opts: ScenarioOptions) -> Arm {
-    let t0 = Instant::now();
-    let result = run_broker_scenario(seed, checkpoints, opts);
+/// Run one telemetry arm. The faulted arm takes the fault storyline and
+/// the never-placeable 64-process starver; the clean arm leaves both out,
+/// so a permanently starving job cannot trip the starvation detector on a
+/// run that is supposed to be healthy.
+fn run_arm(name: &'static str, seed: u64, checkpoints: &[u64], faulted: bool) -> Arm {
+    let mut spec = ScenarioSpec::new("obs-report", seed, checkpoints);
+    spec.faulted = faulted;
+    spec.submit_huge = faulted;
+    spec.telemetry = true;
     Arm {
         name,
-        result,
-        wall_secs: t0.elapsed().as_secs_f64(),
+        result: scenario::run(&spec.standard_arrivals(16)),
     }
 }
 
@@ -50,7 +50,7 @@ fn arm_json(arm: &Arm) -> String {
     let anomalies: Vec<String> = tel.anomalies().iter().map(|a| a.to_json()).collect();
     json::object(&[
         ("name", json::string(arm.name)),
-        ("wall_secs", json::num(arm.wall_secs)),
+        ("wall_secs", json::num(arm.result.wall_secs)),
         ("telemetry_ticks", tel.ticks().to_string()),
         ("telemetry_wall_nanos", tel.wall_nanos().to_string()),
         ("granted", arm.result.decisions.len().to_string()),
@@ -89,33 +89,19 @@ fn count_kind(arm: &Arm, label: &str) -> usize {
 
 fn main() {
     let progress = Progress::start("health_report");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2025);
-    let checkpoints = if quick {
-        QUICK_CHECKPOINTS
-    } else {
-        FULL_CHECKPOINTS
-    };
+    let checkpoints = scenario::checkpoints(quick);
     progress.kv("seed", seed);
     progress.kv("checkpoints", checkpoints.len());
 
     progress.phase("faulted arm");
-    let faulted = run_arm(
-        "faulted",
-        seed,
-        checkpoints,
-        ScenarioOptions::faulted_telemetry(),
-    );
+    let faulted = run_arm("faulted", seed, checkpoints, true);
     progress.phase("clean arm");
-    let clean = run_arm(
-        "clean",
-        seed,
-        checkpoints,
-        ScenarioOptions::clean_telemetry(),
-    );
+    let clean = run_arm("clean", seed, checkpoints, false);
 
     progress.phase("export");
     // telemetry overhead = time spent inside Telemetry::tick (health
@@ -123,8 +109,8 @@ fn main() {
     // scenario wall time, reported for the heavier (faulted) arm
     let overhead_frac = |arm: &Arm| {
         let tel = arm.result.obs.telemetry.wall_nanos() as f64 / 1e9;
-        if arm.wall_secs > 0.0 {
-            tel / arm.wall_secs
+        if arm.result.wall_secs > 0.0 {
+            tel / arm.result.wall_secs
         } else {
             0.0
         }
@@ -204,8 +190,8 @@ fn main() {
         ("bench", json::string("health_report")),
         ("quick", quick.to_string()),
         ("seed", seed.to_string()),
-        ("faulted_wall_secs", json::num(faulted.wall_secs)),
-        ("clean_wall_secs", json::num(clean.wall_secs)),
+        ("faulted_wall_secs", json::num(faulted.result.wall_secs)),
+        ("clean_wall_secs", json::num(clean.result.wall_secs)),
         (
             "faulted_telemetry_ticks",
             faulted.result.obs.telemetry.ticks().to_string(),
@@ -231,18 +217,7 @@ fn main() {
         ),
     ]);
     json::validate(&bench).expect("BENCH_health.json is valid JSON");
-    // BENCH_*.json at the repository root are the committed perf
-    // trajectory — only full runs belong there; quick (CI smoke) runs
-    // land next to the other generated results instead
-    let out = if quick {
-        report::results_dir().join("BENCH_health.json")
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root exists")
-            .join("BENCH_health.json")
-    };
+    let out = report::bench_path("BENCH_health.json", quick);
     std::fs::write(&out, &bench).expect("write BENCH_health.json");
     if !nlrm_obs::progress::quiet() {
         println!("wrote {}", out.display());

@@ -11,7 +11,7 @@
 //! Output: `results/heuristic_vs_optimal.csv`.
 
 use nlrm_apps::MiniMd;
-use nlrm_bench::report::{write_result, Table};
+use nlrm_bench::report::{self, write_result, Table};
 use nlrm_bench::runner::Experiment;
 use nlrm_cluster::iitk::small_cluster;
 use nlrm_core::loads::Loads;
@@ -22,7 +22,7 @@ use nlrm_sim_core::time::Duration;
 
 fn main() {
     let progress = Progress::start("heuristic_vs_optimal");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

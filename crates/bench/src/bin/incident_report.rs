@@ -40,7 +40,6 @@ use nlrm_sim_core::fault::FaultAction;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::NodeId;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Backward evidence window handed to the RCA engine, covering every
 /// storyline's injection-to-detection gap.
@@ -64,11 +63,7 @@ struct Storyline {
 /// The five storylines. `quick` shortens the two long-tail staleness
 /// runs by one checkpoint; the others are already minimal.
 fn storylines(seed: u64, quick: bool) -> Vec<Storyline> {
-    let surge_cps: &[u64] = if quick {
-        &[1100, 1300]
-    } else {
-        &[1100, 1300, 1500]
-    };
+    let surge_cps = scenario::checkpoints(quick);
     let mut out = Vec::new();
 
     let mut spec = ScenarioSpec::new("surge-daemon-kills", seed, surge_cps);
@@ -314,7 +309,7 @@ fn outcome_json(o: &Outcome) -> String {
 
 fn main() {
     let progress = Progress::start("incident_report");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -445,18 +440,7 @@ fn main() {
         ("pass", pass.to_string()),
     ]);
     json::validate(&bench).expect("BENCH_incident.json is valid JSON");
-    // BENCH_*.json at the repository root are the committed perf
-    // trajectory — only full runs belong there; quick (CI smoke) runs
-    // land next to the other generated results instead
-    let out = if quick {
-        report::results_dir().join("BENCH_incident.json")
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root exists")
-            .join("BENCH_incident.json")
-    };
+    let out = report::bench_path("BENCH_incident.json", quick);
     std::fs::write(&out, &bench).expect("write BENCH_incident.json");
     if !nlrm_obs::progress::quiet() {
         println!("wrote {}", out.display());

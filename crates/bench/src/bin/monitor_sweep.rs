@@ -33,7 +33,6 @@ use nlrm_monitor::{
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::NodeId;
 use std::fmt::Write as _;
-use std::path::Path;
 
 const PER_SWITCH: u64 = 48;
 const PROBE_PAIR_BYTES: u64 =
@@ -214,7 +213,7 @@ fn epsilon_for(name: &'static str, mut cluster: nlrm_cluster::ClusterSim) -> Eps
 
 fn main() {
     let quiet = nlrm_obs::progress::quiet();
-    let quick = std::env::var("NLRM_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let quick = report::quick();
     let sizes: &[u64] = if quick {
         &[960, 4_800]
     } else {
@@ -344,15 +343,7 @@ fn main() {
     );
     let _ = writeln!(json, "}}");
 
-    let out = if quick {
-        report::results_dir().join("BENCH_monitor.json")
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root exists")
-            .join("BENCH_monitor.json")
-    };
+    let out = report::bench_path("BENCH_monitor.json", quick);
     std::fs::write(&out, &json).expect("write BENCH_monitor.json");
     if !quiet {
         println!("wrote {}", out.display());

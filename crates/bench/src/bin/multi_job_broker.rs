@@ -15,7 +15,7 @@
 //! Output: `results/multi_job_broker.csv`.
 
 use nlrm_apps::MiniMd;
-use nlrm_bench::report::{fmt_secs, write_result, Table};
+use nlrm_bench::report::{self, fmt_secs, write_result, Table};
 use nlrm_cluster::iitk::{campus, iitk_cluster};
 use nlrm_cluster::ClusterSim;
 use nlrm_core::broker::{Broker, BrokerConfig, BrokerEvent, JobId, Lease};
@@ -67,7 +67,6 @@ fn run_stream(
     monitor.run_until(&mut cluster, nlrm_sim_core::time::SimTime::from_secs(600));
     let t0 = cluster.now();
     let mut broker = Broker::new(BrokerConfig {
-        backfill: true,
         max_load_per_core: None,
         ..BrokerConfig::default()
     });
@@ -190,7 +189,7 @@ fn broker_force_lease(broker: &mut Broker, lease: Lease) {
 
 fn main() {
     let progress = Progress::start("multi_job_broker");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -12,10 +12,8 @@
 //!   virtual-time timeline;
 //! - `results/obs_metrics.prom` — Prometheus-style text exposition.
 
-use nlrm_bench::obs_scenario::{
-    run_faulted_broker_scenario, Decision, FULL_CHECKPOINTS, QUICK_CHECKPOINTS,
-};
-use nlrm_bench::report::write_result;
+use nlrm_bench::report::{self, write_result};
+use nlrm_bench::scenario::{self, Decision, ScenarioSpec};
 use nlrm_obs::{json, Progress};
 
 fn decision_json(d: &Decision) -> String {
@@ -42,21 +40,20 @@ fn decision_json(d: &Decision) -> String {
 
 fn main() {
     let progress = Progress::start("obs_report");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2025);
-    let checkpoints = if quick {
-        QUICK_CHECKPOINTS
-    } else {
-        FULL_CHECKPOINTS
-    };
+    let checkpoints = scenario::checkpoints(quick);
     progress.kv("seed", seed);
     progress.kv("checkpoints", checkpoints.len());
 
     progress.phase("scenario");
-    let r = run_faulted_broker_scenario(seed, checkpoints);
+    let mut spec = ScenarioSpec::new("obs-report", seed, checkpoints);
+    spec.faulted = true;
+    spec.submit_huge = true;
+    let r = scenario::run(&spec.standard_arrivals(16));
     let journal = &r.obs.journal;
     let metrics = &r.obs.metrics;
 

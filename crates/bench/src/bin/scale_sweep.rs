@@ -16,7 +16,6 @@ use nlrm_bench::report::{self, Table};
 use nlrm_core::{allocate_pruned, Loads, TieredNl};
 use nlrm_topology::NodeId;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 const PER_SWITCH: u32 = 48;
@@ -111,7 +110,7 @@ fn sweep_size(v: u32, jobs: usize, seed: u64) -> SizeResult {
 }
 
 fn main() {
-    let quick = std::env::var("NLRM_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let quick = report::quick();
     let sizes: &[(u32, usize)] = if quick {
         &[(1_000, 8), (5_000, 5)]
     } else {
@@ -188,18 +187,7 @@ fn main() {
     let _ = writeln!(json, "  \"within_2x_of_linear\": {}", linear_factor <= 2.0);
     let _ = writeln!(json, "}}");
 
-    // BENCH_*.json at the repository root are the committed perf
-    // trajectory — only full runs belong there; quick (CI smoke) runs
-    // land next to the other generated results instead
-    let out = if quick {
-        report::results_dir().join("BENCH_scale.json")
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root exists")
-            .join("BENCH_scale.json")
-    };
+    let out = report::bench_path("BENCH_scale.json", quick);
     std::fs::write(&out, &json).expect("write BENCH_scale.json");
     if !nlrm_obs::progress::quiet() {
         println!("wrote {}", out.display());

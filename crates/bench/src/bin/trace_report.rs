@@ -12,8 +12,8 @@
 //! - `results/trace_summary.txt` — indented per-trace text rendering;
 //! - `results/trace_report.md` — the critical-path table.
 
-use nlrm_bench::obs_scenario::{FULL_CHECKPOINTS, QUICK_CHECKPOINTS};
-use nlrm_bench::report::{fmt_secs, write_result, Table};
+use nlrm_bench::report::{self, fmt_secs, write_result, Table};
+use nlrm_bench::scenario;
 use nlrm_bench::trace_scenario::{run_traced_broker_scenario, TracedJob};
 use nlrm_obs::{json, Progress, SpanStore};
 
@@ -45,16 +45,12 @@ fn job_json(spans: &SpanStore, job: &TracedJob) -> String {
 
 fn main() {
     let progress = Progress::start("trace_report");
-    let quick = std::env::var("NLRM_QUICK").is_ok();
+    let quick = report::quick();
     let seed: u64 = std::env::var("NLRM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2025);
-    let checkpoints = if quick {
-        QUICK_CHECKPOINTS
-    } else {
-        FULL_CHECKPOINTS
-    };
+    let checkpoints = scenario::checkpoints(quick);
     progress.kv("seed", seed);
     progress.kv("checkpoints", checkpoints.len());
 

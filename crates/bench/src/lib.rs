@@ -22,7 +22,6 @@
 
 pub mod gains;
 pub mod heatmap;
-pub mod obs_scenario;
 pub mod plot;
 pub mod report;
 pub mod runner;

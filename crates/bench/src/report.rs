@@ -1,9 +1,28 @@
-//! Report output: Markdown tables and CSV files under `results/`.
+//! Report output: Markdown tables and CSV files under `results/`, the
+//! committed `BENCH_*.json` trajectory, and the `NLRM_QUICK` switch.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Whether `NLRM_QUICK` asks for the shrunken smoke-run grid.
+pub fn quick() -> bool {
+    quick_from(std::env::var("NLRM_QUICK").ok().as_deref())
+}
+
+/// The `NLRM_QUICK` parse: any value but empty or `0` means quick.
+fn quick_from(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+/// The workspace root (the bench crate lives at `<ws>/crates/bench`).
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root exists")
+}
 
 /// Resolve (and create) the results directory. Defaults to
 /// `<workspace>/results/`; the `NLRM_RESULTS_DIR` environment variable
@@ -11,17 +30,21 @@ use std::path::{Path, PathBuf};
 pub fn results_dir() -> PathBuf {
     let dir = match std::env::var("NLRM_RESULTS_DIR") {
         Ok(d) if !d.is_empty() => PathBuf::from(d),
-        _ => {
-            // bench crate lives at <ws>/crates/bench
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("workspace root exists")
-                .join("results")
-        }
+        _ => workspace_root().join("results"),
     };
     fs::create_dir_all(&dir).expect("create results dir");
     dir
+}
+
+/// Where the BENCH file `name` goes. `BENCH_*.json` at the repository
+/// root are the committed perf trajectory, so only full runs write
+/// there; quick (CI smoke) runs land in [`results_dir`] instead.
+pub fn bench_path(name: &str, quick: bool) -> PathBuf {
+    if quick {
+        results_dir().join(name)
+    } else {
+        workspace_root().join(name)
+    }
 }
 
 /// Write `contents` to `results/<name>` and echo the path (suppressed
@@ -145,6 +168,27 @@ mod tests {
         let path = write_result("report_test_scratch.txt", "ok\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "ok\n");
         let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn quick_is_any_value_but_empty_or_zero() {
+        assert!(!quick_from(None));
+        assert!(!quick_from(Some("")));
+        assert!(!quick_from(Some("0")));
+        assert!(quick_from(Some("1")));
+        assert!(quick_from(Some("yes")));
+    }
+
+    #[test]
+    fn bench_path_splits_quick_from_full_runs() {
+        assert_eq!(
+            bench_path("BENCH_x.json", true),
+            results_dir().join("BENCH_x.json")
+        );
+        assert_eq!(
+            bench_path("BENCH_x.json", false),
+            workspace_root().join("BENCH_x.json")
+        );
     }
 
     #[test]

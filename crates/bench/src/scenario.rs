@@ -22,7 +22,7 @@
 
 use crate::runner::Experiment;
 use nlrm_cluster::iitk::small_cluster;
-use nlrm_core::broker::{Broker, BrokerConfig, BrokerEvent, JobId, SchedMode};
+use nlrm_core::broker::{Broker, BrokerConfig, BrokerEvent, JobId};
 use nlrm_core::AllocationRequest;
 use nlrm_monitor::{DaemonKind, FaultTarget, MonitorFaultPlan};
 use nlrm_obs::{
@@ -37,6 +37,20 @@ use std::time::Instant;
 /// Virtual warm-up before the first checkpoint, in seconds. Submissions
 /// made "up front" (the oversized starver) land at this instant.
 pub const WARMUP_SECS: u64 = 360;
+
+/// Virtual-second checkpoints for full storyline runs.
+pub const FULL_CHECKPOINTS: &[u64] = &[1100, 1300, 1500];
+/// Checkpoints for `NLRM_QUICK` / CI smoke runs.
+pub const QUICK_CHECKPOINTS: &[u64] = &[1100, 1300];
+
+/// The storyline checkpoints for a quick or a full run.
+pub fn checkpoints(quick: bool) -> &'static [u64] {
+    if quick {
+        QUICK_CHECKPOINTS
+    } else {
+        FULL_CHECKPOINTS
+    }
+}
 
 /// One scheduled job submission at a checkpoint.
 #[derive(Debug, Clone)]
@@ -145,10 +159,16 @@ impl ScenarioSpec {
     }
 }
 
-/// The shared fault storyline, in virtual seconds on an 8-node cluster:
-/// daemon kills at t=400/450, a master failover at t=700, a headless
-/// supervision plane at t=900, and two node-state daemons killed at t=950
-/// whose samples age into staleness.
+/// The shared fault storyline, in virtual seconds on an 8-node cluster
+/// warmed to t=360:
+///
+/// | t   | fault                         | expected journal reaction        |
+/// |-----|-------------------------------|----------------------------------|
+/// | 400 | bandwidth daemon killed       | `daemon_relaunched`              |
+/// | 450 | node-state daemon on n3 killed| `daemon_relaunched`              |
+/// | 700 | master killed                 | `failover` + fresh `slave_spawned` |
+/// | 900 | master *and* slave killed     | supervision plane goes headless  |
+/// | 950 | node-state daemons n5, n6 killed | never relaunched → `stale_node_excluded` once their samples age past the 60 s bound |
 pub fn standard_fault_storyline() -> MonitorFaultPlan {
     let mut plan = MonitorFaultPlan::new();
     let kill = FaultAction::Kill;
@@ -260,7 +280,7 @@ pub struct ScenarioEnv {
     pub obs: Obs,
     /// Cluster + monitoring, warmed to [`WARMUP_SECS`].
     pub env: Experiment,
-    /// The broker (per-job mode, backfill on, no per-core load cap).
+    /// The broker (default configuration, no per-core load cap).
     pub broker: Broker,
     /// Job-id → display-name map for deferral reporting.
     pub names: BTreeMap<JobId, String>,
@@ -318,9 +338,7 @@ pub fn setup(spec: &ScenarioSpec) -> ScenarioEnv {
     }
 
     let broker = Broker::new(BrokerConfig {
-        backfill: true,
         max_load_per_core: None,
-        mode: SchedMode::PerJob,
         ..BrokerConfig::default()
     });
     let mut scen = ScenarioEnv {
@@ -540,7 +558,6 @@ fn drive(spec: &ScenarioSpec, schedule: Vec<ArrivalSpec>) -> ScenarioRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs_scenario::QUICK_CHECKPOINTS;
     use nlrm_obs::replay;
 
     #[test]

@@ -1,6 +1,6 @@
 //! The traced multi-job faulted-broker scenario behind `trace_report`.
 //!
-//! Same fault storyline as [`crate::obs_scenario`] (daemon kills, a
+//! Same fault storyline as [`crate::scenario`] (daemon kills, a
 //! master failover, a headless supervision plane), but every granted
 //! job actually *executes* on the master cluster through the traced MPI
 //! executor. Each job's trace therefore covers its whole lifecycle:
@@ -157,7 +157,7 @@ pub fn run_traced_broker_scenario(seed: u64, checkpoints: &[u64]) -> TraceScenar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs_scenario::QUICK_CHECKPOINTS;
+    use crate::scenario::QUICK_CHECKPOINTS;
 
     #[test]
     fn traced_scenario_produces_complete_traces() {

@@ -9,13 +9,12 @@
 //! admission control under overload, and wait-deferral via the §6 advisor
 //! thresholds.
 //!
-//! # The batched scheduling cycle
+//! # The scheduling cycle
 //!
-//! The original broker re-derived [`Loads`] — an O(V²) matrix build — for
-//! *every queued job on every tick*, an O(jobs × V²) pass. The batched
-//! cycle ([`SchedMode::Batched`]) derives once per distinct *request
-//! shape* (ppn + weight vectors) per tick, scores the top-K jobs of the
-//! priority order against that shared derivation, and commits starts
+//! Deriving [`Loads`] is an O(V²) matrix build, so one tick derives once
+//! per distinct *request shape* (ppn + weight vectors), not once per
+//! queued job. It scores the first [`BrokerConfig::max_per_tick`] jobs of
+//! the priority order against that shared derivation and commits starts
 //! greedily against the reservation ledger. Each placement scores a
 //! reservation-restricted [`Loads::restrict`] view, which is O(V) and
 //! shares the derivation's network load instead of copying it.
@@ -25,7 +24,7 @@
 //! Conservative backfill ("a later job may start only if the head still
 //! cannot") lets a stream of small jobs starve a large queue head forever:
 //! each small job grabs the free capacity the head is waiting for. The
-//! batched cycle instead reserves capacity for the first capacity-blocked
+//! cycle instead reserves capacity for the first capacity-blocked
 //! job: from the expected completion times of running jobs it computes the
 //! *shadow time* at which the head provably fits, and a later job may
 //! start only if it finishes by the shadow time or fits in the capacity
@@ -82,22 +81,6 @@ impl PriorityClass {
     }
 }
 
-/// How a scheduling pass walks the queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedMode {
-    /// Legacy per-job scheduling: re-derive [`Loads`] for every queued job
-    /// (O(jobs × V²) per tick). Kept for comparison and for callers that
-    /// want the original conservative-backfill semantics.
-    PerJob,
-    /// The batched cycle: one derivation per request shape per tick,
-    /// scoring at most `max_per_tick` jobs of the priority order.
-    Batched {
-        /// Queue prefix examined per tick; jobs beyond it stay queued
-        /// untouched (and unannounced) until the backlog drains.
-        max_per_tick: usize,
-    },
-}
-
 /// What happens to a submission when the queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionPolicy {
@@ -121,16 +104,12 @@ pub enum AdmissionPolicy {
 /// Broker configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BrokerConfig {
-    /// Try jobs behind a blocked queue head. Under [`SchedMode::Batched`]
-    /// this is EASY-style backfill against the head's capacity
-    /// reservation; under [`SchedMode::PerJob`] it is the legacy
-    /// conservative backfill (which can starve the head).
-    pub backfill: bool,
     /// Defer jobs whose best group's mean CPU load per core exceeds this
     /// (§6's "recommend waiting"); `None` disables deferral.
     pub max_load_per_core: Option<f64>,
-    /// How the queue is walked each tick.
-    pub mode: SchedMode,
+    /// Queue prefix, in priority order, scored per tick; jobs beyond it
+    /// stay queued untouched (and unannounced) until the backlog drains.
+    pub max_per_tick: usize,
     /// What happens to submissions when the queue is full.
     pub admission: AdmissionPolicy,
     /// Priority points added per second of queue wait (virtual time).
@@ -145,9 +124,8 @@ pub struct BrokerConfig {
 impl Default for BrokerConfig {
     fn default() -> Self {
         BrokerConfig {
-            backfill: true,
             max_load_per_core: Some(1.5),
-            mode: SchedMode::Batched { max_per_tick: 64 },
+            max_per_tick: 64,
             admission: AdmissionPolicy::Unbounded,
             aging_rate: 1.0,
             default_walltime: Some(Duration::from_hours(1)),
@@ -163,7 +141,7 @@ pub struct SubmitOptions {
     /// Declared walltime: feeds the backfill shadow-time forecast.
     pub walltime: Option<Duration>,
     /// Virtual submit time; jobs without one are stamped at their first
-    /// batched tick so aging and the wait histogram still work.
+    /// tick so aging and the wait histogram still work.
     pub submitted_at: Option<SimTime>,
 }
 
@@ -552,8 +530,8 @@ impl Broker {
         Ok(id)
     }
 
-    /// Jobs waiting, in scheduling order (priority order after a batched
-    /// tick, submission order before).
+    /// Jobs waiting, in scheduling order (priority order after a tick,
+    /// submission order before).
     pub fn queued(&self) -> Vec<JobId> {
         self.queue.iter().map(|j| j.id).collect()
     }
@@ -679,37 +657,25 @@ impl Broker {
     /// One scheduling pass against a fresh snapshot: starts whatever fits
     /// and reports what happened to every queued job it examined.
     pub fn tick(&mut self, snap: &ClusterSnapshot) -> Vec<BrokerEvent> {
-        match self.config.mode {
-            SchedMode::PerJob => self.tick_per_job(snap),
-            SchedMode::Batched { max_per_tick } => self.tick_batched(snap, max_per_tick, None),
-        }
+        self.cycle(snap, None)
     }
 
-    /// A batched scheduling pass against a caller-supplied derivation
-    /// instead of deriving from the snapshot. For callers that manage the
-    /// derivation cadence themselves (e.g. reuse one derivation across
-    /// many ticks over a static cluster). The base is used for *every*
-    /// request shape in the batch, so streams should be shape-uniform; the
-    /// snapshot still supplies virtual time and the §6 per-core load
-    /// check, and may legitimately disagree with an older `base` — nodes
-    /// missing from it defer the job instead of panicking.
+    /// A scheduling pass against a caller-supplied derivation instead of
+    /// deriving from the snapshot. For callers that manage the derivation
+    /// cadence themselves (e.g. reuse one derivation across many ticks
+    /// over a static cluster). The base is used for *every* request shape
+    /// in the batch, so streams should be shape-uniform; the snapshot
+    /// still supplies virtual time and the §6 per-core load check, and may
+    /// legitimately disagree with an older `base` — nodes missing from it
+    /// defer the job instead of panicking.
     pub fn tick_with_loads(&mut self, base: &Loads, snap: &ClusterSnapshot) -> Vec<BrokerEvent> {
-        let k = match self.config.mode {
-            SchedMode::Batched { max_per_tick } => max_per_tick,
-            SchedMode::PerJob => usize::MAX,
-        };
-        self.tick_batched(snap, k, Some(base))
+        self.cycle(snap, Some(base))
     }
 
-    /// The batched scheduling cycle. See the module docs for the shape of
-    /// the pass; `base_override` substitutes a caller-supplied derivation
-    /// for every shape.
-    fn tick_batched(
-        &mut self,
-        snap: &ClusterSnapshot,
-        max_per_tick: usize,
-        base_override: Option<&Loads>,
-    ) -> Vec<BrokerEvent> {
+    /// The scheduling cycle. See the module docs for the shape of the
+    /// pass; `base_override` substitutes a caller-supplied derivation for
+    /// every shape.
+    fn cycle(&mut self, snap: &ClusterSnapshot, base_override: Option<&Loads>) -> Vec<BrokerEvent> {
         let observed = nlrm_obs::ctx::is_active();
         let now = snap.taken_at;
         self.cycles += 1;
@@ -732,13 +698,13 @@ impl Broker {
                 .then(a.id.cmp(&b.id))
         });
 
-        let batch = jobs.len().min(max_per_tick.max(1));
+        let batch = jobs.len().min(self.config.max_per_tick.max(1));
         // one derivation per request shape per tick
         let mut bases: HashMap<ShapeKey, Result<Loads, String>> = HashMap::new();
         let mut head_res: Option<HeadReservation> = None;
         let mut started = vec![false; jobs.len()];
 
-        'jobs: for idx in 0..batch {
+        for idx in 0..batch {
             if observed && !jobs[idx].announced {
                 announce(&mut jobs[idx], now, cycle);
             }
@@ -768,7 +734,7 @@ impl Broker {
                         observe_defer(job, &reason, now, cycle);
                     }
                     events.push(BrokerEvent::Deferred { id: job.id, reason });
-                    continue 'jobs;
+                    continue;
                 }
                 charge_extra = !ends_by_shadow;
             }
@@ -798,10 +764,7 @@ impl Broker {
                                 observe_defer(job, &reason, now, cycle);
                             }
                             events.push(BrokerEvent::Deferred { id: job.id, reason });
-                            if !self.config.backfill {
-                                break 'jobs;
-                            }
-                            continue 'jobs;
+                            continue;
                         }
                     }
                 }
@@ -848,9 +811,6 @@ impl Broker {
                             });
                         }
                     }
-                    if !self.config.backfill {
-                        break 'jobs;
-                    }
                 }
             }
         }
@@ -868,55 +828,6 @@ impl Broker {
             );
             let base = base_override.or_else(|| bases.values().find_map(|r| r.as_ref().ok()));
             self.publish_queue_gauges(now, base);
-            nlrm_obs::ctx::telemetry_tick(now);
-        }
-        events
-    }
-
-    /// Legacy per-job scheduling pass: FIFO with conservative backfill,
-    /// one fresh derivation per queued job.
-    fn tick_per_job(&mut self, snap: &ClusterSnapshot) -> Vec<BrokerEvent> {
-        let observed = nlrm_obs::ctx::is_active();
-        let now = snap.taken_at;
-        self.cycles += 1;
-        let cycle = self.cycles;
-        let mut events = Vec::new();
-        let mut still_queued: VecDeque<QueuedJob> = VecDeque::new();
-        let mut head_blocked = false;
-        let mut gauge_base: Option<Loads> = None;
-        while let Some(mut job) = self.queue.pop_front() {
-            if head_blocked && !self.config.backfill {
-                still_queued.push_back(job);
-                continue;
-            }
-            if observed && !job.announced {
-                announce(&mut job, now, cycle);
-            }
-            let (base, outcome) = self.try_start(&job, snap);
-            if base.is_some() {
-                gauge_base = base;
-            }
-            match outcome {
-                Ok(lease) => {
-                    if observed {
-                        observe_start(&job, &lease, now, cycle);
-                    }
-                    events.push(BrokerEvent::Started(Box::new(lease.clone())));
-                    self.commit_start(&job, lease, now);
-                }
-                Err(reason) => {
-                    if observed {
-                        observe_defer(&job, &reason, now, cycle);
-                    }
-                    events.push(BrokerEvent::Deferred { id: job.id, reason });
-                    head_blocked = true;
-                    still_queued.push_back(job);
-                }
-            }
-        }
-        self.queue = still_queued;
-        if observed {
-            self.publish_queue_gauges(now, gauge_base.as_ref());
             nlrm_obs::ctx::telemetry_tick(now);
         }
         events
@@ -1012,25 +923,6 @@ impl Broker {
             }
         }
         (None, 0)
-    }
-
-    /// Attempt to place one job (legacy path): derive fresh, then place.
-    /// Also hands back the derivation (when one succeeded) so the caller
-    /// can publish capacity gauges without re-deriving.
-    fn try_start(
-        &self,
-        job: &QueuedJob,
-        snap: &ClusterSnapshot,
-    ) -> (Option<Loads>, Result<Lease, String>) {
-        let req = &job.request;
-        let loads = match Loads::derive(snap, &req.compute_weights, &req.network_weights, req.ppn) {
-            Ok(l) => l,
-            Err(e) => return (None, Err(e.to_string())),
-        };
-        let outcome = self
-            .place_on(&loads, job, snap)
-            .map_err(PlaceFailure::into_message);
-        (Some(loads), outcome)
     }
 
     /// Score and place one job on `base` shrunk by current reservations
@@ -1166,7 +1058,6 @@ mod tests {
 
     fn no_defer() -> BrokerConfig {
         BrokerConfig {
-            backfill: true,
             max_load_per_core: None,
             ..BrokerConfig::default()
         }
@@ -1208,19 +1099,20 @@ mod tests {
 
     #[test]
     fn fully_reserved_cluster_defers_on_capacity() {
-        for mode in [SchedMode::PerJob, SchedMode::Batched { max_per_tick: 8 }] {
-            let snap = snapshot(4, 5); // 16 capacity
-            let mut broker = Broker::new(BrokerConfig { mode, ..no_defer() });
-            broker.submit("fill", req(16)).unwrap();
-            broker.tick(&snap);
-            let late = broker.submit("late", req(4)).unwrap();
-            let events = broker.tick(&snap);
-            assert!(
-                matches!(&events[..], [BrokerEvent::Deferred { id, reason }]
-                    if *id == late && reason == "all nodes fully reserved"),
-                "{mode:?}: {events:?}"
-            );
-        }
+        let snap = snapshot(4, 5); // 16 capacity
+        let mut broker = Broker::new(BrokerConfig {
+            max_per_tick: 8,
+            ..no_defer()
+        });
+        broker.submit("fill", req(16)).unwrap();
+        broker.tick(&snap);
+        let late = broker.submit("late", req(4)).unwrap();
+        let events = broker.tick(&snap);
+        assert!(
+            matches!(&events[..], [BrokerEvent::Deferred { id, reason }]
+                if *id == late && reason == "all nodes fully reserved"),
+            "{events:?}"
+        );
     }
 
     #[test]
@@ -1278,24 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn no_backfill_preserves_strict_fifo() {
-        let snap = snapshot(4, 5);
-        let mut broker = Broker::new(BrokerConfig {
-            backfill: false,
-            max_load_per_core: None,
-            ..BrokerConfig::default()
-        });
-        broker.submit("running", req(12)).unwrap();
-        broker.tick(&snap);
-        let big = broker.submit("big", req(16)).unwrap();
-        let small = broker.submit("small", req(4)).unwrap();
-        let events = broker.tick(&snap);
-        assert_eq!(events.len(), 1, "only the head is examined");
-        assert!(matches!(&events[0], BrokerEvent::Deferred { id, .. } if *id == big));
-        assert_eq!(broker.queued(), vec![big, small]);
-    }
-
-    #[test]
     fn overloaded_cluster_defers_jobs() {
         let mut cluster = nlrm_cluster::iitk::small_cluster_with_profile(
             6,
@@ -1307,7 +1181,6 @@ mod tests {
             .warm_snapshot(&mut cluster, Duration::from_secs(600))
             .unwrap();
         let mut broker = Broker::new(BrokerConfig {
-            backfill: true,
             max_load_per_core: Some(0.9),
             ..BrokerConfig::default()
         });
@@ -1446,12 +1319,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_cycle_derives_at_least_10x_fewer_times() {
+    fn a_tick_derives_once_per_request_shape() {
         let snap = snapshot(8, 3);
-        let derives_for = |mode: SchedMode| {
-            let mut broker = Broker::new(BrokerConfig { mode, ..no_defer() });
+        let derives_per_tick = |shapes: &[Option<u32>]| {
+            let mut broker = Broker::new(no_defer());
             for i in 0..40 {
-                broker.submit(format!("j{i}"), req(4)).unwrap();
+                let ppn = shapes[i % shapes.len()];
+                let req = AllocationRequest::new(4, ppn, 0.3, 0.7);
+                broker.submit(format!("j{i}"), req).unwrap();
             }
             let obs = Obs::new();
             let g = install(&obs);
@@ -1459,13 +1334,8 @@ mod tests {
             drop(g);
             obs.metrics.counter_value("loads_derive_total")
         };
-        let per_job = derives_for(SchedMode::PerJob);
-        let batched = derives_for(SchedMode::Batched { max_per_tick: 64 });
-        assert!(batched >= 1, "batched tick derives at least once");
-        assert!(
-            per_job >= 10 * batched,
-            "batched cycle must derive ≥10x fewer times per tick: per-job {per_job}, batched {batched}"
-        );
+        assert_eq!(derives_per_tick(&[Some(4)]), 1, "40 same-shape jobs");
+        assert_eq!(derives_per_tick(&[Some(4), Some(2)]), 2, "two ppn shapes");
     }
 
     #[test]

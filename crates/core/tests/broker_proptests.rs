@@ -53,7 +53,6 @@ proptest! {
     ) {
         let snap = snapshot(seed);
         let mut broker = Broker::new(BrokerConfig {
-            backfill: true,
             max_load_per_core: None,
             ..BrokerConfig::default()
         });
@@ -126,7 +125,6 @@ proptest! {
     ) {
         let snap = snapshot(seed);
         let mut broker = Broker::new(BrokerConfig {
-            backfill: true,
             max_load_per_core: None,
             ..BrokerConfig::default()
         });

@@ -16,7 +16,10 @@
 //! * [`mpi`] — the simulated MPI runtime (communicators, collectives,
 //!   contention-aware BSP executor),
 //! * [`obs`] — observability: virtual-time event journal, metrics registry,
-//!   allocation-decision explain traces, and the scoped observer context,
+//!   allocation-decision explain traces, the scoped observer context,
+//!   causal span tracing with critical paths, continuous telemetry (health,
+//!   SLOs, anomaly detection), and the incident flight recorder with
+//!   replay and root-cause analysis,
 //! * [`apps`] — miniMD/miniFE proxy applications and synthetic kernels,
 //! * [`bench`](mod@bench) — the experiment harness regenerating every paper figure.
 //!

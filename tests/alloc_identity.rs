@@ -11,7 +11,7 @@
 //! chains were collapsed into one stage, so any drift in a winner, a cost
 //! bit, an explain trace or a deferral string fails here.
 
-use nlrm::core::broker::{Broker, BrokerConfig, BrokerEvent, SchedMode, SubmitOptions};
+use nlrm::core::broker::{Broker, BrokerConfig, BrokerEvent, SubmitOptions};
 use nlrm::core::slurm::{JobDescriptor, NlrmSelect, NodeBitmap, SelectPlugin};
 use nlrm::core::{AllocError, Allocation};
 use nlrm::obs::{install, DigestFold};
@@ -221,7 +221,7 @@ fn job(procs: u32, walltime_s: Option<u64>, at: SimTime) -> (AllocationRequest, 
 /// separate broker with a zero load-per-core limit raises the §6
 /// advisory deferral, and a third runs on a caller-supplied tiered
 /// derivation.
-fn broker_digest(mode: SchedMode) -> u64 {
+fn broker_digest() -> u64 {
     let (cluster, mut snap) = warm(4);
     let obs = Obs::new();
     let guard = install(&obs);
@@ -230,7 +230,6 @@ fn broker_digest(mode: SchedMode) -> u64 {
 
     let mut broker = Broker::new(BrokerConfig {
         max_load_per_core: None,
-        mode,
         ..BrokerConfig::default()
     });
     let wave1 = [
@@ -267,7 +266,6 @@ fn broker_digest(mode: SchedMode) -> u64 {
 
     let mut advisory = Broker::new(BrokerConfig {
         max_load_per_core: Some(0.0),
-        mode,
         ..BrokerConfig::default()
     });
     let (req, opts) = job(32, Some(600), t2);
@@ -284,7 +282,6 @@ fn broker_digest(mode: SchedMode) -> u64 {
     .into_tiered(&cluster.topology().switch_index());
     let mut tiered = Broker::new(BrokerConfig {
         max_load_per_core: None,
-        mode,
         ..BrokerConfig::default()
     });
     for (i, procs) in [100u32, 100, 60].into_iter().enumerate() {
@@ -320,17 +317,8 @@ fn broker_digest(mode: SchedMode) -> u64 {
 #[test]
 fn batched_broker_ticks_are_golden() {
     assert_eq!(
-        broker_digest(SchedMode::Batched { max_per_tick: 64 }),
+        broker_digest(),
         10133676723712811054,
         "batched broker events moved"
-    );
-}
-
-#[test]
-fn per_job_broker_ticks_are_golden() {
-    assert_eq!(
-        broker_digest(SchedMode::PerJob),
-        9985541185089893186,
-        "per-job broker events moved"
     );
 }

@@ -25,7 +25,6 @@ fn broker_feeds_concurrent_execution() {
         .unwrap();
 
     let mut broker = Broker::new(BrokerConfig {
-        backfill: true,
         max_load_per_core: None,
         ..BrokerConfig::default()
     });
@@ -88,7 +87,6 @@ fn broker_respects_capacity_under_pressure() {
         .warm_snapshot(&mut cluster, Duration::from_secs(400))
         .unwrap();
     let mut broker = Broker::new(BrokerConfig {
-        backfill: true,
         max_load_per_core: None,
         ..BrokerConfig::default()
     });

@@ -5,18 +5,23 @@
 //! fit), while the identical fault-free run stays anomaly-silent — the
 //! detectors have to be detectors, not noise generators.
 
-use nlrm::bench::obs_scenario::{run_broker_scenario, ScenarioOptions, QUICK_CHECKPOINTS};
+use nlrm::bench::scenario::{self, ScenarioRun, ScenarioSpec, QUICK_CHECKPOINTS};
 use nlrm::obs::AnomalyKind;
 use nlrm_sim_core::time::SimTime;
 
+/// One telemetry arm; the faulted one also submits the 64-proc starver.
+fn telemetry_run(faulted: bool) -> ScenarioRun {
+    let mut spec = ScenarioSpec::new("obs-report", 2025, QUICK_CHECKPOINTS);
+    spec.faulted = faulted;
+    spec.submit_huge = faulted;
+    spec.telemetry = true;
+    scenario::run(&spec.standard_arrivals(16))
+}
+
 #[test]
 fn faulted_run_raises_anomalies_and_clean_run_stays_silent() {
-    let faulted = run_broker_scenario(
-        2025,
-        QUICK_CHECKPOINTS,
-        ScenarioOptions::faulted_telemetry(),
-    );
-    let clean = run_broker_scenario(2025, QUICK_CHECKPOINTS, ScenarioOptions::clean_telemetry());
+    let faulted = telemetry_run(true);
+    let clean = telemetry_run(false);
 
     // --- the telemetry loop actually ran on both arms ---
     assert!(

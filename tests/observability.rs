@@ -4,13 +4,16 @@
 //! virtual timestamps, and every granted allocation carries an explain
 //! trace consistent with `select_best`'s ranking.
 
-use nlrm::bench::obs_scenario::{run_faulted_broker_scenario, QUICK_CHECKPOINTS};
+use nlrm::bench::scenario::{self, ScenarioSpec, QUICK_CHECKPOINTS};
 use nlrm::obs::Severity;
 use nlrm_sim_core::time::SimTime;
 
 #[test]
 fn faulted_run_journals_supervision_and_explains_every_grant() {
-    let r = run_faulted_broker_scenario(2025, QUICK_CHECKPOINTS);
+    let mut spec = ScenarioSpec::new("obs-report", 2025, QUICK_CHECKPOINTS);
+    spec.faulted = true;
+    spec.submit_huge = true;
+    let r = scenario::run(&spec.standard_arrivals(16));
     let journal = &r.obs.journal;
     let metrics = &r.obs.metrics;
 

@@ -8,7 +8,7 @@
 //! whose segments tile the root interval exactly. The Chrome export of
 //! the whole store must be valid JSON.
 
-use nlrm::bench::obs_scenario::QUICK_CHECKPOINTS;
+use nlrm::bench::scenario::QUICK_CHECKPOINTS;
 use nlrm::bench::trace_scenario::run_traced_broker_scenario;
 use nlrm::obs::{json, Span, TraceId};
 use std::collections::BTreeMap;
