@@ -16,23 +16,13 @@ use nlrm_core::candidate::{generate_all_candidates, generate_candidate};
 use nlrm_core::select::{group_cost, select_best};
 use nlrm_core::{Loads, TieredNl};
 use nlrm_monitor::SymMatrix;
+use nlrm_sim_core::rng::{frac, splitmix64};
 use nlrm_topology::NodeId;
 use std::hint::black_box;
 
 const PER_SWITCH: u32 = 16;
 const ALPHA: f64 = 0.4;
 const BETA: f64 = 0.6;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn frac(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 fn cl_vec(v: u32, seed: u64) -> Vec<f64> {
     (0..v)

@@ -20,10 +20,7 @@ use nlrm_sim_core::time::Duration;
 fn main() {
     let progress = Progress::start("ablation_alpha_beta");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2023);
+    let seed = report::seed(2023);
     let reps = if quick { 2 } else { 5 };
     let alphas: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
 

@@ -24,10 +24,7 @@ use nlrm_sim_core::time::Duration;
 fn main() {
     let progress = Progress::start("ablation_forecast");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2027);
+    let seed = report::seed(2027);
     let reps = if quick { 3 } else { 8 };
     let steps = if quick { 30 } else { 100 };
     let delays_s: Vec<u64> = vec![300, 900, 1800];

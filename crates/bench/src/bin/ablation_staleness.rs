@@ -20,10 +20,7 @@ use nlrm_sim_core::time::Duration;
 fn main() {
     let progress = Progress::start("ablation_staleness");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025);
+    let seed = report::seed(2025);
     let reps = if quick { 2 } else { 5 };
     let steps = if quick { 30 } else { 100 };
     let delays_s: Vec<u64> = vec![0, 60, 300, 900, 1800, 3600, 7200];

@@ -34,10 +34,7 @@ fn uniform_weights() -> ComputeWeights {
 fn main() {
     let progress = Progress::start("ablation_weights");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2024);
+    let seed = report::seed(2024);
     let reps = if quick { 2 } else { 5 };
     let steps = if quick { 30 } else { 100 };
 

@@ -28,6 +28,7 @@ use nlrm_core::broker::{
 use nlrm_core::{AllocError, AllocationRequest, Loads};
 use nlrm_monitor::{ClusterSnapshot, MonitorRuntime};
 use nlrm_obs::{install, Obs};
+use nlrm_sim_core::rng::{frac, splitmix64};
 use nlrm_sim_core::time::{Duration, SimTime};
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Write as _;
@@ -35,18 +36,6 @@ use std::time::Instant;
 
 /// Virtual scheduling quantum.
 const QUANTUM_S: u64 = 60;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Uniform in [0, 1).
-fn frac(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// One synthetic arrival.
 struct ArrivingJob {

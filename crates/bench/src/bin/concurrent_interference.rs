@@ -25,10 +25,7 @@ use nlrm_sim_core::time::Duration;
 fn main() {
     let progress = Progress::start("concurrent_interference");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2029);
+    let seed = report::seed(2029);
     let reps = if quick { 2 } else { 5 };
     let steps = if quick { 30 } else { 100 };
 

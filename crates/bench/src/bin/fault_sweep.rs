@@ -84,10 +84,7 @@ fn random_plan(
 fn main() {
     let progress = Progress::start("fault_sweep");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025);
+    let seed = report::seed(2025);
     let reps = if quick { 2 } else { 4 };
     let steps = if quick { 10 } else { 40 };
     let checkpoints: &[u64] = if quick {

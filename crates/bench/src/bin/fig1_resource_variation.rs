@@ -19,10 +19,7 @@ use nlrm_topology::NodeId;
 
 fn main() {
     let progress = Progress::start("fig1_resource_variation");
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2020);
+    let seed = report::seed(2020);
     let hours = if report::quick() { 6 } else { 48 };
     progress.block(format!(
         "== Fig. 1: resource-usage variation over {hours} h (seed {seed}) ==\n"

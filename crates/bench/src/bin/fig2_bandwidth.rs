@@ -21,10 +21,7 @@ use nlrm_topology::NodeId;
 
 fn main() {
     let progress = Progress::start("fig2_bandwidth");
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2020);
+    let seed = report::seed(2020);
     let hours = if report::quick() { 6 } else { 48 };
     progress.block(format!(
         "== Fig. 2: P2P bandwidth variation (seed {seed}) ==\n"

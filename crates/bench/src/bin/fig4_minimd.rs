@@ -28,10 +28,7 @@ use std::collections::BTreeMap;
 fn main() {
     let progress = Progress::start("fig4_minimd");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2020);
+    let seed = report::seed(2020);
     let (procs_grid, sizes, reps, steps) = if quick {
         (vec![8u32, 32], vec![8u32, 24], 2usize, 30usize)
     } else {

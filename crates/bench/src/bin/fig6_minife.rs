@@ -24,10 +24,7 @@ use std::collections::BTreeMap;
 fn main() {
     let progress = Progress::start("fig6_minife");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2021);
+    let seed = report::seed(2021);
     let (procs_grid, sizes, reps, iters) = if quick {
         (vec![8u32, 32], vec![48u32, 144], 2usize, 30usize)
     } else {

@@ -23,10 +23,7 @@ use nlrm_sim_core::time::Duration;
 fn main() {
     let progress = Progress::start("heuristic_vs_optimal");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2026);
+    let seed = report::seed(2026);
     let trials = if quick { 5 } else { 20 };
     let cluster_sizes = [10usize, 12, 14, 16];
 

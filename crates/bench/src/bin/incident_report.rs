@@ -310,10 +310,7 @@ fn outcome_json(o: &Outcome) -> String {
 fn main() {
     let progress = Progress::start("incident_report");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025);
+    let seed = report::seed(2025);
     progress.kv("seed", seed);
     progress.kv("quick", quick);
 

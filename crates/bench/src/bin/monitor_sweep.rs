@@ -30,6 +30,7 @@ use nlrm_monitor::sample::LatencyStat;
 use nlrm_monitor::{
     GossipNet, MonitorRuntime, MonitorTopo, NlEstimator, PairProbe, ShardConfig, ShardSummary,
 };
+use nlrm_sim_core::rng::splitmix64;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::NodeId;
 use std::fmt::Write as _;
@@ -37,13 +38,6 @@ use std::fmt::Write as _;
 const PER_SWITCH: u64 = 48;
 const PROBE_PAIR_BYTES: u64 =
     nlrm_monitor::daemons::LATENCY_PROBE_BYTES + nlrm_monitor::daemons::BANDWIDTH_PROBE_BYTES;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 struct SizeRow {
     nodes: u64,

@@ -190,10 +190,7 @@ fn broker_force_lease(broker: &mut Broker, lease: Lease) {
 fn main() {
     let progress = Progress::start("multi_job_broker");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2028);
+    let seed = report::seed(2028);
     let n_jobs = if quick { 8 } else { 30 };
     progress.block(format!(
         "== Broker under a job stream ({n_jobs} jobs, seed {seed}) ==\n"

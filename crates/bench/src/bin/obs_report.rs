@@ -41,10 +41,7 @@ fn decision_json(d: &Decision) -> String {
 fn main() {
     let progress = Progress::start("obs_report");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025);
+    let seed = report::seed(2025);
     let checkpoints = scenario::checkpoints(quick);
     progress.kv("seed", seed);
     progress.kv("checkpoints", checkpoints.len());

@@ -14,23 +14,12 @@
 
 use nlrm_bench::report::{self, Table};
 use nlrm_core::{allocate_pruned, Loads, TieredNl};
+use nlrm_sim_core::rng::{frac, splitmix64};
 use nlrm_topology::NodeId;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const PER_SWITCH: u32 = 48;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Uniform in [0, 1).
-fn frac(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// A synthetic tiered cluster: `v` nodes in 48-node switches, varied
 /// compute loads, exact intra-switch and aggregated inter-switch network

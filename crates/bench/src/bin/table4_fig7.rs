@@ -13,7 +13,7 @@
 use nlrm_apps::MiniMd;
 use nlrm_bench::heatmap;
 use nlrm_bench::plot::heatmap_svg;
-use nlrm_bench::report::{write_result, Table};
+use nlrm_bench::report::{self, write_result, Table};
 use nlrm_bench::runner::{paper_policies, Experiment};
 use nlrm_cluster::iitk::iitk_cluster;
 use nlrm_core::AllocationRequest;
@@ -24,10 +24,7 @@ use nlrm_topology::NodeId;
 
 fn main() {
     let progress = Progress::start("table4_fig7");
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2022);
+    let seed = report::seed(2022);
     progress.block(format!(
         "== Table 4 / Fig. 7: allocation analysis, miniMD 32 procs, s=16 (seed {seed}) ==\n"
     ));

@@ -46,10 +46,7 @@ fn job_json(spans: &SpanStore, job: &TracedJob) -> String {
 fn main() {
     let progress = Progress::start("trace_report");
     let quick = report::quick();
-    let seed: u64 = std::env::var("NLRM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025);
+    let seed = report::seed(2025);
     let checkpoints = scenario::checkpoints(quick);
     progress.kv("seed", seed);
     progress.kv("checkpoints", checkpoints.len());

@@ -16,6 +16,16 @@ fn quick_from(value: Option<&str>) -> bool {
     value.is_some_and(|v| !v.is_empty() && v != "0")
 }
 
+/// The run's seed: `NLRM_SEED` when it parses as a `u64`, else `default`.
+pub fn seed(default: u64) -> u64 {
+    seed_from(std::env::var("NLRM_SEED").ok().as_deref(), default)
+}
+
+/// The `NLRM_SEED` parse: unset, empty or non-numeric means `default`.
+fn seed_from(value: Option<&str>, default: u64) -> u64 {
+    value.and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
 /// The workspace root (the bench crate lives at `<ws>/crates/bench`).
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -177,6 +187,14 @@ mod tests {
         assert!(!quick_from(Some("0")));
         assert!(quick_from(Some("1")));
         assert!(quick_from(Some("yes")));
+    }
+
+    #[test]
+    fn seed_falls_back_unless_numeric() {
+        assert_eq!(seed_from(None, 2020), 2020);
+        assert_eq!(seed_from(Some(""), 2020), 2020);
+        assert_eq!(seed_from(Some("7"), 2020), 7);
+        assert_eq!(seed_from(Some("x"), 2020), 2020);
     }
 
     #[test]

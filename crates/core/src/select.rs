@@ -45,9 +45,13 @@ pub fn group_mean_network_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
 
 /// A group's cost under a *globally* normalized variant of Eq. 4:
 /// `α·C_G/C_all + β·N_G/N_all`, where the denominators are the totals over
-/// the whole usable universe. Ranking-compatible with Algorithm 2 (which
-/// divides by per-candidate-set constants) but well-defined for *any* group,
-/// so the brute-force validator and ablations can score arbitrary subsets.
+/// the whole usable universe. This is a different objective from Eq. 4, not
+/// a rescaling of it: Eq. 4 divides by candidate-set totals, and next to it
+/// the universe version shrinks the network term by about `(V−1)/(g−1)`
+/// for a `g`-node group, so the two rank groups differently whenever both
+/// `α` and `β` are nonzero. Its merit is that it is well-defined for *any*
+/// group, so the pruned allocator, the brute-force validator and the
+/// ablations can score arbitrary subsets.
 pub fn group_cost(loads: &Loads, nodes: &[NodeId], alpha: f64, beta: f64) -> f64 {
     let c_all = loads.total_compute_load();
     let n_all = loads.total_network_load();

@@ -9,101 +9,123 @@
 //! job but won't be restarted on failure."
 
 use crate::codec::{decode, encode, MonitorRecord};
-use crate::daemons::{BandwidthD, DaemonConfig, DaemonKind, LatencyD, LivehostsD, NodeStateD};
+use crate::daemons::{
+    BandwidthD, DaemonConfig, DaemonKind, Health, LatencyD, LivehostsD, NodeStateD,
+};
+use crate::runtime::MonitorTopo;
 use crate::store::{paths, SharedStore};
 use nlrm_cluster::ClusterSim;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::NodeId;
 use std::collections::BTreeMap;
 
-/// All supervised daemons, owned together so the central monitor can sweep
-/// them uniformly.
+/// Every daemon the monitoring topology runs, owned together so the
+/// central monitor can supervise them as one roster. Livehosts and one
+/// state sampler per node run under every topology; the all-pairs latency
+/// and bandwidth probers exist only under [`MonitorTopo::Central`].
 #[derive(Debug, Clone)]
 pub struct DaemonSet {
     /// The ping-sweep daemon.
     pub livehosts: LivehostsD,
     /// One state sampler per node.
     pub nodestate: Vec<NodeStateD>,
-    /// The latency prober.
-    pub latency: LatencyD,
-    /// The bandwidth prober.
-    pub bandwidth: BandwidthD,
+    /// The latency prober (central topology only).
+    pub latency: Option<LatencyD>,
+    /// The bandwidth prober (central topology only).
+    pub bandwidth: Option<BandwidthD>,
 }
 
 impl DaemonSet {
-    /// Fresh daemons for an `n`-node cluster.
-    pub fn new(n: usize) -> Self {
+    /// Fresh daemons for an `n`-node cluster monitored with `topo`.
+    pub fn new(n: usize, topo: &MonitorTopo) -> Self {
+        let central = matches!(topo, MonitorTopo::Central);
         DaemonSet {
             livehosts: LivehostsD::new(),
             nodestate: (0..n).map(|i| NodeStateD::new(NodeId(i as u32))).collect(),
-            latency: LatencyD::new(n),
-            bandwidth: BandwidthD::new(n),
+            latency: central.then(|| LatencyD::new(n)),
+            bandwidth: central.then(|| BandwidthD::new(n)),
+        }
+    }
+
+    /// Every daemon this set runs, with its health, in supervision order:
+    /// livehosts, the pair probers, then the state samplers by node id.
+    pub fn roster(&self) -> impl Iterator<Item = (DaemonKind, &Health)> {
+        let probers = [
+            self.latency
+                .as_ref()
+                .map(|d| (DaemonKind::Latency, &d.health)),
+            self.bandwidth
+                .as_ref()
+                .map(|d| (DaemonKind::Bandwidth, &d.health)),
+        ];
+        let samplers = self
+            .nodestate
+            .iter()
+            .map(|d| (DaemonKind::NodeState(d.node()), &d.health));
+        std::iter::once((DaemonKind::Livehosts, &self.livehosts.health))
+            .chain(probers.into_iter().flatten())
+            .chain(samplers)
+    }
+
+    /// When the identified daemon last wrote to `store` (`None`: never),
+    /// and how often it is due to write under `cfg`.
+    pub fn freshness(
+        &self,
+        kind: DaemonKind,
+        store: &SharedStore,
+        cfg: &DaemonConfig,
+    ) -> (Option<SimTime>, Duration) {
+        match kind {
+            DaemonKind::Livehosts => (store.written_at(paths::LIVEHOSTS), cfg.livehosts_period),
+            DaemonKind::NodeState(node) => {
+                let path = self.nodestate[node.index()].store_path();
+                (store.written_at(path), cfg.nodestate_period)
+            }
+            DaemonKind::Latency => (
+                store.newest_under(paths::LATENCY_PREFIX),
+                cfg.latency_period,
+            ),
+            DaemonKind::Bandwidth => (
+                store.newest_under(paths::BANDWIDTH_PREFIX),
+                cfg.bandwidth_period,
+            ),
         }
     }
 
     /// Count of currently dead daemons.
     pub fn dead_count(&self) -> usize {
-        let mut dead = 0;
-        if !self.livehosts.is_alive() {
-            dead += 1;
-        }
-        dead += self.nodestate.iter().filter(|d| !d.is_alive()).count();
-        if !self.latency.is_alive() {
-            dead += 1;
-        }
-        if !self.bandwidth.is_alive() {
-            dead += 1;
-        }
-        dead
+        self.roster().filter(|(_, h)| !h.is_alive()).count()
     }
 
-    /// Whether the identified daemon process exists.
-    pub fn is_alive(&self, kind: DaemonKind) -> bool {
+    /// The identified daemon's health; `None` when this set does not run it.
+    pub fn health(&self, kind: DaemonKind) -> Option<&Health> {
+        self.roster().find(|&(k, _)| k == kind).map(|(_, h)| h)
+    }
+
+    /// Mutable [`DaemonSet::health`]: failure injection kills, hangs and
+    /// mutes a daemon here.
+    pub fn health_mut(&mut self, kind: DaemonKind) -> Option<&mut Health> {
         match kind {
-            DaemonKind::Livehosts => self.livehosts.is_alive(),
-            DaemonKind::NodeState(node) => self.nodestate[node.index()].is_alive(),
-            DaemonKind::Latency => self.latency.is_alive(),
-            DaemonKind::Bandwidth => self.bandwidth.is_alive(),
+            DaemonKind::Livehosts => Some(&mut self.livehosts.health),
+            DaemonKind::NodeState(node) => {
+                self.nodestate.get_mut(node.index()).map(|d| &mut d.health)
+            }
+            DaemonKind::Latency => self.latency.as_mut().map(|d| &mut d.health),
+            DaemonKind::Bandwidth => self.bandwidth.as_mut().map(|d| &mut d.health),
         }
     }
 
-    /// Failure injection: kill the identified daemon.
-    pub fn kill(&mut self, kind: DaemonKind) {
-        match kind {
-            DaemonKind::Livehosts => self.livehosts.kill(),
-            DaemonKind::NodeState(node) => self.nodestate[node.index()].kill(),
-            DaemonKind::Latency => self.latency.kill(),
-            DaemonKind::Bandwidth => self.bandwidth.kill(),
-        }
-    }
-
-    /// Failure injection: hang the identified daemon until `t`.
-    pub fn hang_until(&mut self, kind: DaemonKind, t: SimTime) {
-        match kind {
-            DaemonKind::Livehosts => self.livehosts.hang_until(t),
-            DaemonKind::NodeState(node) => self.nodestate[node.index()].hang_until(t),
-            DaemonKind::Latency => self.latency.hang_until(t),
-            DaemonKind::Bandwidth => self.bandwidth.hang_until(t),
-        }
-    }
-
-    /// Failure injection: withhold the identified daemon's writes until `t`.
-    pub fn mute_until(&mut self, kind: DaemonKind, t: SimTime) {
-        match kind {
-            DaemonKind::Livehosts => self.livehosts.mute_until(t),
-            DaemonKind::NodeState(node) => self.nodestate[node.index()].mute_until(t),
-            DaemonKind::Latency => self.latency.mute_until(t),
-            DaemonKind::Bandwidth => self.bandwidth.mute_until(t),
-        }
-    }
-
-    /// Relaunch the identified daemon (fresh process, state lost).
+    /// Relaunch the identified daemon: a fresh instance, its state lost. A
+    /// daemon this set does not run stays absent.
     pub fn relaunch(&mut self, kind: DaemonKind) {
+        let n = self.nodestate.len();
         match kind {
-            DaemonKind::Livehosts => self.livehosts.relaunch(),
-            DaemonKind::NodeState(node) => self.nodestate[node.index()].relaunch(),
-            DaemonKind::Latency => self.latency.relaunch(),
-            DaemonKind::Bandwidth => self.bandwidth.relaunch(),
+            DaemonKind::Livehosts => self.livehosts = LivehostsD::new(),
+            DaemonKind::NodeState(node) => self.nodestate[node.index()] = NodeStateD::new(node),
+            DaemonKind::Latency => self.latency = self.latency.take().map(|_| LatencyD::new(n)),
+            DaemonKind::Bandwidth => {
+                self.bandwidth = self.bandwidth.take().map(|_| BandwidthD::new(n))
+            }
         }
     }
 }
@@ -207,24 +229,33 @@ impl CentralMonitor {
         !self.master.alive && !self.slave.alive
     }
 
-    /// Pick a live node other than `exclude` to host a new instance.
-    fn pick_host(cluster: &ClusterSim, exclude: NodeId) -> Option<NodeId> {
-        cluster
-            .topology()
-            .node_ids()
-            .find(|&n| n != exclude && cluster.is_up(n))
+    /// Launch a fresh slave on the first live node other than the master's
+    /// (none when no such node is up).
+    fn spawn_slave(&mut self, now: SimTime, cluster: &ClusterSim) {
+        let master = self.master.host;
+        let mut hosts = cluster.topology().node_ids();
+        let Some(host) = hosts.find(|&n| n != master && cluster.is_up(n)) else {
+            return;
+        };
+        self.slave = Instance {
+            host,
+            alive: true,
+            incarnation: self.next_incarnation,
+        };
+        self.next_incarnation += 1;
+        nlrm_obs::ctx::emit(
+            nlrm_obs::Severity::Info,
+            now,
+            nlrm_obs::EventKind::SlaveSpawned { host },
+        );
     }
 
     /// One supervision tick.
     pub fn tick(&mut self, cluster: &ClusterSim, store: &SharedStore, daemons: &mut DaemonSet) {
         let now = cluster.now();
         // instances die with their hosts
-        if self.master.alive && !cluster.is_up(self.master.host) {
-            self.master.alive = false;
-        }
-        if self.slave.alive && !cluster.is_up(self.slave.host) {
-            self.slave.alive = false;
-        }
+        self.master.alive &= cluster.is_up(self.master.host);
+        self.slave.alive &= cluster.is_up(self.slave.host);
 
         if self.master.alive {
             // master duties: heartbeat, supervise daemons, keep a slave alive
@@ -237,19 +268,7 @@ impl CentralMonitor {
             store.put(paths::MASTER_HEARTBEAT, now, hb);
             self.supervise(now, cluster, store, daemons);
             if !self.slave.alive {
-                if let Some(host) = Self::pick_host(cluster, self.master.host) {
-                    self.slave = Instance {
-                        host,
-                        alive: true,
-                        incarnation: self.next_incarnation,
-                    };
-                    self.next_incarnation += 1;
-                    nlrm_obs::ctx::emit(
-                        nlrm_obs::Severity::Info,
-                        now,
-                        nlrm_obs::EventKind::SlaveSpawned { host },
-                    );
-                }
+                self.spawn_slave(now, cluster);
             }
         } else if self.slave.alive {
             // slave duties: watch the master heartbeat; promote on staleness
@@ -280,19 +299,7 @@ impl CentralMonitor {
                     },
                 );
                 nlrm_obs::ctx::inc("monitor_failover_total");
-                if let Some(host) = Self::pick_host(cluster, self.master.host) {
-                    self.slave = Instance {
-                        host,
-                        alive: true,
-                        incarnation: self.next_incarnation,
-                    };
-                    self.next_incarnation += 1;
-                    nlrm_obs::ctx::emit(
-                        nlrm_obs::Severity::Info,
-                        now,
-                        nlrm_obs::EventKind::SlaveSpawned { host },
-                    );
-                }
+                self.spawn_slave(now, cluster);
             }
         }
         // both dead: nothing happens — daemons run unsupervised (paper §4)
@@ -315,44 +322,18 @@ impl CentralMonitor {
         store: &SharedStore,
         daemons: &mut DaemonSet,
     ) {
-        let cfg = self.config;
-        let age = |written: Option<SimTime>| written.map(|t| now.since(t));
-        let probers = [
-            (
-                DaemonKind::Livehosts,
-                age(store.written_at(paths::LIVEHOSTS)),
-                cfg.livehosts_period,
-            ),
-            (
-                DaemonKind::Latency,
-                age(store.newest_under(paths::LATENCY_PREFIX)),
-                cfg.latency_period,
-            ),
-            (
-                DaemonKind::Bandwidth,
-                age(store.newest_under(paths::BANDWIDTH_PREFIX)),
-                cfg.bandwidth_period,
-            ),
-        ];
-        let samplers = daemons
-            .nodestate
-            .iter()
+        let watched: Vec<(DaemonKind, bool, Option<SimTime>, Duration)> = daemons
+            .roster()
             // a down node's sampler is expected to be silent
-            .filter(|d| cluster.is_up(d.node()))
-            .map(|d| {
-                (
-                    DaemonKind::NodeState(d.node()),
-                    age(store.written_at(d.store_path())),
-                    cfg.nodestate_period,
-                )
-            });
-        let watched: Vec<(DaemonKind, Option<Duration>, Duration)> =
-            probers.into_iter().chain(samplers).collect();
-
-        for (kind, age, period) in watched {
-            let alive = daemons.is_alive(kind);
+            .filter(|(kind, _)| !matches!(kind, DaemonKind::NodeState(n) if !cluster.is_up(*n)))
+            .map(|(kind, health)| {
+                let (written, period) = daemons.freshness(kind, store, &self.config);
+                (kind, health.is_alive(), written, period)
+            })
+            .collect();
+        for (kind, alive, written, period) in watched {
             let stale_bound = period.mul_f64(Self::STALE_FACTOR);
-            let hung = alive && matches!(age, Some(a) if a > stale_bound);
+            let hung = alive && matches!(written, Some(t) if now.since(t) > stale_bound);
             if alive && !hung {
                 self.backoff.remove(&kind);
                 continue;
@@ -376,7 +357,7 @@ impl CentralMonitor {
             daemons.relaunch(kind);
             self.relaunch_count += 1;
             let exp = entry.strikes.min(Self::MAX_BACKOFF_EXP);
-            let delay = cfg.central_period.mul_f64(f64::from(1u32 << exp));
+            let delay = self.config.central_period.mul_f64(f64::from(1u32 << exp));
             // the fresh process needs a full staleness window to prove
             // itself before it can be judged (and restarted) again
             entry.next_allowed = now + delay.max(stale_bound);
@@ -402,9 +383,13 @@ mod tests {
     fn setup() -> (ClusterSim, SharedStore, DaemonSet, CentralMonitor) {
         let cluster = small_cluster(6, 3);
         let store = SharedStore::new();
-        let daemons = DaemonSet::new(6);
+        let daemons = DaemonSet::new(6, &MonitorTopo::Central);
         let cm = CentralMonitor::new(NodeId(0), NodeId(1), &DaemonConfig::default());
         (cluster, store, daemons, cm)
+    }
+
+    fn health(daemons: &mut DaemonSet, kind: DaemonKind) -> &mut Health {
+        daemons.health_mut(kind).expect("daemon runs")
     }
 
     fn advance_and_tick(
@@ -423,8 +408,8 @@ mod tests {
     #[test]
     fn master_relaunches_dead_daemons() {
         let (mut cluster, store, mut daemons, mut cm) = setup();
-        daemons.latency.kill();
-        daemons.nodestate[2].kill();
+        health(&mut daemons, DaemonKind::Latency).kill();
+        health(&mut daemons, DaemonKind::NodeState(NodeId(2))).kill();
         assert_eq!(daemons.dead_count(), 2);
         advance_and_tick(&mut cluster, &store, &mut daemons, &mut cm, 1);
         assert_eq!(daemons.dead_count(), 0);
@@ -456,9 +441,9 @@ mod tests {
         advance_and_tick(&mut cluster, &store, &mut daemons, &mut cm, 1);
         cm.kill_master();
         advance_and_tick(&mut cluster, &store, &mut daemons, &mut cm, 6);
-        daemons.bandwidth.kill();
+        health(&mut daemons, DaemonKind::Bandwidth).kill();
         advance_and_tick(&mut cluster, &store, &mut daemons, &mut cm, 1);
-        assert!(daemons.bandwidth.is_alive());
+        assert!(daemons.health(DaemonKind::Bandwidth).unwrap().is_alive());
     }
 
     #[test]
@@ -477,10 +462,10 @@ mod tests {
         cm.kill_master();
         cm.kill_slave();
         assert!(cm.is_headless());
-        daemons.latency.kill();
+        health(&mut daemons, DaemonKind::Latency).kill();
         advance_and_tick(&mut cluster, &store, &mut daemons, &mut cm, 10);
         // nobody relaunched it
-        assert!(!daemons.latency.is_alive());
+        assert!(!daemons.health(DaemonKind::Latency).unwrap().is_alive());
         assert_eq!(cm.relaunch_count, 0);
     }
 
@@ -493,9 +478,8 @@ mod tests {
         cm.tick(&cluster, &store, &mut daemons);
         assert_eq!(cm.relaunch_count, 0);
         // the daemon wedges; its record ages past period × STALE_FACTOR
-        daemons
-            .livehosts
-            .hang_until(cluster.now() + Duration::from_hours(1));
+        let until = cluster.now() + Duration::from_hours(1);
+        health(&mut daemons, DaemonKind::Livehosts).hang_until(until);
         for _ in 0..6 {
             cluster.advance(Duration::from_secs(10));
             daemons.livehosts.tick(&cluster, &store); // no-op while hung
@@ -520,7 +504,7 @@ mod tests {
         // from here the daemon dies again immediately after every relaunch
         let mut relaunch_ticks = Vec::new();
         for i in 0..40 {
-            daemons.livehosts.kill();
+            health(&mut daemons, DaemonKind::Livehosts).kill();
             cluster.advance(Duration::from_secs(10));
             let before = cm.relaunch_count;
             cm.tick(&cluster, &store, &mut daemons);
@@ -547,19 +531,19 @@ mod tests {
         daemons.livehosts.tick(&cluster, &store);
         // two crash/relaunch rounds build up strikes
         for _ in 0..10 {
-            daemons.livehosts.kill();
+            health(&mut daemons, DaemonKind::Livehosts).kill();
             cluster.advance(Duration::from_secs(10));
             cm.tick(&cluster, &store, &mut daemons);
         }
         let after_loop = cm.relaunch_count;
         assert!(after_loop >= 2);
         // daemon recovers and publishes: backoff entry cleared
-        daemons.livehosts.relaunch();
+        daemons.relaunch(DaemonKind::Livehosts);
         cluster.advance(Duration::from_secs(10));
         daemons.livehosts.tick(&cluster, &store);
         cm.tick(&cluster, &store, &mut daemons);
         // next crash is relaunched on the very next heartbeat again
-        daemons.livehosts.kill();
+        health(&mut daemons, DaemonKind::Livehosts).kill();
         cluster.advance(Duration::from_secs(10));
         cm.tick(&cluster, &store, &mut daemons);
         assert_eq!(cm.relaunch_count, after_loop + 1);
@@ -574,5 +558,50 @@ mod tests {
         advance_and_tick(&mut cluster, &store, &mut daemons, &mut cm, 6);
         assert_eq!(cm.failover_count, 1);
         assert_ne!(cm.master().host, NodeId(0));
+    }
+
+    #[test]
+    fn relaunch_clears_hang_and_mute() {
+        let (mut cluster, store, mut daemons, _) = setup();
+        cluster.advance(Duration::from_secs(5));
+        let sampler = DaemonKind::NodeState(NodeId(0));
+        let until = cluster.now() + Duration::from_secs(3600);
+        health(&mut daemons, sampler).hang_until(until);
+        health(&mut daemons, sampler).mute_until(until);
+        daemons.relaunch(sampler);
+        daemons.nodestate[0].tick(&cluster, &store);
+        assert!(!store.is_empty(), "relaunched process starts fresh");
+    }
+
+    #[test]
+    fn topology_sets_the_roster() {
+        let central = DaemonSet::new(4, &MonitorTopo::Central);
+        let kinds: Vec<DaemonKind> = central.roster().map(|(kind, _)| kind).collect();
+        assert_eq!(
+            kinds[..3],
+            [
+                DaemonKind::Livehosts,
+                DaemonKind::Latency,
+                DaemonKind::Bandwidth
+            ]
+        );
+        assert_eq!(
+            kinds[3..],
+            (0..4)
+                .map(|i| DaemonKind::NodeState(NodeId(i)))
+                .collect::<Vec<_>>()
+        );
+        let cluster = small_cluster(4, 3);
+        let idx = cluster.topology().switch_index();
+        let sharded = MonitorTopo::Sharded(crate::runtime::ShardConfig::new(idx));
+        let mut daemons = DaemonSet::new(4, &sharded);
+        assert!(daemons.latency.is_none() && daemons.bandwidth.is_none());
+        assert_eq!(daemons.roster().count(), 5);
+        assert!(daemons.health_mut(DaemonKind::Latency).is_none());
+        daemons.relaunch(DaemonKind::Bandwidth);
+        assert!(
+            daemons.bandwidth.is_none(),
+            "relaunch cannot conjure a prober"
+        );
     }
 }

@@ -6,11 +6,15 @@
 //!   running means. If its node is down, the daemon is down.
 //! * [`LatencyD`] and [`BandwidthD`] sweep all node pairs with the
 //!   round-robin tournament schedule (disjoint pairs per round) and publish
-//!   per-node measurement rows.
+//!   per-node measurement rows. Both run one shared tournament body; each
+//!   keeps only its measurement and its row encoding.
 //!
-//! Daemons can be killed, hung or delayed (failure injection, see
-//! [`FaultAction`](nlrm_sim_core::fault::FaultAction)) and are relaunched by
-//! the [`CentralMonitor`](crate::central::CentralMonitor).
+//! Every daemon has one lifecycle, its [`Health`] field: failure injection
+//! (see [`FaultAction`](nlrm_sim_core::fault::FaultAction)) kills, hangs or
+//! mutes it there, and a relaunch replaces the daemon with a fresh
+//! instance. Which daemons exist is decided by the monitoring topology
+//! through [`DaemonSet`](crate::central::DaemonSet), which the
+//! [`CentralMonitor`](crate::central::CentralMonitor) supervises.
 
 use crate::codec::{encode, MonitorRecord};
 use crate::matrix::SymMatrix;
@@ -18,6 +22,7 @@ use crate::rounds::round_robin_rounds;
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
 use nlrm_cluster::ClusterSim;
+use nlrm_obs::DigestFold;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_sim_core::window::{MultiWindowMean, WindowedMean};
 use nlrm_topology::NodeId;
@@ -100,11 +105,11 @@ impl std::fmt::Display for DaemonKind {
     }
 }
 
-/// Process-level health shared by every daemon: alive/dead plus the two
-/// degraded modes of [`FaultAction`](nlrm_sim_core::fault::FaultAction) —
-/// a *hang* (process stalls entirely, resumes at a deadline) and a *delay*
-/// (process keeps working but its store writes are withheld, so observers
-/// see stale records).
+/// The one lifecycle every daemon shares: alive/dead plus the two degraded
+/// modes of [`FaultAction`](nlrm_sim_core::fault::FaultAction) — a *hang*
+/// (process stalls entirely, resumes at a deadline) and a *delay* (process
+/// keeps working but its store writes are withheld, so observers see stale
+/// records).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Health {
     dead: bool,
@@ -124,11 +129,6 @@ impl Health {
         self.dead = true;
     }
 
-    /// Fresh process: alive, not hung, not muted.
-    pub fn relaunch(&mut self) {
-        *self = Health::default();
-    }
-
     /// Failure injection: stall all work until `t`.
     pub fn hang_until(&mut self, t: SimTime) {
         self.hung_until = Some(t);
@@ -141,30 +141,25 @@ impl Health {
 
     /// Can the process do any work at `now`? Clears an expired hang.
     pub fn can_run(&mut self, now: SimTime) -> bool {
-        if self.dead {
-            return false;
-        }
-        if let Some(t) = self.hung_until {
-            if now < t {
-                return false;
-            }
-            self.hung_until = None;
-        }
-        true
+        !self.dead && open_at(&mut self.hung_until, now)
     }
 
     /// May the process publish at `now`? Clears an expired mute. (A hang
     /// already blocks everything in [`Health::can_run`]; this only gates
     /// the write path.)
     pub fn can_publish(&mut self, now: SimTime) -> bool {
-        if let Some(t) = self.muted_until {
-            if now < t {
-                return false;
-            }
-            self.muted_until = None;
-        }
-        true
+        open_at(&mut self.muted_until, now)
     }
+}
+
+/// Whether a gate closed `until` a deadline is open at `now`; an expired
+/// deadline is cleared.
+fn open_at(until: &mut Option<SimTime>, now: SimTime) -> bool {
+    if until.is_some_and(|t| now < t) {
+        return false;
+    }
+    *until = None;
+    true
 }
 
 /// Sampling/probing periods for all daemons. Defaults follow the paper:
@@ -196,10 +191,19 @@ impl Default for DaemonConfig {
     }
 }
 
+/// The nodes that are up, in id order.
+fn live_nodes(cluster: &ClusterSim) -> Vec<NodeId> {
+    cluster
+        .topology()
+        .node_ids()
+        .filter(|&n| cluster.is_up(n))
+        .collect()
+}
+
 /// Ping-sweep daemon maintaining the livehosts list.
 #[derive(Debug, Clone, Default)]
 pub struct LivehostsD {
-    health: Health,
+    pub(crate) health: Health,
 }
 
 impl LivehostsD {
@@ -208,59 +212,28 @@ impl LivehostsD {
         LivehostsD::default()
     }
 
-    /// Whether the daemon is running.
-    pub fn is_alive(&self) -> bool {
-        self.health.is_alive()
-    }
-
-    /// Failure injection: stop the daemon.
-    pub fn kill(&mut self) {
-        self.health.kill();
-    }
-
-    /// Failure injection: stall until `t`.
-    pub fn hang_until(&mut self, t: SimTime) {
-        self.health.hang_until(t);
-    }
-
-    /// Failure injection: withhold publications until `t`.
-    pub fn mute_until(&mut self, t: SimTime) {
-        self.health.mute_until(t);
-    }
-
-    /// Restart after a crash (idempotent, clears hang/mute).
-    pub fn relaunch(&mut self) {
-        self.health.relaunch();
-    }
-
     /// Ping every node; publish those that answered.
     pub fn tick(&mut self, cluster: &ClusterSim, store: &SharedStore) {
         let now = cluster.now();
         if !self.health.can_run(now) {
             return;
         }
-        let hosts: Vec<NodeId> = cluster
-            .topology()
-            .node_ids()
-            .filter(|&n| cluster.is_up(n))
-            .collect();
         if self.health.can_publish(now) {
-            store.put(
-                paths::LIVEHOSTS,
-                now,
-                encode(&MonitorRecord::Livehosts(hosts)),
-            );
+            let record = MonitorRecord::Livehosts(live_nodes(cluster));
+            store.put(paths::LIVEHOSTS, now, encode(&record));
         }
     }
 }
 
-/// Per-node state sampler with 1/5/15-minute windows.
+/// Per-node state sampler with 1/5/15-minute windows. A fresh instance
+/// starts with empty history windows, exactly as a freshly exec'd daemon's
+/// would.
 #[derive(Debug, Clone)]
 pub struct NodeStateD {
     node: NodeId,
     /// Store path of this node's state record.
     path: String,
-    health: Health,
+    pub(crate) health: Health,
     cpu_load: MultiWindowMean,
     cpu_util: MultiWindowMean,
     mem_used: MultiWindowMean,
@@ -291,34 +264,8 @@ impl NodeStateD {
         &self.path
     }
 
-    /// Whether the daemon is running.
-    pub fn is_alive(&self) -> bool {
-        self.health.is_alive()
-    }
-
-    /// Failure injection: stop the daemon.
-    pub fn kill(&mut self) {
-        self.health.kill();
-    }
-
-    /// Failure injection: stall until `t`.
-    pub fn hang_until(&mut self, t: SimTime) {
-        self.health.hang_until(t);
-    }
-
-    /// Failure injection: withhold publications until `t` (sampling and the
-    /// history windows keep advancing — only the store write is withheld).
-    pub fn mute_until(&mut self, t: SimTime) {
-        self.health.mute_until(t);
-    }
-
-    /// Restart after a crash. History windows restart empty, exactly as a
-    /// freshly exec'd daemon's would.
-    pub fn relaunch(&mut self) {
-        *self = NodeStateD::new(self.node);
-    }
-
-    /// Sample the local node and publish. A daemon on a down node cannot run.
+    /// Sample the local node and publish. A daemon on a down node cannot
+    /// run; a muted one keeps sampling but withholds the store write.
     pub fn tick(&mut self, cluster: &ClusterSim, store: &SharedStore) {
         let t = cluster.now();
         if !self.health.can_run(t) || !cluster.is_up(self.node) {
@@ -345,11 +292,6 @@ impl NodeStateD {
     }
 }
 
-/// `row(node)` for every node, indexed by node id.
-fn per_node_paths(n: usize, row: fn(NodeId) -> String) -> Vec<String> {
-    (0..n).map(|i| row(NodeId(i as u32))).collect()
-}
-
 /// Index of the unordered pair `{a, b}` (`a ≠ b`) in a strict upper
 /// triangle of an `n × n` matrix.
 fn pair_index(n: usize, a: usize, b: usize) -> usize {
@@ -357,11 +299,65 @@ fn pair_index(n: usize, a: usize, b: usize) -> usize {
     i * (2 * n - i - 1) / 2 + j - i - 1
 }
 
+/// The tournament body both all-pairs probers share. Unless `health`
+/// blocks it, probe every live pair once in round-robin order — `measure`
+/// records one pair into `state` and returns the values the flight-record
+/// stream `stream` digests — and count `probe_bytes` of traffic per pair.
+/// Then, unless muted, publish `row(state, u)` to `row_paths[u]` for every
+/// live node `u`, and set the round gauges.
+#[allow(clippy::too_many_arguments)]
+fn sweep<S, const K: usize>(
+    health: &mut Health,
+    mut state: S,
+    cluster: &mut ClusterSim,
+    store: &SharedStore,
+    stream: &str,
+    probe_bytes: u64,
+    row_paths: &[String],
+    mut measure: impl FnMut(&mut S, &mut ClusterSim, NodeId, NodeId) -> [f64; K],
+    row: impl Fn(&S, NodeId) -> MonitorRecord,
+) {
+    let t = cluster.now();
+    if !health.can_run(t) {
+        return;
+    }
+    let live = live_nodes(cluster);
+    let mut fold = nlrm_obs::ctx::recording().then(DigestFold::new);
+    let mut pairs = 0u64;
+    for round in round_robin_rounds(live.len()) {
+        for (a, b) in round {
+            let (u, v) = (live[a], live[b]);
+            let values = measure(&mut state, cluster, u, v);
+            if let Some(fold) = fold.as_mut() {
+                fold.u64(u.index() as u64).u64(v.index() as u64);
+                values.iter().for_each(|&x| _ = fold.f64(x));
+            }
+            pairs += 1;
+        }
+    }
+    if let Some(fold) = fold {
+        nlrm_obs::ctx::record_stream(t, stream, pairs, fold.value());
+    }
+    // the O(V²) measurement traffic happens whether or not the rows can
+    // be published (a mute only withholds the store writes)
+    let mut bytes = pairs * probe_bytes;
+    nlrm_obs::ctx::add("monitor_pair_measurements_total", pairs);
+    nlrm_obs::ctx::add("monitor_probe_bytes_total", bytes);
+    if health.can_publish(t) {
+        for &u in &live {
+            let data = encode(&row(&state, u));
+            bytes += data.len() as u64;
+            store.put(&row_paths[u.index()], t, data);
+        }
+    }
+    nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
+    nlrm_obs::ctx::set_gauge("monitor_round_bytes", bytes as f64);
+}
+
 /// Pairwise latency prober with 1/5-minute windows per pair.
 #[derive(Debug, Clone)]
 pub struct LatencyD {
-    health: Health,
-    n: usize,
+    pub(crate) health: Health,
     /// Per unordered pair (strict upper triangle, see [`pair_index`]):
     /// (1-min, 5-min) windows. A pair's probes feed one window pair, read
     /// from either end's row.
@@ -372,117 +368,66 @@ pub struct LatencyD {
 }
 
 impl LatencyD {
-    /// A prober for an `n`-node cluster.
+    /// A prober for an `n`-node cluster; windows start empty.
     pub fn new(n: usize) -> Self {
         LatencyD {
             health: Health::default(),
-            n,
-            windows: (0..n * n.saturating_sub(1) / 2)
-                .map(|_| {
-                    (
-                        WindowedMean::new(Duration::from_mins(1)),
-                        WindowedMean::new(Duration::from_mins(5)),
-                    )
-                })
-                .collect(),
+            windows: vec![
+                (
+                    WindowedMean::new(Duration::from_mins(1)),
+                    WindowedMean::new(Duration::from_mins(5)),
+                );
+                n * n.saturating_sub(1) / 2
+            ],
             latest: SymMatrix::new(n, f64::NAN),
-            row_paths: per_node_paths(n, paths::latency_row),
+            row_paths: (0..n)
+                .map(|i| paths::latency_row(NodeId(i as u32)))
+                .collect(),
         }
-    }
-
-    /// Whether the daemon is running.
-    pub fn is_alive(&self) -> bool {
-        self.health.is_alive()
-    }
-
-    /// Failure injection: stop the daemon.
-    pub fn kill(&mut self) {
-        self.health.kill();
-    }
-
-    /// Failure injection: stall until `t`.
-    pub fn hang_until(&mut self, t: SimTime) {
-        self.health.hang_until(t);
-    }
-
-    /// Failure injection: withhold row publications until `t` (probing and
-    /// windows keep advancing).
-    pub fn mute_until(&mut self, t: SimTime) {
-        self.health.mute_until(t);
-    }
-
-    /// Restart after a crash; windows restart empty.
-    pub fn relaunch(&mut self) {
-        *self = LatencyD::new(self.n);
     }
 
     /// One full tournament sweep over all live node pairs, then publish a
     /// row per live node.
     pub fn tick(&mut self, cluster: &mut ClusterSim, store: &SharedStore) {
-        let t = cluster.now();
-        if !self.health.can_run(t) {
-            return;
-        }
-        let live: Vec<NodeId> = cluster
-            .topology()
-            .node_ids()
-            .filter(|&n| cluster.is_up(n))
-            .collect();
-        let recording = nlrm_obs::ctx::recording();
-        let mut fold = nlrm_obs::DigestFold::new();
-        let mut pairs = 0u64;
-        for round in round_robin_rounds(live.len()) {
-            for (a, b) in round {
-                let (u, v) = (live[a], live[b]);
+        let (t, n) = (cluster.now(), self.latest.len());
+        sweep(
+            &mut self.health,
+            (&mut self.latest, &mut self.windows),
+            cluster,
+            store,
+            "probe:latency",
+            LATENCY_PROBE_BYTES,
+            &self.row_paths,
+            |(latest, windows), cluster, u, v| {
                 let lat = cluster.measure_latency_s(u, v);
-                if recording {
-                    fold.u64(u.index() as u64).u64(v.index() as u64).f64(lat);
-                }
-                self.latest.set(u, v, lat);
-                let window = &mut self.windows[pair_index(self.n, u.index(), v.index())];
+                latest.set(u, v, lat);
+                let window = &mut windows[pair_index(n, u.index(), v.index())];
                 window.0.push(t, lat);
                 window.1.push(t, lat);
-                pairs += 1;
-            }
-        }
-        if recording {
-            nlrm_obs::ctx::record_stream(t, "probe:latency", pairs, fold.value());
-        }
-        // the O(V²) measurement traffic happens whether or not the rows can
-        // be published (a mute only withholds the store writes)
-        let mut round_bytes = pairs * LATENCY_PROBE_BYTES;
-        nlrm_obs::ctx::add("monitor_pair_measurements_total", pairs);
-        nlrm_obs::ctx::add("monitor_probe_bytes_total", round_bytes);
-        if !self.health.can_publish(t) {
-            nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
-            nlrm_obs::ctx::set_gauge("monitor_round_bytes", round_bytes as f64);
-            return;
-        }
-        for &u in &live {
-            let stats: Vec<LatencyStat> = (0..self.n)
-                .map(|v| {
-                    if v == u.index() {
-                        return LatencyStat::constant(0.0);
-                    }
-                    let instant = self.latest.get(u, NodeId(v as u32));
-                    if instant.is_nan() {
+                [lat]
+            },
+            |(latest, windows), u| {
+                let stats = latest
+                    .row(u)
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &instant)| match instant {
+                        _ if v == u.index() => LatencyStat::constant(0.0),
                         // never measured (peer down since start)
-                        return LatencyStat::constant(f64::INFINITY);
-                    }
-                    let window = &self.windows[pair_index(self.n, u.index(), v)];
-                    LatencyStat {
-                        instant,
-                        m1: window.0.mean().unwrap_or(instant),
-                        m5: window.1.mean().unwrap_or(instant),
-                    }
-                })
-                .collect();
-            let data = encode(&MonitorRecord::LatencyRow { node: u, stats });
-            round_bytes += data.len() as u64;
-            store.put(&self.row_paths[u.index()], t, data);
-        }
-        nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
-        nlrm_obs::ctx::set_gauge("monitor_round_bytes", round_bytes as f64);
+                        _ if instant.is_nan() => LatencyStat::constant(f64::INFINITY),
+                        _ => {
+                            let (m1, m5) = &windows[pair_index(n, u.index(), v)];
+                            LatencyStat {
+                                instant,
+                                m1: m1.mean().unwrap_or(instant),
+                                m5: m5.mean().unwrap_or(instant),
+                            }
+                        }
+                    })
+                    .collect();
+                MonitorRecord::LatencyRow { node: u, stats }
+            },
+        );
     }
 }
 
@@ -490,8 +435,7 @@ impl LatencyD {
 /// bandwidth for allocation, so no windows are kept here.
 #[derive(Debug, Clone)]
 pub struct BandwidthD {
-    health: Health,
-    n: usize,
+    pub(crate) health: Health,
     latest: SymMatrix<f64>,
     peak: SymMatrix<f64>,
     /// Store path of each node's row.
@@ -503,104 +447,52 @@ impl BandwidthD {
     pub fn new(n: usize) -> Self {
         BandwidthD {
             health: Health::default(),
-            n,
             latest: SymMatrix::new(n, f64::NAN),
             peak: SymMatrix::new(n, f64::NAN),
-            row_paths: per_node_paths(n, paths::bandwidth_row),
+            row_paths: (0..n)
+                .map(|i| paths::bandwidth_row(NodeId(i as u32)))
+                .collect(),
         }
-    }
-
-    /// Whether the daemon is running.
-    pub fn is_alive(&self) -> bool {
-        self.health.is_alive()
-    }
-
-    /// Failure injection: stop the daemon.
-    pub fn kill(&mut self) {
-        self.health.kill();
-    }
-
-    /// Failure injection: stall until `t`.
-    pub fn hang_until(&mut self, t: SimTime) {
-        self.health.hang_until(t);
-    }
-
-    /// Failure injection: withhold row publications until `t`.
-    pub fn mute_until(&mut self, t: SimTime) {
-        self.health.mute_until(t);
-    }
-
-    /// Restart after a crash.
-    pub fn relaunch(&mut self) {
-        *self = BandwidthD::new(self.n);
     }
 
     /// One tournament sweep; publish a row per live node.
     pub fn tick(&mut self, cluster: &mut ClusterSim, store: &SharedStore) {
-        let t = cluster.now();
-        if !self.health.can_run(t) {
-            return;
-        }
-        let live: Vec<NodeId> = cluster
-            .topology()
-            .node_ids()
-            .filter(|&n| cluster.is_up(n))
-            .collect();
-        let recording = nlrm_obs::ctx::recording();
-        let mut fold = nlrm_obs::DigestFold::new();
-        let mut pairs = 0u64;
-        for round in round_robin_rounds(live.len()) {
-            for (a, b) in round {
-                let (u, v) = (live[a], live[b]);
+        sweep(
+            &mut self.health,
+            (&mut self.latest, &mut self.peak),
+            cluster,
+            store,
+            "probe:bandwidth",
+            BANDWIDTH_PROBE_BYTES,
+            &self.row_paths,
+            |(latest, peak), cluster, u, v| {
                 let bw = cluster.measure_bandwidth_bps(u, v);
-                let peak = cluster.peak_bandwidth_bps(u, v);
-                if recording {
-                    fold.u64(u.index() as u64)
-                        .u64(v.index() as u64)
-                        .f64(bw)
-                        .f64(peak);
+                let pk = cluster.peak_bandwidth_bps(u, v);
+                latest.set(u, v, bw);
+                peak.set(u, v, pk);
+                [bw, pk]
+            },
+            |(latest, peak), u| {
+                // unmeasured peers report 0 bandwidth (worst case)
+                let row = |m: &SymMatrix<f64>| -> Vec<f64> {
+                    let own = u.index();
+                    m.row(u)
+                        .iter()
+                        .enumerate()
+                        .map(|(v, &b)| match b {
+                            _ if v == own => f64::INFINITY,
+                            b if b.is_nan() => 0.0,
+                            b => b,
+                        })
+                        .collect()
+                };
+                MonitorRecord::BandwidthRow {
+                    node: u,
+                    avail_bps: row(latest),
+                    peak_bps: row(peak),
                 }
-                self.latest.set(u, v, bw);
-                self.peak.set(u, v, peak);
-                pairs += 1;
-            }
-        }
-        if recording {
-            nlrm_obs::ctx::record_stream(t, "probe:bandwidth", pairs, fold.value());
-        }
-        let mut round_bytes = pairs * BANDWIDTH_PROBE_BYTES;
-        nlrm_obs::ctx::add("monitor_pair_measurements_total", pairs);
-        nlrm_obs::ctx::add("monitor_probe_bytes_total", round_bytes);
-        if !self.health.can_publish(t) {
-            nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
-            nlrm_obs::ctx::set_gauge("monitor_round_bytes", round_bytes as f64);
-            return;
-        }
-        for &u in &live {
-            let mut avail = vec![0.0; self.n];
-            let mut peak = vec![0.0; self.n];
-            for v in 0..self.n {
-                if v == u.index() {
-                    avail[v] = f64::INFINITY;
-                    peak[v] = f64::INFINITY;
-                    continue;
-                }
-                let b = self.latest.get(u, NodeId(v as u32));
-                // unmeasured peers report 0 available bandwidth (worst case)
-                avail[v] = if b.is_nan() { 0.0 } else { b };
-                let p = self.peak.get(u, NodeId(v as u32));
-                peak[v] = if p.is_nan() { 0.0 } else { p };
-            }
-            let data = encode(&MonitorRecord::BandwidthRow {
-                node: u,
-                avail_bps: avail,
-                peak_bps: peak,
-            });
-            round_bytes += data.len() as u64;
-            store.put(&self.row_paths[u.index()], t, data);
-        }
-        nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
-        nlrm_obs::ctx::set_gauge("monitor_round_bytes", round_bytes as f64);
+            },
+        );
     }
 }
 
@@ -653,10 +545,12 @@ mod tests {
         cluster.advance(Duration::from_secs(5));
         let store = SharedStore::new();
         let mut d = NodeStateD::new(NodeId(0));
-        d.kill();
+        d.health.kill();
         d.tick(&cluster, &store);
         assert!(store.is_empty());
-        d.relaunch();
+        assert!(!d.health.is_alive());
+        // a relaunch is a fresh instance
+        d = NodeStateD::new(NodeId(0));
         d.tick(&cluster, &store);
         assert!(!store.is_empty());
     }
@@ -752,10 +646,10 @@ mod tests {
         let store = SharedStore::new();
         let mut d = NodeStateD::new(NodeId(0));
         cluster.advance(Duration::from_secs(5));
-        d.hang_until(cluster.now() + Duration::from_secs(30));
+        d.health.hang_until(cluster.now() + Duration::from_secs(30));
         d.tick(&cluster, &store);
         assert!(store.is_empty());
-        assert!(d.is_alive(), "a hang is not a crash");
+        assert!(d.health.is_alive(), "a hang is not a crash");
         cluster.advance(Duration::from_secs(30));
         d.tick(&cluster, &store);
         assert!(!store.is_empty(), "hang expired, work resumes");
@@ -769,7 +663,7 @@ mod tests {
         cluster.advance(Duration::from_secs(10));
         d.tick(&cluster, &store);
         let first = store.get(paths::LIVEHOSTS).unwrap().written_at;
-        d.mute_until(cluster.now() + Duration::from_secs(60));
+        d.health.mute_until(cluster.now() + Duration::from_secs(60));
         cluster.advance(Duration::from_secs(10));
         d.tick(&cluster, &store);
         // observers keep seeing the pre-mute record
@@ -852,7 +746,8 @@ mod tests {
         cluster.advance(Duration::from_secs(5));
         let store = SharedStore::new();
         let mut d = LatencyD::new(4);
-        d.mute_until(cluster.now() + Duration::from_secs(600));
+        d.health
+            .mute_until(cluster.now() + Duration::from_secs(600));
         d.tick(&mut cluster, &store);
         assert!(store.is_empty(), "muted daemon publishes nothing");
         assert_eq!(
@@ -864,18 +759,5 @@ mod tests {
             obs.metrics.gauge_value("monitor_round_bytes"),
             (6 * LATENCY_PROBE_BYTES) as f64
         );
-    }
-
-    #[test]
-    fn relaunch_clears_hang_and_mute() {
-        let mut cluster = small_cluster(2, 7);
-        let store = SharedStore::new();
-        let mut d = NodeStateD::new(NodeId(0));
-        cluster.advance(Duration::from_secs(5));
-        d.hang_until(cluster.now() + Duration::from_secs(3600));
-        d.mute_until(cluster.now() + Duration::from_secs(3600));
-        d.relaunch();
-        d.tick(&cluster, &store);
-        assert!(!store.is_empty(), "relaunched process starts fresh");
     }
 }

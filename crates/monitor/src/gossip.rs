@@ -21,6 +21,7 @@
 //! stream over `(round, peer, attempt)` and peers are processed in index
 //! order, so a run replays byte-identically.
 
+use nlrm_sim_core::rng::splitmix64;
 use std::collections::BTreeMap;
 
 /// Wire size of one digest entry: a `u32` origin plus a `u64` epoch.
@@ -80,13 +81,6 @@ pub struct GossipNet<T> {
     rounds_run: u64,
     total_bytes: u64,
     regressions_rejected: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl<T: Clone> GossipNet<T> {

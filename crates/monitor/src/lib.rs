@@ -13,8 +13,10 @@
 //! * [`rounds`] — the tournament schedule for pairwise measurements: n/2
 //!   disjoint pairs per round, n−1 rounds, so no node is measured twice at
 //!   once (§4, "P2P latency and bandwidth").
-//! * [`daemons`] — `LivehostsD`, `NodeStateD`, `LatencyD`, `BandwidthD`.
-//! * [`central`] — the master/slave `CentralMonitor` that relaunches dead
+//! * [`daemons`] — `LivehostsD`, `NodeStateD`, `LatencyD`, `BandwidthD`,
+//!   and the `Health` lifecycle they share.
+//! * [`central`] — the `DaemonSet` whose roster the monitoring topology
+//!   sets, and the master/slave `CentralMonitor` that relaunches dead
 //!   daemons and fails over when the master dies.
 //! * [`shard`] — per-switch aggregators running the pair tournament
 //!   intra-shard only, publishing epoch-stamped shard NL records.

@@ -1,13 +1,14 @@
 //! The virtual-time monitoring runtime.
 //!
 //! Schedules daemon ticks on a deterministic event queue and drives a
-//! [`ClusterSim`] forward between ticks. This is the monitoring stack the
-//! experiments use: fast (48 hours of cluster time in milliseconds) and
-//! perfectly reproducible.
+//! [`ClusterSim`] forward between ticks: fast (48 hours of cluster time in
+//! milliseconds) and perfectly reproducible. The [`MonitorTopo`] sets the
+//! daemon roster: the all-pairs probers run only under `Central`.
 //!
 //! Fault injection: attach a [`FaultPlan`] over [`FaultTarget`]s with
-//! [`MonitorRuntime::set_fault_plan`] and the runtime applies each
-//! scheduled kill/hang/delay at its exact virtual time while running.
+//! [`MonitorRuntime::set_fault_plan`]. Each kill/hang/delay lands on its
+//! daemon's health at its exact virtual time; one aimed at a daemon the
+//! topology does not run is journaled and otherwise ignored.
 
 use crate::central::{CentralMonitor, DaemonSet};
 use crate::daemons::DaemonConfig;
@@ -145,6 +146,7 @@ impl MonitorRuntime {
         assert!(n >= 2, "monitoring needs at least two nodes");
         let mut queue = EventQueue::new();
         let t0 = cluster.now();
+        let daemons = DaemonSet::new(n, &topo);
         // First ticks fire one period in, so the cluster has state to report.
         queue.push(t0 + config.nodestate_period, Tick::NodeState);
         queue.push(t0 + config.livehosts_period, Tick::Livehosts);
@@ -188,7 +190,7 @@ impl MonitorRuntime {
         MonitorRuntime {
             config,
             store: SharedStore::new(),
-            daemons: DaemonSet::new(n),
+            daemons,
             central: CentralMonitor::new(NodeId(0), NodeId(1), &config),
             queue,
             faults: MonitorFaultPlan::new(),
@@ -232,10 +234,12 @@ impl MonitorRuntime {
         &mut self.central
     }
 
-    /// Kill a daemon (failure injection). It stays dead until the central
-    /// monitor's next supervision pass relaunches it.
+    /// Kill a daemon (failure injection) until the central monitor's next
+    /// supervision pass relaunches it. Absent daemons are left alone.
     pub fn kill_daemon(&mut self, kind: DaemonKind) {
-        self.daemons.kill(kind);
+        if let Some(health) = self.daemons.health_mut(kind) {
+            health.kill();
+        }
     }
 
     /// Number of currently dead daemons.
@@ -340,11 +344,13 @@ impl MonitorRuntime {
                     self.queue.push(t + self.config.nodestate_period, tick);
                 }
                 Tick::Latency => {
-                    self.daemons.latency.tick(cluster, &self.store);
+                    let d = self.daemons.latency.as_mut().expect("central topology");
+                    d.tick(cluster, &self.store);
                     self.queue.push(t + self.config.latency_period, tick);
                 }
                 Tick::Bandwidth => {
-                    self.daemons.bandwidth.tick(cluster, &self.store);
+                    let d = self.daemons.bandwidth.as_mut().expect("central topology");
+                    d.tick(cluster, &self.store);
                     self.queue.push(t + self.config.bandwidth_period, tick);
                 }
                 Tick::Central => {
@@ -441,10 +447,11 @@ impl MonitorRuntime {
             nlrm_obs::ctx::inc("monitor_fault_applied_total");
         }
         match ev.target {
-            FaultTarget::Daemon(kind) => match ev.action {
-                FaultAction::Kill => self.daemons.kill(kind),
-                FaultAction::Hang(d) => self.daemons.hang_until(kind, now + d),
-                FaultAction::Delay(d) => self.daemons.mute_until(kind, now + d),
+            FaultTarget::Daemon(kind) => match (self.daemons.health_mut(kind), ev.action) {
+                (None, _) => {}
+                (Some(health), FaultAction::Kill) => health.kill(),
+                (Some(health), FaultAction::Hang(d)) => health.hang_until(now + d),
+                (Some(health), FaultAction::Delay(d)) => health.mute_until(now + d),
             },
             FaultTarget::Node(node) => {
                 cluster.set_node_up(node, false);
@@ -717,5 +724,63 @@ mod tests {
         cluster.advance(Duration::from_hours(1));
         let snap = rt.snapshot(cluster.now()).unwrap();
         assert!(snap.max_sample_age().unwrap() >= Duration::from_secs(3600));
+    }
+
+    #[test]
+    fn sharded_faults_on_absent_probers_are_journaled_only() {
+        use nlrm_sim_core::fault::FaultAction;
+        // room for every journal line of the run, debug ticks included
+        let obs = nlrm_obs::Obs::with_capacity(1 << 14);
+        let _g = nlrm_obs::install(&obs);
+        let mut cluster = nlrm_cluster::iitk::campus(3, 8, 5);
+        let idx = cluster.topology().switch_index();
+        let mut rt = MonitorRuntime::with_topo(
+            &cluster,
+            DaemonConfig::default(),
+            MonitorTopo::Sharded(ShardConfig::new(idx)),
+        );
+        assert!(rt.daemons.latency.is_none() && rt.daemons.bandwidth.is_none());
+        let sampler = DaemonKind::NodeState(NodeId(5));
+        let kinds = [
+            DaemonKind::Latency,
+            DaemonKind::Bandwidth,
+            DaemonKind::Livehosts,
+            sampler,
+        ];
+        let actions = [
+            FaultAction::Kill,
+            FaultAction::Hang(Duration::from_secs(120)),
+            FaultAction::Delay(Duration::from_secs(120)),
+        ];
+        let mut plan = MonitorFaultPlan::new();
+        for (i, action) in actions.into_iter().enumerate() {
+            let at = SimTime::from_secs(100 + 200 * i as u64);
+            for kind in kinds {
+                plan.schedule(at, FaultTarget::Daemon(kind), action);
+            }
+        }
+        rt.set_fault_plan(plan);
+        rt.run_until(&mut cluster, SimTime::from_secs(900));
+        assert_eq!(rt.pending_faults(), 0);
+        assert_eq!(obs.journal.count_of("fault_applied"), 12);
+        // only the two daemons the topology runs were ever relaunched
+        let relaunched: std::collections::BTreeSet<String> = obs
+            .journal
+            .events_of("daemon_relaunched")
+            .into_iter()
+            .map(|e| match e.kind {
+                nlrm_obs::EventKind::DaemonRelaunched { daemon, .. } => daemon,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let real = [DaemonKind::Livehosts.to_string(), sampler.to_string()];
+        assert_eq!(relaunched, real.into_iter().collect());
+        assert_eq!(
+            obs.metrics.counter_value("monitor_relaunch_total") as usize,
+            rt.central().relaunch_count
+        );
+        assert_eq!(rt.dead_daemons(), 0);
+        let snap = rt.snapshot(cluster.now()).unwrap();
+        assert_eq!(snap.usable_nodes().len(), 24);
     }
 }

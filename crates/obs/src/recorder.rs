@@ -37,19 +37,10 @@ pub const MAX_EVIDENCE: usize = 32;
 /// Keep at most this many journal-tail lines per evidence snapshot.
 pub const EVIDENCE_TAIL: usize = 64;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
 /// FNV-1a over a byte slice: the digest primitive for the whole record
 /// format (fast, dependency-free, and stable across platforms).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+pub use nlrm_sim_core::rng::fnv1a;
+use nlrm_sim_core::rng::{FNV_OFFSET, FNV_PRIME};
 
 /// Incremental FNV-1a fold, for digesting a stream of values (probe
 /// outcomes, gossip rows) without materializing them.

@@ -15,8 +15,9 @@ pub struct RngFactory {
     master: u64,
 }
 
-/// One round of SplitMix64: a high-quality 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
+/// One round of SplitMix64: a high-quality 64-bit mixer, also the
+/// workspace's stateless hash for keying generated inputs on a seed.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -24,12 +25,24 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a byte string, used to turn stream names into integers.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+/// The top 53 bits of a hash as a uniform value in `[0, 1)`.
+pub fn frac(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// FNV-1a offset basis.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a hash of a byte string: turns stream names into integers and is
+/// the digest primitive of the flight-record format.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -114,6 +127,16 @@ mod tests {
         assert_ne!(take5(c1.named("s")), take5(c2.named("s")));
         // but reproducible
         assert_eq!(take5(f.child("cluster").named("s")), take5(c1.named("s")));
+    }
+
+    #[test]
+    fn hash_helpers_match_reference_values() {
+        // SplitMix64 of 0 and FNV-1a of "" / "a" are published constants
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(frac(0), 0.0);
+        assert!(frac(u64::MAX) < 1.0);
     }
 
     #[test]
