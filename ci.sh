@@ -81,6 +81,10 @@ with open(sys.argv[1]) as f:
 assert bench["sizes"], "BENCH_scale.json has no sizes"
 assert all(s["allocs_per_sec"] > 0 for s in bench["sizes"])
 assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
+# every start is either expanded or pruned (each mean is rounded to 0.1)
+for s in bench["sizes"]:
+    seen = s["mean_expanded"] + s["mean_pruned"]
+    assert abs(seen - s["nodes"]) <= 0.1 + 1e-9, f"{s['nodes']} nodes, {seen} starts"
 PY
 
 # broker smoke: the scheduling-cycle sweep must run its shrunken streams,

@@ -4,7 +4,9 @@
 //! isolates the three kernels that dominate them — `group_cost` over a
 //! candidate's node set, `generate_candidate` from a single start node,
 //! and `select_best` over a full candidate slate — so per-kernel
-//! regressions show up independently of each other.
+//! regressions show up independently of each other. One whole
+//! `allocate_pruned` decision (4,096 tiered nodes, 64 processes) guards
+//! the switch-class loop that fuses them.
 //!
 //! Clusters are built directly as `Loads` (dense `SymMatrix` or
 //! `TieredNl`) rather than through the simulator: these kernels only see
@@ -12,9 +14,10 @@
 //! at V = 4096.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nlrm_bench::synthetic::tiered_loads;
 use nlrm_core::candidate::{generate_all_candidates, generate_candidate};
 use nlrm_core::select::{group_cost, select_best};
-use nlrm_core::{Loads, TieredNl};
+use nlrm_core::{allocate_pruned, Loads};
 use nlrm_monitor::SymMatrix;
 use nlrm_sim_core::rng::{frac, splitmix64};
 use nlrm_topology::NodeId;
@@ -42,32 +45,13 @@ fn dense_loads(v: u32, seed: u64) -> Loads {
     Loads::from_parts(nodes, cl_vec(v, seed), nl, vec![4u32; v as usize])
 }
 
-fn tiered_loads(v: u32, seed: u64) -> Loads {
-    let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
-    let switch_of: Vec<u32> = (0..v).map(|n| n / PER_SWITCH).collect();
-    let nl = TieredNl::from_fns(
-        &nodes,
-        &switch_of,
-        v.div_ceil(PER_SWITCH) as usize,
-        |a, b| {
-            let h = splitmix64(seed ^ (a.index() as u64 * 1_000_003 + b.index() as u64));
-            0.05 + 0.3 * frac(h)
-        },
-        |s, t| {
-            let h = splitmix64(seed ^ (((s as u64) << 32) | t as u64));
-            0.2 + 0.6 * frac(h)
-        },
-    );
-    Loads::from_parts(nodes, cl_vec(v, seed), nl, vec![4u32; v as usize])
-}
-
 /// Eq. 4 cost of one candidate group, dense vs tiered representation.
 fn bench_group_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("group_cost");
     for &g in &[16usize, 64, 256] {
         let v = (4 * g as u32).max(256);
         let dense = dense_loads(v, 3);
-        let tiered = tiered_loads(v, 3);
+        let tiered = tiered_loads(v, PER_SWITCH, 3);
         // every 3rd node: members span switches like a real candidate
         let members: Vec<NodeId> = (0..g as u32).map(|i| NodeId(i * 3)).collect();
         group.bench_with_input(BenchmarkId::new("dense", g), &g, |b, _| {
@@ -98,7 +82,7 @@ fn bench_select_best(c: &mut Criterion) {
     let mut group = c.benchmark_group("select_best");
     group.sample_size(20);
     for &v in &[256u32, 1024] {
-        let tiered = tiered_loads(v, 9);
+        let tiered = tiered_loads(v, PER_SWITCH, 9);
         let cands = generate_all_candidates(&tiered, 64, ALPHA, BETA);
         group.bench_with_input(BenchmarkId::from_parameter(v), &v, |b, _| {
             b.iter(|| select_best(black_box(&tiered), black_box(&cands), ALPHA, BETA))
@@ -107,10 +91,24 @@ fn bench_select_best(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fused switch-class search: one whole pruned decision on a tiered
+/// cluster.
+fn bench_allocate_pruned(c: &mut Criterion) {
+    let mut group = c.benchmark_group("allocate_pruned");
+    group.sample_size(10);
+    let v = 4096u32;
+    let tiered = tiered_loads(v, PER_SWITCH, 11);
+    group.bench_with_input(BenchmarkId::new("tiered_n64", v), &v, |b, _| {
+        b.iter(|| allocate_pruned(black_box(&tiered), 64, ALPHA, BETA))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_group_cost,
     bench_generate_candidate,
-    bench_select_best
+    bench_select_best,
+    bench_allocate_pruned
 );
 criterion_main!(benches);

@@ -13,40 +13,12 @@
 //! suppresses progress chatter.
 
 use nlrm_bench::report::{self, Table};
-use nlrm_core::{allocate_pruned, Loads, TieredNl};
-use nlrm_sim_core::rng::{frac, splitmix64};
-use nlrm_topology::NodeId;
+use nlrm_bench::synthetic::tiered_loads;
+use nlrm_core::allocate_pruned;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const PER_SWITCH: u32 = 48;
-
-/// A synthetic tiered cluster: `v` nodes in 48-node switches, varied
-/// compute loads, exact intra-switch and aggregated inter-switch network
-/// loads, 4 spare process slots per node.
-fn synthetic_loads(v: u32, seed: u64) -> Loads {
-    let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
-    let switch_of: Vec<u32> = (0..v).map(|n| n / PER_SWITCH).collect();
-    let switches = v.div_ceil(PER_SWITCH) as usize;
-    let nl = TieredNl::from_fns(
-        &nodes,
-        &switch_of,
-        switches,
-        |a, b| {
-            let h = splitmix64(seed ^ (a.index() as u64 * 1_000_003 + b.index() as u64));
-            0.05 + 0.3 * frac(h)
-        },
-        |s, t| {
-            let h = splitmix64(seed ^ (((s as u64) << 32) | t as u64));
-            0.2 + 0.6 * frac(h)
-        },
-    );
-    let cl: Vec<f64> = (0..v)
-        .map(|n| 0.1 + 0.8 * frac(splitmix64(seed ^ (n as u64 + 17))))
-        .collect();
-    let pc = vec![4u32; v as usize];
-    Loads::from_parts(nodes, cl, nl, pc)
-}
 
 struct SizeResult {
     nodes: u32,
@@ -66,7 +38,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn sweep_size(v: u32, jobs: usize, seed: u64) -> SizeResult {
     let build_start = Instant::now();
-    let loads = synthetic_loads(v, seed);
+    let loads = tiered_loads(v, PER_SWITCH, seed);
     let build_secs = build_start.elapsed().as_secs_f64();
 
     // the paper's job mixes: process counts and α/β cycles

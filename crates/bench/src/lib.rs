@@ -16,6 +16,8 @@
 //!   heatmaps so the binaries emit actual figures.
 //! * [`report`] — Markdown/CSV table writers; experiment binaries write
 //!   their outputs under `results/`.
+//! * [`synthetic`] — seeded tiered `Loads` for the allocator scale benches
+//!   (`scale_sweep`, the `scale_micro` criterion benches).
 //!
 //! One binary per experiment lives in `src/bin/` — see DESIGN.md's
 //! experiment index for the mapping to paper figures/tables.
@@ -26,6 +28,7 @@ pub mod plot;
 pub mod report;
 pub mod runner;
 pub mod scenario;
+pub mod synthetic;
 pub mod trace_scenario;
 
 pub use gains::{GainTable, PolicyStats};

@@ -302,9 +302,24 @@ impl<'a> TieredBuckets<'a> {
         )
     }
 
+    /// Candidates for `starts`, all on switch `sv`, in input order: the
+    /// per-switch runner behind both [`generate_all_candidates`] and the
+    /// pruned allocator. The foreign-stream order is computed once for the
+    /// whole switch.
+    pub(crate) fn generate_switch<'s>(
+        &'s self,
+        sv: u32,
+        starts: impl IntoIterator<Item = NodeId> + 's,
+    ) -> impl Iterator<Item = Candidate> + 's {
+        let order = self.stream_order(sv);
+        starts
+            .into_iter()
+            .map(move |v| self.generate_for(v, &order))
+    }
+
     /// Foreign nonempty switches ordered by their head key for start
     /// switch `sv` — shared by every start node on `sv`.
-    pub(crate) fn stream_order(&self, sv: u32) -> Vec<u32> {
+    fn stream_order(&self, sv: u32) -> Vec<u32> {
         let mut order: Vec<u32> = self.nonempty.iter().copied().filter(|&s| s != sv).collect();
         order.sort_by(|&a, &b| {
             let ka = self.stream_key(sv, a, 0);
@@ -327,7 +342,7 @@ impl<'a> TieredBuckets<'a> {
     /// *runs* are therefore pushed together (runs are contiguous because
     /// cost is monotone in α·CL), letting the heap order ties by id
     /// exactly as the dense sort does.
-    pub(crate) fn generate_for(&self, v: NodeId, order: &[u32]) -> Candidate {
+    fn generate_for(&self, v: NodeId, order: &[u32]) -> Candidate {
         let sv = self.t.switch_of_node(v);
         // exact addition costs within the start's own switch
         let mut own: Vec<(f64, NodeId, u32)> = self.streams[sv as usize]
@@ -453,16 +468,13 @@ fn generate_all_tiered(
     let active: Vec<u32> = (0..t.num_switches() as u32)
         .filter(|&s| !by_switch[s as usize].is_empty())
         .collect();
-    let per_switch: Vec<Vec<(usize, Candidate)>> = par::par_map(&active, |&sv| {
-        let order = buckets.stream_order(sv);
-        by_switch[sv as usize]
-            .iter()
-            .map(|&i| (i, buckets.generate_for(loads.usable[i], &order)))
-            .collect()
+    let per_switch: Vec<Vec<Candidate>> = par::par_map(&active, |&sv| {
+        let starts = by_switch[sv as usize].iter().map(|&i| loads.usable[i]);
+        buckets.generate_switch(sv, starts).collect()
     });
     let mut out: Vec<Option<Candidate>> = (0..loads.usable.len()).map(|_| None).collect();
-    for group in per_switch {
-        for (i, cand) in group {
+    for (&sv, group) in active.iter().zip(per_switch) {
+        for (&i, cand) in by_switch[sv as usize].iter().zip(group) {
             out[i] = Some(cand);
         }
     }

@@ -25,24 +25,27 @@ pub fn worker_threads() -> usize {
     })
 }
 
-/// Minimum items per worker before parallelism pays for thread spawn.
-const MIN_CHUNK: usize = 256;
+/// Default minimum items per worker before parallelism pays for thread
+/// spawn.
+pub const MIN_CHUNK: usize = 256;
 
-/// Map `f` over `0..len` deterministically, possibly in parallel.
+/// Map `f` over `0..len` deterministically, possibly in parallel, with at
+/// least `min_chunk` items per worker (callers whose items are coarse —
+/// a whole switch of starts — pass less than [`MIN_CHUNK`]).
 ///
 /// `f(i)` must be pure with respect to ordering: the output vector holds
 /// `f(0), f(1), …, f(len-1)` exactly as the serial loop would produce.
 ///
 /// An explicit `NLRM_THREADS` bypasses the minimum-chunk heuristic, so
 /// small inputs can still exercise (and tests can pin) the threaded path.
-pub fn par_map_indexed<R, F>(len: usize, f: F) -> Vec<R>
+pub fn par_map_indexed<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let workers = match thread_override() {
         Some(n) => n.min(len),
-        None => worker_threads().min(len.div_ceil(MIN_CHUNK)),
+        None => worker_threads().min(len.div_ceil(min_chunk.max(1))),
     }
     .max(1);
     if workers <= 1 {
@@ -77,7 +80,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items.len(), |i| f(&items[i]))
+    par_map_indexed(items.len(), MIN_CHUNK, |i| f(&items[i]))
 }
 
 #[cfg(test)]
@@ -94,8 +97,8 @@ mod tests {
 
     #[test]
     fn empty_and_small_inputs() {
-        assert!(par_map_indexed(0, |i| i).is_empty());
-        assert_eq!(par_map_indexed(3, |i| i * 2), vec![0, 2, 4]);
+        assert!(par_map_indexed(0, MIN_CHUNK, |i| i).is_empty());
+        assert_eq!(par_map_indexed(3, 1, |i| i * 2), vec![0, 2, 4]);
     }
 
     #[test]

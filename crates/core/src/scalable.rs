@@ -26,18 +26,31 @@
 //!   `pc_max`. For a zero-capacity start (not itself in the group) the
 //!   global minimum incident load bounds instead.
 //!
-//! Start nodes are visited in ascending bound order; once a bound strictly
-//! exceeds the incumbent's cost, every remaining start is pruned. The
-//! incumbent comparison is `(cost, start id)` — the same tie-break as
-//! [`select_best`](crate::select::select_best) — so the pruned winner is
-//! *identical* to exhaustively scoring every candidate under `group_cost`
-//! (a property the tests assert).
+//! The search is organised around *switch classes*: on a tiered or
+//! estimated representation the starts of one switch form a class (they
+//! share one foreign-stream order, see
+//! [`TieredBuckets`](crate::candidate)); on a dense one each start is its
+//! own class. Inside a class starts ascend by `(bound, id)`, and classes
+//! ascend by their first member's `(bound, id)`. Classes are expanded in
+//! waves of 1, 2, 4, 8, … classes. The incumbent is fixed when a wave
+//! begins: a class whose first bound strictly exceeds it is skipped, and a
+//! class stops at its first start whose bound does. The wave's per-class
+//! bests merge by `(cost, start id)` — the same tie-break as
+//! [`select_best`](crate::select::select_best) — and the search ends once
+//! the next class's first bound exceeds the incumbent. A start is skipped
+//! only when an achieved cost lies strictly below its bound, so the winner
+//! is *identical* to exhaustively scoring every candidate under
+//! `group_cost` (a property the tests assert).
+//!
+//! A wave's classes run on worker threads ([`par`]). The wave sizes and
+//! the per-wave incumbent do not depend on the thread count, so neither
+//! the winner nor the `expanded`/`pruned` counts do.
 
 use crate::candidate::{generate_candidate, Candidate, TieredBuckets};
 use crate::loads::Loads;
+use crate::par;
 use crate::select::group_cost;
 use nlrm_topology::NodeId;
-use std::collections::HashMap;
 
 /// Histogram bucket bounds for allocation decision latency, in seconds.
 pub const DECISION_SECONDS_BOUNDS: &[f64] = &[1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
@@ -112,7 +125,7 @@ impl FracMin {
     }
 }
 
-/// Allocate for `n` processes with bound-sorted start-node pruning.
+/// Allocate for `n` processes with bound-pruned, switch-class expansion.
 ///
 /// Returns `None` when no candidate can place a single process (zero
 /// total capacity) or `n == 0`. Otherwise the winner, its cost, and how
@@ -183,66 +196,78 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
         let n_term = if n_all > 0.0 { lb_n / n_all } else { 0.0 };
         alpha * c_term + beta * n_term
     };
-    let mut order: Vec<(f64, usize)> = (0..loads.usable.len()).map(|i| (bound_of(i), i)).collect();
-    order.sort_by(|a, b| {
+    // switch classes (one per start on a dense rep), starts ascending by
+    // (bound, id) inside a class, classes by their first member's
+    let tiered = loads.nl.as_tiered();
+    let class_of = |i: usize| tiered.map_or(i, |t| t.switch_of_node(loads.usable[i]) as usize);
+    let by_bound = |a: &(f64, usize), b: &(f64, usize)| {
         a.0.total_cmp(&b.0)
             .then(loads.usable[a.1].cmp(&loads.usable[b.1]))
-    });
+    };
+    let mut order: Vec<(f64, usize)> = (0..loads.usable.len()).map(|i| (bound_of(i), i)).collect();
+    order.sort_by(|a, b| class_of(a.1).cmp(&class_of(b.1)).then(by_bound(a, b)));
+    let mut classes: Vec<&[(f64, usize)]> = order
+        .chunk_by(|a, b| class_of(a.1) == class_of(b.1))
+        .collect();
+    classes.sort_by(|a, b| by_bound(&a[0], &b[0]));
 
-    // lazy tiered generation context: stream orders computed once per
-    // start switch actually expanded
-    let buckets = loads
-        .nl
-        .as_tiered()
-        .map(|t| TieredBuckets::build(loads, t, n, alpha, beta));
-    let mut switch_orders: HashMap<u32, Vec<u32>> = HashMap::new();
-    let generate = |v: NodeId, switch_orders: &mut HashMap<u32, Vec<u32>>| -> Candidate {
-        match &buckets {
-            Some(b) => {
-                let t = loads.nl.as_tiered().expect("buckets imply tiered");
-                let sv = t.switch_of_node(v);
-                let order = switch_orders
-                    .entry(sv)
-                    .or_insert_with(|| b.stream_order(sv));
-                b.generate_for(v, order)
-            }
-            None => generate_candidate(loads, v, n, alpha, beta),
+    // expand one class against a fixed incumbent: its best
+    // (cost, start, candidate) and how many starts it generated
+    let buckets = tiered.map(|t| TieredBuckets::build(loads, t, n, alpha, beta));
+    let by_cost = |a: &(f64, NodeId, Candidate), b: &(f64, NodeId, Candidate)| {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    };
+    let run_class = |class: &[(f64, usize)], incumbent: f64| {
+        // a bound *equal* to the incumbent must still expand — its
+        // candidate could tie on cost and win on start id
+        let live = class
+            .iter()
+            .position(|&(bound, _)| bound > incumbent)
+            .unwrap_or(class.len());
+        if live == 0 {
+            return (None, 0);
         }
+        let starts = class[..live].iter().map(|&(_, i)| loads.usable[i]);
+        let cands: Box<dyn Iterator<Item = Candidate>> = match (&buckets, tiered) {
+            (Some(b), Some(t)) => {
+                Box::new(b.generate_switch(t.switch_of_node(loads.usable[class[0].1]), starts))
+            }
+            _ => Box::new(starts.map(|v| generate_candidate(loads, v, n, alpha, beta))),
+        };
+        let best = cands
+            // a zero-capacity start universe cannot satisfy the request
+            .filter(|c| c.total_procs() as u64 >= n as u64)
+            .map(|c| (group_cost(loads, &c.nodes, alpha, beta), c.start, c))
+            .min_by(by_cost);
+        (best, live)
     };
 
+    // doubling waves; one worker per ~MIN_CHUNK starts' worth of classes
+    let min_chunk = (par::MIN_CHUNK * classes.len()).div_ceil(order.len());
     let mut best: Option<(f64, NodeId, Candidate)> = None;
     let mut expanded = 0usize;
-    let mut pruned = 0usize;
-    for &(bound, i) in &order {
-        if let Some((best_cost, _, _)) = &best {
-            // bounds ascend, so the first hopeless bound prunes the rest;
-            // a bound *equal* to the incumbent must still expand — its
-            // candidate could tie on cost and win on start id
-            if bound > *best_cost {
-                pruned = order.len() - expanded;
-                break;
-            }
+    let (mut next, mut wave) = (0usize, 1usize);
+    while next < classes.len() {
+        let incumbent = best.as_ref().map_or(f64::INFINITY, |b| b.0);
+        if classes[next][0].0 > incumbent {
+            break; // classes ascend by first bound: the rest are hopeless
         }
-        let v = loads.usable[i];
-        let cand = generate(v, &mut switch_orders);
-        expanded += 1;
-        if (cand.total_procs() as u64) < n as u64 {
-            continue; // zero-capacity start universe; cannot satisfy
+        let end = (next + wave).min(classes.len());
+        let results = par::par_map_indexed(end - next, min_chunk, |k| {
+            run_class(classes[next + k], incumbent)
+        });
+        for (class_best, live) in results {
+            expanded += live;
+            best = best.into_iter().chain(class_best).min_by(by_cost);
         }
-        let cost = group_cost(loads, &cand.nodes, alpha, beta);
-        let better = match &best {
-            None => true,
-            Some((bc, bs, _)) => cost.total_cmp(bc).then(v.cmp(bs)) == std::cmp::Ordering::Less,
-        };
-        if better {
-            best = Some((cost, v, cand));
-        }
+        next = end;
+        wave *= 2;
     }
     best.map(|(cost, _, winner)| PrunedSelection {
         winner,
         cost,
         expanded,
-        pruned,
+        pruned: order.len() - expanded,
     })
 }
 
@@ -315,6 +340,45 @@ mod tests {
             let got = allocate_pruned(&tiered, n, 0.3, 0.7).unwrap();
             assert_eq!((got.cost, got.winner.start), want, "n {n}");
         }
+    }
+
+    #[test]
+    fn multi_wave_tiered_winner_matches_exhaustive() {
+        // 2,016 nodes in 48-node switches: 42 classes, so the search runs
+        // several doubling waves before it can stop
+        use nlrm_sim_core::rng::{frac, splitmix64};
+        let (v, per_switch, seed) = (2_016u32, 48u32, 0x5EED);
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let switch_of: Vec<u32> = (0..v).map(|u| u / per_switch).collect();
+        let nl = crate::TieredNl::from_fns(
+            &nodes,
+            &switch_of,
+            v.div_ceil(per_switch) as usize,
+            |a, b| 0.05 + 0.3 * frac(splitmix64(seed ^ (a.0 as u64 * 1_000_003 + b.0 as u64))),
+            |s, t| 0.2 + 0.6 * frac(splitmix64(seed ^ ((s as u64) << 32 | t as u64))),
+        );
+        let cl = (0..v)
+            .map(|u| 0.1 + 0.8 * frac(splitmix64(seed ^ (u as u64 + 17))))
+            .collect();
+        let l = Loads::from_parts(nodes, cl, nl, vec![4; v as usize]);
+        let mut pruned_past_first_wave = false;
+        for n in [4, 8, 16, 64, 256] {
+            for &(a, b) in &[(0.3, 0.7), (0.4, 0.6), (0.7, 0.3)] {
+                let want = exhaustive_winner(&l, n, a, b).unwrap();
+                let got = allocate_pruned(&l, n, a, b).unwrap();
+                assert_eq!(
+                    (got.cost.to_bits(), got.winner.start),
+                    (want.0.to_bits(), want.1),
+                    "n {n} α {a} β {b}"
+                );
+                assert_eq!(got.expanded + got.pruned, l.usable.len());
+                pruned_past_first_wave |= got.pruned > 0 && got.expanded > per_switch as usize;
+            }
+        }
+        assert!(
+            pruned_past_first_wave,
+            "no case pruned after the first wave"
+        );
     }
 
     #[test]

@@ -21,14 +21,11 @@ pub fn group_compute_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
 
 /// Total network load of a group: `N_G = Σ_{(x,y) ∈ E_G} NL_(x,y)` over all
 /// node pairs of the (complete) sub-graph.
+///
+/// Summed by [`NlRep::group_sum`](crate::tiered::NlRep::group_sum), which
+/// keeps the plain `i < j` pair order on every representation.
 pub fn group_network_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
-    let mut sum = 0.0;
-    for (i, &x) in nodes.iter().enumerate() {
-        for &y in &nodes[i + 1..] {
-            sum += loads.nl_between(x, y);
-        }
-    }
-    sum
+    loads.nl.group_sum(nodes)
 }
 
 /// Mean pairwise network load of a group (paper §3.2.2: "we take the average

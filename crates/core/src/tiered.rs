@@ -175,6 +175,40 @@ impl TieredNl {
         }
     }
 
+    /// Σ `get(x, y)` over the `i < j` pairs of `nodes`, in the same order
+    /// as the reference pair loop (so bit-identical to it), with each
+    /// node's (switch, local index) resolved once instead of per pair. A
+    /// repeated node reads the zero intra diagonal. Groups of up to 64
+    /// nodes resolve into a stack buffer.
+    pub fn group_sum(&self, nodes: &[NodeId]) -> f64 {
+        let mut stack = [(0u32, 0u32); 64];
+        let mut spill = Vec::new();
+        let loc: &mut [(u32, u32)] = if nodes.len() <= stack.len() {
+            &mut stack[..nodes.len()]
+        } else {
+            spill.resize(nodes.len(), (0, 0));
+            &mut spill
+        };
+        for (slot, &u) in loc.iter_mut().zip(nodes) {
+            *slot = (self.switch_of[u.index()], self.local_of[u.index()]);
+        }
+        let s_count = self.members.len();
+        let mut sum = 0.0;
+        for (i, &(su, lu)) in loc.iter().enumerate() {
+            let m = self.members[su as usize].len();
+            let intra_row = &self.intra[su as usize][lu as usize * m..][..m];
+            let inter_row = &self.inter[su as usize * s_count..][..s_count];
+            for &(sv, lv) in &loc[i + 1..] {
+                sum += if su == sv {
+                    intra_row[lv as usize]
+                } else {
+                    inter_row[sv as usize]
+                };
+            }
+        }
+        sum
+    }
+
     /// Σ over all unordered pairs of `usable` (a subset of the covered
     /// nodes), in O(Σ m_s² + S²) instead of O(|usable|²): intra pairs are
     /// summed exactly, inter pairs contribute `count_s · count_t · inter`.
@@ -211,28 +245,30 @@ impl TieredNl {
     /// node (`f64::INFINITY` when `usable` is a singleton). Used as the
     /// network term of the pruning lower bound.
     pub fn min_incident(&self, usable: &[NodeId]) -> Vec<f64> {
+        self.min_incident_with(usable, &self.inter)
+    }
+
+    /// [`min_incident`](Self::min_incident) with inter-switch pairs read
+    /// from `inter` (`S×S` row-major) — the point values or lower bands.
+    fn min_incident_with(&self, usable: &[NodeId], inter: &[f64]) -> Vec<f64> {
         let s_count = self.members.len();
-        let mut counts = vec![0usize; s_count];
-        for &n in usable {
-            counts[self.switch_of_node(n) as usize] += 1;
-        }
-        // per switch: min inter value to any other switch with usable nodes
-        let min_inter: Vec<f64> = (0..s_count)
-            .map(|s| {
-                let mut m = f64::INFINITY;
-                for (t, &ct) in counts.iter().enumerate() {
-                    if t != s && ct > 0 {
-                        m = m.min(self.inter[s * s_count + t]);
-                    }
-                }
-                m
-            })
-            .collect();
         // group usable nodes by switch for intra row scans
         let mut by_switch: Vec<Vec<NodeId>> = vec![Vec::new(); s_count];
         for &n in usable {
             by_switch[self.switch_of_node(n) as usize].push(n);
         }
+        // per switch: min inter value to any other switch with usable nodes
+        let min_inter: Vec<f64> = (0..s_count)
+            .map(|s| {
+                let mut m = f64::INFINITY;
+                for (t, mt) in by_switch.iter().enumerate() {
+                    if t != s && !mt.is_empty() {
+                        m = m.min(inter[s * s_count + t]);
+                    }
+                }
+                m
+            })
+            .collect();
         usable
             .iter()
             .map(|&u| {
@@ -334,39 +370,7 @@ impl EstimatedNl {
     /// result underestimates the point-value answer, keeping the pruning
     /// bound sound under estimation error.
     pub fn min_incident(&self, usable: &[NodeId]) -> Vec<f64> {
-        let s_count = self.point.num_switches();
-        let mut counts = vec![0usize; s_count];
-        for &n in usable {
-            counts[self.point.switch_of_node(n) as usize] += 1;
-        }
-        let min_inter: Vec<f64> = (0..s_count)
-            .map(|s| {
-                let mut m = f64::INFINITY;
-                for (t, &ct) in counts.iter().enumerate() {
-                    if t != s && ct > 0 {
-                        m = m.min(self.inter_lo[s * s_count + t]);
-                    }
-                }
-                m
-            })
-            .collect();
-        let mut by_switch: Vec<Vec<NodeId>> = vec![Vec::new(); s_count];
-        for &n in usable {
-            by_switch[self.point.switch_of_node(n) as usize].push(n);
-        }
-        usable
-            .iter()
-            .map(|&u| {
-                let s = self.point.switch_of_node(u) as usize;
-                let mut m = min_inter[s];
-                for &v in &by_switch[s] {
-                    if v != u {
-                        m = m.min(self.point.get(u, v));
-                    }
-                }
-                m
-            })
-            .collect()
+        self.point.min_incident_with(usable, &self.inter_lo)
     }
 }
 
@@ -392,18 +396,29 @@ impl NlRep {
         }
     }
 
+    /// Σ over the `i < j` pairs of `nodes`, a repeated node counting 0:
+    /// the group network load `N_G`. Summed in the reference pair-loop
+    /// order on every representation, so bit-identical to it.
+    pub fn group_sum(&self, nodes: &[NodeId]) -> f64 {
+        match self {
+            NlRep::Dense(m) => {
+                let mut sum = 0.0;
+                for (i, &x) in nodes.iter().enumerate() {
+                    for &y in &nodes[i + 1..] {
+                        sum += if x == y { 0.0 } else { m.get(x, y) };
+                    }
+                }
+                sum
+            }
+            NlRep::Tiered(t) => t.group_sum(nodes),
+            NlRep::Estimated(e) => e.point().group_sum(nodes),
+        }
+    }
+
     /// Σ over all unordered pairs of `usable`.
     pub fn pair_sum(&self, usable: &[NodeId]) -> f64 {
         match self {
-            NlRep::Dense(m) => {
-                let mut total = 0.0;
-                for (i, &u) in usable.iter().enumerate() {
-                    for &v in &usable[i + 1..] {
-                        total += m.get(u, v);
-                    }
-                }
-                total
-            }
+            NlRep::Dense(_) => self.group_sum(usable),
             NlRep::Tiered(t) => t.pair_sum(usable),
             NlRep::Estimated(e) => e.pair_sum(usable),
         }
@@ -593,6 +608,64 @@ mod tests {
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
         let t = NlRep::Tiered(TieredNl::from_dense(&dense, &nodes, &idx));
         assert_eq!(t.min_incident(&[NodeId(1)]), vec![f64::INFINITY]);
+    }
+
+    #[test]
+    fn group_sum_is_the_reference_pair_loop_bit_for_bit() {
+        // 130 nodes over 7 uneven switches, values that are not dyadic so
+        // any reordering of the sum would show in the low bits
+        let v = 130u32;
+        let switch_of: Vec<u32> = (0..v).map(|n| (n * n + 3 * n) % 7).collect();
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let val = |a: u32, b: u32| 0.05 + ((a * 7919 + b * 104_729) % 1009) as f64 / 997.0;
+        let mut dense = SymMatrix::new(v as usize, 0.0);
+        for a in 0..v {
+            for b in (a + 1)..v {
+                let same = switch_of[a as usize] == switch_of[b as usize];
+                let x = if same { val(a, b) } else { val(a % 7, b % 7) };
+                dense.set(NodeId(a), NodeId(b), x);
+            }
+        }
+        let t = TieredNl::from_fns(
+            &nodes,
+            &switch_of,
+            7,
+            |a, b| val(a.0, b.0),
+            |s, q| val(s.min(q), s.max(q)) / 3.0,
+        );
+        let s = t.num_switches();
+        let est = EstimatedNl::new(t.clone(), vec![0.0; s * s], vec![9.0; s * s]);
+        let reps = [NlRep::Dense(dense), NlRep::Tiered(t), NlRep::Estimated(est)];
+        // scrambled order, spanning every switch; the 70-node group
+        // repeats one node
+        let scrambled: Vec<NodeId> = (0..v).map(|i| NodeId((i * 37 + 11) % v)).collect();
+        let mut repeated = scrambled[..69].to_vec();
+        repeated.push(scrambled[5]);
+        let groups = [
+            &scrambled[..0],
+            &scrambled[..1],
+            &scrambled[..2],
+            &scrambled[..64],
+            &scrambled[..65],
+            &repeated[..],
+            &scrambled[..],
+        ];
+        for rep in &reps {
+            for g in groups {
+                let mut want = 0.0;
+                for (i, &x) in g.iter().enumerate() {
+                    for &y in &g[i + 1..] {
+                        want += if x == y { 0.0 } else { rep.get(x, y) };
+                    }
+                }
+                assert_eq!(
+                    rep.group_sum(g).to_bits(),
+                    want.to_bits(),
+                    "{} nodes",
+                    g.len()
+                );
+            }
+        }
     }
 
     fn estimated_6(margin: f64) -> EstimatedNl {

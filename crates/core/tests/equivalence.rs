@@ -7,7 +7,8 @@
 //! every comparison below is exact equality, not tolerance-based.
 //!
 //! This file holds a single `#[test]` on purpose: it flips `NLRM_THREADS`
-//! mid-test to force the parallel path, and environment variables are
+//! mid-test to force the parallel path (candidate generation, selection
+//! and the pruned allocator's waves), and environment variables are
 //! process-global.
 
 use nlrm_core::candidate::generate_all_candidates;
@@ -121,6 +122,18 @@ fn all_scaling_paths_agree_with_serial_dense() {
                 "parallel candidates n={n} α={alpha}"
             );
             assert_eq!(winner_of(&dense, n, alpha, beta), reference);
+            // the pruned waves run threaded, yet the winner and the
+            // expanded/pruned counts stay those of the serial pass
+            let key = |p: nlrm_core::PrunedSelection| {
+                (p.cost.to_bits(), p.winner.start, p.expanded, p.pruned)
+            };
+            for (loads, serial) in [(&dense, &pruned_dense), (&tiered, &pruned_tiered)] {
+                assert_eq!(
+                    key(allocate_pruned(loads, n, alpha, beta).unwrap()),
+                    key(serial.clone()),
+                    "threaded pruned n={n} α={alpha}"
+                );
+            }
             std::env::set_var("NLRM_THREADS", "1");
         }
     }
