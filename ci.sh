@@ -135,7 +135,9 @@ test -s "$OBS_DIR/health_report.md"
 # shrunken ladder and hold the decentralization gates — sharded traffic
 # ≥10x below central at the largest smoke size, and the sharded
 # estimate's allocation epsilon ≤5% on every equivalence scenario (both
-# also asserted by the bin itself)
+# also asserted by the bin itself). Its real-chain row must store the
+# snapshot as blocks: Σ_s C(m_s, 2) exact pairs plus C(S, 2) shard-pair
+# cells, counted from the topology, never a V×V matrix
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
     cargo run --release -q -p nlrm-bench --bin monitor_sweep
 python3 - "$OBS_DIR/BENCH_monitor.json" <<'PY'
@@ -148,6 +150,10 @@ assert bench["traffic_ratio_at_max"] >= 10, bench["traffic_ratio_at_max"]
 assert bench["epsilon"], "no equivalence scenarios measured"
 assert bench["worst_eps"] <= 0.05, f"epsilon gate: {bench['worst_eps']}"
 assert bench["gates"]["ratio_ge_10"] and bench["gates"]["eps_le_0_05"]
+assert bench["chain"], "no real-chain row"
+for c in bench["chain"]:
+    assert c["pair_cells"] == c["expected_pair_cells"], c
+    assert c["pair_cells"] < c["nodes"] * (c["nodes"] - 1) // 2, c
 PY
 
 # incident smoke: every seeded storyline must replay bit-identically

@@ -18,6 +18,13 @@
 //! granularity. Gates (self-asserting, mirrored in `ci.sh`): traffic
 //! ratio ≥ 10× at the largest size, worst epsilon ≤ 5%.
 //!
+//! First, while the process is still small, it drives the real sharded
+//! chain — monitor → `snapshot()` → `derive_sharded` → `allocate_pruned` —
+//! on `campus(k, 48, 1)` at 480 nodes (quick) or 1,920 and ~10k nodes
+//! (full), recording wall times, peak RSS and the pair cells the
+//! snapshot stores, which must be `Σ_s C(m_s, 2) + C(S, 2)`: blocks, not a
+//! V×V matrix (also asserted in `ci.sh`).
+//!
 //! Output: `BENCH_monitor.json` at the repository root (full runs) or
 //! under `results/` (`NLRM_QUICK=1` CI smoke).
 
@@ -28,7 +35,8 @@ use nlrm_core::{ComputeWeights, NetworkWeights};
 use nlrm_monitor::daemons::{central_cycle_cost, DaemonConfig};
 use nlrm_monitor::sample::LatencyStat;
 use nlrm_monitor::{
-    GossipNet, MonitorRuntime, MonitorTopo, NlEstimator, PairProbe, ShardConfig, ShardSummary,
+    GossipNet, MonitorRuntime, MonitorTopo, NlEstimator, PairProbe, PairSource, ShardConfig,
+    ShardSummary,
 };
 use nlrm_sim_core::rng::splitmix64;
 use nlrm_sim_core::time::{Duration, SimTime};
@@ -139,21 +147,94 @@ fn oracle_snapshot(
     cluster: &nlrm_cluster::ClusterSim,
 ) -> nlrm_monitor::ClusterSnapshot {
     let mut exact = snap.clone();
+    let d = exact.densify();
     let usable = snap.usable_nodes();
     for (i, &u) in usable.iter().enumerate() {
         for &v in &usable[i + 1..] {
-            exact
-                .latency
+            d.latency
                 .set(u, v, LatencyStat::constant(cluster.latency_s(u, v)));
-            exact
-                .bandwidth_bps
+            d.bandwidth_bps
                 .set(u, v, cluster.available_bandwidth_bps(u, v));
-            exact
-                .peak_bandwidth_bps
+            d.peak_bandwidth_bps
                 .set(u, v, cluster.peak_bandwidth_bps(u, v));
         }
     }
     exact
+}
+
+struct ChainRow {
+    nodes: usize,
+    shards: usize,
+    pair_cells: usize,
+    expected_pair_cells: usize,
+    snapshot_ms: f64,
+    derive_ms: f64,
+    allocate_ms: f64,
+    peak_rss_mb: f64,
+    threads: usize,
+}
+
+/// Median wall time of `reps` runs of `f`, ms, and the last result.
+fn p50_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut times = Vec::with_capacity(reps);
+    let mut out = None;
+    for _ in 0..reps {
+        // one result alive at a time, as a caller holding one would see
+        drop(out.take());
+        let t0 = std::time::Instant::now();
+        out = Some(f());
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    times.sort_by(f64::total_cmp);
+    (times[reps / 2], out.expect("reps ≥ 1"))
+}
+
+/// The real sharded chain on `campus(clusters, 48, 1)`: 120 s of
+/// monitoring, then `snapshot()` and `derive_sharded` (p50 of 5 each) and
+/// one `allocate_pruned` decision.
+fn chain_at(clusters: usize) -> ChainRow {
+    let mut cluster = nlrm_cluster::iitk::campus(clusters, PER_SWITCH as usize, 1);
+    let idx = cluster.topology().switch_index();
+    let sizes: Vec<usize> = (0..idx.num_switches())
+        .map(|s| idx.members(nlrm_topology::SwitchId(s as u32)).len())
+        .filter(|&m| m > 0)
+        .collect();
+    let expected_pair_cells =
+        sizes.iter().map(|m| m * (m - 1) / 2).sum::<usize>() + sizes.len() * (sizes.len() - 1) / 2;
+    let mut rt = MonitorRuntime::with_topo(
+        &cluster,
+        DaemonConfig::default(),
+        MonitorTopo::Sharded(ShardConfig::new(idx)),
+    );
+    rt.run_until(&mut cluster, SimTime::from_secs(120));
+    let now = cluster.now();
+    let (snapshot_ms, snap) = p50_ms(5, || rt.snapshot(now).expect("snapshot"));
+    let PairSource::Blocks(blocks) = &snap.pairs else {
+        panic!("a sharded monitor yields a block snapshot");
+    };
+    let inter = rt.inter_estimate().expect("estimate published");
+    let (cw, nw) = (
+        ComputeWeights::paper_default(),
+        NetworkWeights::paper_default(),
+    );
+    let policy = StalenessPolicy::default();
+    let (derive_ms, loads) = p50_ms(5, || {
+        Loads::derive_sharded(&snap, &inter, &cw, &nw, Some(4), &policy).expect("derive")
+    });
+    let (allocate_ms, _) = p50_ms(1, || {
+        allocate_pruned(&loads, 64, 0.5, 0.5).expect("allocate")
+    });
+    ChainRow {
+        nodes: cluster.num_nodes(),
+        shards: blocks.blocks().len(),
+        pair_cells: blocks.stored_cells(),
+        expected_pair_cells,
+        snapshot_ms,
+        derive_ms,
+        allocate_ms,
+        peak_rss_mb: report::peak_rss_mb(),
+        threads: nlrm_core::par::worker_threads(),
+    }
 }
 
 struct EpsRow {
@@ -179,8 +260,7 @@ fn epsilon_for(name: &'static str, mut cluster: nlrm_cluster::ClusterSim) -> Eps
         .warm_snapshot(&mut cluster, Duration::from_secs(360))
         .expect("snapshot");
     let inter = rt.inter_estimate().expect("estimate published");
-    let est =
-        Loads::derive_sharded(&snap, &inter, &idx, &cw, &nw, Some(4), &policy).expect("derive");
+    let est = Loads::derive_sharded(&snap, &inter, &cw, &nw, Some(4), &policy).expect("derive");
     assert!(matches!(*est.nl, NlRep::Estimated(_)));
     let exact_snap = oracle_snapshot(&snap, &cluster);
     let exact_dense =
@@ -208,6 +288,19 @@ fn epsilon_for(name: &'static str, mut cluster: nlrm_cluster::ClusterSim) -> Eps
 fn main() {
     let quiet = nlrm_obs::progress::quiet();
     let quick = report::quick();
+
+    // the chain runs first, in size order, so each row's VmHWM is its own
+    let chain_clusters: &[usize] = if quick { &[10] } else { &[40, 208] };
+    let mut chain = Vec::new();
+    for &k in chain_clusters {
+        if !quiet {
+            println!(
+                "monitor_sweep: real chain at {} nodes…",
+                k * PER_SWITCH as usize
+            );
+        }
+        chain.push(chain_at(k));
+    }
     let sizes: &[u64] = if quick {
         &[960, 4_800]
     } else {
@@ -274,9 +367,31 @@ fn main() {
             format!("{:.4}", r.worst_eps),
         ]);
     }
+    let mut chain_table = Table::new(&[
+        "nodes",
+        "shards",
+        "pair_cells",
+        "snapshot_ms",
+        "derive_ms",
+        "allocate_ms",
+        "peak_rss_MB",
+        "threads",
+    ]);
+    for c in &chain {
+        chain_table.row(&[
+            c.nodes.to_string(),
+            c.shards.to_string(),
+            c.pair_cells.to_string(),
+            format!("{:.2}", c.snapshot_ms),
+            format!("{:.2}", c.derive_ms),
+            format!("{:.2}", c.allocate_ms),
+            format!("{:.1}", c.peak_rss_mb),
+            c.threads.to_string(),
+        ]);
+    }
     report::write_result(
         "monitor_sweep.md",
-        &(table.to_markdown() + &eps_table.to_markdown()),
+        &(table.to_markdown() + &eps_table.to_markdown() + &chain_table.to_markdown()),
     )
     .expect("write md");
     report::write_result("monitor_sweep.csv", &table.to_csv()).expect("write csv");
@@ -323,6 +438,27 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"chain\": [");
+    for (i, c) in chain.iter().enumerate() {
+        let comma = if i + 1 < chain.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"nodes\": {}, \"shards\": {}, \"pair_cells\": {}, \
+             \"expected_pair_cells\": {}, \"snapshot_ms\": {:.3}, \
+             \"derive_ms\": {:.3}, \"allocate_ms\": {:.3}, \
+             \"peak_rss_mb\": {:.1}, \"threads\": {}}}{comma}",
+            c.nodes,
+            c.shards,
+            c.pair_cells,
+            c.expected_pair_cells,
+            c.snapshot_ms,
+            c.derive_ms,
+            c.allocate_ms,
+            c.peak_rss_mb,
+            c.threads
+        );
+    }
+    let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
         "  \"traffic_ratio_at_max\": {:.1},",
@@ -343,6 +479,7 @@ fn main() {
         println!("wrote {}", out.display());
         print!("{}", table.to_markdown());
         print!("{}", eps_table.to_markdown());
+        print!("{}", chain_table.to_markdown());
         println!(
             "traffic ratio at {} nodes: {:.1}x, worst eps {:.4}",
             max_ratio_row.nodes, max_ratio_row.ratio, worst_eps
@@ -358,4 +495,11 @@ fn main() {
         worst_eps <= 0.05,
         "sharded estimate allocation epsilon exceeded 5%: {worst_eps:.4}"
     );
+    for c in &chain {
+        assert_eq!(
+            c.pair_cells, c.expected_pair_cells,
+            "the {}-node snapshot must store its blocks, not a V×V matrix",
+            c.nodes
+        );
+    }
 }

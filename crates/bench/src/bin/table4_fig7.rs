@@ -48,10 +48,10 @@ fn main() {
     // darker = less available, matching the paper's shading).
     let n = env.cluster.num_nodes();
     let mut complement = SymMatrix::new(n, 0.0f64);
-    for (u, v, bw) in snap.bandwidth_bps.pairs() {
-        let peak = snap.peak_bandwidth_bps.get(u, v);
+    for (u, v) in snap.node_pairs() {
+        let peak = snap.peak_bandwidth_bps(u, v);
         if peak.is_finite() {
-            complement.set(u, v, (peak - bw).max(0.0) / 1e6);
+            complement.set(u, v, (peak - snap.bandwidth_bps(u, v)).max(0.0) / 1e6);
         }
     }
     let labels: Vec<String> = (0..n)
@@ -81,9 +81,9 @@ fn main() {
         let mut pairs = 0usize;
         for (i, &u) in group.iter().enumerate() {
             for &v in &group[i + 1..] {
-                let peak = snap.peak_bandwidth_bps.get(u, v);
-                cbw += (peak - snap.bandwidth_bps.get(u, v)).max(0.0) / 1e6;
-                lat += snap.latency.get(u, v).instant * 1e6;
+                let peak = snap.peak_bandwidth_bps(u, v);
+                cbw += (peak - snap.bandwidth_bps(u, v)).max(0.0) / 1e6;
+                lat += snap.latency(u, v).instant * 1e6;
                 pairs += 1;
             }
         }

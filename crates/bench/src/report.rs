@@ -26,6 +26,17 @@ fn seed_from(value: Option<&str>, default: u64) -> u64 {
     value.and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// This process's peak resident set (`VmHWM`), MB; 0 where `/proc` has
+/// no such line.
+pub fn peak_rss_mb() -> f64 {
+    let status = fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// The workspace root (the bench crate lives at `<ws>/crates/bench`).
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -81,8 +81,8 @@ pub fn advise(
     }
     for (i, &u) in selected.iter().enumerate() {
         for &v in &selected[i + 1..] {
-            let peak = snap.peak_bandwidth_bps.get(u, v);
-            let avail = snap.bandwidth_bps.get(u, v);
+            let peak = snap.peak_bandwidth_bps(u, v);
+            let avail = snap.bandwidth_bps(u, v);
             if peak.is_finite() && peak > 0.0 {
                 bw_frac_sum += (avail / peak).clamp(0.0, 1.0);
                 bw_pairs += 1;

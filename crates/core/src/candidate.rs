@@ -67,10 +67,13 @@ impl Candidate {
 
 /// A `(cost, node)` entry ordered ascending by cost, ties by node id — the
 /// total order Algorithm 1's sort used, so heap pops reproduce it exactly.
+/// `at` is the node's usable index (a function of `node`, so it never
+/// breaks a tie).
 #[derive(PartialEq)]
 struct CostEntry {
     cost: f64,
     node: NodeId,
+    at: usize,
 }
 
 impl Eq for CostEntry {}
@@ -167,19 +170,20 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
     let entries: Vec<Reverse<CostEntry>> = loads
         .usable
         .iter()
-        .map(|&u| {
+        .enumerate()
+        .map(|(at, &u)| {
             let cost = if u == v {
                 0.0
             } else {
-                alpha * loads.cl_of(u) + beta * loads.nl_between(v, u)
+                alpha * loads.cl[at] + beta * loads.nl_between(v, u)
             };
-            Reverse(CostEntry { cost, node: u })
+            Reverse(CostEntry { cost, node: u, at })
         })
         .collect();
     let mut heap = BinaryHeap::from(entries);
     let mut take = GreedyTake::new(n);
     while let Some(Reverse(e)) = heap.pop() {
-        if !take.offer(e.node, loads.pc_of(e.node)) {
+        if !take.offer(e.node, loads.pc[e.at]) {
             break;
         }
     }

@@ -6,7 +6,7 @@ use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
 use crate::tiered::{EstimatedNl, TieredNl};
 use crate::weights::{ComputeWeights, NetworkWeights};
-use nlrm_monitor::{ClusterSnapshot, InterEstimate, SymMatrix};
+use nlrm_monitor::{BlockPairs, ClusterSnapshot, InterEstimate, PairSource, SymMatrix};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
@@ -279,37 +279,20 @@ impl Loads {
         ];
         let mut cl = saw_scores(&columns);
 
-        // --- Eq. 2: pairwise network load ---
-        let (mut nl, mut norm) = derive_network_load(snap, &usable, network_weights, policy);
+        // --- Eq. 2: pairwise network load, kept in the snapshot's shape ---
+        let (nl, norm) = match &snap.pairs {
+            PairSource::Dense(_) => dense_network_load(snap, &usable, network_weights, policy),
+            PairSource::Blocks(b) => block_network_load(snap, b, &usable, network_weights, policy),
+        };
 
-        // Rescale both loads to mean 1 over their own domains. Sum
-        // normalization alone leaves CL ~ 1/V and NL ~ 1/V², so in
+        // Rescale CL to mean 1 (the NL builders rescale NL the same way).
+        // Sum normalization alone leaves CL ~ 1/V and NL ~ 1/V², so in
         // `A_v(u) = α·CL(u) + β·NL(v,u)` (Algorithm 1) the network term
         // would be a factor V smaller than α/β intends. Rescaling is
         // invariant for every ranking that normalizes per-term anyway
         // (Algorithm 2, group_cost, load-aware ordering) but makes the
         // candidate-generation trade-off mean what the paper's α/β say.
         rescale_to_unit_mean(&mut cl);
-        let mut pair_vals: Vec<f64> = Vec::new();
-        for (i, &u) in usable.iter().enumerate() {
-            for &v in &usable[i + 1..] {
-                pair_vals.push(nl.get(u, v));
-            }
-        }
-        let pair_mean = if pair_vals.is_empty() {
-            0.0
-        } else {
-            pair_vals.iter().sum::<f64>() / pair_vals.len() as f64
-        };
-        if pair_mean > 0.0 {
-            for (i, &u) in usable.iter().enumerate() {
-                for &v in usable[i + 1..].iter() {
-                    let scaled = nl.get(u, v) / pair_mean;
-                    nl.set(u, v, scaled);
-                }
-            }
-        }
-        norm.pair_mean = pair_mean;
 
         // --- Eq. 3: effective processor count ---
         let pc: Vec<u32> = infos
@@ -320,65 +303,71 @@ impl Loads {
             })
             .collect();
 
-        Ok((Loads::from_parts(usable, cl, NlRep::Dense(nl), pc), norm))
+        Ok((Loads::from_parts(usable, cl, nl, pc), norm))
     }
 
-    /// Derive loads from a *sharded* snapshot whose inter-shard pairs were
-    /// filled in by the sampling estimator, keeping the estimator's error
-    /// bands attached to the result.
+    /// Derive loads from a *sharded* snapshot, keeping the estimator's
+    /// error bands attached to the result.
     ///
-    /// The point matrix is derived exactly as [`Loads::derive_with_policy`]
-    /// would (inter-shard cells carry the estimator's point values, which
-    /// the sharded snapshot assembly wrote into the dense matrices), then
-    /// collapsed to the tiered form over `index`. The estimator's raw
-    /// `[lo, hi]` bands per switch pair are mapped through the same
-    /// monotone normalization that produced the point matrix, yielding NL
-    /// bounds on the same scale. Switch pairs the estimate does not cover
-    /// get the vacuous band `[0, ∞)`, so pruning over the lower bounds
-    /// stays sound: [`EstimatedNl::min_incident`] never exceeds the point
-    /// answer, and `allocate_pruned` can never discard a candidate the
-    /// exhaustive search over this `Loads` would keep.
+    /// The point values are exactly [`Loads::derive_with_policy`]'s on the
+    /// same block snapshot: a [`TieredNl`] with exact intra-shard pairs and
+    /// one exact value per shard pair (every cross pair of a shard pair
+    /// reads the same estimate cell). The estimator's raw `[lo, hi]` bands
+    /// per shard pair are mapped through the same monotone normalization
+    /// that produced the point values, yielding NL bounds on the same
+    /// scale. Shard pairs the estimate does not cover get the vacuous band
+    /// `[0, ∞)`, so pruning over the lower bounds stays sound:
+    /// [`EstimatedNl::min_incident`] never exceeds the point answer, and
+    /// `allocate_pruned` can never discard a candidate the exhaustive
+    /// search over this `Loads` would keep. A dense (central) snapshot has
+    /// no shards to band and is rejected as an invalid request.
     pub fn derive_sharded(
         snap: &ClusterSnapshot,
         est: &InterEstimate,
-        index: &SwitchIndex,
         compute_weights: &ComputeWeights,
         network_weights: &NetworkWeights,
         ppn: Option<u32>,
         policy: &StalenessPolicy,
     ) -> Result<Loads, AllocError> {
-        let (loads, norm) = Self::derive_core(snap, compute_weights, network_weights, ppn, policy)?;
-        let dense = match &*loads.nl {
-            NlRep::Dense(d) => d,
-            _ => unreachable!("derive_core always builds a dense matrix"),
+        let PairSource::Blocks(blocks) = &snap.pairs else {
+            return Err(AllocError::InvalidRequest(
+                "derive_sharded needs a sharded (block) snapshot".into(),
+            ));
         };
-        let point = TieredNl::from_dense(dense, &loads.usable, index);
-        let s_count = index.num_switches();
-        let mut inter_lo = vec![0.0f64; s_count * s_count];
-        let mut inter_hi = vec![f64::INFINITY; s_count * s_count];
-        for s in 0..s_count {
-            let k_diag = s * s_count + s;
-            inter_lo[k_diag] = 0.0;
-            inter_hi[k_diag] = 0.0;
-            for t in (s + 1)..s_count {
-                let (su, tu) = (s as u32, t as u32);
-                if !est.covers(su) || !est.covers(tu) {
+        let (loads, norm) = Self::derive_core(snap, compute_weights, network_weights, ppn, policy)?;
+        let Loads {
+            usable, cl, nl, pc, ..
+        } = loads;
+        let Ok(NlRep::Tiered(point)) = Arc::try_unwrap(nl) else {
+            unreachable!("a block snapshot derives to an unshared tiered NL");
+        };
+        // bucket b < shards is shard b; the last bucket (nodes in no
+        // shard) keeps the vacuous band
+        let shards = blocks.blocks();
+        let k = point.num_switches();
+        let mut inter_lo = vec![0.0f64; k * k];
+        let mut inter_hi = vec![f64::INFINITY; k * k];
+        for a in 0..k {
+            inter_hi[a * k + a] = 0.0;
+            for b in (a + 1)..shards.len().min(k) {
+                let (s, t) = (shards[a].shard, shards[b].shard);
+                if s == t || !est.covers(s) || !est.covers(t) {
                     continue; // vacuous [0, ∞) band
                 }
-                let (lat, cbw) = match (est.latency_s(su, tu), est.cbw_bps(su, tu)) {
+                let (lat, cbw) = match (est.latency_s(s, t), est.cbw_bps(s, t)) {
                     (Some(l), Some(c)) => (l, c),
                     _ => continue,
                 };
                 let lo = norm.map(network_weights, lat.lo, cbw.lo);
                 let hi = norm.map(network_weights, lat.hi, cbw.hi);
-                inter_lo[s * s_count + t] = lo;
-                inter_lo[t * s_count + s] = lo;
-                inter_hi[s * s_count + t] = hi;
-                inter_hi[t * s_count + s] = hi;
+                inter_lo[a * k + b] = lo;
+                inter_lo[b * k + a] = lo;
+                inter_hi[a * k + b] = hi;
+                inter_hi[b * k + a] = hi;
             }
         }
         let nl = NlRep::Estimated(EstimatedNl::new(point, inter_lo, inter_hi));
-        Ok(Loads::from_parts(loads.usable, loads.cl, nl, loads.pc))
+        Ok(Loads::from_parts(usable, cl, nl, pc))
     }
 
     /// Assemble a `Loads` from precomputed parts (used by the scale
@@ -511,21 +500,21 @@ pub fn effective_pc(core_count: u32, load_m1: f64) -> u32 {
 
 /// The monotone affine map from raw pair metrics — latency in seconds and
 /// complement-of-available-bandwidth in bps — to the final normalized NL
-/// value that `derive_network_load` plus the unit-mean rescale produce:
+/// value that the Eq. 2 builders plus the unit-mean rescale produce:
 /// `NL = (w_lt·lat·lat_scale + w_bw·cbw·cbw_scale) / pair_mean`. Both
 /// scales are non-negative, so the map is monotone non-decreasing in each
 /// argument: pushing an interval's endpoints through it yields a valid
 /// interval for the mapped value. That is what lets `derive_sharded` turn
 /// the estimator's raw error bands into sound NL bounds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct NlNorm {
     /// `1 / Σ` of the latency column (0 when the column summed to 0,
     /// matching `normalize_sum`'s all-zero output).
     lat_scale: f64,
     /// `1 / Σ` of the cbw column.
     cbw_scale: f64,
-    /// Mean combined NL over usable pairs; filled in by the caller after
-    /// the rescale pass. 0 means "no rescale was applied".
+    /// Mean combined NL over usable pairs. 0 means "no rescale was
+    /// applied".
     pair_mean: f64,
 }
 
@@ -544,39 +533,71 @@ impl NlNorm {
     }
 }
 
-/// Eq. 2 over all usable pairs: normalized latency and normalized complement
-/// of available bandwidth, combined with `w_lt`/`w_bw`. Pairs whose backing
-/// rows have aged past `policy.max_pair_age` are blended toward the
-/// unmeasured penalty, so fresh < stale < unmeasured in each column.
-/// Also returns the [`NlNorm`] scales the normalization applied (with
-/// `pair_mean` left at 0 for the caller to fill in).
-fn derive_network_load(
+/// 10× a column's worst measured value: the unmeasured penalty.
+fn penalty(column: &[f64]) -> f64 {
+    let max_finite = column
+        .iter()
+        .cloned()
+        .filter(|v| v.is_finite())
+        .fold(0.0f64, f64::max);
+    if max_finite > 0.0 {
+        max_finite * 10.0
+    } else {
+        1.0
+    }
+}
+
+/// An unmeasured (non-finite) entry becomes the penalty, and one whose
+/// rows are older than `policy.max_pair_age` (or unknown) is blended
+/// toward it, so fresh < stale < unmeasured. True if blended.
+fn settle(value: &mut f64, penalty: f64, age: Option<Duration>, policy: &StalenessPolicy) -> bool {
+    if !value.is_finite() {
+        *value = penalty;
+    } else if age.is_none_or(|a| a > policy.max_pair_age) {
+        *value += policy.stale_blend * (penalty - *value).max(0.0);
+        return true;
+    }
+    false
+}
+
+/// `saw::normalize_sum`'s entry for a column summing to `sum`.
+fn normalized(value: f64, sum: f64) -> f64 {
+    if sum <= 0.0 || !sum.is_finite() {
+        0.0
+    } else {
+        value / sum
+    }
+}
+
+fn sum_scale(sum: f64) -> f64 {
+    if sum > 0.0 && sum.is_finite() {
+        1.0 / sum
+    } else {
+        0.0
+    }
+}
+
+/// Eq. 2 over a derivation's distinct inputs, each named by one usable
+/// pair that reads it and the number of usable pairs that do: normalized
+/// latency and normalized complement of available bandwidth, combined
+/// with `w_lt`/`w_bw`, then rescaled to unit mean over the usable pairs.
+/// An unmeasured input takes its column's penalty; one whose rows aged
+/// past `policy.max_pair_age` is blended toward it. `ordered_sum` sums a
+/// column over the usable `i < j` pairs in order, so every input gets the
+/// value a per-pair dense derivation gives it. Returns the values and
+/// the [`NlNorm`] the normalization applied.
+fn network_load(
     snap: &ClusterSnapshot,
-    usable: &[NodeId],
+    inputs: &[((NodeId, NodeId), usize)],
+    ordered_sum: impl Fn(&[f64]) -> f64,
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> (SymMatrix<f64>, NlNorm) {
-    let n = snap.latency.len();
-    let mut out = SymMatrix::new(n, 0.0);
-    let mut norm = NlNorm {
-        lat_scale: 0.0,
-        cbw_scale: 0.0,
-        pair_mean: 0.0,
-    };
-    let pairs: Vec<(NodeId, NodeId)> = usable
+) -> (Vec<f64>, NlNorm) {
+    // latency column: prefer the 1-minute mean, fall back to the instant
+    let mut lat: Vec<f64> = inputs
         .iter()
-        .enumerate()
-        .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
-        .collect();
-    if pairs.is_empty() {
-        return (out, norm);
-    }
-
-    // Latency column: prefer the 1-minute mean, fall back to the instant.
-    let mut lat: Vec<f64> = pairs
-        .iter()
-        .map(|&(u, v)| {
-            let st = snap.latency.get(u, v);
+        .map(|&((u, v), _)| {
+            let st = snap.latency(u, v);
             if st.m1.is_finite() {
                 st.m1
             } else {
@@ -584,103 +605,136 @@ fn derive_network_load(
             }
         })
         .collect();
-    // Unmeasured pairs (∞) are clamped to a strong finite penalty so
-    // normalization stays meaningful: 10× the worst measured latency.
-    let max_finite = lat
+    // complement of available bandwidth: peak − available, +∞ for a pair
+    // never measured (an absolute sentinel in bps could rank *better*
+    // than a congested measured pair on fast links)
+    let mut cbw: Vec<f64> = inputs
         .iter()
-        .cloned()
-        .filter(|l| l.is_finite())
-        .fold(0.0f64, f64::max);
-    let penalty = if max_finite > 0.0 {
-        max_finite * 10.0
-    } else {
-        1.0
-    };
-    let mut blended = vec![false; pairs.len()];
-    for (k, l) in lat.iter_mut().enumerate() {
-        if !l.is_finite() {
-            *l = penalty;
-        } else {
-            let (u, v) = pairs[k];
-            let stale = snap
-                .latency_age(u, v)
-                .is_none_or(|a| a > policy.max_pair_age);
-            if stale {
-                *l += policy.stale_blend * (penalty - *l).max(0.0);
-                blended[k] = true;
-            }
-        }
-    }
-
-    // Complement-of-available-bandwidth column: peak − available.
-    let mut cbw: Vec<f64> = pairs
-        .iter()
-        .map(|&(u, v)| {
-            let peak = snap.peak_bandwidth_bps.get(u, v);
-            let avail = snap.bandwidth_bps.get(u, v);
+        .map(|&((u, v), _)| {
+            let peak = snap.peak_bandwidth_bps(u, v);
             if !peak.is_finite() || peak <= 0.0 {
-                // never measured: penalized relative to the measured pairs
-                // below (an absolute sentinel in bps can rank *better* than
-                // a congested measured pair on fast links)
                 return f64::INFINITY;
             }
-            (peak - avail).max(0.0)
+            (peak - snap.bandwidth_bps(u, v)).max(0.0)
         })
         .collect();
-    // Same convention as the latency column: 10× the worst measured value.
-    let max_cbw = cbw
+    let (lat_penalty, cbw_penalty) = (penalty(&lat), penalty(&cbw));
+    let (mut pairs, mut blended) = (0, 0);
+    for (x, &((u, v), count)) in inputs.iter().enumerate() {
+        let l = settle(&mut lat[x], lat_penalty, snap.latency_age(u, v), policy);
+        let c = settle(&mut cbw[x], cbw_penalty, snap.bandwidth_age(u, v), policy);
+        blended += if l || c { count } else { 0 };
+        pairs += count;
+    }
+    if blended > 0 && nlrm_obs::ctx::is_active() {
+        let event = nlrm_obs::EventKind::StalePairsBlended { count: blended };
+        nlrm_obs::ctx::emit(nlrm_obs::Severity::Warn, snap.taken_at, event);
+        nlrm_obs::ctx::add("loads_stale_pairs_blended_total", blended as u64);
+    }
+    if pairs == 0 {
+        return (lat, NlNorm::default());
+    }
+    let (lat_sum, cbw_sum) = (ordered_sum(&lat), ordered_sum(&cbw));
+    let mut nl: Vec<f64> = (0..lat.len())
+        .map(|x| {
+            weights.latency * normalized(lat[x], lat_sum)
+                + weights.bandwidth * normalized(cbw[x], cbw_sum)
+        })
+        .collect();
+    let pair_mean = ordered_sum(&nl) / pairs as f64;
+    if pair_mean > 0.0 {
+        nl.iter_mut().for_each(|x| *x /= pair_mean);
+    }
+    let norm = NlNorm {
+        lat_scale: sum_scale(lat_sum),
+        cbw_scale: sum_scale(cbw_sum),
+        pair_mean,
+    };
+    (nl, norm)
+}
+
+/// Eq. 2 on a dense snapshot: one input per usable pair.
+fn dense_network_load(
+    snap: &ClusterSnapshot,
+    usable: &[NodeId],
+    weights: &NetworkWeights,
+    policy: &StalenessPolicy,
+) -> (NlRep, NlNorm) {
+    let inputs: Vec<((NodeId, NodeId), usize)> = usable
         .iter()
-        .cloned()
-        .filter(|c| c.is_finite())
-        .fold(0.0f64, f64::max);
-    let cbw_penalty = if max_cbw > 0.0 { max_cbw * 10.0 } else { 1.0 };
-    for (k, c) in cbw.iter_mut().enumerate() {
-        if !c.is_finite() {
-            *c = cbw_penalty;
-        } else {
-            let (u, v) = pairs[k];
-            let stale = snap
-                .bandwidth_age(u, v)
-                .is_none_or(|a| a > policy.max_pair_age);
-            if stale {
-                *c += policy.stale_blend * (cbw_penalty - *c).max(0.0);
-                blended[k] = true;
+        .enumerate()
+        .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| ((u, v), 1)))
+        .collect();
+    let sum = |column: &[f64]| column.iter().sum();
+    let (nl, norm) = network_load(snap, &inputs, sum, weights, policy);
+    let mut out = SymMatrix::new(snap.num_nodes(), 0.0);
+    for (&((u, v), _), &x) in inputs.iter().zip(&nl) {
+        out.set(u, v, x);
+    }
+    (NlRep::Dense(out), norm)
+}
+
+/// Eq. 2 on a block snapshot, straight into a [`TieredNl`] with no V×V
+/// structure. Bucket `b` holds shard block `b`'s usable members and the
+/// last bucket the usable nodes no shard lists. The inputs are one per
+/// intra-bucket pair and one per bucket pair: every cross pair of a
+/// bucket pair reads the same estimate cell at the same ages. The
+/// ordered sums walk the usable pairs through [`TieredNl::group_sum`].
+fn block_network_load(
+    snap: &ClusterSnapshot,
+    blocks: &BlockPairs,
+    usable: &[NodeId],
+    weights: &NetworkWeights,
+    policy: &StalenessPolicy,
+) -> (NlRep, NlNorm) {
+    let k = blocks.blocks().len() + 1;
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+    for &u in usable {
+        members[blocks.slot(u).map_or(k - 1, |(b, _)| b)].push(u);
+    }
+    // (bucket a, bucket b, position i, position j): an intra pair i < j
+    // when a == b, a bucket pair when a < b
+    let mut keys: Vec<(usize, usize, usize, usize)> = Vec::new();
+    for (b, m) in members.iter().map(Vec::len).enumerate() {
+        keys.extend((0..m).flat_map(|i| ((i + 1)..m).map(move |j| (b, b, i, j))));
+    }
+    for a in (0..k).filter(|&a| !members[a].is_empty()) {
+        keys.extend(
+            ((a + 1)..k)
+                .filter(|&b| !members[b].is_empty())
+                .map(|b| (a, b, 0, 0)),
+        );
+    }
+    let inputs: Vec<((NodeId, NodeId), usize)> = keys
+        .iter()
+        .map(|&(a, b, i, j)| {
+            let count = if a == b {
+                1
+            } else {
+                members[a].len() * members[b].len()
+            };
+            ((members[a][i], members[b][j]), count)
+        })
+        .collect();
+    let tiered = |values: &[f64]| {
+        let mut intra: Vec<Vec<f64>> = members
+            .iter()
+            .map(|m| vec![0.0; m.len() * m.len()])
+            .collect();
+        let mut cross = vec![0.0; k * k];
+        for (&(a, b, i, j), &x) in keys.iter().zip(values) {
+            let m = members[a].len();
+            if a == b {
+                (intra[a][i * m + j], intra[a][j * m + i]) = (x, x);
+            } else {
+                (cross[a * k + b], cross[b * k + a]) = (x, x);
             }
         }
-    }
-
-    let blended_count = blended.iter().filter(|&&b| b).count();
-    if blended_count > 0 && nlrm_obs::ctx::is_active() {
-        nlrm_obs::ctx::emit(
-            nlrm_obs::Severity::Warn,
-            snap.taken_at,
-            nlrm_obs::EventKind::StalePairsBlended {
-                count: blended_count,
-            },
-        );
-        nlrm_obs::ctx::add("loads_stale_pairs_blended_total", blended_count as u64);
-    }
-
-    let lat_n = crate::saw::normalize_sum(&lat);
-    let cbw_n = crate::saw::normalize_sum(&cbw);
-    let sum_scale = |raw: &[f64]| {
-        let s: f64 = raw.iter().sum();
-        if s > 0.0 && s.is_finite() {
-            1.0 / s
-        } else {
-            0.0
-        }
+        TieredNl::from_parts(members.clone(), intra, cross)
     };
-    norm.lat_scale = sum_scale(&lat);
-    norm.cbw_scale = sum_scale(&cbw);
-    for (k, &(u, v)) in pairs.iter().enumerate() {
-        out.set(
-            u,
-            v,
-            weights.latency * lat_n[k] + weights.bandwidth * cbw_n[k],
-        );
-    }
-    (out, norm)
+    let sum = |column: &[f64]| tiered(column).group_sum(usable);
+    let (nl, norm) = network_load(snap, &inputs, sum, weights, policy);
+    (NlRep::Tiered(tiered(&nl)), norm)
 }
 
 #[cfg(test)]
@@ -777,16 +831,17 @@ mod tests {
 
     #[test]
     fn congested_pair_has_higher_network_load() {
-        let snap = snapshot(6, 11);
+        let mut snap = snapshot(6, 11);
         let loads = derive(&snap);
         // find the pair with min available bandwidth and compare with max
         let mut worst = (NodeId(0), NodeId(1));
         let mut best = (NodeId(0), NodeId(1));
-        for (u, v, bw) in snap.bandwidth_bps.pairs() {
-            if bw < snap.bandwidth_bps.get(worst.0, worst.1) {
+        let bandwidth = &snap.densify().bandwidth_bps;
+        for (u, v, bw) in bandwidth.pairs() {
+            if bw < bandwidth.get(worst.0, worst.1) {
                 worst = (u, v);
             }
-            if bw > snap.bandwidth_bps.get(best.0, best.1) {
+            if bw > bandwidth.get(best.0, best.1) {
                 best = (u, v);
             }
         }
@@ -802,11 +857,12 @@ mod tests {
         // 1e9 bps, so on fast links a congested *measured* pair (complement
         // 99 Gbps here) ranked worse than a pair we know nothing about.
         let mut snap = snapshot(6, 13);
-        snap.peak_bandwidth_bps.set(NodeId(2), NodeId(3), 100e9);
-        snap.bandwidth_bps.set(NodeId(2), NodeId(3), 1e9);
+        let d = snap.densify();
+        d.peak_bandwidth_bps.set(NodeId(2), NodeId(3), 100e9);
+        d.bandwidth_bps.set(NodeId(2), NodeId(3), 1e9);
         // a never-measured pair (daemons publish 0.0 until first probe)
-        snap.peak_bandwidth_bps.set(NodeId(0), NodeId(1), 0.0);
-        snap.bandwidth_bps.set(NodeId(0), NodeId(1), 0.0);
+        d.peak_bandwidth_bps.set(NodeId(0), NodeId(1), 0.0);
+        d.bandwidth_bps.set(NodeId(0), NodeId(1), 0.0);
         let loads = Loads::derive(
             &snap,
             &ComputeWeights::paper_default(),
@@ -818,7 +874,7 @@ mod tests {
         )
         .unwrap();
         let unmeasured = loads.nl_between(NodeId(0), NodeId(1));
-        for (u, v, _) in snap.bandwidth_bps.pairs() {
+        for (u, v, _) in snap.densify().bandwidth_bps.pairs() {
             if (u, v) != (NodeId(0), NodeId(1)) {
                 assert!(
                     unmeasured > loads.nl_between(u, v),
@@ -864,15 +920,16 @@ mod tests {
     #[test]
     fn stale_pairs_rank_between_fresh_and_unmeasured() {
         let mut snap = snapshot(6, 7);
+        let d = snap.densify();
         // pair (0,1): never measured
-        snap.latency.set(
+        d.latency.set(
             NodeId(0),
             NodeId(1),
             nlrm_monitor::LatencyStat::constant(f64::INFINITY),
         );
         // pair (2,3): measured, but both endpoints' rows have gone stale
-        snap.latency_row_age[2] = Some(Duration::from_secs(2000));
-        snap.latency_row_age[3] = Some(Duration::from_secs(2000));
+        d.latency_row_age[2] = Some(Duration::from_secs(2000));
+        d.latency_row_age[3] = Some(Duration::from_secs(2000));
         let loads = Loads::derive_with_policy(
             &snap,
             &ComputeWeights::paper_default(),

@@ -219,7 +219,7 @@ impl SelectPlugin for NlrmSelect {
             )));
         }
 
-        let mut bitmap = NodeBitmap::none(snap.latency.len());
+        let mut bitmap = NodeBitmap::none(snap.num_nodes());
         for n in nodes {
             bitmap.set(n, true);
         }

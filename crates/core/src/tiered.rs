@@ -9,7 +9,9 @@
 //!
 //! * one small exact matrix per switch (intra-switch pairs keep their
 //!   measured values), and
-//! * one S×S matrix of aggregated (mean) inter-switch values,
+//! * one S×S matrix of inter-switch values: exact when derived from a
+//!   sharded snapshot (every cross pair of a switch pair reads the same
+//!   estimate), the mean when collapsed from a dense matrix,
 //!
 //! which is O(Σ m_s² + S²) memory instead of O(V²) — at 100k nodes in
 //! 48-node switches, ~75 MB instead of ~80 GB. The mean aggregation is
@@ -57,15 +59,9 @@ impl TieredNl {
         mut inter: impl FnMut(u32, u32) -> f64,
     ) -> TieredNl {
         assert_eq!(nodes.len(), switch_of.len());
-        let max_id = nodes.iter().map(|n| n.index()).max().map_or(0, |m| m + 1);
-        let mut switch_map = vec![UNCOVERED; max_id];
-        let mut local_of = vec![0u32; max_id];
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_switches];
         for (&n, &s) in nodes.iter().zip(switch_of) {
             assert!((s as usize) < num_switches, "switch {s} out of range");
-            assert_eq!(switch_map[n.index()], UNCOVERED, "duplicate node {n}");
-            switch_map[n.index()] = s;
-            local_of[n.index()] = members[s as usize].len() as u32;
             members[s as usize].push(n);
         }
         let intra_mats: Vec<Vec<f64>> = members
@@ -94,12 +90,38 @@ impl TieredNl {
                 inter_mat[t as usize * num_switches + s as usize] = val;
             }
         }
+        TieredNl::from_parts(members, intra_mats, inter_mat)
+    }
+
+    /// Build from finished parts: `members[s]` lists switch `s`'s nodes,
+    /// `intra[s]` is their `m×m` row-major matrix by position (zero
+    /// diagonal), and `inter` is `S×S` row-major.
+    pub(crate) fn from_parts(
+        members: Vec<Vec<NodeId>>,
+        intra: Vec<Vec<f64>>,
+        inter: Vec<f64>,
+    ) -> TieredNl {
+        let max_id = members
+            .iter()
+            .flatten()
+            .map(|n| n.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut switch_of = vec![UNCOVERED; max_id];
+        let mut local_of = vec![0u32; max_id];
+        for (s, ms) in members.iter().enumerate() {
+            for (i, &n) in ms.iter().enumerate() {
+                assert_eq!(switch_of[n.index()], UNCOVERED, "duplicate node {n}");
+                switch_of[n.index()] = s as u32;
+                local_of[n.index()] = i as u32;
+            }
+        }
         TieredNl {
-            switch_of: switch_map,
+            switch_of,
             local_of,
             members,
-            intra: intra_mats,
-            inter: inter_mat,
+            intra,
+            inter,
         }
     }
 

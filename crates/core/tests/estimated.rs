@@ -141,17 +141,15 @@ fn oracle_snapshot(
     cluster: &nlrm_cluster::ClusterSim,
 ) -> nlrm_monitor::ClusterSnapshot {
     let mut exact = snap.clone();
+    let d = exact.densify();
     let usable = snap.usable_nodes();
     for (i, &u) in usable.iter().enumerate() {
         for &v in &usable[i + 1..] {
-            exact
-                .latency
+            d.latency
                 .set(u, v, LatencyStat::constant(cluster.latency_s(u, v)));
-            exact
-                .bandwidth_bps
+            d.bandwidth_bps
                 .set(u, v, cluster.available_bandwidth_bps(u, v));
-            exact
-                .peak_bandwidth_bps
+            d.peak_bandwidth_bps
                 .set(u, v, cluster.peak_bandwidth_bps(u, v));
         }
     }
@@ -213,7 +211,7 @@ fn sharded_estimate_allocation_cost_is_within_5_percent_of_exact() {
             .warm_snapshot(&mut cluster, Duration::from_secs(360))
             .unwrap();
         let inter = rt.inter_estimate().expect("estimate published");
-        let est = Loads::derive_sharded(&snap, &inter, &idx, &cw, &nw, Some(4), &policy).unwrap();
+        let est = Loads::derive_sharded(&snap, &inter, &cw, &nw, Some(4), &policy).unwrap();
         assert!(
             matches!(*est.nl, NlRep::Estimated(_)),
             "derive_sharded must produce the estimated representation"
@@ -259,7 +257,6 @@ fn derive_sharded_bounds_contain_point_values() {
     let loads = Loads::derive_sharded(
         &snap,
         &inter,
-        &idx,
         &ComputeWeights::paper_default(),
         &NetworkWeights::paper_default(),
         Some(4),

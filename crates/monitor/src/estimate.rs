@@ -165,10 +165,15 @@ impl InterEstimate {
         self.num_switches
     }
 
+    /// Uplink bands of shard `s` (`None` when not covered or out of range).
+    fn up(&self, s: u32) -> Option<SwitchBands> {
+        self.up.get(s as usize).copied().flatten()
+    }
+
     /// Whether shard `s` has an uplink estimate (it had a live
     /// representative when the sample was taken).
     pub fn covers(&self, s: u32) -> bool {
-        self.up[s as usize].is_some()
+        self.up(s).is_some()
     }
 
     /// Number of exactly measured cross-shard pairs.
@@ -183,7 +188,7 @@ impl InterEstimate {
         if let Some(d) = self.direct.get(&pair_key(s, t)) {
             return Some(Band::exact(d.latency_s));
         }
-        let (a, b) = (self.up[s as usize]?, self.up[t as usize]?);
+        let (a, b) = (self.up(s)?, self.up(t)?);
         Some(Band::sum(a.lat, b.lat))
     }
 
@@ -193,7 +198,7 @@ impl InterEstimate {
         if let Some(d) = self.direct.get(&pair_key(s, t)) {
             return Some(Band::exact((d.peak_bps - d.avail_bps).max(0.0)));
         }
-        let (a, b) = (self.up[s as usize]?, self.up[t as usize]?);
+        let (a, b) = (self.up(s)?, self.up(t)?);
         Some(Band::sum(a.cbw, b.cbw))
     }
 
@@ -204,7 +209,7 @@ impl InterEstimate {
         if let Some(d) = self.direct.get(&pair_key(s, t)) {
             return Some(d.peak_bps);
         }
-        let (a, b) = (self.up[s as usize]?, self.up[t as usize]?);
+        let (a, b) = (self.up(s)?, self.up(t)?);
         Some(a.peak_bps.min(b.peak_bps))
     }
 
@@ -273,11 +278,15 @@ impl InterEstimate {
         est.probes = *probes;
         est.probe_bytes = *probe_bytes;
         for s in switches {
-            est.up[s.switch as usize] = Some(SwitchBands {
-                lat: Band::clamped(s.lat_lo, s.lat, s.lat_hi),
-                cbw: Band::clamped(s.cbw_lo, s.cbw, s.cbw_hi),
-                peak_bps: s.peak_bps,
-            });
+            // a switch id outside the record's own space is corrupt input:
+            // leave it uncovered rather than panic
+            if let Some(slot) = est.up.get_mut(s.switch as usize) {
+                *slot = Some(SwitchBands {
+                    lat: Band::clamped(s.lat_lo, s.lat, s.lat_hi),
+                    cbw: Band::clamped(s.cbw_lo, s.cbw, s.cbw_hi),
+                    peak_bps: s.peak_bps,
+                });
+            }
         }
         for d in direct {
             est.direct.insert(
@@ -515,6 +524,36 @@ mod tests {
 
     fn reps(n: usize) -> Vec<Vec<NodeId>> {
         (0..n).map(|s| vec![NodeId(s as u32 * 100)]).collect()
+    }
+
+    #[test]
+    fn switch_ids_outside_the_record_space_are_uncovered() {
+        let band = |switch| crate::codec::SwitchBandRec {
+            switch,
+            lat_lo: 1e-5,
+            lat: 2e-5,
+            lat_hi: 3e-5,
+            cbw_lo: 0.0,
+            cbw: 1e6,
+            cbw_hi: 2e6,
+            peak_bps: 1e9,
+        };
+        // a corrupt record: switch 7 in a 2-switch space
+        let rec = MonitorRecord::InterEstimate {
+            epoch: 1,
+            taken_at: SimTime::ZERO,
+            num_switches: 2,
+            probes: 0,
+            probe_bytes: 0,
+            switches: vec![band(0), band(1), band(7)],
+            direct: Vec::new(),
+        };
+        let est = InterEstimate::from_record(&rec).unwrap();
+        assert!(est.covers(0) && est.covers(1));
+        assert!(!est.covers(7) && !est.covers(99));
+        assert!(est.latency_s(0, 99).is_none());
+        assert!(est.avail_bps(99, 1).is_none());
+        assert!(est.latency_s(0, 1).is_some());
     }
 
     #[test]

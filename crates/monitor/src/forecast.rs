@@ -93,11 +93,11 @@ impl ForecastEngine {
         for (i, &u) in usable.iter().enumerate() {
             for &v in &usable[i + 1..] {
                 let idx = self.pair_idx(u, v);
-                let bw = snap.bandwidth_bps.get(u, v);
+                let bw = snap.bandwidth_bps(u, v);
                 if bw.is_finite() {
                     self.bandwidth[idx].observe(t, bw);
                 }
-                let lat = snap.latency.get(u, v).instant;
+                let lat = snap.latency(u, v).instant;
                 if lat.is_finite() {
                     self.latency[idx].observe(t, lat);
                 }
@@ -110,6 +110,7 @@ impl ForecastEngine {
     /// engine's prediction (where one exists). Static attributes, liveness
     /// and long-window means are passed through; the projected values land
     /// in the `instant` and 1-minute slots the allocator actually reads.
+    /// Pairs are projected one by one, so the copy is always dense.
     pub fn project(&self, snap: &ClusterSnapshot) -> ClusterSnapshot {
         let mut out = snap.clone();
         for info in &mut out.nodes {
@@ -134,22 +135,23 @@ impl ForecastEngine {
             }
         }
         let usable = snap.usable_nodes();
+        let out_pairs = out.densify();
         for (i, &u) in usable.iter().enumerate() {
             for &v in &usable[i + 1..] {
                 let idx = self.pair_idx(u, v);
                 if let Some(p) = self.bandwidth[idx].predict() {
-                    let peak = out.peak_bandwidth_bps.get(u, v);
+                    let peak = out_pairs.peak_bandwidth_bps.get(u, v);
                     let p = if peak.is_finite() {
                         p.clamp(0.0, peak)
                     } else {
                         p.max(0.0)
                     };
-                    out.bandwidth_bps.set(u, v, p);
+                    out_pairs.bandwidth_bps.set(u, v, p);
                 }
                 if let Some(p) = self.latency[idx].predict() {
                     let p = p.max(0.0);
-                    let st = out.latency.get(u, v);
-                    out.latency.set(
+                    let st = out_pairs.latency.get(u, v);
+                    out_pairs.latency.set(
                         u,
                         v,
                         LatencyStat {
@@ -210,8 +212,11 @@ mod tests {
             assert!(info.sample.cpu_load.instant >= 0.0);
             assert!((0.0..=1.0).contains(&info.sample.cpu_util.instant));
         }
-        for (u, v, bw) in proj.bandwidth_bps.pairs() {
-            let peak = proj.peak_bandwidth_bps.get(u, v);
+        let crate::snapshot::PairSource::Dense(d) = &proj.pairs else {
+            panic!("projections are dense");
+        };
+        for (u, v, bw) in d.bandwidth_bps.pairs() {
+            let peak = d.peak_bandwidth_bps.get(u, v);
             if peak.is_finite() {
                 assert!(bw <= peak + 1.0, "bw({u},{v}) above peak");
             }

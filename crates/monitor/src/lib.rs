@@ -31,7 +31,8 @@
 //!   demonstrations outside the simulator.
 //! * [`snapshot`] — [`ClusterSnapshot`], the
 //!   allocator's input, assembled purely from store contents (the allocator
-//!   never peeks at simulator truth).
+//!   never peeks at simulator truth): dense matrices from the central
+//!   monitor, shard blocks from the sharded one.
 
 pub mod central;
 pub mod codec;
@@ -56,5 +57,5 @@ pub use runtime::{
 };
 pub use sample::{LatencyStat, NodeSample};
 pub use shard::{ShardSummary, ShardSweepReport, ShardSweeper};
-pub use snapshot::{ClusterSnapshot, NodeInfo};
+pub use snapshot::{BlockPairs, ClusterSnapshot, DensePairs, NodeInfo, PairSource, ShardBlock};
 pub use store::SharedStore;

@@ -485,9 +485,10 @@ impl MonitorRuntime {
         InterEstimate::from_record(&record)
     }
 
-    /// Assemble the allocator's snapshot from the store. Central and
-    /// sharded stores produce the same snapshot shape, so consumers never
-    /// know which topology ran.
+    /// Assemble the allocator's snapshot from the store: dense matrices
+    /// under the central topology, shard blocks under the sharded one.
+    /// Both answer the same pair accessors, so consumers need not know
+    /// which topology ran.
     pub fn snapshot(&self, now: SimTime) -> Result<ClusterSnapshot, SnapshotError> {
         if self.sharded.is_some() {
             ClusterSnapshot::assemble_sharded(&self.store, self.n, now)
@@ -523,8 +524,8 @@ mod tests {
             .warm_snapshot(&mut cluster, Duration::from_secs(360))
             .unwrap();
         assert_eq!(snap.usable_nodes().len(), 6);
-        for (_, _, bw) in snap.bandwidth_bps.pairs() {
-            assert!(bw > 0.0);
+        for (u, v) in snap.node_pairs() {
+            assert!(snap.bandwidth_bps(u, v) > 0.0);
         }
     }
 
@@ -561,9 +562,8 @@ mod tests {
             let snap = rt
                 .warm_snapshot(&mut cluster, Duration::from_secs(400))
                 .unwrap();
-            snap.bandwidth_bps
-                .pairs()
-                .map(|(_, _, b)| b)
+            snap.node_pairs()
+                .map(|(u, v)| snap.bandwidth_bps(u, v))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -646,10 +646,10 @@ mod tests {
             .warm_snapshot(&mut cluster, Duration::from_secs(360))
             .unwrap();
         assert_eq!(snap.usable_nodes().len(), 60);
-        for (u, v, bw) in snap.bandwidth_bps.pairs() {
+        for (u, v) in snap.node_pairs() {
+            let bw = snap.bandwidth_bps(u, v);
             assert!(bw > 0.0, "bw({u},{v}) = {bw}");
-        }
-        for (u, v, lat) in snap.latency.pairs() {
+            let lat = snap.latency(u, v);
             assert!(
                 lat.instant > 0.0 && lat.instant.is_finite(),
                 "lat({u},{v}) = {}",
@@ -689,9 +689,8 @@ mod tests {
             let snap = rt
                 .warm_snapshot(&mut cluster, Duration::from_secs(400))
                 .unwrap();
-            snap.bandwidth_bps
-                .pairs()
-                .map(|(_, _, b)| b)
+            snap.node_pairs()
+                .map(|(u, v)| snap.bandwidth_bps(u, v))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());

@@ -4,8 +4,15 @@
 //! the same way the paper's Node Allocator reads the files the daemons wrote
 //! to NFS. If a daemon lagged or died, the snapshot is stale or partial, and
 //! the allocator decides with exactly that imperfect information.
+//!
+//! The pair data keeps the shape the monitor published ([`PairSource`]). The
+//! central monitor's all-pairs rows fill three dense V×V matrices. The
+//! sharded monitor's records stay blocks: one exact triangle per shard plus
+//! one estimated cell per shard pair, O(Σ m_s² + S²) instead of O(V²).
+//! Readers go through accessors that both shapes answer alike.
 
 use crate::codec::{decode, CodecError, MonitorRecord};
+use crate::estimate::InterEstimate;
 use crate::matrix::SymMatrix;
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
@@ -29,9 +36,27 @@ pub struct NodeInfo {
 pub struct ClusterSnapshot {
     /// Virtual time the snapshot was assembled.
     pub taken_at: SimTime,
-    /// Per-node info for every node that has ever published a sample,
-    /// indexed positionally by node id (missing nodes are absent).
+    /// Per-node info for every node that has ever published a sample, in
+    /// ascending node id (missing nodes are absent). Both assemblers walk
+    /// ids in order, and [`ClusterSnapshot::info`] binary-searches on it.
     pub nodes: Vec<NodeInfo>,
+    /// Pairwise latency and bandwidth, in the shape the monitor published.
+    pub pairs: PairSource,
+}
+
+/// Where a snapshot's pair measurements live.
+#[derive(Debug, Clone)]
+pub enum PairSource {
+    /// All-pairs matrices (the central monitor, the paper's protocol).
+    Dense(DensePairs),
+    /// Exact per-shard blocks plus estimated shard-pair cells (the
+    /// sharded monitor).
+    Blocks(BlockPairs),
+}
+
+/// All-pairs matrices filled from the central monitor's rows.
+#[derive(Debug, Clone)]
+pub struct DensePairs {
     /// Pairwise latency stats. Diagonal is 0; unmeasured pairs are +∞.
     pub latency: SymMatrix<LatencyStat>,
     /// Pairwise instantaneous available bandwidth, bits/s. Diagonal +∞,
@@ -44,6 +69,178 @@ pub struct ClusterSnapshot {
     pub latency_row_age: Vec<Option<Duration>>,
     /// Age of each node's bandwidth row at assembly time.
     pub bandwidth_row_age: Vec<Option<Duration>>,
+}
+
+impl DensePairs {
+    /// `n` nodes, every pair unmeasured and no row published.
+    fn unmeasured(n: usize) -> DensePairs {
+        let mut d = DensePairs {
+            latency: SymMatrix::new(n, LatencyStat::constant(f64::INFINITY)),
+            bandwidth_bps: SymMatrix::new(n, 0.0),
+            peak_bandwidth_bps: SymMatrix::new(n, 0.0),
+            latency_row_age: vec![None; n],
+            bandwidth_row_age: vec![None; n],
+        };
+        for i in 0..n {
+            let u = NodeId(i as u32);
+            d.latency.set(u, u, LatencyStat::constant(0.0));
+            d.bandwidth_bps.set(u, u, f64::INFINITY);
+            d.peak_bandwidth_bps.set(u, u, f64::INFINITY);
+        }
+        d
+    }
+}
+
+/// One pair's point measurements.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PairCell {
+    /// Latency, seconds.
+    lat_s: f64,
+    /// Available bandwidth, bits/s.
+    avail_bps: f64,
+    /// Peak bandwidth, bits/s.
+    peak_bps: f64,
+}
+
+impl PairCell {
+    /// A node paired with itself.
+    const SELF: PairCell = PairCell {
+        lat_s: 0.0,
+        avail_bps: f64::INFINITY,
+        peak_bps: f64::INFINITY,
+    };
+    /// A pair no record covers.
+    const UNMEASURED: PairCell = PairCell {
+        lat_s: f64::INFINITY,
+        avail_bps: 0.0,
+        peak_bps: 0.0,
+    };
+}
+
+/// One shard's exact block, as its `ShardNl` record published it.
+#[derive(Debug, Clone)]
+pub struct ShardBlock {
+    /// Shard (switch) id.
+    pub shard: u32,
+    /// Members in record order.
+    pub members: Vec<NodeId>,
+    /// Latency per member pair `(i < j)` at `i·(2m−i−1)/2 + j−i−1`, s.
+    pub lat_s: Vec<f64>,
+    /// Available bandwidth per member pair, bits/s.
+    pub avail_bps: Vec<f64>,
+    /// Peak bandwidth per member pair, bits/s.
+    pub peak_bps: Vec<f64>,
+    /// Age at assembly: the older of the shard and estimate records, so
+    /// inferred data never looks fresher than its inputs.
+    pub age: Duration,
+}
+
+impl ShardBlock {
+    /// The pair of members at positions `i ≠ j`.
+    fn cell(&self, i: usize, j: usize) -> PairCell {
+        let (i, j) = (i.min(j), i.max(j));
+        let k = i * (2 * self.members.len() - i - 1) / 2 + j - i - 1;
+        PairCell {
+            lat_s: self.lat_s[k],
+            avail_bps: self.avail_bps[k],
+            peak_bps: self.peak_bps[k],
+        }
+    }
+}
+
+/// The sharded monitor's pairs: shard blocks plus one cell per block pair.
+#[derive(Debug, Clone)]
+pub struct BlockPairs {
+    n: usize,
+    /// Ascending shard id.
+    blocks: Vec<ShardBlock>,
+    /// `(block, position)` per node id below `n`, or [`NO_SLOT`].
+    slot: Vec<(u32, u32)>,
+    /// `B×B` row-major cells between blocks (the estimate's points).
+    cross: Vec<PairCell>,
+}
+
+const NO_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
+
+impl BlockPairs {
+    /// Index `blocks` over the `n`-node id space. A member `≥ n` is kept in
+    /// its triangle but never resolved; a node listed twice resolves to its
+    /// last listing.
+    fn new(n: usize, mut blocks: Vec<ShardBlock>, est: Option<&InterEstimate>) -> BlockPairs {
+        blocks.sort_by_key(|b| b.shard);
+        let mut slot = vec![NO_SLOT; n];
+        for (b, block) in blocks.iter().enumerate() {
+            for (i, &u) in block.members.iter().enumerate() {
+                if let Some(s) = slot.get_mut(u.index()) {
+                    *s = (b as u32, i as u32);
+                }
+            }
+        }
+        let nb = blocks.len();
+        let mut cross = vec![PairCell::UNMEASURED; nb * nb];
+        for (a, b) in (0..nb).flat_map(|a| ((a + 1)..nb).map(move |b| (a, b))) {
+            let (s, t) = (blocks[a].shard, blocks[b].shard);
+            let cell = est.filter(|_| s != t).and_then(|e| {
+                Some(PairCell {
+                    lat_s: e.latency_s(s, t)?.point,
+                    avail_bps: e.avail_bps(s, t).unwrap_or(0.0),
+                    peak_bps: e.peak_bps(s, t).unwrap_or(0.0),
+                })
+            });
+            if let Some(cell) = cell {
+                (cross[a * nb + b], cross[b * nb + a]) = (cell, cell);
+            }
+        }
+        BlockPairs {
+            n,
+            blocks,
+            slot,
+            cross,
+        }
+    }
+
+    /// The shard blocks, ascending shard id.
+    pub fn blocks(&self) -> &[ShardBlock] {
+        &self.blocks
+    }
+
+    /// `(block, position in its members)` of a node, if a block holds it.
+    pub fn slot(&self, node: NodeId) -> Option<(usize, usize)> {
+        match self.slot.get(node.index()) {
+            Some(&(b, i)) if (b, i) != NO_SLOT => Some((b as usize, i as usize)),
+            _ => None,
+        }
+    }
+
+    /// The cell between blocks `a ≠ b`: the estimate's point values, or
+    /// unmeasured when the estimate does not cover the pair.
+    fn cross(&self, a: usize, b: usize) -> PairCell {
+        self.cross[a * self.blocks.len() + b]
+    }
+
+    /// The cell for any node pair.
+    fn cell(&self, u: NodeId, v: NodeId) -> PairCell {
+        if u == v {
+            return PairCell::SELF;
+        }
+        match (self.slot(u), self.slot(v)) {
+            (Some((a, i)), Some((b, j))) if a == b => self.blocks[a].cell(i, j),
+            (Some((a, _)), Some((b, _))) => self.cross(a, b),
+            _ => PairCell::UNMEASURED,
+        }
+    }
+
+    /// Age of a node's pair data (`None`: no block holds it).
+    fn age(&self, node: NodeId) -> Option<Duration> {
+        self.slot(node).map(|(b, _)| self.blocks[b].age)
+    }
+
+    /// Pair cells stored: `Σ_s C(m_s, 2)` block pairs plus `C(S, 2)`
+    /// cross cells.
+    pub fn stored_cells(&self) -> usize {
+        let nb = self.blocks.len();
+        self.blocks.iter().map(|b| b.lat_s.len()).sum::<usize>() + nb * nb.saturating_sub(1) / 2
+    }
 }
 
 /// Snapshot assembly failures.
@@ -66,253 +263,232 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The parts of a snapshot shared by the central and sharded assemblers:
-/// node infos from livehosts + nodestate records, plus matrices initialised
-/// to the unmeasured-pair conventions.
-struct BaseParts {
-    nodes: Vec<NodeInfo>,
-    latency: SymMatrix<LatencyStat>,
-    bandwidth: SymMatrix<f64>,
-    peak: SymMatrix<f64>,
+/// Decode the record at `path`, if there is one, with its age at `now`.
+fn read(
+    store: &SharedStore,
+    path: &str,
+    now: SimTime,
+) -> Result<Option<(MonitorRecord, Duration)>, SnapshotError> {
+    let Some(rec) = store.get(path) else {
+        return Ok(None);
+    };
+    match decode(&rec.data) {
+        Ok(r) => Ok(Some((r, now.since(rec.written_at)))),
+        Err(e) => Err(SnapshotError::Corrupt(path.into(), e)),
+    }
 }
 
-fn base_parts(store: &SharedStore, n: usize) -> Result<BaseParts, SnapshotError> {
-    let live = read_livehosts(store)?;
+fn wrong_kind(path: &str) -> SnapshotError {
+    SnapshotError::Corrupt(path.into(), CodecError::BadTag(0))
+}
+
+/// Node infos from the livehosts and nodestate records, ascending id.
+fn read_nodes(store: &SharedStore, n: usize, now: SimTime) -> Result<Vec<NodeInfo>, SnapshotError> {
+    let mut live = vec![false; n];
+    match read(store, paths::LIVEHOSTS, now)? {
+        Some((MonitorRecord::Livehosts(hosts), _)) => {
+            for h in hosts.into_iter().filter(|h| h.index() < n) {
+                live[h.index()] = true;
+            }
+        }
+        Some(_) => return Err(wrong_kind(paths::LIVEHOSTS)),
+        None => return Err(SnapshotError::NoLivehosts),
+    }
     let mut nodes = Vec::new();
-    for i in 0..n {
+    for (i, live) in live.into_iter().enumerate() {
         let node = NodeId(i as u32);
         let path = paths::node_state(node);
-        let Some(rec) = store.get(&path) else {
-            continue;
-        };
-        match decode(&rec.data) {
-            Ok(MonitorRecord::Sample(sample)) => nodes.push(NodeInfo {
-                node,
-                sample,
-                live: live.contains(&node),
-            }),
-            Ok(_) => return Err(SnapshotError::Corrupt(path, CodecError::BadTag(0))),
-            Err(e) => return Err(SnapshotError::Corrupt(path, e)),
+        match read(store, &path, now)? {
+            Some((MonitorRecord::Sample(sample), _)) => nodes.push(NodeInfo { node, sample, live }),
+            Some(_) => return Err(wrong_kind(&path)),
+            None => {}
         }
     }
-
-    let mut latency = SymMatrix::new(n, LatencyStat::constant(f64::INFINITY));
-    for i in 0..n {
-        latency.set(
-            NodeId(i as u32),
-            NodeId(i as u32),
-            LatencyStat::constant(0.0),
-        );
-    }
-    let mut bandwidth = SymMatrix::new(n, 0.0f64);
-    let mut peak = SymMatrix::new(n, 0.0f64);
-    for i in 0..n {
-        bandwidth.set(NodeId(i as u32), NodeId(i as u32), f64::INFINITY);
-        peak.set(NodeId(i as u32), NodeId(i as u32), f64::INFINITY);
-    }
-    Ok(BaseParts {
-        nodes,
-        latency,
-        bandwidth,
-        peak,
-    })
+    Ok(nodes)
 }
 
 impl ClusterSnapshot {
-    /// Assemble a snapshot for an `n`-node cluster from the store.
+    /// Assemble a snapshot for an `n`-node cluster from the central
+    /// monitor's per-node latency and bandwidth rows.
     pub fn assemble(store: &SharedStore, n: usize, now: SimTime) -> Result<Self, SnapshotError> {
-        let BaseParts {
-            nodes,
-            mut latency,
-            mut bandwidth,
-            mut peak,
-        } = base_parts(store, n)?;
-
-        let mut latency_row_age = vec![None; n];
-        let mut bandwidth_row_age = vec![None; n];
+        let nodes = read_nodes(store, n, now)?;
+        let mut d = DensePairs::unmeasured(n);
         for i in 0..n {
             let node = NodeId(i as u32);
-            if let Some(rec) = store.get(&paths::latency_row(node)) {
-                latency_row_age[i] = Some(now.since(rec.written_at));
-                match decode(&rec.data) {
-                    Ok(MonitorRecord::LatencyRow { node: u, stats }) => {
-                        for (v, st) in stats.iter().enumerate().take(n) {
-                            if v != u.index() {
-                                latency.set(u, NodeId(v as u32), *st);
-                            }
+            let path = paths::latency_row(node);
+            match read(store, &path, now)? {
+                Some((MonitorRecord::LatencyRow { node: u, stats }, age)) => {
+                    d.latency_row_age[i] = Some(age);
+                    for (v, st) in stats.iter().enumerate().take(n) {
+                        if v != u.index() {
+                            d.latency.set(u, NodeId(v as u32), *st);
                         }
                     }
-                    Ok(_) => {
-                        return Err(SnapshotError::Corrupt(
-                            paths::latency_row(node),
-                            CodecError::BadTag(0),
-                        ))
-                    }
-                    Err(e) => return Err(SnapshotError::Corrupt(paths::latency_row(node), e)),
                 }
+                Some(_) => return Err(wrong_kind(&path)),
+                None => {}
             }
-            if let Some(rec) = store.get(&paths::bandwidth_row(node)) {
-                bandwidth_row_age[i] = Some(now.since(rec.written_at));
-                match decode(&rec.data) {
-                    Ok(MonitorRecord::BandwidthRow {
+            let path = paths::bandwidth_row(node);
+            match read(store, &path, now)? {
+                Some((
+                    MonitorRecord::BandwidthRow {
                         node: u,
                         avail_bps,
                         peak_bps,
-                    }) => {
-                        for v in 0..n.min(avail_bps.len()) {
-                            if v != u.index() {
-                                bandwidth.set(u, NodeId(v as u32), avail_bps[v]);
-                                peak.set(u, NodeId(v as u32), peak_bps[v]);
-                            }
+                    },
+                    age,
+                )) => {
+                    d.bandwidth_row_age[i] = Some(age);
+                    for v in 0..n.min(avail_bps.len()) {
+                        if v != u.index() {
+                            d.bandwidth_bps.set(u, NodeId(v as u32), avail_bps[v]);
+                            d.peak_bandwidth_bps.set(u, NodeId(v as u32), peak_bps[v]);
                         }
                     }
-                    Ok(_) => {
-                        return Err(SnapshotError::Corrupt(
-                            paths::bandwidth_row(node),
-                            CodecError::BadTag(0),
-                        ))
-                    }
-                    Err(e) => return Err(SnapshotError::Corrupt(paths::bandwidth_row(node), e)),
                 }
+                Some(_) => return Err(wrong_kind(&path)),
+                None => {}
             }
         }
-
         Ok(ClusterSnapshot {
             taken_at: now,
             nodes,
-            latency,
-            bandwidth_bps: bandwidth,
-            peak_bandwidth_bps: peak,
-            latency_row_age,
-            bandwidth_row_age,
+            pairs: PairSource::Dense(d),
         })
     }
 
-    /// Assemble a snapshot from *sharded* monitor records: intra-shard
-    /// pairs come exact from the per-shard `ShardNl` matrices, cross-shard
-    /// pairs from the sampled [`InterEstimate`](crate::estimate::InterEstimate)
-    /// point values. Livehosts/nodestate handling and the matrix
-    /// conventions are identical to [`ClusterSnapshot::assemble`], so the
-    /// allocator consumes either transparently.
-    ///
-    /// Row ages are conservative: a member's rows are as old as the *older*
-    /// of its shard record and the estimate record, so the staleness policy
-    /// never treats inferred data as fresher than its inputs.
+    /// Assemble a snapshot from *sharded* monitor records in their own
+    /// shape, building no V×V structure: each `ShardNl` record becomes an
+    /// exact [`ShardBlock`], each shard pair one cell of the sampled
+    /// [`InterEstimate`]'s point values. Node handling is that of
+    /// [`ClusterSnapshot::assemble`], and the pair accessors answer as
+    /// dense matrices would.
     pub fn assemble_sharded(
         store: &SharedStore,
         n: usize,
         now: SimTime,
     ) -> Result<Self, SnapshotError> {
-        let BaseParts {
-            nodes,
-            mut latency,
-            mut bandwidth,
-            mut peak,
-        } = base_parts(store, n)?;
-
-        let mut latency_row_age = vec![None; n];
-        let mut bandwidth_row_age = vec![None; n];
-
-        // intra-shard: exact pair matrices per shard
-        let mut shards: Vec<(u32, Vec<NodeId>, Duration)> = Vec::new();
+        let nodes = read_nodes(store, n, now)?;
+        let mut blocks = Vec::new();
         for path in store.list_prefix("shard/") {
-            let Some(rec) = store.get(&path) else {
-                continue;
-            };
-            let age = now.since(rec.written_at);
-            match decode(&rec.data) {
-                Ok(MonitorRecord::ShardNl {
+            match read(store, &path, now)? {
+                Some((
+                    MonitorRecord::ShardNl {
+                        shard,
+                        members,
+                        lat_s,
+                        avail_bps,
+                        peak_bps,
+                        ..
+                    },
+                    age,
+                )) => blocks.push(ShardBlock {
                     shard,
                     members,
                     lat_s,
                     avail_bps,
                     peak_bps,
-                    ..
-                }) => {
-                    let m = members.len();
-                    let tri = |i: usize, j: usize| i * (2 * m - i - 1) / 2 + j - i - 1;
-                    for i in 0..m {
-                        for j in (i + 1)..m {
-                            let (u, v) = (members[i], members[j]);
-                            if u.index() >= n || v.index() >= n {
-                                continue;
-                            }
-                            let k = tri(i, j);
-                            latency.set(u, v, LatencyStat::constant(lat_s[k]));
-                            bandwidth.set(u, v, avail_bps[k]);
-                            peak.set(u, v, peak_bps[k]);
-                        }
-                    }
-                    shards.push((shard, members, age));
-                }
-                Ok(_) => return Err(SnapshotError::Corrupt(path, CodecError::BadTag(0))),
-                Err(e) => return Err(SnapshotError::Corrupt(path, e)),
+                    age,
+                }),
+                Some(_) => return Err(wrong_kind(&path)),
+                None => {}
             }
         }
-
-        // cross-shard: point values from the sampled estimate
-        let mut est = None;
-        let mut est_age = None;
-        if let Some(rec) = store.get(paths::INTER_ESTIMATE) {
-            est_age = Some(now.since(rec.written_at));
-            match decode(&rec.data) {
-                Ok(r @ MonitorRecord::InterEstimate { .. }) => {
-                    est = crate::estimate::InterEstimate::from_record(&r);
-                }
-                Ok(_) => {
-                    return Err(SnapshotError::Corrupt(
-                        paths::INTER_ESTIMATE.into(),
-                        CodecError::BadTag(0),
-                    ))
-                }
-                Err(e) => return Err(SnapshotError::Corrupt(paths::INTER_ESTIMATE.into(), e)),
+        let (est, est_age) = match read(store, paths::INTER_ESTIMATE, now)? {
+            Some((r @ MonitorRecord::InterEstimate { .. }, age)) => {
+                (InterEstimate::from_record(&r), Some(age))
             }
+            Some(_) => return Err(wrong_kind(paths::INTER_ESTIMATE)),
+            None => (None, None),
+        };
+        for b in &mut blocks {
+            b.age = b.age.max(est_age.unwrap_or(Duration::ZERO));
         }
-        if let Some(est) = &est {
-            for (i, (s, ms, _)) in shards.iter().enumerate() {
-                for (t, mt, _) in &shards[i + 1..] {
-                    let Some(lat) = est.latency_s(*s, *t) else {
-                        continue;
-                    };
-                    let avail = est.avail_bps(*s, *t).unwrap_or(0.0);
-                    let pk = est.peak_bps(*s, *t).unwrap_or(0.0);
-                    for &u in ms {
-                        for &v in mt {
-                            if u.index() >= n || v.index() >= n {
-                                continue;
-                            }
-                            latency.set(u, v, LatencyStat::constant(lat.point));
-                            bandwidth.set(u, v, avail);
-                            peak.set(u, v, pk);
-                        }
-                    }
-                }
-            }
-        }
-
-        for (_, members, age) in &shards {
-            let worst = match est_age {
-                Some(e) => (*age).max(e),
-                None => *age,
-            };
-            for &u in members {
-                if u.index() >= n {
-                    continue;
-                }
-                latency_row_age[u.index()] = Some(worst);
-                bandwidth_row_age[u.index()] = Some(worst);
-            }
-        }
-
         Ok(ClusterSnapshot {
             taken_at: now,
             nodes,
-            latency,
-            bandwidth_bps: bandwidth,
-            peak_bandwidth_bps: peak,
-            latency_row_age,
-            bandwidth_row_age,
+            pairs: PairSource::Blocks(BlockPairs::new(n, blocks, est.as_ref())),
         })
+    }
+
+    /// Size of the node-id space the pair accessors cover.
+    pub fn num_nodes(&self) -> usize {
+        match &self.pairs {
+            PairSource::Dense(d) => d.latency.len(),
+            PairSource::Blocks(b) => b.n,
+        }
+    }
+
+    /// Every pair `(u, v)`, `u < v`, of the node-id space, row-major.
+    pub fn node_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> {
+        let n = self.num_nodes() as u32;
+        (0..n).flat_map(move |u| ((u + 1)..n).map(move |v| (NodeId(u), NodeId(v))))
+    }
+
+    /// Latency stat of a pair (0 on the diagonal, +∞ when unmeasured).
+    pub fn latency(&self, u: NodeId, v: NodeId) -> LatencyStat {
+        match &self.pairs {
+            PairSource::Dense(d) => d.latency.get(u, v),
+            PairSource::Blocks(b) => LatencyStat::constant(b.cell(u, v).lat_s),
+        }
+    }
+
+    /// Available bandwidth of a pair, bits/s (+∞ on the diagonal, 0 when
+    /// unmeasured).
+    pub fn bandwidth_bps(&self, u: NodeId, v: NodeId) -> f64 {
+        match &self.pairs {
+            PairSource::Dense(d) => d.bandwidth_bps.get(u, v),
+            PairSource::Blocks(b) => b.cell(u, v).avail_bps,
+        }
+    }
+
+    /// Peak bandwidth of a pair, bits/s.
+    pub fn peak_bandwidth_bps(&self, u: NodeId, v: NodeId) -> f64 {
+        match &self.pairs {
+            PairSource::Dense(d) => d.peak_bandwidth_bps.get(u, v),
+            PairSource::Blocks(b) => b.cell(u, v).peak_bps,
+        }
+    }
+
+    /// Age of a node's latency row at assembly (`None`: never published).
+    /// A sharded snapshot ages each node with its block.
+    pub fn latency_row_age(&self, node: NodeId) -> Option<Duration> {
+        match &self.pairs {
+            PairSource::Dense(d) => d.latency_row_age.get(node.index()).copied().flatten(),
+            PairSource::Blocks(b) => b.age(node),
+        }
+    }
+
+    /// Age of a node's bandwidth row at assembly.
+    pub fn bandwidth_row_age(&self, node: NodeId) -> Option<Duration> {
+        match &self.pairs {
+            PairSource::Dense(d) => d.bandwidth_row_age.get(node.index()).copied().flatten(),
+            PairSource::Blocks(b) => b.age(node),
+        }
+    }
+
+    /// The dense matrices, materialised through the accessors first if
+    /// the snapshot holds blocks (O(V²): oracles, forecasts and tests).
+    pub fn densify(&mut self) -> &mut DensePairs {
+        if let PairSource::Blocks(_) = self.pairs {
+            let n = self.num_nodes();
+            let mut d = DensePairs::unmeasured(n);
+            for u in (0..n as u32).map(NodeId) {
+                d.latency_row_age[u.index()] = self.latency_row_age(u);
+                d.bandwidth_row_age[u.index()] = self.bandwidth_row_age(u);
+            }
+            for (u, v) in self.node_pairs() {
+                d.latency.set(u, v, self.latency(u, v));
+                d.bandwidth_bps.set(u, v, self.bandwidth_bps(u, v));
+                d.peak_bandwidth_bps
+                    .set(u, v, self.peak_bandwidth_bps(u, v));
+            }
+            self.pairs = PairSource::Dense(d);
+        }
+        match &mut self.pairs {
+            PairSource::Dense(d) => d,
+            PairSource::Blocks(_) => unreachable!("materialised above"),
+        }
     }
 
     /// Age of a node's published sample, if it has one.
@@ -325,18 +501,12 @@ impl ClusterSnapshot {
     /// is overwritten by whichever endpoint's row was read, so the newer
     /// row bounds how stale the value can be.
     pub fn latency_age(&self, u: NodeId, v: NodeId) -> Option<Duration> {
-        min_age(
-            self.latency_row_age[u.index()],
-            self.latency_row_age[v.index()],
-        )
+        min_age(self.latency_row_age(u), self.latency_row_age(v))
     }
 
     /// Age of the freshest bandwidth row covering pair `(u, v)`.
     pub fn bandwidth_age(&self, u: NodeId, v: NodeId) -> Option<Duration> {
-        min_age(
-            self.bandwidth_row_age[u.index()],
-            self.bandwidth_row_age[v.index()],
-        )
+        min_age(self.bandwidth_row_age(u), self.bandwidth_row_age(v))
     }
 
     /// Nodes that are live *and* have a sample: the allocatable universe.
@@ -348,9 +518,11 @@ impl ClusterSnapshot {
             .collect()
     }
 
-    /// Info for a node, if present.
+    /// Info for a node, if present (binary search over the id-ascending
+    /// `nodes`).
     pub fn info(&self, node: NodeId) -> Option<&NodeInfo> {
-        self.nodes.iter().find(|n| n.node == node)
+        let i = self.nodes.binary_search_by_key(&node, |n| n.node).ok()?;
+        Some(&self.nodes[i])
     }
 
     /// Age of the oldest sample among usable nodes (staleness diagnostic).
@@ -367,20 +539,6 @@ fn min_age(a: Option<Duration>, b: Option<Duration>) -> Option<Duration> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, y) => x.or(y),
-    }
-}
-
-fn read_livehosts(store: &SharedStore) -> Result<Vec<NodeId>, SnapshotError> {
-    let rec = store
-        .get(paths::LIVEHOSTS)
-        .ok_or(SnapshotError::NoLivehosts)?;
-    match decode(&rec.data) {
-        Ok(MonitorRecord::Livehosts(hosts)) => Ok(hosts),
-        Ok(_) => Err(SnapshotError::Corrupt(
-            paths::LIVEHOSTS.into(),
-            CodecError::BadTag(0),
-        )),
-        Err(e) => Err(SnapshotError::Corrupt(paths::LIVEHOSTS.into(), e)),
     }
 }
 
@@ -410,11 +568,11 @@ mod tests {
         let snap = ClusterSnapshot::assemble(&store, 6, now).unwrap();
         assert_eq!(snap.nodes.len(), 6);
         assert_eq!(snap.usable_nodes().len(), 6);
-        // matrices populated
-        for (u, v, bw) in snap.bandwidth_bps.pairs() {
+        // every pair measured
+        for (u, v) in snap.node_pairs() {
+            let bw = snap.bandwidth_bps(u, v);
             assert!(bw > 0.0, "bw({u},{v}) = {bw}");
-        }
-        for (u, v, lat) in snap.latency.pairs() {
+            let lat = snap.latency(u, v);
             assert!(lat.instant > 0.0 && lat.instant.is_finite(), "lat({u},{v})");
         }
     }
@@ -473,7 +631,7 @@ mod tests {
         // a pair with one missing row falls back to the other endpoint's
         store.remove(&paths::latency_row(NodeId(0)));
         let snap = ClusterSnapshot::assemble(&store, 3, later).unwrap();
-        assert!(snap.latency_row_age[0].is_none());
+        assert!(snap.latency_row_age(NodeId(0)).is_none());
         assert_eq!(snap.latency_age(NodeId(0), NodeId(1)), age);
     }
 
@@ -481,7 +639,152 @@ mod tests {
     fn diagonal_conventions() {
         let (store, now) = populated(3);
         let snap = ClusterSnapshot::assemble(&store, 3, now).unwrap();
-        assert!(snap.bandwidth_bps.get(NodeId(1), NodeId(1)).is_infinite());
-        assert_eq!(snap.latency.get(NodeId(1), NodeId(1)).instant, 0.0);
+        assert!(snap.bandwidth_bps(NodeId(1), NodeId(1)).is_infinite());
+        assert_eq!(snap.latency(NodeId(1), NodeId(1)).instant, 0.0);
+    }
+
+    /// A warmed sharded monitor over a 3×8 campus.
+    fn sharded() -> (crate::MonitorRuntime, ClusterSnapshot) {
+        let mut cluster = nlrm_cluster::iitk::campus(3, 8, 5);
+        let idx = cluster.topology().switch_index();
+        let mut rt = crate::MonitorRuntime::with_topo(
+            &cluster,
+            crate::daemons::DaemonConfig::default(),
+            crate::MonitorTopo::Sharded(crate::ShardConfig::new(idx)),
+        );
+        let snap = rt
+            .warm_snapshot(&mut cluster, Duration::from_secs(360))
+            .unwrap();
+        (rt, snap)
+    }
+
+    #[test]
+    fn nodes_are_id_ascending_in_both_shapes() {
+        let (store, now) = populated(6);
+        store.remove(&paths::node_state(NodeId(3)));
+        let central = ClusterSnapshot::assemble(&store, 6, now).unwrap();
+        let (_, sharded) = sharded();
+        for snap in [&central, &sharded] {
+            assert!(snap.nodes.windows(2).all(|w| w[0].node < w[1].node));
+            for info in &snap.nodes {
+                assert_eq!(snap.info(info.node), Some(info));
+            }
+        }
+        assert!(central.info(NodeId(3)).is_none());
+        assert!(central.info(NodeId(60)).is_none());
+    }
+
+    #[test]
+    fn sharded_snapshot_keeps_the_block_shape() {
+        let (_, snap) = sharded();
+        let PairSource::Blocks(b) = &snap.pairs else {
+            panic!("a sharded monitor yields blocks");
+        };
+        assert_eq!(snap.num_nodes(), 24);
+        assert_eq!(b.blocks().len(), 3);
+        assert!(b.blocks().windows(2).all(|w| w[0].shard < w[1].shard));
+        let intra: usize = b
+            .blocks()
+            .iter()
+            .map(|s| s.members.len())
+            .map(|m| m * (m - 1) / 2)
+            .sum();
+        assert_eq!(b.stored_cells(), intra + 3);
+        // every pair is measured, exact inside a block, one cell across
+        for (u, v) in snap.node_pairs() {
+            let (lat, bw) = (snap.latency(u, v), snap.bandwidth_bps(u, v));
+            assert!(lat.instant > 0.0 && lat.instant.is_finite(), "lat({u},{v})");
+            assert!(
+                bw > 0.0 && bw <= snap.peak_bandwidth_bps(u, v),
+                "bw({u},{v})"
+            );
+            let (a, _) = b.slot(u).unwrap();
+            let (c, _) = b.slot(v).unwrap();
+            if a != c {
+                assert_eq!(b.cell(u, v), b.cross(a, c));
+            }
+            assert_eq!(snap.latency_age(u, v), snap.latency_row_age(u));
+        }
+        // the dense copy answers every accessor the same
+        let mut dense = snap.clone();
+        dense.densify();
+        assert!(matches!(dense.pairs, PairSource::Dense(_)));
+        for u in (0..25).map(NodeId) {
+            assert_eq!(dense.latency_row_age(u), snap.latency_row_age(u));
+            assert_eq!(dense.bandwidth_row_age(u), snap.bandwidth_row_age(u));
+            for v in (0..24).map(NodeId) {
+                if u.index() < 24 {
+                    assert_eq!(dense.latency(u, v), snap.latency(u, v));
+                    assert_eq!(
+                        dense.bandwidth_bps(u, v).to_bits(),
+                        snap.bandwidth_bps(u, v).to_bits()
+                    );
+                    assert_eq!(
+                        dense.peak_bandwidth_bps(u, v).to_bits(),
+                        snap.peak_bandwidth_bps(u, v).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_shard_records_resolve_without_panics() {
+        let (rt, snap) = sharded();
+        let PairSource::Blocks(b) = &snap.pairs else {
+            panic!("blocks");
+        };
+        let (s0, s1) = (b.blocks()[0].shard, b.blocks()[1].shard);
+        let store = rt.store();
+        let now = SimTime::from_secs(400);
+        // the second shard's record vanishes; the first names a node beyond
+        // the id space
+        store.remove(&paths::shard_nl(s1));
+        let rec = decode(&store.get(&paths::shard_nl(s0)).unwrap().data).unwrap();
+        let MonitorRecord::ShardNl {
+            mut members,
+            shard,
+            epoch,
+            taken_at,
+            lat_s,
+            avail_bps,
+            peak_bps,
+            probe_bytes,
+        } = rec
+        else {
+            panic!("shard record");
+        };
+        let last = members.len() - 1;
+        let evicted = members[last];
+        members[last] = NodeId(99);
+        let rec = MonitorRecord::ShardNl {
+            shard,
+            epoch,
+            taken_at,
+            members,
+            lat_s,
+            avail_bps,
+            peak_bps,
+            probe_bytes,
+        };
+        store.put(&paths::shard_nl(s0), now, crate::codec::encode(&rec));
+        let snap = ClusterSnapshot::assemble_sharded(store, 24, now).unwrap();
+        let PairSource::Blocks(b) = &snap.pairs else {
+            panic!("blocks");
+        };
+        assert_eq!(b.blocks().len(), 2);
+        assert!(b.slot(NodeId(99)).is_none() && b.slot(evicted).is_none());
+        assert_eq!(snap.bandwidth_bps(evicted, NodeId(0)), 0.0);
+        assert!(snap.latency(evicted, NodeId(0)).instant.is_infinite());
+        assert_eq!(snap.latency_row_age(evicted), None);
+        // without the estimate every cross pair is unmeasured
+        store.remove(paths::INTER_ESTIMATE);
+        let snap = ClusterSnapshot::assemble_sharded(store, 24, now).unwrap();
+        let PairSource::Blocks(b) = &snap.pairs else {
+            panic!("blocks");
+        };
+        assert_eq!(b.cross(0, 1), PairCell::UNMEASURED);
+        let (u, v) = (b.blocks()[0].members[0], b.blocks()[0].members[1]);
+        assert!(snap.latency(u, v).instant.is_finite());
     }
 }

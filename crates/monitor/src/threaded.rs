@@ -167,8 +167,8 @@ mod tests {
         let now = cluster.now();
         let snap = ClusterSnapshot::assemble(mon.store(), 4, now).unwrap();
         assert_eq!(snap.usable_nodes().len(), 4);
-        for (_, _, bw) in snap.bandwidth_bps.pairs() {
-            assert!(bw > 0.0);
+        for (u, v) in snap.node_pairs() {
+            assert!(snap.bandwidth_bps(u, v) > 0.0);
         }
         mon.stop();
     }

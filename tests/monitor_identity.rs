@@ -59,24 +59,28 @@ fn fold_snapshot(snap: &ClusterSnapshot, fold: &mut DigestFold) {
         fold_windowed(fold, &s.mem_used_frac);
         fold_windowed(fold, &s.flow_rate_mbps);
     }
-    for (u, v, st) in snap.latency.pairs() {
+    // the strict upper triangle, row-major, read through the accessors
+    // both pair shapes answer
+    for (u, v) in snap.node_pairs() {
+        let st = snap.latency(u, v);
         fold.u64(u.index() as u64)
             .u64(v.index() as u64)
             .f64(st.instant)
             .f64(st.m1)
             .f64(st.m5);
     }
-    for (_, _, b) in snap.bandwidth_bps.pairs() {
-        fold.f64(b);
+    for (u, v) in snap.node_pairs() {
+        fold.f64(snap.bandwidth_bps(u, v));
     }
-    for (_, _, b) in snap.peak_bandwidth_bps.pairs() {
-        fold.f64(b);
+    for (u, v) in snap.node_pairs() {
+        fold.f64(snap.peak_bandwidth_bps(u, v));
     }
-    for &age in &snap.latency_row_age {
-        fold_age(fold, age);
+    let nodes = || (0..snap.num_nodes() as u32).map(NodeId);
+    for u in nodes() {
+        fold_age(fold, snap.latency_row_age(u));
     }
-    for &age in &snap.bandwidth_row_age {
-        fold_age(fold, age);
+    for u in nodes() {
+        fold_age(fold, snap.bandwidth_row_age(u));
     }
 }
 
