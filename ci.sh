@@ -137,7 +137,8 @@ test -s "$OBS_DIR/health_report.md"
 # estimate's allocation epsilon ≤5% on every equivalence scenario (both
 # also asserted by the bin itself). Its real-chain row must store the
 # snapshot as blocks: Σ_s C(m_s, 2) exact pairs plus C(S, 2) shard-pair
-# cells, counted from the topology, never a V×V matrix
+# cells, counted from the topology, never a V×V matrix, and its
+# allocate_pruned decision must expand or prune every usable start
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
     cargo run --release -q -p nlrm-bench --bin monitor_sweep
 python3 - "$OBS_DIR/BENCH_monitor.json" <<'PY'
@@ -154,6 +155,7 @@ assert bench["chain"], "no real-chain row"
 for c in bench["chain"]:
     assert c["pair_cells"] == c["expected_pair_cells"], c
     assert c["pair_cells"] < c["nodes"] * (c["nodes"] - 1) // 2, c
+    assert c["expanded"] + c["pruned"] == c["usable"], c
 PY
 
 # incident smoke: every seeded storyline must replay bit-identically

@@ -103,14 +103,6 @@ struct ArmResult {
     makespan_s: f64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// What one arm's replay loop counted, before it is turned into rates.
 struct ArmTally {
     arm: &'static str,
@@ -138,8 +130,8 @@ impl ArmTally {
             rejected: self.rejected,
             ticks: self.ticks,
             sched_jobs_per_sec: self.started as f64 / self.tick_wall_s.max(1e-9),
-            wait_p50_s: percentile(&self.waits, 0.50),
-            wait_p99_s: percentile(&self.waits, 0.99),
+            wait_p50_s: report::nearest_rank(&self.waits, 0.50),
+            wait_p99_s: report::nearest_rank(&self.waits, 0.99),
             utilization: self.busy_proc_s / (self.capacity as f64 * makespan_s),
             derives_per_tick: self.derives as f64 / self.ticks.max(1) as f64,
             makespan_s,

@@ -19,18 +19,20 @@
 //! ratio ≥ 10× at the largest size, worst epsilon ≤ 5%.
 //!
 //! First, while the process is still small, it drives the real sharded
-//! chain — monitor → `snapshot()` → `derive_sharded` → `allocate_pruned` —
-//! on `campus(k, 48, 1)` at 480 nodes (quick) or 1,920 and ~10k nodes
-//! (full), recording wall times, peak RSS and the pair cells the
-//! snapshot stores, which must be `Σ_s C(m_s, 2) + C(S, 2)`: blocks, not a
-//! V×V matrix (also asserted in `ci.sh`).
+//! chain — monitor → `snapshot()` → `Loads::derive_with_policy` →
+//! `allocate_pruned` — on `campus(k, 48, 1)` at 480 nodes (quick) or 1,920
+//! and ~10k nodes (full), recording wall times, peak RSS, the decision's
+//! expanded and pruned starts (which must add up to the usable nodes) and
+//! the pair cells the snapshot stores, which must be
+//! `Σ_s C(m_s, 2) + C(S, 2)`: blocks, not a V×V matrix (both also
+//! asserted in `ci.sh`).
 //!
 //! Output: `BENCH_monitor.json` at the repository root (full runs) or
 //! under `results/` (`NLRM_QUICK=1` CI smoke).
 
 use nlrm_bench::report::{self, Table};
 use nlrm_core::select::group_cost;
-use nlrm_core::{allocate_pruned, Loads, NlRep, StalenessPolicy};
+use nlrm_core::{allocate_pruned, Loads, StalenessPolicy};
 use nlrm_core::{ComputeWeights, NetworkWeights};
 use nlrm_monitor::daemons::{central_cycle_cost, DaemonConfig};
 use nlrm_monitor::sample::LatencyStat;
@@ -170,6 +172,9 @@ struct ChainRow {
     snapshot_ms: f64,
     derive_ms: f64,
     allocate_ms: f64,
+    usable: usize,
+    expanded: usize,
+    pruned: usize,
     peak_rss_mb: f64,
     threads: usize,
 }
@@ -190,8 +195,8 @@ fn p50_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// The real sharded chain on `campus(clusters, 48, 1)`: 120 s of
-/// monitoring, then `snapshot()` and `derive_sharded` (p50 of 5 each) and
-/// one `allocate_pruned` decision.
+/// monitoring, then `snapshot()` and `Loads::derive_with_policy` (p50 of 5
+/// each) and one `allocate_pruned` decision.
 fn chain_at(clusters: usize) -> ChainRow {
     let mut cluster = nlrm_cluster::iitk::campus(clusters, PER_SWITCH as usize, 1);
     let idx = cluster.topology().switch_index();
@@ -212,16 +217,15 @@ fn chain_at(clusters: usize) -> ChainRow {
     let PairSource::Blocks(blocks) = &snap.pairs else {
         panic!("a sharded monitor yields a block snapshot");
     };
-    let inter = rt.inter_estimate().expect("estimate published");
     let (cw, nw) = (
         ComputeWeights::paper_default(),
         NetworkWeights::paper_default(),
     );
     let policy = StalenessPolicy::default();
     let (derive_ms, loads) = p50_ms(5, || {
-        Loads::derive_sharded(&snap, &inter, &cw, &nw, Some(4), &policy).expect("derive")
+        Loads::derive_with_policy(&snap, &cw, &nw, Some(4), &policy).expect("derive")
     });
-    let (allocate_ms, _) = p50_ms(1, || {
+    let (allocate_ms, decision) = p50_ms(1, || {
         allocate_pruned(&loads, 64, 0.5, 0.5).expect("allocate")
     });
     ChainRow {
@@ -232,6 +236,9 @@ fn chain_at(clusters: usize) -> ChainRow {
         snapshot_ms,
         derive_ms,
         allocate_ms,
+        usable: loads.usable.len(),
+        expanded: decision.expanded,
+        pruned: decision.pruned,
         peak_rss_mb: report::peak_rss_mb(),
         threads: nlrm_core::par::worker_threads(),
     }
@@ -259,9 +266,7 @@ fn epsilon_for(name: &'static str, mut cluster: nlrm_cluster::ClusterSim) -> Eps
     let snap = rt
         .warm_snapshot(&mut cluster, Duration::from_secs(360))
         .expect("snapshot");
-    let inter = rt.inter_estimate().expect("estimate published");
-    let est = Loads::derive_sharded(&snap, &inter, &cw, &nw, Some(4), &policy).expect("derive");
-    assert!(matches!(*est.nl, NlRep::Estimated(_)));
+    let est = Loads::derive_with_policy(&snap, &cw, &nw, Some(4), &policy).expect("derive");
     let exact_snap = oracle_snapshot(&snap, &cluster);
     let exact_dense =
         Loads::derive_with_policy(&exact_snap, &cw, &nw, Some(4), &policy).expect("derive exact");
@@ -374,6 +379,9 @@ fn main() {
         "snapshot_ms",
         "derive_ms",
         "allocate_ms",
+        "usable",
+        "expanded",
+        "pruned",
         "peak_rss_MB",
         "threads",
     ]);
@@ -385,6 +393,9 @@ fn main() {
             format!("{:.2}", c.snapshot_ms),
             format!("{:.2}", c.derive_ms),
             format!("{:.2}", c.allocate_ms),
+            c.usable.to_string(),
+            c.expanded.to_string(),
+            c.pruned.to_string(),
             format!("{:.1}", c.peak_rss_mb),
             c.threads.to_string(),
         ]);
@@ -446,6 +457,7 @@ fn main() {
             "    {{\"nodes\": {}, \"shards\": {}, \"pair_cells\": {}, \
              \"expected_pair_cells\": {}, \"snapshot_ms\": {:.3}, \
              \"derive_ms\": {:.3}, \"allocate_ms\": {:.3}, \
+             \"usable\": {}, \"expanded\": {}, \"pruned\": {}, \
              \"peak_rss_mb\": {:.1}, \"threads\": {}}}{comma}",
             c.nodes,
             c.shards,
@@ -454,6 +466,9 @@ fn main() {
             c.snapshot_ms,
             c.derive_ms,
             c.allocate_ms,
+            c.usable,
+            c.expanded,
+            c.pruned,
             c.peak_rss_mb,
             c.threads
         );
@@ -499,6 +514,12 @@ fn main() {
         assert_eq!(
             c.pair_cells, c.expected_pair_cells,
             "the {}-node snapshot must store its blocks, not a V×V matrix",
+            c.nodes
+        );
+        assert_eq!(
+            c.expanded + c.pruned,
+            c.usable,
+            "every start of the {}-node decision is expanded or pruned",
             c.nodes
         );
     }

@@ -31,11 +31,6 @@ struct SizeResult {
     mean_pruned: f64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn sweep_size(v: u32, jobs: usize, seed: u64) -> SizeResult {
     let build_start = Instant::now();
     let loads = tiered_loads(v, PER_SWITCH, seed);
@@ -63,8 +58,8 @@ fn sweep_size(v: u32, jobs: usize, seed: u64) -> SizeResult {
         jobs,
         build_secs,
         allocs_per_sec: jobs as f64 / total,
-        p50_ms: percentile(&latencies, 0.50) * 1e3,
-        p99_ms: percentile(&latencies, 0.99) * 1e3,
+        p50_ms: report::nearest_rank(&latencies, 0.50) * 1e3,
+        p99_ms: report::nearest_rank(&latencies, 0.99) * 1e3,
         mean_expanded: expanded as f64 / jobs as f64,
         mean_pruned: pruned as f64 / jobs as f64,
     }

@@ -142,6 +142,16 @@ impl Table {
     }
 }
 
+/// The `p`-quantile (`p` in `[0, 1]`) of ascending `sorted` as the element
+/// at rank `round((len − 1)·p)`, never interpolated; 0 for an empty slice.
+pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Format seconds with adaptive precision.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 100.0 {
@@ -189,6 +199,17 @@ mod tests {
         let path = write_result("report_test_scratch.txt", "ok\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "ok\n");
         let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn nearest_rank_picks_an_element_and_never_interpolates() {
+        let xs = [1.0, 2.0, 4.0, 8.0];
+        assert_eq!(nearest_rank(&xs, 0.0), 1.0);
+        assert_eq!(nearest_rank(&xs, 0.5), 4.0); // rank 1.5 rounds up
+        assert_eq!(nearest_rank(&xs, 0.99), 8.0);
+        assert_eq!(nearest_rank(&xs, 1.0), 8.0);
+        assert_eq!(nearest_rank(&[3.0], 0.5), 3.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -75,13 +75,6 @@ impl ClusterSim {
         }
     }
 
-    /// Simulation resolution (default 5 s). Dynamics are stepped at this
-    /// granularity; `advance_to` snaps to multiples of it.
-    pub fn set_resolution(&mut self, step: Duration) {
-        assert!(!step.is_zero());
-        self.step = step;
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.clock

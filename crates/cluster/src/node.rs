@@ -25,14 +25,6 @@ pub struct NodeSpec {
     pub total_mem_gb: f64,
 }
 
-impl NodeSpec {
-    /// Relative compute speed of one core (GHz as the proxy, like the paper's
-    /// "CPU frequency: maximize" attribute).
-    pub fn core_speed(&self) -> f64 {
-        self.freq_ghz
-    }
-}
-
 /// Instantaneous dynamic state of a node as the OS utilities would report it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeState {

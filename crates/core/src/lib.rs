@@ -51,5 +51,5 @@ pub use policies::{
 };
 pub use request::{AllocError, Allocation, AllocationRequest};
 pub use scalable::{allocate_pruned, PrunedSelection};
-pub use tiered::{EstimatedNl, NlRep, TieredNl};
+pub use tiered::{NlRep, TieredNl};
 pub use weights::{ComputeWeights, NetworkWeights};

@@ -4,9 +4,9 @@
 
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
-use crate::tiered::{EstimatedNl, TieredNl};
+use crate::tiered::TieredNl;
 use crate::weights::{ComputeWeights, NetworkWeights};
-use nlrm_monitor::{BlockPairs, ClusterSnapshot, InterEstimate, PairSource, SymMatrix};
+use nlrm_monitor::{BlockPairs, ClusterSnapshot, PairSource, SymMatrix};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
@@ -131,22 +131,6 @@ impl Loads {
         ppn: Option<u32>,
         policy: &StalenessPolicy,
     ) -> Result<Loads, AllocError> {
-        Self::derive_core(snap, compute_weights, network_weights, ppn, policy)
-            .map(|(loads, _)| loads)
-    }
-
-    /// The shared derivation body: everything `derive_with_policy` does,
-    /// plus the [`NlNorm`] map that turned raw pair metrics into the final
-    /// normalized NL values. `derive_sharded` reuses the map to push the
-    /// estimator's raw error bands through the *same* normalization, so
-    /// the bounds live on the same scale as the point matrix.
-    fn derive_core(
-        snap: &ClusterSnapshot,
-        compute_weights: &ComputeWeights,
-        network_weights: &NetworkWeights,
-        ppn: Option<u32>,
-        policy: &StalenessPolicy,
-    ) -> Result<(Loads, NlNorm), AllocError> {
         compute_weights
             .validate()
             .map_err(AllocError::InvalidRequest)?;
@@ -280,7 +264,7 @@ impl Loads {
         let mut cl = saw_scores(&columns);
 
         // --- Eq. 2: pairwise network load, kept in the snapshot's shape ---
-        let (nl, norm) = match &snap.pairs {
+        let nl = match &snap.pairs {
             PairSource::Dense(_) => dense_network_load(snap, &usable, network_weights, policy),
             PairSource::Blocks(b) => block_network_load(snap, b, &usable, network_weights, policy),
         };
@@ -303,70 +287,6 @@ impl Loads {
             })
             .collect();
 
-        Ok((Loads::from_parts(usable, cl, nl, pc), norm))
-    }
-
-    /// Derive loads from a *sharded* snapshot, keeping the estimator's
-    /// error bands attached to the result.
-    ///
-    /// The point values are exactly [`Loads::derive_with_policy`]'s on the
-    /// same block snapshot: a [`TieredNl`] with exact intra-shard pairs and
-    /// one exact value per shard pair (every cross pair of a shard pair
-    /// reads the same estimate cell). The estimator's raw `[lo, hi]` bands
-    /// per shard pair are mapped through the same monotone normalization
-    /// that produced the point values, yielding NL bounds on the same
-    /// scale. Shard pairs the estimate does not cover get the vacuous band
-    /// `[0, ∞)`, so pruning over the lower bounds stays sound:
-    /// [`EstimatedNl::min_incident`] never exceeds the point answer, and
-    /// `allocate_pruned` can never discard a candidate the exhaustive
-    /// search over this `Loads` would keep. A dense (central) snapshot has
-    /// no shards to band and is rejected as an invalid request.
-    pub fn derive_sharded(
-        snap: &ClusterSnapshot,
-        est: &InterEstimate,
-        compute_weights: &ComputeWeights,
-        network_weights: &NetworkWeights,
-        ppn: Option<u32>,
-        policy: &StalenessPolicy,
-    ) -> Result<Loads, AllocError> {
-        let PairSource::Blocks(blocks) = &snap.pairs else {
-            return Err(AllocError::InvalidRequest(
-                "derive_sharded needs a sharded (block) snapshot".into(),
-            ));
-        };
-        let (loads, norm) = Self::derive_core(snap, compute_weights, network_weights, ppn, policy)?;
-        let Loads {
-            usable, cl, nl, pc, ..
-        } = loads;
-        let Ok(NlRep::Tiered(point)) = Arc::try_unwrap(nl) else {
-            unreachable!("a block snapshot derives to an unshared tiered NL");
-        };
-        // bucket b < shards is shard b; the last bucket (nodes in no
-        // shard) keeps the vacuous band
-        let shards = blocks.blocks();
-        let k = point.num_switches();
-        let mut inter_lo = vec![0.0f64; k * k];
-        let mut inter_hi = vec![f64::INFINITY; k * k];
-        for a in 0..k {
-            inter_hi[a * k + a] = 0.0;
-            for b in (a + 1)..shards.len().min(k) {
-                let (s, t) = (shards[a].shard, shards[b].shard);
-                if s == t || !est.covers(s) || !est.covers(t) {
-                    continue; // vacuous [0, ∞) band
-                }
-                let (lat, cbw) = match (est.latency_s(s, t), est.cbw_bps(s, t)) {
-                    (Some(l), Some(c)) => (l, c),
-                    _ => continue,
-                };
-                let lo = norm.map(network_weights, lat.lo, cbw.lo);
-                let hi = norm.map(network_weights, lat.hi, cbw.hi);
-                inter_lo[a * k + b] = lo;
-                inter_lo[b * k + a] = lo;
-                inter_hi[a * k + b] = hi;
-                inter_hi[b * k + a] = hi;
-            }
-        }
-        let nl = NlRep::Estimated(EstimatedNl::new(point, inter_lo, inter_hi));
         Ok(Loads::from_parts(usable, cl, nl, pc))
     }
 
@@ -498,41 +418,6 @@ pub fn effective_pc(core_count: u32, load_m1: f64) -> u32 {
     core_count - load % core_count
 }
 
-/// The monotone affine map from raw pair metrics — latency in seconds and
-/// complement-of-available-bandwidth in bps — to the final normalized NL
-/// value that the Eq. 2 builders plus the unit-mean rescale produce:
-/// `NL = (w_lt·lat·lat_scale + w_bw·cbw·cbw_scale) / pair_mean`. Both
-/// scales are non-negative, so the map is monotone non-decreasing in each
-/// argument: pushing an interval's endpoints through it yields a valid
-/// interval for the mapped value. That is what lets `derive_sharded` turn
-/// the estimator's raw error bands into sound NL bounds.
-#[derive(Debug, Clone, Copy, Default)]
-struct NlNorm {
-    /// `1 / Σ` of the latency column (0 when the column summed to 0,
-    /// matching `normalize_sum`'s all-zero output).
-    lat_scale: f64,
-    /// `1 / Σ` of the cbw column.
-    cbw_scale: f64,
-    /// Mean combined NL over usable pairs. 0 means "no rescale was
-    /// applied".
-    pair_mean: f64,
-}
-
-impl NlNorm {
-    fn map(&self, weights: &NetworkWeights, lat_raw: f64, cbw_raw: f64) -> f64 {
-        if !lat_raw.is_finite() || !cbw_raw.is_finite() {
-            return f64::INFINITY;
-        }
-        let nl = weights.latency * lat_raw * self.lat_scale
-            + weights.bandwidth * cbw_raw * self.cbw_scale;
-        if self.pair_mean > 0.0 {
-            nl / self.pair_mean
-        } else {
-            nl
-        }
-    }
-}
-
 /// 10× a column's worst measured value: the unmeasured penalty.
 fn penalty(column: &[f64]) -> f64 {
     let max_finite = column
@@ -569,14 +454,6 @@ fn normalized(value: f64, sum: f64) -> f64 {
     }
 }
 
-fn sum_scale(sum: f64) -> f64 {
-    if sum > 0.0 && sum.is_finite() {
-        1.0 / sum
-    } else {
-        0.0
-    }
-}
-
 /// Eq. 2 over a derivation's distinct inputs, each named by one usable
 /// pair that reads it and the number of usable pairs that do: normalized
 /// latency and normalized complement of available bandwidth, combined
@@ -584,15 +461,14 @@ fn sum_scale(sum: f64) -> f64 {
 /// An unmeasured input takes its column's penalty; one whose rows aged
 /// past `policy.max_pair_age` is blended toward it. `ordered_sum` sums a
 /// column over the usable `i < j` pairs in order, so every input gets the
-/// value a per-pair dense derivation gives it. Returns the values and
-/// the [`NlNorm`] the normalization applied.
+/// value a per-pair dense derivation gives it.
 fn network_load(
     snap: &ClusterSnapshot,
     inputs: &[((NodeId, NodeId), usize)],
     ordered_sum: impl Fn(&[f64]) -> f64,
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> (Vec<f64>, NlNorm) {
+) -> Vec<f64> {
     // latency column: prefer the 1-minute mean, fall back to the instant
     let mut lat: Vec<f64> = inputs
         .iter()
@@ -632,7 +508,7 @@ fn network_load(
         nlrm_obs::ctx::add("loads_stale_pairs_blended_total", blended as u64);
     }
     if pairs == 0 {
-        return (lat, NlNorm::default());
+        return lat;
     }
     let (lat_sum, cbw_sum) = (ordered_sum(&lat), ordered_sum(&cbw));
     let mut nl: Vec<f64> = (0..lat.len())
@@ -645,12 +521,7 @@ fn network_load(
     if pair_mean > 0.0 {
         nl.iter_mut().for_each(|x| *x /= pair_mean);
     }
-    let norm = NlNorm {
-        lat_scale: sum_scale(lat_sum),
-        cbw_scale: sum_scale(cbw_sum),
-        pair_mean,
-    };
-    (nl, norm)
+    nl
 }
 
 /// Eq. 2 on a dense snapshot: one input per usable pair.
@@ -659,19 +530,19 @@ fn dense_network_load(
     usable: &[NodeId],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> (NlRep, NlNorm) {
+) -> NlRep {
     let inputs: Vec<((NodeId, NodeId), usize)> = usable
         .iter()
         .enumerate()
         .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| ((u, v), 1)))
         .collect();
     let sum = |column: &[f64]| column.iter().sum();
-    let (nl, norm) = network_load(snap, &inputs, sum, weights, policy);
+    let nl = network_load(snap, &inputs, sum, weights, policy);
     let mut out = SymMatrix::new(snap.num_nodes(), 0.0);
     for (&((u, v), _), &x) in inputs.iter().zip(&nl) {
         out.set(u, v, x);
     }
-    (NlRep::Dense(out), norm)
+    NlRep::Dense(out)
 }
 
 /// Eq. 2 on a block snapshot, straight into a [`TieredNl`] with no V×V
@@ -686,7 +557,7 @@ fn block_network_load(
     usable: &[NodeId],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> (NlRep, NlNorm) {
+) -> NlRep {
     let k = blocks.blocks().len() + 1;
     let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
     for &u in usable {
@@ -733,8 +604,7 @@ fn block_network_load(
         TieredNl::from_parts(members.clone(), intra, cross)
     };
     let sum = |column: &[f64]| tiered(column).group_sum(usable);
-    let (nl, norm) = network_load(snap, &inputs, sum, weights, policy);
-    (NlRep::Tiered(tiered(&nl)), norm)
+    NlRep::Tiered(tiered(&network_load(snap, &inputs, sum, weights, policy)))
 }
 
 #[cfg(test)]
@@ -1009,21 +879,13 @@ mod tests {
     fn restrict_shares_nl_and_matches_from_parts() {
         let dense = derive(&snapshot(8, 3));
         let tiered = dense.clone().into_tiered(&SwitchIndex::uniform(8, 3));
-        let point = tiered.nl.as_tiered().unwrap().clone();
-        let s = point.num_switches();
-        let estimated = Loads::from_parts(
-            dense.usable.clone(),
-            dense.cl.clone(),
-            NlRep::Estimated(EstimatedNl::new(point, vec![0.0; s * s], vec![9.0; s * s])),
-            dense.pc.clone(),
-        );
         // drop nodes 1 and 6, halve the capacity of the even ones
         let capacity = |n: NodeId, pc: u32| match n.0 {
             1 | 6 => 0,
             i if i % 2 == 0 => pc / 2,
             _ => pc,
         };
-        for base in [&dense, &tiered, &estimated] {
+        for base in [&dense, &tiered] {
             let view = base.restrict(capacity);
             assert!(Arc::ptr_eq(&view.nl, &base.nl), "NL was copied");
             let kept: Vec<NodeId> = base

@@ -26,9 +26,9 @@
 //!   `pc_max`. For a zero-capacity start (not itself in the group) the
 //!   global minimum incident load bounds instead.
 //!
-//! The search is organised around *switch classes*: on a tiered or
-//! estimated representation the starts of one switch form a class (they
-//! share one foreign-stream order, see
+//! The search is organised around *switch classes*: on a tiered
+//! representation the starts of one switch form a class (they share one
+//! foreign-stream order, see
 //! [`TieredBuckets`](crate::candidate)); on a dense one each start is its
 //! own class. Inside a class starts ascend by `(bound, id)`, and classes
 //! ascend by their first member's `(bound, id)`. Classes are expanded in

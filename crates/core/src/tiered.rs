@@ -173,11 +173,6 @@ impl TieredNl {
         s
     }
 
-    /// Covered nodes of switch `s`, ascending id.
-    pub fn switch_members(&self, s: u32) -> &[NodeId] {
-        &self.members[s as usize]
-    }
-
     /// Aggregated value for a switch pair (`s ≠ t`).
     pub fn inter_value(&self, s: u32, t: u32) -> f64 {
         debug_assert_ne!(s, t);
@@ -267,12 +262,6 @@ impl TieredNl {
     /// node (`f64::INFINITY` when `usable` is a singleton). Used as the
     /// network term of the pruning lower bound.
     pub fn min_incident(&self, usable: &[NodeId]) -> Vec<f64> {
-        self.min_incident_with(usable, &self.inter)
-    }
-
-    /// [`min_incident`](Self::min_incident) with inter-switch pairs read
-    /// from `inter` (`S×S` row-major) — the point values or lower bands.
-    fn min_incident_with(&self, usable: &[NodeId], inter: &[f64]) -> Vec<f64> {
         let s_count = self.members.len();
         // group usable nodes by switch for intra row scans
         let mut by_switch: Vec<Vec<NodeId>> = vec![Vec::new(); s_count];
@@ -285,7 +274,7 @@ impl TieredNl {
                 let mut m = f64::INFINITY;
                 for (t, mt) in by_switch.iter().enumerate() {
                     if t != s && !mt.is_empty() {
-                        m = m.min(inter[s * s_count + t]);
+                        m = m.min(self.inter[s * s_count + t]);
                     }
                 }
                 m
@@ -307,95 +296,6 @@ impl TieredNl {
     }
 }
 
-/// A tiered network load whose inter-switch values are *estimates* with
-/// per-switch-pair error bounds (from the sharded monitor's landmark
-/// sampling, see `nlrm-monitor`'s `estimate` module).
-///
-/// Point queries delegate to the inner [`TieredNl`]; the extra `inter_lo`
-/// matrix gives a certified lower bound per switch pair, which
-/// [`EstimatedNl::min_incident`] uses so Alg. 2's pruning bound stays a
-/// true lower bound — an estimate-driven prune can never discard the exact
-/// optimum. Intra-switch pairs are directly measured, so their bounds are
-/// the value itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstimatedNl {
-    point: TieredNl,
-    /// `S×S` row-major lower bounds for inter-switch values.
-    inter_lo: Vec<f64>,
-    /// `S×S` row-major upper bounds.
-    inter_hi: Vec<f64>,
-}
-
-impl EstimatedNl {
-    /// Wrap a point estimate with inter-switch bound matrices (`S×S`
-    /// row-major, diagonal unused). Bounds are clamped so that
-    /// `lo ≤ point ≤ hi` always holds, even if normalization or staleness
-    /// blending nudged the point outside the raw measurement bands.
-    pub fn new(point: TieredNl, mut inter_lo: Vec<f64>, mut inter_hi: Vec<f64>) -> EstimatedNl {
-        let s_count = point.num_switches();
-        assert_eq!(inter_lo.len(), s_count * s_count, "lo matrix shape");
-        assert_eq!(inter_hi.len(), s_count * s_count, "hi matrix shape");
-        for s in 0..s_count {
-            for t in 0..s_count {
-                if s == t {
-                    continue;
-                }
-                let k = s * s_count + t;
-                let p = point.inter[k];
-                inter_lo[k] = inter_lo[k].min(p);
-                inter_hi[k] = inter_hi[k].max(p);
-            }
-        }
-        EstimatedNl {
-            point,
-            inter_lo,
-            inter_hi,
-        }
-    }
-
-    /// The point-estimate tiered structure.
-    pub fn point(&self) -> &TieredNl {
-        &self.point
-    }
-
-    /// `[lo, hi]` bounds for a distinct covered pair. Same-switch pairs
-    /// are measured, so both bounds equal the value.
-    pub fn bounds(&self, u: NodeId, v: NodeId) -> (f64, f64) {
-        let (su, sv) = (
-            self.point.switch_of_node(u) as usize,
-            self.point.switch_of_node(v) as usize,
-        );
-        if su == sv {
-            let p = self.point.get(u, v);
-            (p, p)
-        } else {
-            let s_count = self.point.num_switches();
-            (
-                self.inter_lo[su * s_count + sv],
-                self.inter_hi[su * s_count + sv],
-            )
-        }
-    }
-
-    /// Point value for a distinct pair.
-    pub fn get(&self, u: NodeId, v: NodeId) -> f64 {
-        self.point.get(u, v)
-    }
-
-    /// Σ point values over all unordered pairs of `usable`.
-    pub fn pair_sum(&self, usable: &[NodeId]) -> f64 {
-        self.point.pair_sum(usable)
-    }
-
-    /// Per-node minimum *lower-bound* NL to any other usable node: intra
-    /// pairs use their exact values, inter pairs the `inter_lo` bound. The
-    /// result underestimates the point-value answer, keeping the pruning
-    /// bound sound under estimation error.
-    pub fn min_incident(&self, usable: &[NodeId]) -> Vec<f64> {
-        self.point.min_incident_with(usable, &self.inter_lo)
-    }
-}
-
 /// The network-load representation carried by `Loads`, behind `nl_between`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NlRep {
@@ -403,9 +303,6 @@ pub enum NlRep {
     Dense(SymMatrix<f64>),
     /// Exact intra-switch, aggregated inter-switch.
     Tiered(TieredNl),
-    /// Tiered point estimate with inter-switch error bounds (sharded
-    /// monitoring); pruning consumes the lower bounds.
-    Estimated(EstimatedNl),
 }
 
 impl NlRep {
@@ -414,7 +311,6 @@ impl NlRep {
         match self {
             NlRep::Dense(m) => m.get(u, v),
             NlRep::Tiered(t) => t.get(u, v),
-            NlRep::Estimated(e) => e.get(u, v),
         }
     }
 
@@ -433,7 +329,6 @@ impl NlRep {
                 sum
             }
             NlRep::Tiered(t) => t.group_sum(nodes),
-            NlRep::Estimated(e) => e.point().group_sum(nodes),
         }
     }
 
@@ -442,14 +337,10 @@ impl NlRep {
         match self {
             NlRep::Dense(_) => self.group_sum(usable),
             NlRep::Tiered(t) => t.pair_sum(usable),
-            NlRep::Estimated(e) => e.pair_sum(usable),
         }
     }
 
     /// Per-node minimum NL to any other usable node (∞ for singletons).
-    /// For the `Estimated` representation this is a certified *lower
-    /// bound* (inter pairs use their lower bands), so pruning bounds built
-    /// on it never exceed the true cost.
     pub fn min_incident(&self, usable: &[NodeId]) -> Vec<f64> {
         match self {
             NlRep::Dense(m) => usable
@@ -465,16 +356,13 @@ impl NlRep {
                 })
                 .collect(),
             NlRep::Tiered(t) => t.min_incident(usable),
-            NlRep::Estimated(e) => e.min_incident(usable),
         }
     }
 
-    /// The tiered structure, when this representation has one (the
-    /// `Estimated` variant exposes its point estimate).
+    /// The tiered structure, when this representation has one.
     pub fn as_tiered(&self) -> Option<&TieredNl> {
         match self {
             NlRep::Tiered(t) => Some(t),
-            NlRep::Estimated(e) => Some(e.point()),
             NlRep::Dense(_) => None,
         }
     }
@@ -655,9 +543,7 @@ mod tests {
             |a, b| val(a.0, b.0),
             |s, q| val(s.min(q), s.max(q)) / 3.0,
         );
-        let s = t.num_switches();
-        let est = EstimatedNl::new(t.clone(), vec![0.0; s * s], vec![9.0; s * s]);
-        let reps = [NlRep::Dense(dense), NlRep::Tiered(t), NlRep::Estimated(est)];
+        let reps = [NlRep::Dense(dense), NlRep::Tiered(t)];
         // scrambled order, spanning every switch; the 70-node group
         // repeats one node
         let scrambled: Vec<NodeId> = (0..v).map(|i| NodeId((i * 37 + 11) % v)).collect();
@@ -688,81 +574,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn estimated_6(margin: f64) -> EstimatedNl {
-        let idx = index_2x3();
-        let dense = dense_6();
-        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
-        let s = t.num_switches();
-        let mut lo = vec![0.0; s * s];
-        let mut hi = vec![0.0; s * s];
-        for a in 0..s {
-            for b in 0..s {
-                if a != b {
-                    lo[a * s + b] = t.inter_value(a as u32, b as u32) - margin;
-                    hi[a * s + b] = t.inter_value(a as u32, b as u32) + margin;
-                }
-            }
-        }
-        EstimatedNl::new(t, lo, hi)
-    }
-
-    #[test]
-    fn estimated_point_queries_match_tiered() {
-        let e = estimated_6(3.0);
-        let t = e.point().clone();
-        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let rep = NlRep::Estimated(e);
-        for (i, &u) in nodes.iter().enumerate() {
-            for &v in &nodes[i + 1..] {
-                assert_eq!(rep.get(u, v), t.get(u, v));
-            }
-        }
-        assert_eq!(rep.pair_sum(&nodes), t.pair_sum(&nodes));
-        assert!(rep.as_tiered().is_some());
-    }
-
-    #[test]
-    fn estimated_bounds_bracket_the_point() {
-        let e = estimated_6(3.0);
-        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        for (i, &u) in nodes.iter().enumerate() {
-            for &v in &nodes[i + 1..] {
-                let (lo, hi) = e.bounds(u, v);
-                let p = e.get(u, v);
-                assert!(lo <= p && p <= hi, "bounds({u},{v}) = [{lo},{hi}] ∌ {p}");
-                if e.point().switch_of_node(u) == e.point().switch_of_node(v) {
-                    assert_eq!(lo, hi, "intra pairs are exact");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn estimated_min_incident_is_a_lower_bound() {
-        let e = estimated_6(3.0);
-        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let point_mins = NlRep::Tiered(e.point().clone()).min_incident(&nodes);
-        let est_mins = NlRep::Estimated(e).min_incident(&nodes);
-        for (lo, p) in est_mins.iter().zip(&point_mins) {
-            assert!(lo <= p, "estimated min_incident {lo} above point {p}");
-        }
-    }
-
-    #[test]
-    fn estimated_new_clamps_inverted_bounds() {
-        // hand the constructor bounds that exclude the point: they must be
-        // widened to contain it
-        let idx = index_2x3();
-        let dense = dense_6();
-        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
-        let s = t.num_switches();
-        let e = EstimatedNl::new(t, vec![1e9; s * s], vec![-1e9; s * s]);
-        let (lo, hi) = e.bounds(NodeId(0), NodeId(4));
-        let p = e.get(NodeId(0), NodeId(4));
-        assert!(lo <= p && p <= hi);
     }
 }

@@ -3,13 +3,16 @@
 //! dense reference: the same snapshot materialised into V×V matrices
 //! through its accessors and derived the dense way. Every usable set, CL,
 //! pc and pair NL must match bit for bit, and so must every `place()`
-//! winner and candidate cost, on full and restricted views. Degenerate
-//! monitor output must match the reference too, or fail with the same
-//! typed error, and never panic.
+//! winner and candidate cost, on full and restricted views. The pruned
+//! allocator must pick the exhaustive winner on block-derived loads.
+//! Degenerate monitor output must match the reference too, or fail with
+//! the same typed error, and never panic.
 
 use nlrm_cluster::iitk::campus;
+use nlrm_core::candidate::generate_all_candidates;
 use nlrm_core::policies::place;
-use nlrm_core::{AllocError, AllocationRequest, Loads, NlRep, StalenessPolicy};
+use nlrm_core::select::group_cost;
+use nlrm_core::{allocate_pruned, AllocError, AllocationRequest, Loads, NlRep, StalenessPolicy};
 use nlrm_monitor::codec::{decode, encode, MonitorRecord};
 use nlrm_monitor::daemons::DaemonConfig;
 use nlrm_monitor::store::paths;
@@ -170,6 +173,34 @@ fn campus_480_blocks_match_the_dense_reference() {
 }
 
 #[test]
+fn pruned_matches_exhaustive_on_block_derived_loads() {
+    for (clusters, per, seed) in [(3, 8, 5), (10, 48, 1)] {
+        let (_, snap) = sharded(clusters, per, seed);
+        for &(alpha, beta) in &[(0.3, 0.7), (0.5, 0.5), (0.7, 0.3)] {
+            for n in [8u32, 16, 32, 64] {
+                let what = format!("campus({clusters},{per},{seed}) n={n} α={alpha}");
+                let req = AllocationRequest::new(n, Some(4), alpha, beta);
+                let loads = derive(&snap, &req, &StalenessPolicy::default()).unwrap();
+                assert!(matches!(*loads.nl, NlRep::Tiered(_)), "{what}");
+                // exhaustive winner under (group_cost, start id)
+                let (cost, start) = generate_all_candidates(&loads, n, alpha, beta)
+                    .iter()
+                    .map(|c| (group_cost(&loads, &c.nodes, alpha, beta), c.start))
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .expect("a candidate");
+                let got = allocate_pruned(&loads, n, alpha, beta).expect("a winner");
+                assert_eq!(
+                    (got.cost.to_bits(), got.winner.start),
+                    (cost.to_bits(), start),
+                    "{what}"
+                );
+                assert_eq!(got.expanded + got.pruned, loads.usable.len(), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
 fn every_block_is_one_value() {
     // a cross-shard pair reads its shard pair's one estimate cell, so the
     // tiered inter value is that block's exact value, not a mean
@@ -216,28 +247,6 @@ fn a_shard_without_a_record_leaves_its_nodes_in_no_shard() {
         &[8, 32],
         "shard without a record",
     );
-    // the estimate still covers that switch: the bands stay sound
-    let inter = rt.inter_estimate().expect("estimate");
-    let req = AllocationRequest::minimd(8);
-    let loads = Loads::derive_sharded(
-        &snap,
-        &inter,
-        &req.compute_weights,
-        &req.network_weights,
-        req.ppn,
-        &StalenessPolicy::default(),
-    )
-    .unwrap();
-    let NlRep::Estimated(e) = &*loads.nl else {
-        panic!("estimated NL");
-    };
-    for (i, &u) in loads.usable.iter().enumerate() {
-        for &v in &loads.usable[i + 1..] {
-            let (lo, hi) = e.bounds(u, v);
-            let p = loads.nl_between(u, v);
-            assert!(lo <= p && p <= hi, "({u},{v}): {p} outside [{lo}, {hi}]");
-        }
-    }
 }
 
 #[test]
@@ -350,20 +359,4 @@ fn no_usable_node_is_a_typed_error() {
         AllocError::NoUsableNodes
     );
     check(&snap, &StalenessPolicy::default(), &[4], "nothing usable");
-}
-
-#[test]
-fn derive_sharded_rejects_a_dense_snapshot() {
-    let (rt, snap) = sharded(2, 4, 3);
-    let req = AllocationRequest::minimd(4);
-    let err = Loads::derive_sharded(
-        &dense_copy(&snap),
-        &rt.inter_estimate().unwrap(),
-        &req.compute_weights,
-        &req.network_weights,
-        req.ppn,
-        &StalenessPolicy::default(),
-    )
-    .unwrap_err();
-    assert!(matches!(err, AllocError::InvalidRequest(_)), "{err:?}");
 }

@@ -30,8 +30,8 @@
 //!
 //! The result is an [`InterEstimate`]: `O(S log S)` state (per-shard bands
 //! plus the probed pairs) answering point/lo/hi queries for *any* shard
-//! pair, which `Loads::derive_sharded` maps into an
-//! `EstimatedNl` whose lower bounds keep Alg. 2's pruning sound.
+//! pair. The snapshot reads its point values; the bands are published
+//! with the record but the allocator does not read them.
 
 use crate::codec::{encode, DirectPairRec, MonitorRecord, SwitchBandRec};
 use crate::daemons::{BANDWIDTH_PROBE_BYTES, LATENCY_PROBE_BYTES};

@@ -100,11 +100,6 @@ impl<T: Clone> GossipNet<T> {
         }
     }
 
-    /// Number of peers (live or not).
-    pub fn num_peers(&self) -> usize {
-        self.views.len()
-    }
-
     /// Mark a peer up or down. A down peer neither initiates nor answers
     /// exchanges; when it comes back its stale view catches up through
     /// anti-entropy.

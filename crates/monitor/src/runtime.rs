@@ -13,7 +13,7 @@
 use crate::central::{CentralMonitor, DaemonSet};
 use crate::daemons::DaemonConfig;
 pub use crate::daemons::DaemonKind;
-use crate::estimate::{InterEstimate, NlEstimator, PairProbe};
+use crate::estimate::{NlEstimator, PairProbe};
 use crate::gossip::GossipNet;
 use crate::shard::{ShardSummary, ShardSweeper};
 use crate::snapshot::{ClusterSnapshot, SnapshotError};
@@ -477,14 +477,6 @@ impl MonitorRuntime {
         self.sharded.as_ref().map(|s| &s.gossip)
     }
 
-    /// The latest published inter-shard estimate, decoded from the store
-    /// (sharded topology only; `None` before the first shard sweep).
-    pub fn inter_estimate(&self) -> Option<InterEstimate> {
-        let rec = self.store.get(paths::INTER_ESTIMATE)?;
-        let record = crate::codec::decode(&rec.data).ok()?;
-        InterEstimate::from_record(&record)
-    }
-
     /// Assemble the allocator's snapshot from the store: dense matrices
     /// under the central topology, shard blocks under the sharded one.
     /// Both answer the same pair accessors, so consumers need not know
@@ -656,7 +648,12 @@ mod tests {
                 lat.instant
             );
         }
-        assert!(rt.inter_estimate().is_some());
+        let rec = rt
+            .store()
+            .get(paths::INTER_ESTIMATE)
+            .expect("estimate published");
+        let record = crate::codec::decode(&rec.data).expect("estimate record");
+        assert!(crate::estimate::InterEstimate::from_record(&record).is_some());
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl ShardSweeper {
         self.members.len()
     }
 
-    /// Epoch the next sweep will stamp.
-    pub fn next_epoch(&self) -> u64 {
-        self.epoch + 1
-    }
-
     /// Run one sweep: probe every live intra-shard pair, publish one
     /// `ShardNl` record per non-empty shard, and return the traffic
     /// report. `alive` filters members; `probe` measures one pair.

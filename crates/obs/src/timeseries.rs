@@ -366,14 +366,6 @@ impl Sampler {
             .map(|src| &src.series)
     }
 
-    /// All tracked series names, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.by_name()
-            .into_iter()
-            .map(|src| src.name.as_str())
-            .collect()
-    }
-
     /// Export every series as one JSON object keyed by series name.
     pub fn to_json(&self) -> String {
         let pairs: Vec<(&str, String)> = self
