@@ -138,7 +138,9 @@ test -s "$OBS_DIR/health_report.md"
 # also asserted by the bin itself). Its real-chain row must store the
 # snapshot as blocks: Σ_s C(m_s, 2) exact pairs plus C(S, 2) shard-pair
 # cells, counted from the topology, never a V×V matrix, and its
-# allocate_pruned decision must expand or prune every usable start
+# allocate_pruned decision must expand or prune every usable start. Its
+# steady-state row (the monitor alone, long enough to fill the 15-minute
+# windows) must exist and report the resident set it leaves
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
     cargo run --release -q -p nlrm-bench --bin monitor_sweep
 python3 - "$OBS_DIR/BENCH_monitor.json" <<'PY'
@@ -156,6 +158,9 @@ for c in bench["chain"]:
     assert c["pair_cells"] == c["expected_pair_cells"], c
     assert c["pair_cells"] < c["nodes"] * (c["nodes"] - 1) // 2, c
     assert c["expanded"] + c["pruned"] == c["usable"], c
+steady = bench["steady"]
+assert steady["virtual_s"] >= 900, steady
+assert steady["rss_mb"] > 0, f"steady-state row has no RSS: {steady}"
 PY
 
 # incident smoke: every seeded storyline must replay bit-identically

@@ -16,31 +16,60 @@
 //!   SLO attainment, anomalies, sampled series), and sampler overhead;
 //! - `results/health_report.md` — the same comparison as a table;
 //! - `BENCH_health.json` — sampler/telemetry overhead as a fraction of
-//!   scenario runtime (repo root on full runs, results dir on quick).
+//!   scenario runtime, the median of five runs per arm (repo root on full
+//!   runs, results dir on quick).
 
 use nlrm_bench::report::{self, write_result, Table};
 use nlrm_bench::scenario::{self, ScenarioRun, ScenarioSpec};
 use nlrm_obs::{json, Progress};
 use std::fmt::Write as _;
 
-/// One scenario arm: its name and what the run produced.
+/// Runs per arm. One run takes a few milliseconds, too short for its
+/// overhead ratio alone to be stable, so each arm reports the median.
+const REPEATS: usize = 5;
+
+/// One scenario arm: its name, what its last run produced (every run is
+/// the same virtual-time history), and its median telemetry overhead.
 struct Arm {
     name: &'static str,
     result: ScenarioRun,
+    overhead_frac: f64,
 }
 
-/// Run one telemetry arm. The faulted arm takes the fault storyline and
-/// the never-placeable 64-process starver; the clean arm leaves both out,
-/// so a permanently starving job cannot trip the starvation detector on a
-/// run that is supposed to be healthy.
+/// Telemetry overhead of one run: time spent inside `Telemetry::tick`
+/// (health derivation + SLO evaluation + detectors + sampler) over the
+/// whole scenario wall time.
+fn overhead_frac(run: &ScenarioRun) -> f64 {
+    let tel = run.obs.telemetry.wall_nanos() as f64 / 1e9;
+    if run.wall_secs > 0.0 {
+        tel / run.wall_secs
+    } else {
+        0.0
+    }
+}
+
+/// Run one telemetry arm [`REPEATS`] times. The faulted arm takes the
+/// fault storyline and the never-placeable 64-process starver; the clean
+/// arm leaves both out, so a permanently starving job cannot trip the
+/// starvation detector on a run that is supposed to be healthy.
 fn run_arm(name: &'static str, seed: u64, checkpoints: &[u64], faulted: bool) -> Arm {
     let mut spec = ScenarioSpec::new("obs-report", seed, checkpoints);
     spec.faulted = faulted;
     spec.submit_huge = faulted;
     spec.telemetry = true;
+    let spec = spec.standard_arrivals(16);
+    let mut fracs = Vec::with_capacity(REPEATS);
+    let mut result = scenario::run(&spec);
+    fracs.push(overhead_frac(&result));
+    for _ in 1..REPEATS {
+        result = scenario::run(&spec);
+        fracs.push(overhead_frac(&result));
+    }
+    fracs.sort_by(f64::total_cmp);
     Arm {
         name,
-        result: scenario::run(&spec.standard_arrivals(16)),
+        result,
+        overhead_frac: fracs[REPEATS / 2],
     }
 }
 
@@ -101,19 +130,8 @@ fn main() {
     let clean = run_arm("clean", seed, checkpoints, false);
 
     progress.phase("export");
-    // telemetry overhead = time spent inside Telemetry::tick (health
-    // derivation + SLO evaluation + detectors + sampler) over the whole
-    // scenario wall time, reported for the heavier (faulted) arm
-    let overhead_frac = |arm: &Arm| {
-        let tel = arm.result.obs.telemetry.wall_nanos() as f64 / 1e9;
-        if arm.result.wall_secs > 0.0 {
-            tel / arm.result.wall_secs
-        } else {
-            0.0
-        }
-    };
-    let faulted_overhead = overhead_frac(&faulted);
-    let clean_overhead = overhead_frac(&clean);
+    let faulted_overhead = faulted.overhead_frac;
+    let clean_overhead = clean.overhead_frac;
 
     let params = json::object(&[
         ("seed", seed.to_string()),
@@ -130,6 +148,7 @@ fn main() {
         ),
     ]);
     let sampler = json::object(&[
+        ("repeats", REPEATS.to_string()),
         ("faulted_overhead_frac", json::num(faulted_overhead)),
         ("clean_overhead_frac", json::num(clean_overhead)),
         ("budget_frac", json::num(0.05)),
@@ -163,7 +182,7 @@ fn main() {
             count_kind(arm, "starvation").to_string(),
             arm.result.obs.journal.count_of("slo_breached").to_string(),
             arm.result.obs.telemetry.ticks().to_string(),
-            format!("{:.4}%", overhead_frac(arm) * 100.0),
+            format!("{:.4}%", arm.overhead_frac * 100.0),
         ]);
     }
     let mut md = String::new();
@@ -187,6 +206,7 @@ fn main() {
         ("bench", json::string("health_report")),
         ("quick", quick.to_string()),
         ("seed", seed.to_string()),
+        ("repeats", REPEATS.to_string()),
         ("faulted_wall_secs", json::num(faulted.result.wall_secs)),
         ("clean_wall_secs", json::num(clean.result.wall_secs)),
         (

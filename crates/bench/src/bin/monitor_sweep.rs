@@ -27,6 +27,11 @@
 //! `Σ_s C(m_s, 2) + C(S, 2)`: blocks, not a V×V matrix (both also
 //! asserted in `ci.sh`).
 //!
+//! A steady-state row then runs the sharded monitor alone for 1,200 s of
+//! virtual time on ~10k nodes (quick: 960 s on 480), long enough to fill
+//! the 15-minute node-state windows, and records its wall time and the
+//! resident set it leaves (`ci.sh` asserts the row exists).
+//!
 //! Output: `BENCH_monitor.json` at the repository root (full runs) or
 //! under `results/` (`NLRM_QUICK=1` CI smoke).
 
@@ -244,6 +249,42 @@ fn chain_at(clusters: usize) -> ChainRow {
     }
 }
 
+struct SteadyRow {
+    nodes: usize,
+    virtual_s: u64,
+    monitor_s: f64,
+    rss_start_mb: f64,
+    rss_mb: f64,
+    threads: usize,
+}
+
+/// The sharded monitor alone on `campus(clusters, 48, 1)` for `virtual_s`
+/// seconds of virtual time: its wall time, and the resident set before
+/// the cluster is built and after monitoring, with the runtime alive.
+fn steady_at(clusters: usize, virtual_s: u64) -> SteadyRow {
+    let rss_start_mb = report::rss_mb();
+    let mut cluster = nlrm_cluster::iitk::campus(clusters, PER_SWITCH as usize, 1);
+    let idx = cluster.topology().switch_index();
+    let mut rt = MonitorRuntime::with_topo(
+        &cluster,
+        DaemonConfig::default(),
+        MonitorTopo::Sharded(ShardConfig::new(idx)),
+    );
+    let t0 = std::time::Instant::now();
+    rt.run_until(&mut cluster, SimTime::from_secs(virtual_s));
+    let monitor_s = t0.elapsed().as_secs_f64();
+    let rss_mb = report::rss_mb();
+    drop(rt);
+    SteadyRow {
+        nodes: cluster.num_nodes(),
+        virtual_s,
+        monitor_s,
+        rss_start_mb,
+        rss_mb,
+        threads: nlrm_core::par::worker_threads(),
+    }
+}
+
 struct EpsRow {
     scenario: &'static str,
     nodes: usize,
@@ -306,6 +347,14 @@ fn main() {
         }
         chain.push(chain_at(k));
     }
+    let (steady_clusters, steady_s) = if quick { (10, 960) } else { (208, 1_200) };
+    if !quiet {
+        println!(
+            "monitor_sweep: steady state at {} nodes, {steady_s} s virtual…",
+            steady_clusters * PER_SWITCH as usize
+        );
+    }
+    let steady = steady_at(steady_clusters, steady_s);
     let sizes: &[u64] = if quick {
         &[960, 4_800]
     } else {
@@ -400,9 +449,28 @@ fn main() {
             c.threads.to_string(),
         ]);
     }
+    let mut steady_table = Table::new(&[
+        "nodes",
+        "virtual_s",
+        "monitor_s",
+        "rss_start_MB",
+        "rss_MB",
+        "threads",
+    ]);
+    steady_table.row(&[
+        steady.nodes.to_string(),
+        steady.virtual_s.to_string(),
+        format!("{:.2}", steady.monitor_s),
+        format!("{:.1}", steady.rss_start_mb),
+        format!("{:.1}", steady.rss_mb),
+        steady.threads.to_string(),
+    ]);
     report::write_result(
         "monitor_sweep.md",
-        &(table.to_markdown() + &eps_table.to_markdown() + &chain_table.to_markdown()),
+        &(table.to_markdown()
+            + &eps_table.to_markdown()
+            + &chain_table.to_markdown()
+            + &steady_table.to_markdown()),
     )
     .expect("write md");
     report::write_result("monitor_sweep.csv", &table.to_csv()).expect("write csv");
@@ -476,6 +544,17 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
+        "  \"steady\": {{\"nodes\": {}, \"virtual_s\": {}, \"monitor_s\": {:.3}, \
+         \"rss_start_mb\": {:.1}, \"rss_mb\": {:.1}, \"threads\": {}}},",
+        steady.nodes,
+        steady.virtual_s,
+        steady.monitor_s,
+        steady.rss_start_mb,
+        steady.rss_mb,
+        steady.threads
+    );
+    let _ = writeln!(
+        json,
         "  \"traffic_ratio_at_max\": {:.1},",
         max_ratio_row.ratio
     );
@@ -495,6 +574,7 @@ fn main() {
         print!("{}", table.to_markdown());
         print!("{}", eps_table.to_markdown());
         print!("{}", chain_table.to_markdown());
+        print!("{}", steady_table.to_markdown());
         println!(
             "traffic ratio at {} nodes: {:.1}x, worst eps {:.4}",
             max_ratio_row.nodes, max_ratio_row.ratio, worst_eps

@@ -29,10 +29,21 @@ fn seed_from(value: Option<&str>, default: u64) -> u64 {
 /// This process's peak resident set (`VmHWM`), MB; 0 where `/proc` has
 /// no such line.
 pub fn peak_rss_mb() -> f64 {
+    proc_status_mb("VmHWM:")
+}
+
+/// This process's current resident set (`VmRSS`), MB; 0 where `/proc`
+/// has no such line.
+pub fn rss_mb() -> f64 {
+    proc_status_mb("VmRSS:")
+}
+
+/// A `kB` field of `/proc/self/status`, MB.
+fn proc_status_mb(field: &str) -> f64 {
     let status = fs::read_to_string("/proc/self/status").unwrap_or_default();
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(0.0, |kb| kb / 1024.0)
 }

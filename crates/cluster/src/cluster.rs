@@ -1,6 +1,6 @@
 //! The cluster simulator: nodes + network under one virtual clock.
 
-use crate::network::NetworkSim;
+use crate::network::{NetworkSim, PathState};
 use crate::node::{NodeDynamics, NodeSpec, NodeState};
 use crate::profiles::ClusterProfile;
 use nlrm_sim_core::process::standard_normal;
@@ -189,40 +189,39 @@ impl ClusterSim {
 
     /// Exact current latency between nodes, seconds.
     pub fn latency_s(&self, u: NodeId, v: NodeId) -> f64 {
-        self.network.latency_s(&self.topo, u, v)
+        self.network.path(&self.topo, u, v).latency_s
     }
 
     /// Exact available bandwidth between nodes, bits/s.
     pub fn available_bandwidth_bps(&self, u: NodeId, v: NodeId) -> f64 {
-        self.network.available_bandwidth_bps(&self.topo, u, v)
+        self.network.path(&self.topo, u, v).avail_bps
     }
 
     /// Peak (zero-load) bandwidth between nodes, bits/s.
     pub fn peak_bandwidth_bps(&self, u: NodeId, v: NodeId) -> f64 {
-        self.network.peak_bandwidth_bps(&self.topo, u, v)
+        self.network.path(&self.topo, u, v).peak_bps
     }
 
-    fn noise_factor(&mut self) -> f64 {
-        // multiplicative lognormal noise ≈ what a short probe measures
-        (self.measurement_noise * standard_normal(&mut self.measure_rng)).exp()
-    }
-
-    /// Probe the P2P bandwidth like the paper's `BandwidthD` (a short MPI
-    /// transfer): the true available bandwidth blurred by measurement noise,
-    /// clamped to the physical capacity.
-    pub fn measure_bandwidth_bps(&mut self, u: NodeId, v: NodeId) -> f64 {
-        let truth = self.network.available_bandwidth_bps(&self.topo, u, v);
-        if truth.is_infinite() {
-            return truth;
+    /// Start probing the pair `u`–`v` the way the monitoring daemons do:
+    /// the path is walked once, here, and each measurement read from the
+    /// probe draws its own noise, in the order it is read.
+    pub fn probe(&mut self, u: NodeId, v: NodeId) -> PathProbe<'_> {
+        PathProbe {
+            path: self.network.path(&self.topo, u, v),
+            rng: &mut self.measure_rng,
+            noise: self.measurement_noise,
         }
-        let peak = self.network.peak_bandwidth_bps(&self.topo, u, v);
-        (truth * self.noise_factor()).min(peak)
     }
 
-    /// Probe P2P latency like `LatencyD` (a ping-pong): truth × noise.
+    /// Probe the P2P bandwidth like the paper's `BandwidthD` (see
+    /// [`PathProbe::bandwidth_bps`]).
+    pub fn measure_bandwidth_bps(&mut self, u: NodeId, v: NodeId) -> f64 {
+        self.probe(u, v).bandwidth_bps()
+    }
+
+    /// Probe P2P latency like `LatencyD` (see [`PathProbe::latency_s`]).
     pub fn measure_latency_s(&mut self, u: NodeId, v: NodeId) -> f64 {
-        let truth = self.network.latency_s(&self.topo, u, v);
-        truth * self.noise_factor()
+        self.probe(u, v).latency_s()
     }
 
     /// Raw access to the network layer (ablations and tests).
@@ -241,6 +240,43 @@ impl ClusterSim {
     /// as [`override_node_state`](Self::override_node_state).
     pub fn override_link_background(&mut self, link: LinkId, util: f64) {
         self.network.override_background(link, util);
+    }
+}
+
+/// One probe of a node pair (see [`ClusterSim::probe`]): the exact path
+/// state, blurred by the cluster's measurement noise as it is read.
+#[derive(Debug)]
+pub struct PathProbe<'a> {
+    path: PathState,
+    rng: &'a mut StdRng,
+    noise: f64,
+}
+
+impl PathProbe<'_> {
+    fn noise_factor(&mut self) -> f64 {
+        // multiplicative lognormal noise ≈ what a short probe measures
+        (self.noise * standard_normal(self.rng)).exp()
+    }
+
+    /// A ping-pong latency probe: truth × noise. Draws one noise factor.
+    pub fn latency_s(&mut self) -> f64 {
+        self.path.latency_s * self.noise_factor()
+    }
+
+    /// A short MPI transfer: the true available bandwidth blurred by
+    /// measurement noise, clamped to the physical capacity. Draws one noise
+    /// factor, unless the pair is one node (+∞, no network).
+    pub fn bandwidth_bps(&mut self) -> f64 {
+        let truth = self.path.avail_bps;
+        if truth.is_infinite() {
+            return truth;
+        }
+        (truth * self.noise_factor()).min(self.path.peak_bps)
+    }
+
+    /// Peak (zero-load) bandwidth: exact, draws nothing.
+    pub fn peak_bps(&self) -> f64 {
+        self.path.peak_bps
     }
 }
 

@@ -166,43 +166,42 @@ impl NetworkSim {
         cap * (1.0 - self.total_util(l))
     }
 
-    /// Effective available bandwidth between two nodes: the bottleneck
-    /// residual along the tree path (bits/s). `u == v` → +∞ (no network).
-    pub fn available_bandwidth_bps(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        if u == v {
-            return f64::INFINITY;
+    /// The exact state of the tree path between two nodes, read in one
+    /// route walk. `u == v` has no path: zero latency (the empty sum) and
+    /// +∞ bandwidth (no network).
+    pub fn path(&self, topo: &Topology, u: NodeId, v: NodeId) -> PathState {
+        // -0.0 is the empty sum `Iterator::sum` starts from, so one hop's
+        // latency is added exactly as a sum over the hops would add it
+        let mut path = PathState {
+            latency_s: -0.0,
+            avail_bps: f64::INFINITY,
+            peak_bps: f64::INFINITY,
+        };
+        for &l in topo.route(u, v).iter() {
+            let params = &topo.link(l).params;
+            let util = self.total_util(l);
+            path.latency_s +=
+                params.latency_s * (1.0 + QUEUE_FACTOR * (util / (1.0 - util)).min(20.0));
+            path.avail_bps = path.avail_bps.min(params.capacity_bps * (1.0 - util));
+            path.peak_bps = path.peak_bps.min(params.capacity_bps);
         }
-        topo.route(u, v)
-            .iter()
-            .map(|&l| self.residual_bps(topo, l))
-            .fold(f64::INFINITY, f64::min)
+        path
     }
+}
 
-    /// Current latency between two nodes in seconds: base propagation plus
-    /// congestion-dependent queueing on every hop.
-    pub fn latency_s(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        topo.route(u, v)
-            .iter()
-            .map(|&l| {
-                let base = topo.link(l).params.latency_s;
-                let util = self.total_util(l);
-                base * (1.0 + QUEUE_FACTOR * (util / (1.0 - util)).min(20.0))
-            })
-            .sum()
-    }
-
-    /// Peak (zero-load) bandwidth between two nodes: the raw bottleneck
-    /// capacity. This is the paper's "peak bandwidth" used to form the
-    /// complement of available bandwidth.
-    pub fn peak_bandwidth_bps(&self, topo: &Topology, u: NodeId, v: NodeId) -> f64 {
-        if u == v {
-            return f64::INFINITY;
-        }
-        topo.route(u, v)
-            .iter()
-            .map(|&l| topo.link(l).params.capacity_bps)
-            .fold(f64::INFINITY, f64::min)
-    }
+/// The exact state of the path between two nodes (see [`NetworkSim::path`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathState {
+    /// Current latency in seconds: base propagation plus congestion-dependent
+    /// queueing on every hop.
+    pub latency_s: f64,
+    /// Effective available bandwidth: the bottleneck residual capacity along
+    /// the path (bits/s).
+    pub avail_bps: f64,
+    /// Peak (zero-load) bandwidth: the raw bottleneck capacity. This is the
+    /// paper's "peak bandwidth" used to form the complement of available
+    /// bandwidth.
+    pub peak_bps: f64,
 }
 
 #[cfg(test)]
@@ -237,7 +236,8 @@ mod tests {
     fn same_node_is_infinite_bandwidth() {
         let (topo, net) = network();
         assert!(net
-            .available_bandwidth_bps(&topo, NodeId(0), NodeId(0))
+            .path(&topo, NodeId(0), NodeId(0))
+            .avail_bps
             .is_infinite());
     }
 
@@ -249,8 +249,8 @@ mod tests {
         let n = 500;
         for _ in 0..n {
             net.step(30.0);
-            same += net.available_bandwidth_bps(&topo, NodeId(0), NodeId(1));
-            cross += net.available_bandwidth_bps(&topo, NodeId(0), NodeId(2));
+            same += net.path(&topo, NodeId(0), NodeId(1)).avail_bps;
+            cross += net.path(&topo, NodeId(0), NodeId(2)).avail_bps;
         }
         assert!(
             cross / n as f64 <= same / n as f64,
@@ -284,18 +284,18 @@ mod tests {
     #[test]
     fn latency_grows_with_congestion() {
         let (topo, mut net) = network();
-        let quiet = net.latency_s(&topo, NodeId(0), NodeId(2));
+        let quiet = net.path(&topo, NodeId(0), NodeId(2)).latency_s;
         for &l in topo.route(NodeId(0), NodeId(2)).iter() {
             net.add_job_util(l, 0.9);
         }
-        let busy = net.latency_s(&topo, NodeId(0), NodeId(2));
+        let busy = net.path(&topo, NodeId(0), NodeId(2)).latency_s;
         assert!(busy > quiet * 2.0, "quiet {quiet}, busy {busy}");
     }
 
     #[test]
     fn peak_bandwidth_is_capacity() {
         let (topo, net) = network();
-        assert_eq!(net.peak_bandwidth_bps(&topo, NodeId(0), NodeId(2)), 1e9);
+        assert_eq!(net.path(&topo, NodeId(0), NodeId(2)).peak_bps, 1e9);
     }
 
     #[test]

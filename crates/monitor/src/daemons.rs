@@ -24,7 +24,7 @@ use crate::store::{paths, SharedStore};
 use nlrm_cluster::ClusterSim;
 use nlrm_obs::DigestFold;
 use nlrm_sim_core::time::{Duration, SimTime};
-use nlrm_sim_core::window::{MultiWindowMean, WindowedMean};
+use nlrm_sim_core::window::{standard_spans, WindowRing, WindowedValue};
 use nlrm_topology::NodeId;
 
 /// Wire cost modeled for one latency probe (a small ping-pong packet pair).
@@ -234,10 +234,9 @@ pub struct NodeStateD {
     /// Store path of this node's state record.
     path: String,
     pub(crate) health: Health,
-    cpu_load: MultiWindowMean,
-    cpu_util: MultiWindowMean,
-    mem_used: MultiWindowMean,
-    flow_rate: MultiWindowMean,
+    /// CPU load, CPU utilization, memory used and flow rate, over the
+    /// standard 1/5/15-minute windows.
+    windows: WindowRing<4, 3>,
 }
 
 impl NodeStateD {
@@ -247,10 +246,7 @@ impl NodeStateD {
             node,
             path: paths::node_state(node),
             health: Health::default(),
-            cpu_load: MultiWindowMean::new(),
-            cpu_util: MultiWindowMean::new(),
-            mem_used: MultiWindowMean::new(),
-            flow_rate: MultiWindowMean::new(),
+            windows: WindowRing::new(standard_spans()),
         }
     }
 
@@ -272,18 +268,23 @@ impl NodeStateD {
             return;
         }
         let state = cluster.node_state(self.node);
-        self.cpu_load.push(t, state.cpu_load);
-        self.cpu_util.push(t, state.cpu_util);
-        self.mem_used.push(t, state.mem_used_frac);
-        self.flow_rate.push(t, state.flow_rate_mbps);
+        let x = [
+            state.cpu_load,
+            state.cpu_util,
+            state.mem_used_frac,
+            state.flow_rate_mbps,
+        ];
+        let means = self.windows.push(t, x);
+        let [cpu_load, cpu_util, mem_used_frac, flow_rate_mbps] =
+            std::array::from_fn(|a| WindowedValue::new(x[a], means[a]));
         let sample = NodeSample {
             node: self.node,
             taken_at: t,
             spec: cluster.spec(self.node).clone(),
-            cpu_load: self.cpu_load.value().expect("just pushed"),
-            cpu_util: self.cpu_util.value().expect("just pushed"),
-            mem_used_frac: self.mem_used.value().expect("just pushed"),
-            flow_rate_mbps: self.flow_rate.value().expect("just pushed"),
+            cpu_load,
+            cpu_util,
+            mem_used_frac,
+            flow_rate_mbps,
             users: state.users,
         };
         if self.health.can_publish(t) {
@@ -359,9 +360,9 @@ fn sweep<S, const K: usize>(
 pub struct LatencyD {
     pub(crate) health: Health,
     /// Per unordered pair (strict upper triangle, see [`pair_index`]):
-    /// (1-min, 5-min) windows. A pair's probes feed one window pair, read
-    /// from either end's row.
-    windows: Vec<(WindowedMean, WindowedMean)>,
+    /// the latency's 1- and 5-minute windows over one ring. A pair's
+    /// probes feed one ring, read from either end's row.
+    windows: Vec<WindowRing<1, 2>>,
     latest: SymMatrix<f64>,
     /// Store path of each node's row.
     row_paths: Vec<String>,
@@ -373,10 +374,7 @@ impl LatencyD {
         LatencyD {
             health: Health::default(),
             windows: vec![
-                (
-                    WindowedMean::new(Duration::from_mins(1)),
-                    WindowedMean::new(Duration::from_mins(5)),
-                );
+                WindowRing::new([Duration::from_mins(1), Duration::from_mins(5)]);
                 n * n.saturating_sub(1) / 2
             ],
             latest: SymMatrix::new(n, f64::NAN),
@@ -399,11 +397,9 @@ impl LatencyD {
             LATENCY_PROBE_BYTES,
             &self.row_paths,
             |(latest, windows), cluster, u, v| {
-                let lat = cluster.measure_latency_s(u, v);
+                let lat = cluster.probe(u, v).latency_s();
                 latest.set(u, v, lat);
-                let window = &mut windows[pair_index(n, u.index(), v.index())];
-                window.0.push(t, lat);
-                window.1.push(t, lat);
+                windows[pair_index(n, u.index(), v.index())].push(t, [lat]);
                 [lat]
             },
             |(latest, windows), u| {
@@ -416,12 +412,10 @@ impl LatencyD {
                         // never measured (peer down since start)
                         _ if instant.is_nan() => LatencyStat::constant(f64::INFINITY),
                         _ => {
-                            let (m1, m5) = &windows[pair_index(n, u.index(), v)];
-                            LatencyStat {
-                                instant,
-                                m1: m1.mean().unwrap_or(instant),
-                                m5: m5.mean().unwrap_or(instant),
-                            }
+                            let [[m1, m5]] = windows[pair_index(n, u.index(), v)]
+                                .means()
+                                .unwrap_or([[instant; 2]]);
+                            LatencyStat { instant, m1, m5 }
                         }
                     })
                     .collect();
@@ -466,8 +460,9 @@ impl BandwidthD {
             BANDWIDTH_PROBE_BYTES,
             &self.row_paths,
             |(latest, peak), cluster, u, v| {
-                let bw = cluster.measure_bandwidth_bps(u, v);
-                let pk = cluster.peak_bandwidth_bps(u, v);
+                let mut probe = cluster.probe(u, v);
+                let bw = probe.bandwidth_bps();
+                let pk = probe.peak_bps();
                 latest.set(u, v, bw);
                 peak.set(u, v, pk);
                 [bw, pk]

@@ -273,10 +273,13 @@ impl MonitorRuntime {
         let mut probed = 0u64;
         let mut fold = nlrm_obs::DigestFold::new();
         let mut probe = |u: NodeId, v: NodeId| {
+            // one route walk; the latency noise is drawn before the
+            // bandwidth noise
+            let mut pair = cluster.probe(u, v);
             let p = PairProbe {
-                latency_s: cluster.measure_latency_s(u, v),
-                avail_bps: cluster.measure_bandwidth_bps(u, v),
-                peak_bps: cluster.peak_bandwidth_bps(u, v),
+                latency_s: pair.latency_s(),
+                avail_bps: pair.bandwidth_bps(),
+                peak_bps: pair.peak_bps(),
             };
             if recording {
                 probed += 1;

@@ -42,4 +42,3 @@ pub use rng::RngFactory;
 pub use series::TimeSeries;
 pub use stats::{OnlineStats, Summary};
 pub use time::{Duration, SimTime};
-pub use window::{MultiWindowMean, WindowedMean};

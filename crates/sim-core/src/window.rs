@@ -1,93 +1,132 @@
 //! Time-windowed running means.
 //!
 //! The paper's NodeStateD keeps "the running mean of the last 1, 5, and 15
-//! minutes of historical data of dynamic attributes" (§4). [`WindowedMean`]
-//! implements one such window over irregularly-sampled data;
-//! [`MultiWindowMean`] bundles the three standard windows.
+//! minutes of historical data of dynamic attributes" (§4). A
+//! [`WindowRing`] serves a whole set of such windows from one ring of
+//! samples: `A` attributes sampled together, and `W` windows over them,
+//! each a start cursor into the ring plus `A` running sums. A sample is
+//! stored once however many windows and attributes read it, and the ring
+//! drops it once the longest window has moved past it.
 
 use crate::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Mean of all samples observed within a sliding time window.
+/// The paper's 1/5/15-minute window spans, in [`WindowedValue`] order.
+pub fn standard_spans() -> [Duration; 3] {
+    [
+        Duration::from_mins(1),
+        Duration::from_mins(5),
+        Duration::from_mins(15),
+    ]
+}
+
+/// Running means of `A` attributes, sampled together, over `W` sliding
+/// time windows.
 ///
 /// Samples are weighted equally (the paper's daemons sample on a fixed-ish
-/// period, so sample-mean ≈ time-mean). Evicts samples older than the window.
+/// period, so sample-mean ≈ time-mean). A window is inclusive: a sample
+/// exactly one span older than the newest is still in it. Each running sum
+/// sees the same `+=`/`-=` sequence a window of its own would, and is
+/// re-accumulated from its samples whenever the window holds a power of
+/// two ≥1024 of them, to cancel floating-point drift.
 #[derive(Debug, Clone)]
-pub struct WindowedMean {
-    window: Duration,
-    samples: VecDeque<(SimTime, f64)>,
-    sum: f64,
+pub struct WindowRing<const A: usize, const W: usize> {
+    /// Every sample some window still holds, oldest first.
+    ring: VecDeque<(SimTime, [f64; A])>,
+    windows: [Window<A>; W],
 }
 
-impl WindowedMean {
-    /// A window of the given length.
-    pub fn new(window: Duration) -> Self {
-        assert!(!window.is_zero(), "window must be positive");
-        WindowedMean {
-            window,
-            samples: VecDeque::new(),
-            sum: 0.0,
+/// One window over the shared ring.
+#[derive(Debug, Clone)]
+struct Window<const A: usize> {
+    span: Duration,
+    /// Ring index of the oldest sample in the window.
+    start: usize,
+    /// Per-attribute sum of the samples in the window.
+    sum: [f64; A],
+}
+
+impl<const A: usize, const W: usize> WindowRing<A, W> {
+    /// Empty windows of the given spans.
+    pub fn new(spans: [Duration; W]) -> Self {
+        assert!(W > 0, "a ring needs at least one window");
+        assert!(
+            spans.iter().all(|s| !s.is_zero()),
+            "window must be positive"
+        );
+        WindowRing {
+            ring: VecDeque::new(),
+            windows: spans.map(|span| Window {
+                span,
+                start: 0,
+                sum: [0.0; A],
+            }),
         }
     }
 
-    /// Record `value` observed at time `t` (must be non-decreasing).
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.samples.back() {
+    /// Record the attribute values `x` observed at time `t` (must be
+    /// non-decreasing) and return the means it leaves, per attribute and
+    /// window. Every window holds at least the sample just pushed.
+    pub fn push(&mut self, t: SimTime, x: [f64; A]) -> [[f64; W]; A] {
+        if let Some(&(last, _)) = self.ring.back() {
             assert!(t >= last, "samples must arrive in time order");
         }
-        self.samples.push_back((t, value));
-        self.sum += value;
-        self.evict(t);
-    }
-
-    fn evict(&mut self, now: SimTime) {
-        let cutoff = now.since(SimTime::ZERO);
-        while let Some(&(t0, v0)) = self.samples.front() {
-            if t0.since(SimTime::ZERO) + self.window < cutoff {
-                self.samples.pop_front();
-                self.sum -= v0;
-            } else {
-                break;
+        self.ring.push_back((t, x));
+        let cutoff = t.since(SimTime::ZERO);
+        for w in &mut self.windows {
+            for (sum, v) in w.sum.iter_mut().zip(x) {
+                *sum += v;
+            }
+            while let Some(&(t0, v0)) = self.ring.get(w.start) {
+                if t0.since(SimTime::ZERO) + w.span >= cutoff {
+                    break;
+                }
+                for (sum, v) in w.sum.iter_mut().zip(v0) {
+                    *sum -= v;
+                }
+                w.start += 1;
+            }
+            let held = self.ring.len() - w.start;
+            if held.is_power_of_two() && held >= 1024 {
+                for (a, sum) in w.sum.iter_mut().enumerate() {
+                    *sum = self.ring.range(w.start..).map(|(_, v)| v[a]).sum();
+                }
             }
         }
-        // Periodically re-accumulate to cancel floating point drift.
-        if self.samples.len().is_power_of_two() && self.samples.len() >= 1024 {
-            self.sum = self.samples.iter().map(|&(_, v)| v).sum();
+        let passed = self.windows.iter().map(|w| w.start).min().unwrap_or(0);
+        if passed > 0 {
+            self.ring.drain(..passed);
+            for w in &mut self.windows {
+                w.start -= passed;
+            }
         }
+        self.means_of_nonempty()
     }
 
-    /// Mean over the window, or `None` if no samples are retained.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.sum / self.samples.len() as f64)
-        }
+    /// Means per attribute and window, or `None` before the first sample.
+    pub fn means(&self) -> Option<[[f64; W]; A]> {
+        (!self.ring.is_empty()).then(|| self.means_of_nonempty())
     }
 
-    /// Latest sample value, if any.
-    pub fn latest(&self) -> Option<f64> {
-        self.samples.back().map(|&(_, v)| v)
+    fn means_of_nonempty(&self) -> [[f64; W]; A] {
+        std::array::from_fn(|a| {
+            std::array::from_fn(|i| {
+                let w = &self.windows[i];
+                w.sum[a] / (self.ring.len() - w.start) as f64
+            })
+        })
     }
 
-    /// Number of samples retained.
+    /// Samples the ring holds: those in its longest window.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.ring.len()
     }
 
-    /// True when no samples are retained.
+    /// True before the first sample.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.ring.is_empty()
     }
-}
-
-/// The paper's standard 1/5/15-minute triple of running means.
-#[derive(Debug, Clone)]
-pub struct MultiWindowMean {
-    one: WindowedMean,
-    five: WindowedMean,
-    fifteen: WindowedMean,
 }
 
 /// A snapshot of the three running means plus the instantaneous value.
@@ -104,49 +143,20 @@ pub struct WindowedValue {
 }
 
 impl WindowedValue {
+    /// The latest sample and its means over the [`standard_spans`].
+    pub fn new(instant: f64, [m1, m5, m15]: [f64; 3]) -> Self {
+        WindowedValue {
+            instant,
+            m1,
+            m5,
+            m15,
+        }
+    }
+
     /// A value with all windows pinned to the same constant (useful for
     /// static attributes and for seeding tests).
     pub fn constant(v: f64) -> Self {
-        WindowedValue {
-            instant: v,
-            m1: v,
-            m5: v,
-            m15: v,
-        }
-    }
-}
-
-impl Default for MultiWindowMean {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MultiWindowMean {
-    /// Fresh 1/5/15-minute windows.
-    pub fn new() -> Self {
-        MultiWindowMean {
-            one: WindowedMean::new(Duration::from_mins(1)),
-            five: WindowedMean::new(Duration::from_mins(5)),
-            fifteen: WindowedMean::new(Duration::from_mins(15)),
-        }
-    }
-
-    /// Record a sample into all three windows.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        self.one.push(t, value);
-        self.five.push(t, value);
-        self.fifteen.push(t, value);
-    }
-
-    /// Current instantaneous + windowed view; `None` before any sample.
-    pub fn value(&self) -> Option<WindowedValue> {
-        Some(WindowedValue {
-            instant: self.fifteen.latest()?,
-            m1: self.one.mean()?,
-            m5: self.five.mean()?,
-            m15: self.fifteen.mean()?,
-        })
+        WindowedValue::new(v, [v; 3])
     }
 }
 
@@ -154,75 +164,90 @@ impl MultiWindowMean {
 mod tests {
     use super::*;
 
+    fn single(secs: u64) -> WindowRing<1, 1> {
+        WindowRing::new([Duration::from_secs(secs)])
+    }
+
     #[test]
     fn empty_window_has_no_mean() {
-        let w = WindowedMean::new(Duration::from_mins(1));
-        assert_eq!(w.mean(), None);
+        let w = WindowRing::<1, 3>::new(standard_spans());
+        assert_eq!(w.means(), None);
         assert!(w.is_empty());
     }
 
     #[test]
     fn mean_over_retained_samples() {
-        let mut w = WindowedMean::new(Duration::from_secs(100));
-        w.push(SimTime::from_secs(0), 1.0);
-        w.push(SimTime::from_secs(10), 3.0);
-        assert_eq!(w.mean(), Some(2.0));
-        assert_eq!(w.latest(), Some(3.0));
+        let mut w = single(100);
+        w.push(SimTime::from_secs(0), [1.0]);
+        assert_eq!(w.push(SimTime::from_secs(10), [3.0]), [[2.0]]);
+        assert_eq!(w.means(), Some([[2.0]]));
     }
 
     #[test]
     fn old_samples_evicted() {
-        let mut w = WindowedMean::new(Duration::from_secs(60));
-        w.push(SimTime::from_secs(0), 100.0);
-        w.push(SimTime::from_secs(30), 100.0);
-        w.push(SimTime::from_secs(120), 4.0);
+        let mut w = single(60);
+        w.push(SimTime::from_secs(0), [100.0]);
+        w.push(SimTime::from_secs(30), [100.0]);
+        w.push(SimTime::from_secs(120), [4.0]);
         // the two old samples fell out of the 60 s window
         assert_eq!(w.len(), 1);
-        assert_eq!(w.mean(), Some(4.0));
+        assert_eq!(w.means(), Some([[4.0]]));
     }
 
     #[test]
     fn boundary_sample_is_retained() {
-        let mut w = WindowedMean::new(Duration::from_secs(60));
-        w.push(SimTime::from_secs(0), 2.0);
-        w.push(SimTime::from_secs(60), 4.0);
+        let mut w = single(60);
+        w.push(SimTime::from_secs(0), [2.0]);
+        w.push(SimTime::from_secs(60), [4.0]);
         // exactly window-old: kept (window is inclusive)
         assert_eq!(w.len(), 2);
-        assert_eq!(w.mean(), Some(3.0));
+        assert_eq!(w.means(), Some([[3.0]]));
     }
 
     #[test]
     #[should_panic(expected = "time order")]
     fn out_of_order_panics() {
-        let mut w = WindowedMean::new(Duration::from_secs(60));
-        w.push(SimTime::from_secs(10), 1.0);
-        w.push(SimTime::from_secs(5), 1.0);
+        let mut w = single(60);
+        w.push(SimTime::from_secs(10), [1.0]);
+        w.push(SimTime::from_secs(5), [1.0]);
     }
 
     #[test]
-    fn multi_window_separates_horizons() {
-        let mut m = MultiWindowMean::new();
+    fn standard_windows_separate_horizons() {
+        let mut m = WindowRing::<1, 3>::new(standard_spans());
         // 20 minutes of value 10 sampled every 10 s, then 30 s of value 0
         let mut t = 0u64;
         while t <= 20 * 60 {
-            m.push(SimTime::from_secs(t), 10.0);
+            m.push(SimTime::from_secs(t), [10.0]);
             t += 10;
         }
         for s in 1..=3u64 {
-            m.push(SimTime::from_secs(20 * 60 + s * 10), 0.0);
+            m.push(SimTime::from_secs(20 * 60 + s * 10), [0.0]);
         }
-        let v = m.value().unwrap();
-        assert_eq!(v.instant, 0.0);
+        let v = WindowedValue::new(0.0, m.means().unwrap()[0]);
         // 1-min window holds 7 samples (4×10, 3×0) → mean 40/7
+        assert_eq!(v.m1, 40.0 / 7.0);
         assert!(v.m1 < v.m5 && v.m5 < v.m15, "{v:?}");
         assert!(v.m15 > 9.0);
+        // the ring holds only the 15-minute window: 91 samples at 10 s
+        assert_eq!(m.len(), 91);
+    }
+
+    #[test]
+    fn attributes_keep_separate_sums() {
+        let mut w = WindowRing::<2, 2>::new([Duration::from_secs(10), Duration::from_secs(30)]);
+        for s in 0..=30u64 {
+            w.push(SimTime::from_secs(s), [s as f64, -(s as f64)]);
+        }
+        // 10 s window: 20..=30 (mean 25); 30 s window: 0..=30 (mean 15)
+        assert_eq!(w.means(), Some([[25.0, 15.0], [-25.0, -15.0]]));
     }
 
     #[test]
     fn long_run_sum_does_not_drift() {
-        let mut w = WindowedMean::new(Duration::from_secs(60));
+        let mut w = single(60);
         for i in 0..200_000u64 {
-            w.push(SimTime::from_secs(i), (i % 7) as f64);
+            w.push(SimTime::from_secs(i), [(i % 7) as f64]);
         }
         let direct: f64 = (0..200_000u64)
             .rev()
@@ -230,6 +255,6 @@ mod tests {
             .map(|i| (i % 7) as f64)
             .sum::<f64>()
             / 61.0;
-        assert!((w.mean().unwrap() - direct).abs() < 1e-9);
+        assert!((w.means().unwrap()[0][0] - direct).abs() < 1e-9);
     }
 }

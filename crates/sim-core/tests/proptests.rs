@@ -3,8 +3,65 @@
 use nlrm_sim_core::event::EventQueue;
 use nlrm_sim_core::stats::{median, percentile, OnlineStats, Summary};
 use nlrm_sim_core::time::{Duration, SimTime};
-use nlrm_sim_core::window::WindowedMean;
+use nlrm_sim_core::window::WindowRing;
+use oracle::WindowedMean;
 use proptest::prelude::*;
+
+mod oracle;
+
+/// Push `samples` (time in µs, non-decreasing) into a ring of `W` windows
+/// over two attributes and into one oracle per window and attribute, and
+/// check after every push that the ring's means equal the oracles' bit
+/// for bit, and that it holds exactly the longest window's samples.
+fn check_against_oracle<const W: usize>(
+    spans: [Duration; W],
+    samples: impl IntoIterator<Item = (u64, [f64; 2])>,
+) -> Result<(), String> {
+    let mut ring = WindowRing::<2, W>::new(spans);
+    let mut oracle: Vec<[WindowedMean; 2]> = spans
+        .iter()
+        .map(|&span| [WindowedMean::new(span), WindowedMean::new(span)])
+        .collect();
+    for (t, x) in samples {
+        let t = SimTime::from_micros(t);
+        let pushed = ring.push(t, x);
+        prop_assert_eq!(Some(pushed), ring.means());
+        for (w, attrs) in oracle.iter_mut().enumerate() {
+            for (a, o) in attrs.iter_mut().enumerate() {
+                o.push(t, x[a]);
+                let want = o.mean().expect("just pushed");
+                prop_assert_eq!(
+                    pushed[a][w].to_bits(),
+                    want.to_bits(),
+                    "window {} attribute {} at {:?}",
+                    w,
+                    a,
+                    t
+                );
+            }
+        }
+        let longest = oracle.iter().map(|attrs| attrs[0].len()).max();
+        prop_assert_eq!(Some(ring.len()), longest);
+    }
+    Ok(())
+}
+
+/// A window that retains ≥1024 samples (1 s cadence, 30-minute window)
+/// re-accumulates its sum whenever it holds a power of two ≥1024 of them;
+/// the ring must do that on the same pushes as the oracle. A 1,000 s gap
+/// in the cadence makes the window pass 1024 held samples again only after
+/// it has subtracted evicted ones, where the re-accumulated sum differs
+/// from the running one in its last bits.
+#[test]
+fn ring_reaccumulates_like_the_oracle_past_1024_samples() {
+    let spans = [Duration::from_mins(1), Duration::from_mins(30)];
+    let secs = (0..1_500u64).chain(2_500..5_000);
+    let samples = secs.map(|s| {
+        let v = (s as f64 * 0.37).sin() * 1e3 + 0.1;
+        (s * 1_000_000, [v, 1.0 / (s as f64 + 3.0)])
+    });
+    check_against_oracle(spans, samples).unwrap();
+}
 
 proptest! {
     /// The event queue is a stable priority queue: output sorted by time,
@@ -24,27 +81,30 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Windowed mean equals the brute-force mean over retained samples.
+    /// The ring's means equal the per-window `VecDeque` oracle's, bit for
+    /// bit, over irregular non-decreasing times (repeats included).
     #[test]
-    fn windowed_mean_matches_bruteforce(
-        samples in proptest::collection::vec((0u64..2000, -100.0f64..100.0), 1..300),
-        window in 1u64..500,
+    fn window_ring_matches_oracle_bit_for_bit(
+        steps in proptest::collection::vec(
+            (0u64..30_000_000, -100.0f64..100.0, -1e6f64..1e6),
+            1..300,
+        ),
+        spans in (1u64..600, 1u64..600, 1u64..600),
     ) {
-        let mut sorted = samples.clone();
-        sorted.sort_by_key(|&(t, _)| t);
-        let mut w = WindowedMean::new(Duration::from_secs(window));
-        for &(t, v) in &sorted {
-            w.push(SimTime::from_secs(t), v);
-        }
-        let now = sorted.last().unwrap().0;
-        let cutoff = now.saturating_sub(window);
-        let kept: Vec<f64> = sorted
-            .iter()
-            .filter(|&&(t, _)| t >= cutoff)
-            .map(|&(_, v)| v)
-            .collect();
-        let expect = kept.iter().sum::<f64>() / kept.len() as f64;
-        prop_assert!((w.mean().unwrap() - expect).abs() < 1e-6);
+        let mut t = 0u64;
+        let samples = steps.iter().map(|&(gap, a, b)| {
+            // a third of the gaps are zero, so equal times arrive together,
+            // and half are whole seconds, so samples land exactly on a
+            // (whole-second) window boundary
+            t += match gap % 6 {
+                0 | 3 => 0,
+                1 | 4 => gap / 1_000_000 * 1_000_000,
+                _ => gap,
+            };
+            (t, [a, b])
+        });
+        let spans = [spans.0, spans.1, spans.2].map(Duration::from_secs);
+        check_against_oracle(spans, samples)?;
     }
 
     /// Summary invariants: min ≤ median ≤ max, min ≤ mean ≤ max, std ≥ 0.
