@@ -69,9 +69,9 @@ PY
 test -s "$OBS_DIR/trace_summary.txt"
 
 # scaling smoke: the sweep must run its shrunken ladder, stay within the
-# 2x-of-linear budget (asserted by the bin itself), and emit well-formed
-# JSON (quick runs write into the results dir, not the committed
-# repo-root BENCH_scale.json)
+# 2x-of-linear budget (asserted by the bin itself), prune at least half
+# the starts at 5,000 nodes, and emit well-formed JSON (quick runs write
+# into the results dir, not the committed repo-root BENCH_scale.json)
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
     cargo run --release -q -p nlrm-bench --bin scale_sweep
 python3 - "$OBS_DIR/BENCH_scale.json" <<'PY'
@@ -85,6 +85,12 @@ assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
 for s in bench["sizes"]:
     seen = s["mean_expanded"] + s["mean_pruned"]
     assert abs(seen - s["nodes"]) <= 0.1 + 1e-9, f"{s['nodes']} nodes, {seen} starts"
+# pruning must bite: at the largest quick size the bounds skip at least
+# half of the starts
+largest = max(bench["sizes"], key=lambda s: s["nodes"])
+assert largest["nodes"] == 5000, f"largest quick size {largest['nodes']}"
+assert largest["mean_pruned"] >= 0.5 * largest["nodes"], \
+    f"{largest['nodes']} nodes: mean_pruned {largest['mean_pruned']}"
 PY
 
 # broker smoke: the scheduling-cycle sweep must run its shrunken streams,

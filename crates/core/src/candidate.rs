@@ -18,9 +18,14 @@
 //! * On a tiered network-load representation
 //!   ([`TieredNl`]), [`generate_all_candidates`]
 //!   exploits that every node of a foreign switch shares the same
-//!   `NL(v,·)` term: per-switch streams pre-sorted by compute load are
-//!   lazily merged per start node, so no start node ever scans the whole
-//!   cluster.
+//!   `NL(v,·)` term, so every start on one switch visits the foreign
+//!   nodes in the same order. Per-switch streams pre-sorted by compute
+//!   load are merged lazily, from a heap over the stream heads, into one
+//!   *foreign prefix* per switch: the foreign nodes in `(cost, id)` order
+//!   until their capacity covers `n`. Each start then merges its own
+//!   switch's exact costs against that prefix, so no start node ever
+//!   scans the whole cluster and foreign streams are merged once per
+//!   switch, not once per start.
 //! * Start nodes are fanned out over worker threads
 //!   ([`par`]); outputs land in input order, so the candidate
 //!   vector is identical to the serial path.
@@ -67,18 +72,23 @@ impl Candidate {
 
 /// A `(cost, node)` entry ordered ascending by cost, ties by node id — the
 /// total order Algorithm 1's sort used, so heap pops reproduce it exactly.
-/// `at` is the node's usable index (a function of `node`, so it never
-/// breaks a tie).
-#[derive(PartialEq)]
-struct CostEntry {
+/// `src` says where the entry came from (a usable index, a stream, a
+/// stream position) and never breaks a tie.
+struct CostEntry<S> {
     cost: f64,
     node: NodeId,
-    at: usize,
+    src: S,
 }
 
-impl Eq for CostEntry {}
+impl<S> PartialEq for CostEntry<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
 
-impl Ord for CostEntry {
+impl<S> Eq for CostEntry<S> {}
+
+impl<S> Ord for CostEntry<S> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.cost
             .total_cmp(&other.cost)
@@ -86,7 +96,7 @@ impl Ord for CostEntry {
     }
 }
 
-impl PartialOrd for CostEntry {
+impl<S> PartialOrd for CostEntry<S> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -167,7 +177,7 @@ impl GreedyTake {
 pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f64) -> Candidate {
     debug_assert!(loads.index(v).is_some(), "start node must be usable");
     // addition cost per usable node; A_v(v) = 0 so v always joins first
-    let entries: Vec<Reverse<CostEntry>> = loads
+    let entries: Vec<Reverse<CostEntry<usize>>> = loads
         .usable
         .iter()
         .enumerate()
@@ -177,13 +187,17 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
             } else {
                 alpha * loads.cl[at] + beta * loads.nl_between(v, u)
             };
-            Reverse(CostEntry { cost, node: u, at })
+            Reverse(CostEntry {
+                cost,
+                node: u,
+                src: at,
+            })
         })
         .collect();
     let mut heap = BinaryHeap::from(entries);
     let mut take = GreedyTake::new(n);
     while let Some(Reverse(e)) = heap.pop() {
-        if !take.offer(e.node, loads.pc[e.at]) {
+        if !take.offer(e.node, loads.pc[e.src]) {
             break;
         }
     }
@@ -221,44 +235,39 @@ pub(crate) struct TieredBuckets<'a> {
     alpha: f64,
     beta: f64,
     n: u32,
-    /// `(cl, pc, node)` per switch, sorted ascending by `(cl, id)`.
+    /// `(cl, pc, node)` per switch, sorted ascending by `(α·CL, id)`.
     streams: Vec<Vec<(f64, u32, NodeId)>>,
-    /// Switches with at least one stream entry.
-    nonempty: Vec<u32>,
+    /// `(switch, cl, node)` of every nonempty stream's head, contiguous so
+    /// each foreign prefix reads all heads in one pass.
+    heads: Vec<(u32, f64, NodeId)>,
+    /// Usable positions of the start nodes on each switch, ascending.
+    starts: Vec<Vec<usize>>,
 }
 
-/// Where the next merge item comes from.
-#[derive(Clone, Copy)]
-enum Src {
-    /// Position in the start's own-switch exact list.
-    Own(usize),
-    /// `(index into the stream order, position within that stream)`.
-    Stream(usize, usize),
-}
-
-struct MergeItem {
+/// A foreign node as a start on one switch visits it: its `(cost, id)`
+/// merge key, its capacity, and its compute load (read by the pruned
+/// allocator's switch-pool bound).
+struct ForeignItem {
     cost: f64,
     node: NodeId,
-    src: Src,
+    pc: u32,
+    cl: f64,
 }
 
-impl PartialEq for MergeItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.node == other.node
+impl ForeignItem {
+    /// Whether this item sorts before `(cost, node)` in `(cost, id)` order.
+    fn precedes(&self, cost: f64, node: NodeId) -> bool {
+        self.cost.total_cmp(&cost).then(self.node.cmp(&node)) == std::cmp::Ordering::Less
     }
 }
-impl Eq for MergeItem {}
-impl Ord for MergeItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.cost
-            .total_cmp(&other.cost)
-            .then(self.node.cmp(&other.node))
-    }
-}
-impl PartialOrd for MergeItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// A foreign stream whose head has entered the merge.
+struct Seeded {
+    stream: u32,
+    /// Next stream position not yet pushed.
+    next: usize,
+    /// Pushed items not yet popped.
+    outstanding: usize,
 }
 
 impl<'a> TieredBuckets<'a> {
@@ -270,86 +279,200 @@ impl<'a> TieredBuckets<'a> {
         beta: f64,
     ) -> TieredBuckets<'a> {
         let mut streams: Vec<Vec<(f64, u32, NodeId)>> = vec![Vec::new(); t.num_switches()];
+        let mut starts: Vec<Vec<usize>> = vec![Vec::new(); t.num_switches()];
         for (i, &node) in loads.usable.iter().enumerate() {
-            if loads.pc[i] == 0 {
-                continue;
+            let s = t.switch_of_node(node) as usize;
+            starts[s].push(i);
+            if loads.pc[i] > 0 {
+                streams[s].push((loads.cl[i], loads.pc[i], node));
             }
-            streams[t.switch_of_node(node) as usize].push((loads.cl[i], loads.pc[i], node));
         }
         // sort by (α·CL, id) — the merge key is α·CL + const(switch), so
         // this is merge order; ties in α·CL (notably the whole stream when
         // α = 0) fall back to id order, matching the dense sort exactly
-        for s in &mut streams {
-            s.sort_by(|a, b| (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2)));
+        let mut heads = Vec::new();
+        for (s, stream) in streams.iter_mut().enumerate() {
+            stream.sort_by(|a, b| (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2)));
+            if let Some(&(cl, _, node)) = stream.first() {
+                heads.push((s as u32, cl, node));
+            }
         }
-        let nonempty: Vec<u32> = (0..streams.len() as u32)
-            .filter(|&s| !streams[s as usize].is_empty())
-            .collect();
         TieredBuckets {
             t,
             alpha,
             beta,
             n,
             streams,
-            nonempty,
+            heads,
+            starts,
         }
     }
 
-    /// The `(cost, id)` key of element `pos` of switch `s`'s stream, as a
+    /// Switches carrying at least one start node, ascending.
+    pub(crate) fn start_switches(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.starts.len() as u32).filter(|&s| !self.starts_on(s).is_empty())
+    }
+
+    /// Usable positions of the start nodes on switch `sv`, ascending.
+    pub(crate) fn starts_on(&self, sv: u32) -> &[usize] {
+        &self.starts[sv as usize]
+    }
+
+    /// Switch `s`'s stream.
+    fn stream(&self, s: u32) -> &[(f64, u32, NodeId)] {
+        &self.streams[s as usize]
+    }
+
+    /// The merge cost of a node with compute load `cl` on switch `s`, as a
     /// start node on switch `sv` sees it. Computed with the exact same
     /// float expression as the dense path so merge order is bit-identical.
+    fn foreign_cost(&self, sv: u32, s: u32, cl: f64) -> f64 {
+        self.alpha * cl + self.beta * self.t.inter_value(sv, s)
+    }
+
+    /// The `(cost, id)` key of element `pos` of switch `s`'s stream, as a
+    /// start node on switch `sv` sees it.
     fn stream_key(&self, sv: u32, s: u32, pos: usize) -> (f64, NodeId) {
-        let (cl, _, node) = self.streams[s as usize][pos];
-        (
-            self.alpha * cl + self.beta * self.t.inter_value(sv, s),
-            node,
-        )
+        let (cl, _, node) = self.stream(s)[pos];
+        (self.foreign_cost(sv, s, cl), node)
+    }
+
+    /// The foreign items a start on switch `sv` visits, in `(cost, id)`
+    /// order, up to the first one at which their capacity covers `n` (all
+    /// of them when it never does). Every start on `sv` shares this list:
+    /// a foreign node's cost depends only on its switch pair, and any
+    /// foreign item left out sorts strictly after the last one kept, by
+    /// which point the walk has covered `n` already.
+    ///
+    /// Stream heads enter a min-heap over their keys; a stream is seeded
+    /// only once its head cost ties or undercuts the cheapest pushed
+    /// item. Streams are sorted by `(α·CL, id)` while the merge order is
+    /// `(cost, id)` with `cost = α·CL + const` — equal costs (the whole
+    /// stream when α = 0, or rounding collisions after adding the
+    /// offset) can hide an id inversion behind the stream head. Entire
+    /// equal-cost *runs* are therefore pushed together (runs are
+    /// contiguous because cost is monotone in α·CL), and seeding on cost
+    /// ties puts every item that could win the id tie-break in the heap
+    /// before the minimum pops, exactly as the dense sort orders them.
+    fn foreign_prefix(&self, sv: u32) -> Vec<ForeignItem> {
+        let mut heads: BinaryHeap<Reverse<CostEntry<u32>>> = self
+            .heads
+            .iter()
+            .filter(|&&(s, _, _)| s != sv)
+            .map(|&(s, cl, node)| {
+                let cost = self.foreign_cost(sv, s, cl);
+                Reverse(CostEntry { cost, node, src: s })
+            })
+            .collect();
+        let mut items: BinaryHeap<Reverse<CostEntry<(usize, usize)>>> = BinaryHeap::new();
+        let mut seeded: Vec<Seeded> = Vec::new();
+        let mut prefix = Vec::new();
+        let mut covered = 0u64;
+        loop {
+            while let Some(Reverse(head)) = heads.peek() {
+                let must_seed = match items.peek() {
+                    None => true,
+                    Some(Reverse(min)) => {
+                        head.cost.total_cmp(&min.cost) != std::cmp::Ordering::Greater
+                    }
+                };
+                if !must_seed {
+                    break;
+                }
+                let stream = head.src;
+                heads.pop();
+                seeded.push(Seeded {
+                    stream,
+                    next: 0,
+                    outstanding: 0,
+                });
+                self.push_run(sv, seeded.len() - 1, &mut seeded, &mut items);
+            }
+            let Some(Reverse(item)) = items.pop() else {
+                break;
+            };
+            let (slot, pos) = item.src;
+            let (cl, pc, node) = self.stream(seeded[slot].stream)[pos];
+            prefix.push(ForeignItem {
+                cost: item.cost,
+                node,
+                pc,
+                cl,
+            });
+            covered += pc as u64;
+            if covered >= self.n as u64 {
+                break;
+            }
+            seeded[slot].outstanding -= 1;
+            if seeded[slot].outstanding == 0 {
+                self.push_run(sv, slot, &mut seeded, &mut items);
+            }
+        }
+        prefix
+    }
+
+    /// Push the next equal-cost run of seeded stream `slot` into `items`.
+    fn push_run(
+        &self,
+        sv: u32,
+        slot: usize,
+        seeded: &mut [Seeded],
+        items: &mut BinaryHeap<Reverse<CostEntry<(usize, usize)>>>,
+    ) {
+        let st = &mut seeded[slot];
+        let len = self.stream(st.stream).len();
+        let start = st.next;
+        if start >= len {
+            return;
+        }
+        let (run_cost, _) = self.stream_key(sv, st.stream, start);
+        let mut pos = start;
+        while pos < len {
+            let (cost, node) = self.stream_key(sv, st.stream, pos);
+            if cost.total_cmp(&run_cost) != std::cmp::Ordering::Equal {
+                break;
+            }
+            items.push(Reverse(CostEntry {
+                cost,
+                node,
+                src: (slot, pos),
+            }));
+            pos += 1;
+        }
+        st.outstanding = pos - start;
+        st.next = pos;
+    }
+
+    /// `(CL, pc)` of every node a start on switch `sv` can draw from: its
+    /// own switch's nodes with capacity, then [`Self::foreign_prefix`].
+    pub(crate) fn pool(&self, sv: u32) -> impl Iterator<Item = (f64, u32)> + '_ {
+        let own = self.stream(sv).iter().map(|&(cl, pc, _)| (cl, pc));
+        let foreign = self.foreign_prefix(sv).into_iter().map(|f| (f.cl, f.pc));
+        own.chain(foreign)
     }
 
     /// Candidates for `starts`, all on switch `sv`, in input order: the
-    /// per-switch runner behind both [`generate_all_candidates`] and the
-    /// pruned allocator. The foreign-stream order is computed once for the
-    /// whole switch.
+    /// one tiered Algorithm 1, behind both [`generate_all_candidates`] and
+    /// the pruned allocator. The foreign prefix is built once for the
+    /// whole switch; each start then merges it with its own switch's
+    /// exact costs.
     pub(crate) fn generate_switch<'s>(
         &'s self,
         sv: u32,
         starts: impl IntoIterator<Item = NodeId> + 's,
     ) -> impl Iterator<Item = Candidate> + 's {
-        let order = self.stream_order(sv);
-        starts
-            .into_iter()
-            .map(move |v| self.generate_for(v, &order))
+        let prefix = self.foreign_prefix(sv);
+        starts.into_iter().map(move |v| self.merge_for(v, &prefix))
     }
 
-    /// Foreign nonempty switches ordered by their head key for start
-    /// switch `sv` — shared by every start node on `sv`.
-    fn stream_order(&self, sv: u32) -> Vec<u32> {
-        let mut order: Vec<u32> = self.nonempty.iter().copied().filter(|&s| s != sv).collect();
-        order.sort_by(|&a, &b| {
-            let ka = self.stream_key(sv, a, 0);
-            let kb = self.stream_key(sv, b, 0);
-            ka.0.total_cmp(&kb.0).then(ka.1.cmp(&kb.1))
-        });
-        order
-    }
-
-    /// Generate the candidate for start `v` by lazily merging its own
-    /// switch's exact costs with the foreign per-switch streams. Only
-    /// streams whose head can still compete are ever touched, so covering
-    /// `k` processes costs O(m log m + (k + touched) log (k + touched))
-    /// rather than O(V log V).
-    ///
-    /// Streams are sorted by `(α·CL, id)` while the merge order is
-    /// `(cost, id)` with `cost = α·CL + const` — equal costs (the whole
-    /// stream when α = 0, or rounding collisions after adding the offset)
-    /// can hide an id inversion behind the stream head. Entire equal-cost
-    /// *runs* are therefore pushed together (runs are contiguous because
-    /// cost is monotone in α·CL), letting the heap order ties by id
-    /// exactly as the dense sort does.
-    fn generate_for(&self, v: NodeId, order: &[u32]) -> Candidate {
+    /// The candidate for start `v`: its own switch's exact addition costs,
+    /// sorted, merged against the switch's foreign prefix and fed to the
+    /// greedy walk. Covering `k` processes costs O(m log m + k) for an
+    /// `m`-node switch.
+    fn merge_for(&self, v: NodeId, prefix: &[ForeignItem]) -> Candidate {
         let sv = self.t.switch_of_node(v);
-        // exact addition costs within the start's own switch
-        let mut own: Vec<(f64, NodeId, u32)> = self.streams[sv as usize]
+        let mut own: Vec<(f64, NodeId, u32)> = self
+            .stream(sv)
             .iter()
             .map(|&(cl, pc, u)| {
                 let cost = if u == v {
@@ -361,101 +484,30 @@ impl<'a> TieredBuckets<'a> {
             })
             .collect();
         own.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        let mut heap: BinaryHeap<Reverse<MergeItem>> = BinaryHeap::new();
-        if let Some(&(cost, node, _)) = own.first() {
-            heap.push(Reverse(MergeItem {
-                cost,
-                node,
-                src: Src::Own(0),
-            }));
-        }
-        // per seeded stream: next unpushed position and in-heap item count
-        let mut cursor = vec![0usize; order.len()];
-        let mut outstanding = vec![0usize; order.len()];
-        let push_run = |oi: usize,
-                        heap: &mut BinaryHeap<Reverse<MergeItem>>,
-                        cursor: &mut [usize],
-                        outstanding: &mut [usize]| {
-            let s = order[oi];
-            let len = self.streams[s as usize].len();
-            let start = cursor[oi];
-            if start >= len {
-                return;
-            }
-            let (run_cost, _) = self.stream_key(sv, s, start);
-            let mut pos = start;
-            while pos < len {
-                let (cost, node) = self.stream_key(sv, s, pos);
-                if cost.total_cmp(&run_cost) != std::cmp::Ordering::Equal {
-                    break;
-                }
-                heap.push(Reverse(MergeItem {
-                    cost,
-                    node,
-                    src: Src::Stream(oi, pos),
-                }));
-                pos += 1;
-            }
-            outstanding[oi] = pos - start;
-            cursor[oi] = pos;
-        };
-        let mut next_stream = 0usize;
         let mut take = GreedyTake::new(self.n);
-        loop {
-            // seed every unseeded stream whose head cost can still compete;
-            // seeding on cost *ties* guarantees the heap holds every item
-            // that could beat its min on the id tie-break
-            while next_stream < order.len() {
-                let s = order[next_stream];
-                let (cost, _) = self.stream_key(sv, s, 0);
-                let must_seed = match heap.peek() {
-                    None => true,
-                    Some(Reverse(min)) => cost.total_cmp(&min.cost) != std::cmp::Ordering::Greater,
-                };
-                if !must_seed {
-                    break;
+        let mut foreign = prefix.iter().peekable();
+        for &(cost, node, pc) in &own {
+            while let Some(f) = foreign.next_if(|f| f.precedes(cost, node)) {
+                if !take.offer(f.node, f.pc) {
+                    return take.finish(v, self.n);
                 }
-                push_run(next_stream, &mut heap, &mut cursor, &mut outstanding);
-                next_stream += 1;
             }
-            let Some(Reverse(item)) = heap.pop() else {
-                break;
-            };
-            let pc = match item.src {
-                Src::Own(pos) => own[pos].2,
-                Src::Stream(oi, pos) => self.streams[order[oi] as usize][pos].1,
-            };
-            let more = take.offer(item.node, pc);
-            if !more {
-                break;
+            if !take.offer(node, pc) {
+                return take.finish(v, self.n);
             }
-            // advance the popped source
-            match item.src {
-                Src::Own(pos) => {
-                    if let Some(&(cost, node, _)) = own.get(pos + 1) {
-                        heap.push(Reverse(MergeItem {
-                            cost,
-                            node,
-                            src: Src::Own(pos + 1),
-                        }));
-                    }
-                }
-                Src::Stream(oi, _) => {
-                    outstanding[oi] -= 1;
-                    if outstanding[oi] == 0 {
-                        push_run(oi, &mut heap, &mut cursor, &mut outstanding);
-                    }
-                }
+        }
+        for f in foreign {
+            if !take.offer(f.node, f.pc) {
+                break;
             }
         }
         take.finish(v, self.n)
     }
 }
 
-/// Bucketed generation over a tiered representation: group start nodes by
-/// switch, compute the shared foreign-stream order once per switch, and fan
-/// switches out across workers. Output is in `loads.usable` order.
+/// Bucketed generation over a tiered representation: one foreign prefix
+/// per switch, switches fanned out across workers. Output is in
+/// `loads.usable` order.
 fn generate_all_tiered(
     loads: &Loads,
     t: &TieredNl,
@@ -464,27 +516,18 @@ fn generate_all_tiered(
     beta: f64,
 ) -> Vec<Candidate> {
     let buckets = TieredBuckets::build(loads, t, n, alpha, beta);
-    // group usable positions by start switch
-    let mut by_switch: Vec<Vec<usize>> = vec![Vec::new(); t.num_switches()];
-    for (i, &v) in loads.usable.iter().enumerate() {
-        by_switch[t.switch_of_node(v) as usize].push(i);
-    }
-    let active: Vec<u32> = (0..t.num_switches() as u32)
-        .filter(|&s| !by_switch[s as usize].is_empty())
-        .collect();
+    let active: Vec<u32> = buckets.start_switches().collect();
     let per_switch: Vec<Vec<Candidate>> = par::par_map(&active, |&sv| {
-        let starts = by_switch[sv as usize].iter().map(|&i| loads.usable[i]);
+        let starts = buckets.starts_on(sv).iter().map(|&i| loads.usable[i]);
         buckets.generate_switch(sv, starts).collect()
     });
-    let mut out: Vec<Option<Candidate>> = (0..loads.usable.len()).map(|_| None).collect();
-    for (&sv, group) in active.iter().zip(per_switch) {
-        for (&i, cand) in by_switch[sv as usize].iter().zip(group) {
-            out[i] = Some(cand);
-        }
-    }
-    out.into_iter()
-        .map(|c| c.expect("every start generated"))
-        .collect()
+    let mut out: Vec<(usize, Candidate)> = active
+        .iter()
+        .zip(per_switch)
+        .flat_map(|(&sv, group)| buckets.starts_on(sv).iter().copied().zip(group))
+        .collect();
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, c)| c).collect()
 }
 
 #[cfg(test)]
@@ -611,6 +654,46 @@ mod tests {
                     let heap = generate_candidate(&l, v, n, 0.3, 0.7);
                     let reference = generate_candidate_reference(&l, v, n, 0.3, 0.7);
                     assert_eq!(heap, reference, "seed {seed} start {v} n {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_prefix_generator_matches_heap_reference_on_ties() {
+        // α = 0 (or one CL for every node), one inter value for every
+        // switch pair: all of a start's foreign nodes cost the same, so
+        // the order rests on the id tie-break across interleaved streams
+        let v = 30u32;
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let switch_of: Vec<u32> = (0..v).map(|u| (u * 7) % 5).collect();
+        let nl = TieredNl::from_fns(
+            &nodes,
+            &switch_of,
+            5,
+            |a, b| 0.1 * ((a.0 + b.0) % 3) as f64,
+            |_, _| 0.25,
+        );
+        let pc: Vec<u32> = (0..v).map(|u| u % 4).collect();
+        let equal = Loads::from_parts(nodes.clone(), vec![0.5; v as usize], nl, pc);
+        // α·CL differs by a few ulps between even and odd ids but the
+        // +β·8.0 switch offset rounds it away: equal costs whose stream
+        // order (by α·CL) puts the larger id first
+        let nl = TieredNl::from_fns(&nodes, &switch_of, 5, |_, _| 0.1, |_, _| 8.0);
+        let cl = (0..v)
+            .map(|u| f64::from_bits(0.5f64.to_bits() + 8 * u64::from(u % 2 == 0)))
+            .collect();
+        let collided = Loads::from_parts(nodes, cl, nl, vec![4; v as usize]);
+        for (what, l) in [("equal", &equal), ("collided", &collided)] {
+            for n in [1, 3, 8, 17, 44, 45, 200] {
+                for &(a, b) in &[(0.0, 1.0), (0.0, 0.0), (0.3, 0.7), (1.0, 0.0)] {
+                    let tiered = generate_all_candidates(l, n, a, b);
+                    let reference: Vec<Candidate> = l
+                        .usable
+                        .iter()
+                        .map(|&s| generate_candidate(l, s, n, a, b))
+                        .collect();
+                    assert_eq!(tiered, reference, "{what} n {n} α {a} β {b}");
                 }
             }
         }

@@ -10,7 +10,6 @@ use nlrm_monitor::{BlockPairs, ClusterSnapshot, PairSource, SymMatrix};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use crate::tiered::NlRep;
@@ -69,6 +68,9 @@ impl StalenessPolicy {
     }
 }
 
+/// `Loads::position` entry of an id outside the usable set.
+const NOT_USABLE: u32 = u32::MAX;
+
 /// Everything Algorithms 1–2 need, derived once per allocation.
 #[derive(Debug, Clone)]
 pub struct Loads {
@@ -83,7 +85,9 @@ pub struct Loads {
     pub nl: Arc<NlRep>,
     /// Effective processor count per usable node (parallel to `usable`).
     pub pc: Vec<u32>,
-    index_of: HashMap<NodeId, usize>,
+    /// Position in the usable arrays per node id (dense over the id space
+    /// up to the largest usable id); [`NOT_USABLE`] marks other ids.
+    position: Vec<u32>,
     /// Σ CL over the usable universe, cached at construction so per-group
     /// scoring doesn't re-walk the whole universe.
     c_all: f64,
@@ -326,14 +330,19 @@ impl Loads {
     fn assemble(usable: Vec<NodeId>, cl: Vec<f64>, nl: Arc<NlRep>, pc: Vec<u32>) -> Loads {
         assert_eq!(usable.len(), cl.len());
         assert_eq!(usable.len(), pc.len());
-        let index_of = usable.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        assert!(usable.len() < NOT_USABLE as usize, "too many usable nodes");
+        let len = usable.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut position = vec![NOT_USABLE; len];
+        for (i, &n) in usable.iter().enumerate() {
+            position[n.index()] = i as u32;
+        }
         let (c_all, n_all) = universe_totals(&usable, &cl, &nl);
         Loads {
             usable,
             cl,
             nl,
             pc,
-            index_of,
+            position,
             c_all,
             n_all,
         }
@@ -353,12 +362,15 @@ impl Loads {
 
     /// Index of `node` in the usable arrays.
     pub fn index(&self, node: NodeId) -> Option<usize> {
-        self.index_of.get(&node).copied()
+        match self.position.get(node.index()) {
+            Some(&at) if at != NOT_USABLE => Some(at as usize),
+            _ => None,
+        }
     }
 
     /// Compute load of a usable node.
     pub fn cl_of(&self, node: NodeId) -> f64 {
-        self.cl[self.index_of[&node]]
+        self.cl[self.position[node.index()] as usize]
     }
 
     /// Network load between two usable nodes (0 for `u == v`).
@@ -372,7 +384,7 @@ impl Loads {
 
     /// Effective processor count of a usable node.
     pub fn pc_of(&self, node: NodeId) -> u32 {
-        self.pc[self.index_of[&node]]
+        self.pc[self.position[node.index()] as usize]
     }
 
     /// Total processes the usable universe can host.
@@ -629,6 +641,32 @@ mod tests {
             Some(4),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn index_misses_gaps_and_ids_past_the_last_usable() {
+        // usable ids 1, 2, 5, 9: 0, 3, 4, 6..=8 fall in gaps, 10+ lie past
+        // the position table
+        let usable: Vec<NodeId> = [1, 2, 5, 9].into_iter().map(NodeId).collect();
+        let l = Loads::from_parts(
+            usable.clone(),
+            vec![0.1, 0.2, 0.3, 0.4],
+            SymMatrix::new(10, 1.0),
+            vec![4, 3, 2, 1],
+        );
+        for (i, &u) in usable.iter().enumerate() {
+            assert_eq!(l.index(u), Some(i));
+            assert_eq!(l.cl_of(u), l.cl[i]);
+            assert_eq!(l.pc_of(u), l.pc[i]);
+        }
+        for gap in [0, 3, 4, 6, 7, 8] {
+            assert_eq!(l.index(NodeId(gap)), None, "gap id {gap}");
+        }
+        for past in [10, 11, 1_000, u32::MAX] {
+            assert_eq!(l.index(NodeId(past)), None, "id {past}");
+        }
+        let empty = Loads::from_parts(Vec::new(), Vec::new(), SymMatrix::new(0, 0.0), Vec::new());
+        assert_eq!(empty.index(NodeId(0)), None);
     }
 
     #[test]

@@ -50,13 +50,22 @@ pub fn group_mean_network_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
 /// group, so the pruned allocator, the brute-force validator and the
 /// ablations can score arbitrary subsets.
 pub fn group_cost(loads: &Loads, nodes: &[NodeId], alpha: f64, beta: f64) -> f64 {
+    compute_term(loads, group_compute_load(loads, nodes), alpha)
+        + network_term(loads, group_network_load(loads, nodes), beta)
+}
+
+/// `α·C_G/C_all`: the compute half of [`group_cost`] for a group whose
+/// compute load is `c_g`, bit for bit.
+pub(crate) fn compute_term(loads: &Loads, c_g: f64, alpha: f64) -> f64 {
     let c_all = loads.total_compute_load();
+    alpha * if c_all > 0.0 { c_g / c_all } else { 0.0 }
+}
+
+/// `β·N_G/N_all`: the network half of [`group_cost`] for a group whose
+/// network load is `n_g`, bit for bit.
+pub(crate) fn network_term(loads: &Loads, n_g: f64, beta: f64) -> f64 {
     let n_all = loads.total_network_load();
-    let c = group_compute_load(loads, nodes);
-    let n = group_network_load(loads, nodes);
-    let c_norm = if c_all > 0.0 { c / c_all } else { 0.0 };
-    let n_norm = if n_all > 0.0 { n / n_all } else { 0.0 };
-    alpha * c_norm + beta * n_norm
+    beta * if n_all > 0.0 { n_g / n_all } else { 0.0 }
 }
 
 /// One candidate's Eq. 4 score, split into its weighted components.
