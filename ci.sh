@@ -68,31 +68,6 @@ assert any(e.get("name") == "queue_wait" for e in events)
 PY
 test -s "$OBS_DIR/trace_summary.txt"
 
-# scaling smoke: the sweep must run its shrunken ladder, stay within the
-# 2x-of-linear budget (asserted by the bin itself), prune at least half
-# the starts at 5,000 nodes, and emit well-formed JSON (quick runs write
-# into the results dir, not the committed repo-root BENCH_scale.json)
-NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
-    cargo run --release -q -p nlrm-bench --bin scale_sweep
-python3 - "$OBS_DIR/BENCH_scale.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    bench = json.load(f)
-assert bench["sizes"], "BENCH_scale.json has no sizes"
-assert all(s["allocs_per_sec"] > 0 for s in bench["sizes"])
-assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
-# every start is either expanded or pruned (each mean is rounded to 0.1)
-for s in bench["sizes"]:
-    seen = s["mean_expanded"] + s["mean_pruned"]
-    assert abs(seen - s["nodes"]) <= 0.1 + 1e-9, f"{s['nodes']} nodes, {seen} starts"
-# pruning must bite: at the largest quick size the bounds skip at least
-# half of the starts
-largest = max(bench["sizes"], key=lambda s: s["nodes"])
-assert largest["nodes"] == 5000, f"largest quick size {largest['nodes']}"
-assert largest["mean_pruned"] >= 0.5 * largest["nodes"], \
-    f"{largest['nodes']} nodes: mean_pruned {largest['mean_pruned']}"
-PY
-
 # broker smoke: the scheduling-cycle sweep must run its shrunken streams,
 # emit well-formed JSON (validated twice: by the bin via json::validate
 # and here by Python), drain every admitted job, actually shed under the
@@ -141,10 +116,13 @@ test -s "$OBS_DIR/health_report.md"
 # shrunken ladder and hold the decentralization gates — sharded traffic
 # ≥10x below central at the largest smoke size, and the sharded
 # estimate's allocation epsilon ≤5% on every equivalence scenario (both
-# also asserted by the bin itself). Its real-chain row must store the
+# also asserted by the bin itself). Its real-chain rows must store the
 # snapshot as blocks: Σ_s C(m_s, 2) exact pairs plus C(S, 2) shard-pair
-# cells, counted from the topology, never a V×V matrix, and its
-# allocate_pruned decision must expand or prune every usable start. Its
+# cells, counted from the topology, never a V×V matrix. Their
+# allocate_pruned decision streams must expand or prune every usable
+# start (the bin asserts it per decision), stay within 2x of linear
+# scaling from the smallest to the largest row (also asserted by the
+# bin), and prune at least half the starts at 4,992 nodes. Its
 # steady-state row (the monitor alone, long enough to fill the 15-minute
 # windows) must exist and report the resident set it leaves
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
@@ -163,7 +141,16 @@ assert bench["chain"], "no real-chain row"
 for c in bench["chain"]:
     assert c["pair_cells"] == c["expected_pair_cells"], c
     assert c["pair_cells"] < c["nodes"] * (c["nodes"] - 1) // 2, c
-    assert c["expanded"] + c["pruned"] == c["usable"], c
+    assert c["allocs_per_sec"] > 0, c
+    seen = c["mean_expanded"] + c["mean_pruned"]
+    assert abs(seen - c["usable"]) <= 0.1 + 1e-9, f"{c['usable']} usable, {seen} starts"
+assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
+# pruning must bite: at the largest quick row the bounds skip at least
+# half of the usable starts
+largest = max(bench["chain"], key=lambda c: c["nodes"])
+assert largest["nodes"] == 4992, f"largest quick row {largest['nodes']}"
+assert largest["mean_pruned"] >= 0.5 * largest["usable"], \
+    f"{largest['nodes']} nodes: mean_pruned {largest['mean_pruned']}"
 steady = bench["steady"]
 assert steady["virtual_s"] >= 900, steady
 assert steady["rss_mb"] > 0, f"steady-state row has no RSS: {steady}"

@@ -1,9 +1,7 @@
 //! 3D process grids (the `MPI_Dims_create` idiom both mini-apps use).
 
-use serde::{Deserialize, Serialize};
-
 /// A 3D process grid of `px × py × pz` ranks with periodic neighbours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid3d {
     /// Ranks along x.
     pub px: usize,

@@ -18,7 +18,6 @@
 use crate::decomp::Grid3d;
 use nlrm_mpi::pattern::{Collective, Message, Phase, Workload};
 use nlrm_mpi::Communicator;
-use serde::{Deserialize, Serialize};
 
 /// Cycles per matrix row per CG iteration (27-pt SpMV + vector ops).
 const CYCLES_PER_ROW: f64 = 700.0;
@@ -30,7 +29,7 @@ const ASSEMBLY_ITER_EQUIV: f64 = 10.0;
 const BYTES_PER_FACE_ROW: f64 = 12.0;
 
 /// The miniFE proxy workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniFe {
     /// Elements per dimension (`nx`; the paper uses `ny = nz = nx`).
     pub nx: u32,

@@ -17,7 +17,6 @@
 use crate::decomp::Grid3d;
 use nlrm_mpi::pattern::{Collective, Message, Phase, Workload};
 use nlrm_mpi::Communicator;
-use serde::{Deserialize, Serialize};
 
 /// Bytes carried per ghost atom, one round trip: 3 position doubles out and
 /// 3 force doubles back.
@@ -29,7 +28,7 @@ const BYTES_PER_GHOST_ATOM: f64 = 48.0;
 const CYCLES_PER_ATOM: f64 = 50_000.0;
 
 /// The miniMD proxy workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniMd {
     /// Box side in lattice cells (`s` in the paper; atoms = 4·s³).
     pub size: u32,

@@ -3,11 +3,10 @@
 use crate::decomp::Grid3d;
 use nlrm_mpi::pattern::{Collective, Message, Phase, Workload};
 use nlrm_mpi::Communicator;
-use serde::{Deserialize, Serialize};
 
 /// Pure computation: `gcycles` of work per rank per step, no communication.
 /// The embarrassingly parallel end of the spectrum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeOnly {
     /// Work per rank per step, Gcycles.
     pub gcycles: f64,
@@ -28,7 +27,7 @@ impl Workload for ComputeOnly {
 }
 
 /// A 3D halo-exchange stencil with tunable compute/communication balance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Halo3d {
     /// Work per rank per step, Gcycles.
     pub gcycles: f64,
@@ -70,7 +69,7 @@ impl Workload for Halo3d {
 
 /// All-to-all every step: the communication-dominated extreme (FFT transposes,
 /// graph shuffles). Stresses the trunk links of a bad allocation hardest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllToAllHeavy {
     /// Work per rank per step, Gcycles.
     pub gcycles: f64,
@@ -99,7 +98,7 @@ impl Workload for AllToAllHeavy {
 }
 
 /// Rank-0↔rank-1 ping-pong, used to calibrate the latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PingPong {
     /// Message size in bytes.
     pub bytes: f64,

@@ -4,8 +4,9 @@
 //! at V = 60 nodes, with complexity O(V² log V) for candidate generation
 //! (§3.3.2). This bench verifies the absolute number on the paper's cluster
 //! size, the scaling shape over V, and the baselines for comparison. The
-//! switch-tiered pruned path behind large V is timed by `scale_sweep` and
-//! the `scale_micro` bench.
+//! switch-tiered pruned path behind large V is timed on the real chain by
+//! `monitor_sweep`'s chain rows (1k → 100k nodes) and the `scale_micro`
+//! bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nlrm_cluster::iitk::iitk_cluster;

@@ -1,6 +1,7 @@
 //! Microbenchmarks for the allocator's hot inner kernels.
 //!
-//! The scale story (`scale_sweep`) measures whole decisions; this file
+//! The scale story (`monitor_sweep`'s chain rows, 1k → 100k nodes on the
+//! real monitor → snapshot → derive chain) measures whole decisions; this file
 //! isolates the three kernels that dominate them — `group_cost` over a
 //! candidate's node set, `generate_candidate` from a single start node,
 //! and `select_best` over a full candidate slate — so per-kernel

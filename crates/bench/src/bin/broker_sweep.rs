@@ -27,11 +27,10 @@ use nlrm_core::broker::{
 };
 use nlrm_core::{AllocError, AllocationRequest, Loads};
 use nlrm_monitor::{ClusterSnapshot, MonitorRuntime};
-use nlrm_obs::{install, Obs};
+use nlrm_obs::{install, json, Obs};
 use nlrm_sim_core::rng::{frac, splitmix64};
 use nlrm_sim_core::time::{Duration, SimTime};
 use std::collections::{BinaryHeap, HashMap};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Virtual scheduling quantum.
@@ -442,42 +441,33 @@ fn main() {
     report::write_result("broker_sweep.md", &table.to_markdown()).expect("write md");
     report::write_result("broker_sweep.csv", &table.to_csv()).expect("write csv");
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"broker_sweep\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"quantum_s\": {QUANTUM_S},");
-    let _ = writeln!(json, "  \"capacity_procs\": {capacity},");
-    let _ = writeln!(json, "  \"arms\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"arm\": \"{}\", \"arrivals\": {}, \"started\": {}, \
-             \"rejected\": {}, \"ticks\": {}, \"sched_jobs_per_sec\": {:.3}, \
-             \"wait_p50_s\": {:.3}, \"wait_p99_s\": {:.3}, \"utilization\": {:.4}, \
-             \"derives_per_tick\": {:.4}, \"makespan_s\": {:.1}}}{comma}",
-            r.arm,
-            r.arrivals,
-            r.started,
-            r.rejected,
-            r.ticks,
-            r.sched_jobs_per_sec,
-            r.wait_p50_s,
-            r.wait_p99_s,
-            r.utilization,
-            r.derives_per_tick,
-            r.makespan_s
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    nlrm_obs::json::validate(&json).expect("BENCH_broker.json is valid JSON");
-
-    let out = report::bench_path("BENCH_broker.json", quick);
-    std::fs::write(&out, &json).expect("write BENCH_broker.json");
+    let arms: Vec<String> = results
+        .iter()
+        .map(|r| {
+            json::object(&[
+                ("arm", json::string(r.arm)),
+                ("arrivals", r.arrivals.to_string()),
+                ("started", r.started.to_string()),
+                ("rejected", r.rejected.to_string()),
+                ("ticks", r.ticks.to_string()),
+                ("sched_jobs_per_sec", json::num(r.sched_jobs_per_sec)),
+                ("wait_p50_s", json::num(r.wait_p50_s)),
+                ("wait_p99_s", json::num(r.wait_p99_s)),
+                ("utilization", json::num(r.utilization)),
+                ("derives_per_tick", json::num(r.derives_per_tick)),
+                ("makespan_s", json::num(r.makespan_s)),
+            ])
+        })
+        .collect();
+    let bench = json::object(&[
+        ("bench", json::string("broker_sweep")),
+        ("quick", quick.to_string()),
+        ("quantum_s", QUANTUM_S.to_string()),
+        ("capacity_procs", capacity.to_string()),
+        ("arms", json::array(&arms)),
+    ]);
+    report::write_bench("BENCH_broker.json", quick, &bench).expect("write BENCH_broker.json");
     if !nlrm_obs::progress::quiet() {
-        println!("wrote {}", out.display());
         print!("{}", table.to_markdown());
     }
 

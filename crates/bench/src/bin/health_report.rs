@@ -233,11 +233,8 @@ fn main() {
             (faulted_overhead <= 0.05 && clean_overhead <= 0.05).to_string(),
         ),
     ]);
-    json::validate(&bench).expect("BENCH_health.json is valid JSON");
-    let out = report::bench_path("BENCH_health.json", quick);
-    std::fs::write(&out, &bench).expect("write BENCH_health.json");
+    report::write_bench("BENCH_health.json", quick, &bench).expect("write BENCH_health.json");
     if !nlrm_obs::progress::quiet() {
-        println!("wrote {}", out.display());
         print!("{}", table.to_markdown());
     }
 

@@ -436,11 +436,8 @@ fn main() {
         ),
         ("pass", pass.to_string()),
     ]);
-    json::validate(&bench).expect("BENCH_incident.json is valid JSON");
-    let out = report::bench_path("BENCH_incident.json", quick);
-    std::fs::write(&out, &bench).expect("write BENCH_incident.json");
+    report::write_bench("BENCH_incident.json", quick, &bench).expect("write BENCH_incident.json");
     if !nlrm_obs::progress::quiet() {
-        println!("wrote {}", out.display());
         print!("{}", table.to_markdown());
     }
 

@@ -1,13 +1,12 @@
 //! Tables 2–3 arithmetic: percentage gains and run stability.
 
 use nlrm_sim_core::stats::{median, percent_gain, Summary};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Execution times collected per policy across matched configurations:
 /// `times["random"][k]` and `times["network-load-aware"][k]` come from the
 /// same (problem size, process count, repetition) cell.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PolicyTimes {
     times: BTreeMap<String, Vec<f64>>,
 }
@@ -59,7 +58,7 @@ impl PolicyTimes {
 }
 
 /// One row of Table 2/3: gains of the NLA policy over a baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainRow {
     /// Baseline policy name.
     pub baseline: String,
@@ -72,7 +71,7 @@ pub struct GainRow {
 }
 
 /// A full gains table (the paper's Tables 2 and 3).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GainTable {
     /// Rows, one per baseline.
     pub rows: Vec<GainRow>,
@@ -115,7 +114,7 @@ impl GainTable {
 
 /// Per-policy summary statistics for a sweep (CoV column of §5, Fig. 5
 /// companion numbers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyStats {
     /// Policy name.
     pub policy: String,

@@ -16,8 +16,9 @@
 //!   heatmaps so the binaries emit actual figures.
 //! * [`report`] — Markdown/CSV table writers; experiment binaries write
 //!   their outputs under `results/`.
-//! * [`synthetic`] — seeded tiered `Loads` for the allocator scale benches
-//!   (`scale_sweep`, the `scale_micro` criterion benches).
+//! * [`synthetic`] — seeded tiered `Loads` for the `scale_micro` kernel
+//!   benches; whole decisions at scale are timed on the real chain by
+//!   `monitor_sweep`'s chain rows.
 //!
 //! One binary per experiment lives in `src/bin/` — see DESIGN.md's
 //! experiment index for the mapping to paper figures/tables.

@@ -82,7 +82,20 @@ pub fn bench_path(name: &str, quick: bool) -> PathBuf {
 /// Write `contents` to `results/<name>` and echo the path (suppressed
 /// under `NLRM_QUIET`).
 pub fn write_result(name: &str, contents: &str) -> io::Result<PathBuf> {
-    let path = results_dir().join(name);
+    write_echoed(results_dir().join(name), contents)
+}
+
+/// Write the BENCH file `name` to [`bench_path`] and echo the path
+/// (suppressed under `NLRM_QUIET`); `json` that is not one well-formed
+/// JSON value is refused with [`io::ErrorKind::InvalidData`] and nothing
+/// is written.
+pub fn write_bench(name: &str, quick: bool, json: &str) -> io::Result<PathBuf> {
+    nlrm_obs::json::validate(json)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {e}")))?;
+    write_echoed(bench_path(name, quick), json)
+}
+
+fn write_echoed(path: PathBuf, contents: &str) -> io::Result<PathBuf> {
     fs::write(&path, contents)?;
     if !nlrm_obs::progress::quiet() {
         println!("wrote {}", path.display());
@@ -250,6 +263,15 @@ mod tests {
             bench_path("BENCH_x.json", false),
             workspace_root().join("BENCH_x.json")
         );
+        // a quick write lands in the results dir; invalid JSON writes nothing
+        let name = "BENCH_report_test_scratch.json";
+        let path = write_bench(name, true, r#"{"ok": [1, 2.5]}"#).unwrap();
+        assert_eq!(path, results_dir().join(name));
+        assert_eq!(fs::read_to_string(&path).unwrap(), r#"{"ok": [1, 2.5]}"#);
+        fs::remove_file(&path).unwrap();
+        let err = write_bench(name, true, r#"{"ok": }"#).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!path.exists());
     }
 
     #[test]

@@ -9,11 +9,10 @@ use nlrm_sim_core::process::{
 };
 use nlrm_sim_core::time::SimTime;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Static hardware description of a node (the `lscpu`-style facts the
 /// paper's NodeStateD queries once).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Hostname, e.g. `csews12`.
     pub hostname: String,
@@ -26,7 +25,7 @@ pub struct NodeSpec {
 }
 
 /// Instantaneous dynamic state of a node as the OS utilities would report it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeState {
     /// CPU load: number of runnable processes waiting/executing (like
     /// `uptime` load, aggregated across cores).
@@ -59,7 +58,7 @@ impl NodeState {
 
 /// Parameters of the stochastic processes driving one node's background
 /// activity. See [`crate::profiles`] for calibrated presets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeDynamicsParams {
     /// Long-run mean of the baseline CPU load (runnable processes).
     pub load_mean: f64,

@@ -8,10 +8,9 @@
 
 use crate::node::NodeDynamicsParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Population-level description of background activity on a shared cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterProfile {
     /// Range of per-node mean baseline CPU load (runnable processes).
     pub load_mean_range: (f64, f64),

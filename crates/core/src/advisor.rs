@@ -8,10 +8,9 @@
 use crate::policies::{NetworkLoadAwarePolicy, Policy};
 use crate::request::{AllocError, Allocation, AllocationRequest};
 use nlrm_monitor::ClusterSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Thresholds for the wait recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorConfig {
     /// Recommend waiting when the best group's mean CPU load per logical
     /// core exceeds this (1.0 ≈ every core already busy).

@@ -184,8 +184,6 @@ pub struct Lease {
 /// externally constructed leases stay plain data).
 #[derive(Debug, Clone)]
 struct RunMeta {
-    #[allow(dead_code)]
-    class: PriorityClass,
     /// When the job is expected to release its nodes (start + walltime);
     /// `None` for jobs that declared nothing and have no default.
     expected_end: Option<SimTime>,
@@ -571,13 +569,8 @@ impl Broker {
         for &(node, procs) in &lease.allocation.nodes {
             *self.reserved.entry(node).or_insert(0) += procs;
         }
-        self.run_meta.insert(
-            lease.id,
-            RunMeta {
-                class: PriorityClass::Normal,
-                expected_end: None,
-            },
-        );
+        self.run_meta
+            .insert(lease.id, RunMeta { expected_end: None });
         self.running.insert(lease.id, lease);
         Ok(())
     }
@@ -843,7 +836,6 @@ impl Broker {
         self.run_meta.insert(
             job.id,
             RunMeta {
-                class: job.class,
                 expected_end: walltime.map(|w| now + w),
             },
         );

@@ -39,12 +39,11 @@ use crate::loads::Loads;
 use crate::par;
 use crate::tiered::TieredNl;
 use nlrm_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A candidate sub-graph: the greedy result for one start node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The start node `v` this candidate grew from.
     pub start: NodeId,

@@ -2,13 +2,12 @@
 
 use crate::weights::{validate_alpha_beta, ComputeWeights, NetworkWeights};
 use nlrm_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a user asks the resource manager for (paper §3.3: "user specifies
 /// the total number of processes and process count per node (optionally)",
 /// plus the α/β job mix and attribute weights).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationRequest {
     /// Total number of MPI processes (`n`).
     pub procs: u32,
@@ -112,7 +111,7 @@ impl fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// A successful allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// Name of the policy that produced this allocation.
     pub policy: String,
@@ -125,7 +124,7 @@ pub struct Allocation {
 }
 
 /// Allocation-time diagnostics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Diagnostics {
     /// Eq. 4 total cost of the chosen group (NLA policy only; 0 otherwise).
     pub total_cost: f64,

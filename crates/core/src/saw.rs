@@ -6,11 +6,9 @@
 //! (with respect to the maximum value) for attributes having maximization
 //! criterion."
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an attribute should be as large or as small as possible
 /// (column 2 of the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Criterion {
     /// Larger values are better (complemented after normalization).
     Maximize,

@@ -1,7 +1,5 @@
 //! Weight vectors for the allocator's three weighted sums.
 
-use serde::{Deserialize, Serialize};
-
 /// Tolerance for "weights sum to one" checks.
 const SUM_TOL: f64 = 1e-9;
 
@@ -10,7 +8,7 @@ const SUM_TOL: f64 = 1e-9;
 /// Attributes with 1/5/15-minute windows form one group each; the group
 /// weight is applied to the *mean of the three windows* so the total weight
 /// assigned to, say, CPU load matches the paper's single number.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeWeights {
     /// Average CPU load (minimize).
     pub cpu_load: f64,
@@ -113,7 +111,7 @@ impl Default for ComputeWeights {
 }
 
 /// Latency/bandwidth weights for the pairwise network load (Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkWeights {
     /// Weight of P2P latency (`w_lt`); raise for chatty low-volume jobs.
     pub latency: f64,

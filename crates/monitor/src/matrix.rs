@@ -1,13 +1,12 @@
 //! Symmetric pairwise matrices (latency, bandwidth) indexed by node.
 
 use nlrm_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A symmetric `n × n` matrix with a default diagonal, stored densely.
 ///
 /// Writing `(u, v)` also writes `(v, u)`: P2P latency and bandwidth are
 /// treated as symmetric, as in the paper's measurement scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymMatrix<T> {
     n: usize,
     data: Vec<T>,

@@ -4,14 +4,13 @@ use nlrm_cluster::NodeSpec;
 use nlrm_sim_core::time::SimTime;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One node's published state: what `NodeStateD` writes to the store.
 ///
 /// Mirrors the paper's Table 1: static attributes (core count, frequency,
 /// total memory) plus instantaneous and 1/5/15-minute running means of the
 /// dynamic attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSample {
     /// Which node this record describes.
     pub node: NodeId,
@@ -41,7 +40,7 @@ impl NodeSample {
 /// A published latency statistic for one node pair. The paper maintains
 /// "the average of last 1 and 5 minutes of P2P latency" alongside the
 /// instantaneous measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStat {
     /// Latest measured one-way latency, seconds.
     pub instant: f64,

@@ -1,11 +1,10 @@
 //! Communicators: rank → node placement.
 
 use nlrm_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An MPI communicator over a concrete node placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Communicator {
     /// Node hosting each rank (`rank_map[r]` = node of rank `r`).
     rank_map: Vec<NodeId>,

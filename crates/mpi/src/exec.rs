@@ -27,7 +27,6 @@ use nlrm_cluster::ClusterSim;
 use nlrm_obs::span::{SpanId, TraceId};
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Causal-trace context for one job execution: the job's trace and the
@@ -43,7 +42,7 @@ pub struct TraceCtx {
 }
 
 /// Timing breakdown of one job execution.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobTiming {
     /// Total wall-clock (virtual) execution time, seconds.
     pub total_s: f64,

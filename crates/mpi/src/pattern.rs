@@ -1,10 +1,9 @@
 //! The workload language: what an application does in each timestep.
 
 use crate::comm::Communicator;
-use serde::{Deserialize, Serialize};
 
 /// A point-to-point message between ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Message {
     /// Sending rank.
     pub src: usize,
@@ -15,7 +14,7 @@ pub struct Message {
 }
 
 /// A collective operation over the whole communicator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Collective {
     /// Allreduce of `bytes` per rank (recursive doubling).
     Allreduce {
@@ -52,7 +51,7 @@ impl Collective {
 
 /// One bulk-synchronous timestep: per-rank compute work, then P2P
 /// messages (concurrent), then collectives (in order).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Phase {
     /// Compute work per rank, in Gcycles (time on a free core =
     /// `work / freq_ghz` seconds).

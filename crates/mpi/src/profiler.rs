@@ -16,10 +16,9 @@ use crate::comm::Communicator;
 use crate::exec::execute;
 use crate::pattern::Workload;
 use nlrm_cluster::ClusterSim;
-use serde::{Deserialize, Serialize};
 
 /// Result of profiling a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Workload display name.
     pub workload: String,

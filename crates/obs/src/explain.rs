@@ -10,10 +10,9 @@
 
 use crate::json;
 use nlrm_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One ranked candidate group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupExplain {
     /// 1-based rank by total cost (1 = winner).
     pub rank: usize,
@@ -48,7 +47,7 @@ impl GroupExplain {
 }
 
 /// Why one candidate group won an allocation decision.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExplainTrace {
     /// Compute-load weight used in the decision.
     pub alpha: f64,

@@ -6,10 +6,9 @@
 
 use crate::stats::Summary;
 use crate::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A named sequence of `(time, value)` samples in non-decreasing time order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     /// Display name (e.g. `"node A cpu load"`).
     pub name: String,

@@ -5,10 +5,8 @@
 //! them from a sample vector, and [`OnlineStats`] provides a streaming
 //! (Welford) mean/variance for long simulations.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -84,7 +82,7 @@ impl OnlineStats {
 }
 
 /// Five-number-style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

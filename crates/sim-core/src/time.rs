@@ -4,7 +4,6 @@
 //! totally ordered (usable as a heap key) and arithmetic is exact: replaying
 //! a simulation never diverges due to floating-point accumulation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -12,15 +11,11 @@ use std::ops::{Add, AddAssign, Sub};
 const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// A point in virtual time, measured in microseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in microseconds. Always non-negative.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl SimTime {

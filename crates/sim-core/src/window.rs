@@ -9,7 +9,6 @@
 //! drops it once the longest window has moved past it.
 
 use crate::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The paper's 1/5/15-minute window spans, in [`WindowedValue`] order.
@@ -130,7 +129,7 @@ impl<const A: usize, const W: usize> WindowRing<A, W> {
 }
 
 /// A snapshot of the three running means plus the instantaneous value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowedValue {
     /// Most recent raw sample.
     pub instant: f64,

@@ -1,18 +1,17 @@
 //! Topology data model: nodes, switches, links, and tree builders.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a compute node (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a switch (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u32);
 
 /// Identifier of a link (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl NodeId {
@@ -46,7 +45,7 @@ impl fmt::Display for SwitchId {
 }
 
 /// Capacity/latency pair describing one physical link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Raw capacity in bits per second.
     pub capacity_bps: f64,
@@ -73,7 +72,7 @@ impl LinkParams {
 }
 
 /// What a link connects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// A compute node's NIC.
     Node(NodeId),
@@ -82,7 +81,7 @@ pub enum Endpoint {
 }
 
 /// A physical link between two endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Link id (index into [`Topology::links`]).
     pub id: LinkId,
@@ -94,7 +93,7 @@ pub struct Link {
     pub params: LinkParams,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SwitchRec {
     parent: Option<SwitchId>,
     /// Link to the parent switch, when `parent` is set.
@@ -103,14 +102,14 @@ struct SwitchRec {
     depth: u32,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeRec {
     switch: SwitchId,
     access_link: LinkId,
 }
 
 /// An immutable cluster topology: a tree of switches with nodes at the leaves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     switches: Vec<SwitchRec>,
     nodes: Vec<NodeRec>,

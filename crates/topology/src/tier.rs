@@ -9,11 +9,10 @@
 //! ascending node-id order.
 
 use crate::graph::{NodeId, SwitchId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Dense node↔switch index over a topology (or any assignment of nodes to
 /// switch-tier buckets).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchIndex {
     switch_of: Vec<SwitchId>,
     members: Vec<Vec<NodeId>>,
