@@ -122,7 +122,8 @@ test -s "$OBS_DIR/health_report.md"
 # allocate_pruned decision streams must expand or prune every usable
 # start (the bin asserts it per decision), stay within 2x of linear
 # scaling from the smallest to the largest row (also asserted by the
-# bin), and prune at least half the starts at 4,992 nodes. Its
+# bin), and prune at least half the starts at 4,992 nodes. Each row's
+# derive must take at most 4x its snapshot time. Its
 # steady-state row (the monitor alone, long enough to fill the 15-minute
 # windows) must exist and report the resident set it leaves
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
@@ -144,6 +145,11 @@ for c in bench["chain"]:
     assert c["allocs_per_sec"] > 0, c
     seen = c["mean_expanded"] + c["mean_pruned"]
     assert abs(seen - c["usable"]) <= 0.1 + 1e-9, f"{c['usable']} usable, {seen} starts"
+    # derive sums the blocks, not the V² pairs: it stays within a small
+    # multiple of the snapshot it reads (same process, so host speed
+    # cancels out)
+    assert c["derive_ms"] <= 4 * c["snapshot_ms"], \
+        f"{c['nodes']} nodes: derive {c['derive_ms']} ms, snapshot {c['snapshot_ms']} ms"
 assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
 # pruning must bite: at the largest quick row the bounds skip at least
 # half of the usable starts

@@ -1,15 +1,22 @@
 //! Deriving the allocator's inputs from a monitoring snapshot:
 //! compute load `CL_v` (Eq. 1), network load `NL_(u,v)` (Eq. 2), and
 //! effective processor count `pc_v` (Eq. 3).
+//!
+//! Eq. 2 has one implementation for both snapshot shapes. A dense
+//! snapshot gives one input per usable pair. A block snapshot gives one
+//! per intra-shard pair and one per shard pair, and its column sums run
+//! in O(Σ m_s² + S²) adds yet equal the dense pair-order sums bit for bit
+//! (`BucketPairs::sum`), so both shapes derive the same NL values.
 
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
 use crate::tiered::TieredNl;
 use crate::weights::{ComputeWeights, NetworkWeights};
-use nlrm_monitor::{BlockPairs, ClusterSnapshot, PairSource, SymMatrix};
+use nlrm_monitor::{pair_index, BlockPairs, ClusterSnapshot, LatencyStat, PairSource, SymMatrix};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
+use std::ops::Range;
 use std::sync::Arc;
 
 pub use crate::tiered::NlRep;
@@ -466,53 +473,59 @@ fn normalized(value: f64, sum: f64) -> f64 {
     }
 }
 
-/// Eq. 2 over a derivation's distinct inputs, each named by one usable
-/// pair that reads it and the number of usable pairs that do: normalized
-/// latency and normalized complement of available bandwidth, combined
-/// with `w_lt`/`w_bw`, then rescaled to unit mean over the usable pairs.
-/// An unmeasured input takes its column's penalty; one whose rows aged
-/// past `policy.max_pair_age` is blended toward it. `ordered_sum` sums a
-/// column over the usable `i < j` pairs in order, so every input gets the
-/// value a per-pair dense derivation gives it.
+/// An Eq. 2 input latency: the 1-minute mean, or the instant when the
+/// mean is not yet known.
+fn latency_input(stat: LatencyStat) -> f64 {
+    if stat.m1.is_finite() {
+        stat.m1
+    } else {
+        stat.instant
+    }
+}
+
+/// Complement of available bandwidth: peak − available, +∞ for a pair
+/// never measured (an absolute sentinel in bps could rank *better* than a
+/// congested measured pair on fast links).
+fn complement(peak_bps: f64, avail_bps: f64) -> f64 {
+    if !peak_bps.is_finite() || peak_bps <= 0.0 {
+        return f64::INFINITY;
+    }
+    (peak_bps - avail_bps).max(0.0)
+}
+
+/// Column entries `range` of Eq. 2 inputs that share their pair count and
+/// ages: each is read by `count` usable pairs, and its latency and
+/// bandwidth rows have the two ages.
+type Stretch = (Range<usize>, usize, Option<Duration>, Option<Duration>);
+
+/// Eq. 2 in place over a derivation's distinct inputs. `lat` holds each
+/// input's latency and `cbw` its bandwidth complement; `stretches` names
+/// every entry a usable pair reads, and entries it does not name stay 0.
+/// An unmeasured input takes its column's penalty, and one whose rows
+/// aged past `policy.max_pair_age` is blended toward it. Both columns are
+/// then normalized by their sums over the usable pairs and combined with
+/// `w_lt`/`w_bw` into `lat`, which is rescaled to unit mean over the
+/// usable pairs. `ordered_sum` sums a column over the usable `i < j`
+/// pairs in row-major order, so every input gets the value a per-pair
+/// dense derivation gives it.
 fn network_load(
     snap: &ClusterSnapshot,
-    inputs: &[((NodeId, NodeId), usize)],
+    lat: &mut [f64],
+    cbw: &mut [f64],
+    stretches: impl Iterator<Item = Stretch>,
     ordered_sum: impl Fn(&[f64]) -> f64,
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> Vec<f64> {
-    // latency column: prefer the 1-minute mean, fall back to the instant
-    let mut lat: Vec<f64> = inputs
-        .iter()
-        .map(|&((u, v), _)| {
-            let st = snap.latency(u, v);
-            if st.m1.is_finite() {
-                st.m1
-            } else {
-                st.instant
-            }
-        })
-        .collect();
-    // complement of available bandwidth: peak − available, +∞ for a pair
-    // never measured (an absolute sentinel in bps could rank *better*
-    // than a congested measured pair on fast links)
-    let mut cbw: Vec<f64> = inputs
-        .iter()
-        .map(|&((u, v), _)| {
-            let peak = snap.peak_bandwidth_bps(u, v);
-            if !peak.is_finite() || peak <= 0.0 {
-                return f64::INFINITY;
-            }
-            (peak - snap.bandwidth_bps(u, v)).max(0.0)
-        })
-        .collect();
-    let (lat_penalty, cbw_penalty) = (penalty(&lat), penalty(&cbw));
+) {
+    let (lat_penalty, cbw_penalty) = (penalty(lat), penalty(cbw));
     let (mut pairs, mut blended) = (0, 0);
-    for (x, &((u, v), count)) in inputs.iter().enumerate() {
-        let l = settle(&mut lat[x], lat_penalty, snap.latency_age(u, v), policy);
-        let c = settle(&mut cbw[x], cbw_penalty, snap.bandwidth_age(u, v), policy);
-        blended += if l || c { count } else { 0 };
-        pairs += count;
+    for (range, count, lat_age, bw_age) in stretches {
+        for x in range {
+            let l = settle(&mut lat[x], lat_penalty, lat_age, policy);
+            let c = settle(&mut cbw[x], cbw_penalty, bw_age, policy);
+            blended += if l || c { count } else { 0 };
+            pairs += count;
+        }
     }
     if blended > 0 && nlrm_obs::ctx::is_active() {
         let event = nlrm_obs::EventKind::StalePairsBlended { count: blended };
@@ -520,38 +533,49 @@ fn network_load(
         nlrm_obs::ctx::add("loads_stale_pairs_blended_total", blended as u64);
     }
     if pairs == 0 {
-        return lat;
+        return;
     }
-    let (lat_sum, cbw_sum) = (ordered_sum(&lat), ordered_sum(&cbw));
-    let mut nl: Vec<f64> = (0..lat.len())
-        .map(|x| {
-            weights.latency * normalized(lat[x], lat_sum)
-                + weights.bandwidth * normalized(cbw[x], cbw_sum)
-        })
-        .collect();
-    let pair_mean = ordered_sum(&nl) / pairs as f64;
+    let (lat_sum, cbw_sum) = (ordered_sum(lat), ordered_sum(cbw));
+    for (l, &c) in lat.iter_mut().zip(cbw.iter()) {
+        *l = weights.latency * normalized(*l, lat_sum) + weights.bandwidth * normalized(c, cbw_sum);
+    }
+    let pair_mean = ordered_sum(lat) / pairs as f64;
     if pair_mean > 0.0 {
-        nl.iter_mut().for_each(|x| *x /= pair_mean);
+        lat.iter_mut().for_each(|x| *x /= pair_mean);
     }
-    nl
 }
 
-/// Eq. 2 on a dense snapshot: one input per usable pair.
+/// Eq. 2 on a dense snapshot: one input per usable pair, row-major.
 fn dense_network_load(
     snap: &ClusterSnapshot,
     usable: &[NodeId],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) -> NlRep {
-    let inputs: Vec<((NodeId, NodeId), usize)> = usable
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| ((u, v), 1)))
+    let pairs = || {
+        usable
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
+    };
+    let mut lat: Vec<f64> = pairs()
+        .map(|(u, v)| latency_input(snap.latency(u, v)))
         .collect();
-    let sum = |column: &[f64]| column.iter().sum();
-    let nl = network_load(snap, &inputs, sum, weights, policy);
+    let mut cbw: Vec<f64> = pairs()
+        .map(|(u, v)| complement(snap.peak_bandwidth_bps(u, v), snap.bandwidth_bps(u, v)))
+        .collect();
+    let stretches = pairs().enumerate().map(|(x, (u, v))| {
+        (
+            x..x + 1,
+            1,
+            snap.latency_age(u, v),
+            snap.bandwidth_age(u, v),
+        )
+    });
+    let sum = |column: &[f64]| column.iter().sum::<f64>();
+    network_load(snap, &mut lat, &mut cbw, stretches, sum, weights, policy);
     let mut out = SymMatrix::new(snap.num_nodes(), 0.0);
-    for (&((u, v), _), &x) in inputs.iter().zip(&nl) {
+    for ((u, v), x) in pairs().zip(lat) {
         out.set(u, v, x);
     }
     NlRep::Dense(out)
@@ -559,10 +583,12 @@ fn dense_network_load(
 
 /// Eq. 2 on a block snapshot, straight into a [`TieredNl`] with no V×V
 /// structure. Bucket `b` holds shard block `b`'s usable members and the
-/// last bucket the usable nodes no shard lists. The inputs are one per
-/// intra-bucket pair and one per bucket pair: every cross pair of a
-/// bucket pair reads the same estimate cell at the same ages. The
-/// ordered sums walk the usable pairs through [`TieredNl::group_sum`].
+/// last bucket the usable nodes no shard lists. An intra-bucket pair
+/// reads its block's triangle (the last bucket's pairs are unmeasured).
+/// Every cross pair of a bucket pair reads the same estimate cell at the
+/// same ages, so it is one input counted `m_a·m_b` times. The columns
+/// take the [`BucketPairs`] layout, whose ordered sum is the dense one
+/// bit for bit.
 fn block_network_load(
     snap: &ClusterSnapshot,
     blocks: &BlockPairs,
@@ -570,53 +596,305 @@ fn block_network_load(
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) -> NlRep {
-    let k = blocks.blocks().len() + 1;
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-    for &u in usable {
-        members[blocks.slot(u).map_or(k - 1, |(b, _)| b)].push(u);
-    }
-    // (bucket a, bucket b, position i, position j): an intra pair i < j
-    // when a == b, a bucket pair when a < b
-    let mut keys: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for (b, m) in members.iter().map(Vec::len).enumerate() {
-        keys.extend((0..m).flat_map(|i| ((i + 1)..m).map(move |j| (b, b, i, j))));
-    }
-    for a in (0..k).filter(|&a| !members[a].is_empty()) {
-        keys.extend(
-            ((a + 1)..k)
-                .filter(|&b| !members[b].is_empty())
-                .map(|b| (a, b, 0, 0)),
-        );
-    }
-    let inputs: Vec<((NodeId, NodeId), usize)> = keys
-        .iter()
-        .map(|&(a, b, i, j)| {
-            let count = if a == b {
-                1
-            } else {
-                members[a].len() * members[b].len()
-            };
-            ((members[a][i], members[b][j]), count)
-        })
-        .collect();
-    let tiered = |values: &[f64]| {
-        let mut intra: Vec<Vec<f64>> = members
+    let shards = blocks.blocks();
+    let k = shards.len() + 1;
+    let order = BucketPairs::new(k, usable, |u| blocks.slot(u).map_or(k - 1, |(b, _)| b));
+    let members = &order.members;
+    let (mut lat, mut cbw) = (vec![0.0; order.len()], vec![0.0; order.len()]);
+    for (b, ms) in members.iter().enumerate() {
+        let tri = order.tri[b]..order.tri[b + 1];
+        let (lat, cbw) = (&mut lat[tri.clone()], &mut cbw[tri]);
+        let Some(block) = shards.get(b) else {
+            lat.fill(f64::INFINITY);
+            cbw.fill(f64::INFINITY);
+            continue;
+        };
+        let at: Vec<usize> = ms
             .iter()
-            .map(|m| vec![0.0; m.len() * m.len()])
+            .map(|&u| blocks.slot(u).expect("bucketed by its slot").1)
             .collect();
-        let mut cross = vec![0.0; k * k];
-        for (&(a, b, i, j), &x) in keys.iter().zip(values) {
-            let m = members[a].len();
-            if a == b {
-                (intra[a][i * m + j], intra[a][j * m + i]) = (x, x);
-            } else {
-                (cross[a * k + b], cross[b * k + a]) = (x, x);
+        let mut x = 0;
+        for (i, &p) in at.iter().enumerate() {
+            for &q in &at[i + 1..] {
+                let c = pair_index(block.members.len(), p, q);
+                // a point value: its own 1-minute mean and instant
+                lat[x] = block.lat_s[c];
+                cbw[x] = complement(block.peak_bps[c], block.avail_bps[c]);
+                x += 1;
             }
         }
-        TieredNl::from_parts(members.clone(), intra, cross)
-    };
-    let sum = |column: &[f64]| tiered(column).group_sum(usable);
-    NlRep::Tiered(tiered(&network_load(snap, &inputs, sum, weights, policy)))
+    }
+    for (a, b) in order.bucket_pairs() {
+        let (u, v) = (members[a][0], members[b][0]);
+        let x = order.cross(a, b);
+        lat[x] = latency_input(snap.latency(u, v));
+        cbw[x] = complement(snap.peak_bandwidth_bps(u, v), snap.bandwidth_bps(u, v));
+    }
+    // a pair's rows are as old as the fresher of its endpoints' blocks
+    let age = |b: usize| shards.get(b).map(|block| block.age);
+    let intra = (0..k).map(|b| (order.tri[b]..order.tri[b + 1], 1, age(b), age(b)));
+    let cross = order.bucket_pairs().map(|(a, b)| {
+        let x = order.cross(a, b);
+        let age = match (age(a), age(b)) {
+            (Some(s), Some(t)) => Some(s.min(t)),
+            (s, t) => s.or(t),
+        };
+        (x..x + 1, members[a].len() * members[b].len(), age, age)
+    });
+    let sum = |column: &[f64]| order.sum(column);
+    network_load(
+        snap,
+        &mut lat,
+        &mut cbw,
+        intra.chain(cross),
+        sum,
+        weights,
+        policy,
+    );
+    NlRep::Tiered(order.into_tiered(&lat))
+}
+
+/// The usable pairs of a bucketed universe, laid out as one column: each
+/// bucket's strict upper triangle over its members' positions, then the
+/// strict upper triangle of bucket pairs, both indexed by [`pair_index`].
+/// A cross pair reads its bucket pair's entry.
+///
+/// [`BucketPairs::sum`] adds a column over the usable pairs in the dense
+/// row-major order, that of [`TieredNl::group_sum`] over the usable set,
+/// bit for bit and in O(Σ m_s² + S²) when each bucket is one run of the
+/// usable order.
+struct BucketPairs {
+    /// Usable members per bucket, in usable order.
+    members: Vec<Vec<NodeId>>,
+    /// Start of each bucket's triangle; `tri[k]` starts the bucket pairs.
+    tri: Vec<usize>,
+    /// The usable order as maximal runs of one bucket.
+    runs: Vec<Run>,
+}
+
+/// A maximal stretch of the usable order within one bucket.
+struct Run {
+    bucket: usize,
+    /// Position of its first node among the bucket's members.
+    first: usize,
+    len: usize,
+    /// No later run is in the same bucket.
+    last: bool,
+}
+
+impl BucketPairs {
+    /// `k` buckets over `usable`, `bucket_of` placing each node.
+    fn new(k: usize, usable: &[NodeId], bucket_of: impl Fn(NodeId) -> usize) -> BucketPairs {
+        let mut members = vec![Vec::new(); k];
+        let mut runs: Vec<Run> = Vec::new();
+        for &u in usable {
+            let bucket = bucket_of(u);
+            match runs.last_mut() {
+                Some(run) if run.bucket == bucket => run.len += 1,
+                _ => runs.push(Run {
+                    bucket,
+                    first: members[bucket].len(),
+                    len: 1,
+                    last: false,
+                }),
+            }
+            members[bucket].push(u);
+        }
+        let mut seen = vec![false; k];
+        for run in runs.iter_mut().rev() {
+            run.last = !std::mem::replace(&mut seen[run.bucket], true);
+        }
+        let mut tri = vec![0];
+        for ms in &members {
+            tri.push(tri[tri.len() - 1] + ms.len() * ms.len().saturating_sub(1) / 2);
+        }
+        BucketPairs { members, tri, runs }
+    }
+
+    /// Column length.
+    fn len(&self) -> usize {
+        let k = self.members.len();
+        self.tri[k] + k * k.saturating_sub(1) / 2
+    }
+
+    /// Column entry of the bucket pair `a ≠ b`.
+    fn cross(&self, a: usize, b: usize) -> usize {
+        let k = self.members.len();
+        self.tri[k] + pair_index(k, a, b)
+    }
+
+    /// The bucket pairs `a < b` with usable members on both sides.
+    fn bucket_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let k = self.members.len();
+        let occupied = |b: &usize| !self.members[*b].is_empty();
+        (0..k)
+            .filter(occupied)
+            .flat_map(move |a| ((a + 1)..k).filter(occupied).map(move |b| (a, b)))
+    }
+
+    /// Σ `column` over the usable pairs in the dense row-major order, bit
+    /// for bit. Each row adds the rest of its own run one pair at a time.
+    /// When no later run is in its bucket, its later runs all read cross
+    /// entries; if each of those moves the sum by a whole number of ulps
+    /// of its binade (no tie) and their total keeps it there, they add as
+    /// that total at once (see [`in_ulps`]). The total is cached per run
+    /// and binade. Otherwise the row goes run by run: a cross run through
+    /// [`add_repeated`], a later own-bucket run one pair at a time.
+    fn sum(&self, column: &[f64]) -> f64 {
+        let mut s = 0.0;
+        for (r, run) in self.runs.iter().enumerate() {
+            let (b, later) = (run.bucket, &self.runs[r + 1..]);
+            let m = self.members[b].len();
+            let own = &column[self.tri[b]..self.tri[b + 1]];
+            // row `i` of the own triangle over positions `j..j + len`
+            let own_row = |i: usize, j: usize, len: usize| match len {
+                0 => &own[..0],
+                _ => &own[pair_index(m, i, j)..][..len],
+            };
+            let cross = |t: usize| column[self.cross(b, t)];
+            // (binade, Σ len·k over the later runs there)
+            let mut jump: Option<(u32, Option<u64>)> = None;
+            for i in run.first..run.first + run.len {
+                for &x in own_row(i, i + 1, run.first + run.len - i - 1) {
+                    s += x;
+                }
+                if let Some((mant, e)) = split(s).filter(|_| run.last) {
+                    if jump.is_none_or(|(at, _)| at != e) {
+                        let total = later.iter().try_fold(0u64, |total, next| {
+                            let (k, tie) = in_ulps(cross(next.bucket), e)?;
+                            (!tie).then(|| total.saturating_add(k.saturating_mul(next.len as u64)))
+                        });
+                        jump = Some((e, total));
+                    }
+                    if let Some((_, Some(total))) = jump {
+                        if total < MANT_TOP - mant {
+                            s = (mant + total) as f64 * ulp(e);
+                            continue;
+                        }
+                    }
+                }
+                for next in later {
+                    if next.bucket == b {
+                        for &x in own_row(i, next.first, next.len) {
+                            s += x;
+                        }
+                    } else {
+                        s = add_repeated(s, cross(next.bucket), next.len);
+                    }
+                }
+            }
+        }
+        s
+    }
+
+    /// The [`TieredNl`] holding `column`.
+    fn into_tiered(self, column: &[f64]) -> TieredNl {
+        let k = self.members.len();
+        let intra = self
+            .members
+            .iter()
+            .zip(&self.tri)
+            .map(|(ms, &at)| {
+                let m = ms.len();
+                let mut mat = vec![0.0; m * m];
+                let mut x = at;
+                for i in 0..m {
+                    for j in (i + 1)..m {
+                        (mat[i * m + j], mat[j * m + i]) = (column[x], column[x]);
+                        x += 1;
+                    }
+                }
+                mat
+            })
+            .collect();
+        let mut inter = vec![0.0; k * k];
+        for a in 0..k {
+            for b in (a + 1)..k {
+                let x = column[self.cross(a, b)];
+                (inter[a * k + b], inter[b * k + a]) = (x, x);
+            }
+        }
+        TieredNl::from_parts(self.members, intra, inter)
+    }
+}
+
+/// 2⁵³: one past the largest integer mantissa of a binade.
+const MANT_TOP: u64 = 1 << 53;
+
+/// A non-negative finite `s` as `mant · ulp(e)`, `mant < 2⁵³`, where `e`
+/// is its binade (the biased exponent, 1 for subnormals: spacing
+/// 2⁻¹⁰⁷⁴ holds from 0 up to 2⁻¹⁰²¹). `None` for a negative (or −0) or
+/// non-finite `s`.
+fn split(s: f64) -> Option<(u64, u32)> {
+    if s.is_sign_negative() || !s.is_finite() {
+        return None;
+    }
+    let bits = s.to_bits();
+    let (e, frac) = ((bits >> 52) as u32, bits & ((1 << 52) - 1));
+    Some(match e {
+        0 => (frac, 1),
+        _ => (frac | (1 << 52), e),
+    })
+}
+
+/// The spacing of binade `e`: 2^(e − 1075).
+fn ulp(e: u32) -> f64 {
+    match e {
+        53.. => f64::from_bits(u64::from(e - 52) << 52),
+        _ => f64::from_bits(1 << (e - 1)),
+    }
+}
+
+/// `v` in ulps of binade `e`, rounded to nearest, and whether it lies
+/// exactly halfway. `None` for a negative or non-finite `v`, or one of
+/// 2⁵³ ulps or more.
+///
+/// Adding `v` to a sum `mant · ulp(e)` rounds `s + v` to the nearest
+/// multiple of `ulp(e)` while `mant + k < 2⁵³`. Off a tie that moves the
+/// sum by exactly `k` ulps, whatever `mant` is, so any run of such adds
+/// that stays in the binade moves it by the total of their `k`s. On a
+/// tie, the even of the two neighbours wins, which depends on `mant`.
+fn in_ulps(v: f64, e: u32) -> Option<(u64, bool)> {
+    let q = v / ulp(e);
+    if !(0.0..MANT_TOP as f64).contains(&q) {
+        return None;
+    }
+    let whole = q.floor();
+    let frac = q - whole;
+    Some((whole as u64 + u64::from(frac > 0.5), frac == 0.5))
+}
+
+/// `s + v + v + …` with `c` adds, bit for bit as the sequential loop, in a
+/// few adds per binade of the sum. Within a binade every non-tie add
+/// moves the sum by the same number of ulps (see [`in_ulps`]), and so
+/// does every tie add from an even mantissa (each lands on the even
+/// neighbour, an even number of ulps away): those jump to the binade's
+/// end at once. A tie from an odd mantissa, the add that leaves the
+/// binade, and a negative or non-finite operand take one plain add.
+fn add_repeated(mut s: f64, v: f64, mut c: usize) -> f64 {
+    while c > 0 {
+        let step = split(s).and_then(|(mant, e)| {
+            let (k, tie) = in_ulps(v, e)?;
+            match (tie, mant % 2) {
+                (false, _) => Some((mant, e, k)),
+                (true, 0) => Some((mant, e, k + k % 2)),
+                (true, _) => None,
+            }
+        });
+        match step {
+            Some((_, _, 0)) => return s,
+            Some((mant, e, k)) if k < MANT_TOP - mant => {
+                let n = ((MANT_TOP - 1 - mant) / k).min(c as u64);
+                s = (mant + n * k) as f64 * ulp(e);
+                c -= n as usize;
+            }
+            _ => {
+                s += v;
+                c -= 1;
+            }
+        }
+    }
+    s
 }
 
 #[cfg(test)]
@@ -962,5 +1240,215 @@ mod tests {
             assert!(nothing.usable.is_empty());
             assert_eq!(nothing.total_capacity(), 0);
         }
+    }
+
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    fn add_loop(mut s: f64, v: f64, c: usize) -> f64 {
+        for _ in 0..c {
+            s += v;
+        }
+        s
+    }
+
+    fn assert_adds_like_the_loop(s: f64, v: f64, c: usize) {
+        assert_eq!(
+            add_repeated(s, v, c).to_bits(),
+            add_loop(s, v, c).to_bits(),
+            "s = {s:e} ({:#x}), v = {v:e} ({:#x}), c = {c}",
+            s.to_bits(),
+            v.to_bits()
+        );
+    }
+
+    /// The spacing of the binade `s` lies in.
+    fn ulp_of(s: f64) -> f64 {
+        ulp(split(s).unwrap().1)
+    }
+
+    #[test]
+    fn add_repeated_matches_the_add_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_add5);
+        for case in 0..100_000 {
+            let s = match case % 5 {
+                0 => 0.0,
+                // subnormal
+                1 => f64::from_bits(rng.gen_range(1..MANT_TOP / 2)),
+                // a few ulps below a binade's top, so the adds cross it
+                2 => {
+                    let e = rng.gen_range(1..2000u64);
+                    f64::from_bits((e << 52) | (MANT_TOP / 2 - 1 - rng.gen_range(0..64u64)))
+                }
+                // anywhere from just above the subnormals to large
+                3 => {
+                    f64::from_bits(rng.gen_range(1..2000u64) << 52 | rng.gen_range(0..MANT_TOP / 2))
+                }
+                _ => rng.gen::<f64>() * 2f64.powi(rng.gen_range(-60..60)),
+            };
+            let u = ulp_of(s);
+            let v = match rng.gen_range(0..6) {
+                // stagnation: below half an ulp of s
+                0 => u * rng.gen_range(0.0..0.5),
+                // an exact tie
+                1 => u * (rng.gen_range(0..5u32) as f64 + 0.5),
+                // larger than s
+                2 => (s + u) * rng.gen_range(1.0..100.0),
+                // a few ulps, fractional
+                3 => u * rng.gen_range(0.0..1000.0),
+                // a dyadic value at a random scale
+                4 => rng.gen_range(1..8u32) as f64 * 2f64.powi(rng.gen_range(-60..10)),
+                _ => 0.0,
+            };
+            let c = match rng.gen_range(0..100) {
+                0 => rng.gen_range(1..=100_000),
+                1..=9 => rng.gen_range(64..2_000),
+                _ => rng.gen_range(0..64),
+            };
+            assert_adds_like_the_loop(s, v, c);
+        }
+    }
+
+    #[test]
+    fn add_repeated_tie_run() {
+        let u = 2f64.powi(-52);
+        // 1.5 ulps from an even mantissa: every add rounds up to 2 ulps
+        assert_eq!(add_repeated(1.0, 1.5 * u, 1000), 1.0 + 2000.0 * u);
+        // from an odd mantissa the first add rounds down to 1 ulp, then
+        // the mantissa is even and every further add moves 2
+        let odd = 1.0 + u;
+        assert_eq!(
+            add_repeated(odd, 1.5 * u, 1000),
+            odd + (1.0 + 2.0 * 999.0) * u
+        );
+        // 2.5 ulps lands on 2 from an even mantissa
+        assert_eq!(add_repeated(1.0, 2.5 * u, 1000), 1.0 + 2000.0 * u);
+        for (s, v) in [
+            (1.0, 1.5 * u),
+            (odd, 1.5 * u),
+            (1.0, 2.5 * u),
+            (odd, 0.5 * u),
+        ] {
+            for c in [1, 2, 3, 1000, 100_000] {
+                assert_adds_like_the_loop(s, v, c);
+            }
+        }
+        // a tie run that crosses into the next binade, where it is none
+        assert_adds_like_the_loop(2.0 - 64.0 * u, 1.5 * u, 100);
+    }
+
+    #[test]
+    fn add_repeated_stagnation_run() {
+        let u = 2f64.powi(-52);
+        // under half an ulp, and exactly half from an even mantissa: s stays
+        assert_eq!(add_repeated(1.0, 0.49 * u, 100_000), 1.0);
+        assert_eq!(add_repeated(1.0, 0.5 * u, 100_000), 1.0);
+        // from an odd mantissa half an ulp rounds up once, then stays
+        assert_eq!(add_repeated(1.0 + u, 0.5 * u, 100_000), 1.0 + 2.0 * u);
+        for (s, v) in [
+            (1.0, 0.49 * u),
+            (1.0, 0.5 * u),
+            (1.0 + u, 0.5 * u),
+            (7.0, 0.0),
+        ] {
+            assert_adds_like_the_loop(s, v, 100_000);
+        }
+    }
+
+    /// A random bucketed universe: `k` buckets over ids with gaps, laid
+    /// out in bucket runs (`interleave` 0), one node at a time at random
+    /// (1), or in random-length stretches (2).
+    fn shape(rng: &mut StdRng, interleave: u32) -> (usize, Vec<NodeId>, Vec<usize>) {
+        let k = rng.gen_range(1..10);
+        let sizes: Vec<usize> = (0..k)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0,
+                _ => rng.gen_range(1..30),
+            })
+            .collect();
+        let mut buckets: Vec<usize> = (0..k).flat_map(|b| vec![b; sizes[b]]).collect();
+        match interleave {
+            0 => {}
+            1 => buckets.shuffle(rng),
+            _ => {
+                let mut stretches: Vec<Vec<usize>> = Vec::new();
+                for chunk in buckets.chunks(rng.gen_range(1..8)) {
+                    stretches.push(chunk.to_vec());
+                }
+                stretches.shuffle(rng);
+                buckets = stretches.concat();
+            }
+        }
+        let mut id = 0;
+        let usable = buckets
+            .iter()
+            .map(|_| {
+                id += rng.gen_range(1..4);
+                NodeId(id)
+            })
+            .collect();
+        (k, usable, buckets)
+    }
+
+    #[test]
+    fn bucket_sum_is_group_sum_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xb10c_5a5e);
+        let dyadic = [0.5, 0.25, 1.0, 1.5, 3.0 * 2f64.powi(-40), 0.0];
+        for case in 0..3_000 {
+            let (k, usable, buckets) = shape(&mut rng, case % 3);
+            let bucket_of = |u: NodeId| buckets[usable.binary_search(&u).unwrap()];
+            let order = BucketPairs::new(k, &usable, bucket_of);
+            let scale = 2f64.powi(rng.gen_range(-20..50));
+            let mut column: Vec<f64> = (0..order.len())
+                .map(|_| match (case / 3) % 4 {
+                    0 => rng.gen::<f64>(),
+                    1 => dyadic[rng.gen_range(0..dyadic.len())],
+                    // tie-prone small values under large ones
+                    2 => match rng.gen_range(0..4) {
+                        0 => scale,
+                        _ => dyadic[rng.gen_range(0..dyadic.len())],
+                    },
+                    _ => rng.gen::<f64>() * 2f64.powi(rng.gen_range(-30..30)),
+                })
+                .collect();
+            // a stale-blended column: some entries pulled halfway to 10×
+            // the worst one, as `settle` does
+            if case % 2 == 1 {
+                let worst = 10.0 * column.iter().cloned().fold(0.0, f64::max);
+                for x in column.iter_mut().filter(|_| rng.gen_bool(0.3)) {
+                    *x += 0.5 * (worst - *x);
+                }
+            }
+            let got = order.sum(&column);
+            let want = BucketPairs::new(k, &usable, bucket_of)
+                .into_tiered(&column)
+                .group_sum(&usable);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {got:e} vs {want:e} over buckets {buckets:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bucket_sum_row_jump_stops_at_the_binade_top() {
+        // two nodes of bucket 0, then five of bucket 1: row 0 adds its
+        // intra pair, then five cross pairs of one ulp each from three
+        // ulps below 1.0. The third lands on 1.0, where one old ulp is a
+        // tie that stays put, so the sum ends at 1.0, not five ulps on.
+        let usable: Vec<NodeId> = (0..7).map(NodeId).collect();
+        let bucket_of = |u: NodeId| usize::from(u.0 >= 2);
+        let order = BucketPairs::new(2, &usable, bucket_of);
+        let u = 2f64.powi(-53);
+        let mut column = vec![0.0; order.len()];
+        column[order.tri[0]] = 1.0 - 3.0 * u;
+        column[order.cross(0, 1)] = u;
+        let want = BucketPairs::new(2, &usable, bucket_of)
+            .into_tiered(&column)
+            .group_sum(&usable);
+        assert_eq!(want, 1.0);
+        assert_eq!(order.sum(&column).to_bits(), want.to_bits());
     }
 }

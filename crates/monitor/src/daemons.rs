@@ -17,7 +17,7 @@
 //! [`CentralMonitor`](crate::central::CentralMonitor) supervises.
 
 use crate::codec::{encode, MonitorRecord};
-use crate::matrix::SymMatrix;
+use crate::matrix::{pair_index, SymMatrix};
 use crate::rounds::round_robin_rounds;
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
@@ -291,13 +291,6 @@ impl NodeStateD {
             store.put(&self.path, t, encode(&MonitorRecord::Sample(sample)));
         }
     }
-}
-
-/// Index of the unordered pair `{a, b}` (`a ≠ b`) in a strict upper
-/// triangle of an `n × n` matrix.
-fn pair_index(n: usize, a: usize, b: usize) -> usize {
-    let (i, j) = (a.min(b), a.max(b));
-    i * (2 * n - i - 1) / 2 + j - i - 1
 }
 
 /// The tournament body both all-pairs probers share. Unless `health`

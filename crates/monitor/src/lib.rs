@@ -51,7 +51,7 @@ pub mod threaded;
 
 pub use estimate::{Band, InterEstimate, NlEstimator, PairProbe};
 pub use gossip::GossipNet;
-pub use matrix::SymMatrix;
+pub use matrix::{pair_index, SymMatrix};
 pub use runtime::{
     DaemonKind, FaultTarget, MonitorFaultPlan, MonitorRuntime, MonitorTopo, ShardConfig,
 };

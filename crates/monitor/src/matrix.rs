@@ -2,6 +2,15 @@
 
 use nlrm_topology::NodeId;
 
+/// Index of the unordered pair `{a, b}` (`a ≠ b`, both below `n`) in the
+/// row-major strict upper triangle of an `n × n` matrix: row `i` holds
+/// its pairs `(i, j > i)` contiguously, after the `i·(2n−i−1)/2` pairs of
+/// the rows above it.
+pub fn pair_index(n: usize, a: usize, b: usize) -> usize {
+    let (i, j) = (a.min(b), a.max(b));
+    i * (2 * n - i - 1) / 2 + j - i - 1
+}
+
 /// A symmetric `n × n` matrix with a default diagonal, stored densely.
 ///
 /// Writing `(u, v)` also writes `(v, u)`: P2P latency and bandwidth are

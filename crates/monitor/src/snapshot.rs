@@ -13,7 +13,7 @@
 
 use crate::codec::{decode, CodecError, MonitorRecord};
 use crate::estimate::InterEstimate;
-use crate::matrix::SymMatrix;
+use crate::matrix::{pair_index, SymMatrix};
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
 use nlrm_sim_core::time::{Duration, SimTime};
@@ -124,7 +124,7 @@ pub struct ShardBlock {
     pub shard: u32,
     /// Members in record order.
     pub members: Vec<NodeId>,
-    /// Latency per member pair `(i < j)` at `i·(2m−i−1)/2 + j−i−1`, s.
+    /// Latency per member pair `(i < j)` at [`pair_index`]`(m, i, j)`, s.
     pub lat_s: Vec<f64>,
     /// Available bandwidth per member pair, bits/s.
     pub avail_bps: Vec<f64>,
@@ -138,8 +138,7 @@ pub struct ShardBlock {
 impl ShardBlock {
     /// The pair of members at positions `i ≠ j`.
     fn cell(&self, i: usize, j: usize) -> PairCell {
-        let (i, j) = (i.min(j), i.max(j));
-        let k = i * (2 * self.members.len() - i - 1) / 2 + j - i - 1;
+        let k = pair_index(self.members.len(), i, j);
         PairCell {
             lat_s: self.lat_s[k],
             avail_bps: self.avail_bps[k],
