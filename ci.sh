@@ -5,8 +5,8 @@ cd "$(dirname "$0")"
 
 cargo build --release
 # the examples are the public API's end-to-end walkthroughs (monitor_cluster
-# is the only one of daemon kills, failover and the threaded monitor); run
-# them so they cannot rot while still compiling
+# is the only one of daemon kills and failover); run them so they cannot
+# rot while still compiling
 for example in quickstart compare_policies urgent_job monitor_cluster; do
     cargo run --release -q --example "$example" > /dev/null
 done

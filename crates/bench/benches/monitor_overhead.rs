@@ -23,7 +23,7 @@ fn bench_daemon_ticks(c: &mut Criterion) {
         b.iter(|| d.tick(black_box(&cluster), &store))
     });
     c.bench_function("nodestate_tick_one_node", |b| {
-        let mut d = NodeStateD::new(NodeId(0));
+        let mut d = NodeStateD::new(NodeId(0), Duration::from_secs(5));
         let mut t = cluster.clone();
         b.iter(|| {
             t.advance(Duration::from_secs(5));

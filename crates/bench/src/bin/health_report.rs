@@ -16,60 +16,61 @@
 //!   SLO attainment, anomalies, sampled series), and sampler overhead;
 //! - `results/health_report.md` — the same comparison as a table;
 //! - `BENCH_health.json` — sampler/telemetry overhead as a fraction of
-//!   scenario runtime, the median of five runs per arm (repo root on full
-//!   runs, results dir on quick).
+//!   scenario runtime: summed telemetry time over summed scenario time,
+//!   across as many runs per arm as it takes to pass 100 ms of scenario
+//!   time (repo root on full runs, results dir on quick).
 
 use nlrm_bench::report::{self, write_result, Table};
 use nlrm_bench::scenario::{self, ScenarioRun, ScenarioSpec};
 use nlrm_obs::{json, Progress};
 use std::fmt::Write as _;
 
-/// Runs per arm. One run takes a few milliseconds, too short for its
-/// overhead ratio alone to be stable, so each arm reports the median.
-const REPEATS: usize = 5;
+/// Scenario wall time each arm sums before its overhead ratio is taken.
+/// One run takes a few milliseconds, too short for its own ratio to be
+/// stable, so an arm repeats the run until its summed wall time passes
+/// this and divides summed telemetry time by summed scenario time.
+const MIN_TOTAL_WALL_S: f64 = 0.1;
 
 /// One scenario arm: its name, what its last run produced (every run is
-/// the same virtual-time history), and its median telemetry overhead.
+/// the same virtual-time history), how many runs it took, their summed
+/// wall time, and the telemetry overhead over all of them.
 struct Arm {
     name: &'static str,
     result: ScenarioRun,
+    runs: usize,
+    total_wall_secs: f64,
     overhead_frac: f64,
 }
 
-/// Telemetry overhead of one run: time spent inside `Telemetry::tick`
-/// (health derivation + SLO evaluation + detectors + sampler) over the
-/// whole scenario wall time.
-fn overhead_frac(run: &ScenarioRun) -> f64 {
-    let tel = run.obs.telemetry.wall_nanos() as f64 / 1e9;
-    if run.wall_secs > 0.0 {
-        tel / run.wall_secs
-    } else {
-        0.0
-    }
-}
-
-/// Run one telemetry arm [`REPEATS`] times. The faulted arm takes the
-/// fault storyline and the never-placeable 64-process starver; the clean
-/// arm leaves both out, so a permanently starving job cannot trip the
-/// starvation detector on a run that is supposed to be healthy.
+/// Run one telemetry arm until its runs sum past [`MIN_TOTAL_WALL_S`].
+/// Its overhead is the time spent inside `Telemetry::tick` (health
+/// derivation + SLO evaluation + detectors + sampler) over the whole
+/// scenario wall time, both summed over the runs. The faulted arm takes
+/// the fault storyline and the never-placeable 64-process starver; the
+/// clean arm leaves both out, so a permanently starving job cannot trip
+/// the starvation detector on a run that is supposed to be healthy.
 fn run_arm(name: &'static str, seed: u64, checkpoints: &[u64], faulted: bool) -> Arm {
     let mut spec = ScenarioSpec::new("obs-report", seed, checkpoints);
     spec.faulted = faulted;
     spec.submit_huge = faulted;
     spec.telemetry = true;
     let spec = spec.standard_arrivals(16);
-    let mut fracs = Vec::with_capacity(REPEATS);
-    let mut result = scenario::run(&spec);
-    fracs.push(overhead_frac(&result));
-    for _ in 1..REPEATS {
-        result = scenario::run(&spec);
-        fracs.push(overhead_frac(&result));
-    }
-    fracs.sort_by(f64::total_cmp);
+    let (mut runs, mut telemetry_secs, mut total_wall_secs) = (0, 0.0, 0.0);
+    let result = loop {
+        let result = scenario::run(&spec);
+        runs += 1;
+        telemetry_secs += result.obs.telemetry.wall_nanos() as f64 / 1e9;
+        total_wall_secs += result.wall_secs;
+        if total_wall_secs >= MIN_TOTAL_WALL_S {
+            break result;
+        }
+    };
     Arm {
         name,
         result,
-        overhead_frac: fracs[REPEATS / 2],
+        runs,
+        total_wall_secs,
+        overhead_frac: telemetry_secs / total_wall_secs,
     }
 }
 
@@ -148,7 +149,9 @@ fn main() {
         ),
     ]);
     let sampler = json::object(&[
-        ("repeats", REPEATS.to_string()),
+        ("min_total_wall_s", json::num(MIN_TOTAL_WALL_S)),
+        ("faulted_repeats", faulted.runs.to_string()),
+        ("clean_repeats", clean.runs.to_string()),
         ("faulted_overhead_frac", json::num(faulted_overhead)),
         ("clean_overhead_frac", json::num(clean_overhead)),
         ("budget_frac", json::num(0.05)),
@@ -206,9 +209,16 @@ fn main() {
         ("bench", json::string("health_report")),
         ("quick", quick.to_string()),
         ("seed", seed.to_string()),
-        ("repeats", REPEATS.to_string()),
+        ("min_total_wall_s", json::num(MIN_TOTAL_WALL_S)),
+        ("faulted_repeats", faulted.runs.to_string()),
+        ("clean_repeats", clean.runs.to_string()),
         ("faulted_wall_secs", json::num(faulted.result.wall_secs)),
         ("clean_wall_secs", json::num(clean.result.wall_secs)),
+        (
+            "faulted_total_wall_secs",
+            json::num(faulted.total_wall_secs),
+        ),
+        ("clean_total_wall_secs", json::num(clean.total_wall_secs)),
         (
             "faulted_telemetry_ticks",
             faulted.result.obs.telemetry.ticks().to_string(),

@@ -22,8 +22,8 @@
 //! the real sharded chain — monitor → `snapshot()` →
 //! `Loads::derive_with_policy` → `allocate_pruned` — on `campus(k, 48, 1)`
 //! at 1,008, 9,984, 49,920 and 100,032 nodes (quick: 1,008 and 4,992).
-//! Each row times snapshot and derive (p50 of 5 repeats below 49,920
-//! nodes, one run above), then runs a stream of allocation decisions over
+//! Each row times the monitor's 120 s of virtual time (once), snapshot
+//! and derive (p50 of 5 repeats below 49,920 nodes, one run above), then runs a stream of allocation decisions over
 //! its one `Loads` — the paper's process counts and α/β cycles, 40/20/10/10
 //! decisions (quick: 8/5) — and reports allocations/sec, p50/p99 decision
 //! latency and the mean expanded and pruned starts. Every decision must
@@ -45,6 +45,7 @@ use nlrm_bench::report::{self, Table};
 use nlrm_core::select::group_cost;
 use nlrm_core::{allocate_pruned, Loads, StalenessPolicy};
 use nlrm_core::{ComputeWeights, NetworkWeights};
+use nlrm_monitor::codec::encoded_len;
 use nlrm_monitor::daemons::{central_cycle_cost, DaemonConfig};
 use nlrm_monitor::sample::LatencyStat;
 use nlrm_monitor::{
@@ -108,7 +109,8 @@ fn sweep_size(v: u64) -> SizeRow {
         }
     };
     let est = NlEstimator::new(s as usize).estimate(&members, &mut probe);
-    let est_bytes = est.probe_bytes + est.to_record(1, SimTime::from_micros(0)).len() as u64;
+    let est_bytes =
+        est.probe_bytes + encoded_len(&est.to_record(1, SimTime::from_micros(0))) as u64;
 
     // gossip: every shard publishes its fresh summary, the overlay runs
     // anti-entropy to convergence; bytes include digests + records +
@@ -187,6 +189,7 @@ struct ChainRow {
     pair_cells: usize,
     expected_pair_cells: usize,
     repeats: usize,
+    monitor_s: f64,
     snapshot_ms: f64,
     derive_ms: f64,
     usable: usize,
@@ -217,7 +220,7 @@ fn p50_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// The real sharded chain on `campus(clusters, 48, 1)`: 120 s of
-/// monitoring, then `snapshot()` and `Loads::derive_with_policy` (p50 of 5
+/// monitoring (timed once), then `snapshot()` and `Loads::derive_with_policy` (p50 of 5
 /// below 49,920 nodes, one run above) and `jobs` `allocate_pruned`
 /// decisions over the one `Loads`.
 fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
@@ -235,7 +238,9 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         DaemonConfig::default(),
         MonitorTopo::Sharded(ShardConfig::new(idx)),
     );
+    let t0 = Instant::now();
     rt.run_until(&mut cluster, SimTime::from_secs(120));
+    let monitor_s = t0.elapsed().as_secs_f64();
     let now = cluster.now();
     let repeats = if nodes < 49_920 { 5 } else { 1 };
     let (snapshot_ms, snap) = p50_ms(repeats, || rt.snapshot(now).expect("snapshot"));
@@ -274,6 +279,7 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         pair_cells: blocks.stored_cells(),
         expected_pair_cells,
         repeats,
+        monitor_s,
         snapshot_ms,
         derive_ms,
         usable,
@@ -487,6 +493,7 @@ fn main() {
         "shards",
         "pair_cells",
         "repeats",
+        "monitor_s",
         "snapshot_ms",
         "derive_ms",
         "jobs",
@@ -505,6 +512,7 @@ fn main() {
             c.shards.to_string(),
             c.pair_cells.to_string(),
             c.repeats.to_string(),
+            format!("{:.3}", c.monitor_s),
             format!("{:.2}", c.snapshot_ms),
             format!("{:.2}", c.derive_ms),
             c.jobs.to_string(),
@@ -586,6 +594,7 @@ fn main() {
                 ("pair_cells", c.pair_cells.to_string()),
                 ("expected_pair_cells", c.expected_pair_cells.to_string()),
                 ("repeats", c.repeats.to_string()),
+                ("monitor_s", json::num(c.monitor_s)),
                 ("snapshot_ms", json::num(c.snapshot_ms)),
                 ("derive_ms", json::num(c.derive_ms)),
                 ("usable", c.usable.to_string()),

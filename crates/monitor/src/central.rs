@@ -8,7 +8,7 @@
 //! slave. If both stop, all other daemons still continue to perform their
 //! job but won't be restarted on failure."
 
-use crate::codec::{decode, encode, MonitorRecord};
+use crate::codec::{decode, MonitorRecord};
 use crate::daemons::{
     BandwidthD, DaemonConfig, DaemonKind, Health, LatencyD, LivehostsD, NodeStateD,
 };
@@ -33,17 +33,22 @@ pub struct DaemonSet {
     pub latency: Option<LatencyD>,
     /// The bandwidth prober (central topology only).
     pub bandwidth: Option<BandwidthD>,
+    /// How often the state samplers tick.
+    nodestate_period: Duration,
 }
 
 impl DaemonSet {
     /// Fresh daemons for an `n`-node cluster monitored with `topo`.
-    pub fn new(n: usize, topo: &MonitorTopo) -> Self {
+    pub fn new(n: usize, topo: &MonitorTopo, nodestate_period: Duration) -> Self {
         let central = matches!(topo, MonitorTopo::Central);
         DaemonSet {
             livehosts: LivehostsD::new(),
-            nodestate: (0..n).map(|i| NodeStateD::new(NodeId(i as u32))).collect(),
+            nodestate: (0..n)
+                .map(|i| NodeStateD::new(NodeId(i as u32), nodestate_period))
+                .collect(),
             latency: central.then(|| LatencyD::new(n)),
             bandwidth: central.then(|| BandwidthD::new(n)),
+            nodestate_period,
         }
     }
 
@@ -121,7 +126,9 @@ impl DaemonSet {
         let n = self.nodestate.len();
         match kind {
             DaemonKind::Livehosts => self.livehosts = LivehostsD::new(),
-            DaemonKind::NodeState(node) => self.nodestate[node.index()] = NodeStateD::new(node),
+            DaemonKind::NodeState(node) => {
+                self.nodestate[node.index()] = NodeStateD::new(node, self.nodestate_period)
+            }
             DaemonKind::Latency => self.latency = self.latency.take().map(|_| LatencyD::new(n)),
             DaemonKind::Bandwidth => {
                 self.bandwidth = self.bandwidth.take().map(|_| BandwidthD::new(n))
@@ -259,13 +266,13 @@ impl CentralMonitor {
 
         if self.master.alive {
             // master duties: heartbeat, supervise daemons, keep a slave alive
-            let hb = encode(&MonitorRecord::Heartbeat {
+            let hb = MonitorRecord::Heartbeat {
                 role: "master".into(),
                 incarnation: self.master.incarnation,
                 at: now,
-            });
-            nlrm_obs::ctx::add("monitor_heartbeat_bytes_total", hb.len() as u64);
-            store.put(paths::MASTER_HEARTBEAT, now, hb);
+            };
+            let len = store.publish(paths::MASTER_HEARTBEAT, now, hb);
+            nlrm_obs::ctx::add("monitor_heartbeat_bytes_total", len);
             self.supervise(now, cluster, store, daemons);
             if !self.slave.alive {
                 self.spawn_slave(now, cluster);
@@ -380,10 +387,14 @@ mod tests {
     use super::*;
     use nlrm_cluster::iitk::small_cluster;
 
+    fn period() -> Duration {
+        DaemonConfig::default().nodestate_period
+    }
+
     fn setup() -> (ClusterSim, SharedStore, DaemonSet, CentralMonitor) {
         let cluster = small_cluster(6, 3);
         let store = SharedStore::new();
-        let daemons = DaemonSet::new(6, &MonitorTopo::Central);
+        let daemons = DaemonSet::new(6, &MonitorTopo::Central, period());
         let cm = CentralMonitor::new(NodeId(0), NodeId(1), &DaemonConfig::default());
         (cluster, store, daemons, cm)
     }
@@ -575,7 +586,7 @@ mod tests {
 
     #[test]
     fn topology_sets_the_roster() {
-        let central = DaemonSet::new(4, &MonitorTopo::Central);
+        let central = DaemonSet::new(4, &MonitorTopo::Central, period());
         let kinds: Vec<DaemonKind> = central.roster().map(|(kind, _)| kind).collect();
         assert_eq!(
             kinds[..3],
@@ -594,7 +605,7 @@ mod tests {
         let cluster = small_cluster(4, 3);
         let idx = cluster.topology().switch_index();
         let sharded = MonitorTopo::Sharded(crate::runtime::ShardConfig::new(idx));
-        let mut daemons = DaemonSet::new(4, &sharded);
+        let mut daemons = DaemonSet::new(4, &sharded, period());
         assert!(daemons.latency.is_none() && daemons.bandwidth.is_none());
         assert_eq!(daemons.roster().count(), 5);
         assert!(daemons.health_mut(DaemonKind::Latency).is_none());

@@ -3,9 +3,10 @@
 //! The paper's daemons write small files to NFS; ours write small byte
 //! records to the [`SharedStore`](crate::store::SharedStore). The format is
 //! a hand-rolled little-endian encoding: one version byte, one tag byte,
-//! then the fields. Hand-rolled because the records are tiny, fixed, and
-//! must stay readable by the threaded runtime without pulling in a
-//! serialization framework.
+//! then the fields. Hand-rolled because the records are tiny and fixed,
+//! and need no serialization framework. The store encodes a published
+//! record only when a reader asks for its bytes; [`encoded_len`] sizes it
+//! without encoding.
 
 use crate::sample::{LatencyStat, NodeSample};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -162,9 +163,9 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Size of `record`'s encoding in bytes, so [`encode`] allocates its
-/// buffer once.
-fn encoded_len(record: &MonitorRecord) -> usize {
+/// Size of `record`'s encoding in bytes: exactly `encode(record).len()`,
+/// computed without encoding.
+pub fn encoded_len(record: &MonitorRecord) -> usize {
     const WINDOWED: usize = 4 * 8;
     let body = match record {
         MonitorRecord::Livehosts(hosts) => 4 + 4 * hosts.len(),
@@ -360,7 +361,7 @@ pub fn decode(mut data: &[u8]) -> Result<MonitorRecord, CodecError> {
         TAG_SAMPLE => {
             let node = NodeId(get_u32(&mut data)?);
             let taken_at = SimTime::from_micros(get_u64(&mut data)?);
-            let spec = get_spec(&mut data)?;
+            let spec = get_spec(&mut data)?.into();
             let cpu_load = get_windowed(&mut data)?;
             let cpu_util = get_windowed(&mut data)?;
             let mem_used_frac = get_windowed(&mut data)?;
@@ -577,17 +578,18 @@ fn get_f64(data: &mut &[u8]) -> Result<f64, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn sample() -> NodeSample {
         NodeSample {
             node: NodeId(7),
             taken_at: SimTime::from_secs(123),
-            spec: NodeSpec {
+            spec: Arc::new(NodeSpec {
                 hostname: "csews8".into(),
                 cores: 12,
                 freq_ghz: 4.6,
                 total_mem_gb: 16.0,
-            },
+            }),
             cpu_load: WindowedValue {
                 instant: 0.5,
                 m1: 0.4,

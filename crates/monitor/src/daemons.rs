@@ -16,16 +16,17 @@
 //! through [`DaemonSet`](crate::central::DaemonSet), which the
 //! [`CentralMonitor`](crate::central::CentralMonitor) supervises.
 
-use crate::codec::{encode, MonitorRecord};
+use crate::codec::{encoded_len, MonitorRecord};
 use crate::matrix::{pair_index, SymMatrix};
 use crate::rounds::round_robin_rounds;
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
-use nlrm_cluster::ClusterSim;
+use nlrm_cluster::{ClusterSim, NodeSpec};
 use nlrm_obs::DigestFold;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_sim_core::window::{standard_spans, WindowRing, WindowedValue};
 use nlrm_topology::NodeId;
+use std::sync::Arc;
 
 /// Wire cost modeled for one latency probe (a small ping-pong packet pair).
 pub const LATENCY_PROBE_BYTES: u64 = 128;
@@ -57,23 +58,21 @@ impl CentralCycleCost {
 }
 
 /// Compute [`CentralCycleCost`] for a `v`-node cluster. Row sizes come
-/// from encoding one representative row of each kind, so the numbers stay
-/// exact if the codec changes.
+/// from the codec's size of one representative row of each kind, so the
+/// numbers stay exact if the codec changes.
 pub fn central_cycle_cost(v: usize) -> CentralCycleCost {
     let pairs_per_sweep = (v as u64) * (v as u64).saturating_sub(1) / 2;
     // representative rows: one v-entry latency row, one v-entry bandwidth
     // row; every published row has exactly this size
-    let lat_row = encode(&MonitorRecord::LatencyRow {
+    let lat_row = encoded_len(&MonitorRecord::LatencyRow {
         node: NodeId(0),
         stats: vec![LatencyStat::constant(0.0); v],
-    })
-    .len() as u64;
-    let bw_row = encode(&MonitorRecord::BandwidthRow {
+    }) as u64;
+    let bw_row = encoded_len(&MonitorRecord::BandwidthRow {
         node: NodeId(0),
         avail_bps: vec![0.0; v],
         peak_bps: vec![0.0; v],
-    })
-    .len() as u64;
+    }) as u64;
     CentralCycleCost {
         pairs: 2 * pairs_per_sweep,
         probe_bytes: pairs_per_sweep * (LATENCY_PROBE_BYTES + BANDWIDTH_PROBE_BYTES),
@@ -220,33 +219,37 @@ impl LivehostsD {
         }
         if self.health.can_publish(now) {
             let record = MonitorRecord::Livehosts(live_nodes(cluster));
-            store.put(paths::LIVEHOSTS, now, encode(&record));
+            store.publish(paths::LIVEHOSTS, now, record);
         }
     }
 }
 
 /// Per-node state sampler with 1/5/15-minute windows. A fresh instance
-/// starts with empty history windows, exactly as a freshly exec'd daemon's
-/// would.
+/// starts with empty history windows and queries its node's static spec
+/// afresh, exactly as a freshly exec'd daemon would.
 #[derive(Debug, Clone)]
 pub struct NodeStateD {
     node: NodeId,
     /// Store path of this node's state record.
     path: String,
     pub(crate) health: Health,
+    /// The node's static spec, read for the first published sample and
+    /// shared by every sample after it.
+    spec: Option<Arc<NodeSpec>>,
     /// CPU load, CPU utilization, memory used and flow rate, over the
     /// standard 1/5/15-minute windows.
     windows: WindowRing<4, 3>,
 }
 
 impl NodeStateD {
-    /// A running sampler for `node`.
-    pub fn new(node: NodeId) -> Self {
+    /// A running sampler for `node`, ticked every `period`.
+    pub fn new(node: NodeId, period: Duration) -> Self {
         NodeStateD {
             node,
             path: paths::node_state(node),
             health: Health::default(),
-            windows: WindowRing::new(standard_spans()),
+            spec: None,
+            windows: WindowRing::with_period(standard_spans(), period),
         }
     }
 
@@ -277,18 +280,21 @@ impl NodeStateD {
         let means = self.windows.push(t, x);
         let [cpu_load, cpu_util, mem_used_frac, flow_rate_mbps] =
             std::array::from_fn(|a| WindowedValue::new(x[a], means[a]));
-        let sample = NodeSample {
-            node: self.node,
-            taken_at: t,
-            spec: cluster.spec(self.node).clone(),
-            cpu_load,
-            cpu_util,
-            mem_used_frac,
-            flow_rate_mbps,
-            users: state.users,
-        };
         if self.health.can_publish(t) {
-            store.put(&self.path, t, encode(&MonitorRecord::Sample(sample)));
+            let spec = self
+                .spec
+                .get_or_insert_with(|| Arc::new(cluster.spec(self.node).clone()));
+            let sample = NodeSample {
+                node: self.node,
+                taken_at: t,
+                spec: Arc::clone(spec),
+                cpu_load,
+                cpu_util,
+                mem_used_frac,
+                flow_rate_mbps,
+                users: state.users,
+            };
+            store.publish(&self.path, t, MonitorRecord::Sample(sample));
         }
     }
 }
@@ -339,9 +345,7 @@ fn sweep<S, const K: usize>(
     nlrm_obs::ctx::add("monitor_probe_bytes_total", bytes);
     if health.can_publish(t) {
         for &u in &live {
-            let data = encode(&row(&state, u));
-            bytes += data.len() as u64;
-            store.put(&row_paths[u.index()], t, data);
+            bytes += store.publish(&row_paths[u.index()], t, row(&state, u));
         }
     }
     nlrm_obs::ctx::set_gauge("monitor_round_pairs", pairs as f64);
@@ -510,7 +514,7 @@ mod tests {
     fn nodestate_publishes_windows() {
         let mut cluster = small_cluster(2, 7);
         let store = SharedStore::new();
-        let mut d = NodeStateD::new(NodeId(0));
+        let mut d = NodeStateD::new(NodeId(0), Duration::from_secs(5));
         for _ in 0..20 {
             cluster.advance(Duration::from_secs(5));
             d.tick(&cluster, &store);
@@ -532,13 +536,13 @@ mod tests {
         let mut cluster = small_cluster(2, 7);
         cluster.advance(Duration::from_secs(5));
         let store = SharedStore::new();
-        let mut d = NodeStateD::new(NodeId(0));
+        let mut d = NodeStateD::new(NodeId(0), Duration::from_secs(5));
         d.health.kill();
         d.tick(&cluster, &store);
         assert!(store.is_empty());
         assert!(!d.health.is_alive());
         // a relaunch is a fresh instance
-        d = NodeStateD::new(NodeId(0));
+        d = NodeStateD::new(NodeId(0), Duration::from_secs(5));
         d.tick(&cluster, &store);
         assert!(!store.is_empty());
     }
@@ -550,7 +554,7 @@ mod tests {
         cluster.advance(Duration::from_secs(5));
         cluster.set_node_up(NodeId(0), false); // state refresh keeps up flag
         let store = SharedStore::new();
-        let mut d = NodeStateD::new(NodeId(0));
+        let mut d = NodeStateD::new(NodeId(0), Duration::from_secs(5));
         d.tick(&cluster, &store);
         assert!(store.is_empty());
     }
@@ -632,7 +636,7 @@ mod tests {
     fn hung_daemon_is_alive_but_silent_until_deadline() {
         let mut cluster = small_cluster(2, 7);
         let store = SharedStore::new();
-        let mut d = NodeStateD::new(NodeId(0));
+        let mut d = NodeStateD::new(NodeId(0), Duration::from_secs(5));
         cluster.advance(Duration::from_secs(5));
         d.health.hang_until(cluster.now() + Duration::from_secs(30));
         d.tick(&cluster, &store);

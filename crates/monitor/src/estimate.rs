@@ -33,9 +33,8 @@
 //! pair. The snapshot reads its point values; the bands are published
 //! with the record but the allocator does not read them.
 
-use crate::codec::{encode, DirectPairRec, MonitorRecord, SwitchBandRec};
+use crate::codec::{DirectPairRec, MonitorRecord, SwitchBandRec};
 use crate::daemons::{BANDWIDTH_PROBE_BYTES, LATENCY_PROBE_BYTES};
-use bytes::Bytes;
 use nlrm_sim_core::time::SimTime;
 use nlrm_topology::NodeId;
 use std::collections::HashMap;
@@ -221,8 +220,8 @@ impl InterEstimate {
         Some((peak - cbw.point).clamp(0.0, peak))
     }
 
-    /// Encode as a store record.
-    pub fn to_record(&self, epoch: u64, taken_at: SimTime) -> Bytes {
+    /// The store record of this estimate.
+    pub fn to_record(&self, epoch: u64, taken_at: SimTime) -> MonitorRecord {
         let mut switches: Vec<SwitchBandRec> = Vec::new();
         for (s, bands) in self.up.iter().enumerate() {
             if let Some(b) = bands {
@@ -250,7 +249,7 @@ impl InterEstimate {
             })
             .collect();
         direct.sort_by_key(|d| (d.s, d.t));
-        encode(&MonitorRecord::InterEstimate {
+        MonitorRecord::InterEstimate {
             epoch,
             taken_at,
             num_switches: self.num_switches as u32,
@@ -258,7 +257,7 @@ impl InterEstimate {
             probe_bytes: self.probe_bytes,
             switches,
             direct,
-        })
+        }
     }
 
     /// Rebuild from a decoded [`MonitorRecord::InterEstimate`].
@@ -502,7 +501,7 @@ fn solve_uplinks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::decode;
+    use crate::codec::{decode, encode};
 
     /// Probes that follow the additive tree model exactly.
     fn tree_probe<'a>(
@@ -654,7 +653,7 @@ mod tests {
         let mut probe = tree_probe(&lat, &cbw, 1e9, &shard_of);
         let est = NlEstimator::new(s).estimate(&reps(s), &mut probe);
         let rec = est.to_record(7, SimTime::from_secs(60));
-        let back = InterEstimate::from_record(&decode(&rec).unwrap()).unwrap();
+        let back = InterEstimate::from_record(&decode(&encode(&rec)).unwrap()).unwrap();
         assert_eq!(back, est);
     }
 }

@@ -4,8 +4,9 @@
 //! daemons that publish cluster state to a shared filesystem, supervised by
 //! a redundant central monitor.
 //!
-//! * [`store`] — [`SharedStore`], the NFS stand-in: a
-//!   concurrent path→bytes keyspace; [`codec`] defines the on-"disk" binary
+//! * [`store`] — [`SharedStore`], the NFS stand-in: a concurrent
+//!   path→record keyspace that daemons publish typed records to and
+//!   readers get bytes from; [`codec`] defines the on-"disk" binary
 //!   record format.
 //! * [`sample`] — the per-node record `NodeStateD` publishes: static spec +
 //!   instantaneous and 1/5/15-minute means of every dynamic attribute
@@ -27,8 +28,6 @@
 //! * [`forecast`] — NWS-style projection of snapshots to job-start time.
 //! * [`runtime`] — drives everything in virtual time against a
 //!   [`ClusterSim`](nlrm_cluster::ClusterSim).
-//! * [`threaded`] — the same daemon topology on real OS threads, for
-//!   demonstrations outside the simulator.
 //! * [`snapshot`] — [`ClusterSnapshot`], the
 //!   allocator's input, assembled purely from store contents (the allocator
 //!   never peeks at simulator truth): dense matrices from the central
@@ -47,7 +46,6 @@ pub mod sample;
 pub mod shard;
 pub mod snapshot;
 pub mod store;
-pub mod threaded;
 
 pub use estimate::{Band, InterEstimate, NlEstimator, PairProbe};
 pub use gossip::GossipNet;

@@ -25,7 +25,7 @@ use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::tier::SwitchIndex;
 use nlrm_topology::{NodeId, SwitchId};
 
-/// Histogram bucket bounds (µs wall clock) for monitor tick latency.
+/// Histogram bucket bounds (µs wall clock) for ticks and cluster advances.
 const TICK_WALL_BOUNDS: &[f64] = &[1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0];
 
 /// Which daemon a scheduled tick belongs to.
@@ -146,7 +146,7 @@ impl MonitorRuntime {
         assert!(n >= 2, "monitoring needs at least two nodes");
         let mut queue = EventQueue::new();
         let t0 = cluster.now();
-        let daemons = DaemonSet::new(n, &topo);
+        let daemons = DaemonSet::new(n, &topo, config.nodestate_period);
         // First ticks fire one period in, so the cluster has state to report.
         queue.push(t0 + config.nodestate_period, Tick::NodeState);
         queue.push(t0 + config.livehosts_period, Tick::Livehosts);
@@ -307,9 +307,9 @@ impl MonitorRuntime {
             .collect();
         let est = state.estimator.estimate(&reps, &mut probe);
         let est_probe_bytes = est.probe_bytes;
-        let est_record = est.to_record(report.epoch, t);
-        let est_publish_bytes = est_record.len() as u64;
-        self.store.put(paths::INTER_ESTIMATE, t, est_record);
+        let est_publish_bytes =
+            self.store
+                .publish(paths::INTER_ESTIMATE, t, est.to_record(report.epoch, t));
         for summary in &report.summaries {
             state.gossip.publish(summary.shard, report.epoch, *summary);
         }
@@ -332,8 +332,8 @@ impl MonitorRuntime {
                 break;
             }
             let (t, tick) = self.queue.pop().expect("peeked");
-            cluster.advance_to(t);
             let observed = nlrm_obs::ctx::is_active();
+            advance(cluster, t, observed);
             let started = observed.then(std::time::Instant::now);
             match tick {
                 Tick::Livehosts => {
@@ -418,14 +418,18 @@ impl MonitorRuntime {
                         vec![("wall_micros".into(), format!("{wall_micros:.1}"))],
                     );
                 }
-                nlrm_obs::ctx::observe("monitor_tick_wall_micros", TICK_WALL_BOUNDS, wall_micros);
+                nlrm_obs::ctx::observe(
+                    &format!("monitor_tick_wall_micros_{label}"),
+                    TICK_WALL_BOUNDS,
+                    wall_micros,
+                );
                 nlrm_obs::ctx::inc(&format!("monitor_tick_total_{label}"));
                 // offer the continuous-telemetry loop a tick; it gates
                 // itself on its own cadence, so this is cheap
                 nlrm_obs::ctx::telemetry_tick(t);
             }
         }
-        cluster.advance_to(target);
+        advance(cluster, target, nlrm_obs::ctx::is_active());
     }
 
     /// Apply one fault event at virtual time `now`.
@@ -501,6 +505,17 @@ impl MonitorRuntime {
         let target = cluster.now() + warmup;
         self.run_until(cluster, target);
         self.snapshot(cluster.now())
+    }
+}
+
+/// Advance `cluster` to `t`; when `observed`, record the wall time it took
+/// in `cluster_advance_wall_micros`.
+fn advance(cluster: &mut ClusterSim, t: SimTime, observed: bool) {
+    let started = observed.then(std::time::Instant::now);
+    cluster.advance_to(t);
+    if let Some(started) = started {
+        let wall_micros = started.elapsed().as_secs_f64() * 1e6;
+        nlrm_obs::ctx::observe("cluster_advance_wall_micros", TICK_WALL_BOUNDS, wall_micros);
     }
 }
 
@@ -723,6 +738,57 @@ mod tests {
         cluster.advance(Duration::from_hours(1));
         let snap = rt.snapshot(cluster.now()).unwrap();
         assert!(snap.max_sample_age().unwrap() >= Duration::from_secs(3600));
+    }
+
+    /// Every tick kind that ran has its own wall-time histogram, one
+    /// observation per tick, and every cluster advance is timed too.
+    #[test]
+    fn each_tick_kind_times_its_own_ticks() {
+        use nlrm_sim_core::fault::FaultAction;
+        let shared = ["livehosts", "nodestate", "central", "fault"];
+        for sharded in [false, true] {
+            let obs = nlrm_obs::Obs::new();
+            let _g = nlrm_obs::install(&obs);
+            let mut cluster = nlrm_cluster::iitk::campus(2, 6, 3);
+            let (topo, own) = if sharded {
+                let idx = cluster.topology().switch_index();
+                (
+                    MonitorTopo::Sharded(ShardConfig::new(idx)),
+                    ["shard", "gossip"],
+                )
+            } else {
+                (MonitorTopo::Central, ["latency", "bandwidth"])
+            };
+            let mut rt = MonitorRuntime::with_topo(&cluster, DaemonConfig::default(), topo);
+            let mut plan = MonitorFaultPlan::new();
+            plan.schedule(
+                SimTime::from_secs(50),
+                FaultTarget::Daemon(DaemonKind::Livehosts),
+                FaultAction::Kill,
+            );
+            rt.set_fault_plan(plan);
+            rt.run_until(&mut cluster, SimTime::from_secs(200));
+            rt.run_until(&mut cluster, SimTime::from_secs(320));
+            let mut ticks = 0;
+            for label in shared.iter().chain(&own) {
+                let total = obs
+                    .metrics
+                    .counter_value(&format!("monitor_tick_total_{label}"));
+                let wall = obs
+                    .metrics
+                    .histogram_snapshot(&format!("monitor_tick_wall_micros_{label}"))
+                    .unwrap_or_else(|| panic!("no wall histogram for {label}"));
+                assert!(total > 0, "{label} never ticked");
+                assert_eq!(wall.count(), total, "{label}");
+                ticks += total;
+            }
+            // one advance before every tick, and one to each run's target
+            let advances = obs
+                .metrics
+                .histogram_snapshot("cluster_advance_wall_micros")
+                .expect("advances timed");
+            assert_eq!(advances.count(), ticks + 2);
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use nlrm_cluster::NodeSpec;
 use nlrm_sim_core::time::SimTime;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::NodeId;
+use std::sync::Arc;
 
 /// One node's published state: what `NodeStateD` writes to the store.
 ///
@@ -16,8 +17,8 @@ pub struct NodeSample {
     pub node: NodeId,
     /// When the record was taken (virtual time).
     pub taken_at: SimTime,
-    /// Static hardware attributes (queried once, republished with each sample).
-    pub spec: NodeSpec,
+    /// Static hardware attributes, queried once per `NodeStateD` instance.
+    pub spec: Arc<NodeSpec>,
     /// CPU load (runnable processes): instant + running means.
     pub cpu_load: WindowedValue,
     /// CPU utilization fraction: instant + running means.
@@ -70,12 +71,12 @@ mod tests {
         let s = NodeSample {
             node: NodeId(0),
             taken_at: SimTime::ZERO,
-            spec: NodeSpec {
+            spec: Arc::new(NodeSpec {
                 hostname: "x".into(),
                 cores: 8,
                 freq_ghz: 3.0,
                 total_mem_gb: 16.0,
-            },
+            }),
             cpu_load: WindowedValue::constant(0.0),
             cpu_util: WindowedValue::constant(0.0),
             mem_used_frac: WindowedValue::constant(0.25),

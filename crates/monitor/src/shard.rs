@@ -14,7 +14,7 @@
 //! `BENCH_monitor.json` and the `health_*` gauges can tell shard-local
 //! probing apart from gossip relays and central publishes.
 
-use crate::codec::{encode, MonitorRecord};
+use crate::codec::MonitorRecord;
 use crate::estimate::{PairProbe, PAIR_PROBE_BYTES};
 use crate::rounds::round_robin_rounds;
 use crate::store::{paths, SharedStore};
@@ -165,18 +165,17 @@ impl ShardSweeper {
                 }
             }
             let probe_bytes = pairs * PAIR_PROBE_BYTES;
-            let record = encode(&MonitorRecord::ShardNl {
+            let record = MonitorRecord::ShardNl {
                 shard: shard as u32,
                 epoch,
                 taken_at: now,
-                members: live.clone(),
+                members: live,
                 lat_s,
                 avail_bps,
                 peak_bps,
                 probe_bytes,
-            });
-            let publish_bytes = record.len() as u64;
-            store.put(&self.paths[shard], now, record);
+            };
+            let publish_bytes = store.publish(&self.paths[shard], now, record);
             report.pairs += pairs;
             report.probe_bytes += probe_bytes;
             report.publish_bytes += publish_bytes;

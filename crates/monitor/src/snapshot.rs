@@ -11,7 +11,7 @@
 //! one estimated cell per shard pair, O(Σ m_s² + S²) instead of O(V²).
 //! Readers go through accessors that both shapes answer alike.
 
-use crate::codec::{decode, CodecError, MonitorRecord};
+use crate::codec::{CodecError, MonitorRecord};
 use crate::estimate::InterEstimate;
 use crate::matrix::{pair_index, SymMatrix};
 use crate::sample::{LatencyStat, NodeSample};
@@ -268,11 +268,11 @@ fn read(
     path: &str,
     now: SimTime,
 ) -> Result<Option<(MonitorRecord, Duration)>, SnapshotError> {
-    let Some(rec) = store.get(path) else {
+    let Some((written_at, record)) = store.record(path) else {
         return Ok(None);
     };
-    match decode(&rec.data) {
-        Ok(r) => Ok(Some((r, now.since(rec.written_at)))),
+    match record {
+        Ok(r) => Ok(Some((r, now.since(written_at)))),
         Err(e) => Err(SnapshotError::Corrupt(path.into(), e)),
     }
 }
@@ -554,7 +554,7 @@ mod tests {
         let store = SharedStore::new();
         LivehostsD::new().tick(&cluster, &store);
         for i in 0..n {
-            NodeStateD::new(NodeId(i as u32)).tick(&cluster, &store);
+            NodeStateD::new(NodeId(i as u32), Duration::from_secs(5)).tick(&cluster, &store);
         }
         LatencyD::new(n).tick(&mut cluster, &store);
         BandwidthD::new(n).tick(&mut cluster, &store);
@@ -739,7 +739,7 @@ mod tests {
         // the second shard's record vanishes; the first names a node beyond
         // the id space
         store.remove(&paths::shard_nl(s1));
-        let rec = decode(&store.get(&paths::shard_nl(s0)).unwrap().data).unwrap();
+        let rec = crate::codec::decode(&store.get(&paths::shard_nl(s0)).unwrap().data).unwrap();
         let MonitorRecord::ShardNl {
             mut members,
             shard,

@@ -1,11 +1,15 @@
 //! The shared store: our stand-in for the paper's NFS directory.
 //!
-//! Every daemon writes opaque byte records under path-like keys
+//! Every daemon publishes typed records under path-like keys
 //! (`"livehosts"`, `"nodestate/csews12"`, `"latency/7"`, …) exactly as the
 //! paper's daemons write files to the network filesystem. Readers see the
-//! latest complete record with its write timestamp, so the allocator can
-//! reason about staleness.
+//! latest complete record as [`codec`](crate::codec) bytes, with its write
+//! timestamp, so the allocator can reason about staleness. A record is
+//! encoded at most once, by its first byte read, and the snapshot reads
+//! records typed, with no encoding at all: samples are written every few
+//! seconds but read far less often, and supervision reads only write times.
 
+use crate::codec::{decode, encode, encoded_len, CodecError, MonitorRecord};
 use bytes::Bytes;
 use nlrm_sim_core::time::SimTime;
 use parking_lot::RwLock;
@@ -21,14 +25,36 @@ pub struct StoreRecord {
     pub data: Bytes,
 }
 
-/// A concurrent path→record keyspace shared by all daemons.
+/// What one path holds.
+#[derive(Debug)]
+enum Payload {
+    /// A published record nobody has read yet, boxed to keep slots small.
+    Typed(Box<MonitorRecord>),
+    /// Bytes: a record encoded by its first read, or a raw write.
+    Encoded(Bytes),
+}
+
+impl Payload {
+    /// The payload's bytes. A typed record is encoded here, once, and
+    /// replaced by its bytes, so a read record is held in one form only.
+    fn bytes(&mut self) -> Bytes {
+        let data = match self {
+            Payload::Typed(record) => encode(record),
+            Payload::Encoded(data) => return data.clone(),
+        };
+        *self = Payload::Encoded(data.clone());
+        data
+    }
+}
+
+/// A concurrent path→(write time, record) keyspace shared by all daemons.
 ///
 /// Cloning is cheap and shares the underlying map (like every node mounting
-/// the same NFS export). Thread-safe: the threaded runtime uses it from
-/// many OS threads.
+/// the same NFS export). Thread-safe: readers and writers may sit on
+/// different OS threads.
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
-    inner: Arc<RwLock<HashMap<String, StoreRecord>>>,
+    inner: Arc<RwLock<HashMap<String, (SimTime, Payload)>>>,
 }
 
 impl SharedStore {
@@ -37,34 +63,57 @@ impl SharedStore {
         Self::default()
     }
 
-    /// Write (or overwrite) the record at `path`. An existing record is
-    /// replaced in place; the key is allocated only on the first write.
-    pub fn put(&self, path: &str, written_at: SimTime, data: Bytes) {
-        if nlrm_obs::ctx::is_active() {
-            nlrm_obs::ctx::emit(
-                nlrm_obs::Severity::Debug,
-                written_at,
-                nlrm_obs::EventKind::Publish {
-                    daemon: daemon_of(path).to_string(),
-                    path: path.to_string(),
-                },
-            );
-            nlrm_obs::ctx::inc("store_publish_total");
-            nlrm_obs::ctx::add("store_publish_bytes_total", data.len() as u64);
-        }
-        let record = StoreRecord { written_at, data };
+    /// Publish a daemon's `record` at `path`, replacing what was there,
+    /// and return its [`encoded_len`], which the publish counters take.
+    /// Nothing is encoded here, and replacing a record nobody read
+    /// allocates nothing: the new record moves into the old one's box.
+    pub fn publish(&self, path: &str, written_at: SimTime, record: MonitorRecord) -> u64 {
+        let len = encoded_len(&record) as u64;
+        observe_publish(path, written_at, len);
         let mut map = self.inner.write();
         match map.get_mut(path) {
-            Some(slot) => *slot = record,
-            None => {
-                map.insert(path.to_owned(), record);
+            Some((at, Payload::Typed(unread))) => {
+                *at = written_at;
+                **unread = record;
+            }
+            _ => {
+                let payload = Payload::Typed(Box::new(record));
+                map.insert(path.to_owned(), (written_at, payload));
             }
         }
+        len
     }
 
-    /// Read the record at `path`, if present.
+    /// Write raw bytes at `path`, replacing what was there: for writers
+    /// outside the monitoring daemons, and tests that plant bad records.
+    pub fn put(&self, path: &str, written_at: SimTime, data: Bytes) {
+        observe_publish(path, written_at, data.len() as u64);
+        let slot = (written_at, Payload::Encoded(data));
+        self.inner.write().insert(path.to_owned(), slot);
+    }
+
+    /// Read the record at `path`, if present. A published record is
+    /// encoded on its first read; later reads share those bytes.
     pub fn get(&self, path: &str) -> Option<StoreRecord> {
-        self.inner.read().get(path).cloned()
+        let mut map = self.inner.write();
+        let (written_at, payload) = map.get_mut(path)?;
+        Some(StoreRecord {
+            written_at: *written_at,
+            data: payload.bytes(),
+        })
+    }
+
+    /// The record at `path` and its write time, if present, as
+    /// `decode(&get(path).data)` would give it: a published record is
+    /// cloned as handed in, without encoding, and bytes are decoded.
+    pub fn record(&self, path: &str) -> Option<(SimTime, Result<MonitorRecord, CodecError>)> {
+        let map = self.inner.read();
+        let (at, payload) = map.get(path)?;
+        let record = match payload {
+            Payload::Typed(record) => Ok(MonitorRecord::clone(record)),
+            Payload::Encoded(data) => decode(data),
+        };
+        Some((*at, record))
     }
 
     /// Remove the record at `path`; returns whether it existed.
@@ -74,7 +123,7 @@ impl SharedStore {
 
     /// Write time of the record at `path`, if present.
     pub fn written_at(&self, path: &str) -> Option<SimTime> {
-        self.inner.read().get(path).map(|r| r.written_at)
+        self.inner.read().get(path).map(|&(at, _)| at)
     }
 
     /// Write time of the newest record whose path starts with `prefix`.
@@ -83,7 +132,7 @@ impl SharedStore {
             .read()
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, r)| r.written_at)
+            .map(|(_, &(at, _))| at)
             .max()
     }
 
@@ -109,10 +158,21 @@ impl SharedStore {
     pub fn is_empty(&self) -> bool {
         self.inner.read().is_empty()
     }
+}
 
-    /// Drop everything (tests).
-    pub fn clear(&self) {
-        self.inner.write().clear();
+/// Journal and count one publish of `len` bytes, when observed.
+fn observe_publish(path: &str, written_at: SimTime, len: u64) {
+    if nlrm_obs::ctx::is_active() {
+        nlrm_obs::ctx::emit(
+            nlrm_obs::Severity::Debug,
+            written_at,
+            nlrm_obs::EventKind::Publish {
+                daemon: daemon_of(path).to_string(),
+                path: path.to_string(),
+            },
+        );
+        nlrm_obs::ctx::inc("store_publish_total");
+        nlrm_obs::ctx::add("store_publish_bytes_total", len);
     }
 }
 
@@ -230,6 +290,42 @@ mod tests {
         s.put("latency/0", SimTime::from_secs(11), Bytes::new());
         assert_eq!(s.newest_under("latency/"), Some(SimTime::from_secs(11)));
         assert_eq!(s.len(), 4);
+    }
+
+    /// Whether the record at `path` is still held unencoded.
+    fn unencoded(s: &SharedStore, path: &str) -> bool {
+        matches!(s.inner.read()[path].1, Payload::Typed(_))
+    }
+
+    #[test]
+    fn publish_encodes_on_the_first_read_only() {
+        use nlrm_topology::NodeId;
+        let s = SharedStore::new();
+        let record = MonitorRecord::Livehosts(vec![NodeId(1), NodeId(4)]);
+        let len = s.publish("livehosts", SimTime::from_secs(3), record.clone());
+        assert_eq!(len, encode(&record).len() as u64);
+        // write times and listings never need the bytes
+        assert_eq!(s.written_at("livehosts"), Some(SimTime::from_secs(3)));
+        assert_eq!(s.newest_under("live"), Some(SimTime::from_secs(3)));
+        assert_eq!(s.list_prefix(""), vec!["livehosts"]);
+        // a typed read clones the record as decoding its bytes would
+        let (at, typed) = s.record("livehosts").unwrap();
+        assert_eq!((at, typed), (SimTime::from_secs(3), Ok(record.clone())));
+        assert!(unencoded(&s, "livehosts"));
+        let first = s.get("livehosts").unwrap();
+        assert_eq!(first.data, encode(&record));
+        assert!(!unencoded(&s, "livehosts"));
+        assert_eq!(s.get("livehosts").unwrap(), first);
+        // a publish over read bytes holds the new record unencoded again
+        s.publish("livehosts", SimTime::from_secs(4), record);
+        assert!(unencoded(&s, "livehosts"));
+        s.put(
+            "livehosts",
+            SimTime::from_secs(5),
+            Bytes::from_static(b"raw"),
+        );
+        assert_eq!(&s.get("livehosts").unwrap().data[..], b"raw");
+        assert_eq!(s.record("livehosts").unwrap().1, decode(b"raw"));
     }
 
     #[test]

@@ -1,17 +1,23 @@
-//! Property-based tests for the monitoring layer: the store codec, the
-//! tournament scheduler, the symmetric matrices, gossip anti-entropy, and
-//! the landmark estimator's error bounds.
+//! Property-based tests for the monitoring layer: the store codec, typed
+//! publish with encode-on-read, the tournament scheduler, the symmetric
+//! matrices, gossip anti-entropy, and the landmark estimator's error
+//! bounds.
 
 use nlrm_cluster::NodeSpec;
-use nlrm_monitor::codec::{decode, encode, MonitorRecord};
+use nlrm_monitor::codec::{decode, encode, encoded_len, MonitorRecord};
 use nlrm_monitor::rounds::round_robin_rounds;
+use nlrm_monitor::runtime::{DaemonKind, FaultTarget, MonitorFaultPlan};
 use nlrm_monitor::sample::{LatencyStat, NodeSample};
-use nlrm_monitor::{GossipNet, NlEstimator, PairProbe, SymMatrix};
+use nlrm_monitor::store::paths;
+use nlrm_monitor::{GossipNet, MonitorRuntime, NlEstimator, PairProbe, SharedStore, SymMatrix};
+use nlrm_sim_core::fault::FaultAction;
+use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::time::SimTime;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::NodeId;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn arb_windowed() -> impl Strategy<Value = WindowedValue> {
     (0.0f64..1e6, 0.0f64..1e6, 0.0f64..1e6, 0.0f64..1e6).prop_map(|(instant, m1, m5, m15)| {
@@ -41,12 +47,12 @@ fn arb_sample() -> impl Strategy<Value = NodeSample> {
                 NodeSample {
                     node: NodeId(node),
                     taken_at: SimTime::from_micros(t),
-                    spec: NodeSpec {
+                    spec: Arc::new(NodeSpec {
                         hostname,
                         cores,
                         freq_ghz: freq,
                         total_mem_gb: mem,
-                    },
+                    }),
                     cpu_load,
                     cpu_util,
                     mem_used_frac: mem_used,
@@ -108,6 +114,68 @@ proptest! {
         if cut < bytes.len() {
             prop_assert!(decode(&bytes[..cut]).is_err());
         }
+    }
+
+    /// A typed publish reads back as exactly `encode(record)`, on the first
+    /// `get` and every later one, whether the path's previous record was
+    /// read or replaced unread, and a typed read returns the record itself;
+    /// the publish counters add up `encoded_len`.
+    #[test]
+    fn store_publish_reads_back_the_encoding(
+        writes in proptest::collection::vec((arb_record(), 0usize..3, 0u8..2), 1..12),
+    ) {
+        let obs = nlrm_obs::Obs::new();
+        let _g = nlrm_obs::install(&obs);
+        let store = SharedStore::new();
+        let mut latest: HashMap<String, MonitorRecord> = HashMap::new();
+        let mut bytes = 0u64;
+        for (i, (record, slot, read)) in writes.iter().enumerate() {
+            let path = format!("nodestate/{slot}");
+            let len = store.publish(&path, SimTime::from_secs(i as u64), record.clone());
+            prop_assert_eq!(len, encoded_len(record) as u64);
+            bytes += len;
+            if *read == 1 {
+                let first = store.get(&path).expect("published").data;
+                prop_assert_eq!(&first[..], &encode(record)[..]);
+                let again = store.get(&path).expect("published").data;
+                prop_assert_eq!(&again[..], &first[..]);
+            }
+            latest.insert(path, record.clone());
+        }
+        for (path, record) in &latest {
+            let typed = store.record(path).expect("published").1.expect("typed");
+            prop_assert_eq!(&typed, record);
+            prop_assert_eq!(&store.get(path).expect("published").data[..], &encode(record)[..]);
+            // once encoded, a typed read decodes the stored bytes
+            let typed = store.record(path).expect("published").1.expect("decodes");
+            prop_assert_eq!(&typed, record);
+        }
+        prop_assert_eq!(obs.metrics.counter_value("store_publish_total"), writes.len() as u64);
+        prop_assert_eq!(obs.metrics.counter_value("store_publish_bytes_total"), bytes);
+    }
+
+    /// A muted daemon keeps sampling but withholds its writes: the record
+    /// already at its path keeps its bytes and write time.
+    #[test]
+    fn muted_writer_leaves_the_previous_record(record in arb_record()) {
+        let mut cluster = nlrm_cluster::iitk::small_cluster(3, 7);
+        let mut rt = MonitorRuntime::new(&cluster);
+        let mut plan = MonitorFaultPlan::new();
+        plan.schedule(
+            SimTime::from_secs(1),
+            FaultTarget::Daemon(DaemonKind::Livehosts),
+            FaultAction::Delay(Duration::from_secs(600)),
+        );
+        rt.set_fault_plan(plan);
+        rt.run_until(&mut cluster, SimTime::from_secs(5));
+        let at = SimTime::from_secs(5);
+        rt.store().publish(paths::LIVEHOSTS, at, record.clone());
+        // three muted livehosts ticks, too few for supervision to call
+        // the record stale and relaunch the daemon
+        rt.run_until(&mut cluster, SimTime::from_secs(30));
+        let kept = rt.store().get(paths::LIVEHOSTS).expect("still there");
+        prop_assert_eq!(kept.written_at, at);
+        prop_assert_eq!(&kept.data[..], &encode(&record)[..]);
     }
 
     /// Random byte soup never panics the decoder.

@@ -40,6 +40,28 @@ pub fn exponential(mean: f64, rng: &mut dyn RngCore) -> f64 {
     -mean * u.ln()
 }
 
+/// A one-entry cache of `f(x)` keyed on the bits of `x`.
+///
+/// The cluster steps every process by the same `dt` again and again, so
+/// the `exp`/`sqrt` of a step's coefficients is worth computing once. The
+/// owner's parameters are private and fixed, so the cached value is
+/// exactly what recomputing it would give.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memo<T>(Option<(u64, T)>);
+
+impl<T: Copy> Memo<T> {
+    fn get(&mut self, x: f64, f: impl FnOnce(f64) -> T) -> T {
+        match self.0 {
+            Some((key, value)) if key == x.to_bits() => value,
+            _ => {
+                let value = f(x);
+                self.0 = Some((x.to_bits(), value));
+                value
+            }
+        }
+    }
+}
+
 /// Mean-reverting Ornstein–Uhlenbeck process, clamped to `[floor, ∞)`.
 ///
 /// Uses the exact transition density, so step size does not bias the
@@ -47,14 +69,16 @@ pub fn exponential(mean: f64, rng: &mut dyn RngCore) -> f64 {
 #[derive(Debug, Clone)]
 pub struct OrnsteinUhlenbeck {
     /// Long-run mean μ.
-    pub mean: f64,
+    mean: f64,
     /// Reversion rate θ (1/seconds).
-    pub rate: f64,
+    rate: f64,
     /// Volatility σ.
-    pub sigma: f64,
+    sigma: f64,
     /// Lower clamp (e.g. 0 for loads).
-    pub floor: f64,
+    floor: f64,
     value: f64,
+    /// `(e^{−θΔt}, σ√((1−e^{−2θΔt})/(2θ)))` of the last `Δt`.
+    coeffs: Memo<(f64, f64)>,
 }
 
 impl OrnsteinUhlenbeck {
@@ -68,6 +92,7 @@ impl OrnsteinUhlenbeck {
             sigma,
             floor,
             value: mean.max(floor),
+            coeffs: Memo::default(),
         }
     }
 
@@ -88,8 +113,13 @@ impl OrnsteinUhlenbeck {
 
 impl Process for OrnsteinUhlenbeck {
     fn step(&mut self, dt: f64, rng: &mut dyn RngCore) -> f64 {
-        let decay = (-self.rate * dt).exp();
-        let std = self.sigma * ((1.0 - decay * decay) / (2.0 * self.rate)).sqrt();
+        let (decay, std) = self.coeffs.get(dt, |dt| {
+            let decay = (-self.rate * dt).exp();
+            (
+                decay,
+                self.sigma * ((1.0 - decay * decay) / (2.0 * self.rate)).sqrt(),
+            )
+        });
         let next = self.mean + (self.value - self.mean) * decay + std * standard_normal(rng);
         self.value = next.max(self.floor);
         self.value
@@ -108,15 +138,17 @@ impl Process for OrnsteinUhlenbeck {
 #[derive(Debug, Clone)]
 pub struct PoissonSpikes {
     /// Arrival rate (events per second).
-    pub arrival_rate: f64,
+    arrival_rate: f64,
     /// Mean spike amplitude (exponentially distributed).
-    pub mean_amplitude: f64,
+    mean_amplitude: f64,
     /// Decay rate of the value (1/seconds).
-    pub decay_rate: f64,
+    decay_rate: f64,
     value: f64,
     /// Virtual time remaining until the next arrival.
     next_arrival_in: f64,
     primed: bool,
+    /// `e^{−λ_d t}` of the last arrival-free stretch `t`.
+    no_arrival: Memo<f64>,
 }
 
 impl PoissonSpikes {
@@ -130,14 +162,20 @@ impl PoissonSpikes {
             value: 0.0,
             next_arrival_in: 0.0,
             primed: false,
+            no_arrival: Memo::default(),
         }
+    }
+
+    /// `e^{−λ_d t}`, the decay over an arrival-free stretch `t`.
+    fn no_arrival_factor(&mut self, t: f64) -> f64 {
+        self.no_arrival.get(t, |t| (-self.decay_rate * t).exp())
     }
 }
 
 impl Process for PoissonSpikes {
     fn step(&mut self, dt: f64, rng: &mut dyn RngCore) -> f64 {
         if self.arrival_rate <= 0.0 {
-            self.value *= (-self.decay_rate * dt).exp();
+            self.value *= self.no_arrival_factor(dt);
             return self.value;
         }
         if !self.primed {
@@ -153,7 +191,7 @@ impl Process for PoissonSpikes {
             self.next_arrival_in = exponential(1.0 / self.arrival_rate, rng);
         }
         self.next_arrival_in -= remaining;
-        self.value *= (-self.decay_rate * remaining).exp();
+        self.value *= self.no_arrival_factor(remaining);
         self.value
     }
 
@@ -166,12 +204,14 @@ impl Process for PoissonSpikes {
 #[derive(Debug, Clone)]
 pub struct BoundedWalk {
     /// Lower bound.
-    pub lo: f64,
+    lo: f64,
     /// Upper bound.
-    pub hi: f64,
+    hi: f64,
     /// Per-√second step scale.
-    pub sigma: f64,
+    sigma: f64,
     value: f64,
+    /// `√Δt` of the last `Δt`.
+    sqrt_dt: Memo<f64>,
 }
 
 impl BoundedWalk {
@@ -183,6 +223,7 @@ impl BoundedWalk {
             hi,
             sigma,
             value: start.clamp(lo, hi),
+            sqrt_dt: Memo::default(),
         }
     }
 
@@ -208,7 +249,7 @@ impl BoundedWalk {
 
 impl Process for BoundedWalk {
     fn step(&mut self, dt: f64, rng: &mut dyn RngCore) -> f64 {
-        let next = self.value + self.sigma * dt.sqrt() * standard_normal(rng);
+        let next = self.value + self.sigma * self.sqrt_dt.get(dt, f64::sqrt) * standard_normal(rng);
         self.value = self.reflect(next);
         self.value
     }
@@ -410,6 +451,20 @@ mod tests {
             quiet.step(1.0, &mut r);
         }
         assert!(quiet.value() < 1e-6);
+    }
+
+    #[test]
+    fn zero_rate_decay_recomputes_nothing_it_would_change() {
+        // repeated, changed and repeated-again steps decay a quiet train
+        // exactly as recomputing `e^{−λ_d Δt}` every step would
+        let mut quiet = PoissonSpikes::new(0.0, 2.0, 0.05);
+        quiet.value = 10.0;
+        let mut want = 10.0f64;
+        let mut r = rng();
+        for dt in [5.0f64, 5.0, 0.3, 0.3, 5.0, 0.0, 7.25, 5.0] {
+            want *= (-0.05 * dt).exp();
+            assert_eq!(quiet.step(dt, &mut r).to_bits(), want.to_bits(), "dt {dt}");
+        }
     }
 
     #[test]

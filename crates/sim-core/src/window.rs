@@ -34,6 +34,10 @@ pub struct WindowRing<const A: usize, const W: usize> {
     /// Every sample some window still holds, oldest first.
     ring: VecDeque<(SimTime, [f64; A])>,
     windows: [Window<A>; W],
+    /// Samples the longest window holds at the expected sampling period
+    /// (`usize::MAX` when unknown): the ring's capacity doubles as it
+    /// fills, but not past this.
+    max_held: usize,
 }
 
 /// One window over the shared ring.
@@ -61,6 +65,22 @@ impl<const A: usize, const W: usize> WindowRing<A, W> {
                 start: 0,
                 sum: [0.0; A],
             }),
+            max_held: usize::MAX,
+        }
+    }
+
+    /// Empty windows of the given spans, for samples every `period` (> 0).
+    /// The ring grows as [`WindowRing::new`]'s does but stops at the
+    /// longest window's sample count at that cadence instead of doubling
+    /// past it; a faster cadence still grows it as needed.
+    pub fn with_period(spans: [Duration; W], period: Duration) -> Self {
+        let longest = spans.iter().map(|s| s.as_micros()).max().unwrap_or(0);
+        // an inclusive window holds span/period + 1 samples, and a push
+        // stores its sample before evicting
+        let max_held = (longest / period.as_micros()) as usize + 2;
+        WindowRing {
+            max_held,
+            ..Self::new(spans)
         }
     }
 
@@ -70,6 +90,10 @@ impl<const A: usize, const W: usize> WindowRing<A, W> {
     pub fn push(&mut self, t: SimTime, x: [f64; A]) -> [[f64; W]; A] {
         if let Some(&(last, _)) = self.ring.back() {
             assert!(t >= last, "samples must arrive in time order");
+        }
+        let len = self.ring.len();
+        if len == self.ring.capacity() && len < self.max_held {
+            self.ring.reserve_exact(len.max(4).min(self.max_held - len));
         }
         self.ring.push_back((t, x));
         let cutoff = t.since(SimTime::ZERO);
@@ -255,5 +279,28 @@ mod tests {
             .sum::<f64>()
             / 61.0;
         assert!((w.means().unwrap()[0][0] - direct).abs() < 1e-9);
+    }
+
+    #[test]
+    fn period_sized_ring_stops_growing_at_its_window() {
+        // 15 minutes at 5 s: 181 samples held, one more while pushing
+        let period = Duration::from_secs(5);
+        let mut sized = WindowRing::<1, 3>::with_period(standard_spans(), period);
+        let mut plain = WindowRing::<1, 3>::new(standard_spans());
+        for i in 0..400u64 {
+            let t = SimTime::from_secs(5 * i);
+            let x = [(i as f64 * 0.7).sin()];
+            assert_eq!(sized.push(t, x), plain.push(t, x));
+        }
+        assert_eq!(sized.len(), 181);
+        assert_eq!(sized.ring.capacity(), 182);
+        assert!(plain.ring.capacity() >= 256);
+        // a faster cadence still fits, growing past the sized capacity
+        for i in 0..400u64 {
+            let t = SimTime::from_secs(2000) + Duration::from_secs(i);
+            assert_eq!(sized.push(t, [1.0]), plain.push(t, [1.0]));
+        }
+        assert_eq!(sized.len(), plain.len());
+        assert!(sized.len() > 182);
     }
 }

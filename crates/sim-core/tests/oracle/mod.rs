@@ -1,6 +1,11 @@
-//! A reference sliding-window mean: one `VecDeque` of samples per window
-//! and attribute, evicting on push. `WindowRing` must publish exactly its
-//! means, bit for bit.
+//! Reference implementations the optimized code must match bit for bit.
+//!
+//! `WindowedMean` is a reference sliding-window mean: one `VecDeque` of
+//! samples per window and attribute, evicting on push. `WindowRing` must
+//! publish exactly its means. [`process`] holds the unmemoized process
+//! steps.
+
+pub mod process;
 
 use nlrm_sim_core::time::{Duration, SimTime};
 use std::collections::VecDeque;

@@ -1,6 +1,8 @@
 //! Property-based tests for the simulation core.
 
 use nlrm_sim_core::event::EventQueue;
+use nlrm_sim_core::process::{BoundedWalk, OrnsteinUhlenbeck, PoissonSpikes, Process};
+use nlrm_sim_core::rng::RngFactory;
 use nlrm_sim_core::stats::{median, percentile, OnlineStats, Summary};
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_sim_core::window::WindowRing;
@@ -63,7 +65,62 @@ fn ring_reaccumulates_like_the_oracle_past_1024_samples() {
     check_against_oracle(spans, samples).unwrap();
 }
 
+/// Step `fast` and `slow` through `dts`, each on its own copy of one
+/// seeded RNG stream, and check after every step that their values agree
+/// bit for bit.
+fn check_trajectory(
+    seed: u64,
+    dts: &[f64],
+    mut fast: impl FnMut(f64, &mut dyn rand::RngCore) -> f64,
+    mut slow: impl FnMut(f64, &mut dyn rand::RngCore) -> f64,
+) -> Result<(), String> {
+    let mut fast_rng = RngFactory::new(seed).named("process-oracle");
+    let mut slow_rng = RngFactory::new(seed).named("process-oracle");
+    for (i, &dt) in dts.iter().enumerate() {
+        let (got, want) = (fast(dt, &mut fast_rng), slow(dt, &mut slow_rng));
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "step {} (dt {})", i, dt);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The memoized process steps follow the unmemoized oracle's
+    /// trajectories bit for bit. The `dt`s are drawn from a small pool, so
+    /// they repeat (memo hits) and change (memo misses, `0` included); the
+    /// spike trains' arrivals leave odd remainders inside a step, and a
+    /// zero arrival rate takes the pure-decay path (its decay from a
+    /// nonzero value is checked in the `process` unit tests, as only they
+    /// can set a train's value).
+    #[test]
+    fn memoized_processes_match_the_unmemoized_oracle(
+        seed in any::<u64>(),
+        pool in proptest::collection::vec(
+            prop_oneof![Just(5.0f64), Just(0.0f64), 1e-3f64..60.0],
+            1..4,
+        ),
+        picks in proptest::collection::vec(0usize..4, 1..150),
+        ou in (-5.0f64..5.0, 1e-3f64..1.0, 0.0f64..2.0, prop_oneof![Just(0.0f64), Just(f64::NEG_INFINITY)]),
+        spikes in (prop_oneof![Just(0.0f64), 1e-3f64..2.0], 0.0f64..3.0, 1e-3f64..1.0),
+        walk in (0.0f64..0.5, 0.5f64..1.0, 0.0f64..0.3, 0.0f64..1.0),
+    ) {
+        let dts: Vec<f64> = picks.iter().map(|&k| pool[k % pool.len()]).collect();
+
+        let (mean, rate, sigma, floor) = ou;
+        let mut fast = OrnsteinUhlenbeck::new(mean, rate, sigma, floor);
+        let mut slow = oracle::process::Ou::new(mean, rate, sigma, floor);
+        check_trajectory(seed, &dts, |dt, r| fast.step(dt, r), |dt, r| slow.step(dt, r))?;
+
+        let (arrival, amp, decay) = spikes;
+        let mut fast = PoissonSpikes::new(arrival, amp, decay);
+        let mut slow = oracle::process::Spikes::new(arrival, amp, decay);
+        check_trajectory(seed, &dts, |dt, r| fast.step(dt, r), |dt, r| slow.step(dt, r))?;
+
+        let (lo, hi, sigma, start) = walk;
+        let mut fast = BoundedWalk::new(lo, hi, sigma, start);
+        let mut slow = oracle::process::Walk::new(lo, hi, sigma, start);
+        check_trajectory(seed, &dts, |dt, r| fast.step(dt, r), |dt, r| slow.step(dt, r))?;
+    }
+
     /// The event queue is a stable priority queue: output sorted by time,
     /// FIFO within equal timestamps.
     #[test]

@@ -2,14 +2,12 @@
 //!
 //! Walks through the paper's §4 scenarios on a simulated cluster:
 //! a daemon crash (relaunched by the central monitor), a master failure
-//! (slave promotes itself), a node failure (disappears from livehosts),
-//! and finally the same daemon topology running on real OS threads.
+//! (slave promotes itself), and a node failure (disappears from
+//! livehosts).
 //!
 //! Run with: `cargo run --release --example monitor_cluster`
 
-use nlrm::monitor::daemons::DaemonConfig;
 use nlrm::monitor::runtime::DaemonKind;
-use nlrm::monitor::threaded::{LiveCluster, ThreadedMonitor};
 use nlrm::prelude::*;
 use nlrm::topology::NodeId;
 
@@ -63,20 +61,4 @@ fn main() {
         snap.usable_nodes().len(),
         snap.usable_nodes().iter().map(|n| n.0).collect::<Vec<_>>()
     );
-
-    // --- scenario 4: the same daemons on real OS threads ---
-    println!("\nstarting the threaded monitor (1000x speedup) ...");
-    let live = LiveCluster::new(small_cluster(4, 23), 1000.0);
-    let threaded = ThreadedMonitor::start(live.clone(), DaemonConfig::default());
-    std::thread::sleep(std::time::Duration::from_millis(800));
-    let snap = ClusterSnapshot::assemble(threaded.store(), 4, live.now()).unwrap();
-    println!(
-        "threaded monitor after 0.8 s wall ({} virtual): {} usable nodes, \
-         {} store records",
-        live.now(),
-        snap.usable_nodes().len(),
-        threaded.store().len()
-    );
-    threaded.stop();
-    println!("threaded monitor stopped cleanly");
 }
