@@ -33,6 +33,7 @@
 pub mod advisor;
 pub mod broker;
 pub mod candidate;
+mod exact;
 pub mod loads;
 pub mod par;
 pub mod policies;

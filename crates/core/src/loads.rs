@@ -4,10 +4,13 @@
 //!
 //! Eq. 2 has one implementation for both snapshot shapes. A dense
 //! snapshot gives one input per usable pair. A block snapshot gives one
-//! per intra-shard pair and one per shard pair, and its column sums run
-//! in O(Σ m_s² + S²) adds yet equal the dense pair-order sums bit for bit
-//! (`BucketPairs::sum`), so both shapes derive the same NL values.
+//! per intra-shard pair and one per shard pair, read by all its cross
+//! pairs. Eq. 2's sums over the usable pairs are exact sums, rounded
+//! once, that add each input times the number of pairs reading it, so
+//! both shapes derive the same NL values by construction, in
+//! O(Σ m_s² + S²) adds on blocks.
 
+use crate::exact;
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
 use crate::tiered::TieredNl;
@@ -17,7 +20,7 @@ use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::tiered::NlRep;
 
@@ -98,9 +101,10 @@ pub struct Loads {
     /// Σ CL over the usable universe, cached at construction so per-group
     /// scoring doesn't re-walk the whole universe.
     c_all: f64,
-    /// Σ NL over all usable pairs, cached at construction (recomputing it
-    /// per `group_cost` call was O(V²) each time).
-    n_all: f64,
+    /// Σ NL over all usable pairs, computed on first use and cached
+    /// (recomputing it per `group_cost` call was O(V²) each time, and the
+    /// broker's restricted views never ask for it).
+    n_all: OnceLock<f64>,
 }
 
 /// Histogram bucket bounds (seconds) for snapshot sample age.
@@ -156,6 +160,16 @@ impl Loads {
         let mut excluded = 0usize;
         let observed = nlrm_obs::ctx::is_active();
         for n in snap.usable_nodes() {
+            if snap.info(n).is_some_and(|i| i.sample.spec.cores == 0) {
+                // a malformed sample (the store takes any writer's bytes):
+                // Eq. 3 has no processor count to give the node
+                if observed {
+                    let event = nlrm_obs::EventKind::ZeroCoreNodeExcluded { node: n };
+                    nlrm_obs::ctx::emit(nlrm_obs::Severity::Warn, snap.taken_at, event);
+                    nlrm_obs::ctx::inc("loads_zero_core_node_excluded_total");
+                }
+                continue;
+            }
             let age = snap.sample_age(n);
             if age.is_some_and(|a| a <= policy.max_sample_age) {
                 usable.push(n);
@@ -315,8 +329,8 @@ impl Loads {
     /// A view of this derivation over fewer nodes or less capacity:
     /// `capacity(node, pc)` gives each usable node its new processor
     /// count, and 0 drops the node. The view shares this derivation's NL
-    /// representation (no copy) and recomputes the universe totals over
-    /// the kept nodes, exactly as [`Loads::from_parts`] would. Restricting
+    /// representation (no copy) and has the universe totals over the kept
+    /// nodes, exactly as [`Loads::from_parts`] would. Restricting
     /// to nothing yields an empty universe; callers map that to their own
     /// error.
     pub fn restrict(&self, mut capacity: impl FnMut(NodeId, u32) -> u32) -> Loads {
@@ -343,15 +357,14 @@ impl Loads {
         for (i, &n) in usable.iter().enumerate() {
             position[n.index()] = i as u32;
         }
-        let (c_all, n_all) = universe_totals(&usable, &cl, &nl);
         Loads {
+            c_all: cl.iter().sum(),
             usable,
             cl,
             nl,
             pc,
             position,
-            c_all,
-            n_all,
+            n_all: OnceLock::new(),
         }
     }
 
@@ -404,18 +417,12 @@ impl Loads {
         self.c_all
     }
 
-    /// Σ NL over all usable pairs (cached at construction).
+    /// Σ NL over all usable pairs (computed once, on first use). The
+    /// tiered representation sums switch blocks instead of walking V²
+    /// pairs.
     pub fn total_network_load(&self) -> f64 {
-        self.n_all
+        *self.n_all.get_or_init(|| self.nl.pair_sum(&self.usable))
     }
-}
-
-/// The universe-wide totals `group_cost` normalizes by: Σ CL and Σ NL over
-/// all usable pairs. Computed once per `Loads` construction. The tiered
-/// representation sums switch blocks analytically instead of walking V²
-/// pairs.
-fn universe_totals(usable: &[NodeId], cl: &[f64], nl: &NlRep) -> (f64, f64) {
-    (cl.iter().sum(), nl.pair_sum(usable))
 }
 
 /// Scale a vector so its mean is 1 (no-op for all-zero input).
@@ -505,21 +512,20 @@ type Stretch = (Range<usize>, usize, Option<Duration>, Option<Duration>);
 /// aged past `policy.max_pair_age` is blended toward it. Both columns are
 /// then normalized by their sums over the usable pairs and combined with
 /// `w_lt`/`w_bw` into `lat`, which is rescaled to unit mean over the
-/// usable pairs. `ordered_sum` sums a column over the usable `i < j`
-/// pairs in row-major order, so every input gets the value a per-pair
-/// dense derivation gives it.
+/// usable pairs. Each sum over the usable pairs is exact, an input taken
+/// `count` times, so every input gets the value a per-pair dense
+/// derivation gives it.
 fn network_load(
     snap: &ClusterSnapshot,
     lat: &mut [f64],
     cbw: &mut [f64],
-    stretches: impl Iterator<Item = Stretch>,
-    ordered_sum: impl Fn(&[f64]) -> f64,
+    stretches: impl Iterator<Item = Stretch> + Clone,
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) {
     let (lat_penalty, cbw_penalty) = (penalty(lat), penalty(cbw));
     let (mut pairs, mut blended) = (0, 0);
-    for (range, count, lat_age, bw_age) in stretches {
+    for (range, count, lat_age, bw_age) in stretches.clone() {
         for x in range {
             let l = settle(&mut lat[x], lat_penalty, lat_age, policy);
             let c = settle(&mut cbw[x], cbw_penalty, bw_age, policy);
@@ -535,11 +541,17 @@ fn network_load(
     if pairs == 0 {
         return;
     }
-    let (lat_sum, cbw_sum) = (ordered_sum(lat), ordered_sum(cbw));
+    let pair_sum = |column: &[f64]| {
+        let terms = stretches
+            .clone()
+            .flat_map(|(range, count, ..)| column[range].iter().map(move |&x| (x, count)));
+        exact::sum(terms)
+    };
+    let (lat_sum, cbw_sum) = (pair_sum(lat), pair_sum(cbw));
     for (l, &c) in lat.iter_mut().zip(cbw.iter()) {
         *l = weights.latency * normalized(*l, lat_sum) + weights.bandwidth * normalized(c, cbw_sum);
     }
-    let pair_mean = ordered_sum(lat) / pairs as f64;
+    let pair_mean = pair_sum(lat) / pairs as f64;
     if pair_mean > 0.0 {
         lat.iter_mut().for_each(|x| *x /= pair_mean);
     }
@@ -552,30 +564,31 @@ fn dense_network_load(
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) -> NlRep {
-    let pairs = || {
-        usable
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
-    };
-    let mut lat: Vec<f64> = pairs()
-        .map(|(u, v)| latency_input(snap.latency(u, v)))
+    let pairs: Vec<(NodeId, NodeId)> = usable
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
         .collect();
-    let mut cbw: Vec<f64> = pairs()
-        .map(|(u, v)| complement(snap.peak_bandwidth_bps(u, v), snap.bandwidth_bps(u, v)))
+    let mut lat: Vec<f64> = pairs
+        .iter()
+        .map(|&(u, v)| latency_input(snap.latency(u, v)))
         .collect();
-    let stretches = pairs().enumerate().map(|(x, (u, v))| {
-        (
-            x..x + 1,
-            1,
-            snap.latency_age(u, v),
-            snap.bandwidth_age(u, v),
-        )
-    });
-    let sum = |column: &[f64]| column.iter().sum::<f64>();
-    network_load(snap, &mut lat, &mut cbw, stretches, sum, weights, policy);
+    let mut cbw: Vec<f64> = pairs
+        .iter()
+        .map(|&(u, v)| complement(snap.peak_bandwidth_bps(u, v), snap.bandwidth_bps(u, v)))
+        .collect();
+    // once, not per walk: the Eq. 2 sums walk the stretches three times
+    let ages: Vec<_> = pairs
+        .iter()
+        .map(|&(u, v)| (snap.latency_age(u, v), snap.bandwidth_age(u, v)))
+        .collect();
+    let stretches = ages
+        .iter()
+        .enumerate()
+        .map(|(x, &(l, b))| (x..x + 1, 1, l, b));
+    network_load(snap, &mut lat, &mut cbw, stretches, weights, policy);
     let mut out = SymMatrix::new(snap.num_nodes(), 0.0);
-    for ((u, v), x) in pairs().zip(lat) {
+    for ((u, v), x) in pairs.into_iter().zip(lat) {
         out.set(u, v, x);
     }
     NlRep::Dense(out)
@@ -587,8 +600,7 @@ fn dense_network_load(
 /// reads its block's triangle (the last bucket's pairs are unmeasured).
 /// Every cross pair of a bucket pair reads the same estimate cell at the
 /// same ages, so it is one input counted `m_a·m_b` times. The columns
-/// take the [`BucketPairs`] layout, whose ordered sum is the dense one
-/// bit for bit.
+/// take the [`BucketPairs`] layout.
 fn block_network_load(
     snap: &ClusterSnapshot,
     blocks: &BlockPairs,
@@ -641,13 +653,11 @@ fn block_network_load(
         };
         (x..x + 1, members[a].len() * members[b].len(), age, age)
     });
-    let sum = |column: &[f64]| order.sum(column);
     network_load(
         snap,
         &mut lat,
         &mut cbw,
         intra.chain(cross),
-        sum,
         weights,
         policy,
     );
@@ -658,57 +668,25 @@ fn block_network_load(
 /// bucket's strict upper triangle over its members' positions, then the
 /// strict upper triangle of bucket pairs, both indexed by [`pair_index`].
 /// A cross pair reads its bucket pair's entry.
-///
-/// [`BucketPairs::sum`] adds a column over the usable pairs in the dense
-/// row-major order, that of [`TieredNl::group_sum`] over the usable set,
-/// bit for bit and in O(Σ m_s² + S²) when each bucket is one run of the
-/// usable order.
 struct BucketPairs {
     /// Usable members per bucket, in usable order.
     members: Vec<Vec<NodeId>>,
     /// Start of each bucket's triangle; `tri[k]` starts the bucket pairs.
     tri: Vec<usize>,
-    /// The usable order as maximal runs of one bucket.
-    runs: Vec<Run>,
-}
-
-/// A maximal stretch of the usable order within one bucket.
-struct Run {
-    bucket: usize,
-    /// Position of its first node among the bucket's members.
-    first: usize,
-    len: usize,
-    /// No later run is in the same bucket.
-    last: bool,
 }
 
 impl BucketPairs {
     /// `k` buckets over `usable`, `bucket_of` placing each node.
     fn new(k: usize, usable: &[NodeId], bucket_of: impl Fn(NodeId) -> usize) -> BucketPairs {
         let mut members = vec![Vec::new(); k];
-        let mut runs: Vec<Run> = Vec::new();
         for &u in usable {
-            let bucket = bucket_of(u);
-            match runs.last_mut() {
-                Some(run) if run.bucket == bucket => run.len += 1,
-                _ => runs.push(Run {
-                    bucket,
-                    first: members[bucket].len(),
-                    len: 1,
-                    last: false,
-                }),
-            }
-            members[bucket].push(u);
-        }
-        let mut seen = vec![false; k];
-        for run in runs.iter_mut().rev() {
-            run.last = !std::mem::replace(&mut seen[run.bucket], true);
+            members[bucket_of(u)].push(u);
         }
         let mut tri = vec![0];
         for ms in &members {
             tri.push(tri[tri.len() - 1] + ms.len() * ms.len().saturating_sub(1) / 2);
         }
-        BucketPairs { members, tri, runs }
+        BucketPairs { members, tri }
     }
 
     /// Column length.
@@ -724,67 +702,12 @@ impl BucketPairs {
     }
 
     /// The bucket pairs `a < b` with usable members on both sides.
-    fn bucket_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    fn bucket_pairs(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
         let k = self.members.len();
         let occupied = |b: &usize| !self.members[*b].is_empty();
         (0..k)
             .filter(occupied)
             .flat_map(move |a| ((a + 1)..k).filter(occupied).map(move |b| (a, b)))
-    }
-
-    /// Σ `column` over the usable pairs in the dense row-major order, bit
-    /// for bit. Each row adds the rest of its own run one pair at a time.
-    /// When no later run is in its bucket, its later runs all read cross
-    /// entries; if each of those moves the sum by a whole number of ulps
-    /// of its binade (no tie) and their total keeps it there, they add as
-    /// that total at once (see [`in_ulps`]). The total is cached per run
-    /// and binade. Otherwise the row goes run by run: a cross run through
-    /// [`add_repeated`], a later own-bucket run one pair at a time.
-    fn sum(&self, column: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for (r, run) in self.runs.iter().enumerate() {
-            let (b, later) = (run.bucket, &self.runs[r + 1..]);
-            let m = self.members[b].len();
-            let own = &column[self.tri[b]..self.tri[b + 1]];
-            // row `i` of the own triangle over positions `j..j + len`
-            let own_row = |i: usize, j: usize, len: usize| match len {
-                0 => &own[..0],
-                _ => &own[pair_index(m, i, j)..][..len],
-            };
-            let cross = |t: usize| column[self.cross(b, t)];
-            // (binade, Σ len·k over the later runs there)
-            let mut jump: Option<(u32, Option<u64>)> = None;
-            for i in run.first..run.first + run.len {
-                for &x in own_row(i, i + 1, run.first + run.len - i - 1) {
-                    s += x;
-                }
-                if let Some((mant, e)) = split(s).filter(|_| run.last) {
-                    if jump.is_none_or(|(at, _)| at != e) {
-                        let total = later.iter().try_fold(0u64, |total, next| {
-                            let (k, tie) = in_ulps(cross(next.bucket), e)?;
-                            (!tie).then(|| total.saturating_add(k.saturating_mul(next.len as u64)))
-                        });
-                        jump = Some((e, total));
-                    }
-                    if let Some((_, Some(total))) = jump {
-                        if total < MANT_TOP - mant {
-                            s = (mant + total) as f64 * ulp(e);
-                            continue;
-                        }
-                    }
-                }
-                for next in later {
-                    if next.bucket == b {
-                        for &x in own_row(i, next.first, next.len) {
-                            s += x;
-                        }
-                    } else {
-                        s = add_repeated(s, cross(next.bucket), next.len);
-                    }
-                }
-            }
-        }
-        s
     }
 
     /// The [`TieredNl`] holding `column`.
@@ -818,89 +741,12 @@ impl BucketPairs {
     }
 }
 
-/// 2⁵³: one past the largest integer mantissa of a binade.
-const MANT_TOP: u64 = 1 << 53;
-
-/// A non-negative finite `s` as `mant · ulp(e)`, `mant < 2⁵³`, where `e`
-/// is its binade (the biased exponent, 1 for subnormals: spacing
-/// 2⁻¹⁰⁷⁴ holds from 0 up to 2⁻¹⁰²¹). `None` for a negative (or −0) or
-/// non-finite `s`.
-fn split(s: f64) -> Option<(u64, u32)> {
-    if s.is_sign_negative() || !s.is_finite() {
-        return None;
-    }
-    let bits = s.to_bits();
-    let (e, frac) = ((bits >> 52) as u32, bits & ((1 << 52) - 1));
-    Some(match e {
-        0 => (frac, 1),
-        _ => (frac | (1 << 52), e),
-    })
-}
-
-/// The spacing of binade `e`: 2^(e − 1075).
-fn ulp(e: u32) -> f64 {
-    match e {
-        53.. => f64::from_bits(u64::from(e - 52) << 52),
-        _ => f64::from_bits(1 << (e - 1)),
-    }
-}
-
-/// `v` in ulps of binade `e`, rounded to nearest, and whether it lies
-/// exactly halfway. `None` for a negative or non-finite `v`, or one of
-/// 2⁵³ ulps or more.
-///
-/// Adding `v` to a sum `mant · ulp(e)` rounds `s + v` to the nearest
-/// multiple of `ulp(e)` while `mant + k < 2⁵³`. Off a tie that moves the
-/// sum by exactly `k` ulps, whatever `mant` is, so any run of such adds
-/// that stays in the binade moves it by the total of their `k`s. On a
-/// tie, the even of the two neighbours wins, which depends on `mant`.
-fn in_ulps(v: f64, e: u32) -> Option<(u64, bool)> {
-    let q = v / ulp(e);
-    if !(0.0..MANT_TOP as f64).contains(&q) {
-        return None;
-    }
-    let whole = q.floor();
-    let frac = q - whole;
-    Some((whole as u64 + u64::from(frac > 0.5), frac == 0.5))
-}
-
-/// `s + v + v + …` with `c` adds, bit for bit as the sequential loop, in a
-/// few adds per binade of the sum. Within a binade every non-tie add
-/// moves the sum by the same number of ulps (see [`in_ulps`]), and so
-/// does every tie add from an even mantissa (each lands on the even
-/// neighbour, an even number of ulps away): those jump to the binade's
-/// end at once. A tie from an odd mantissa, the add that leaves the
-/// binade, and a negative or non-finite operand take one plain add.
-fn add_repeated(mut s: f64, v: f64, mut c: usize) -> f64 {
-    while c > 0 {
-        let step = split(s).and_then(|(mant, e)| {
-            let (k, tie) = in_ulps(v, e)?;
-            match (tie, mant % 2) {
-                (false, _) => Some((mant, e, k)),
-                (true, 0) => Some((mant, e, k + k % 2)),
-                (true, _) => None,
-            }
-        });
-        match step {
-            Some((_, _, 0)) => return s,
-            Some((mant, e, k)) if k < MANT_TOP - mant => {
-                let n = ((MANT_TOP - 1 - mant) / k).min(c as u64);
-                s = (mant + n * k) as f64 * ulp(e);
-                c -= n as usize;
-            }
-            _ => {
-                s += v;
-                c -= 1;
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nlrm_cluster::iitk::small_cluster;
+    use nlrm_monitor::codec::{decode, encode, MonitorRecord};
+    use nlrm_monitor::store::paths;
     use nlrm_monitor::MonitorRuntime;
     use nlrm_sim_core::time::{Duration, SimTime};
 
@@ -1104,6 +950,49 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_core_sample_leaves_the_universe() {
+        let mut cluster = small_cluster(6, 3);
+        let mut rt = MonitorRuntime::new(&cluster);
+        let snap = rt
+            .warm_snapshot(&mut cluster, Duration::from_secs(360))
+            .unwrap();
+        // a writer outside the daemons stores a sample claiming no cores
+        let zero_cores = |node: NodeId| {
+            let path = paths::node_state(node);
+            let rec = rt.store().get(&path).unwrap();
+            let Ok(MonitorRecord::Sample(mut sample)) = decode(&rec.data) else {
+                panic!("node-state record");
+            };
+            Arc::make_mut(&mut sample.spec).cores = 0;
+            let data = encode(&MonitorRecord::Sample(sample));
+            rt.store().put(&path, rec.written_at, data);
+            ClusterSnapshot::assemble(rt.store(), snap.num_nodes(), snap.taken_at).unwrap()
+        };
+        let derive = |snap: &ClusterSnapshot| {
+            let (c, n) = (
+                ComputeWeights::paper_default(),
+                NetworkWeights::paper_default(),
+            );
+            Loads::derive(snap, &c, &n, None)
+        };
+        let obs = nlrm_obs::Obs::new();
+        let _guard = nlrm_obs::ctx::install(&obs);
+        let loads = derive(&zero_cores(NodeId(2))).unwrap();
+        assert!(!loads.usable.contains(&NodeId(2)));
+        assert_eq!(loads.usable.len(), 5);
+        assert_eq!(obs.journal.count_of("zero_core_node_excluded"), 1);
+        let excluded = obs
+            .metrics
+            .counter_value("loads_zero_core_node_excluded_total");
+        assert_eq!(excluded, 1);
+        let mut last = snap.clone();
+        for n in 0..6 {
+            last = zero_cores(NodeId(n));
+        }
+        assert_eq!(derive(&last).unwrap_err(), AllocError::NoUsableNodes);
+    }
+
+    #[test]
     fn stale_pairs_rank_between_fresh_and_unmeasured() {
         let mut snap = snapshot(6, 7);
         let d = snap.densify();
@@ -1240,215 +1129,5 @@ mod tests {
             assert!(nothing.usable.is_empty());
             assert_eq!(nothing.total_capacity(), 0);
         }
-    }
-
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
-
-    fn add_loop(mut s: f64, v: f64, c: usize) -> f64 {
-        for _ in 0..c {
-            s += v;
-        }
-        s
-    }
-
-    fn assert_adds_like_the_loop(s: f64, v: f64, c: usize) {
-        assert_eq!(
-            add_repeated(s, v, c).to_bits(),
-            add_loop(s, v, c).to_bits(),
-            "s = {s:e} ({:#x}), v = {v:e} ({:#x}), c = {c}",
-            s.to_bits(),
-            v.to_bits()
-        );
-    }
-
-    /// The spacing of the binade `s` lies in.
-    fn ulp_of(s: f64) -> f64 {
-        ulp(split(s).unwrap().1)
-    }
-
-    #[test]
-    fn add_repeated_matches_the_add_loop_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_add5);
-        for case in 0..100_000 {
-            let s = match case % 5 {
-                0 => 0.0,
-                // subnormal
-                1 => f64::from_bits(rng.gen_range(1..MANT_TOP / 2)),
-                // a few ulps below a binade's top, so the adds cross it
-                2 => {
-                    let e = rng.gen_range(1..2000u64);
-                    f64::from_bits((e << 52) | (MANT_TOP / 2 - 1 - rng.gen_range(0..64u64)))
-                }
-                // anywhere from just above the subnormals to large
-                3 => {
-                    f64::from_bits(rng.gen_range(1..2000u64) << 52 | rng.gen_range(0..MANT_TOP / 2))
-                }
-                _ => rng.gen::<f64>() * 2f64.powi(rng.gen_range(-60..60)),
-            };
-            let u = ulp_of(s);
-            let v = match rng.gen_range(0..6) {
-                // stagnation: below half an ulp of s
-                0 => u * rng.gen_range(0.0..0.5),
-                // an exact tie
-                1 => u * (rng.gen_range(0..5u32) as f64 + 0.5),
-                // larger than s
-                2 => (s + u) * rng.gen_range(1.0..100.0),
-                // a few ulps, fractional
-                3 => u * rng.gen_range(0.0..1000.0),
-                // a dyadic value at a random scale
-                4 => rng.gen_range(1..8u32) as f64 * 2f64.powi(rng.gen_range(-60..10)),
-                _ => 0.0,
-            };
-            let c = match rng.gen_range(0..100) {
-                0 => rng.gen_range(1..=100_000),
-                1..=9 => rng.gen_range(64..2_000),
-                _ => rng.gen_range(0..64),
-            };
-            assert_adds_like_the_loop(s, v, c);
-        }
-    }
-
-    #[test]
-    fn add_repeated_tie_run() {
-        let u = 2f64.powi(-52);
-        // 1.5 ulps from an even mantissa: every add rounds up to 2 ulps
-        assert_eq!(add_repeated(1.0, 1.5 * u, 1000), 1.0 + 2000.0 * u);
-        // from an odd mantissa the first add rounds down to 1 ulp, then
-        // the mantissa is even and every further add moves 2
-        let odd = 1.0 + u;
-        assert_eq!(
-            add_repeated(odd, 1.5 * u, 1000),
-            odd + (1.0 + 2.0 * 999.0) * u
-        );
-        // 2.5 ulps lands on 2 from an even mantissa
-        assert_eq!(add_repeated(1.0, 2.5 * u, 1000), 1.0 + 2000.0 * u);
-        for (s, v) in [
-            (1.0, 1.5 * u),
-            (odd, 1.5 * u),
-            (1.0, 2.5 * u),
-            (odd, 0.5 * u),
-        ] {
-            for c in [1, 2, 3, 1000, 100_000] {
-                assert_adds_like_the_loop(s, v, c);
-            }
-        }
-        // a tie run that crosses into the next binade, where it is none
-        assert_adds_like_the_loop(2.0 - 64.0 * u, 1.5 * u, 100);
-    }
-
-    #[test]
-    fn add_repeated_stagnation_run() {
-        let u = 2f64.powi(-52);
-        // under half an ulp, and exactly half from an even mantissa: s stays
-        assert_eq!(add_repeated(1.0, 0.49 * u, 100_000), 1.0);
-        assert_eq!(add_repeated(1.0, 0.5 * u, 100_000), 1.0);
-        // from an odd mantissa half an ulp rounds up once, then stays
-        assert_eq!(add_repeated(1.0 + u, 0.5 * u, 100_000), 1.0 + 2.0 * u);
-        for (s, v) in [
-            (1.0, 0.49 * u),
-            (1.0, 0.5 * u),
-            (1.0 + u, 0.5 * u),
-            (7.0, 0.0),
-        ] {
-            assert_adds_like_the_loop(s, v, 100_000);
-        }
-    }
-
-    /// A random bucketed universe: `k` buckets over ids with gaps, laid
-    /// out in bucket runs (`interleave` 0), one node at a time at random
-    /// (1), or in random-length stretches (2).
-    fn shape(rng: &mut StdRng, interleave: u32) -> (usize, Vec<NodeId>, Vec<usize>) {
-        let k = rng.gen_range(1..10);
-        let sizes: Vec<usize> = (0..k)
-            .map(|_| match rng.gen_range(0..4) {
-                0 => 0,
-                _ => rng.gen_range(1..30),
-            })
-            .collect();
-        let mut buckets: Vec<usize> = (0..k).flat_map(|b| vec![b; sizes[b]]).collect();
-        match interleave {
-            0 => {}
-            1 => buckets.shuffle(rng),
-            _ => {
-                let mut stretches: Vec<Vec<usize>> = Vec::new();
-                for chunk in buckets.chunks(rng.gen_range(1..8)) {
-                    stretches.push(chunk.to_vec());
-                }
-                stretches.shuffle(rng);
-                buckets = stretches.concat();
-            }
-        }
-        let mut id = 0;
-        let usable = buckets
-            .iter()
-            .map(|_| {
-                id += rng.gen_range(1..4);
-                NodeId(id)
-            })
-            .collect();
-        (k, usable, buckets)
-    }
-
-    #[test]
-    fn bucket_sum_is_group_sum_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(0xb10c_5a5e);
-        let dyadic = [0.5, 0.25, 1.0, 1.5, 3.0 * 2f64.powi(-40), 0.0];
-        for case in 0..3_000 {
-            let (k, usable, buckets) = shape(&mut rng, case % 3);
-            let bucket_of = |u: NodeId| buckets[usable.binary_search(&u).unwrap()];
-            let order = BucketPairs::new(k, &usable, bucket_of);
-            let scale = 2f64.powi(rng.gen_range(-20..50));
-            let mut column: Vec<f64> = (0..order.len())
-                .map(|_| match (case / 3) % 4 {
-                    0 => rng.gen::<f64>(),
-                    1 => dyadic[rng.gen_range(0..dyadic.len())],
-                    // tie-prone small values under large ones
-                    2 => match rng.gen_range(0..4) {
-                        0 => scale,
-                        _ => dyadic[rng.gen_range(0..dyadic.len())],
-                    },
-                    _ => rng.gen::<f64>() * 2f64.powi(rng.gen_range(-30..30)),
-                })
-                .collect();
-            // a stale-blended column: some entries pulled halfway to 10×
-            // the worst one, as `settle` does
-            if case % 2 == 1 {
-                let worst = 10.0 * column.iter().cloned().fold(0.0, f64::max);
-                for x in column.iter_mut().filter(|_| rng.gen_bool(0.3)) {
-                    *x += 0.5 * (worst - *x);
-                }
-            }
-            let got = order.sum(&column);
-            let want = BucketPairs::new(k, &usable, bucket_of)
-                .into_tiered(&column)
-                .group_sum(&usable);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "case {case}: {got:e} vs {want:e} over buckets {buckets:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn bucket_sum_row_jump_stops_at_the_binade_top() {
-        // two nodes of bucket 0, then five of bucket 1: row 0 adds its
-        // intra pair, then five cross pairs of one ulp each from three
-        // ulps below 1.0. The third lands on 1.0, where one old ulp is a
-        // tie that stays put, so the sum ends at 1.0, not five ulps on.
-        let usable: Vec<NodeId> = (0..7).map(NodeId).collect();
-        let bucket_of = |u: NodeId| usize::from(u.0 >= 2);
-        let order = BucketPairs::new(2, &usable, bucket_of);
-        let u = 2f64.powi(-53);
-        let mut column = vec![0.0; order.len()];
-        column[order.tri[0]] = 1.0 - 3.0 * u;
-        column[order.cross(0, 1)] = u;
-        let want = BucketPairs::new(2, &usable, bucket_of)
-            .into_tiered(&column)
-            .group_sum(&usable);
-        assert_eq!(want, 1.0);
-        assert_eq!(order.sum(&column).to_bits(), want.to_bits());
     }
 }

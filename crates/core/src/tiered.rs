@@ -17,11 +17,14 @@
 //! 48-node switches, ~75 MB instead of ~80 GB. The mean aggregation is
 //! *sum-preserving* per switch pair, so group network loads summed over
 //! many cross pairs stay close to the dense value, and are exactly equal
-//! whenever the tree-topology model holds (all cross pairs equal).
+//! whenever the tree-topology model holds (all cross pairs equal). The
+//! universe total ([`TieredNl::pair_sum`]) is an exact sum, rounded once,
+//! so it equals the dense total bit for bit in that case too.
 //!
 //! [`NlRep`] is the dispatch enum the allocator's [`Loads`](crate::loads::Loads)
 //! carries behind its existing `nl_between` API.
 
+use crate::exact;
 use nlrm_monitor::SymMatrix;
 use nlrm_topology::{NodeId, SwitchIndex};
 
@@ -227,35 +230,30 @@ impl TieredNl {
     }
 
     /// Σ over all unordered pairs of `usable` (a subset of the covered
-    /// nodes), in O(Σ m_s² + S²) instead of O(|usable|²): intra pairs are
-    /// summed exactly, inter pairs contribute `count_s · count_t · inter`.
+    /// nodes), in O(Σ m_s² + S²) instead of O(|usable|²): each switch's
+    /// usable intra pairs read off its matrix, and each switch pair's
+    /// inter value taken `count_s · count_t` times. The sum is exact,
+    /// rounded once, so it equals a dense matrix's [`NlRep::pair_sum`]
+    /// over the same pair values bit for bit.
     pub fn pair_sum(&self, usable: &[NodeId]) -> f64 {
         let s_count = self.members.len();
-        let mut by_switch: Vec<Vec<NodeId>> = vec![Vec::new(); s_count];
+        let mut local: Vec<Vec<usize>> = vec![Vec::new(); s_count];
         for &n in usable {
-            by_switch[self.switch_of_node(n) as usize].push(n);
+            local[self.switch_of_node(n) as usize].push(self.local_of[n.index()] as usize);
         }
-        let mut total = 0.0;
-        for ms in &by_switch {
-            for (i, &u) in ms.iter().enumerate() {
-                for &v in &ms[i + 1..] {
-                    total += self.get(u, v);
-                }
-            }
-        }
-        for s in 0..s_count {
-            let cs = by_switch[s].len() as f64;
-            if cs == 0.0 {
-                continue;
-            }
-            for (t, mt) in by_switch.iter().enumerate().skip(s + 1) {
-                let ct = mt.len() as f64;
-                if ct > 0.0 {
-                    total += cs * ct * self.inter[s * s_count + t];
-                }
-            }
-        }
-        total
+        let mats = self.intra.iter().zip(&self.members);
+        let intra = local.iter().zip(mats).flat_map(|(ls, (mat, ms))| {
+            ls.iter().enumerate().flat_map(move |(i, &a)| {
+                let row = &mat[a * ms.len()..][..ms.len()];
+                ls[i + 1..].iter().map(move |&b| (row[b], 1))
+            })
+        });
+        let local = &local;
+        let inter = (0..s_count).flat_map(|s| {
+            let row = &self.inter[s * s_count..][..s_count];
+            (s + 1..s_count).map(move |t| (row[t], local[s].len() * local[t].len()))
+        });
+        exact::sum(intra.chain(inter))
     }
 
     /// For every node of `usable`, the minimum NL to any *other* usable
@@ -337,10 +335,14 @@ impl NlRep {
         }
     }
 
-    /// Σ over all unordered pairs of `usable`.
+    /// Σ over all unordered pairs of `usable` (distinct nodes): exact,
+    /// rounded once, so independent of pair order and of representation.
     pub fn pair_sum(&self, usable: &[NodeId]) -> f64 {
         match self {
-            NlRep::Dense(_) => self.group_sum(usable),
+            NlRep::Dense(m) => exact::sum(usable.iter().enumerate().flat_map(|(i, &u)| {
+                let row = m.row(u);
+                usable[i + 1..].iter().map(move |v| (row[v.index()], 1))
+            })),
             NlRep::Tiered(t) => t.pair_sum(usable),
         }
     }
@@ -449,15 +451,16 @@ mod tests {
 
     #[test]
     fn pair_sum_matches_dense_exactly() {
-        // mean aggregation preserves per-switch-pair sums, so the total
-        // over the whole universe is identical (up to rounding)
+        // mean aggregation preserves per-switch-pair sums (exactly here:
+        // the cross values average to a whole number), and both totals
+        // are exact, so they agree bit for bit
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
         let t = TieredNl::from_dense(&dense, &nodes, &idx);
         let dense_rep = NlRep::Dense(dense);
         let want = dense_rep.pair_sum(&nodes);
-        assert!((t.pair_sum(&nodes) - want).abs() < 1e-9);
+        assert_eq!(t.pair_sum(&nodes).to_bits(), want.to_bits());
     }
 
     #[test]
@@ -570,7 +573,7 @@ mod tests {
         let subset = [NodeId(0), NodeId(2), NodeId(4)];
         let manual =
             t.get(NodeId(0), NodeId(2)) + t.get(NodeId(0), NodeId(4)) + t.get(NodeId(2), NodeId(4));
-        assert!((t.pair_sum(&subset) - manual).abs() < 1e-12);
+        assert_eq!(t.pair_sum(&subset), manual);
     }
 
     #[test]

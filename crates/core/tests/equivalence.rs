@@ -80,12 +80,9 @@ fn all_scaling_paths_agree_with_serial_dense() {
             assert_eq!(winner_of(&tiered, n, alpha, beta), reference);
 
             // the fused pruned path lands on the same start, on both reps,
-            // under the same (group_cost, start id) order
-            // exhaustive winner under (group_cost, start id), per rep: the
-            // tiered universe total N_all is summed in a different order,
-            // so costs agree only to the ulp *across* reps — each pruned
-            // pass must match its own rep exactly, and both must land on
-            // the same start node
+            // under the same (group_cost, start id) order; each rep sums
+            // its universe total N_all exactly, so costs agree bit for bit
+            // across reps too
             let exhaustive_on = |loads: &Loads, cands: &[_]| {
                 cands
                     .iter()
@@ -112,6 +109,15 @@ fn all_scaling_paths_agree_with_serial_dense() {
             assert_eq!(
                 pruned_dense.winner.start, pruned_tiered.winner.start,
                 "reps must agree on the winning start n={n} α={alpha}"
+            );
+            assert_eq!(
+                pruned_dense.cost.to_bits(),
+                pruned_tiered.cost.to_bits(),
+                "reps must agree on the winning cost n={n} α={alpha}"
+            );
+            assert_eq!(
+                exhaustive_dense, exhaustive_tiered,
+                "exhaustive n={n} α={alpha}"
             );
 
             // parallel evaluation reproduces the serial results exactly

@@ -160,20 +160,20 @@ impl SharedStore {
     }
 }
 
-/// Journal and count one publish of `len` bytes, when observed.
+/// Journal and count one publish of `len` bytes, when observed. The
+/// event's strings are built only if the journal keeps Debug events.
 fn observe_publish(path: &str, written_at: SimTime, len: u64) {
-    if nlrm_obs::ctx::is_active() {
-        nlrm_obs::ctx::emit(
-            nlrm_obs::Severity::Debug,
-            written_at,
-            nlrm_obs::EventKind::Publish {
-                daemon: daemon_of(path).to_string(),
-                path: path.to_string(),
-            },
-        );
-        nlrm_obs::ctx::inc("store_publish_total");
-        nlrm_obs::ctx::add("store_publish_bytes_total", len);
-    }
+    nlrm_obs::ctx::with(|obs| {
+        obs.journal
+            .record_with(nlrm_obs::Severity::Debug, written_at, || {
+                nlrm_obs::EventKind::Publish {
+                    daemon: daemon_of(path).to_string(),
+                    path: path.to_string(),
+                }
+            });
+        obs.metrics.inc("store_publish_total");
+        obs.metrics.add("store_publish_bytes_total", len);
+    });
 }
 
 /// Which daemon family owns a store path (for publish events).

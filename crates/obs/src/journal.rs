@@ -109,6 +109,12 @@ pub enum EventKind {
         /// Sample age at the decision.
         age: Duration,
     },
+    /// Load derivation dropped a node whose sample reports zero cores
+    /// (malformed: Eq. 3 has no processor count for it).
+    ZeroCoreNodeExcluded {
+        /// The excluded node.
+        node: NodeId,
+    },
     /// Load derivation blended stale pair measurements toward the penalty.
     StalePairsBlended {
         /// Number of pairs blended in this derivation.
@@ -226,6 +232,7 @@ impl EventKind {
             EventKind::Failover { .. } => "failover",
             EventKind::SlaveSpawned { .. } => "slave_spawned",
             EventKind::StaleNodeExcluded { .. } => "stale_node_excluded",
+            EventKind::ZeroCoreNodeExcluded { .. } => "zero_core_node_excluded",
             EventKind::StalePairsBlended { .. } => "stale_pairs_blended",
             EventKind::AllocRequested { .. } => "alloc_requested",
             EventKind::AllocGranted { .. } => "alloc_granted",
@@ -272,6 +279,9 @@ impl EventKind {
                 ("node", json::string(&node.to_string())),
                 ("age_s", json::num(age.as_secs_f64())),
             ],
+            EventKind::ZeroCoreNodeExcluded { node } => {
+                vec![("node", json::string(&node.to_string()))]
+            }
             EventKind::StalePairsBlended { count } => vec![("count", count.to_string())],
             EventKind::AllocRequested { job, procs } => {
                 vec![("job", json::string(job)), ("procs", procs.to_string())]
@@ -343,6 +353,7 @@ impl EventKind {
             EventKind::Failover { from, to } => format!("from={from} to={to}"),
             EventKind::SlaveSpawned { host } => format!("host={host}"),
             EventKind::StaleNodeExcluded { node, age } => format!("node={node} age={age}"),
+            EventKind::ZeroCoreNodeExcluded { node } => format!("node={node}"),
             EventKind::StalePairsBlended { count } => format!("count={count}"),
             EventKind::AllocRequested { job, procs } => format!("job={job} procs={procs}"),
             EventKind::AllocGranted { job, nodes, cost } => {
@@ -504,6 +515,18 @@ impl Journal {
         self.record_kv(severity, at, kind, Vec::new())
     }
 
+    /// Record the event `kind` builds, calling it only when the severity
+    /// filter accepts the event: a rejected event is counted as filtered
+    /// without being built.
+    pub fn record_with(
+        &self,
+        severity: Severity,
+        at: SimTime,
+        kind: impl FnOnce() -> EventKind,
+    ) -> bool {
+        self.push(severity, at, || (kind(), Vec::new()))
+    }
+
     /// Record an event with extra key/value fields.
     pub fn record_kv(
         &self,
@@ -512,11 +535,21 @@ impl Journal {
         kind: EventKind,
         fields: Vec<(String, String)>,
     ) -> bool {
+        self.push(severity, at, || (kind, fields))
+    }
+
+    fn push(
+        &self,
+        severity: Severity,
+        at: SimTime,
+        event: impl FnOnce() -> (EventKind, Vec<(String, String)>),
+    ) -> bool {
         let mut inner = lock::lock(&self.inner);
         if severity < inner.min_severity {
             inner.filtered += 1;
             return false;
         }
+        let (kind, fields) = event();
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let event = Event {
@@ -699,6 +732,18 @@ mod tests {
         assert_eq!(j.filtered(), 2);
         assert!(j.accepts(Severity::Error));
         assert!(!j.accepts(Severity::Info));
+    }
+
+    #[test]
+    fn a_rejected_lazy_event_is_counted_but_never_built() {
+        let j = Journal::new(8);
+        j.set_min_severity(Severity::Warn);
+        let rejected = j.record_with(Severity::Debug, SimTime::ZERO, || unreachable!());
+        assert!(!rejected);
+        assert!(j.record_with(Severity::Warn, SimTime::ZERO, || tick("a")));
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.filtered(), 1);
+        assert_eq!(j.events()[0].kind, tick("a"));
     }
 
     #[test]

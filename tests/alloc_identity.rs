@@ -9,7 +9,11 @@
 //! every event's kind and reason, the journal and the decision spans. The
 //! expected values were captured before the four hand-built placement
 //! chains were collapsed into one stage, so any drift in a winner, a cost
-//! bit, an explain trace or a deferral string fails here.
+//! bit, an explain trace or a deferral string fails here. They were
+//! recaptured once, when Eq. 2's pair sums became exact: NL values moved
+//! in their last bits, and with them every cost bit and a few near-tie
+//! winners (the same node sets from another start, one of them with its
+//! processes spread differently).
 
 use nlrm::core::broker::{Broker, BrokerConfig, BrokerEvent, SubmitOptions};
 use nlrm::core::slurm::{JobDescriptor, NlrmSelect, NodeBitmap, SelectPlugin};
@@ -96,7 +100,7 @@ fn nla_digest(seed: u64) -> u64 {
 fn nla_policy_seed_1_allocates_golden_groups() {
     assert_eq!(
         nla_digest(1),
-        13820537484424916256,
+        6489845045830667857,
         "NLA seed 1 allocations moved"
     );
 }
@@ -105,7 +109,7 @@ fn nla_policy_seed_1_allocates_golden_groups() {
 fn nla_policy_seed_4_allocates_golden_groups() {
     assert_eq!(
         nla_digest(4),
-        14442901234779474096,
+        17781271242102347778,
         "NLA seed 4 allocations moved"
     );
 }
@@ -174,7 +178,7 @@ fn slurm_digest() -> u64 {
 fn slurm_select_picks_golden_groups() {
     assert_eq!(
         slurm_digest(),
-        2456423544672324711,
+        16140027246640860504,
         "SLURM select allocations moved"
     );
 }
@@ -318,7 +322,7 @@ fn broker_digest() -> u64 {
 fn batched_broker_ticks_are_golden() {
     assert_eq!(
         broker_digest(),
-        10133676723712811054,
+        4055056232840753112,
         "batched broker events moved"
     );
 }
