@@ -23,10 +23,14 @@
 //! `Loads::derive_with_policy` → `allocate_pruned` — on `campus(k, 48, 1)`
 //! at 1,008, 9,984, 49,920 and 100,032 nodes (quick: 1,008 and 4,992).
 //! Each row times the monitor's 120 s of virtual time (once), snapshot
-//! and derive (p50 of 5 repeats below 49,920 nodes, one run above), then runs a stream of allocation decisions over
-//! its one `Loads` — the paper's process counts and α/β cycles, 40/20/10/10
-//! decisions (quick: 8/5) — and reports allocations/sec, p50/p99 decision
-//! latency and the mean expanded and pruned starts. Every decision must
+//! and derive (5 repeats below 49,920 nodes, 3 above; p50 with min and
+//! max), then runs a stream of allocation decisions over its one `Loads`
+//! — the paper's process counts and α/β cycles, 40/20/10/10 decisions
+//! (quick: 8/5) — and reports allocations/sec, p50/p99 decision latency
+//! with min and max, and the mean expanded and pruned starts. The first
+//! decision on the fresh `Loads`, which builds its memoized bound inputs
+//! and foreign-switch neighbourhoods, is timed apart and kept out of the
+//! stream's figures. Every decision must
 //! expand or prune each usable start exactly once, and the snapshot must
 //! store `Σ_s C(m_s, 2) + C(S, 2)` pair cells: blocks, not a V×V matrix.
 //! Gate (self-asserting, mirrored in `ci.sh`): allocations/sec between
@@ -183,6 +187,35 @@ fn oracle_snapshot(
 const PROCS: [u32; 4] = [32, 64, 128, 256];
 const MIXES: [(f64, f64); 3] = [(0.3, 0.7), (0.4, 0.6), (0.7, 0.3)];
 
+/// Min, nearest-rank p50 and max of repeated wall-clock timings, ms.
+struct Spread {
+    min: f64,
+    p50: f64,
+    max: f64,
+}
+
+impl Spread {
+    /// The spread of ascending `sorted_ms` (nonempty).
+    fn of(sorted_ms: &[f64]) -> Spread {
+        Spread {
+            min: sorted_ms[0],
+            p50: report::nearest_rank(sorted_ms, 0.50),
+            max: sorted_ms[sorted_ms.len() - 1],
+        }
+    }
+
+    /// `p50 [min, max]` for the markdown table.
+    fn cell(&self, digits: usize) -> String {
+        format!(
+            "{:.d$} [{:.d$}, {:.d$}]",
+            self.p50,
+            self.min,
+            self.max,
+            d = digits
+        )
+    }
+}
+
 struct ChainRow {
     nodes: usize,
     shards: usize,
@@ -190,12 +223,13 @@ struct ChainRow {
     expected_pair_cells: usize,
     repeats: usize,
     monitor_s: f64,
-    snapshot_ms: f64,
-    derive_ms: f64,
+    snapshot: Spread,
+    derive: Spread,
     usable: usize,
     jobs: usize,
     allocs_per_sec: f64,
-    p50_ms: f64,
+    first_decision_ms: f64,
+    decision: Spread,
     p99_ms: f64,
     mean_expanded: f64,
     mean_pruned: f64,
@@ -204,8 +238,8 @@ struct ChainRow {
     host_cores: usize,
 }
 
-/// Median wall time of `reps` runs of `f`, ms, and the last result.
-fn p50_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+/// The wall-time spread of `reps` runs of `f`, and the last result.
+fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (Spread, T) {
     let mut times = Vec::with_capacity(reps);
     let mut out = None;
     for _ in 0..reps {
@@ -216,13 +250,14 @@ fn p50_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         times.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     times.sort_by(f64::total_cmp);
-    (times[reps / 2], out.expect("reps ≥ 1"))
+    (Spread::of(&times), out.expect("reps ≥ 1"))
 }
 
 /// The real sharded chain on `campus(clusters, 48, 1)`: 120 s of
-/// monitoring (timed once), then `snapshot()` and `Loads::derive_with_policy` (p50 of 5
-/// below 49,920 nodes, one run above) and `jobs` `allocate_pruned`
-/// decisions over the one `Loads`.
+/// monitoring (timed once), then `snapshot()` and
+/// `Loads::derive_with_policy` (5 runs below 49,920 nodes, 3 above), one
+/// first decision on the fresh `Loads`, and `jobs` timed
+/// `allocate_pruned` decisions over it.
 fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
     let mut cluster = nlrm_cluster::iitk::campus(clusters, PER_SWITCH as usize, 1);
     let nodes = cluster.num_nodes();
@@ -242,8 +277,8 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
     rt.run_until(&mut cluster, SimTime::from_secs(120));
     let monitor_s = t0.elapsed().as_secs_f64();
     let now = cluster.now();
-    let repeats = if nodes < 49_920 { 5 } else { 1 };
-    let (snapshot_ms, snap) = p50_ms(repeats, || rt.snapshot(now).expect("snapshot"));
+    let repeats = if nodes < 49_920 { 5 } else { 3 };
+    let (snapshot, snap) = timed(repeats, || rt.snapshot(now).expect("snapshot"));
     let PairSource::Blocks(blocks) = &snap.pairs else {
         panic!("a sharded monitor yields a block snapshot");
     };
@@ -252,18 +287,22 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         NetworkWeights::paper_default(),
     );
     let policy = StalenessPolicy::default();
-    let (derive_ms, loads) = p50_ms(repeats, || {
+    let (derive, loads) = timed(repeats, || {
         Loads::derive_with_policy(&snap, &cw, &nw, Some(4), &policy).expect("derive")
     });
 
     let usable = loads.usable.len();
+    let decide = |j: usize| {
+        let (alpha, beta) = MIXES[j % MIXES.len()];
+        allocate_pruned(&loads, PROCS[j % PROCS.len()], alpha, beta).expect("allocate")
+    };
+    let (first, _) = timed(1, || decide(0));
     let mut latencies = Vec::with_capacity(jobs);
     let (mut expanded, mut pruned) = (0, 0);
     for j in 0..jobs {
-        let (alpha, beta) = MIXES[j % MIXES.len()];
         let t0 = Instant::now();
-        let d = allocate_pruned(&loads, PROCS[j % PROCS.len()], alpha, beta).expect("allocate");
-        latencies.push(t0.elapsed().as_secs_f64());
+        let d = decide(j);
+        latencies.push(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             d.expanded + d.pruned,
             usable,
@@ -280,13 +319,14 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         expected_pair_cells,
         repeats,
         monitor_s,
-        snapshot_ms,
-        derive_ms,
+        snapshot,
+        derive,
         usable,
         jobs,
-        allocs_per_sec: jobs as f64 / latencies.iter().sum::<f64>(),
-        p50_ms: report::nearest_rank(&latencies, 0.50) * 1e3,
-        p99_ms: report::nearest_rank(&latencies, 0.99) * 1e3,
+        allocs_per_sec: jobs as f64 * 1e3 / latencies.iter().sum::<f64>(),
+        first_decision_ms: first.p50,
+        decision: Spread::of(&latencies),
+        p99_ms: report::nearest_rank(&latencies, 0.99),
         mean_expanded: expanded as f64 / jobs as f64,
         mean_pruned: pruned as f64 / jobs as f64,
         peak_rss_mb: report::peak_rss_mb(),
@@ -494,11 +534,12 @@ fn main() {
         "pair_cells",
         "repeats",
         "monitor_s",
-        "snapshot_ms",
-        "derive_ms",
+        "snapshot_ms [min, max]",
+        "derive_ms [min, max]",
         "jobs",
         "allocs/sec",
-        "p50_ms",
+        "first_ms",
+        "p50_ms [min, max]",
         "p99_ms",
         "expanded",
         "pruned",
@@ -513,11 +554,12 @@ fn main() {
             c.pair_cells.to_string(),
             c.repeats.to_string(),
             format!("{:.3}", c.monitor_s),
-            format!("{:.2}", c.snapshot_ms),
-            format!("{:.2}", c.derive_ms),
+            c.snapshot.cell(2),
+            c.derive.cell(2),
             c.jobs.to_string(),
             format!("{:.1}", c.allocs_per_sec),
-            format!("{:.3}", c.p50_ms),
+            format!("{:.3}", c.first_decision_ms),
+            c.decision.cell(3),
             format!("{:.3}", c.p99_ms),
             format!("{:.1}", c.mean_expanded),
             format!("{:.1}", c.mean_pruned),
@@ -595,13 +637,20 @@ fn main() {
                 ("expected_pair_cells", c.expected_pair_cells.to_string()),
                 ("repeats", c.repeats.to_string()),
                 ("monitor_s", json::num(c.monitor_s)),
-                ("snapshot_ms", json::num(c.snapshot_ms)),
-                ("derive_ms", json::num(c.derive_ms)),
+                ("snapshot_min_ms", json::num(c.snapshot.min)),
+                ("snapshot_ms", json::num(c.snapshot.p50)),
+                ("snapshot_max_ms", json::num(c.snapshot.max)),
+                ("derive_min_ms", json::num(c.derive.min)),
+                ("derive_ms", json::num(c.derive.p50)),
+                ("derive_max_ms", json::num(c.derive.max)),
                 ("usable", c.usable.to_string()),
                 ("jobs", c.jobs.to_string()),
                 ("allocs_per_sec", json::num(c.allocs_per_sec)),
-                ("p50_ms", json::num(c.p50_ms)),
-                ("p99_ms", json::num(c.p99_ms)),
+                ("first_decision_ms", json::num(c.first_decision_ms)),
+                ("decision_min_ms", json::num(c.decision.min)),
+                ("decision_p50_ms", json::num(c.decision.p50)),
+                ("decision_p99_ms", json::num(c.p99_ms)),
+                ("decision_max_ms", json::num(c.decision.max)),
                 ("mean_expanded", json::num(c.mean_expanded)),
                 ("mean_pruned", json::num(c.mean_pruned)),
                 ("peak_rss_mb", json::num(c.peak_rss_mb)),

@@ -86,13 +86,89 @@ pub fn write_result(name: &str, contents: &str) -> io::Result<PathBuf> {
 }
 
 /// Write the BENCH file `name` to [`bench_path`] and echo the path
-/// (suppressed under `NLRM_QUIET`); `json` that is not one well-formed
-/// JSON value is refused with [`io::ErrorKind::InvalidData`] and nothing
-/// is written.
+/// (suppressed under `NLRM_QUIET`). `json` that is not one well-formed
+/// JSON value, or whose timing spreads do not hold (a `{P}min_ms` member
+/// without a `{P}max_ms` sibling, or a `{P}…_ms` sibling outside them),
+/// is refused with [`io::ErrorKind::InvalidData`]
+/// and nothing is written.
 pub fn write_bench(name: &str, quick: bool, json: &str) -> io::Result<PathBuf> {
     nlrm_obs::json::validate(json)
+        .and_then(|()| check_spreads(json))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {e}")))?;
     write_echoed(bench_path(name, quick), json)
+}
+
+/// In every object of the well-formed `json`, a `{P}min_ms` member needs
+/// a `{P}max_ms` sibling, and every numeric or null `{P}…_ms` sibling
+/// (its p50, p99, …) must lie between them: a repeated timing carries
+/// its spread, and the spread brackets what it summarizes.
+fn check_spreads(json: &str) -> Result<(), String> {
+    // numeric members of each open object, innermost last
+    let mut open: Vec<Vec<(String, f64)>> = Vec::new();
+    let mut key: Option<String> = None;
+    let b = json.as_bytes();
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let start = i + 1;
+                i = start;
+                while b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+                let text = &json[start..i];
+                let rest = json[i + 1..].trim_start();
+                key = rest.starts_with(':').then(|| text.to_string());
+            }
+            b'-' | b'0'..=b'9' => {
+                let start = i;
+                while i + 1 < b.len()
+                    && matches!(b[i + 1], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                {
+                    i += 1;
+                }
+                let value: f64 = json[start..=i].parse().map_err(|e| format!("{e}"))?;
+                if let (Some(k), Some(members)) = (key.take(), open.last_mut()) {
+                    members.push((k, value));
+                }
+            }
+            b'{' => {
+                open.push(Vec::new());
+                key = None;
+            }
+            b'}' => {
+                spreads_hold(&open.pop().unwrap_or_default())?;
+                key = None;
+            }
+            // a null member stands for a non-finite number
+            b'n' => {
+                if let (Some(k), Some(members)) = (key.take(), open.last_mut()) {
+                    members.push((k, f64::NAN));
+                }
+            }
+            b'[' | b']' | b',' => key = None,
+            _ => {}
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
+/// [`check_spreads`] on one object's numeric members.
+fn spreads_hold(members: &[(String, f64)]) -> Result<(), String> {
+    let get = |name: &str| members.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
+    for (k, min) in members {
+        let Some(stem) = k.strip_suffix("min_ms") else {
+            continue;
+        };
+        let max = get(&format!("{stem}max_ms")).ok_or(format!("{k} without {stem}max_ms"))?;
+        for (other, v) in members {
+            if other.starts_with(stem) && other.ends_with("_ms") && !(min <= v && *v <= max) {
+                return Err(format!("{other} = {v} outside [{min}, {max}]"));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn write_echoed(path: PathBuf, contents: &str) -> io::Result<PathBuf> {
@@ -272,6 +348,26 @@ mod tests {
         let err = write_bench(name, true, r#"{"ok": }"#).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(!path.exists());
+        // a spread that does not bracket its p50 writes nothing either
+        let err = write_bench(name, true, r#"{"x_min_ms": 2, "x_ms": 1, "x_max_ms": 3}"#);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn spreads_must_bracket_their_siblings() {
+        let ok = r#"{"rows": [{"d_min_ms": 1, "d_ms": 2, "d_p99_ms": 3e0, "d_max_ms": 3,
+            "other_ms": 99, "name": "d_x_ms", "nested": {"e_min_ms": -1, "e_max_ms": 0}}]}"#;
+        assert_eq!(check_spreads(ok), Ok(()));
+        for bad in [
+            r#"{"d_min_ms": 1, "d_ms": 2}"#,
+            r#"{"d_min_ms": 1, "d_ms": 4, "d_max_ms": 3}"#,
+            r#"{"d_min_ms": 2, "d_ms": 1, "d_max_ms": 3}"#,
+            r#"{"d_min_ms": 1, "d_max_ms": 3, "d_p99_ms": null}"#,
+            r#"{"min_ms": 1, "p50_ms": 0.5, "max_ms": 2}"#,
+        ] {
+            assert!(check_spreads(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

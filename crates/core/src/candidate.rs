@@ -26,6 +26,16 @@
 //!   switch's exact costs against that prefix, so no start node ever
 //!   scans the whole cluster and foreign streams are merged once per
 //!   switch, not once per start.
+//! * A prefix needs only the cheapest few heads, yet costing all S − 1
+//!   of them for each of S switches is O(S²) per decision. So the
+//!   `Loads` keeps, built once on first use, a `ForeignIndex`: per
+//!   switch its L = 128 foreign switches with the smallest
+//!   inter values and the smallest inter value left out. A prefix costs
+//!   only its neighbourhood's heads, cuts them at the `k`-th cheapest
+//!   (`k` heads cover `n`) and seeds the merge with the heads at or under
+//!   the cut, once a certificate shows no head outside the neighbourhood
+//!   can reach it; otherwise it seeds from every head, as before. The
+//!   prefix is the same either way, bit for bit.
 //! * Start nodes are fanned out over worker threads
 //!   ([`par`]); outputs land in input order, so the candidate
 //!   vector is identical to the serial path.
@@ -226,6 +236,99 @@ pub fn generate_all_candidates(loads: &Loads, n: u32, alpha: f64, beta: f64) -> 
         .collect()
 }
 
+/// Foreign switches kept per switch in a [`ForeignIndex`] row.
+pub(crate) const NEIGHBOURHOOD: usize = 128;
+
+/// Per switch, its [`NEIGHBOURHOOD`] nearest foreign switches: the
+/// stream switches (those with a usable node with capacity) other than
+/// itself with the smallest `(inter_value, id)`, and the smallest inter
+/// value left out. It depends on the `Loads` alone, not on α, β or n, so
+/// [`Loads`] builds it once, on first use, and every decision's foreign
+/// prefixes read it (see [`TieredBuckets::foreign_prefix`]).
+#[derive(Debug, Clone)]
+pub(crate) struct ForeignIndex {
+    /// `S × NEIGHBOURHOOD` row-major switch ids, unordered within a row.
+    near: Vec<u32>,
+    /// Per switch, the smallest inter value to a stream switch outside
+    /// its row.
+    rest: Vec<f64>,
+    /// Largest |CL| of a node with capacity and |inter value| the rows
+    /// were chosen from; ∞ if one is not finite.
+    max_abs: f64,
+}
+
+/// `max(m, |x|)`, or ∞ once `x` is not finite.
+fn max_abs(m: f64, x: f64) -> f64 {
+    if x.is_finite() {
+        m.max(x.abs())
+    } else {
+        f64::INFINITY
+    }
+}
+
+impl ForeignIndex {
+    /// The index over `loads`' stream switches, or `None` when there are
+    /// too few of them for a row to leave any out. O(S²) once.
+    pub(crate) fn build(loads: &Loads, t: &TieredNl) -> Option<ForeignIndex> {
+        let s_count = t.num_switches();
+        let mut has_stream = vec![false; s_count];
+        let mut max_cl = 0.0;
+        for (i, &node) in loads.usable.iter().enumerate() {
+            if loads.pc[i] > 0 {
+                has_stream[t.switch_of_node(node) as usize] = true;
+                max_cl = max_abs(max_cl, loads.cl[i]);
+            }
+        }
+        let active: Vec<u32> = (0..s_count as u32)
+            .filter(|&s| has_stream[s as usize])
+            .collect();
+        if active.len() <= NEIGHBOURHOOD + 1 {
+            return None;
+        }
+        let by_value = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let rows = par::par_map_indexed(s_count, par::MIN_CHUNK, |s| {
+            let s = s as u32;
+            let mut row: Vec<(f64, u32)> = active
+                .iter()
+                .filter(|&&u| u != s)
+                .map(|&u| (t.inter_value(s, u), u))
+                .collect();
+            let max_inter = row.iter().fold(0.0, |m, &(x, _)| max_abs(m, x));
+            // everything after position NEIGHBOURHOOD sorts after it, so
+            // it is the smallest value left out
+            row.select_nth_unstable_by(NEIGHBOURHOOD, by_value);
+            let near: Vec<u32> = row[..NEIGHBOURHOOD].iter().map(|&(_, u)| u).collect();
+            (near, row[NEIGHBOURHOOD].0, max_inter)
+        });
+        let mut index = ForeignIndex {
+            near: Vec::with_capacity(s_count * NEIGHBOURHOOD),
+            rest: Vec::with_capacity(s_count),
+            max_abs: max_cl,
+        };
+        for (near, rest, max_inter) in rows {
+            index.near.extend(near);
+            index.rest.push(rest);
+            index.max_abs = index.max_abs.max(max_inter);
+        }
+        Some(index)
+    }
+
+    /// Switch `s`'s nearest foreign stream switches.
+    fn row(&self, s: u32) -> &[u32] {
+        &self.near[s as usize * NEIGHBOURHOOD..][..NEIGHBOURHOOD]
+    }
+}
+
+/// What a decision needs to cut its foreign prefixes to a neighbourhood:
+/// the index, how many heads surely cover `n`, and the smallest head CL.
+struct NearCut<'a> {
+    index: &'a ForeignIndex,
+    /// `⌈n / smallest head pc⌉`: the `k` cheapest heads cover `n`.
+    k: usize,
+    /// Smallest CL of any stream head.
+    h_min: f64,
+}
+
 /// Per-switch streams of usable nodes with spare capacity, pre-sorted by
 /// `(CL, id)` — the order any *foreign* start node visits them in, since
 /// the tiered `NL(v, u)` term is constant across a foreign switch.
@@ -237,8 +340,13 @@ pub(crate) struct TieredBuckets<'a> {
     /// `(cl, pc, node)` per switch, sorted ascending by `(α·CL, id)`.
     streams: Vec<Vec<(f64, u32, NodeId)>>,
     /// `(switch, cl, node)` of every nonempty stream's head, contiguous so
-    /// each foreign prefix reads all heads in one pass.
+    /// a full foreign prefix reads all heads in one pass.
     heads: Vec<(u32, f64, NodeId)>,
+    /// Head CL per switch (∞ for an empty stream), so a neighbourhood's
+    /// head costs read two contiguous arrays.
+    head_cl: Vec<f64>,
+    /// Set when foreign prefixes may seed from a neighbourhood.
+    near: Option<NearCut<'a>>,
     /// Usable positions of the start nodes on each switch, ascending.
     starts: Vec<Vec<usize>>,
 }
@@ -290,12 +398,26 @@ impl<'a> TieredBuckets<'a> {
         // this is merge order; ties in α·CL (notably the whole stream when
         // α = 0) fall back to id order, matching the dense sort exactly
         let mut heads = Vec::new();
+        let mut head_cl = vec![f64::INFINITY; streams.len()];
+        let (mut h_min, mut pc_min) = (f64::INFINITY, u32::MAX);
         for (s, stream) in streams.iter_mut().enumerate() {
             stream.sort_by(|a, b| (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2)));
-            if let Some(&(cl, _, node)) = stream.first() {
+            if let Some(&(cl, pc, node)) = stream.first() {
                 heads.push((s as u32, cl, node));
+                head_cl[s] = cl;
+                h_min = h_min.min(cl);
+                pc_min = pc_min.min(pc);
             }
         }
+        // a head's cost is monotone in its CL and its inter value only for
+        // sign-positive weights and products that cannot overflow into NaN
+        let k = (n as usize).div_ceil(pc_min.max(1) as usize);
+        let monotone = |w: f64| w.is_sign_positive() && w.is_finite();
+        let near = (monotone(alpha) && monotone(beta) && (1..=NEIGHBOURHOOD).contains(&k))
+            .then(|| loads.foreign_index())
+            .flatten()
+            .filter(|ix| (alpha * ix.max_abs).is_finite() && (beta * ix.max_abs).is_finite())
+            .map(|index| NearCut { index, k, h_min });
         TieredBuckets {
             t,
             alpha,
@@ -303,6 +425,8 @@ impl<'a> TieredBuckets<'a> {
             n,
             streams,
             heads,
+            head_cl,
+            near,
             starts,
         }
     }
@@ -343,6 +467,15 @@ impl<'a> TieredBuckets<'a> {
     /// foreign item left out sorts strictly after the last one kept, by
     /// which point the walk has covered `n` already.
     ///
+    /// The merge's candidate heads come from `sv`'s neighbourhood when
+    /// [`Self::near_heads`] can certify them: O(L) head costs, not
+    /// O(S). It falls back to every foreign head when the `Loads` has no
+    /// [`ForeignIndex`] (a dense representation, or at most
+    /// `NEIGHBOURHOOD + 1` switches with capacity), when a weight is
+    /// negative, −0 or not finite, when a weight times the largest |CL| or
+    /// |inter value| overflows, when `k = ⌈n / smallest head pc⌉` exceeds
+    /// the neighbourhood, or when the certificate does not hold strictly.
+    ///
     /// Stream heads enter a min-heap over their keys; a stream is seeded
     /// only once its head cost ties or undercuts the cheapest pushed
     /// item. Streams are sorted by `(α·CL, id)` while the merge order is
@@ -354,15 +487,17 @@ impl<'a> TieredBuckets<'a> {
     /// ties puts every item that could win the id tie-break in the heap
     /// before the minimum pops, exactly as the dense sort orders them.
     fn foreign_prefix(&self, sv: u32) -> Vec<ForeignItem> {
-        let mut heads: BinaryHeap<Reverse<CostEntry<u32>>> = self
-            .heads
-            .iter()
-            .filter(|&&(s, _, _)| s != sv)
-            .map(|&(s, cl, node)| {
-                let cost = self.foreign_cost(sv, s, cl);
-                Reverse(CostEntry { cost, node, src: s })
-            })
-            .collect();
+        let seeds = self.near_heads(sv).unwrap_or_else(|| {
+            self.heads
+                .iter()
+                .filter(|&&(s, _, _)| s != sv)
+                .map(|&(s, cl, node)| {
+                    let cost = self.foreign_cost(sv, s, cl);
+                    Reverse(CostEntry { cost, node, src: s })
+                })
+                .collect()
+        });
+        let mut heads = BinaryHeap::from(seeds);
         let mut items: BinaryHeap<Reverse<CostEntry<(usize, usize)>>> = BinaryHeap::new();
         let mut seeded: Vec<Seeded> = Vec::new();
         let mut prefix = Vec::new();
@@ -408,6 +543,49 @@ impl<'a> TieredBuckets<'a> {
             }
         }
         prefix
+    }
+
+    /// The only stream heads the foreign prefix of `sv` can reach, when its
+    /// neighbourhood certifies them; `None` sends it to the full row.
+    ///
+    /// The `k` cheapest heads cover `n`, so every prefix item costs at
+    /// most `cut`, the `k`-th smallest head cost in `sv`'s neighbourhood,
+    /// and no stream whose head costs more than `cut` reaches the prefix
+    /// (a stream's items never cost less than its head). A switch outside
+    /// the neighbourhood has inter value ≥ `rest` and head CL ≥ `h_min`;
+    /// with sign-positive weights and no overflow, rounding is monotone,
+    /// so its head costs at least `α·h_min + β·rest`. When that strictly
+    /// exceeds `cut`, the neighbourhood heads costing ≤ `cut`, ties
+    /// included, are all the prefix needs, and it comes out bit for bit
+    /// the same as from every head.
+    fn near_heads(&self, sv: u32) -> Option<Vec<Reverse<CostEntry<u32>>>> {
+        let near = self.near.as_ref()?;
+        let floor = self.alpha * near.h_min + self.beta * near.index.rest[sv as usize];
+        let mut costs: Vec<(f64, u32)> = near
+            .index
+            .row(sv)
+            .iter()
+            .map(|&s| (self.foreign_cost(sv, s, self.head_cl[s as usize]), s))
+            .collect();
+        let (_, &mut (cut, _), _) =
+            costs.select_nth_unstable_by(near.k - 1, |a, b| a.0.total_cmp(&b.0));
+        if floor.total_cmp(&cut) != std::cmp::Ordering::Greater {
+            return None;
+        }
+        let seeds = costs
+            .into_iter()
+            .filter(|&(cost, _)| cost.total_cmp(&cut) != std::cmp::Ordering::Greater)
+            .map(|(cost, s)| {
+                let node = self.stream(s)[0].2;
+                Reverse(CostEntry { cost, node, src: s })
+            });
+        Some(seeds.collect())
+    }
+
+    /// Whether the foreign prefix of `sv` seeds from its neighbourhood.
+    #[cfg(test)]
+    pub(crate) fn seeds_from_neighbourhood(&self, sv: u32) -> bool {
+        self.near_heads(sv).is_some()
     }
 
     /// Push the next equal-cost run of seeded stream `slot` into `items`.
@@ -527,6 +705,58 @@ fn generate_all_tiered(
         .collect();
     out.sort_unstable_by_key(|&(i, _)| i);
     out.into_iter().map(|(_, c)| c).collect()
+}
+
+/// A tiered universe wider than one neighbourhood, for the tests of the
+/// neighbourhood cut: `switches` switches of `1..=max_m` nodes, pc 1–4
+/// (`pc` of every node when given; 0 on every 37th switch), seeded CL,
+/// intra and inter values. `levels > 0` rounds every value to a multiple
+/// of `1/levels`, so costs tie across switches.
+#[cfg(test)]
+pub(crate) fn wide_universe(
+    switches: u32,
+    max_m: u64,
+    pc: Option<u32>,
+    levels: u32,
+    seed: u64,
+) -> Loads {
+    use nlrm_sim_core::rng::{frac, splitmix64};
+    let draw = |key: u64| {
+        let x = frac(splitmix64(seed ^ key));
+        if levels == 0 {
+            x
+        } else {
+            (x * levels as f64).round() / levels as f64
+        }
+    };
+    let switch_of: Vec<u32> = (0..switches)
+        .flat_map(|s| {
+            let m = 1 + splitmix64(seed ^ u64::from(s) ^ 0xA5A5) % max_m;
+            std::iter::repeat_n(s, m as usize)
+        })
+        .collect();
+    let nodes: Vec<NodeId> = (0..switch_of.len() as u32).map(NodeId).collect();
+    let nl = TieredNl::from_fns(
+        &nodes,
+        &switch_of,
+        switches as usize,
+        |a, b| 0.05 + 0.3 * draw(u64::from(a.0) << 20 | u64::from(b.0)),
+        |s, t| 0.2 + 0.6 * draw(1 << 62 | u64::from(s) << 20 | u64::from(t)),
+    );
+    let cl = nodes
+        .iter()
+        .map(|u| 0.1 + 0.8 * draw(1 << 63 | u64::from(u.0)))
+        .collect();
+    let pc = nodes
+        .iter()
+        .zip(&switch_of)
+        .map(|(u, &s)| match pc {
+            _ if s % 37 == 36 => 0,
+            Some(pc) => pc,
+            None => 1 + (splitmix64(seed ^ u64::from(u.0) ^ 0x5A5A) % 4) as u32,
+        })
+        .collect();
+    Loads::from_parts(nodes, cl, nl, pc)
 }
 
 #[cfg(test)]
@@ -696,6 +926,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn neighbourhood_prefix_matches_per_start_reference() {
+        // 320 switches: random values, coarsely quantized ones (cost ties
+        // across the neighbourhood edge), and one-node switches with one
+        // pc, where the k-th cheapest head is exactly the last one needed
+        let universes = [
+            ("random", wide_universe(320, 4, None, 0, 0xC0FFEE)),
+            ("quantized", wide_universe(320, 4, None, 4, 0xBEEF)),
+            ("single", wide_universe(320, 1, Some(4), 8, 0xF00D)),
+        ];
+        let (mut via_neighbourhood, mut combo) = (0, 0u32);
+        for (what, l) in &universes {
+            let t = l.nl.as_tiered().unwrap();
+            assert!(l.foreign_index().is_some(), "{what}: no index");
+            for n in [1, 7, 32, 100] {
+                for a in [0.0, 0.3, 0.7, 1.0] {
+                    for b in [0.0, 0.7, 1.0] {
+                        let buckets = TieredBuckets::build(l, t, n, a, b);
+                        via_neighbourhood += buckets
+                            .start_switches()
+                            .filter(|&sv| buckets.seeds_from_neighbourhood(sv))
+                            .count();
+                        // starts on one switch share its foreign prefix, so
+                        // a switch's first start checks that prefix; every
+                        // third switch, a different third per case
+                        let tiered = generate_all_candidates(l, n, a, b);
+                        combo += 1;
+                        for sv in buckets.start_switches().filter(|sv| (sv + combo) % 3 == 0) {
+                            let v = l.usable[buckets.starts_on(sv)[0]];
+                            let want = generate_candidate(l, v, n, a, b);
+                            let got = tiered.iter().find(|c| c.start == v);
+                            if want.total_procs() as u64 >= n as u64 {
+                                assert_eq!(got, Some(&want), "{what} n {n} α {a} β {b}");
+                            } else {
+                                assert_eq!(got, None, "{what} n {n} α {a} β {b}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            via_neighbourhood > 1_000,
+            "neighbourhood path taken only {via_neighbourhood} times"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! both shapes derive the same NL values by construction, in
 //! O(Σ m_s² + S²) adds on blocks.
 
+use crate::candidate::ForeignIndex;
 use crate::exact;
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
@@ -105,6 +106,13 @@ pub struct Loads {
     /// (recomputing it per `group_cost` call was O(V²) each time, and the
     /// broker's restricted views never ask for it).
     n_all: OnceLock<f64>,
+    /// Per usable node its minimum NL to any other usable node, and the
+    /// smallest of those: the pruned allocator's network bound inputs,
+    /// computed on first use.
+    min_incident: OnceLock<(Vec<f64>, f64)>,
+    /// The tiered foreign-switch neighbourhoods (`None` on a dense
+    /// representation or too few switches), built on first use.
+    foreign: OnceLock<Option<ForeignIndex>>,
 }
 
 /// Histogram bucket bounds (seconds) for snapshot sample age.
@@ -365,6 +373,8 @@ impl Loads {
             pc,
             position,
             n_all: OnceLock::new(),
+            min_incident: OnceLock::new(),
+            foreign: OnceLock::new(),
         }
     }
 
@@ -422,6 +432,27 @@ impl Loads {
     /// pairs.
     pub fn total_network_load(&self) -> f64 {
         *self.n_all.get_or_init(|| self.nl.pair_sum(&self.usable))
+    }
+
+    /// Per usable node (parallel to `usable`) its minimum NL to any other
+    /// usable node, and the smallest of those (∞ for a lone node).
+    /// Computed once, on first use.
+    pub(crate) fn min_incident(&self) -> (&[f64], f64) {
+        let (per_node, min) = self.min_incident.get_or_init(|| {
+            let per_node = self.nl.min_incident(&self.usable);
+            let min = per_node.iter().copied().fold(f64::INFINITY, f64::min);
+            (per_node, min)
+        });
+        (per_node, *min)
+    }
+
+    /// The foreign-switch neighbourhoods of a tiered representation, built
+    /// once, on first use; `None` on a dense one or when every switch's
+    /// foreign switches fit one neighbourhood.
+    pub(crate) fn foreign_index(&self) -> Option<&ForeignIndex> {
+        self.foreign
+            .get_or_init(|| ForeignIndex::build(self, self.nl.as_tiered()?))
+            .as_ref()
     }
 }
 
@@ -1128,6 +1159,25 @@ mod tests {
             let nothing = base.restrict(|_, _| 0);
             assert!(nothing.usable.is_empty());
             assert_eq!(nothing.total_capacity(), 0);
+        }
+    }
+
+    #[test]
+    fn restrict_view_memoizes_its_own_min_incident() {
+        let dense = derive(&snapshot(8, 3));
+        let tiered = dense.clone().into_tiered(&SwitchIndex::uniform(8, 3));
+        for base in [&dense, &tiered] {
+            // fill the base's memo first: the view must not inherit it
+            let (base_min, _) = base.min_incident();
+            assert_eq!(base_min.len(), base.usable.len());
+            let view = base.restrict(|n, pc| if n.0 % 3 == 1 { 0 } else { pc });
+            let want = view.nl.min_incident(&view.usable);
+            let (got, global) = view.min_incident();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want));
+            let min = want.iter().copied().fold(f64::INFINITY, f64::min);
+            assert_eq!(global.to_bits(), min.to_bits());
+            assert!(view.usable.len() < base.usable.len());
         }
     }
 }

@@ -39,7 +39,17 @@
 //!
 //! Both terms are deflated by a relative margin of 10⁻⁹ before they are
 //! weighted, so a bound summed in one order never exceeds a cost summed in
-//! another.
+//! another. A negative weight flips which side of its term a bound needs:
+//! its term is bounded by the term's largest share instead, 1 (inflated by
+//! the same margin) when every input of the term is ≥ 0, and unbounded
+//! otherwise, which leaves every start to be expanded.
+//!
+//! The bound inputs that depend on the `Loads` alone, every node's
+//! minimum incident NL with its global minimum and the tiered foreign
+//! neighbourhoods that the switch pools read (see
+//! [`TieredBuckets`](crate::candidate)), are memoized on the `Loads`
+//! on first use. A decision pays only for what depends on its request
+//! (n, α, β); a [`Loads::restrict`] view starts with its own empty memo.
 //!
 //! The search is organised around *switch classes*: on a tiered
 //! representation the starts of one switch form a class (they share one
@@ -200,11 +210,20 @@ fn lower_bounds(
     let fmin_neff = FracMin::universe(loads, neff).query(neff);
     let npos = loads.pc.iter().filter(|&&pc| pc > 0).count() as u64;
     let pc_max = loads.pc.iter().copied().max().unwrap_or(0).max(1) as u64;
-    let min_inc = loads.nl.min_incident(&loads.usable);
-    let global_min_inc = min_inc.iter().copied().fold(f64::INFINITY, f64::min);
+    let (min_inc, global_min_inc) = loads.min_incident();
     let pool_lb = buckets
         .as_ref()
         .map_or_else(Vec::new, |b| pool_bounds(loads, b, n));
+    // a negative weight bounds its term by the term's largest share
+    // instead: with every input ≥ 0 a group's load is at most the
+    // universe's (inflated for rounding), and nothing bounds it otherwise
+    let share_cap = |total: f64, nonneg: bool| match (total > 0.0, nonneg) {
+        (false, _) => 0.0,
+        (true, true) => 1.0 + BOUND_MARGIN,
+        (true, false) => f64::INFINITY,
+    };
+    let c_cap = share_cap(c_all, alpha >= 0.0 || loads.cl.iter().all(|&c| c >= 0.0));
+    let n_cap = share_cap(n_all, global_min_inc >= 0.0);
 
     let bound_of = |i: usize| -> f64 {
         let pc_v = loads.pc[i] as u64;
@@ -240,12 +259,16 @@ fn lower_bounds(
         } else {
             0.0
         };
-        let c_term = if c_all > 0.0 {
+        let c_term = if alpha < 0.0 {
+            c_cap
+        } else if c_all > 0.0 {
             deflate(lb_c) / c_all
         } else {
             0.0
         };
-        let n_term = if n_all > 0.0 {
+        let n_term = if beta < 0.0 {
+            n_cap
+        } else if n_all > 0.0 {
             deflate(lb_n) / n_all
         } else {
             0.0
@@ -513,6 +536,40 @@ mod tests {
             pruned_past_first_wave,
             "no case pruned after the first wave"
         );
+    }
+
+    #[test]
+    fn neighbourhood_cut_keeps_pruned_equal_to_exhaustive() {
+        // 320 switches, wider than a neighbourhood; β < 0 falls back to
+        // the full row of stream heads, and a negative weight bounds its
+        // term by the largest share
+        use crate::candidate::{wide_universe, TieredBuckets};
+        let mut via_neighbourhood = false;
+        for (what, l) in [
+            ("random", wide_universe(320, 4, None, 0, 0xC0FFEE)),
+            ("quantized", wide_universe(320, 4, None, 4, 0xBEEF)),
+        ] {
+            let t = l.nl.as_tiered().unwrap();
+            for n in [7, 32] {
+                for &(a, b) in &[(0.3, 0.7), (0.0, 1.0), (0.7, 0.3), (0.5, -0.5), (-0.3, 1.3)] {
+                    let buckets = TieredBuckets::build(&l, t, n, a, b);
+                    let near = buckets
+                        .start_switches()
+                        .any(|sv| buckets.seeds_from_neighbourhood(sv));
+                    assert!(b >= 0.0 || !near, "{what} n {n} α {a} β {b}");
+                    via_neighbourhood |= near;
+                    let want = exhaustive_winner(&l, n, a, b).unwrap();
+                    let got = allocate_pruned(&l, n, a, b).unwrap();
+                    assert_eq!(
+                        (got.cost.to_bits(), got.winner.start),
+                        (want.0.to_bits(), want.1),
+                        "{what} n {n} α {a} β {b}"
+                    );
+                    assert_eq!(got.expanded + got.pruned, l.usable.len());
+                }
+            }
+        }
+        assert!(via_neighbourhood, "no case seeded from a neighbourhood");
     }
 
     #[test]
