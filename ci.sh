@@ -117,8 +117,9 @@ test -s "$OBS_DIR/health_report.md"
 # ≥10x below central at the largest smoke size, and the sharded
 # estimate's allocation epsilon ≤5% on every equivalence scenario (both
 # also asserted by the bin itself). Its real-chain rows must store the
-# snapshot as blocks: Σ_s C(m_s, 2) exact pairs plus C(S, 2) shard-pair
-# cells, counted from the topology, never a V×V matrix. Their
+# snapshot as blocks: Σ_s C(m_s, 2) exact pairs plus the estimate's S
+# uplinks and C(L, 2) + (S−L)·L measured shard pairs (L landmarks),
+# counted from the topology, never a V×V matrix. Their
 # allocate_pruned decision streams must expand or prune every usable
 # start (the bin asserts it per decision), stay within 2x of linear
 # scaling from the smallest to the largest row (also asserted by the

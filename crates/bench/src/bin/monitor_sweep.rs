@@ -32,7 +32,9 @@
 //! and foreign-switch neighbourhoods, is timed apart and kept out of the
 //! stream's figures. Every decision must
 //! expand or prune each usable start exactly once, and the snapshot must
-//! store `Σ_s C(m_s, 2) + C(S, 2)` pair cells: blocks, not a V×V matrix.
+//! store `Σ_s C(m_s, 2)` exact pairs plus the estimate's `S` uplinks and
+//! `C(L, 2) + (S−L)·L` measured shard pairs: blocks and an `O(S log S)`
+//! estimate, not a V×V or S×S matrix.
 //! Gate (self-asserting, mirrored in `ci.sh`): allocations/sec between
 //! the smallest and largest rows fall at most 2× past linear in nodes.
 //!
@@ -266,8 +268,18 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         .map(|s| idx.members(nlrm_topology::SwitchId(s as u32)).len())
         .filter(|&m| m > 0)
         .collect();
+    // exact intra-shard pairs, one uplink per shard, and the estimator's
+    // measured pairs: the landmark clique plus every other shard against
+    // every landmark (every pair when there are no more shards than
+    // landmarks)
+    let (shards, l) = (sizes.len(), NlEstimator::landmark_count(sizes.len()));
+    let measured = if shards <= l {
+        shards * (shards - 1) / 2
+    } else {
+        l * (l - 1) / 2 + (shards - l) * l
+    };
     let expected_pair_cells =
-        sizes.iter().map(|m| m * (m - 1) / 2).sum::<usize>() + sizes.len() * (sizes.len() - 1) / 2;
+        sizes.iter().map(|m| m * (m - 1) / 2).sum::<usize>() + shards + measured;
     let mut rt = MonitorRuntime::with_topo(
         &cluster,
         DaemonConfig::default(),

@@ -27,24 +27,16 @@ const TAG_HEARTBEAT: u8 = 5;
 const TAG_SHARD_NL: u8 = 6;
 const TAG_INTER_ESTIMATE: u8 = 7;
 
-/// One shard's uplink-contribution bands inside an
+/// One covered shard's uplink contribution inside an
 /// [`MonitorRecord::InterEstimate`] record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchBandRec {
+pub struct UplinkRec {
     /// Shard (switch) id.
     pub switch: u32,
-    /// Latency contribution lower bound, seconds.
-    pub lat_lo: f64,
-    /// Latency contribution point estimate, seconds.
+    /// Latency contribution, seconds.
     pub lat: f64,
-    /// Latency contribution upper bound, seconds.
-    pub lat_hi: f64,
-    /// Bandwidth-complement contribution lower bound, bits/s.
-    pub cbw_lo: f64,
-    /// Bandwidth-complement contribution point estimate, bits/s.
+    /// Bandwidth-complement contribution, bits/s.
     pub cbw: f64,
-    /// Bandwidth-complement contribution upper bound, bits/s.
-    pub cbw_hi: f64,
     /// Best observed peak bandwidth through this shard's uplink, bits/s.
     pub peak_bps: f64,
 }
@@ -117,7 +109,7 @@ pub enum MonitorRecord {
         /// Probe traffic this sweep cost, for per-shard attribution.
         probe_bytes: u64,
     },
-    /// The sampled inter-shard estimate (per-shard uplink bands plus the
+    /// The sampled inter-shard estimate (per-shard uplink points plus the
     /// directly measured pairs); see [`crate::estimate::InterEstimate`].
     InterEstimate {
         /// Estimation epoch.
@@ -130,8 +122,8 @@ pub enum MonitorRecord {
         probes: u64,
         /// Probe traffic in bytes.
         probe_bytes: u64,
-        /// Covered shards' uplink bands, ascending by switch id.
-        switches: Vec<SwitchBandRec>,
+        /// Covered shards' uplinks, ascending by switch id.
+        switches: Vec<UplinkRec>,
         /// Directly measured pairs, ascending by `(s, t)`.
         direct: Vec<DirectPairRec>,
     },
@@ -199,7 +191,7 @@ pub fn encoded_len(record: &MonitorRecord) -> usize {
                 + 8
                 + 8
                 + 4
-                + (4 + 7 * 8) * switches.len()
+                + (4 + 3 * 8) * switches.len()
                 + 4
                 + (4 + 4 + 3 * 8) * direct.len()
         }
@@ -320,12 +312,8 @@ pub fn encode(record: &MonitorRecord) -> Bytes {
             buf.put_u32_le(switches.len() as u32);
             for s in switches {
                 buf.put_u32_le(s.switch);
-                buf.put_f64_le(s.lat_lo);
                 buf.put_f64_le(s.lat);
-                buf.put_f64_le(s.lat_hi);
-                buf.put_f64_le(s.cbw_lo);
                 buf.put_f64_le(s.cbw);
-                buf.put_f64_le(s.cbw_hi);
                 buf.put_f64_le(s.peak_bps);
             }
             buf.put_u32_le(direct.len() as u32);
@@ -352,10 +340,7 @@ pub fn decode(mut data: &[u8]) -> Result<MonitorRecord, CodecError> {
     match tag {
         TAG_LIVEHOSTS => {
             let n = get_u32(&mut data)? as usize;
-            let mut hosts = Vec::with_capacity(n);
-            for _ in 0..n {
-                hosts.push(NodeId(get_u32(&mut data)?));
-            }
+            let hosts = get_vec(&mut data, n, 4, |d| Ok(NodeId(get_u32(d)?)))?;
             Ok(MonitorRecord::Livehosts(hosts))
         }
         TAG_SAMPLE => {
@@ -381,27 +366,20 @@ pub fn decode(mut data: &[u8]) -> Result<MonitorRecord, CodecError> {
         TAG_LATENCY_ROW => {
             let node = NodeId(get_u32(&mut data)?);
             let n = get_u32(&mut data)? as usize;
-            let mut stats = Vec::with_capacity(n);
-            for _ in 0..n {
-                stats.push(LatencyStat {
-                    instant: get_f64(&mut data)?,
-                    m1: get_f64(&mut data)?,
-                    m5: get_f64(&mut data)?,
-                });
-            }
+            let stats = get_vec(&mut data, n, 3 * 8, |d| {
+                Ok(LatencyStat {
+                    instant: get_f64(d)?,
+                    m1: get_f64(d)?,
+                    m5: get_f64(d)?,
+                })
+            })?;
             Ok(MonitorRecord::LatencyRow { node, stats })
         }
         TAG_BANDWIDTH_ROW => {
             let node = NodeId(get_u32(&mut data)?);
             let n = get_u32(&mut data)? as usize;
-            let mut avail_bps = Vec::with_capacity(n);
-            for _ in 0..n {
-                avail_bps.push(get_f64(&mut data)?);
-            }
-            let mut peak_bps = Vec::with_capacity(n);
-            for _ in 0..n {
-                peak_bps.push(get_f64(&mut data)?);
-            }
+            let avail_bps = get_vec(&mut data, n, 8, get_f64)?;
+            let peak_bps = get_vec(&mut data, n, 8, get_f64)?;
             Ok(MonitorRecord::BandwidthRow {
                 node,
                 avail_bps,
@@ -430,21 +408,11 @@ pub fn decode(mut data: &[u8]) -> Result<MonitorRecord, CodecError> {
             let epoch = get_u64(&mut data)?;
             let taken_at = SimTime::from_micros(get_u64(&mut data)?);
             let m = get_u32(&mut data)? as usize;
-            let mut members = Vec::with_capacity(m);
-            for _ in 0..m {
-                members.push(NodeId(get_u32(&mut data)?));
-            }
+            let members = get_vec(&mut data, m, 4, |d| Ok(NodeId(get_u32(d)?)))?;
             let pairs = m * m.saturating_sub(1) / 2;
-            let tri = |data: &mut &[u8]| -> Result<Vec<f64>, CodecError> {
-                let mut v = Vec::with_capacity(pairs);
-                for _ in 0..pairs {
-                    v.push(get_f64(data)?);
-                }
-                Ok(v)
-            };
-            let lat_s = tri(&mut data)?;
-            let avail_bps = tri(&mut data)?;
-            let peak_bps = tri(&mut data)?;
+            let lat_s = get_vec(&mut data, pairs, 8, get_f64)?;
+            let avail_bps = get_vec(&mut data, pairs, 8, get_f64)?;
+            let peak_bps = get_vec(&mut data, pairs, 8, get_f64)?;
             let probe_bytes = get_u64(&mut data)?;
             Ok(MonitorRecord::ShardNl {
                 shard,
@@ -464,30 +432,24 @@ pub fn decode(mut data: &[u8]) -> Result<MonitorRecord, CodecError> {
             let probes = get_u64(&mut data)?;
             let probe_bytes = get_u64(&mut data)?;
             let ns = get_u32(&mut data)? as usize;
-            let mut switches = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                switches.push(SwitchBandRec {
-                    switch: get_u32(&mut data)?,
-                    lat_lo: get_f64(&mut data)?,
-                    lat: get_f64(&mut data)?,
-                    lat_hi: get_f64(&mut data)?,
-                    cbw_lo: get_f64(&mut data)?,
-                    cbw: get_f64(&mut data)?,
-                    cbw_hi: get_f64(&mut data)?,
-                    peak_bps: get_f64(&mut data)?,
-                });
-            }
+            let switches = get_vec(&mut data, ns, 4 + 3 * 8, |d| {
+                Ok(UplinkRec {
+                    switch: get_u32(d)?,
+                    lat: get_f64(d)?,
+                    cbw: get_f64(d)?,
+                    peak_bps: get_f64(d)?,
+                })
+            })?;
             let nd = get_u32(&mut data)? as usize;
-            let mut direct = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                direct.push(DirectPairRec {
-                    s: get_u32(&mut data)?,
-                    t: get_u32(&mut data)?,
-                    latency_s: get_f64(&mut data)?,
-                    avail_bps: get_f64(&mut data)?,
-                    peak_bps: get_f64(&mut data)?,
-                });
-            }
+            let direct = get_vec(&mut data, nd, 4 + 4 + 3 * 8, |d| {
+                Ok(DirectPairRec {
+                    s: get_u32(d)?,
+                    t: get_u32(d)?,
+                    latency_s: get_f64(d)?,
+                    avail_bps: get_f64(d)?,
+                    peak_bps: get_f64(d)?,
+                })
+            })?;
             Ok(MonitorRecord::InterEstimate {
                 epoch,
                 taken_at,
@@ -545,6 +507,22 @@ fn get_windowed(data: &mut &[u8]) -> Result<WindowedValue, CodecError> {
         m5: get_f64(data)?,
         m15: get_f64(data)?,
     })
+}
+
+/// `n` items of `width` bytes each, read by `item`. The reservation is
+/// capped at what the remaining bytes can hold, so a corrupt count ends
+/// in [`CodecError::Truncated`] rather than an allocation of its size.
+fn get_vec<T>(
+    data: &mut &[u8],
+    n: usize,
+    width: usize,
+    item: impl Fn(&mut &[u8]) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut v = Vec::with_capacity(n.min(data.remaining() / width));
+    for _ in 0..n {
+        v.push(item(data)?);
+    }
+    Ok(v)
 }
 
 fn get_u8(data: &mut &[u8]) -> Result<u8, CodecError> {
@@ -667,14 +645,10 @@ mod tests {
             num_switches: 21,
             probes: 70,
             probe_bytes: 70 * ((1 << 20) + 128),
-            switches: vec![SwitchBandRec {
+            switches: vec![UplinkRec {
                 switch: 1,
-                lat_lo: 4e-4,
                 lat: 5e-4,
-                lat_hi: 6e-4,
-                cbw_lo: 0.0,
                 cbw: 1e6,
-                cbw_hi: 2e6,
                 peak_bps: 1e9,
             }],
             direct: vec![DirectPairRec {
@@ -696,6 +670,27 @@ mod tests {
                 matches!(decode(&full[..cut]), Err(CodecError::Truncated)),
                 "cut {cut} did not fail as truncated"
             );
+        }
+    }
+
+    #[test]
+    fn huge_counts_without_a_body_are_truncated() {
+        // the fields before the count, then a count of u32::MAX
+        let record = |tag: u8, head: &[u8]| [&[VERSION, tag], head, &[0xff; 4]].concat();
+        // epoch, taken_at, num_switches, probes, probe_bytes
+        let estimate_head = [0u8; 8 + 8 + 4 + 8 + 8];
+        let cases = [
+            record(TAG_LIVEHOSTS, &[]),
+            record(TAG_LATENCY_ROW, &[0; 4]),
+            record(TAG_BANDWIDTH_ROW, &[0; 4]),
+            record(TAG_HEARTBEAT, &[]),
+            record(TAG_SHARD_NL, &[0; 4 + 8 + 8]),
+            record(TAG_INTER_ESTIMATE, &estimate_head),
+            // no uplinks, then the direct-pair count
+            record(TAG_INTER_ESTIMATE, &[&estimate_head[..], &[0; 4]].concat()),
+        ];
+        for bytes in cases {
+            assert_eq!(decode(&bytes), Err(CodecError::Truncated), "{bytes:?}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Landmark-based inter-shard network-load estimation with error bounds.
+//! Landmark-based inter-shard network-load estimation.
 //!
 //! The central monitor measures all `V·(V−1)/2` node pairs. The sharded
 //! topology measures pairs exhaustively only *inside* each shard
@@ -21,23 +21,20 @@
 //! u_i = (S_i − U) / (L−2)
 //! ```
 //!
-//! A non-landmark shard `s` gets one candidate `m(s,ℓ) − u_ℓ` per landmark;
-//! the candidate *spread* (min/max) plus the landmark clique's residual
-//! misfit become the per-shard error band. Measured pairs keep their exact
-//! value with a zero-width band. When the additive model holds exactly the
-//! bands collapse to the true value; the property tests assert
-//! `lo ≤ exact ≤ hi` on random tree models.
+//! A non-landmark shard `s` gets one candidate `m(s,ℓ) − u_ℓ` per landmark
+//! and takes their mean. Measured pairs keep their measured value. When
+//! the additive model holds exactly every point equals the true value;
+//! the property tests assert that on random tree models.
 //!
-//! The result is an [`InterEstimate`]: `O(S log S)` state (per-shard bands
-//! plus the probed pairs) answering point/lo/hi queries for *any* shard
-//! pair. The snapshot reads its point values; the bands are published
-//! with the record but the allocator does not read them.
+//! The result is an [`InterEstimate`]: `O(S log S)` state (one uplink
+//! point per covered shard plus the probed pairs) answering a point query
+//! for *any* shard pair. The snapshot keeps it in that form and evaluates
+//! a cross-shard cell on demand.
 
-use crate::codec::{DirectPairRec, MonitorRecord, SwitchBandRec};
+use crate::codec::{DirectPairRec, MonitorRecord, UplinkRec};
 use crate::daemons::{BANDWIDTH_PROBE_BYTES, LATENCY_PROBE_BYTES};
 use nlrm_sim_core::time::SimTime;
 use nlrm_topology::NodeId;
-use std::collections::HashMap;
 
 /// One combined latency + bandwidth probe result for a node pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,98 +50,60 @@ pub struct PairProbe {
 /// Wire cost of one combined probe (latency packet pair + bulk transfer).
 pub const PAIR_PROBE_BYTES: u64 = LATENCY_PROBE_BYTES + BANDWIDTH_PROBE_BYTES;
 
-/// A `[lo, point, hi]` interval estimate. `lo ≤ point ≤ hi` always holds.
+/// One covered shard's uplink contribution under the tree model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Band {
-    /// Lower bound.
-    pub lo: f64,
-    /// Best estimate.
-    pub point: f64,
-    /// Upper bound.
-    pub hi: f64,
-}
-
-impl Band {
-    /// A zero-width band around an exactly known value.
-    pub fn exact(v: f64) -> Band {
-        Band {
-            lo: v,
-            point: v,
-            hi: v,
-        }
-    }
-
-    /// Band width (`hi − lo`).
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
-
-    /// Whether `v` lies inside the band (inclusive, with float slack).
-    pub fn contains(&self, v: f64) -> bool {
-        let eps = 1e-9 * (1.0 + v.abs());
-        self.lo - eps <= v && v <= self.hi + eps
-    }
-
-    fn sum(a: Band, b: Band) -> Band {
-        Band {
-            lo: a.lo + b.lo,
-            point: a.point + b.point,
-            hi: a.hi + b.hi,
-        }
-    }
-
-    fn clamped(lo: f64, point: f64, hi: f64) -> Band {
-        let point = point.max(0.0);
-        Band {
-            lo: lo.max(0.0).min(point),
-            point,
-            hi: hi.max(point),
-        }
-    }
-}
-
-/// Per-shard uplink contribution bands (latency seconds, congestion bits/s)
-/// plus the best known peak capacity on the shard's uplink.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchBands {
-    /// Latency contribution of this shard's uplink, seconds.
-    pub lat: Band,
+pub struct Uplink {
+    /// Latency contribution, seconds.
+    pub lat_s: f64,
     /// Bandwidth-complement (congestion) contribution, bits/s.
-    pub cbw: Band,
-    /// Best known peak bandwidth through this shard's uplink, bits/s.
+    pub cbw_bps: f64,
+    /// Best known peak bandwidth through the uplink, bits/s.
     pub peak_bps: f64,
 }
 
-/// An exactly measured cross-shard pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DirectPair {
-    /// Measured latency, seconds.
-    pub latency_s: f64,
-    /// Measured available bandwidth, bits/s.
-    pub avail_bps: f64,
-    /// Measured peak bandwidth, bits/s.
-    pub peak_bps: f64,
-}
-
-/// The sampled inter-shard view: measured pairs exact, everything else
-/// inferred from per-shard uplink bands.
+/// The sampled inter-shard view: measured pairs as probed, every other
+/// covered pair inferred from its two uplinks. Both tables are sparse, so
+/// memory follows the entries, whatever switch ids a record names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterEstimate {
     num_switches: usize,
-    up: Vec<Option<SwitchBands>>,
-    direct: HashMap<(u32, u32), DirectPair>,
+    /// Covered shards' uplinks, ascending switch id.
+    up: Vec<(u32, Uplink)>,
+    /// Measured pairs `(s, t)`, each listed both ways, ascending.
+    direct: Vec<(u32, u32, PairProbe)>,
     /// Probes issued to build this estimate.
     pub probes: u64,
     /// Probe traffic in bytes.
     pub probe_bytes: u64,
 }
 
-fn pair_key(s: u32, t: u32) -> (u32, u32) {
-    if s < t {
-        (s, t)
-    } else {
-        (t, s)
-    }
+/// A switch resolved against an [`InterEstimate`]: its uplink and its run
+/// of measured pairs, so queries between resolved switches search only
+/// the shorter run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Site {
+    switch: u32,
+    up: Option<Uplink>,
+    run: (usize, usize),
+}
+
+/// Sort by `key`, keeping the last listing of each key as a map filled in
+/// listing order would.
+fn last_by_key<T, K: Ord>(mut v: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    v.reverse();
+    v.sort_by_key(&key);
+    v.dedup_by_key(|x| key(x));
+    v
+}
+
+/// Measured pairs, each listed both ways, ascending; a pair of a switch
+/// with itself is dropped.
+fn both_ways(pairs: impl Iterator<Item = (u32, u32, PairProbe)>) -> Vec<(u32, u32, PairProbe)> {
+    let pairs = pairs
+        .filter(|&(s, t, _)| s != t)
+        .flat_map(|(s, t, d)| [(s, t, d), (t, s, d)])
+        .collect();
+    last_by_key(pairs, |&(s, t, _)| (s, t))
 }
 
 impl InterEstimate {
@@ -152,95 +111,109 @@ impl InterEstimate {
     pub fn empty(num_switches: usize) -> InterEstimate {
         InterEstimate {
             num_switches,
-            up: vec![None; num_switches],
-            direct: HashMap::new(),
+            up: Vec::new(),
+            direct: Vec::new(),
             probes: 0,
             probe_bytes: 0,
         }
     }
 
-    /// Switch-id space bound.
-    pub fn num_switches(&self) -> usize {
-        self.num_switches
-    }
-
-    /// Uplink bands of shard `s` (`None` when not covered or out of range).
-    fn up(&self, s: u32) -> Option<SwitchBands> {
-        self.up.get(s as usize).copied().flatten()
-    }
-
-    /// Whether shard `s` has an uplink estimate (it had a live
-    /// representative when the sample was taken).
-    pub fn covers(&self, s: u32) -> bool {
-        self.up(s).is_some()
-    }
-
     /// Number of exactly measured cross-shard pairs.
     pub fn direct_pairs(&self) -> usize {
-        self.direct.len()
+        self.direct.len() / 2
     }
 
-    /// Latency band for a cross-shard pair, when both sides are covered.
-    /// Measured pairs return a zero-width band.
-    pub fn latency_s(&self, s: u32, t: u32) -> Option<Band> {
-        debug_assert_ne!(s, t);
-        if let Some(d) = self.direct.get(&pair_key(s, t)) {
-            return Some(Band::exact(d.latency_s));
+    /// Entries held: one uplink per covered shard plus the measured pairs.
+    pub fn entries(&self) -> usize {
+        self.up.len() + self.direct_pairs()
+    }
+
+    /// The measured probe of pair `(s, t)`, if it was measured.
+    fn measured(&self, s: u32, t: u32) -> Option<PairProbe> {
+        let i = self
+            .direct
+            .binary_search_by_key(&(s, t), |&(s, t, _)| (s, t))
+            .ok()?;
+        Some(self.direct[i].2)
+    }
+
+    /// Switch `s` resolved for [`Self::pair_at`].
+    pub(crate) fn site(&self, s: u32) -> Site {
+        let up = self
+            .up
+            .binary_search_by_key(&s, |&(s, _)| s)
+            .ok()
+            .map(|i| self.up[i].1);
+        let lo = self.direct.partition_point(|d| d.0 < s);
+        let hi = lo + self.direct[lo..].partition_point(|d| d.0 == s);
+        Site {
+            switch: s,
+            up,
+            run: (lo, hi),
         }
-        let (a, b) = (self.up(s)?, self.up(t)?);
-        Some(Band::sum(a.lat, b.lat))
     }
 
-    /// Bandwidth-complement (peak − available) band for a cross-shard pair.
-    pub fn cbw_bps(&self, s: u32, t: u32) -> Option<Band> {
-        debug_assert_ne!(s, t);
-        if let Some(d) = self.direct.get(&pair_key(s, t)) {
-            return Some(Band::exact((d.peak_bps - d.avail_bps).max(0.0)));
+    /// Point values of the cross-shard pair `(s, t)`: the measured probe's
+    /// latency and peak, or the sum of the two uplinks' latencies with the
+    /// smaller peak. Available bandwidth is the peak less the pair's
+    /// bandwidth complement, clamped into `[0, peak]`. `None` when `s = t`,
+    /// or when the pair was not measured and either side is uncovered.
+    pub fn pair(&self, s: u32, t: u32) -> Option<PairProbe> {
+        self.pair_at(&self.site(s), &self.site(t))
+    }
+
+    /// [`Self::pair`] between two resolved switches. Inlined: a block
+    /// snapshot's pair accessors call it per cross-shard cell.
+    #[inline]
+    pub(crate) fn pair_at(&self, a: &Site, b: &Site) -> Option<PairProbe> {
+        if a.switch == b.switch {
+            return None;
         }
-        let (a, b) = (self.up(s)?, self.up(t)?);
-        Some(Band::sum(a.cbw, b.cbw))
-    }
-
-    /// Peak bandwidth estimate for a cross-shard pair (exact for measured
-    /// pairs, min of the per-shard peaks otherwise).
-    pub fn peak_bps(&self, s: u32, t: u32) -> Option<f64> {
-        debug_assert_ne!(s, t);
-        if let Some(d) = self.direct.get(&pair_key(s, t)) {
-            return Some(d.peak_bps);
-        }
-        let (a, b) = (self.up(s)?, self.up(t)?);
-        Some(a.peak_bps.min(b.peak_bps))
-    }
-
-    /// Available-bandwidth point estimate for a cross-shard pair
-    /// (`peak − cbw.point`, clamped into `[0, peak]`).
-    pub fn avail_bps(&self, s: u32, t: u32) -> Option<f64> {
-        let peak = self.peak_bps(s, t)?;
-        let cbw = self.cbw_bps(s, t)?;
-        Some((peak - cbw.point).clamp(0.0, peak))
+        let len = |x: &Site| x.run.1 - x.run.0;
+        let (run, other) = if len(a) <= len(b) {
+            (a.run, b.switch)
+        } else {
+            (b.run, a.switch)
+        };
+        let run = &self.direct[run.0..run.1];
+        let (lat, cbw, peak) = match run.binary_search_by_key(&other, |d| d.1) {
+            Ok(i) => {
+                let d = run[i].2;
+                (d.latency_s, (d.peak_bps - d.avail_bps).max(0.0), d.peak_bps)
+            }
+            Err(_) => {
+                let (x, y) = (a.up?, b.up?);
+                (
+                    x.lat_s + y.lat_s,
+                    x.cbw_bps + y.cbw_bps,
+                    x.peak_bps.min(y.peak_bps),
+                )
+            }
+        };
+        Some(PairProbe {
+            latency_s: lat,
+            avail_bps: (peak - cbw).clamp(0.0, peak),
+            peak_bps: peak,
+        })
     }
 
     /// The store record of this estimate.
     pub fn to_record(&self, epoch: u64, taken_at: SimTime) -> MonitorRecord {
-        let mut switches: Vec<SwitchBandRec> = Vec::new();
-        for (s, bands) in self.up.iter().enumerate() {
-            if let Some(b) = bands {
-                switches.push(SwitchBandRec {
-                    switch: s as u32,
-                    lat_lo: b.lat.lo,
-                    lat: b.lat.point,
-                    lat_hi: b.lat.hi,
-                    cbw_lo: b.cbw.lo,
-                    cbw: b.cbw.point,
-                    cbw_hi: b.cbw.hi,
-                    peak_bps: b.peak_bps,
-                });
-            }
-        }
-        let mut direct: Vec<DirectPairRec> = self
+        let switches = self
+            .up
+            .iter()
+            .map(|&(switch, u)| UplinkRec {
+                switch,
+                lat: u.lat_s,
+                cbw: u.cbw_bps,
+                peak_bps: u.peak_bps,
+            })
+            .collect();
+        let direct = self
             .direct
             .iter()
-            .map(|(&(s, t), d)| DirectPairRec {
+            .filter(|&&(s, t, _)| s < t)
+            .map(|&(s, t, d)| DirectPairRec {
                 s,
                 t,
                 latency_s: d.latency_s,
@@ -248,7 +221,6 @@ impl InterEstimate {
                 peak_bps: d.peak_bps,
             })
             .collect();
-        direct.sort_by_key(|d| (d.s, d.t));
         MonitorRecord::InterEstimate {
             epoch,
             taken_at,
@@ -260,7 +232,8 @@ impl InterEstimate {
         }
     }
 
-    /// Rebuild from a decoded [`MonitorRecord::InterEstimate`].
+    /// Rebuild from a decoded [`MonitorRecord::InterEstimate`]. Memory is
+    /// proportional to the entries the record lists.
     pub fn from_record(record: &MonitorRecord) -> Option<InterEstimate> {
         let MonitorRecord::InterEstimate {
             num_switches,
@@ -273,31 +246,35 @@ impl InterEstimate {
         else {
             return None;
         };
-        let mut est = InterEstimate::empty(*num_switches as usize);
-        est.probes = *probes;
-        est.probe_bytes = *probe_bytes;
-        for s in switches {
-            // a switch id outside the record's own space is corrupt input:
-            // leave it uncovered rather than panic
-            if let Some(slot) = est.up.get_mut(s.switch as usize) {
-                *slot = Some(SwitchBands {
-                    lat: Band::clamped(s.lat_lo, s.lat, s.lat_hi),
-                    cbw: Band::clamped(s.cbw_lo, s.cbw, s.cbw_hi),
+        // a switch id outside the record's own space is corrupt input:
+        // leave it uncovered
+        let up = switches
+            .iter()
+            .filter(|s| s.switch < *num_switches)
+            .map(|s| {
+                let up = Uplink {
+                    lat_s: s.lat.max(0.0),
+                    cbw_bps: s.cbw.max(0.0),
                     peak_bps: s.peak_bps,
-                });
-            }
-        }
-        for d in direct {
-            est.direct.insert(
-                pair_key(d.s, d.t),
-                DirectPair {
-                    latency_s: d.latency_s,
-                    avail_bps: d.avail_bps,
-                    peak_bps: d.peak_bps,
-                },
-            );
-        }
-        Some(est)
+                };
+                (s.switch, up)
+            })
+            .collect();
+        let direct = direct.iter().map(|d| {
+            let probe = PairProbe {
+                latency_s: d.latency_s,
+                avail_bps: d.avail_bps,
+                peak_bps: d.peak_bps,
+            };
+            (d.s, d.t, probe)
+        });
+        Some(InterEstimate {
+            num_switches: *num_switches as usize,
+            up: last_by_key(up, |&(s, _)| s),
+            direct: both_ways(direct),
+            probes: *probes,
+            probe_bytes: *probe_bytes,
+        })
     }
 }
 
@@ -348,10 +325,11 @@ impl NlEstimator {
         if covered.len() < 2 {
             return est;
         }
-        let mut measure = |s: u32, t: u32, est: &mut InterEstimate| -> DirectPair {
+        let mut direct = Vec::new();
+        let mut measure = |s: u32, t: u32| {
             let (ms, mt) = (&members[s as usize], &members[t as usize]);
             let k = Self::REP_PAIRS.min(ms.len()).min(mt.len());
-            let mut d = DirectPair {
+            let mut d = PairProbe {
                 latency_s: 0.0,
                 avail_bps: 0.0,
                 peak_bps: 0.0,
@@ -365,8 +343,7 @@ impl NlEstimator {
                 d.avail_bps += p.avail_bps / k as f64;
                 d.peak_bps = d.peak_bps.max(p.peak_bps);
             }
-            est.direct.insert(pair_key(s, t), d);
-            d
+            direct.push((s, t, d));
         };
 
         let l = Self::landmark_count(covered.len());
@@ -380,14 +357,14 @@ impl NlEstimator {
             // small cluster: measure every covered pair exactly
             for (i, &s) in covered.iter().enumerate() {
                 for &t in &covered[i + 1..] {
-                    measure(s, t, &mut est);
+                    measure(s, t);
                 }
             }
         } else {
             // landmark clique + every covered shard against every landmark
             for (i, &s) in landmarks.iter().enumerate() {
                 for &t in &landmarks[i + 1..] {
-                    measure(s, t, &mut est);
+                    measure(s, t);
                 }
             }
             for &s in &covered {
@@ -395,105 +372,81 @@ impl NlEstimator {
                     continue;
                 }
                 for &t in &landmarks {
-                    measure(s, t, &mut est);
+                    measure(s, t);
                 }
             }
         }
+        est.direct = both_ways(direct.into_iter());
 
         // solve the additive model for both metrics
-        let lat_up = solve_uplinks(&covered, &landmarks, &est.direct, |d| d.latency_s);
-        let cbw_up = solve_uplinks(&covered, &landmarks, &est.direct, |d| {
+        let lat_up = solve_uplinks(&covered, &landmarks, &est, |d| d.latency_s);
+        let cbw_up = solve_uplinks(&covered, &landmarks, &est, |d| {
             (d.peak_bps - d.avail_bps).max(0.0)
         });
         // peak per shard: the best capacity observed through its uplink
         let mut peak = vec![0.0f64; self.num_switches];
-        for (&(s, t), d) in &est.direct {
+        for &(s, _, d) in &est.direct {
             peak[s as usize] = peak[s as usize].max(d.peak_bps);
-            peak[t as usize] = peak[t as usize].max(d.peak_bps);
         }
-        for &s in &covered {
-            est.up[s as usize] = Some(SwitchBands {
-                lat: lat_up[s as usize],
-                cbw: cbw_up[s as usize],
-                peak_bps: peak[s as usize],
-            });
-        }
+        est.up = covered
+            .iter()
+            .map(|&s| {
+                let i = s as usize;
+                let up = Uplink {
+                    lat_s: lat_up[i],
+                    cbw_bps: cbw_up[i],
+                    peak_bps: peak[i],
+                };
+                (s, up)
+            })
+            .collect();
         nlrm_obs::ctx::add("monitor_pair_measurements_total", est.probes);
         nlrm_obs::ctx::add("monitor_probe_bytes_total", est.probe_bytes);
         est
     }
 }
 
-/// Solve per-shard uplink contributions from the landmark measurements.
-/// Returns a band per shard (indexed by shard id; uncovered shards get a
-/// zero band that is never read).
+/// Solve per-shard uplink contributions from the landmark measurements,
+/// indexed by shard id (uncovered shards get a zero that is never read).
 fn solve_uplinks(
     covered: &[u32],
     landmarks: &[u32],
-    direct: &HashMap<(u32, u32), DirectPair>,
-    metric: impl Fn(&DirectPair) -> f64,
-) -> Vec<Band> {
+    est: &InterEstimate,
+    metric: impl Fn(&PairProbe) -> f64,
+) -> Vec<f64> {
     let n = covered.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
-    let mut out = vec![Band::exact(0.0); n];
+    let mut out = vec![0.0; n];
     let l = landmarks.len();
-    let m = |s: u32, t: u32| direct.get(&pair_key(s, t)).map(&metric);
     if l < 3 {
-        // no solvable clique (everything was measured directly anyway);
-        // leave wide-open bands so derived pairs, if any, stay sound
-        for &s in covered {
-            out[s as usize] = Band {
-                lo: 0.0,
-                point: 0.0,
-                hi: f64::INFINITY,
-            };
-        }
+        // no solvable clique: everything was measured directly
         return out;
     }
+    let m = |s: u32, t: u32| metric(&est.measured(s, t).expect("landmark pair measured"));
 
     // closed-form landmark solve
     let mut total = 0.0;
     let mut row_sum = vec![0.0f64; l];
     for i in 0..l {
         for j in (i + 1)..l {
-            let v = m(landmarks[i], landmarks[j]).expect("landmark clique measured");
+            let v = m(landmarks[i], landmarks[j]);
             total += v;
             row_sum[i] += v;
             row_sum[j] += v;
         }
     }
     let u_total = total / (l as f64 - 1.0);
-    let u: Vec<f64> = row_sum
-        .iter()
-        .map(|&s| ((s - u_total) / (l as f64 - 2.0)).max(0.0))
-        .collect();
-    // model misfit: the largest residual of the clique under the solved
-    // contributions widens every band (zero when the tree model is exact)
-    let mut misfit = 0.0f64;
-    for i in 0..l {
-        for j in (i + 1)..l {
-            let v = m(landmarks[i], landmarks[j]).expect("measured");
-            misfit = misfit.max((v - u[i] - u[j]).abs());
-        }
-    }
     for (i, &s) in landmarks.iter().enumerate() {
-        out[s as usize] = Band::clamped(u[i] - misfit, u[i], u[i] + misfit);
+        out[s as usize] = ((row_sum[i] - u_total) / (l as f64 - 2.0)).max(0.0);
     }
     for &s in covered {
         if landmarks.contains(&s) {
             continue;
         }
-        // one candidate per landmark; spread + misfit is the error band
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for (i, &lm) in landmarks.iter().enumerate() {
-            let c = (m(s, lm).expect("shard-landmark measured") - u[i]).max(0.0);
-            lo = lo.min(c);
-            hi = hi.max(c);
-            sum += c;
-        }
-        let point = sum / l as f64;
-        out[s as usize] = Band::clamped(lo - misfit, point, hi + misfit);
+        // one candidate per landmark; the point is their mean
+        let sum = landmarks
+            .iter()
+            .fold(0.0, |sum, &lm| sum + (m(s, lm) - out[lm as usize]).max(0.0));
+        out[s as usize] = sum / l as f64;
     }
     out
 }
@@ -527,14 +480,10 @@ mod tests {
 
     #[test]
     fn switch_ids_outside_the_record_space_are_uncovered() {
-        let band = |switch| crate::codec::SwitchBandRec {
+        let uplink = |switch| crate::codec::UplinkRec {
             switch,
-            lat_lo: 1e-5,
             lat: 2e-5,
-            lat_hi: 3e-5,
-            cbw_lo: 0.0,
             cbw: 1e6,
-            cbw_hi: 2e6,
             peak_bps: 1e9,
         };
         // a corrupt record: switch 7 in a 2-switch space
@@ -544,15 +493,14 @@ mod tests {
             num_switches: 2,
             probes: 0,
             probe_bytes: 0,
-            switches: vec![band(0), band(1), band(7)],
+            switches: vec![uplink(0), uplink(1), uplink(7)],
             direct: Vec::new(),
         };
         let est = InterEstimate::from_record(&rec).unwrap();
-        assert!(est.covers(0) && est.covers(1));
-        assert!(!est.covers(7) && !est.covers(99));
-        assert!(est.latency_s(0, 99).is_none());
-        assert!(est.avail_bps(99, 1).is_none());
-        assert!(est.latency_s(0, 1).is_some());
+        assert_eq!(est.entries(), 2);
+        assert!(est.pair(0, 7).is_none() && est.pair(0, 99).is_none());
+        assert!(est.pair(99, 1).is_none() && est.pair(1, 1).is_none());
+        assert_eq!(est.pair(0, 1).unwrap().latency_s, 4e-5);
     }
 
     #[test]
@@ -577,19 +525,16 @@ mod tests {
         let est = NlEstimator::new(s).estimate(&reps(s), &mut probe);
         for a in 0..s as u32 {
             for b in (a + 1)..s as u32 {
+                let p = est.pair(a, b).unwrap();
                 let want_lat = lat[a as usize] + lat[b as usize];
-                let band = est.latency_s(a, b).unwrap();
                 assert!(
-                    (band.point - want_lat).abs() < 1e-12,
+                    (p.latency_s - want_lat).abs() < 1e-12,
                     "lat({a},{b}) {} != {want_lat}",
-                    band.point
+                    p.latency_s
                 );
-                assert!(band.contains(want_lat));
                 let want_cbw = cbw[a as usize] + cbw[b as usize];
-                let band = est.cbw_bps(a, b).unwrap();
-                assert!((band.point - want_cbw).abs() < 1e-3);
-                assert!(band.contains(want_cbw));
-                assert_eq!(est.peak_bps(a, b), Some(1e9));
+                assert!((p.peak_bps - p.avail_bps - want_cbw).abs() < 1e-3);
+                assert_eq!(p.peak_bps, 1e9);
             }
         }
     }
@@ -622,10 +567,11 @@ mod tests {
         let mut probe = tree_probe(&lat, &cbw, 1e9, &shard_of);
         let est = NlEstimator::new(s).estimate(&reps(s), &mut probe);
         assert_eq!(est.direct_pairs(), 6, "all pairs measured directly");
-        for a in 0..4u32 {
+        for a in 0..4usize {
             for b in (a + 1)..4 {
-                let band = est.latency_s(a, b).unwrap();
-                assert_eq!(band.width(), 0.0, "direct pairs are exact");
+                let p = est.pair(a as u32, b as u32).unwrap();
+                assert_eq!(p.latency_s, lat[a] + lat[b], "direct pairs are exact");
+                assert_eq!(p.peak_bps - p.avail_bps, cbw[a] + cbw[b]);
             }
         }
     }
@@ -639,9 +585,8 @@ mod tests {
         let shard_of = |n: NodeId| (n.0 / 100) as usize;
         let mut probe = tree_probe(&lat, &cbw, 1e9, &shard_of);
         let est = NlEstimator::new(6).estimate(&r, &mut probe);
-        assert!(!est.covers(2));
-        assert!(est.latency_s(1, 2).is_none());
-        assert!(est.latency_s(0, 3).is_some());
+        assert!(est.pair(1, 2).is_none() && est.pair(2, 5).is_none());
+        assert!(est.pair(0, 3).is_some());
     }
 
     #[test]

@@ -23,15 +23,16 @@
 //!   intra-shard only, publishing epoch-stamped shard NL records.
 //! * [`gossip`] — version-stamped anti-entropy dissemination of shard
 //!   aggregates, with convergence-round and byte accounting.
-//! * [`estimate`] — landmark-sampled inter-shard NL estimation with
-//!   per-pair error bounds (`O(V log V)` probes instead of `O(V²)`).
+//! * [`estimate`] — landmark-sampled inter-shard NL estimation: one uplink
+//!   point per shard plus the probed pairs (`O(V log V)` probes instead
+//!   of `O(V²)`), answering any shard pair.
 //! * [`forecast`] — NWS-style projection of snapshots to job-start time.
 //! * [`runtime`] — drives everything in virtual time against a
 //!   [`ClusterSim`](nlrm_cluster::ClusterSim).
 //! * [`snapshot`] — [`ClusterSnapshot`], the
 //!   allocator's input, assembled purely from store contents (the allocator
 //!   never peeks at simulator truth): dense matrices from the central
-//!   monitor, shard blocks from the sharded one.
+//!   monitor, shard blocks and the estimate from the sharded one.
 
 pub mod central;
 pub mod codec;
@@ -47,7 +48,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod store;
 
-pub use estimate::{Band, InterEstimate, NlEstimator, PairProbe};
+pub use estimate::{InterEstimate, NlEstimator, PairProbe, Uplink};
 pub use gossip::GossipNet;
 pub use matrix::{pair_index, SymMatrix};
 pub use runtime::{

@@ -8,11 +8,12 @@
 //! The pair data keeps the shape the monitor published ([`PairSource`]). The
 //! central monitor's all-pairs rows fill three dense V×V matrices. The
 //! sharded monitor's records stay blocks: one exact triangle per shard plus
-//! one estimated cell per shard pair, O(Σ m_s² + S²) instead of O(V²).
+//! the inter-shard estimate in its sampled O(S log S) form, which answers
+//! a cross-shard cell on demand: O(Σ m_s² + S log S) instead of O(V²).
 //! Readers go through accessors that both shapes answer alike.
 
 use crate::codec::{CodecError, MonitorRecord};
-use crate::estimate::InterEstimate;
+use crate::estimate::{InterEstimate, PairProbe, Site};
 use crate::matrix::{pair_index, SymMatrix};
 use crate::sample::{LatencyStat, NodeSample};
 use crate::store::{paths, SharedStore};
@@ -49,7 +50,7 @@ pub struct ClusterSnapshot {
 pub enum PairSource {
     /// All-pairs matrices (the central monitor, the paper's protocol).
     Dense(DensePairs),
-    /// Exact per-shard blocks plus estimated shard-pair cells (the
+    /// Exact per-shard blocks plus the sampled inter-shard estimate (the
     /// sharded monitor).
     Blocks(BlockPairs),
 }
@@ -91,31 +92,19 @@ impl DensePairs {
     }
 }
 
-/// One pair's point measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PairCell {
-    /// Latency, seconds.
-    lat_s: f64,
-    /// Available bandwidth, bits/s.
-    avail_bps: f64,
-    /// Peak bandwidth, bits/s.
-    peak_bps: f64,
-}
+/// A node paired with itself.
+const SELF: PairProbe = PairProbe {
+    latency_s: 0.0,
+    avail_bps: f64::INFINITY,
+    peak_bps: f64::INFINITY,
+};
 
-impl PairCell {
-    /// A node paired with itself.
-    const SELF: PairCell = PairCell {
-        lat_s: 0.0,
-        avail_bps: f64::INFINITY,
-        peak_bps: f64::INFINITY,
-    };
-    /// A pair no record covers.
-    const UNMEASURED: PairCell = PairCell {
-        lat_s: f64::INFINITY,
-        avail_bps: 0.0,
-        peak_bps: 0.0,
-    };
-}
+/// A pair no record covers.
+const UNMEASURED: PairProbe = PairProbe {
+    latency_s: f64::INFINITY,
+    avail_bps: 0.0,
+    peak_bps: 0.0,
+};
 
 /// One shard's exact block, as its `ShardNl` record published it.
 #[derive(Debug, Clone)]
@@ -137,17 +126,18 @@ pub struct ShardBlock {
 
 impl ShardBlock {
     /// The pair of members at positions `i ≠ j`.
-    fn cell(&self, i: usize, j: usize) -> PairCell {
+    fn cell(&self, i: usize, j: usize) -> PairProbe {
         let k = pair_index(self.members.len(), i, j);
-        PairCell {
-            lat_s: self.lat_s[k],
+        PairProbe {
+            latency_s: self.lat_s[k],
             avail_bps: self.avail_bps[k],
             peak_bps: self.peak_bps[k],
         }
     }
 }
 
-/// The sharded monitor's pairs: shard blocks plus one cell per block pair.
+/// The sharded monitor's pairs: shard blocks plus the inter-shard
+/// estimate, which answers a cell between two blocks on demand.
 #[derive(Debug, Clone)]
 pub struct BlockPairs {
     n: usize,
@@ -155,8 +145,10 @@ pub struct BlockPairs {
     blocks: Vec<ShardBlock>,
     /// `(block, position)` per node id below `n`, or [`NO_SLOT`].
     slot: Vec<(u32, u32)>,
-    /// `B×B` row-major cells between blocks (the estimate's points).
-    cross: Vec<PairCell>,
+    /// The published estimate (empty when there is none).
+    est: InterEstimate,
+    /// Each block's shard resolved against `est`.
+    sites: Vec<Site>,
 }
 
 const NO_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
@@ -165,7 +157,7 @@ impl BlockPairs {
     /// Index `blocks` over the `n`-node id space. A member `≥ n` is kept in
     /// its triangle but never resolved; a node listed twice resolves to its
     /// last listing.
-    fn new(n: usize, mut blocks: Vec<ShardBlock>, est: Option<&InterEstimate>) -> BlockPairs {
+    fn new(n: usize, mut blocks: Vec<ShardBlock>, est: Option<InterEstimate>) -> BlockPairs {
         blocks.sort_by_key(|b| b.shard);
         let mut slot = vec![NO_SLOT; n];
         for (b, block) in blocks.iter().enumerate() {
@@ -175,26 +167,14 @@ impl BlockPairs {
                 }
             }
         }
-        let nb = blocks.len();
-        let mut cross = vec![PairCell::UNMEASURED; nb * nb];
-        for (a, b) in (0..nb).flat_map(|a| ((a + 1)..nb).map(move |b| (a, b))) {
-            let (s, t) = (blocks[a].shard, blocks[b].shard);
-            let cell = est.filter(|_| s != t).and_then(|e| {
-                Some(PairCell {
-                    lat_s: e.latency_s(s, t)?.point,
-                    avail_bps: e.avail_bps(s, t).unwrap_or(0.0),
-                    peak_bps: e.peak_bps(s, t).unwrap_or(0.0),
-                })
-            });
-            if let Some(cell) = cell {
-                (cross[a * nb + b], cross[b * nb + a]) = (cell, cell);
-            }
-        }
+        let est = est.unwrap_or_else(|| InterEstimate::empty(0));
+        let sites = blocks.iter().map(|b| est.site(b.shard)).collect();
         BlockPairs {
             n,
             blocks,
             slot,
-            cross,
+            est,
+            sites,
         }
     }
 
@@ -212,20 +192,22 @@ impl BlockPairs {
     }
 
     /// The cell between blocks `a ≠ b`: the estimate's point values, or
-    /// unmeasured when the estimate does not cover the pair.
-    fn cross(&self, a: usize, b: usize) -> PairCell {
-        self.cross[a * self.blocks.len() + b]
+    /// unmeasured when the estimate does not cover the pair or both blocks
+    /// name one shard.
+    fn cross(&self, a: usize, b: usize) -> PairProbe {
+        let (s, t) = (&self.sites[a], &self.sites[b]);
+        self.est.pair_at(s, t).unwrap_or(UNMEASURED)
     }
 
     /// The cell for any node pair.
-    fn cell(&self, u: NodeId, v: NodeId) -> PairCell {
+    fn cell(&self, u: NodeId, v: NodeId) -> PairProbe {
         if u == v {
-            return PairCell::SELF;
+            return SELF;
         }
         match (self.slot(u), self.slot(v)) {
             (Some((a, i)), Some((b, j))) if a == b => self.blocks[a].cell(i, j),
             (Some((a, _)), Some((b, _))) => self.cross(a, b),
-            _ => PairCell::UNMEASURED,
+            _ => UNMEASURED,
         }
     }
 
@@ -234,11 +216,10 @@ impl BlockPairs {
         self.slot(node).map(|(b, _)| self.blocks[b].age)
     }
 
-    /// Pair cells stored: `Σ_s C(m_s, 2)` block pairs plus `C(S, 2)`
-    /// cross cells.
+    /// Pair cells stored: `Σ_s C(m_s, 2)` block pairs plus the estimate's
+    /// entries (one uplink per covered shard and the measured pairs).
     pub fn stored_cells(&self) -> usize {
-        let nb = self.blocks.len();
-        self.blocks.iter().map(|b| b.lat_s.len()).sum::<usize>() + nb * nb.saturating_sub(1) / 2
+        self.blocks.iter().map(|b| b.lat_s.len()).sum::<usize>() + self.est.entries()
     }
 }
 
@@ -357,9 +338,9 @@ impl ClusterSnapshot {
     }
 
     /// Assemble a snapshot from *sharded* monitor records in their own
-    /// shape, building no V×V structure: each `ShardNl` record becomes an
-    /// exact [`ShardBlock`], each shard pair one cell of the sampled
-    /// [`InterEstimate`]'s point values. Node handling is that of
+    /// shape, building no V×V or S×S structure: each `ShardNl` record
+    /// becomes an exact [`ShardBlock`], and the sampled [`InterEstimate`]
+    /// answers each shard pair with its point values. Node handling is that of
     /// [`ClusterSnapshot::assemble`], and the pair accessors answer as
     /// dense matrices would.
     pub fn assemble_sharded(
@@ -406,7 +387,7 @@ impl ClusterSnapshot {
         Ok(ClusterSnapshot {
             taken_at: now,
             nodes,
-            pairs: PairSource::Blocks(BlockPairs::new(n, blocks, est.as_ref())),
+            pairs: PairSource::Blocks(BlockPairs::new(n, blocks, est)),
         })
     }
 
@@ -428,7 +409,7 @@ impl ClusterSnapshot {
     pub fn latency(&self, u: NodeId, v: NodeId) -> LatencyStat {
         match &self.pairs {
             PairSource::Dense(d) => d.latency.get(u, v),
-            PairSource::Blocks(b) => LatencyStat::constant(b.cell(u, v).lat_s),
+            PairSource::Blocks(b) => LatencyStat::constant(b.cell(u, v).latency_s),
         }
     }
 
@@ -688,7 +669,8 @@ mod tests {
             .map(|s| s.members.len())
             .map(|m| m * (m - 1) / 2)
             .sum();
-        assert_eq!(b.stored_cells(), intra + 3);
+        // three covered shards, all three pairs measured
+        assert_eq!(b.stored_cells(), intra + 3 + 3);
         // every pair is measured, exact inside a block, one cell across
         for (u, v) in snap.node_pairs() {
             let (lat, bw) = (snap.latency(u, v), snap.bandwidth_bps(u, v));
@@ -782,8 +764,36 @@ mod tests {
         let PairSource::Blocks(b) = &snap.pairs else {
             panic!("blocks");
         };
-        assert_eq!(b.cross(0, 1), PairCell::UNMEASURED);
+        assert_eq!(b.cross(0, 1), UNMEASURED);
         let (u, v) = (b.blocks()[0].members[0], b.blocks()[0].members[1]);
         assert!(snap.latency(u, v).instant.is_finite());
+    }
+
+    #[test]
+    fn estimate_record_sizes_allocate_nothing() {
+        let (rt, _) = sharded();
+        let store = rt.store();
+        let now = SimTime::from_secs(400);
+        // a well-formed record naming the largest switch space and id
+        let rec = MonitorRecord::InterEstimate {
+            epoch: 1,
+            taken_at: now,
+            num_switches: u32::MAX,
+            probes: 0,
+            probe_bytes: 0,
+            switches: vec![crate::codec::UplinkRec {
+                switch: u32::MAX - 1,
+                lat: 1e-5,
+                cbw: 0.0,
+                peak_bps: 1e9,
+            }],
+            direct: Vec::new(),
+        };
+        store.put(paths::INTER_ESTIMATE, now, crate::codec::encode(&rec));
+        let snap = ClusterSnapshot::assemble_sharded(store, 24, now).unwrap();
+        let PairSource::Blocks(b) = &snap.pairs else {
+            panic!("blocks");
+        };
+        assert_eq!(b.cross(0, 1), UNMEASURED);
     }
 }

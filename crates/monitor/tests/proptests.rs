@@ -279,11 +279,12 @@ proptest! {
     }
 
     /// On an additive tree metric (cross-shard cost = sum of the two
-    /// shards' uplink contributions) the landmark estimator's bands always
-    /// contain the exact value, for any shard count, uplink profile, and
-    /// coverage pattern: `lo ≤ exact ≤ hi` with `lo ≤ point ≤ hi`.
+    /// shards' uplink contributions) the landmark estimator's point is the
+    /// exact value, for any shard count, uplink profile, and coverage
+    /// pattern, in both latency and bandwidth complement; a pair with an
+    /// uncovered side has no point.
     #[test]
-    fn estimate_bands_contain_exact_on_tree_models(
+    fn estimate_points_are_exact_on_tree_models(
         s in 2usize..48,
         lat_seed in proptest::collection::vec(1u32..10_000, 48),
         cbw_seed in proptest::collection::vec(0u32..10_000, 48),
@@ -307,27 +308,20 @@ proptest! {
             }
         };
         let est = NlEstimator::new(s).estimate(&reps, &mut probe);
+        let close = |got: f64, exact: f64| (got - exact).abs() <= 1e-9 * (1.0 + exact.abs());
         for a in 0..s as u32 {
             for b in (a + 1)..s as u32 {
                 let covered = !reps[a as usize].is_empty() && !reps[b as usize].is_empty();
-                let Some(band) = est.latency_s(a, b) else {
-                    prop_assert!(!covered, "covered pair ({a},{b}) had no band");
+                let Some(p) = est.pair(a, b) else {
+                    prop_assert!(!covered, "covered pair ({a},{b}) had no point");
                     continue;
                 };
                 prop_assert!(covered);
-                prop_assert!(band.lo <= band.point && band.point <= band.hi);
                 let exact = lat[a as usize] + lat[b as usize];
-                prop_assert!(
-                    band.contains(exact),
-                    "lat({a},{b}) [{}, {}] misses exact {exact}", band.lo, band.hi
-                );
-                let band = est.cbw_bps(a, b).unwrap();
-                prop_assert!(band.lo <= band.point && band.point <= band.hi);
+                prop_assert!(close(p.latency_s, exact), "lat({a},{b}) {} != {exact}", p.latency_s);
                 let exact = cbw[a as usize] + cbw[b as usize];
-                prop_assert!(
-                    band.contains(exact),
-                    "cbw({a},{b}) [{}, {}] misses exact {exact}", band.lo, band.hi
-                );
+                let got = p.peak_bps - p.avail_bps;
+                prop_assert!(close(got, exact), "cbw({a},{b}) {got} != {exact}");
             }
         }
     }

@@ -198,6 +198,6 @@ fn sharded_campus_run_publishes_golden_bytes() {
     assert_golden(
         "sharded campus seed 5",
         got,
-        (12699262109010740358, 5468166940139674434),
+        (129326324100305353, 5468166940139674434),
     );
 }
