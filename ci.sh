@@ -124,7 +124,11 @@ test -s "$OBS_DIR/health_report.md"
 # start (the bin asserts it per decision), stay within 2x of linear
 # scaling from the smallest to the largest row (also asserted by the
 # bin), and prune at least half the starts at 4,992 nodes. Each row's
-# derive must take at most 4x its snapshot time. Its
+# derive must take at most 4x its snapshot time. Which starts a decision
+# expands is deterministic for the seed on any host and at any thread
+# count, so each quick row's mean_expanded must equal the value pinned
+# here: a change to the search's order or bounds that moves it must say
+# so by updating these numbers. Its
 # steady-state row (the monitor alone, long enough to fill the 15-minute
 # windows) must exist and report the resident set it leaves
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
@@ -152,6 +156,9 @@ for c in bench["chain"]:
     assert c["derive_ms"] <= 4 * c["snapshot_ms"], \
         f"{c['nodes']} nodes: derive {c['derive_ms']} ms, snapshot {c['snapshot_ms']} ms"
 assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
+pinned = {1008: 522.75, 4992: 641.8}
+expanded = {c["nodes"]: c["mean_expanded"] for c in bench["chain"]}
+assert expanded == pinned, f"search shape moved: mean_expanded {expanded}, pinned {pinned}"
 # pruning must bite: at the largest quick row the bounds skip at least
 # half of the usable starts
 largest = max(bench["chain"], key=lambda c: c["nodes"])

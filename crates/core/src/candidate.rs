@@ -19,8 +19,8 @@
 //!   ([`TieredNl`]), [`generate_all_candidates`]
 //!   exploits that every node of a foreign switch shares the same
 //!   `NL(v,·)` term, so every start on one switch visits the foreign
-//!   nodes in the same order. Per-switch streams pre-sorted by compute
-//!   load are merged lazily, from a heap over the stream heads, into one
+//!   nodes in the same order. Per-switch streams in `(α·CL, id)` order
+//!   are merged lazily, from a heap over the stream heads, into one
 //!   *foreign prefix* per switch: the foreign nodes in `(cost, id)` order
 //!   until their capacity covers `n`. Each start then merges its own
 //!   switch's exact costs against that prefix, so no start node ever
@@ -36,6 +36,11 @@
 //!   the cut, once a certificate shows no head outside the neighbourhood
 //!   can reach it; otherwise it seeds from every head, as before. The
 //!   prefix is the same either way, bit for bit.
+//! * Each switch's `(CL, id)` stream and its starts depend on the `Loads`
+//!   alone, so the `Loads` memoizes them on first use, in flat arrays
+//!   with per-switch offsets. A decision checks each stream against its
+//!   `(α·CL, id)` key in one pass and copies and sorts only one that
+//!   fails: α ≤ 0, or α·CL rounding two CLs together, ids backwards.
 //! * Start nodes are fanned out over worker threads
 //!   ([`par`]); outputs land in input order, so the candidate
 //!   vector is identical to the serial path.
@@ -49,6 +54,7 @@ use crate::loads::Loads;
 use crate::par;
 use crate::tiered::TieredNl;
 use nlrm_topology::NodeId;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -224,8 +230,8 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
 /// representation switches to bucketed per-switch generation — both paths
 /// produce byte-identical candidates to the serial dense path.
 pub fn generate_all_candidates(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Vec<Candidate> {
-    let cands: Vec<Candidate> = match loads.nl.as_tiered() {
-        Some(t) => generate_all_tiered(loads, t, n, alpha, beta),
+    let cands: Vec<Candidate> = match TieredBuckets::build(loads, n, alpha, beta) {
+        Some(buckets) => generate_all_tiered(loads, &buckets),
         None => par::par_map(&loads.usable, |&v| {
             generate_candidate(loads, v, n, alpha, beta)
         }),
@@ -319,6 +325,67 @@ impl ForeignIndex {
     }
 }
 
+/// Per switch, its usable nodes with capacity in `(CL, id)` order and
+/// the usable positions of its start nodes, ascending, in flat arrays
+/// with per-switch offsets. It depends on the `Loads` alone, so
+/// [`Loads`] builds it once, on first use, and every decision's
+/// [`TieredBuckets`] borrows it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SwitchStreams {
+    /// `(cl, pc, node)` of every usable node with capacity, switch by
+    /// switch; switch `s`'s run is `items[item_at[s]..item_at[s + 1]]`.
+    items: Vec<(f64, u32, NodeId)>,
+    item_at: Vec<usize>,
+    /// Usable positions, switch by switch; switch `s`'s run is
+    /// `starts[start_at[s]..start_at[s + 1]]`.
+    starts: Vec<usize>,
+    start_at: Vec<usize>,
+}
+
+impl SwitchStreams {
+    /// The streams of `loads` over `t`'s switches. O(V log V) once.
+    pub(crate) fn build(loads: &Loads, t: &TieredNl) -> SwitchStreams {
+        let switch: Vec<u32> = loads.usable.iter().map(|&u| t.switch_of_node(u)).collect();
+        // per switch, the first position of its run and one past the last
+        let offsets = |run: &[usize]| -> Vec<usize> {
+            (0..=t.num_switches() as u32)
+                .map(|s| run.partition_point(|&i| switch[i] < s))
+                .collect()
+        };
+        let mut starts: Vec<usize> = (0..loads.usable.len()).collect();
+        starts.sort_by_key(|&i| switch[i]);
+        let mut items: Vec<usize> = starts
+            .iter()
+            .copied()
+            .filter(|&i| loads.pc[i] > 0)
+            .collect();
+        items.sort_by(|&a, &b| {
+            (switch[a].cmp(&switch[b]))
+                .then(loads.cl[a].total_cmp(&loads.cl[b]))
+                .then(loads.usable[a].cmp(&loads.usable[b]))
+        });
+        SwitchStreams {
+            item_at: offsets(&items),
+            start_at: offsets(&starts),
+            items: items
+                .into_iter()
+                .map(|i| (loads.cl[i], loads.pc[i], loads.usable[i]))
+                .collect(),
+            starts,
+        }
+    }
+
+    /// Positions of switch `s`'s stream in `items`.
+    fn run(&self, s: usize) -> std::ops::Range<usize> {
+        self.item_at[s]..self.item_at[s + 1]
+    }
+
+    /// Usable positions of switch `s`'s start nodes, ascending.
+    fn starts_on(&self, s: usize) -> &[usize] {
+        &self.starts[self.start_at[s]..self.start_at[s + 1]]
+    }
+}
+
 /// What a decision needs to cut its foreign prefixes to a neighbourhood:
 /// the index, how many heads surely cover `n`, and the smallest head CL.
 struct NearCut<'a> {
@@ -329,16 +396,20 @@ struct NearCut<'a> {
     h_min: f64,
 }
 
-/// Per-switch streams of usable nodes with spare capacity, pre-sorted by
-/// `(CL, id)` — the order any *foreign* start node visits them in, since
-/// the tiered `NL(v, u)` term is constant across a foreign switch.
+/// Per-switch streams of usable nodes with spare capacity, in `(α·CL, id)`
+/// order — the order any *foreign* start node visits them in, since the
+/// tiered `NL(v, u)` term is constant across a foreign switch.
 pub(crate) struct TieredBuckets<'a> {
     t: &'a TieredNl,
     alpha: f64,
     beta: f64,
     n: u32,
-    /// `(cl, pc, node)` per switch, sorted ascending by `(α·CL, id)`.
-    streams: Vec<Vec<(f64, u32, NodeId)>>,
+    /// The `Loads`' memoized streams and starts.
+    memo: &'a SwitchStreams,
+    /// `memo.items` with every switch's run in `(α·CL, id)` order:
+    /// borrowed when every run already is, else a copy whose runs that
+    /// were not are re-sorted.
+    items: Cow<'a, [(f64, u32, NodeId)]>,
     /// `(switch, cl, node)` of every nonempty stream's head, contiguous so
     /// a full foreign prefix reads all heads in one pass.
     heads: Vec<(u32, f64, NodeId)>,
@@ -347,8 +418,6 @@ pub(crate) struct TieredBuckets<'a> {
     head_cl: Vec<f64>,
     /// Set when foreign prefixes may seed from a neighbourhood.
     near: Option<NearCut<'a>>,
-    /// Usable positions of the start nodes on each switch, ascending.
-    starts: Vec<Vec<usize>>,
 }
 
 /// A foreign node as a start on one switch visits it: its `(cost, id)`
@@ -378,33 +447,32 @@ struct Seeded {
 }
 
 impl<'a> TieredBuckets<'a> {
-    pub(crate) fn build(
-        loads: &'a Loads,
-        t: &'a TieredNl,
-        n: u32,
-        alpha: f64,
-        beta: f64,
-    ) -> TieredBuckets<'a> {
-        let mut streams: Vec<Vec<(f64, u32, NodeId)>> = vec![Vec::new(); t.num_switches()];
-        let mut starts: Vec<Vec<usize>> = vec![Vec::new(); t.num_switches()];
-        for (i, &node) in loads.usable.iter().enumerate() {
-            let s = t.switch_of_node(node) as usize;
-            starts[s].push(i);
-            if loads.pc[i] > 0 {
-                streams[s].push((loads.cl[i], loads.pc[i], node));
-            }
-        }
-        // sort by (α·CL, id) — the merge key is α·CL + const(switch), so
-        // this is merge order; ties in α·CL (notably the whole stream when
-        // α = 0) fall back to id order, matching the dense sort exactly
+    /// The buckets of one decision over a tiered `loads`; `None` on a
+    /// dense one.
+    pub(crate) fn build(loads: &'a Loads, n: u32, alpha: f64, beta: f64) -> Option<Self> {
+        let t = loads.nl.as_tiered()?;
+        let memo = loads.switch_streams()?;
+        // the merge key is α·CL + const(switch), so (α·CL, id) is merge
+        // order; ties in α·CL (notably the whole stream when α = 0) fall
+        // back to id order, matching the dense sort exactly. The memo's
+        // (CL, id) order is that order unless α ≤ 0 or α·CL rounds two
+        // CLs together and their ids then run backwards: only such a
+        // stream is copied and sorted
+        let key = |a: &(f64, u32, NodeId), b: &(f64, u32, NodeId)| {
+            (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2))
+        };
+        let mut items = Cow::Borrowed(&memo.items[..]);
         let mut heads = Vec::new();
-        let mut head_cl = vec![f64::INFINITY; streams.len()];
+        let mut head_cl = vec![f64::INFINITY; t.num_switches()];
         let (mut h_min, mut pc_min) = (f64::INFINITY, u32::MAX);
-        for (s, stream) in streams.iter_mut().enumerate() {
-            stream.sort_by(|a, b| (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2)));
-            if let Some(&(cl, pc, node)) = stream.first() {
+        for (s, slot) in head_cl.iter_mut().enumerate() {
+            let run = memo.run(s);
+            if !items[run.clone()].is_sorted_by(|a, b| key(a, b).is_le()) {
+                items.to_mut()[run.clone()].sort_by(key);
+            }
+            if let Some(&(cl, pc, node)) = items[run].first() {
                 heads.push((s as u32, cl, node));
-                head_cl[s] = cl;
+                *slot = cl;
                 h_min = h_min.min(cl);
                 pc_min = pc_min.min(pc);
             }
@@ -418,32 +486,32 @@ impl<'a> TieredBuckets<'a> {
             .flatten()
             .filter(|ix| (alpha * ix.max_abs).is_finite() && (beta * ix.max_abs).is_finite())
             .map(|index| NearCut { index, k, h_min });
-        TieredBuckets {
+        Some(TieredBuckets {
             t,
             alpha,
             beta,
             n,
-            streams,
+            memo,
+            items,
             heads,
             head_cl,
             near,
-            starts,
-        }
+        })
     }
 
     /// Switches carrying at least one start node, ascending.
     pub(crate) fn start_switches(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.starts.len() as u32).filter(|&s| !self.starts_on(s).is_empty())
+        (0..self.head_cl.len() as u32).filter(|&s| !self.starts_on(s).is_empty())
     }
 
     /// Usable positions of the start nodes on switch `sv`, ascending.
     pub(crate) fn starts_on(&self, sv: u32) -> &[usize] {
-        &self.starts[sv as usize]
+        self.memo.starts_on(sv as usize)
     }
 
     /// Switch `s`'s stream.
     fn stream(&self, s: u32) -> &[(f64, u32, NodeId)] {
-        &self.streams[s as usize]
+        &self.items[self.memo.run(s as usize)]
     }
 
     /// The merge cost of a node with compute load `cl` on switch `s`, as a
@@ -685,14 +753,7 @@ impl<'a> TieredBuckets<'a> {
 /// Bucketed generation over a tiered representation: one foreign prefix
 /// per switch, switches fanned out across workers. Output is in
 /// `loads.usable` order.
-fn generate_all_tiered(
-    loads: &Loads,
-    t: &TieredNl,
-    n: u32,
-    alpha: f64,
-    beta: f64,
-) -> Vec<Candidate> {
-    let buckets = TieredBuckets::build(loads, t, n, alpha, beta);
+fn generate_all_tiered(loads: &Loads, buckets: &TieredBuckets) -> Vec<Candidate> {
     let active: Vec<u32> = buckets.start_switches().collect();
     let per_switch: Vec<Vec<Candidate>> = par::par_map(&active, |&sv| {
         let starts = buckets.starts_on(sv).iter().map(|&i| loads.usable[i]);
@@ -888,6 +949,78 @@ mod tests {
         }
     }
 
+    /// 30 nodes on 5 switches whose CLs differ by a few ulps between even
+    /// and odd ids, but the +β·8.0 switch offset rounds that away: equal
+    /// costs whose stream order (by α·CL) puts the larger id first.
+    fn collided() -> Loads {
+        let v = 30u32;
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let switch_of: Vec<u32> = (0..v).map(|u| (u * 7) % 5).collect();
+        let nl = TieredNl::from_fns(&nodes, &switch_of, 5, |_, _| 0.1, |_, _| 8.0);
+        let cl = (0..v)
+            .map(|u| f64::from_bits(0.5f64.to_bits() + 8 * u64::from(u % 2 == 0)))
+            .collect();
+        Loads::from_parts(nodes, cl, nl, vec![4; v as usize])
+    }
+
+    #[test]
+    fn memoized_streams_equal_a_fresh_sort() {
+        // NaN, negative, equal, and tiny and huge CLs a few ulps apart,
+        // the smaller CL on the larger id: α = 1e-300 underflows the tiny
+        // ones and α = 1e300 overflows the huge ones into ties whose ids
+        // run backwards in (CL, id) order
+        let v = 60u32;
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let switch_of: Vec<u32> = (0..v).map(|u| u % 4).collect();
+        let nl = TieredNl::from_fns(&nodes, &switch_of, 4, |_, _| 0.1, |_, _| 0.5);
+        let ulps = |x: f64, u: u32| f64::from_bits(x.to_bits() + u64::from(v - u));
+        let cl = (0..v)
+            .map(|u| match u % 5 {
+                0 => f64::NAN,
+                1 => ulps(1e-10, u),
+                2 => ulps(1e10, u),
+                3 => 0.5,
+                _ => -0.25 * f64::from(u),
+            })
+            .collect();
+        let pc = (0..v).map(|u| u % 3).collect();
+        let nan = Loads::from_parts(nodes, cl, nl, pc);
+        let bits = |s: &[(f64, u32, NodeId)]| -> Vec<(u64, u32, NodeId)> {
+            s.iter().map(|&(cl, pc, u)| (cl.to_bits(), pc, u)).collect()
+        };
+        for (what, l) in [("collided", &collided()), ("nan", &nan)] {
+            let t = l.nl.as_tiered().unwrap();
+            for alpha in [0.0, -0.0, -0.3, 1e-300, 0.3, 1e300] {
+                let b = TieredBuckets::build(l, 8, alpha, 0.7).unwrap();
+                // α ≤ 0 and the rounding ties must take the copy; α = 0.3
+                // and the collided universe's other α must borrow the memo
+                let copied = alpha <= 0.0 || (what == "nan" && alpha != 0.3);
+                assert_eq!(matches!(b.items, Cow::Owned(_)), copied, "{what} α {alpha}");
+                for s in 0..t.num_switches() as u32 {
+                    let on_s = |&(_, &u): &(usize, &NodeId)| t.switch_of_node(u) == s;
+                    let mut want: Vec<(f64, u32, NodeId)> = (l.usable.iter().enumerate())
+                        .filter(on_s)
+                        .filter(|&(i, _)| l.pc[i] > 0)
+                        .map(|(i, &u)| (l.cl[i], l.pc[i], u))
+                        .collect();
+                    want.sort_by(|a, b| {
+                        (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2))
+                    });
+                    assert_eq!(
+                        bits(b.stream(s)),
+                        bits(&want),
+                        "{what} α {alpha} switch {s}"
+                    );
+                    let starts: Vec<usize> = (l.usable.iter().enumerate())
+                        .filter(on_s)
+                        .map(|(i, _)| i)
+                        .collect();
+                    assert_eq!(b.starts_on(s), &starts[..], "{what} switch {s}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn shared_prefix_generator_matches_heap_reference_on_ties() {
         // α = 0 (or one CL for every node), one inter value for every
@@ -904,16 +1037,8 @@ mod tests {
             |_, _| 0.25,
         );
         let pc: Vec<u32> = (0..v).map(|u| u % 4).collect();
-        let equal = Loads::from_parts(nodes.clone(), vec![0.5; v as usize], nl, pc);
-        // α·CL differs by a few ulps between even and odd ids but the
-        // +β·8.0 switch offset rounds it away: equal costs whose stream
-        // order (by α·CL) puts the larger id first
-        let nl = TieredNl::from_fns(&nodes, &switch_of, 5, |_, _| 0.1, |_, _| 8.0);
-        let cl = (0..v)
-            .map(|u| f64::from_bits(0.5f64.to_bits() + 8 * u64::from(u % 2 == 0)))
-            .collect();
-        let collided = Loads::from_parts(nodes, cl, nl, vec![4; v as usize]);
-        for (what, l) in [("equal", &equal), ("collided", &collided)] {
+        let equal = Loads::from_parts(nodes, vec![0.5; v as usize], nl, pc);
+        for (what, l) in [("equal", &equal), ("collided", &collided())] {
             for n in [1, 3, 8, 17, 44, 45, 200] {
                 for &(a, b) in &[(0.0, 1.0), (0.0, 0.0), (0.3, 0.7), (1.0, 0.0)] {
                     let tiered = generate_all_candidates(l, n, a, b);
@@ -940,12 +1065,11 @@ mod tests {
         ];
         let (mut via_neighbourhood, mut combo) = (0, 0u32);
         for (what, l) in &universes {
-            let t = l.nl.as_tiered().unwrap();
             assert!(l.foreign_index().is_some(), "{what}: no index");
             for n in [1, 7, 32, 100] {
                 for a in [0.0, 0.3, 0.7, 1.0] {
                     for b in [0.0, 0.7, 1.0] {
-                        let buckets = TieredBuckets::build(l, t, n, a, b);
+                        let buckets = TieredBuckets::build(l, n, a, b).unwrap();
                         via_neighbourhood += buckets
                             .start_switches()
                             .filter(|&sv| buckets.seeds_from_neighbourhood(sv))

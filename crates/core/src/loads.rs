@@ -10,10 +10,11 @@
 //! both shapes derive the same NL values by construction, in
 //! O(Σ m_s² + S²) adds on blocks.
 
-use crate::candidate::ForeignIndex;
+use crate::candidate::{ForeignIndex, SwitchStreams};
 use crate::exact;
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
+use crate::scalable::FracMin;
 use crate::tiered::TieredNl;
 use crate::weights::{ComputeWeights, NetworkWeights};
 use nlrm_monitor::{pair_index, BlockPairs, ClusterSnapshot, LatencyStat, PairSource, SymMatrix};
@@ -113,6 +114,12 @@ pub struct Loads {
     /// The tiered foreign-switch neighbourhoods (`None` on a dense
     /// representation or too few switches), built on first use.
     foreign: OnceLock<Option<ForeignIndex>>,
+    /// The tiered per-switch streams in `(CL, id)` order and start
+    /// positions (`None` on a dense representation), built on first use.
+    streams: OnceLock<Option<SwitchStreams>>,
+    /// The fractional-knapsack compute minimum over every usable node,
+    /// built on first use.
+    frac_min: OnceLock<FracMin>,
 }
 
 /// Histogram bucket bounds (seconds) for snapshot sample age.
@@ -375,6 +382,8 @@ impl Loads {
             n_all: OnceLock::new(),
             min_incident: OnceLock::new(),
             foreign: OnceLock::new(),
+            streams: OnceLock::new(),
+            frac_min: OnceLock::new(),
         }
     }
 
@@ -454,6 +463,21 @@ impl Loads {
             .get_or_init(|| ForeignIndex::build(self, self.nl.as_tiered()?))
             .as_ref()
     }
+
+    /// The per-switch streams and starts of a tiered representation,
+    /// built once, on first use; `None` on a dense one.
+    pub(crate) fn switch_streams(&self) -> Option<&SwitchStreams> {
+        self.streams
+            .get_or_init(|| Some(SwitchStreams::build(self, self.nl.as_tiered()?)))
+            .as_ref()
+    }
+
+    /// The fractional-knapsack compute minimum over every usable node,
+    /// built once, on first use.
+    pub(crate) fn frac_min(&self) -> &FracMin {
+        self.frac_min
+            .get_or_init(|| FracMin::build(self.cl.iter().copied().zip(self.pc.iter().copied())))
+    }
 }
 
 /// Scale a vector so its mean is 1 (no-op for all-zero input).
@@ -531,6 +555,13 @@ fn complement(peak_bps: f64, avail_bps: f64) -> f64 {
     (peak_bps - avail_bps).max(0.0)
 }
 
+/// The Eq. 2 inputs of pair `(u, v)`: its latency and bandwidth
+/// complement, from one read of the pair.
+fn eq2_inputs(snap: &ClusterSnapshot, u: NodeId, v: NodeId) -> (f64, f64) {
+    let (lat, peak, avail) = snap.pair(u, v);
+    (latency_input(lat), complement(peak, avail))
+}
+
 /// Column entries `range` of Eq. 2 inputs that share their pair count and
 /// ages: each is read by `count` usable pairs, and its latency and
 /// bandwidth rows have the two ages.
@@ -600,14 +631,8 @@ fn dense_network_load(
         .enumerate()
         .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
         .collect();
-    let mut lat: Vec<f64> = pairs
-        .iter()
-        .map(|&(u, v)| latency_input(snap.latency(u, v)))
-        .collect();
-    let mut cbw: Vec<f64> = pairs
-        .iter()
-        .map(|&(u, v)| complement(snap.peak_bandwidth_bps(u, v), snap.bandwidth_bps(u, v)))
-        .collect();
+    let (mut lat, mut cbw): (Vec<f64>, Vec<f64>) =
+        pairs.iter().map(|&(u, v)| eq2_inputs(snap, u, v)).unzip();
     // once, not per walk: the Eq. 2 sums walk the stretches three times
     let ages: Vec<_> = pairs
         .iter()
@@ -670,8 +695,7 @@ fn block_network_load(
     for (a, b) in order.bucket_pairs() {
         let (u, v) = (members[a][0], members[b][0]);
         let x = order.cross(a, b);
-        lat[x] = latency_input(snap.latency(u, v));
-        cbw[x] = complement(snap.peak_bandwidth_bps(u, v), snap.bandwidth_bps(u, v));
+        (lat[x], cbw[x]) = eq2_inputs(snap, u, v);
     }
     // a pair's rows are as old as the fresher of its endpoints' blocks
     let age = |b: usize| shards.get(b).map(|block| block.age);
@@ -1167,10 +1191,19 @@ mod tests {
         let dense = derive(&snapshot(8, 3));
         let tiered = dense.clone().into_tiered(&SwitchIndex::uniform(8, 3));
         for base in [&dense, &tiered] {
-            // fill the base's memo first: the view must not inherit it
+            // fill the base's memos first: the view must not inherit them
             let (base_min, _) = base.min_incident();
             assert_eq!(base_min.len(), base.usable.len());
-            let view = base.restrict(|n, pc| if n.0 % 3 == 1 { 0 } else { pc });
+            let base_streams = base.switch_streams().cloned();
+            let view = base.restrict(|n, pc| match n.0 % 3 {
+                1 => 0,
+                2 => pc / 2,
+                _ => pc,
+            });
+            // a view's streams carry its own pc, never its parent's
+            let fresh = view.nl.as_tiered().map(|t| SwitchStreams::build(&view, t));
+            assert_eq!(view.switch_streams(), fresh.as_ref());
+            assert!(fresh.is_none() || base_streams != fresh);
             let want = view.nl.min_incident(&view.usable);
             let (got, global) = view.min_incident();
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -44,18 +44,20 @@
 //! the same margin) when every input of the term is ≥ 0, and unbounded
 //! otherwise, which leaves every start to be expanded.
 //!
-//! The bound inputs that depend on the `Loads` alone, every node's
-//! minimum incident NL with its global minimum and the tiered foreign
-//! neighbourhoods that the switch pools read (see
-//! [`TieredBuckets`](crate::candidate)), are memoized on the `Loads`
-//! on first use. A decision pays only for what depends on its request
-//! (n, α, β); a [`Loads::restrict`] view starts with its own empty memo.
+//! What depends on the `Loads` alone is memoized on it on first use:
+//! every node's minimum incident NL with their global minimum, the
+//! universe `fmin` in full density order (one O(log V) query), and the
+//! tiered streams and foreign neighbourhoods that the switch pools read
+//! (see [`TieredBuckets`](crate::candidate)). A decision pays only for
+//! what depends on its request (n, α, β); a [`Loads::restrict`] view
+//! starts with its own empty memos.
 //!
 //! The search is organised around *switch classes*: on a tiered
 //! representation the starts of one switch form a class (they share one
-//! foreign prefix); on a dense one each start is its own class. Inside a
-//! class starts ascend by `(bound, id)`, and classes ascend by their first
-//! member's `(bound, id)`. Classes are expanded in waves of 1, 2, 4, 8, …
+//! foreign prefix); on a dense one each start is its own class. Classes
+//! ascend by their least member's `(bound, id)`, found in one scan; a
+//! class's starts are sorted by `(bound, id)` only once a wave reaches
+//! it. Classes are expanded in waves of 1, 2, 4, 8, …
 //! classes. The incumbent is fixed when a wave begins: a class whose first
 //! bound strictly exceeds it is skipped, and a class stops at its first
 //! start whose bound does. The wave's per-class bests merge by
@@ -105,35 +107,29 @@ pub struct PrunedSelection {
 
 /// Fractional-knapsack lower bound on `Σ CL` needed to cover `p` processes:
 /// nodes sorted by `CL/pc` density, prefix sums, partial last node.
-struct FracMin {
+#[derive(Debug, Clone)]
+pub(crate) struct FracMin {
     /// `pc_cum[i]` = Σ pc of the `i` densest-first entries.
     pc_cum: Vec<u64>,
     /// `cl_cum[i]` = Σ CL of the `i` densest-first entries.
     cl_cum: Vec<f64>,
     /// `CL/pc` of entry `i`.
     density: Vec<f64>,
-    /// Σ pc of the kept entries.
+    /// Σ pc of the entries.
     total_pc: u64,
-    /// Σ CL of the kept entries.
+    /// Σ CL of the entries.
     total_cl: f64,
 }
 
 impl FracMin {
-    /// Build over `(CL, pc)` entries for queries up to `upto` processes;
-    /// zero-capacity entries are ignored. Every kept entry has `pc ≥ 1`,
-    /// so only the `upto` densest are kept and sorted.
-    fn build(items: impl IntoIterator<Item = (f64, u32)>, upto: u64) -> FracMin {
+    /// Build over `(CL, pc)` entries; zero-capacity entries are ignored.
+    pub(crate) fn build(items: impl IntoIterator<Item = (f64, u32)>) -> FracMin {
         let mut entries: Vec<(f64, f64, u32)> = items
             .into_iter()
             .filter(|&(_, pc)| pc > 0)
             .map(|(cl, pc)| (cl / pc as f64, cl, pc))
             .collect();
-        let by_density = |a: &(f64, f64, u32), b: &(f64, f64, u32)| a.0.total_cmp(&b.0);
-        if let Some(keep) = usize::try_from(upto).ok().filter(|&k| k < entries.len()) {
-            entries.select_nth_unstable_by(keep, by_density);
-            entries.truncate(keep);
-        }
-        entries.sort_by(by_density);
+        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut pc_cum = Vec::with_capacity(entries.len() + 1);
         let mut cl_cum = Vec::with_capacity(entries.len() + 1);
         let mut density = Vec::with_capacity(entries.len());
@@ -156,14 +152,9 @@ impl FracMin {
         }
     }
 
-    /// Built over every usable node, for queries up to `upto` processes.
-    fn universe(loads: &Loads, upto: u64) -> FracMin {
-        FracMin::build(loads.cl.iter().copied().zip(loads.pc.iter().copied()), upto)
-    }
-
-    /// Minimum fractional `Σ CL` covering `p ≤ upto` processes (clamped
-    /// to the total capacity).
-    fn query(&self, p: u64) -> f64 {
+    /// Minimum fractional `Σ CL` covering `p` processes (clamped to the
+    /// total capacity).
+    pub(crate) fn query(&self, p: u64) -> f64 {
         if p == 0 || self.density.is_empty() {
             return 0.0;
         }
@@ -200,14 +191,11 @@ fn lower_bounds(
     alpha: f64,
     beta: f64,
 ) -> (Option<TieredBuckets<'_>>, Vec<f64>, f64) {
-    let buckets = loads
-        .nl
-        .as_tiered()
-        .map(|t| TieredBuckets::build(loads, t, n, alpha, beta));
+    let buckets = TieredBuckets::build(loads, n, alpha, beta);
     let c_all = loads.total_compute_load();
     let n_all = loads.total_network_load();
     let neff = (n as u64).min(loads.total_capacity());
-    let fmin_neff = FracMin::universe(loads, neff).query(neff);
+    let fmin_neff = loads.frac_min().query(neff);
     let npos = loads.pc.iter().filter(|&&pc| pc > 0).count() as u64;
     let pc_max = loads.pc.iter().copied().max().unwrap_or(0).max(1) as u64;
     let (min_inc, global_min_inc) = loads.min_incident();
@@ -290,7 +278,7 @@ fn pool_bounds(loads: &Loads, b: &TieredBuckets, n: u32) -> Vec<f64> {
     let per_switch = par::par_map_indexed(active.len(), min_chunk, |k| {
         let sv = active[k];
         let n = n as u64;
-        let pool = FracMin::build(b.pool(sv), u64::MAX);
+        let pool = FracMin::build(b.pool(sv));
         b.starts_on(sv)
             .iter()
             .map(|&i| match loads.pc[i] as u64 {
@@ -333,41 +321,42 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
     if n == 0 || loads.usable.is_empty() || loads.total_capacity() == 0 {
         return None;
     }
-    let tiered = loads.nl.as_tiered();
     let (buckets, bounds, min_nl) = lower_bounds(loads, n, alpha, beta);
     // the network term is ≥ 0 when every NL is and β ≥ 0, so a compute
     // term alone above the bar already loses
     let skip_network = beta >= 0.0 && min_nl >= 0.0;
 
-    // switch classes (one per start on a dense rep), starts ascending by
-    // (bound, id) inside a class, classes by their first member's
-    let class_of = |i: usize| tiered.map_or(i, |t| t.switch_of_node(loads.usable[i]) as usize);
+    // switch classes (one per start on a dense rep) as (bound, position,
+    // switch) of their least (bound, id) member, ascending; a class's
+    // members are sorted only once a wave reaches it
     let by_bound = |a: &(f64, usize), b: &(f64, usize)| {
         a.0.total_cmp(&b.0)
             .then(loads.usable[a.1].cmp(&loads.usable[b.1]))
     };
-    let mut order: Vec<(f64, usize)> = match &buckets {
+    let mut classes: Vec<(f64, usize, u32)> = match &buckets {
         Some(b) => b
             .start_switches()
-            .flat_map(|sv| b.starts_on(sv))
-            .map(|&i| (bounds[i], i))
+            .filter_map(|sv| {
+                let starts = b.starts_on(sv).iter().map(|&i| (bounds[i], i));
+                let (bound, i) = starts.min_by(by_bound)?;
+                Some((bound, i, sv))
+            })
             .collect(),
-        None => bounds.into_iter().zip(0..).collect(),
+        None => bounds.iter().enumerate().map(|(i, &b)| (b, i, 0)).collect(),
     };
-    for class in order.chunk_by_mut(|a, b| class_of(a.1) == class_of(b.1)) {
-        class.sort_by(by_bound);
-    }
-    let mut classes: Vec<&[(f64, usize)]> = order
-        .chunk_by(|a, b| class_of(a.1) == class_of(b.1))
-        .collect();
-    classes.sort_by(|a, b| by_bound(&a[0], &b[0]));
+    classes.sort_by(|a, b| by_bound(&(a.0, a.1), &(b.0, b.1)));
 
     // expand one class against a fixed incumbent: its best
     // (cost, start, candidate) and how many starts it generated
     let by_cost = |a: &(f64, NodeId, Candidate), b: &(f64, NodeId, Candidate)| {
         a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
     };
-    let run_class = |class: &[(f64, usize)], incumbent: f64| {
+    let run_class = |&(_, first, sv): &(f64, usize, u32), incumbent: f64| {
+        let mut class: Vec<(f64, usize)> = match &buckets {
+            Some(b) => b.starts_on(sv).iter().map(|&i| (bounds[i], i)).collect(),
+            None => vec![(bounds[first], first)],
+        };
+        class.sort_by(by_bound);
         // a bound *equal* to the incumbent must still expand — its
         // candidate could tie on cost and win on start id
         let live = class
@@ -378,11 +367,9 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
             return (None, 0);
         }
         let starts = class[..live].iter().map(|&(_, i)| loads.usable[i]);
-        let cands: Box<dyn Iterator<Item = Candidate>> = match (&buckets, tiered) {
-            (Some(b), Some(t)) => {
-                Box::new(b.generate_switch(t.switch_of_node(loads.usable[class[0].1]), starts))
-            }
-            _ => Box::new(starts.map(|v| generate_candidate(loads, v, n, alpha, beta))),
+        let cands: Box<dyn Iterator<Item = Candidate>> = match &buckets {
+            Some(b) => Box::new(b.generate_switch(sv, starts)),
+            None => Box::new(starts.map(|v| generate_candidate(loads, v, n, alpha, beta))),
         };
         let mut best: Option<(f64, NodeId, Candidate)> = None;
         // a zero-capacity start universe cannot satisfy the request
@@ -399,18 +386,18 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
     };
 
     // doubling waves; one worker per ~MIN_CHUNK starts' worth of classes
-    let min_chunk = (par::MIN_CHUNK * classes.len()).div_ceil(order.len());
+    let min_chunk = (par::MIN_CHUNK * classes.len()).div_ceil(loads.usable.len());
     let mut best: Option<(f64, NodeId, Candidate)> = None;
     let mut expanded = 0usize;
     let (mut next, mut wave) = (0usize, 1usize);
     while next < classes.len() {
         let incumbent = best.as_ref().map_or(f64::INFINITY, |b| b.0);
-        if classes[next][0].0 > incumbent {
+        if classes[next].0 > incumbent {
             break; // classes ascend by first bound: the rest are hopeless
         }
         let end = (next + wave).min(classes.len());
         let results = par::par_map_indexed(end - next, min_chunk, |k| {
-            run_class(classes[next + k], incumbent)
+            run_class(&classes[next + k], incumbent)
         });
         for (class_best, live) in results {
             expanded += live;
@@ -423,7 +410,7 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
         winner,
         cost,
         expanded,
-        pruned: order.len() - expanded,
+        pruned: loads.usable.len() - expanded,
     })
 }
 
@@ -518,19 +505,42 @@ mod tests {
             .map(|u| 0.1 + 0.8 * frac(splitmix64(seed ^ (u as u64 + 17))))
             .collect();
         let l = Loads::from_parts(nodes, cl, nl, vec![4; v as usize]);
+        // (n, α, β, cost bits, winner, expanded): the winner and how many
+        // starts the search expands to find it are both pinned, so a
+        // change to the class order cannot move either unseen
+        let shape: [(u32, f64, f64, u64, u32, usize); 15] = [
+            (4, 0.3, 0.7, 0x3effffbf0721eee3, 667, 48),
+            (4, 0.4, 0.6, 0x3f05552a04c149ed, 667, 48),
+            (4, 0.7, 0.3, 0x3f12aa84c42920af, 667, 48),
+            (8, 0.3, 0.7, 0x3f101e62109c4e55, 1209, 62),
+            (8, 0.4, 0.6, 0x3f157c0f90dee594, 1209, 58),
+            (8, 0.7, 0.3, 0x3f22ad930c7a5e00, 667, 49),
+            (16, 0.3, 0.7, 0x3f2149608065c22e, 1217, 123),
+            (16, 0.4, 0.6, 0x3f2683b0329d9f95, 988, 87),
+            (16, 0.7, 0.3, 0x3f3310bc7f19e79a, 1209, 55),
+            (64, 0.3, 0.7, 0x3f44a6171457792b, 1984, 319),
+            (64, 0.4, 0.6, 0x3f496556f8d27a2c, 1217, 173),
+            (64, 0.7, 0.3, 0x3f549c21e69ac074, 868, 94),
+            (256, 0.3, 0.7, 0x3f6e40e639b70c35, 354, 1831),
+            (256, 0.4, 0.6, 0x3f71fa4842372eda, 364, 1437),
+            (256, 0.7, 0.3, 0x3f78c2fcd72bc282, 1217, 427),
+        ];
         let mut pruned_past_first_wave = false;
-        for n in [4, 8, 16, 64, 256] {
-            for &(a, b) in &[(0.3, 0.7), (0.4, 0.6), (0.7, 0.3)] {
-                let want = exhaustive_winner(&l, n, a, b).unwrap();
-                let got = allocate_pruned(&l, n, a, b).unwrap();
-                assert_eq!(
-                    (got.cost.to_bits(), got.winner.start),
-                    (want.0.to_bits(), want.1),
-                    "n {n} α {a} β {b}"
-                );
-                assert_eq!(got.expanded + got.pruned, l.usable.len());
-                pruned_past_first_wave |= got.pruned > 0 && got.expanded > per_switch as usize;
-            }
+        for &(n, a, b, cost, start, expanded) in &shape {
+            let want = exhaustive_winner(&l, n, a, b).unwrap();
+            let got = allocate_pruned(&l, n, a, b).unwrap();
+            assert_eq!(
+                (got.cost.to_bits(), got.winner.start),
+                (want.0.to_bits(), want.1),
+                "n {n} α {a} β {b}"
+            );
+            assert_eq!(
+                (got.cost.to_bits(), got.winner.start.0, got.expanded),
+                (cost, start, expanded),
+                "n {n} α {a} β {b}"
+            );
+            assert_eq!(got.expanded + got.pruned, l.usable.len());
+            pruned_past_first_wave |= got.pruned > 0 && got.expanded > per_switch as usize;
         }
         assert!(
             pruned_past_first_wave,
@@ -544,30 +554,56 @@ mod tests {
         // the full row of stream heads, and a negative weight bounds its
         // term by the largest share
         use crate::candidate::{wide_universe, TieredBuckets};
-        let mut via_neighbourhood = false;
-        for (what, l) in [
+        // (universe, n, α, β, cost bits, winner, expanded), pinned as in
+        // `multi_wave_tiered_winner_matches_exhaustive`
+        let shape: [(&str, u32, f64, f64, u64, u32, usize); 20] = [
+            ("random", 7, 0.3, 0.7, 0x3f28008c292fbd5d, 334, 18),
+            ("random", 7, 0.0, 1.0, 0x3e9609ed33d19af3, 514, 25),
+            ("random", 7, 0.7, 0.3, 0x3f3b5805bbc4e107, 721, 22),
+            ("random", 7, 0.5, -0.5, 0x3f3215f17e43d70f, 44, 783),
+            ("random", 7, -0.3, 1.3, 0xbf6f72934ffeaca9, 460, 783),
+            ("random", 32, 0.3, 0.7, 0x3f546fde720a2684, 462, 56),
+            ("random", 32, 0.0, 1.0, 0x3f125e8d49222e7c, 227, 783),
+            ("random", 32, 0.7, 0.3, 0x3f6382b8eb69a766, 506, 48),
+            ("random", 32, 0.5, -0.5, 0x3f5bb018461cc059, 469, 783),
+            ("random", 32, -0.3, 1.3, 0xbf84fa525324b165, 702, 783),
+            ("quantized", 7, 0.3, 0.7, 0x3f231ba6d7cc5a87, 60, 52),
+            ("quantized", 7, 0.0, 1.0, 0x3e93a76f4bf8315a, 45, 127),
+            ("quantized", 7, 0.7, 0.3, 0x3f3630b8bcb3c95c, 60, 52),
+            ("quantized", 7, 0.5, -0.5, 0x3f2f5c46fc1e1daa, 113, 829),
+            ("quantized", 7, -0.3, 1.3, 0xbf6e8b2fc9f08ea6, 16, 829),
+            ("quantized", 32, 0.3, 0.7, 0x3f4d2cf1a48a3bc2, 416, 129),
+            ("quantized", 32, 0.0, 1.0, 0x3f0f17e3132fa614, 432, 829),
+            ("quantized", 32, 0.7, 0.3, 0x3f5c3cf5dd0bb8d4, 520, 43),
+            ("quantized", 32, 0.5, -0.5, 0x3f529d8c7dd846b1, 370, 829),
+            ("quantized", 32, -0.3, 1.3, 0xbf85be0bb476ae3e, 454, 829),
+        ];
+        let universes = [
             ("random", wide_universe(320, 4, None, 0, 0xC0FFEE)),
             ("quantized", wide_universe(320, 4, None, 4, 0xBEEF)),
-        ] {
-            let t = l.nl.as_tiered().unwrap();
-            for n in [7, 32] {
-                for &(a, b) in &[(0.3, 0.7), (0.0, 1.0), (0.7, 0.3), (0.5, -0.5), (-0.3, 1.3)] {
-                    let buckets = TieredBuckets::build(&l, t, n, a, b);
-                    let near = buckets
-                        .start_switches()
-                        .any(|sv| buckets.seeds_from_neighbourhood(sv));
-                    assert!(b >= 0.0 || !near, "{what} n {n} α {a} β {b}");
-                    via_neighbourhood |= near;
-                    let want = exhaustive_winner(&l, n, a, b).unwrap();
-                    let got = allocate_pruned(&l, n, a, b).unwrap();
-                    assert_eq!(
-                        (got.cost.to_bits(), got.winner.start),
-                        (want.0.to_bits(), want.1),
-                        "{what} n {n} α {a} β {b}"
-                    );
-                    assert_eq!(got.expanded + got.pruned, l.usable.len());
-                }
-            }
+        ];
+        let mut via_neighbourhood = false;
+        for &(what, n, a, b, cost, start, expanded) in &shape {
+            let l = &universes.iter().find(|u| u.0 == what).unwrap().1;
+            let buckets = TieredBuckets::build(l, n, a, b).unwrap();
+            let near = buckets
+                .start_switches()
+                .any(|sv| buckets.seeds_from_neighbourhood(sv));
+            assert!(b >= 0.0 || !near, "{what} n {n} α {a} β {b}");
+            via_neighbourhood |= near;
+            let want = exhaustive_winner(l, n, a, b).unwrap();
+            let got = allocate_pruned(l, n, a, b).unwrap();
+            assert_eq!(
+                (got.cost.to_bits(), got.winner.start),
+                (want.0.to_bits(), want.1),
+                "{what} n {n} α {a} β {b}"
+            );
+            assert_eq!(
+                (got.cost.to_bits(), got.winner.start.0, got.expanded),
+                (cost, start, expanded),
+                "{what} n {n} α {a} β {b}"
+            );
+            assert_eq!(got.expanded + got.pruned, l.usable.len());
         }
         assert!(via_neighbourhood, "no case seeded from a neighbourhood");
     }
@@ -601,7 +637,7 @@ mod tests {
     #[test]
     fn frac_min_is_a_valid_lower_bound() {
         let l = loads(10, 3);
-        let frac = FracMin::universe(&l, u64::MAX);
+        let frac = l.frac_min();
         // any candidate's compute load is ≥ fmin of the procs it covers
         for n in [1u32, 5, 13, 40] {
             let cands = generate_all_candidates(&l, n, 0.3, 0.7);
@@ -620,7 +656,7 @@ mod tests {
     #[test]
     fn frac_min_monotone_and_clamped() {
         let l = loads(8, 5);
-        let frac = FracMin::universe(&l, u64::MAX);
+        let frac = l.frac_min();
         let mut prev = 0.0;
         for p in 0..=(l.total_capacity() + 10) {
             let v = frac.query(p);

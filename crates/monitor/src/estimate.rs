@@ -157,7 +157,8 @@ impl InterEstimate {
     /// latency and peak, or the sum of the two uplinks' latencies with the
     /// smaller peak. Available bandwidth is the peak less the pair's
     /// bandwidth complement, clamped into `[0, peak]`. `None` when `s = t`,
-    /// or when the pair was not measured and either side is uncovered.
+    /// when the pair was not measured and either side is uncovered, or
+    /// when the peak is negative or NaN (a corrupt record).
     pub fn pair(&self, s: u32, t: u32) -> Option<PairProbe> {
         self.pair_at(&self.site(s), &self.site(t))
     }
@@ -190,7 +191,9 @@ impl InterEstimate {
                 )
             }
         };
-        Some(PairProbe {
+        // a foreign record's negative or NaN peak leaves the pair
+        // unmeasured rather than an empty clamp range
+        (peak >= 0.0).then(|| PairProbe {
             latency_s: lat,
             avail_bps: (peak - cbw).clamp(0.0, peak),
             peak_bps: peak,

@@ -430,6 +430,23 @@ impl ClusterSnapshot {
         }
     }
 
+    /// A pair's latency stat, peak and available bandwidth in one read:
+    /// what [`Self::latency`], [`Self::peak_bandwidth_bps`] and
+    /// [`Self::bandwidth_bps`] answer, with a block cell resolved once.
+    pub fn pair(&self, u: NodeId, v: NodeId) -> (LatencyStat, f64, f64) {
+        match &self.pairs {
+            PairSource::Dense(d) => (
+                d.latency.get(u, v),
+                d.peak_bandwidth_bps.get(u, v),
+                d.bandwidth_bps.get(u, v),
+            ),
+            PairSource::Blocks(b) => {
+                let c = b.cell(u, v);
+                (LatencyStat::constant(c.latency_s), c.peak_bps, c.avail_bps)
+            }
+        }
+    }
+
     /// Age of a node's latency row at assembly (`None`: never published).
     /// A sharded snapshot ages each node with its block.
     pub fn latency_row_age(&self, node: NodeId) -> Option<Duration> {
@@ -767,6 +784,76 @@ mod tests {
         assert_eq!(b.cross(0, 1), UNMEASURED);
         let (u, v) = (b.blocks()[0].members[0], b.blocks()[0].members[1]);
         assert!(snap.latency(u, v).instant.is_finite());
+    }
+
+    #[test]
+    fn a_negative_or_nan_peak_leaves_cross_pairs_unmeasured() {
+        let (rt, snap) = sharded();
+        let PairSource::Blocks(b) = &snap.pairs else {
+            panic!("blocks");
+        };
+        let shards: Vec<u32> = b.blocks().iter().map(|s| s.shard).collect();
+        let (u, v, w) = (
+            b.blocks()[0].members[0],
+            b.blocks()[1].members[0],
+            b.blocks()[2].members[0],
+        );
+        let store = rt.store();
+        let now = SimTime::from_secs(400);
+        // uplinks with peaks -1 and NaN, and a measured pair with peak -5
+        let uplink = |switch, peak_bps| crate::codec::UplinkRec {
+            switch,
+            lat: 1e-5,
+            cbw: 1e6,
+            peak_bps,
+        };
+        let rec = MonitorRecord::InterEstimate {
+            epoch: 1,
+            taken_at: now,
+            num_switches: shards[2] + 1,
+            probes: 0,
+            probe_bytes: 0,
+            switches: vec![
+                uplink(shards[0], -1.0),
+                uplink(shards[1], f64::NAN),
+                uplink(shards[2], 1e9),
+            ],
+            direct: vec![crate::codec::DirectPairRec {
+                s: shards[1],
+                t: shards[2],
+                latency_s: 1e-5,
+                avail_bps: 1e9,
+                peak_bps: -5.0,
+            }],
+        };
+        store.put(paths::INTER_ESTIMATE, now, crate::codec::encode(&rec));
+        let data = store.get(paths::INTER_ESTIMATE).unwrap().data;
+        let est = InterEstimate::from_record(&crate::codec::decode(&data).unwrap()).unwrap();
+        assert_eq!(est.pair(shards[0], shards[1]), None);
+        assert_eq!(est.pair(shards[1], shards[2]), None);
+        assert_eq!(est.pair(shards[0], shards[2]), None);
+        let snap = ClusterSnapshot::assemble_sharded(store, 24, now).unwrap();
+        for (x, y) in [(u, v), (v, w), (u, w)] {
+            assert_eq!(snap.bandwidth_bps(x, y), 0.0);
+            assert_eq!(snap.peak_bandwidth_bps(x, y), 0.0);
+            let (lat, peak, avail) = snap.pair(x, y);
+            assert!(lat.instant.is_infinite() && peak == 0.0 && avail == 0.0);
+        }
+    }
+
+    #[test]
+    fn pair_reads_what_the_three_accessors_read() {
+        let (store, now) = populated(5);
+        let central = ClusterSnapshot::assemble(&store, 5, now).unwrap();
+        let (_, sharded) = sharded();
+        for snap in [&central, &sharded] {
+            for (u, v) in snap.node_pairs().chain([(NodeId(1), NodeId(1))]) {
+                let (lat, peak, avail) = snap.pair(u, v);
+                assert_eq!(lat, snap.latency(u, v));
+                assert_eq!(peak.to_bits(), snap.peak_bandwidth_bps(u, v).to_bits());
+                assert_eq!(avail.to_bits(), snap.bandwidth_bps(u, v).to_bits());
+            }
+        }
     }
 
     #[test]
