@@ -128,7 +128,10 @@ test -s "$OBS_DIR/health_report.md"
 # expands is deterministic for the seed on any host and at any thread
 # count, so each quick row's mean_expanded must equal the value pinned
 # here: a change to the search's order or bounds that moves it must say
-# so by updating these numbers. Its
+# so by updating these numbers. Gossip accounting is deterministic for
+# the seed too, so each quick size row's sharded_gossip_bytes and
+# sharded_rounds must equal the values pinned here: a change to gossip
+# target selection, apply order or byte accounting must update them. Its
 # steady-state row (the monitor alone, long enough to fill the 15-minute
 # windows) must exist and report the resident set it leaves
 NLRM_RESULTS_DIR="$OBS_DIR" NLRM_QUICK=1 NLRM_QUIET=1 \
@@ -159,6 +162,9 @@ assert bench["within_2x_of_linear"], f"linear_factor {bench['linear_factor']}"
 pinned = {1008: 522.75, 4992: 641.8}
 expanded = {c["nodes"]: c["mean_expanded"] for c in bench["chain"]}
 assert expanded == pinned, f"search shape moved: mean_expanded {expanded}, pinned {pinned}"
+gossip_pinned = {960: (66368, 50), 4800: (1877152, 51)}
+gossip = {s["nodes"]: (s["sharded_gossip_bytes"], s["sharded_rounds"]) for s in bench["sizes"]}
+assert gossip == gossip_pinned, f"gossip shape moved: {gossip}, pinned {gossip_pinned}"
 # pruning must bite: at the largest quick row the bounds skip at least
 # half of the usable starts
 largest = max(bench["chain"], key=lambda c: c["nodes"])

@@ -9,8 +9,9 @@
 //! - **sharded** — per-shard all-pairs sweeps (intra-shard only), the
 //!   landmark estimator's `O(V log V)` sampled inter-shard probes (real
 //!   [`NlEstimator`] run, counted by its own byte accounting), the
-//!   gossiped shard summaries (real [`GossipNet`] run to convergence),
-//!   and the published estimate record.
+//!   gossiped shard sweep epochs (real [`GossipNet`] run to convergence,
+//!   each record priced at [`nlrm_monitor::gossip::RECORD_BYTES`]), and
+//!   the published estimate record.
 //!
 //! It then measures the allocation-quality epsilon on the equivalence
 //! scenarios: the sharded estimate's winner, costed under the exact
@@ -26,11 +27,14 @@
 //! and derive (5 repeats below 49,920 nodes, 3 above; p50 with min and
 //! max), then runs a stream of allocation decisions over its one `Loads`
 //! — the paper's process counts and α/β cycles, 40/20/10/10 decisions
-//! (quick: 8/5) — and reports allocations/sec, p50/p99 decision latency
-//! with min and max, and the mean expanded and pruned starts. The first
-//! decision on the fresh `Loads`, which builds its memoized bound inputs
-//! and foreign-switch neighbourhoods, is timed apart and kept out of the
-//! stream's figures. Every decision must
+//! (quick: 8/5), replayed [`REPLAYS`] times — and reports
+//! allocations/sec, p50/p99 decision latency with min and max over every
+//! replay, and the mean expanded and pruned starts. It records the
+//! resident set after the cluster build, after the monitor and after the
+//! snapshot repeats next to the peak, so a memory cut shows at its
+//! stage. The first decision on the fresh `Loads`, which builds its
+//! memoized bound inputs and foreign-switch neighbourhoods, is timed
+//! apart and kept out of the stream's figures. Every decision must
 //! expand or prune each usable start exactly once, and the snapshot must
 //! store `Σ_s C(m_s, 2)` exact pairs plus the estimate's `S` uplinks and
 //! `C(L, 2) + (S−L)·L` measured shard pairs: blocks and an `O(S log S)`
@@ -56,7 +60,6 @@ use nlrm_monitor::daemons::{central_cycle_cost, DaemonConfig};
 use nlrm_monitor::sample::LatencyStat;
 use nlrm_monitor::{
     GossipNet, MonitorRuntime, MonitorTopo, NlEstimator, PairProbe, PairSource, ShardConfig,
-    ShardSummary,
 };
 use nlrm_obs::json;
 use nlrm_sim_core::rng::splitmix64;
@@ -118,19 +121,18 @@ fn sweep_size(v: u64) -> SizeRow {
     let est_bytes =
         est.probe_bytes + encoded_len(&est.to_record(1, SimTime::from_micros(0))) as u64;
 
-    // gossip: every shard publishes its fresh summary, the overlay runs
-    // anti-entropy to convergence; bytes include digests + records +
+    // gossip: every shard publishes its first sweep epoch, the overlay
+    // runs anti-entropy to convergence; bytes include digests + records +
     // message overheads
-    let mut net: GossipNet<u64> =
-        GossipNet::new(s as usize, 2, 0x5ea1 ^ v, ShardSummary::WIRE_BYTES);
+    let mut net = GossipNet::new(s as usize, 2, 0x5ea1 ^ v);
     for p in 0..s as u32 {
-        net.publish(p, 1, p as u64);
+        net.publish(p, 1);
     }
     let conv = net.run_to_convergence(256);
     assert!(conv.converged, "gossip failed to converge at {s} shards");
 
     // per-shard sweeps run concurrently, so cycle "rounds" = the longest
-    // shard tournament plus the gossip rounds to disseminate summaries
+    // shard tournament plus the gossip rounds to disseminate the epochs
     let shard_rounds = if PER_SWITCH.is_multiple_of(2) {
         PER_SWITCH - 1
     } else {
@@ -189,6 +191,12 @@ fn oracle_snapshot(
 const PROCS: [u32; 4] = [32, 64, 128, 256];
 const MIXES: [(f64, f64); 3] = [(0.3, 0.7), (0.4, 0.6), (0.7, 0.3)];
 
+/// Times each chain row replays its decision stream: a row of 10
+/// decisions timed once moved its p50 by host noise (64.5 vs 107.3 ms
+/// in two runs of one tree at 100,032 nodes). Replays repeat the same
+/// decisions, so `mean_expanded` is the single stream's.
+const REPLAYS: usize = 3;
+
 /// Min, nearest-rank p50 and max of repeated wall-clock timings, ms.
 struct Spread {
     min: f64,
@@ -235,6 +243,9 @@ struct ChainRow {
     p99_ms: f64,
     mean_expanded: f64,
     mean_pruned: f64,
+    rss_cluster_mb: f64,
+    rss_monitor_mb: f64,
+    rss_snapshot_mb: f64,
     peak_rss_mb: f64,
     threads: usize,
     host_cores: usize,
@@ -258,10 +269,11 @@ fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (Spread, T) {
 /// The real sharded chain on `campus(clusters, 48, 1)`: 120 s of
 /// monitoring (timed once), then `snapshot()` and
 /// `Loads::derive_with_policy` (5 runs below 49,920 nodes, 3 above), one
-/// first decision on the fresh `Loads`, and `jobs` timed
-/// `allocate_pruned` decisions over it.
+/// first decision on the fresh `Loads`, and [`REPLAYS`] timed passes of
+/// `jobs` `allocate_pruned` decisions over it.
 fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
     let mut cluster = nlrm_cluster::iitk::campus(clusters, PER_SWITCH as usize, 1);
+    let rss_cluster_mb = report::rss_mb();
     let nodes = cluster.num_nodes();
     let idx = cluster.topology().switch_index();
     let sizes: Vec<usize> = (0..idx.num_switches())
@@ -288,9 +300,11 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
     let t0 = Instant::now();
     rt.run_until(&mut cluster, SimTime::from_secs(120));
     let monitor_s = t0.elapsed().as_secs_f64();
+    let rss_monitor_mb = report::rss_mb();
     let now = cluster.now();
     let repeats = if nodes < 49_920 { 5 } else { 3 };
     let (snapshot, snap) = timed(repeats, || rt.snapshot(now).expect("snapshot"));
+    let rss_snapshot_mb = report::rss_mb();
     let PairSource::Blocks(blocks) = &snap.pairs else {
         panic!("a sharded monitor yields a block snapshot");
     };
@@ -309,9 +323,9 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         allocate_pruned(&loads, PROCS[j % PROCS.len()], alpha, beta).expect("allocate")
     };
     let (first, _) = timed(1, || decide(0));
-    let mut latencies = Vec::with_capacity(jobs);
+    let mut latencies = Vec::with_capacity(REPLAYS * jobs);
     let (mut expanded, mut pruned) = (0, 0);
-    for j in 0..jobs {
+    for j in (0..REPLAYS).flat_map(|_| 0..jobs) {
         let t0 = Instant::now();
         let d = decide(j);
         latencies.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -335,12 +349,15 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         derive,
         usable,
         jobs,
-        allocs_per_sec: jobs as f64 * 1e3 / latencies.iter().sum::<f64>(),
+        allocs_per_sec: latencies.len() as f64 * 1e3 / latencies.iter().sum::<f64>(),
         first_decision_ms: first.p50,
         decision: Spread::of(&latencies),
         p99_ms: report::nearest_rank(&latencies, 0.99),
-        mean_expanded: expanded as f64 / jobs as f64,
-        mean_pruned: pruned as f64 / jobs as f64,
+        mean_expanded: expanded as f64 / latencies.len() as f64,
+        mean_pruned: pruned as f64 / latencies.len() as f64,
+        rss_cluster_mb,
+        rss_monitor_mb,
+        rss_snapshot_mb,
         peak_rss_mb: report::peak_rss_mb(),
         threads: nlrm_core::par::worker_threads(),
         host_cores: host_cores(),
@@ -555,6 +572,9 @@ fn main() {
         "p99_ms",
         "expanded",
         "pruned",
+        "rss_cluster_MB",
+        "rss_monitor_MB",
+        "rss_snapshot_MB",
         "peak_rss_MB",
         "threads",
         "host_cores",
@@ -575,6 +595,9 @@ fn main() {
             format!("{:.3}", c.p99_ms),
             format!("{:.1}", c.mean_expanded),
             format!("{:.1}", c.mean_pruned),
+            format!("{:.1}", c.rss_cluster_mb),
+            format!("{:.1}", c.rss_monitor_mb),
+            format!("{:.1}", c.rss_snapshot_mb),
             format!("{:.1}", c.peak_rss_mb),
             c.threads.to_string(),
             c.host_cores.to_string(),
@@ -657,6 +680,7 @@ fn main() {
                 ("derive_max_ms", json::num(c.derive.max)),
                 ("usable", c.usable.to_string()),
                 ("jobs", c.jobs.to_string()),
+                ("replays", REPLAYS.to_string()),
                 ("allocs_per_sec", json::num(c.allocs_per_sec)),
                 ("first_decision_ms", json::num(c.first_decision_ms)),
                 ("decision_min_ms", json::num(c.decision.min)),
@@ -665,6 +689,9 @@ fn main() {
                 ("decision_max_ms", json::num(c.decision.max)),
                 ("mean_expanded", json::num(c.mean_expanded)),
                 ("mean_pruned", json::num(c.mean_pruned)),
+                ("rss_cluster_mb", json::num(c.rss_cluster_mb)),
+                ("rss_monitor_mb", json::num(c.rss_monitor_mb)),
+                ("rss_snapshot_mb", json::num(c.rss_snapshot_mb)),
                 ("peak_rss_mb", json::num(c.peak_rss_mb)),
                 ("threads", c.threads.to_string()),
                 ("host_cores", c.host_cores.to_string()),

@@ -21,8 +21,9 @@
 //!   daemons and fails over when the master dies.
 //! * [`shard`] — per-switch aggregators running the pair tournament
 //!   intra-shard only, publishing epoch-stamped shard NL records.
-//! * [`gossip`] — version-stamped anti-entropy dissemination of shard
-//!   aggregates, with convergence-round and byte accounting.
+//! * [`gossip`] — anti-entropy dissemination of shard sweep epochs,
+//!   each peer's view a flat row of per-origin epochs, with
+//!   convergence-round and byte accounting.
 //! * [`estimate`] — landmark-sampled inter-shard NL estimation: one uplink
 //!   point per shard plus the probed pairs (`O(V log V)` probes instead
 //!   of `O(V²)`), answering any shard pair.
@@ -55,6 +56,6 @@ pub use runtime::{
     DaemonKind, FaultTarget, MonitorFaultPlan, MonitorRuntime, MonitorTopo, ShardConfig,
 };
 pub use sample::{LatencyStat, NodeSample};
-pub use shard::{ShardSummary, ShardSweepReport, ShardSweeper};
+pub use shard::{ShardSweepReport, ShardSweeper};
 pub use snapshot::{BlockPairs, ClusterSnapshot, DensePairs, NodeInfo, PairSource, ShardBlock};
 pub use store::SharedStore;

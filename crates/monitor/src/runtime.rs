@@ -15,7 +15,7 @@ use crate::daemons::DaemonConfig;
 pub use crate::daemons::DaemonKind;
 use crate::estimate::{NlEstimator, PairProbe};
 use crate::gossip::GossipNet;
-use crate::shard::{ShardSummary, ShardSweeper};
+use crate::shard::ShardSweeper;
 use crate::snapshot::{ClusterSnapshot, SnapshotError};
 use crate::store::{paths, SharedStore};
 use nlrm_cluster::ClusterSim;
@@ -98,7 +98,7 @@ pub enum MonitorTopo {
     /// The paper's topology: central daemons probing all `O(V²)` pairs.
     Central,
     /// Sharded: intra-shard tournaments + sampled inter-shard estimation
-    /// + gossip dissemination of shard aggregates.
+    /// + gossip dissemination of shard sweep epochs.
     Sharded(ShardConfig),
 }
 
@@ -108,7 +108,7 @@ struct ShardedState {
     cfg: ShardConfig,
     sweeper: ShardSweeper,
     estimator: NlEstimator,
-    gossip: GossipNet<ShardSummary>,
+    gossip: GossipNet,
 }
 
 /// The full monitoring stack bound to one cluster, run in virtual time.
@@ -166,12 +166,7 @@ impl MonitorRuntime {
                 queue.push(t0 + cfg.shard_period, Tick::Shard);
                 queue.push(t0 + cfg.gossip_period, Tick::Gossip);
                 let num_shards = cfg.index.num_switches();
-                let mut gossip = GossipNet::new(
-                    num_shards,
-                    cfg.fanout,
-                    cfg.gossip_seed,
-                    ShardSummary::WIRE_BYTES,
-                );
+                let mut gossip = GossipNet::new(num_shards, cfg.fanout, cfg.gossip_seed);
                 for s in 0..num_shards {
                     // empty shards (e.g. a campus router switch) never
                     // gossip; marking them dead keeps convergence honest
@@ -310,8 +305,8 @@ impl MonitorRuntime {
         let est_publish_bytes =
             self.store
                 .publish(paths::INTER_ESTIMATE, t, est.to_record(report.epoch, t));
-        for summary in &report.summaries {
-            state.gossip.publish(summary.shard, report.epoch, *summary);
+        for shard in &report.per_shard {
+            state.gossip.publish(shard.shard, report.epoch);
         }
         if recording {
             nlrm_obs::ctx::record_stream(t, "probe:shard", probed, fold.value());
@@ -480,7 +475,7 @@ impl MonitorRuntime {
     }
 
     /// The gossip network state (sharded topology only).
-    pub fn gossip(&self) -> Option<&GossipNet<ShardSummary>> {
+    pub fn gossip(&self) -> Option<&GossipNet> {
         self.sharded.as_ref().map(|s| &s.gossip)
     }
 

@@ -22,30 +22,6 @@ use nlrm_sim_core::time::SimTime;
 use nlrm_topology::tier::SwitchIndex;
 use nlrm_topology::NodeId;
 
-/// A compact per-shard aggregate, gossiped between shards so every shard
-/// learns the cluster-wide picture without the full matrices.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSummary {
-    /// Shard (switch) id.
-    pub shard: u32,
-    /// Sweep epoch this summary describes.
-    pub epoch: u64,
-    /// Live members seen this sweep.
-    pub live: u32,
-    /// Mean intra-shard latency, seconds (0 for shards with < 2 live).
-    pub mean_lat_s: f64,
-    /// Mean intra-shard available bandwidth, bits/s.
-    pub mean_avail_bps: f64,
-    /// Probe traffic the sweep cost this shard, bytes.
-    pub probe_bytes: u64,
-}
-
-impl ShardSummary {
-    /// Serialized size of one summary on the gossip wire: shard + live
-    /// (4 B each), epoch + probe_bytes (8 B each), two f64 means.
-    pub const WIRE_BYTES: u64 = 40;
-}
-
 /// Per-shard traffic attribution for one sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
@@ -78,8 +54,6 @@ pub struct ShardSweepReport {
     /// Per-shard attribution, ascending shard id, only shards with ≥ 1
     /// live member.
     pub per_shard: Vec<ShardStats>,
-    /// Gossipable per-shard aggregates (same shards as `per_shard`).
-    pub summaries: Vec<ShardSummary>,
 }
 
 /// Runs the intra-shard pair tournaments and publishes per-shard NL
@@ -134,7 +108,6 @@ impl ShardSweeper {
             publish_bytes: 0,
             tournament_rounds: 0,
             per_shard: Vec::new(),
-            summaries: Vec::new(),
         };
         for (shard, members) in self.members.iter().enumerate() {
             let live: Vec<NodeId> = members.iter().copied().filter(|&n| alive(n)).collect();
@@ -151,8 +124,6 @@ impl ShardSweeper {
             let mut avail_bps = vec![0.0; tri_len];
             let mut peak_bps = vec![0.0; tri_len];
             let tri = |i: usize, j: usize| i * (2 * m - i - 1) / 2 + j - i - 1;
-            let mut lat_sum = 0.0;
-            let mut avail_sum = 0.0;
             for round in round_robin_rounds(m) {
                 for (i, j) in round {
                     let p = probe(live[i], live[j]);
@@ -160,8 +131,6 @@ impl ShardSweeper {
                     lat_s[k] = p.latency_s;
                     avail_bps[k] = p.avail_bps;
                     peak_bps[k] = p.peak_bps;
-                    lat_sum += p.latency_s;
-                    avail_sum += p.avail_bps;
                 }
             }
             let probe_bytes = pairs * PAIR_PROBE_BYTES;
@@ -185,22 +154,6 @@ impl ShardSweeper {
                 pairs,
                 probe_bytes,
                 publish_bytes,
-            });
-            report.summaries.push(ShardSummary {
-                shard: shard as u32,
-                epoch,
-                live: m as u32,
-                mean_lat_s: if pairs > 0 {
-                    lat_sum / pairs as f64
-                } else {
-                    0.0
-                },
-                mean_avail_bps: if pairs > 0 {
-                    avail_sum / pairs as f64
-                } else {
-                    0.0
-                },
-                probe_bytes,
             });
         }
         if nlrm_obs::ctx::is_active() {
@@ -303,8 +256,8 @@ mod tests {
         let mut alive = |n: NodeId| n.0 != 1 && n.0 != 5;
         let report = sweeper.sweep(SimTime::from_secs(60), &store, &mut alive, &mut probe_fn());
         assert_eq!(report.pairs, 2 * 3, "each shard has 3 live → C(3,2)");
-        assert_eq!(report.per_shard[0].live, 3);
-        for s in &report.summaries {
+        assert_eq!(report.per_shard.len(), 2);
+        for s in &report.per_shard {
             assert_eq!(s.live, 3);
         }
     }

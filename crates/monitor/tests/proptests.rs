@@ -212,7 +212,7 @@ proptest! {
         dead in proptest::collection::vec(0usize..32, 0..6),
         epochs in proptest::collection::vec(1u64..100, 32),
     ) {
-        let mut net: GossipNet<u32> = GossipNet::new(peers, fanout, seed, 64);
+        let mut net = GossipNet::new(peers, fanout, seed);
         let dead: HashSet<usize> = dead.into_iter().map(|d| d % peers).collect();
         // keep at least two peers live so convergence is non-vacuous
         let live: Vec<usize> = (0..peers).filter(|p| !dead.contains(p) || peers - dead.len() < 2).collect();
@@ -222,16 +222,16 @@ proptest! {
             }
         }
         for &p in &live {
-            prop_assert!(net.publish(p as u32, epochs[p], p as u32 * 7));
+            prop_assert!(net.publish(p as u32, epochs[p]));
         }
         let c = net.run_to_convergence(64);
         prop_assert!(c.converged, "no convergence in 64 rounds ({} live peers)", live.len());
+        // every live origin at its published epoch, every dead one unknown
+        let want: Vec<u64> = (0..peers)
+            .map(|o| if live.contains(&o) { epochs[o] } else { 0 })
+            .collect();
         for &p in &live {
-            for &origin in &live {
-                let rec = net.get(p, origin as u32).expect("disseminated");
-                prop_assert_eq!(rec.epoch, epochs[origin]);
-                prop_assert_eq!(rec.payload, origin as u32 * 7);
-            }
+            prop_assert_eq!(net.epochs(p), &want[..], "peer {}", p);
         }
         // revive the dead: anti-entropy catches them up too
         for p in 0..peers {
@@ -251,30 +251,30 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec((0usize..16, 1u64..20, 0u8..2), 1..60),
     ) {
-        let mut net: GossipNet<u64> = GossipNet::new(peers, 2, seed, 32);
-        let mut seen: HashMap<(usize, u32), u64> = HashMap::new();
-        let check = |net: &GossipNet<u64>, seen: &mut HashMap<(usize, u32), u64>| {
+        let mut net = GossipNet::new(peers, 2, seed);
+        let mut seen: HashMap<(usize, usize), u64> = HashMap::new();
+        let check = |net: &GossipNet, seen: &mut HashMap<(usize, usize), u64>| {
             for p in 0..peers {
-                for (&origin, &epoch) in net.digest(p).iter() {
+                for (origin, &epoch) in net.epochs(p).iter().enumerate() {
                     let prev = seen.entry((p, origin)).or_insert(epoch);
                     assert!(epoch >= *prev, "peer {p} origin {origin} regressed {prev} -> {epoch}");
                     *prev = epoch;
                 }
             }
         };
+        let mut newest = vec![0u64; peers];
         for (origin, epoch, do_round) in ops {
             let origin = origin % peers;
-            net.publish(origin as u32, epoch, epoch * 1000);
+            prop_assert_eq!(net.publish(origin as u32, epoch), epoch > newest[origin]);
+            newest[origin] = newest[origin].max(epoch);
             if do_round == 1 {
                 net.round();
             }
             check(&net, &mut seen);
         }
         // a publish only lands when it strictly advances the origin's epoch
-        for p in 0..peers as u32 {
-            if let Some(rec) = net.get(p as usize, p) {
-                prop_assert_eq!(rec.payload, rec.epoch * 1000);
-            }
+        for (p, &epoch) in newest.iter().enumerate() {
+            prop_assert_eq!(net.epochs(p)[p], epoch);
         }
     }
 

@@ -194,7 +194,12 @@ fn sharded_campus_run_publishes_golden_bytes() {
         MonitorTopo::Sharded(ShardConfig::new(idx)),
     );
     let got = digest_run(&mut cluster, &mut rt);
-    assert!(rt.gossip().expect("sharded").total_bytes() > 0);
+    let gossip = rt.gossip().expect("sharded");
+    assert_eq!(
+        (gossip.total_bytes(), gossip.rounds_run()),
+        (159_984, 240),
+        "gossip accounting moved"
+    );
     assert_golden(
         "sharded campus seed 5",
         got,
