@@ -17,6 +17,10 @@ cargo test -q --workspace
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# perfbench is its own workspace, so the two lines above never lint it:
+# an nlrm-core API change could leave it lint-dirty unseen
+cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 # build artifacts must never be tracked (they were once; .gitignore plus
 # this guard keeps them out)

@@ -9,10 +9,11 @@
 //! `allocate_pruned` decision (4,096 tiered nodes, 64 processes) guards
 //! the switch-class loop that fuses them.
 //!
-//! Clusters are built directly as `Loads` (dense `SymMatrix` or
-//! `TieredNl`) rather than through the simulator: these kernels only see
-//! load vectors, and skipping the monitor keeps setup milliseconds even
-//! at V = 4096.
+//! Clusters are built directly as `Loads` rather than through the
+//! simulator: these kernels only see load vectors, and skipping the
+//! monitor keeps setup milliseconds even at V = 4096. A `SymMatrix`
+//! becomes the one-switch `TieredNl` a central monitor derives; the
+//! tiered universes spread their nodes over 16-node switches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nlrm_bench::synthetic::tiered_loads;

@@ -19,10 +19,11 @@
 //! granularity. Gates (self-asserting, mirrored in `ci.sh`): traffic
 //! ratio ≥ 10× at the largest size, worst epsilon ≤ 5%.
 //!
-//! First, in ascending size so each row's VmHWM is its own, it drives
-//! the real sharded chain — monitor → `snapshot()` →
+//! It drives the real sharded chain — monitor → `snapshot()` →
 //! `Loads::derive_with_policy` → `allocate_pruned` — on `campus(k, 48, 1)`
-//! at 1,008, 9,984, 49,920 and 100,032 nodes (quick: 1,008 and 4,992).
+//! at 1,008, 9,984, 49,920 and 100,032 nodes (quick: 1,008 and 4,992),
+//! each row in a child process of its own (the bin re-invokes itself with
+//! [`CHAIN_ROW_FLAG`]), so every resident set a row reports is its own.
 //! Each row times the monitor's 120 s of virtual time (once), snapshot
 //! and derive (5 repeats below 49,920 nodes, 3 above; p50 with min and
 //! max), then runs a stream of allocation decisions over its one `Loads`
@@ -42,11 +43,11 @@
 //! Gate (self-asserting, mirrored in `ci.sh`): allocations/sec between
 //! the smallest and largest rows fall at most 2× past linear in nodes.
 //!
-//! After the rows up to 9,984 nodes, a steady-state row runs the sharded
-//! monitor alone for 1,200 s of virtual time on 9,984 nodes (quick: 960 s
-//! on 480), long enough to fill the 15-minute node-state windows, and
-//! records its wall time and the resident set it leaves (`ci.sh` asserts
-//! the row exists).
+//! Before them, a steady-state row runs the sharded monitor alone, in
+//! this process, for 1,200 s of virtual time on 9,984 nodes (quick:
+//! 960 s on 480), long enough to fill the 15-minute node-state windows,
+//! and records its wall time and the resident set it leaves (`ci.sh`
+//! asserts the row exists).
 //!
 //! Output: `BENCH_monitor.json` at the repository root (full runs) or
 //! under `results/` (`NLRM_QUICK=1` CI smoke).
@@ -65,6 +66,7 @@ use nlrm_obs::json;
 use nlrm_sim_core::rng::splitmix64;
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::NodeId;
+use std::process::Command;
 use std::time::Instant;
 
 const PER_SWITCH: u64 = 48;
@@ -226,6 +228,10 @@ impl Spread {
     }
 }
 
+/// The argument that makes this bin run one chain row,
+/// `CHAIN_ROW_FLAG <clusters> <decisions>`, and print it as one line.
+const CHAIN_ROW_FLAG: &str = "--chain-row";
+
 struct ChainRow {
     nodes: usize,
     shards: usize,
@@ -249,6 +255,92 @@ struct ChainRow {
     peak_rss_mb: f64,
     threads: usize,
     host_cores: usize,
+}
+
+impl ChainRow {
+    /// This row as one line of fields in declaration order, each printed
+    /// so that parsing it back gives the same value.
+    fn to_line(&self) -> String {
+        let spread = |s: &Spread| format!("{} {} {}", s.min, s.p50, s.max);
+        [
+            self.nodes.to_string(),
+            self.shards.to_string(),
+            self.pair_cells.to_string(),
+            self.expected_pair_cells.to_string(),
+            self.repeats.to_string(),
+            self.monitor_s.to_string(),
+            spread(&self.snapshot),
+            spread(&self.derive),
+            self.usable.to_string(),
+            self.jobs.to_string(),
+            self.allocs_per_sec.to_string(),
+            self.first_decision_ms.to_string(),
+            spread(&self.decision),
+            self.p99_ms.to_string(),
+            self.mean_expanded.to_string(),
+            self.mean_pruned.to_string(),
+            self.rss_cluster_mb.to_string(),
+            self.rss_monitor_mb.to_string(),
+            self.rss_snapshot_mb.to_string(),
+            self.peak_rss_mb.to_string(),
+            self.threads.to_string(),
+            self.host_cores.to_string(),
+        ]
+        .join(" ")
+    }
+
+    /// The row [`Self::to_line`] printed.
+    fn from_line(line: &str) -> ChainRow {
+        let mut fields = line.split_whitespace().map(|f| f.parse::<f64>());
+        let mut num = || fields.next().expect("field").expect("numeric field");
+        let spread = |num: &mut dyn FnMut() -> f64| Spread {
+            min: num(),
+            p50: num(),
+            max: num(),
+        };
+        ChainRow {
+            nodes: num() as usize,
+            shards: num() as usize,
+            pair_cells: num() as usize,
+            expected_pair_cells: num() as usize,
+            repeats: num() as usize,
+            monitor_s: num(),
+            snapshot: spread(&mut num),
+            derive: spread(&mut num),
+            usable: num() as usize,
+            jobs: num() as usize,
+            allocs_per_sec: num(),
+            first_decision_ms: num(),
+            decision: spread(&mut num),
+            p99_ms: num(),
+            mean_expanded: num(),
+            mean_pruned: num(),
+            rss_cluster_mb: num(),
+            rss_monitor_mb: num(),
+            rss_snapshot_mb: num(),
+            peak_rss_mb: num(),
+            threads: num() as usize,
+            host_cores: num() as usize,
+        }
+    }
+}
+
+/// [`chain_at`] in a child process of this bin, so its resident sets and
+/// peak are its own and not those of the rows before it.
+fn chain_in_child(clusters: usize, jobs: usize) -> ChainRow {
+    let exe = std::env::current_exe().expect("own executable");
+    let out = Command::new(exe)
+        .args([CHAIN_ROW_FLAG, &clusters.to_string(), &jobs.to_string()])
+        .output()
+        .expect("spawn chain row");
+    assert!(
+        out.status.success(),
+        "chain row at {clusters} clusters failed: {}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 chain row");
+    ChainRow::from_line(stdout.lines().last().expect("a chain row line"))
 }
 
 /// The wall-time spread of `reps` runs of `f`, and the last result.
@@ -454,26 +546,18 @@ fn epsilon_for(name: &'static str, mut cluster: nlrm_cluster::ClusterSim) -> Eps
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, clusters, jobs] = &args[..] {
+        if flag == CHAIN_ROW_FLAG {
+            let arg = |a: &String| a.parse().expect("chain row argument");
+            println!("{}", chain_at(arg(clusters), arg(jobs)).to_line());
+            return;
+        }
+    }
     let quiet = nlrm_obs::progress::quiet();
     let quick = report::quick();
 
-    // (clusters, decisions) per chain row, ascending so each row's VmHWM
-    // is its own; the steady-state row runs between the rows up to 9,984
-    // nodes and the larger ones, so its resident set is not theirs
-    let chain_sizes: &[(usize, usize)] = if quick {
-        &[(21, 8), (104, 5)]
-    } else {
-        &[(21, 40), (208, 20), (1_040, 10), (2_084, 10)]
-    };
-    let (small, large) = chain_sizes.split_at(chain_sizes.partition_point(|&(k, _)| k <= 208));
-    let run_chain = |&(k, jobs): &(usize, usize)| {
-        if !quiet {
-            let nodes = k * PER_SWITCH as usize;
-            println!("monitor_sweep: real chain at {nodes} nodes, {jobs} decisions…");
-        }
-        chain_at(k, jobs)
-    };
-    let mut chain: Vec<ChainRow> = small.iter().map(run_chain).collect();
+    // the steady-state row first, while this process holds nothing else
     let (steady_clusters, steady_s) = if quick { (10, 960) } else { (208, 1_200) };
     if !quiet {
         println!(
@@ -482,7 +566,22 @@ fn main() {
         );
     }
     let steady = steady_at(steady_clusters, steady_s);
-    chain.extend(large.iter().map(run_chain));
+    // (clusters, decisions) per chain row, each in its own process
+    let chain_sizes: &[(usize, usize)] = if quick {
+        &[(21, 8), (104, 5)]
+    } else {
+        &[(21, 40), (208, 20), (1_040, 10), (2_084, 10)]
+    };
+    let chain: Vec<ChainRow> = chain_sizes
+        .iter()
+        .map(|&(k, jobs)| {
+            if !quiet {
+                let nodes = k * PER_SWITCH as usize;
+                println!("monitor_sweep: real chain at {nodes} nodes, {jobs} decisions…");
+            }
+            chain_in_child(k, jobs)
+        })
+        .collect();
 
     // linear-scaling factor between the endpoints: with allocs/sec ∝ 1/V
     // (decision cost linear in nodes) the throughput ratio equals the node

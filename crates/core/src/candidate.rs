@@ -15,7 +15,7 @@
 //! * [`generate_candidate`] heapifies the addition costs in O(V) and pops
 //!   only until `n` processes are covered — a bounded partial selection,
 //!   O(V + k log V) per start node.
-//! * On a tiered network-load representation
+//! * On a network load over more than one switch
 //!   ([`TieredNl`]), [`generate_all_candidates`]
 //!   exploits that every node of a foreign switch shares the same
 //!   `NL(v,·)` term, so every start on one switch visits the foreign
@@ -192,6 +192,7 @@ impl GreedyTake {
 pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f64) -> Candidate {
     debug_assert!(loads.index(v).is_some(), "start node must be usable");
     // addition cost per usable node; A_v(v) = 0 so v always joins first
+    let nl_from_v = loads.nl.row(v);
     let entries: Vec<Reverse<CostEntry<usize>>> = loads
         .usable
         .iter()
@@ -200,7 +201,7 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
             let cost = if u == v {
                 0.0
             } else {
-                alpha * loads.cl[at] + beta * loads.nl_between(v, u)
+                alpha * loads.cl[at] + beta * nl_from_v(u)
             };
             Reverse(CostEntry {
                 cost,
@@ -226,9 +227,9 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
 /// unsatisfiable.
 ///
 /// Start nodes are evaluated on worker threads with a deterministic
-/// reduction (outputs keep input order), and a tiered network-load
-/// representation switches to bucketed per-switch generation — both paths
-/// produce byte-identical candidates to the serial dense path.
+/// reduction (outputs keep input order), and a network load over more
+/// than one switch switches to bucketed per-switch generation — both
+/// paths produce byte-identical candidates to the serial per-start path.
 pub fn generate_all_candidates(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Vec<Candidate> {
     let cands: Vec<Candidate> = match TieredBuckets::build(loads, n, alpha, beta) {
         Some(buckets) => generate_all_tiered(loads, &buckets),
@@ -275,7 +276,8 @@ fn max_abs(m: f64, x: f64) -> f64 {
 impl ForeignIndex {
     /// The index over `loads`' stream switches, or `None` when there are
     /// too few of them for a row to leave any out. O(S²) once.
-    pub(crate) fn build(loads: &Loads, t: &TieredNl) -> Option<ForeignIndex> {
+    pub(crate) fn build(loads: &Loads) -> Option<ForeignIndex> {
+        let t = &loads.nl;
         let s_count = t.num_switches();
         let mut has_stream = vec![false; s_count];
         let mut max_cl = 0.0;
@@ -343,8 +345,9 @@ pub(crate) struct SwitchStreams {
 }
 
 impl SwitchStreams {
-    /// The streams of `loads` over `t`'s switches. O(V log V) once.
-    pub(crate) fn build(loads: &Loads, t: &TieredNl) -> SwitchStreams {
+    /// The streams of `loads` over its switches. O(V log V) once.
+    pub(crate) fn build(loads: &Loads) -> SwitchStreams {
+        let t = &loads.nl;
         let switch: Vec<u32> = loads.usable.iter().map(|&u| t.switch_of_node(u)).collect();
         // per switch, the first position of its run and one past the last
         let offsets = |run: &[usize]| -> Vec<usize> {
@@ -447,14 +450,18 @@ struct Seeded {
 }
 
 impl<'a> TieredBuckets<'a> {
-    /// The buckets of one decision over a tiered `loads`; `None` on a
-    /// dense one.
+    /// The buckets of one decision over `loads`; `None` on one switch
+    /// (a central derivation), where every foreign prefix is empty and
+    /// the per-start heap path prunes by start, not by switch.
     pub(crate) fn build(loads: &'a Loads, n: u32, alpha: f64, beta: f64) -> Option<Self> {
-        let t = loads.nl.as_tiered()?;
-        let memo = loads.switch_streams()?;
+        let t: &TieredNl = &loads.nl;
+        if t.num_switches() == 1 {
+            return None;
+        }
+        let memo = loads.switch_streams();
         // the merge key is α·CL + const(switch), so (α·CL, id) is merge
         // order; ties in α·CL (notably the whole stream when α = 0) fall
-        // back to id order, matching the dense sort exactly. The memo's
+        // back to id order, matching the per-start sort exactly. The memo's
         // (CL, id) order is that order unless α ≤ 0 or α·CL rounds two
         // CLs together and their ids then run backwards: only such a
         // stream is copied and sorted
@@ -516,7 +523,8 @@ impl<'a> TieredBuckets<'a> {
 
     /// The merge cost of a node with compute load `cl` on switch `s`, as a
     /// start node on switch `sv` sees it. Computed with the exact same
-    /// float expression as the dense path so merge order is bit-identical.
+    /// float expression as the per-start path so merge order is
+    /// bit-identical.
     fn foreign_cost(&self, sv: u32, s: u32, cl: f64) -> f64 {
         self.alpha * cl + self.beta * self.t.inter_value(sv, s)
     }
@@ -538,11 +546,11 @@ impl<'a> TieredBuckets<'a> {
     /// The merge's candidate heads come from `sv`'s neighbourhood when
     /// [`Self::near_heads`] can certify them: O(L) head costs, not
     /// O(S). It falls back to every foreign head when the `Loads` has no
-    /// [`ForeignIndex`] (a dense representation, or at most
-    /// `NEIGHBOURHOOD + 1` switches with capacity), when a weight is
-    /// negative, −0 or not finite, when a weight times the largest |CL| or
-    /// |inter value| overflows, when `k = ⌈n / smallest head pc⌉` exceeds
-    /// the neighbourhood, or when the certificate does not hold strictly.
+    /// [`ForeignIndex`] (at most `NEIGHBOURHOOD + 1` switches with
+    /// capacity), when a weight is negative, −0 or not finite, when a
+    /// weight times the largest |CL| or |inter value| overflows, when
+    /// `k = ⌈n / smallest head pc⌉` exceeds the neighbourhood, or when
+    /// the certificate does not hold strictly.
     ///
     /// Stream heads enter a min-heap over their keys; a stream is seeded
     /// only once its head cost ties or undercuts the cheapest pushed
@@ -553,7 +561,7 @@ impl<'a> TieredBuckets<'a> {
     /// equal-cost *runs* are therefore pushed together (runs are
     /// contiguous because cost is monotone in α·CL), and seeding on cost
     /// ties puts every item that could win the id tie-break in the heap
-    /// before the minimum pops, exactly as the dense sort orders them.
+    /// before the minimum pops, exactly as the per-start sort orders them.
     fn foreign_prefix(&self, sv: u32) -> Vec<ForeignItem> {
         let seeds = self.near_heads(sv).unwrap_or_else(|| {
             self.heads
@@ -716,6 +724,7 @@ impl<'a> TieredBuckets<'a> {
     /// `m`-node switch.
     fn merge_for(&self, v: NodeId, prefix: &[ForeignItem]) -> Candidate {
         let sv = self.t.switch_of_node(v);
+        let nl_from_v = self.t.row(v);
         let mut own: Vec<(f64, NodeId, u32)> = self
             .stream(sv)
             .iter()
@@ -723,7 +732,7 @@ impl<'a> TieredBuckets<'a> {
                 let cost = if u == v {
                     0.0
                 } else {
-                    self.alpha * cl + self.beta * self.t.get(v, u)
+                    self.alpha * cl + self.beta * nl_from_v(u)
                 };
                 (cost, u, pc)
             })
@@ -750,8 +759,8 @@ impl<'a> TieredBuckets<'a> {
     }
 }
 
-/// Bucketed generation over a tiered representation: one foreign prefix
-/// per switch, switches fanned out across workers. Output is in
+/// Bucketed generation over several switches: one foreign prefix per
+/// switch, switches fanned out across workers. Output is in
 /// `loads.usable` order.
 fn generate_all_tiered(loads: &Loads, buckets: &TieredBuckets) -> Vec<Candidate> {
     let active: Vec<u32> = buckets.start_switches().collect();
@@ -989,7 +998,7 @@ mod tests {
             s.iter().map(|&(cl, pc, u)| (cl.to_bits(), pc, u)).collect()
         };
         for (what, l) in [("collided", &collided()), ("nan", &nan)] {
-            let t = l.nl.as_tiered().unwrap();
+            let t = &l.nl;
             for alpha in [0.0, -0.0, -0.3, 1e-300, 0.3, 1e300] {
                 let b = TieredBuckets::build(l, 8, alpha, 0.7).unwrap();
                 // α ≤ 0 and the rounding ties must take the copy; α = 0.3

@@ -52,5 +52,5 @@ pub use policies::{
 };
 pub use request::{AllocError, Allocation, AllocationRequest};
 pub use scalable::{allocate_pruned, PrunedSelection};
-pub use tiered::{NlRep, TieredNl};
+pub use tiered::TieredNl;
 pub use weights::{ComputeWeights, NetworkWeights};

@@ -2,13 +2,14 @@
 //! compute load `CL_v` (Eq. 1), network load `NL_(u,v)` (Eq. 2), and
 //! effective processor count `pc_v` (Eq. 3).
 //!
-//! Eq. 2 has one implementation for both snapshot shapes. A dense
-//! snapshot gives one input per usable pair. A block snapshot gives one
-//! per intra-shard pair and one per shard pair, read by all its cross
-//! pairs. Eq. 2's sums over the usable pairs are exact sums, rounded
-//! once, that add each input times the number of pairs reading it, so
-//! both shapes derive the same NL values by construction, in
-//! O(Σ m_s² + S²) adds on blocks.
+//! Eq. 2 has one implementation for both snapshot shapes, and both derive
+//! a [`TieredNl`]. A dense (central-monitor) snapshot is one bucket with
+//! one input per usable pair. A block snapshot gives one input per
+//! intra-shard pair and one per shard pair, read by all its cross pairs.
+//! Eq. 2's sums over the usable pairs are exact sums, rounded once, that
+//! add each input times the number of pairs reading it, so both shapes
+//! derive the same NL values by construction, in O(Σ m_s² + S²) adds on
+//! blocks.
 
 use crate::candidate::{ForeignIndex, SwitchStreams};
 use crate::exact;
@@ -17,14 +18,12 @@ use crate::saw::{saw_scores, Column, Criterion};
 use crate::scalable::FracMin;
 use crate::tiered::TieredNl;
 use crate::weights::{ComputeWeights, NetworkWeights};
-use nlrm_monitor::{pair_index, BlockPairs, ClusterSnapshot, LatencyStat, PairSource, SymMatrix};
+use nlrm_monitor::{pair_index, BlockPairs, ClusterSnapshot, LatencyStat, PairSource};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-
-pub use crate::tiered::NlRep;
 
 /// How load derivation degrades when monitoring data has gone stale
 /// (daemons crashed, hung, or their writes were delayed).
@@ -90,11 +89,12 @@ pub struct Loads {
     pub usable: Vec<NodeId>,
     /// Compute load per usable node (parallel to `usable`). Lower is better.
     pub cl: Vec<f64>,
-    /// Pairwise network load over the node-id space — dense (exact V×V) or
-    /// tiered (exact intra-switch, aggregated inter-switch). Only entries
-    /// between usable nodes are meaningful. Lower is better. Shared, not
-    /// copied, by every [`Loads::restrict`] view of this derivation.
-    pub nl: Arc<NlRep>,
+    /// Pairwise network load, exact within a switch and one value per
+    /// switch pair (a central derivation is one switch, every pair
+    /// exact). Only entries between usable nodes are meaningful. Lower is
+    /// better. Shared, not copied, by every [`Loads::restrict`] view of
+    /// this derivation.
+    pub nl: Arc<TieredNl>,
     /// Effective processor count per usable node (parallel to `usable`).
     pub pc: Vec<u32>,
     /// Position in the usable arrays per node id (dense over the id space
@@ -111,12 +111,12 @@ pub struct Loads {
     /// smallest of those: the pruned allocator's network bound inputs,
     /// computed on first use.
     min_incident: OnceLock<(Vec<f64>, f64)>,
-    /// The tiered foreign-switch neighbourhoods (`None` on a dense
-    /// representation or too few switches), built on first use.
+    /// The foreign-switch neighbourhoods (`None` with too few switches),
+    /// built on first use.
     foreign: OnceLock<Option<ForeignIndex>>,
-    /// The tiered per-switch streams in `(CL, id)` order and start
-    /// positions (`None` on a dense representation), built on first use.
-    streams: OnceLock<Option<SwitchStreams>>,
+    /// The per-switch streams in `(CL, id)` order and start positions,
+    /// built on first use.
+    streams: OnceLock<SwitchStreams>,
     /// The fractional-knapsack compute minimum over every usable node,
     /// built on first use.
     frac_min: OnceLock<FracMin>,
@@ -168,8 +168,8 @@ impl Loads {
             .validate()
             .map_err(AllocError::InvalidRequest)?;
         policy.validate()?;
-        // counted so schedulers can prove how often they pay for the
-        // O(V²) matrix build (the broker's batched-cycle test relies on it)
+        // counted so schedulers can prove how often they pay for Eq. 2
+        // (the broker's batched-cycle test relies on it)
         nlrm_obs::ctx::inc("loads_derive_total");
         let mut usable: Vec<NodeId> = Vec::new();
         let mut excluded = 0usize;
@@ -305,7 +305,7 @@ impl Loads {
 
         // --- Eq. 2: pairwise network load, kept in the snapshot's shape ---
         let nl = match &snap.pairs {
-            PairSource::Dense(_) => dense_network_load(snap, &usable, network_weights, policy),
+            PairSource::Dense(_) => central_network_load(snap, &usable, network_weights, policy),
             PairSource::Blocks(b) => block_network_load(snap, b, &usable, network_weights, policy),
         };
 
@@ -335,7 +335,7 @@ impl Loads {
     pub fn from_parts(
         usable: Vec<NodeId>,
         cl: Vec<f64>,
-        nl: impl Into<NlRep>,
+        nl: impl Into<TieredNl>,
         pc: Vec<u32>,
     ) -> Loads {
         Self::assemble(usable, cl, Arc::new(nl.into()), pc)
@@ -363,7 +363,7 @@ impl Loads {
         Self::assemble(usable, cl, Arc::clone(&self.nl), pc)
     }
 
-    fn assemble(usable: Vec<NodeId>, cl: Vec<f64>, nl: Arc<NlRep>, pc: Vec<u32>) -> Loads {
+    fn assemble(usable: Vec<NodeId>, cl: Vec<f64>, nl: Arc<TieredNl>, pc: Vec<u32>) -> Loads {
         assert_eq!(usable.len(), cl.len());
         assert_eq!(usable.len(), pc.len());
         assert!(usable.len() < NOT_USABLE as usize, "too many usable nodes");
@@ -387,15 +387,15 @@ impl Loads {
         }
     }
 
-    /// Convert the network-load representation to the tiered form using a
-    /// topology's switch assignment: intra-switch pairs keep their exact
-    /// values, inter-switch cells aggregate to the per-switch-pair mean.
-    /// A no-op when the representation is already tiered.
+    /// Regroup a one-switch network load over a topology's switches (see
+    /// [`TieredNl::regroup`]): intra-switch pairs keep their exact values,
+    /// inter-switch cells aggregate to the per-switch-pair mean. A no-op
+    /// when the representation already has more than one switch.
     pub fn into_tiered(self, index: &SwitchIndex) -> Loads {
-        let NlRep::Dense(d) = &*self.nl else {
+        if self.nl.num_switches() != 1 {
             return self;
-        };
-        let nl = TieredNl::from_dense(d, &self.usable, index);
+        }
+        let nl = self.nl.regroup(&self.usable, index);
         Loads::from_parts(self.usable, self.cl, nl, self.pc)
     }
 
@@ -436,9 +436,8 @@ impl Loads {
         self.c_all
     }
 
-    /// Σ NL over all usable pairs (computed once, on first use). The
-    /// tiered representation sums switch blocks instead of walking V²
-    /// pairs.
+    /// Σ NL over all usable pairs (computed once, on first use), summing
+    /// switch blocks instead of walking V² pairs.
     pub fn total_network_load(&self) -> f64 {
         *self.n_all.get_or_init(|| self.nl.pair_sum(&self.usable))
     }
@@ -455,21 +454,17 @@ impl Loads {
         (per_node, *min)
     }
 
-    /// The foreign-switch neighbourhoods of a tiered representation, built
-    /// once, on first use; `None` on a dense one or when every switch's
-    /// foreign switches fit one neighbourhood.
+    /// The foreign-switch neighbourhoods, built once, on first use;
+    /// `None` when every switch's foreign switches fit one neighbourhood.
     pub(crate) fn foreign_index(&self) -> Option<&ForeignIndex> {
         self.foreign
-            .get_or_init(|| ForeignIndex::build(self, self.nl.as_tiered()?))
+            .get_or_init(|| ForeignIndex::build(self))
             .as_ref()
     }
 
-    /// The per-switch streams and starts of a tiered representation,
-    /// built once, on first use; `None` on a dense one.
-    pub(crate) fn switch_streams(&self) -> Option<&SwitchStreams> {
-        self.streams
-            .get_or_init(|| Some(SwitchStreams::build(self, self.nl.as_tiered()?)))
-            .as_ref()
+    /// The per-switch streams and starts, built once, on first use.
+    pub(crate) fn switch_streams(&self) -> &SwitchStreams {
+        self.streams.get_or_init(|| SwitchStreams::build(self))
     }
 
     /// The fractional-knapsack compute minimum over every usable node,
@@ -575,8 +570,8 @@ type Stretch = (Range<usize>, usize, Option<Duration>, Option<Duration>);
 /// then normalized by their sums over the usable pairs and combined with
 /// `w_lt`/`w_bw` into `lat`, which is rescaled to unit mean over the
 /// usable pairs. Each sum over the usable pairs is exact, an input taken
-/// `count` times, so every input gets the value a per-pair dense
-/// derivation gives it.
+/// `count` times, so every input gets the value a derivation with one
+/// input per pair gives it.
 fn network_load(
     snap: &ClusterSnapshot,
     lat: &mut [f64],
@@ -619,35 +614,33 @@ fn network_load(
     }
 }
 
-/// Eq. 2 on a dense snapshot: one input per usable pair, row-major.
-fn dense_network_load(
+/// Eq. 2 on a dense snapshot, the central monitor's shape: one bucket
+/// in the [`BucketPairs`] layout, one input per usable pair.
+fn central_network_load(
     snap: &ClusterSnapshot,
     usable: &[NodeId],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> NlRep {
-    let pairs: Vec<(NodeId, NodeId)> = usable
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &u)| usable[i + 1..].iter().map(move |&v| (u, v)))
-        .collect();
-    let (mut lat, mut cbw): (Vec<f64>, Vec<f64>) =
-        pairs.iter().map(|&(u, v)| eq2_inputs(snap, u, v)).unzip();
+) -> TieredNl {
+    let order = BucketPairs::new(1, usable, |_| 0);
+    let mut lat = Vec::with_capacity(order.len());
+    let mut cbw = Vec::with_capacity(order.len());
     // once, not per walk: the Eq. 2 sums walk the stretches three times
-    let ages: Vec<_> = pairs
-        .iter()
-        .map(|&(u, v)| (snap.latency_age(u, v), snap.bandwidth_age(u, v)))
-        .collect();
+    let mut ages = Vec::with_capacity(order.len());
+    for (i, &u) in usable.iter().enumerate() {
+        for &v in &usable[i + 1..] {
+            let (l, c) = eq2_inputs(snap, u, v);
+            lat.push(l);
+            cbw.push(c);
+            ages.push((snap.latency_age(u, v), snap.bandwidth_age(u, v)));
+        }
+    }
     let stretches = ages
         .iter()
         .enumerate()
         .map(|(x, &(l, b))| (x..x + 1, 1, l, b));
     network_load(snap, &mut lat, &mut cbw, stretches, weights, policy);
-    let mut out = SymMatrix::new(snap.num_nodes(), 0.0);
-    for ((u, v), x) in pairs.into_iter().zip(lat) {
-        out.set(u, v, x);
-    }
-    NlRep::Dense(out)
+    order.into_tiered(&lat)
 }
 
 /// Eq. 2 on a block snapshot, straight into a [`TieredNl`] with no V×V
@@ -663,7 +656,7 @@ fn block_network_load(
     usable: &[NodeId],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
-) -> NlRep {
+) -> TieredNl {
     let shards = blocks.blocks();
     let k = shards.len() + 1;
     let order = BucketPairs::new(k, usable, |u| blocks.slot(u).map_or(k - 1, |(b, _)| b));
@@ -716,7 +709,7 @@ fn block_network_load(
         weights,
         policy,
     );
-    NlRep::Tiered(order.into_tiered(&lat))
+    order.into_tiered(&lat)
 }
 
 /// The usable pairs of a bucketed universe, laid out as one column: each
@@ -802,7 +795,7 @@ mod tests {
     use nlrm_cluster::iitk::small_cluster;
     use nlrm_monitor::codec::{decode, encode, MonitorRecord};
     use nlrm_monitor::store::paths;
-    use nlrm_monitor::MonitorRuntime;
+    use nlrm_monitor::{MonitorRuntime, SymMatrix};
     use nlrm_sim_core::time::{Duration, SimTime};
 
     fn snapshot(n: usize, seed: u64) -> ClusterSnapshot {
@@ -1137,15 +1130,15 @@ mod tests {
 
     #[test]
     fn restrict_shares_nl_and_matches_from_parts() {
-        let dense = derive(&snapshot(8, 3));
-        let tiered = dense.clone().into_tiered(&SwitchIndex::uniform(8, 3));
+        let central = derive(&snapshot(8, 3));
+        let tiered = central.clone().into_tiered(&SwitchIndex::uniform(8, 3));
         // drop nodes 1 and 6, halve the capacity of the even ones
         let capacity = |n: NodeId, pc: u32| match n.0 {
             1 | 6 => 0,
             i if i % 2 == 0 => pc / 2,
             _ => pc,
         };
-        for base in [&dense, &tiered] {
+        for base in [&central, &tiered] {
             let view = base.restrict(capacity);
             assert!(Arc::ptr_eq(&view.nl, &base.nl), "NL was copied");
             let kept: Vec<NodeId> = base
@@ -1188,22 +1181,22 @@ mod tests {
 
     #[test]
     fn restrict_view_memoizes_its_own_min_incident() {
-        let dense = derive(&snapshot(8, 3));
-        let tiered = dense.clone().into_tiered(&SwitchIndex::uniform(8, 3));
-        for base in [&dense, &tiered] {
+        let central = derive(&snapshot(8, 3));
+        let tiered = central.clone().into_tiered(&SwitchIndex::uniform(8, 3));
+        for base in [&central, &tiered] {
             // fill the base's memos first: the view must not inherit them
             let (base_min, _) = base.min_incident();
             assert_eq!(base_min.len(), base.usable.len());
-            let base_streams = base.switch_streams().cloned();
+            let base_streams = base.switch_streams().clone();
             let view = base.restrict(|n, pc| match n.0 % 3 {
                 1 => 0,
                 2 => pc / 2,
                 _ => pc,
             });
             // a view's streams carry its own pc, never its parent's
-            let fresh = view.nl.as_tiered().map(|t| SwitchStreams::build(&view, t));
-            assert_eq!(view.switch_streams(), fresh.as_ref());
-            assert!(fresh.is_none() || base_streams != fresh);
+            let fresh = SwitchStreams::build(&view);
+            assert_eq!(view.switch_streams(), &fresh);
+            assert_ne!(base_streams, fresh);
             let want = view.nl.min_incident(&view.usable);
             let (got, global) = view.min_incident();
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

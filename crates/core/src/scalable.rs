@@ -20,7 +20,7 @@
 //!   capacity) and must cover `min(n, capacity)` processes, so
 //!   `C_G ≥ max(CL_v, fmin)` where `fmin` is the fractional-knapsack minimum
 //!   of `Σ CL` over nodes whose `pc` sums to the demand (density order,
-//!   prefix sums, O(log V) per query). On a tiered representation the
+//!   prefix sums, O(log V) per query). Over more than one switch the
 //!   candidate from `v` draws its other nodes only from `v`'s *switch
 //!   pool*: its own switch plus the switch's foreign prefix (see
 //!   [`TieredBuckets`](crate::candidate)). So
@@ -47,14 +47,15 @@
 //! What depends on the `Loads` alone is memoized on it on first use:
 //! every node's minimum incident NL with their global minimum, the
 //! universe `fmin` in full density order (one O(log V) query), and the
-//! tiered streams and foreign neighbourhoods that the switch pools read
+//! per-switch streams and foreign neighbourhoods that the switch pools read
 //! (see [`TieredBuckets`](crate::candidate)). A decision pays only for
 //! what depends on its request (n, α, β); a [`Loads::restrict`] view
 //! starts with its own empty memos.
 //!
-//! The search is organised around *switch classes*: on a tiered
-//! representation the starts of one switch form a class (they share one
-//! foreign prefix); on a dense one each start is its own class. Classes
+//! The search is organised around *switch classes*: over several switches
+//! the starts of one switch form a class (they share one foreign prefix);
+//! on one switch (a central derivation) each start is its own class, so
+//! a class is never the whole universe. Classes
 //! ascend by their least member's `(bound, id)`, found in one scan; a
 //! class's starts are sorted by `(bound, id)` only once a wave reaches
 //! it. Classes are expanded in waves of 1, 2, 4, 8, …
@@ -182,7 +183,7 @@ pub fn start_bounds(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Vec<f64> {
     lower_bounds(loads, n, alpha, beta).1
 }
 
-/// The tiered buckets (on a tiered representation), the per-start lower
+/// The switch buckets (over more than one switch), the per-start lower
 /// bounds on `group_cost` (see the module doc), and the smallest NL
 /// between two usable nodes (∞ for a lone node).
 fn lower_bounds(
@@ -326,7 +327,7 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
     // term alone above the bar already loses
     let skip_network = beta >= 0.0 && min_nl >= 0.0;
 
-    // switch classes (one per start on a dense rep) as (bound, position,
+    // switch classes (one per start on one switch) as (bound, position,
     // switch) of their least (bound, id) member, ascending; a class's
     // members are sorted only once a wave reaches it
     let by_bound = |a: &(f64, usize), b: &(f64, usize)| {

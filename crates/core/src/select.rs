@@ -22,8 +22,8 @@ pub fn group_compute_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
 /// Total network load of a group: `N_G = Σ_{(x,y) ∈ E_G} NL_(x,y)` over all
 /// node pairs of the (complete) sub-graph.
 ///
-/// Summed by [`NlRep::group_sum`](crate::tiered::NlRep::group_sum), which
-/// keeps the plain `i < j` pair order on every representation.
+/// Summed by [`TieredNl::group_sum`](crate::tiered::TieredNl::group_sum),
+/// which keeps the plain `i < j` pair order.
 pub fn group_network_load(loads: &Loads, nodes: &[NodeId]) -> f64 {
     loads.nl.group_sum(nodes)
 }

@@ -1,9 +1,9 @@
-//! Tiered network-load representation: exact intra-switch pairs, aggregated
-//! per-switch-pair values across switches.
+//! The allocator's one network-load representation: exact intra-switch
+//! pairs, one value per switch pair across switches.
 //!
 //! The paper assumes a tree of switches where every node pair crossing the
 //! same pair of switches sees the same trunk (§5's 4-switch testbed). Under
-//! that model a dense V×V pair matrix is redundant: the network load between
+//! that model a V×V pair matrix is redundant: the network load between
 //! two nodes on *different* switches is a property of the switch pair, not
 //! of the nodes. [`TieredNl`] stores
 //!
@@ -11,18 +11,19 @@
 //!   measured values), and
 //! * one S×S matrix of inter-switch values: exact when derived from a
 //!   sharded snapshot (every cross pair of a switch pair reads the same
-//!   estimate), the mean when collapsed from a dense matrix,
+//!   estimate), the mean when [regrouped](TieredNl::regroup) from one
+//!   switch,
 //!
 //! which is O(Σ m_s² + S²) memory instead of O(V²) — at 100k nodes in
-//! 48-node switches, ~75 MB instead of ~80 GB. The mean aggregation is
-//! *sum-preserving* per switch pair, so group network loads summed over
-//! many cross pairs stay close to the dense value, and are exactly equal
-//! whenever the tree-topology model holds (all cross pairs equal). The
-//! universe total ([`TieredNl::pair_sum`]) is an exact sum, rounded once,
-//! so it equals the dense total bit for bit in that case too.
-//!
-//! [`NlRep`] is the dispatch enum the allocator's [`Loads`](crate::loads::Loads)
-//! carries behind its existing `nl_between` API.
+//! 48-node switches, ~75 MB instead of ~80 GB. A central monitor's
+//! derivation, which measures every pair, is the one-switch case: all of
+//! its pairs are exact intra values, as in a dense matrix. The mean
+//! aggregation is *sum-preserving* per switch pair, so group network
+//! loads summed over many cross pairs stay close to the one-switch value,
+//! and are exactly equal whenever the tree-topology model holds (all
+//! cross pairs equal). The universe total ([`TieredNl::pair_sum`]) is an
+//! exact sum, rounded once, so it equals the one-switch total bit for bit
+//! in that case too.
 
 use crate::exact;
 use nlrm_monitor::SymMatrix;
@@ -31,11 +32,10 @@ use nlrm_topology::{NodeId, SwitchIndex};
 /// Tiered pairwise network load: exact within a switch, aggregated across.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieredNl {
-    /// Switch index per node id (dense over the node-id space);
-    /// `u32::MAX` marks nodes the representation does not cover.
-    switch_of: Vec<u32>,
-    /// Position of a node within its switch's `members` list.
-    local_of: Vec<u32>,
+    /// Per node id (dense over the node-id space), its switch and its
+    /// position in that switch's `members` list; switch `u32::MAX` marks
+    /// nodes the representation does not cover.
+    at: Vec<(u32, u32)>,
     /// Covered nodes per switch, ascending node id.
     members: Vec<Vec<NodeId>>,
     /// Per-switch exact matrix, `m×m` row-major by local index.
@@ -110,28 +110,27 @@ impl TieredNl {
             .map(|n| n.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut switch_of = vec![UNCOVERED; max_id];
-        let mut local_of = vec![0u32; max_id];
+        let mut at = vec![(UNCOVERED, 0); max_id];
         for (s, ms) in members.iter().enumerate() {
             for (i, &n) in ms.iter().enumerate() {
-                assert_eq!(switch_of[n.index()], UNCOVERED, "duplicate node {n}");
-                switch_of[n.index()] = s as u32;
-                local_of[n.index()] = i as u32;
+                assert_eq!(at[n.index()].0, UNCOVERED, "duplicate node {n}");
+                at[n.index()] = (s as u32, i as u32);
             }
         }
         TieredNl {
-            switch_of,
-            local_of,
+            at,
             members,
             intra,
             inter,
         }
     }
 
-    /// Collapse a dense matrix into the tiered form: intra-switch pairs are
-    /// copied exactly; each inter-switch cell becomes the *mean* over the
-    /// member cross pairs (sum-preserving, so group sums stay calibrated).
-    pub fn from_dense(dense: &SymMatrix<f64>, nodes: &[NodeId], index: &SwitchIndex) -> TieredNl {
+    /// The same pair values over `index`'s switches: intra-switch pairs
+    /// are copied exactly; each inter-switch cell becomes the *mean* over
+    /// its cross pairs of `nodes` (sum-preserving, so group sums stay
+    /// calibrated). Meant for a one-switch representation, whose every
+    /// pair is exact.
+    pub fn regroup(&self, nodes: &[NodeId], index: &SwitchIndex) -> TieredNl {
         let switch_of: Vec<u32> = nodes.iter().map(|&n| index.switch_of(n).0).collect();
         // mean per switch pair, computed over the covered node set
         let s_count = index.num_switches();
@@ -141,7 +140,7 @@ impl TieredNl {
             for &v in &nodes[i + 1..] {
                 let (su, sv) = (index.switch_of(u).0 as usize, index.switch_of(v).0 as usize);
                 if su != sv {
-                    sums[su * s_count + sv] += dense.get(u, v);
+                    sums[su * s_count + sv] += self.get(u, v);
                     counts[su * s_count + sv] += 1;
                     sums[sv * s_count + su] = sums[su * s_count + sv];
                     counts[sv * s_count + su] = counts[su * s_count + sv];
@@ -152,7 +151,7 @@ impl TieredNl {
             nodes,
             &switch_of,
             s_count,
-            |u, v| dense.get(u, v),
+            |u, v| self.get(u, v),
             |s, t| {
                 let k = s as usize * s_count + t as usize;
                 if counts[k] == 0 {
@@ -171,9 +170,14 @@ impl TieredNl {
 
     /// Switch bucket of a covered node.
     pub fn switch_of_node(&self, n: NodeId) -> u32 {
-        let s = self.switch_of[n.index()];
-        debug_assert_ne!(s, UNCOVERED, "node {n} not covered by tiered NL");
-        s
+        self.locate(n).0
+    }
+
+    /// `(switch, local index)` of a covered node.
+    fn locate(&self, n: NodeId) -> (u32, u32) {
+        let at = self.at[n.index()];
+        debug_assert_ne!(at.0, UNCOVERED, "node {n} not covered by tiered NL");
+        at
     }
 
     /// Aggregated value for a switch pair (`s ≠ t`).
@@ -184,14 +188,23 @@ impl TieredNl {
 
     /// Network load between two distinct covered nodes.
     pub fn get(&self, u: NodeId, v: NodeId) -> f64 {
-        let (su, sv) = (self.switch_of[u.index()], self.switch_of[v.index()]);
-        debug_assert!(su != UNCOVERED && sv != UNCOVERED);
-        if su == sv {
-            let m = self.members[su as usize].len();
-            self.intra[su as usize]
-                [self.local_of[u.index()] as usize * m + self.local_of[v.index()] as usize]
-        } else {
-            self.inter[su as usize * self.members.len() + sv as usize]
+        self.row(u)(v)
+    }
+
+    /// `v ↦ get(u, v)` with `u`'s rows looked up once: the addition costs
+    /// of one start node read a whole row.
+    pub fn row(&self, u: NodeId) -> impl Fn(NodeId) -> f64 + '_ {
+        let (su, lu) = self.locate(u);
+        let m = self.members[su as usize].len();
+        let intra_row = &self.intra[su as usize][lu as usize * m..][..m];
+        let inter_row = &self.inter[su as usize * self.members.len()..][..self.members.len()];
+        move |v| {
+            let (sv, lv) = self.locate(v);
+            if sv == su {
+                intra_row[lv as usize]
+            } else {
+                inter_row[sv as usize]
+            }
         }
     }
 
@@ -210,7 +223,7 @@ impl TieredNl {
             &mut spill
         };
         for (slot, &u) in loc.iter_mut().zip(nodes) {
-            *slot = (self.switch_of[u.index()], self.local_of[u.index()]);
+            *slot = self.at[u.index()];
         }
         let s_count = self.members.len();
         let mut sum = 0.0;
@@ -233,13 +246,14 @@ impl TieredNl {
     /// nodes), in O(Σ m_s² + S²) instead of O(|usable|²): each switch's
     /// usable intra pairs read off its matrix, and each switch pair's
     /// inter value taken `count_s · count_t` times. The sum is exact,
-    /// rounded once, so it equals a dense matrix's [`NlRep::pair_sum`]
+    /// rounded once, so it equals the one-switch representation's total
     /// over the same pair values bit for bit.
     pub fn pair_sum(&self, usable: &[NodeId]) -> f64 {
         let s_count = self.members.len();
         let mut local: Vec<Vec<usize>> = vec![Vec::new(); s_count];
         for &n in usable {
-            local[self.switch_of_node(n) as usize].push(self.local_of[n.index()] as usize);
+            let (s, l) = self.locate(n);
+            local[s as usize].push(l as usize);
         }
         let mats = self.intra.iter().zip(&self.members);
         let intra = local.iter().zip(mats).flat_map(|(ls, (mat, ms))| {
@@ -270,9 +284,9 @@ impl TieredNl {
             .collect();
         let mut occupied = vec![false; s_count];
         for &n in usable {
-            let s = self.switch_of_node(n) as usize;
-            live[s][self.local_of[n.index()] as usize] = true;
-            occupied[s] = true;
+            let (s, l) = self.locate(n);
+            live[s as usize][l as usize] = true;
+            occupied[s as usize] = true;
         }
         // min of `row` over the entries whose `keep` flag is set, without
         // the diagonal entry `at`
@@ -289,9 +303,9 @@ impl TieredNl {
         usable
             .iter()
             .map(|&u| {
-                let s = self.switch_of_node(u) as usize;
+                let (s, lu) = self.locate(u);
+                let (s, lu) = (s as usize, lu as usize);
                 let m = self.members[s].len();
-                let lu = self.local_of[u.index()] as usize;
                 let row = &self.intra[s][lu * m..][..m];
                 min_inter[s].min(row_min(row, &live[s], lu))
             })
@@ -299,91 +313,14 @@ impl TieredNl {
     }
 }
 
-/// The network-load representation carried by `Loads`, behind `nl_between`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NlRep {
-    /// Exact V×V pair matrix (the original representation).
-    Dense(SymMatrix<f64>),
-    /// Exact intra-switch, aggregated inter-switch.
-    Tiered(TieredNl),
-}
-
-impl NlRep {
-    /// Value for a distinct pair.
-    pub fn get(&self, u: NodeId, v: NodeId) -> f64 {
-        match self {
-            NlRep::Dense(m) => m.get(u, v),
-            NlRep::Tiered(t) => t.get(u, v),
-        }
-    }
-
-    /// Σ over the `i < j` pairs of `nodes`, a repeated node counting 0:
-    /// the group network load `N_G`. Summed in the reference pair-loop
-    /// order on every representation, so bit-identical to it.
-    pub fn group_sum(&self, nodes: &[NodeId]) -> f64 {
-        match self {
-            NlRep::Dense(m) => {
-                let mut sum = 0.0;
-                for (i, &x) in nodes.iter().enumerate() {
-                    for &y in &nodes[i + 1..] {
-                        sum += if x == y { 0.0 } else { m.get(x, y) };
-                    }
-                }
-                sum
-            }
-            NlRep::Tiered(t) => t.group_sum(nodes),
-        }
-    }
-
-    /// Σ over all unordered pairs of `usable` (distinct nodes): exact,
-    /// rounded once, so independent of pair order and of representation.
-    pub fn pair_sum(&self, usable: &[NodeId]) -> f64 {
-        match self {
-            NlRep::Dense(m) => exact::sum(usable.iter().enumerate().flat_map(|(i, &u)| {
-                let row = m.row(u);
-                usable[i + 1..].iter().map(move |v| (row[v.index()], 1))
-            })),
-            NlRep::Tiered(t) => t.pair_sum(usable),
-        }
-    }
-
-    /// Per-node minimum NL to any other usable node (∞ for singletons).
-    pub fn min_incident(&self, usable: &[NodeId]) -> Vec<f64> {
-        match self {
-            NlRep::Dense(m) => usable
-                .iter()
-                .map(|&u| {
-                    let mut best = f64::INFINITY;
-                    for &v in usable {
-                        if v != u {
-                            best = best.min(m.get(u, v));
-                        }
-                    }
-                    best
-                })
-                .collect(),
-            NlRep::Tiered(t) => t.min_incident(usable),
-        }
-    }
-
-    /// The tiered structure, when this representation has one.
-    pub fn as_tiered(&self) -> Option<&TieredNl> {
-        match self {
-            NlRep::Tiered(t) => Some(t),
-            NlRep::Dense(_) => None,
-        }
-    }
-}
-
-impl From<SymMatrix<f64>> for NlRep {
-    fn from(m: SymMatrix<f64>) -> NlRep {
-        NlRep::Dense(m)
-    }
-}
-
-impl From<TieredNl> for NlRep {
-    fn from(t: TieredNl) -> NlRep {
-        NlRep::Tiered(t)
+/// A pair matrix as the one-switch representation over ids `0..n`: every
+/// off-diagonal entry is an exact intra value (the diagonal reads 0).
+impl From<SymMatrix<f64>> for TieredNl {
+    fn from(m: SymMatrix<f64>) -> TieredNl {
+        let nodes: Vec<NodeId> = (0..m.len() as u32).map(NodeId).collect();
+        let switch_of = vec![0; nodes.len()];
+        let no_pair = |_, _| unreachable!("one switch has no switch pair");
+        TieredNl::from_fns(&nodes, &switch_of, 1, |u, v| m.get(u, v), no_pair)
     }
 }
 
@@ -418,11 +355,31 @@ mod tests {
     }
 
     #[test]
+    fn a_matrix_is_the_one_switch_case() {
+        // a non-zero diagonal must not leak into a repeated node's pair
+        let mut dense = dense_6();
+        dense.set(NodeId(2), NodeId(2), 99.0);
+        let t = TieredNl::from(dense.clone());
+        assert_eq!(t.num_switches(), 1);
+        for u in 0..6u32 {
+            assert_eq!(t.switch_of_node(NodeId(u)), 0);
+            for v in (0..6u32).filter(|&v| v != u) {
+                assert_eq!(t.get(NodeId(u), NodeId(v)), dense.get(NodeId(u), NodeId(v)));
+            }
+        }
+        let group = [NodeId(2), NodeId(4), NodeId(2)];
+        assert_eq!(t.group_sum(&group), 2.0 * dense.get(NodeId(2), NodeId(4)));
+        let empty = TieredNl::from(SymMatrix::new(0, 0.0));
+        assert_eq!(empty.num_switches(), 1);
+        assert_eq!(empty.pair_sum(&[]), 0.0);
+    }
+
+    #[test]
     fn intra_pairs_are_exact() {
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
+        let t = TieredNl::from(dense.clone()).regroup(&nodes, &idx);
         for &(u, v) in &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)] {
             assert_eq!(t.get(NodeId(u), NodeId(v)), dense.get(NodeId(u), NodeId(v)));
             assert_eq!(t.get(NodeId(v), NodeId(u)), t.get(NodeId(u), NodeId(v)));
@@ -434,7 +391,7 @@ mod tests {
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
+        let t = TieredNl::from(dense.clone()).regroup(&nodes, &idx);
         let mut sum = 0.0;
         for u in 0..3u32 {
             for v in 3..6u32 {
@@ -457,10 +414,9 @@ mod tests {
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
-        let dense_rep = NlRep::Dense(dense);
-        let want = dense_rep.pair_sum(&nodes);
-        assert_eq!(t.pair_sum(&nodes).to_bits(), want.to_bits());
+        let one = TieredNl::from(dense);
+        let t = one.regroup(&nodes, &idx);
+        assert_eq!(t.pair_sum(&nodes).to_bits(), one.pair_sum(&nodes).to_bits());
     }
 
     #[test]
@@ -479,7 +435,7 @@ mod tests {
             }
         }
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
+        let t = TieredNl::from(dense.clone()).regroup(&nodes, &idx);
         for u in 0..6u32 {
             for v in (u + 1)..6 {
                 assert_eq!(t.get(NodeId(u), NodeId(v)), dense.get(NodeId(u), NodeId(v)));
@@ -510,7 +466,7 @@ mod tests {
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = TieredNl::from_dense(&dense, &nodes, &idx);
+        let t = TieredNl::from(dense.clone()).regroup(&nodes, &idx);
         let ids = |v: &[u32]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
         for subset in [
             ids(&[0, 1, 2, 3, 4, 5]),
@@ -568,7 +524,7 @@ mod tests {
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = NlRep::Tiered(TieredNl::from_dense(&dense, &nodes, &idx));
+        let t = TieredNl::from(dense).regroup(&nodes, &idx);
         // subset spanning both switches
         let subset = [NodeId(0), NodeId(2), NodeId(4)];
         let manual =
@@ -581,7 +537,7 @@ mod tests {
         let idx = index_2x3();
         let dense = dense_6();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let t = NlRep::Tiered(TieredNl::from_dense(&dense, &nodes, &idx));
+        let t = TieredNl::from(dense).regroup(&nodes, &idx);
         assert_eq!(t.min_incident(&[NodeId(1)]), vec![f64::INFINITY]);
     }
 
@@ -608,7 +564,7 @@ mod tests {
             |a, b| val(a.0, b.0),
             |s, q| val(s.min(q), s.max(q)) / 3.0,
         );
-        let reps = [NlRep::Dense(dense), NlRep::Tiered(t)];
+        let reps = [TieredNl::from(dense), t];
         // scrambled order, spanning every switch; the 70-node group
         // repeats one node
         let scrambled: Vec<NodeId> = (0..v).map(|i| NodeId((i * 37 + 11) % v)).collect();

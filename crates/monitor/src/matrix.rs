@@ -79,24 +79,6 @@ impl<T: Copy> SymMatrix<T> {
     }
 }
 
-impl SymMatrix<f64> {
-    /// Mean over the strict upper triangle (pairwise average, as used for a
-    /// group's network load). Returns 0 for matrices smaller than 2×2.
-    pub fn pair_mean(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (_, _, v) in self.pairs() {
-            sum += v;
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,25 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_mean_averages() {
-        let mut m = SymMatrix::new(3, 0.0);
-        m.set(NodeId(0), NodeId(1), 1.0);
-        m.set(NodeId(0), NodeId(2), 2.0);
-        m.set(NodeId(1), NodeId(2), 3.0);
-        assert!((m.pair_mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn set_row_mirrors() {
         let mut m = SymMatrix::new(3, 0.0);
         m.set_row(NodeId(1), &[4.0, 0.0, 6.0]);
         assert_eq!(m.get(NodeId(0), NodeId(1)), 4.0);
         assert_eq!(m.get(NodeId(2), NodeId(1)), 6.0);
-    }
-
-    #[test]
-    fn empty_matrix_pair_mean_is_zero() {
-        let m: SymMatrix<f64> = SymMatrix::new(1, 0.0);
-        assert_eq!(m.pair_mean(), 0.0);
     }
 }

@@ -62,33 +62,28 @@ pub enum FaultTarget {
 /// A fault schedule against the monitoring stack.
 pub type MonitorFaultPlan = FaultPlan<FaultTarget>;
 
-/// Configuration for the sharded monitoring topology.
+/// How often each shard reruns its intra-shard tournament and the
+/// inter-shard estimator resamples: the central latency cadence.
+const SHARD_PERIOD: Duration = Duration::from_secs(60);
+/// How often the gossip layer runs one anti-entropy round.
+const GOSSIP_PERIOD: Duration = Duration::from_secs(10);
+/// Gossip targets contacted per peer per round.
+const GOSSIP_FANOUT: usize = 2;
+/// Seed for the deterministic gossip target selection.
+const GOSSIP_SEED: u64 = 0x5ea1_ab1e;
+
+/// Configuration for the sharded monitoring topology. Shards sweep every
+/// 60 s and gossip every 10 s with fanout 2.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Node→shard assignment (usually `Topology::switch_index()`).
     pub index: SwitchIndex,
-    /// How often each shard reruns its intra-shard tournament and the
-    /// inter-shard estimator resamples.
-    pub shard_period: Duration,
-    /// How often the gossip layer runs one anti-entropy round.
-    pub gossip_period: Duration,
-    /// Gossip targets contacted per peer per round.
-    pub fanout: usize,
-    /// Seed for the deterministic gossip target selection.
-    pub gossip_seed: u64,
 }
 
 impl ShardConfig {
-    /// Defaults: sweep every 60 s (the central latency cadence), gossip
-    /// every 10 s with fanout 2.
+    /// Shards per `index`.
     pub fn new(index: SwitchIndex) -> ShardConfig {
-        ShardConfig {
-            index,
-            shard_period: Duration::from_secs(60),
-            gossip_period: Duration::from_secs(10),
-            fanout: 2,
-            gossip_seed: 0x5ea1_ab1e,
-        }
+        ShardConfig { index }
     }
 }
 
@@ -163,10 +158,10 @@ impl MonitorRuntime {
                     n,
                     "shard index must cover the whole cluster"
                 );
-                queue.push(t0 + cfg.shard_period, Tick::Shard);
-                queue.push(t0 + cfg.gossip_period, Tick::Gossip);
+                queue.push(t0 + SHARD_PERIOD, Tick::Shard);
+                queue.push(t0 + GOSSIP_PERIOD, Tick::Gossip);
                 let num_shards = cfg.index.num_switches();
-                let mut gossip = GossipNet::new(num_shards, cfg.fanout, cfg.gossip_seed);
+                let mut gossip = GossipNet::new(num_shards, GOSSIP_FANOUT, GOSSIP_SEED);
                 for s in 0..num_shards {
                     // empty shards (e.g. a campus router switch) never
                     // gossip; marking them dead keeps convergence honest
@@ -357,8 +352,7 @@ impl MonitorRuntime {
                 }
                 Tick::Shard => {
                     self.shard_tick(cluster, t);
-                    let period = self.sharded.as_ref().expect("sharded").cfg.shard_period;
-                    self.queue.push(t + period, tick);
+                    self.queue.push(t + SHARD_PERIOD, tick);
                 }
                 Tick::Gossip => {
                     let state = self.sharded.as_mut().expect("sharded");
@@ -380,8 +374,7 @@ impl MonitorRuntime {
                             .u64(state.gossip.rounds_run());
                         nlrm_obs::ctx::record_stream(t, "gossip", round.exchanges, fold.value());
                     }
-                    let period = state.cfg.gossip_period;
-                    self.queue.push(t + period, tick);
+                    self.queue.push(t + GOSSIP_PERIOD, tick);
                 }
                 Tick::Fault => {
                     for ev in self.faults.due(t) {

@@ -65,7 +65,7 @@ impl Duration {
     pub const MAX: Duration = Duration(u64::MAX);
 
     /// Construct from whole seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         Duration(secs * MICROS_PER_SEC)
     }
 

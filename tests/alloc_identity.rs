@@ -326,3 +326,47 @@ fn batched_broker_ticks_are_golden() {
         "batched broker events moved"
     );
 }
+
+/// The central monitor's derivation on seed 1: a digest of every usable
+/// pair's NL bits and of `total_network_load`'s bits, and the pruned
+/// allocator's `(n, α, cost bits, winner, expanded, pruned)` over a grid
+/// of requests. Captured while a central derivation still kept its own
+/// dense V×V matrix, so folding it into the one-switch tiered form must
+/// leave every NL bit and the pruned search shape where they were.
+#[test]
+fn central_derivation_and_pruned_search_are_golden() {
+    let (_, snap) = warm(1);
+    let loads = Loads::derive(
+        &snap,
+        &ComputeWeights::paper_default(),
+        &NetworkWeights::paper_default(),
+        Some(4),
+    )
+    .unwrap();
+    let mut fold = DigestFold::new();
+    for (i, &u) in loads.usable.iter().enumerate() {
+        for &v in &loads.usable[i + 1..] {
+            fold.u64(u.index() as u64)
+                .u64(v.index() as u64)
+                .f64(loads.nl_between(u, v));
+        }
+    }
+    fold.f64(loads.total_network_load());
+    assert_eq!(fold.value(), 5794776814335135715, "central NL bits moved");
+    let shape: [(u32, f64, u64, u32, usize, usize); 6] = [
+        (8, 0.3, 0x3f6599de026e629e, 21, 28, 32),
+        (8, 0.5, 0x3f6d09755641b95d, 13, 27, 33),
+        (8, 0.7, 0x3f72f05dcf251bfa, 13, 15, 45),
+        (32, 0.3, 0x3f920120e52bcfb0, 4, 57, 3),
+        (32, 0.5, 0x3f9a3e7ceee38fcc, 3, 57, 3),
+        (32, 0.7, 0x3f9d614e2738bbb2, 13, 56, 4),
+    ];
+    for &(n, alpha, cost, start, expanded, pruned) in &shape {
+        let s = nlrm::core::allocate_pruned(&loads, n, alpha, 1.0 - alpha).unwrap();
+        assert_eq!(
+            (s.cost.to_bits(), s.winner.start.0, s.expanded, s.pruned),
+            (cost, start, expanded, pruned),
+            "n {n} α {alpha}: pruned search moved"
+        );
+    }
+}
