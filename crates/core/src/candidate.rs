@@ -15,27 +15,23 @@
 //! * [`generate_candidate`] heapifies the addition costs in O(V) and pops
 //!   only until `n` processes are covered — a bounded partial selection,
 //!   O(V + k log V) per start node.
-//! * On a network load over more than one switch
-//!   ([`TieredNl`]), [`generate_all_candidates`]
-//!   exploits that every node of a foreign switch shares the same
-//!   `NL(v,·)` term, so every start on one switch visits the foreign
-//!   nodes in the same order. Per-switch streams in `(α·CL, id)` order
-//!   are merged lazily, from a heap over the stream heads, into one
-//!   *foreign prefix* per switch: the foreign nodes in `(cost, id)` order
-//!   until their capacity covers `n`. Each start then merges its own
-//!   switch's exact costs against that prefix, so no start node ever
-//!   scans the whole cluster and foreign streams are merged once per
-//!   switch, not once per start.
-//! * A prefix needs only the cheapest few heads, yet costing all S − 1
-//!   of them for each of S switches is O(S²) per decision. So the
-//!   `Loads` keeps, built once on first use, a `ForeignIndex`: per
-//!   switch its L = 128 foreign switches with the smallest
-//!   inter values and the smallest inter value left out. A prefix costs
-//!   only its neighbourhood's heads, cuts them at the `k`-th cheapest
-//!   (`k` heads cover `n`) and seeds the merge with the heads at or under
-//!   the cut, once a certificate shows no head outside the neighbourhood
-//!   can reach it; otherwise it seeds from every head, as before. The
-//!   prefix is the same either way, bit for bit.
+//! * On a network load over more than one switch ([`TieredNl`]),
+//!   [`generate_all_candidates`] exploits that every node of a foreign
+//!   switch shares the same `NL(v,·)` term, so every start on one switch
+//!   visits the foreign nodes in the same order: one *foreign prefix* per
+//!   switch, the foreign nodes in `(cost, id)` order until their capacity
+//!   covers `n`. It is cut, not merged: the `k`-th cheapest stream head
+//!   (`k` heads cover `n`) bounds every prefix cost, so only the streams
+//!   whose head costs at most that cut are scanned, each up to its first
+//!   item above it, and the scanned items are sorted and cut at `n`. Each
+//!   start merges its own switch's exact costs against the prefix.
+//! * Costing all S − 1 heads for each of S switches is O(S²) per
+//!   decision, so the `Loads` keeps, built once on first use, a
+//!   `ForeignIndex`: per switch its L = 128 foreign switches with the
+//!   smallest inter values and the smallest inter value left out. The
+//!   cut is taken over the neighbourhood's heads once a certificate shows
+//!   no head outside it can reach the cut. The prefix is the same either
+//!   way, bit for bit.
 //! * Each switch's `(CL, id)` stream and its starts depend on the `Loads`
 //!   alone, so the `Loads` memoizes them on first use, in flat arrays
 //!   with per-switch offsets. A decision checks each stream against its
@@ -87,23 +83,22 @@ impl Candidate {
 
 /// A `(cost, node)` entry ordered ascending by cost, ties by node id — the
 /// total order Algorithm 1's sort used, so heap pops reproduce it exactly.
-/// `src` says where the entry came from (a usable index, a stream, a
-/// stream position) and never breaks a tie.
-struct CostEntry<S> {
+/// `at`, the node's usable position, never breaks a tie.
+struct CostEntry {
     cost: f64,
     node: NodeId,
-    src: S,
+    at: usize,
 }
 
-impl<S> PartialEq for CostEntry<S> {
+impl PartialEq for CostEntry {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl<S> Eq for CostEntry<S> {}
+impl Eq for CostEntry {}
 
-impl<S> Ord for CostEntry<S> {
+impl Ord for CostEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.cost
             .total_cmp(&other.cost)
@@ -111,7 +106,7 @@ impl<S> Ord for CostEntry<S> {
     }
 }
 
-impl<S> PartialOrd for CostEntry<S> {
+impl PartialOrd for CostEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -193,7 +188,7 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
     debug_assert!(loads.index(v).is_some(), "start node must be usable");
     // addition cost per usable node; A_v(v) = 0 so v always joins first
     let nl_from_v = loads.nl.row(v);
-    let entries: Vec<Reverse<CostEntry<usize>>> = loads
+    let entries: Vec<Reverse<CostEntry>> = loads
         .usable
         .iter()
         .enumerate()
@@ -203,17 +198,13 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
             } else {
                 alpha * loads.cl[at] + beta * nl_from_v(u)
             };
-            Reverse(CostEntry {
-                cost,
-                node: u,
-                src: at,
-            })
+            Reverse(CostEntry { cost, node: u, at })
         })
         .collect();
     let mut heap = BinaryHeap::from(entries);
     let mut take = GreedyTake::new(n);
     while let Some(Reverse(e)) = heap.pop() {
-        if !take.offer(e.node, loads.pc[e.src]) {
+        if !take.offer(e.node, loads.pc[e.at]) {
             break;
         }
     }
@@ -342,6 +333,8 @@ pub(crate) struct SwitchStreams {
     /// `starts[start_at[s]..start_at[s + 1]]`.
     starts: Vec<usize>,
     start_at: Vec<usize>,
+    /// Largest |CL| of an item; ∞ if one is not finite.
+    max_abs_cl: f64,
 }
 
 impl SwitchStreams {
@@ -370,6 +363,7 @@ impl SwitchStreams {
         SwitchStreams {
             item_at: offsets(&items),
             start_at: offsets(&starts),
+            max_abs_cl: items.iter().fold(0.0, |m, &i| max_abs(m, loads.cl[i])),
             items: items
                 .into_iter()
                 .map(|i| (loads.cl[i], loads.pc[i], loads.usable[i]))
@@ -389,16 +383,6 @@ impl SwitchStreams {
     }
 }
 
-/// What a decision needs to cut its foreign prefixes to a neighbourhood:
-/// the index, how many heads surely cover `n`, and the smallest head CL.
-struct NearCut<'a> {
-    index: &'a ForeignIndex,
-    /// `⌈n / smallest head pc⌉`: the `k` cheapest heads cover `n`.
-    k: usize,
-    /// Smallest CL of any stream head.
-    h_min: f64,
-}
-
 /// Per-switch streams of usable nodes with spare capacity, in `(α·CL, id)`
 /// order — the order any *foreign* start node visits them in, since the
 /// tiered `NL(v, u)` term is constant across a foreign switch.
@@ -413,18 +397,25 @@ pub(crate) struct TieredBuckets<'a> {
     /// borrowed when every run already is, else a copy whose runs that
     /// were not are re-sorted.
     items: Cow<'a, [(f64, u32, NodeId)]>,
-    /// `(switch, cl, node)` of every nonempty stream's head, contiguous so
-    /// a full foreign prefix reads all heads in one pass.
-    heads: Vec<(u32, f64, NodeId)>,
+    /// `(switch, cl)` of every nonempty stream's head, contiguous so a
+    /// cut over every foreign head reads them in one pass.
+    heads: Vec<(u32, f64)>,
     /// Head CL per switch (∞ for an empty stream), so a neighbourhood's
     /// head costs read two contiguous arrays.
     head_cl: Vec<f64>,
-    /// Set when foreign prefixes may seed from a neighbourhood.
-    near: Option<NearCut<'a>>,
+    /// `⌈n / smallest head pc⌉` (at least 1): the `k` cheapest heads
+    /// cover `n`.
+    k: usize,
+    /// Whether every α·CL is finite, so costs never fall along a stream
+    /// whose switch offset is not NaN.
+    rising: bool,
+    /// The neighbourhoods and the smallest head CL, when foreign
+    /// prefixes may be cut over a neighbourhood.
+    near: Option<(&'a ForeignIndex, f64)>,
 }
 
 /// A foreign node as a start on one switch visits it: its `(cost, id)`
-/// merge key, its capacity, and its compute load (read by the pruned
+/// sort key, its capacity, and its compute load (read by the pruned
 /// allocator's switch-pool bound).
 struct ForeignItem {
     cost: f64,
@@ -440,13 +431,13 @@ impl ForeignItem {
     }
 }
 
-/// A foreign stream whose head has entered the merge.
-struct Seeded {
-    stream: u32,
-    /// Next stream position not yet pushed.
-    next: usize,
-    /// Pushed items not yet popped.
-    outstanding: usize,
+/// Buffers a worker reuses from one foreign prefix to the next.
+#[derive(Default)]
+pub(crate) struct PrefixScratch {
+    /// `(head cost, switch)` of the streams a prefix may read.
+    heads: Vec<(f64, u32)>,
+    /// The scanned items, cut to the prefix.
+    items: Vec<ForeignItem>,
 }
 
 impl<'a> TieredBuckets<'a> {
@@ -459,11 +450,11 @@ impl<'a> TieredBuckets<'a> {
             return None;
         }
         let memo = loads.switch_streams();
-        // the merge key is α·CL + const(switch), so (α·CL, id) is merge
-        // order; ties in α·CL (notably the whole stream when α = 0) fall
-        // back to id order, matching the per-start sort exactly. The memo's
-        // (CL, id) order is that order unless α ≤ 0 or α·CL rounds two
-        // CLs together and their ids then run backwards: only such a
+        // a stream's cost is α·CL + const(switch), so (α·CL, id) is its
+        // cost order; ties in α·CL (notably the whole stream when α = 0)
+        // fall back to id order, matching the per-start sort exactly. The
+        // memo's (CL, id) order is that order unless α ≤ 0 or α·CL rounds
+        // two CLs together and their ids then run backwards: only such a
         // stream is copied and sorted
         let key = |a: &(f64, u32, NodeId), b: &(f64, u32, NodeId)| {
             (alpha * a.0).total_cmp(&(alpha * b.0)).then(a.2.cmp(&b.2))
@@ -477,8 +468,8 @@ impl<'a> TieredBuckets<'a> {
             if !items[run.clone()].is_sorted_by(|a, b| key(a, b).is_le()) {
                 items.to_mut()[run.clone()].sort_by(key);
             }
-            if let Some(&(cl, pc, node)) = items[run].first() {
-                heads.push((s as u32, cl, node));
+            if let Some(&(cl, pc, _)) = items[run].first() {
+                heads.push((s as u32, cl));
                 *slot = cl;
                 h_min = h_min.min(cl);
                 pc_min = pc_min.min(pc);
@@ -486,13 +477,13 @@ impl<'a> TieredBuckets<'a> {
         }
         // a head's cost is monotone in its CL and its inter value only for
         // sign-positive weights and products that cannot overflow into NaN
-        let k = (n as usize).div_ceil(pc_min.max(1) as usize);
+        let k = (n as usize).div_ceil(pc_min.max(1) as usize).max(1);
         let monotone = |w: f64| w.is_sign_positive() && w.is_finite();
-        let near = (monotone(alpha) && monotone(beta) && (1..=NEIGHBOURHOOD).contains(&k))
+        let near = (monotone(alpha) && monotone(beta) && k <= NEIGHBOURHOOD)
             .then(|| loads.foreign_index())
             .flatten()
             .filter(|ix| (alpha * ix.max_abs).is_finite() && (beta * ix.max_abs).is_finite())
-            .map(|index| NearCut { index, k, h_min });
+            .map(|index| (index, h_min));
         Some(TieredBuckets {
             t,
             alpha,
@@ -502,6 +493,8 @@ impl<'a> TieredBuckets<'a> {
             items,
             heads,
             head_cl,
+            k,
+            rising: (alpha * memo.max_abs_cl).is_finite(),
             near,
         })
     }
@@ -521,19 +514,18 @@ impl<'a> TieredBuckets<'a> {
         &self.items[self.memo.run(s as usize)]
     }
 
-    /// The merge cost of a node with compute load `cl` on switch `s`, as a
+    /// The cost of a node with compute load `cl` on switch `s`, as a
     /// start node on switch `sv` sees it. Computed with the exact same
-    /// float expression as the per-start path so merge order is
+    /// float expression as the per-start path so the order is
     /// bit-identical.
     fn foreign_cost(&self, sv: u32, s: u32, cl: f64) -> f64 {
         self.alpha * cl + self.beta * self.t.inter_value(sv, s)
     }
 
-    /// The `(cost, id)` key of element `pos` of switch `s`'s stream, as a
-    /// start node on switch `sv` sees it.
-    fn stream_key(&self, sv: u32, s: u32, pos: usize) -> (f64, NodeId) {
-        let (cl, _, node) = self.stream(s)[pos];
-        (self.foreign_cost(sv, s, cl), node)
+    /// Stream item `(cl, pc, node)` of switch `s` as a start on `sv` sees it.
+    fn foreign_item(&self, sv: u32, s: u32, &(cl, pc, node): &(f64, u32, NodeId)) -> ForeignItem {
+        let cost = self.foreign_cost(sv, s, cl);
+        ForeignItem { cost, node, pc, cl }
     }
 
     /// The foreign items a start on switch `sv` visits, in `(cost, id)`
@@ -543,165 +535,117 @@ impl<'a> TieredBuckets<'a> {
     /// foreign item left out sorts strictly after the last one kept, by
     /// which point the walk has covered `n` already.
     ///
-    /// The merge's candidate heads come from `sv`'s neighbourhood when
-    /// [`Self::near_heads`] can certify them: O(L) head costs, not
-    /// O(S). It falls back to every foreign head when the `Loads` has no
-    /// [`ForeignIndex`] (at most `NEIGHBOURHOOD + 1` switches with
-    /// capacity), when a weight is negative, −0 or not finite, when a
-    /// weight times the largest |CL| or |inter value| overflows, when
-    /// `k = ⌈n / smallest head pc⌉` exceeds the neighbourhood, or when
-    /// the certificate does not hold strictly.
-    ///
-    /// Stream heads enter a min-heap over their keys; a stream is seeded
-    /// only once its head cost ties or undercuts the cheapest pushed
-    /// item. Streams are sorted by `(α·CL, id)` while the merge order is
-    /// `(cost, id)` with `cost = α·CL + const` — equal costs (the whole
-    /// stream when α = 0, or rounding collisions after adding the
-    /// offset) can hide an id inversion behind the stream head. Entire
-    /// equal-cost *runs* are therefore pushed together (runs are
-    /// contiguous because cost is monotone in α·CL), and seeding on cost
-    /// ties puts every item that could win the id tie-break in the heap
-    /// before the minimum pops, exactly as the per-start sort orders them.
-    fn foreign_prefix(&self, sv: u32) -> Vec<ForeignItem> {
-        let seeds = self.near_heads(sv).unwrap_or_else(|| {
-            self.heads
-                .iter()
-                .filter(|&&(s, _, _)| s != sv)
-                .map(|&(s, cl, node)| {
-                    let cost = self.foreign_cost(sv, s, cl);
-                    Reverse(CostEntry { cost, node, src: s })
-                })
-                .collect()
-        });
-        let mut heads = BinaryHeap::from(seeds);
-        let mut items: BinaryHeap<Reverse<CostEntry<(usize, usize)>>> = BinaryHeap::new();
-        let mut seeded: Vec<Seeded> = Vec::new();
-        let mut prefix = Vec::new();
-        let mut covered = 0u64;
-        loop {
-            while let Some(Reverse(head)) = heads.peek() {
-                let must_seed = match items.peek() {
-                    None => true,
-                    Some(Reverse(min)) => {
-                        head.cost.total_cmp(&min.cost) != std::cmp::Ordering::Greater
-                    }
-                };
-                if !must_seed {
-                    break;
-                }
-                let stream = head.src;
-                heads.pop();
-                seeded.push(Seeded {
-                    stream,
-                    next: 0,
-                    outstanding: 0,
-                });
-                self.push_run(sv, seeded.len() - 1, &mut seeded, &mut items);
-            }
-            let Some(Reverse(item)) = items.pop() else {
-                break;
-            };
-            let (slot, pos) = item.src;
-            let (cl, pc, node) = self.stream(seeded[slot].stream)[pos];
-            prefix.push(ForeignItem {
-                cost: item.cost,
-                node,
-                pc,
-                cl,
-            });
-            covered += pc as u64;
-            if covered >= self.n as u64 {
-                break;
-            }
-            seeded[slot].outstanding -= 1;
-            if seeded[slot].outstanding == 0 {
-                self.push_run(sv, slot, &mut seeded, &mut items);
-            }
+    /// A cut and a select, not a merge: [`Self::cut`] gives a cut τ such
+    /// that the foreign items costing ≤ τ cover `n`, so no prefix item
+    /// costs more. Every stream whose head costs ≤ τ is scanned into one
+    /// reusable buffer up to its first item above τ (a stream's costs
+    /// never fall along it), and [`cover`] sorts the buffer by
+    /// `(cost, id)`, the per-start sort's own order, and cuts it where it
+    /// covers `n`. Without a cut every foreign item is sorted.
+    fn foreign_prefix<'s>(&self, sv: u32, scratch: &'s mut PrefixScratch) -> &'s [ForeignItem] {
+        let PrefixScratch { heads, items } = scratch;
+        let cut = self.cut(sv, heads, items);
+        let within = |cost: f64| cut.is_none_or(|tau| cost.total_cmp(&tau).is_le());
+        items.clear();
+        for &(_, s) in heads.iter().filter(|h| within(h.0)) {
+            let scan = self.stream(s).iter().map(|it| self.foreign_item(sv, s, it));
+            items.extend(scan.take_while(|f| within(f.cost)));
         }
-        prefix
+        cover(items, self.n as u64, self.k);
+        items
     }
 
-    /// The only stream heads the foreign prefix of `sv` can reach, when its
-    /// neighbourhood certifies them; `None` sends it to the full row.
+    /// A cut τ for the foreign prefix of `sv`, or `None` when every
+    /// foreign item must be sorted; `(head cost, switch)` of every stream
+    /// that may reach it is left in `heads`. `rows` is scratch.
     ///
-    /// The `k` cheapest heads cover `n`, so every prefix item costs at
-    /// most `cut`, the `k`-th smallest head cost in `sv`'s neighbourhood,
-    /// and no stream whose head costs more than `cut` reaches the prefix
-    /// (a stream's items never cost less than its head). A switch outside
-    /// the neighbourhood has inter value ≥ `rest` and head CL ≥ `h_min`;
-    /// with sign-positive weights and no overflow, rounding is monotone,
-    /// so its head costs at least `α·h_min + β·rest`. When that strictly
-    /// exceeds `cut`, the neighbourhood heads costing ≤ `cut`, ties
-    /// included, are all the prefix needs, and it comes out bit for bit
-    /// the same as from every head.
-    fn near_heads(&self, sv: u32) -> Option<Vec<Reverse<CostEntry<u32>>>> {
-        let near = self.near.as_ref()?;
-        let floor = self.alpha * near.h_min + self.beta * near.index.rest[sv as usize];
-        let mut costs: Vec<(f64, u32)> = near
-            .index
-            .row(sv)
-            .iter()
-            .map(|&s| (self.foreign_cost(sv, s, self.head_cl[s as usize]), s))
-            .collect();
-        let (_, &mut (cut, _), _) =
-            costs.select_nth_unstable_by(near.k - 1, |a, b| a.0.total_cmp(&b.0));
-        if floor.total_cmp(&cut) != std::cmp::Ordering::Greater {
-            return None;
-        }
-        let seeds = costs
-            .into_iter()
-            .filter(|&(cost, _)| cost.total_cmp(&cut) != std::cmp::Ordering::Greater)
-            .map(|(cost, s)| {
-                let node = self.stream(s)[0].2;
-                Reverse(CostEntry { cost, node, src: s })
-            });
-        Some(seeds.collect())
-    }
-
-    /// Whether the foreign prefix of `sv` seeds from its neighbourhood.
-    #[cfg(test)]
-    pub(crate) fn seeds_from_neighbourhood(&self, sv: u32) -> bool {
-        self.near_heads(sv).is_some()
-    }
-
-    /// Push the next equal-cost run of seeded stream `slot` into `items`.
-    fn push_run(
+    /// The `k` cheapest heads cover `n`, so the `k`-th smallest head cost
+    /// is a cut: over `sv`'s neighbourhood when [`Self::near_heads`]
+    /// certifies it, else over every foreign head. With fewer foreign
+    /// heads than `k`, the streams' first items are taken row by row
+    /// until they cover `n`, and τ is the cost at which they do. There is
+    /// no cut when some α·CL is not finite or a head cost is NaN, where a
+    /// stream's costs may fall along it.
+    fn cut(
         &self,
         sv: u32,
-        slot: usize,
-        seeded: &mut [Seeded],
-        items: &mut BinaryHeap<Reverse<CostEntry<(usize, usize)>>>,
-    ) {
-        let st = &mut seeded[slot];
-        let len = self.stream(st.stream).len();
-        let start = st.next;
-        if start >= len {
-            return;
+        heads: &mut Vec<(f64, u32)>,
+        rows: &mut Vec<ForeignItem>,
+    ) -> Option<f64> {
+        if let Some(tau) = self.near_heads(sv, heads) {
+            return Some(tau);
         }
-        let (run_cost, _) = self.stream_key(sv, st.stream, start);
-        let mut pos = start;
-        while pos < len {
-            let (cost, node) = self.stream_key(sv, st.stream, pos);
-            if cost.total_cmp(&run_cost) != std::cmp::Ordering::Equal {
+        heads.clear();
+        let foreign = self.heads.iter().filter(|h| h.0 != sv);
+        heads.extend(foreign.map(|&(s, cl)| (self.foreign_cost(sv, s, cl), s)));
+        if !self.rising || heads.iter().any(|h| h.0.is_nan()) {
+            return None;
+        }
+        if heads.len() >= self.k {
+            let (_, &mut (tau, _), _) =
+                heads.select_nth_unstable_by(self.k - 1, |a, b| a.0.total_cmp(&b.0));
+            return Some(tau);
+        }
+        let (mut covered, n) = (0u64, self.n as u64);
+        rows.clear();
+        for pos in 0.. {
+            if covered >= n {
                 break;
             }
-            items.push(Reverse(CostEntry {
-                cost,
-                node,
-                src: (slot, pos),
-            }));
-            pos += 1;
+            let before = rows.len();
+            let row = heads
+                .iter()
+                .filter_map(|&(_, s)| Some(self.foreign_item(sv, s, self.stream(s).get(pos)?)));
+            rows.extend(row);
+            if rows.len() == before {
+                return None;
+            }
+            covered += rows[before..].iter().map(|f| f.pc as u64).sum::<u64>();
         }
-        st.outstanding = pos - start;
-        st.next = pos;
+        cover(rows, n, self.k);
+        rows.last().map(|f| f.cost)
+    }
+
+    /// The `k`-th smallest head cost in the neighbourhood of `sv`, with
+    /// `(head cost, switch)` of every neighbourhood stream left in
+    /// `heads`, when the neighbourhood certifies it as a cut; `None` sends
+    /// [`Self::cut`] to every foreign head.
+    ///
+    /// A switch outside the neighbourhood has inter value ≥ `rest` and
+    /// head CL ≥ `h_min`; with sign-positive weights and no overflow,
+    /// rounding is monotone, so its head costs at least
+    /// `α·h_min + β·rest`. When that strictly exceeds the `k`-th smallest
+    /// neighbourhood head cost, no stream outside reaches the cut, and the
+    /// prefix comes out bit for bit the same as from every head.
+    fn near_heads(&self, sv: u32, heads: &mut Vec<(f64, u32)>) -> Option<f64> {
+        let (index, h_min) = self.near?;
+        let floor = self.alpha * h_min + self.beta * index.rest[sv as usize];
+        heads.clear();
+        heads.extend(
+            (index.row(sv).iter())
+                .map(|&s| (self.foreign_cost(sv, s, self.head_cl[s as usize]), s)),
+        );
+        let (_, &mut (cut, _), _) =
+            heads.select_nth_unstable_by(self.k - 1, |a, b| a.0.total_cmp(&b.0));
+        floor.total_cmp(&cut).is_gt().then_some(cut)
+    }
+
+    /// Whether the foreign prefix of `sv` is cut over its neighbourhood.
+    #[cfg(test)]
+    pub(crate) fn seeds_from_neighbourhood(&self, sv: u32) -> bool {
+        self.near_heads(sv, &mut Vec::new()).is_some()
     }
 
     /// `(CL, pc)` of every node a start on switch `sv` can draw from: its
     /// own switch's nodes with capacity, then [`Self::foreign_prefix`].
-    pub(crate) fn pool(&self, sv: u32) -> impl Iterator<Item = (f64, u32)> + '_ {
+    pub(crate) fn pool<'s>(
+        &'s self,
+        sv: u32,
+        scratch: &'s mut PrefixScratch,
+    ) -> impl Iterator<Item = (f64, u32)> + 's {
         let own = self.stream(sv).iter().map(|&(cl, pc, _)| (cl, pc));
-        let foreign = self.foreign_prefix(sv).into_iter().map(|f| (f.cl, f.pc));
-        own.chain(foreign)
+        let foreign = self.foreign_prefix(sv, scratch).iter();
+        own.chain(foreign.map(|f| (f.cl, f.pc)))
     }
 
     /// Candidates for `starts`, all on switch `sv`, in input order: the
@@ -714,7 +658,9 @@ impl<'a> TieredBuckets<'a> {
         sv: u32,
         starts: impl IntoIterator<Item = NodeId> + 's,
     ) -> impl Iterator<Item = Candidate> + 's {
-        let prefix = self.foreign_prefix(sv);
+        let mut scratch = PrefixScratch::default();
+        self.foreign_prefix(sv, &mut scratch);
+        let prefix = scratch.items;
         starts.into_iter().map(move |v| self.merge_for(v, &prefix))
     }
 
@@ -756,6 +702,37 @@ impl<'a> TieredBuckets<'a> {
             }
         }
         take.finish(v, self.n)
+    }
+}
+
+/// Sort `items` by `(cost, id)` and cut them at the first one at which
+/// their capacity covers `n` (keep all when it never does). More than
+/// `2k` items first select their `k` cheapest and sort the rest only if
+/// those fall short of `n`.
+fn cover(items: &mut Vec<ForeignItem>, n: u64, k: usize) {
+    let key =
+        |a: &ForeignItem, b: &ForeignItem| a.cost.total_cmp(&b.cost).then(a.node.cmp(&b.node));
+    let mut sorted = items.len();
+    if sorted > 2 * k {
+        items.select_nth_unstable_by(k, key);
+        sorted = k;
+    }
+    items[..sorted].sort_unstable_by(key);
+    let (mut covered, mut at) = (0u64, 0);
+    loop {
+        while at < sorted {
+            covered += items[at].pc as u64;
+            at += 1;
+            if covered >= n {
+                items.truncate(at);
+                return;
+            }
+        }
+        if sorted == items.len() {
+            return;
+        }
+        items[sorted..].sort_unstable_by(key);
+        sorted = items.len();
     }
 }
 
@@ -1106,6 +1083,107 @@ mod tests {
             via_neighbourhood > 1_000,
             "neighbourhood path taken only {via_neighbourhood} times"
         );
+    }
+
+    /// Nodes `0..` on `switch_of`'s switches with the given CL and pc,
+    /// seeded intra values and inter values `inter(s, t)`.
+    fn universe(
+        switch_of: Vec<u32>,
+        cl: Vec<f64>,
+        pc: Vec<u32>,
+        inter: impl FnMut(u32, u32) -> f64,
+    ) -> Loads {
+        let nodes: Vec<NodeId> = (0..switch_of.len() as u32).map(NodeId).collect();
+        let switches = switch_of.iter().max().map_or(1, |&s| s as usize + 1);
+        let intra = |a: NodeId, b: NodeId| 0.05 + 0.01 * f64::from((a.0 * 7 + b.0 * 3) % 11);
+        let nl = TieredNl::from_fns(&nodes, &switch_of, switches, intra, inter);
+        Loads::from_parts(nodes, cl, nl, pc)
+    }
+
+    /// Every start's tiered candidate is the full-sort reference's.
+    fn assert_matches_full_sort(what: &str, l: &Loads, ns: &[u32], weights: &[(f64, f64)]) {
+        for &n in ns {
+            for &(a, b) in weights {
+                let reference: Vec<Candidate> = (l.usable.iter())
+                    .map(|&v| generate_candidate_reference(l, v, n, a, b))
+                    .filter(|c| c.total_procs() as u64 >= n as u64)
+                    .collect();
+                let tiered = generate_all_candidates(l, n, a, b);
+                assert_eq!(tiered, reference, "{what} n {n} α {a} β {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn cut_prefix_checks_coverage_past_the_k_cheapest() {
+        // 40 switches of 10 nodes, one inter value. A head has pc 4 and CL
+        // 0.1 + s/1000, its other nodes pc 1 and CLs a few 1e-4 above it:
+        // at n = 16 (k = 4) the scan collects three switches whole, more
+        // than 2k items, and the k cheapest of them cover only 7
+        let switch_of = (0..400).map(|u| u / 10).collect();
+        let cl = (0..400u32)
+            .map(|u| 0.1 + f64::from(u / 10) / 1000.0 + f64::from(u % 10) * 1e-4)
+            .collect();
+        let pc = (0..400u32)
+            .map(|u| if u % 10 == 0 { 4 } else { 1 })
+            .collect();
+        let l = universe(switch_of, cl, pc, |_, _| 0.5);
+        let b = TieredBuckets::build(&l, 16, 0.3, 0.7).unwrap();
+        let prefix = b.foreign_prefix(39, &mut PrefixScratch::default()).len();
+        assert_eq!((b.k, prefix), (4, 11), "shape");
+        let weights = [(0.3, 0.7), (1.0, 0.0), (0.5, 0.5)];
+        assert_matches_full_sort("low-pc tails", &l, &[5, 16, 40], &weights);
+    }
+
+    #[test]
+    fn cut_prefix_with_fewer_foreign_heads_than_k_or_too_little_capacity() {
+        // 3 switches of 20 nodes, pc 1–3, CLs in eighths: n = 30 needs up
+        // to k = 30 heads and there are 2 foreign ones; n = 200 exceeds
+        // the whole universe's capacity
+        let switch_of = (0..60).map(|u| u % 3).collect();
+        let h = |u: u32, salt: u64| nlrm_sim_core::rng::splitmix64(u64::from(u) ^ salt);
+        let cl = (0..60).map(|u| (1 + h(u, 1) % 8) as f64 / 8.0).collect();
+        let pc = (0..60).map(|u| 1 + (h(u, 2) % 3) as u32).collect();
+        let l = universe(switch_of, cl, pc, |s, t| 0.2 + 0.125 * f64::from(s + t));
+        let b = TieredBuckets::build(&l, 30, 0.3, 0.7).unwrap();
+        assert!(b.k > b.heads.len() - 1, "shape: k {}", b.k);
+        let weights = [(0.3, 0.7), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)];
+        assert_matches_full_sort("few heads", &l, &[1, 7, 30, 79, 80, 81, 200], &weights);
+    }
+
+    #[test]
+    fn cut_prefix_with_signed_zero_and_negative_weights() {
+        let l = wide_universe(12, 6, None, 4, 0xD1CE);
+        let weights = [
+            (0.0, 1.0),
+            (-0.0, 1.0),
+            (-0.3, 0.7),
+            (0.3, -0.7),
+            (0.3, -0.0),
+            (-0.5, -0.5),
+        ];
+        assert_matches_full_sort("signed", &l, &[1, 5, 17, 60], &weights);
+    }
+
+    #[test]
+    fn cut_prefix_with_non_finite_cl() {
+        // NaN of either sign and ±∞ among 6 switches of 8 nodes, and one
+        // infinite inter value
+        let switch_of = (0..48).map(|u| u / 8).collect();
+        let cl = (0..48u32)
+            .map(|u| match u % 7 {
+                0 => f64::NAN,
+                1 => -f64::NAN,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                _ => 0.1 * f64::from(u % 5),
+            })
+            .collect();
+        let pc = (0..48).map(|u| 1 + u % 3).collect();
+        let inter = |s: u32, t: u32| if s + t == 1 { f64::INFINITY } else { 0.3 };
+        let l = universe(switch_of, cl, pc, inter);
+        let weights = [(0.3, 0.7), (0.0, 1.0), (1.0, 0.0), (-0.3, 0.7)];
+        assert_matches_full_sort("non-finite", &l, &[1, 6, 20, 100], &weights);
     }
 
     #[test]

@@ -16,12 +16,13 @@ fn thread_override() -> Option<usize> {
 }
 
 /// Number of worker threads to use: `NLRM_THREADS` when set (≥ 1),
-/// otherwise the machine's available parallelism.
+/// otherwise the machine's available parallelism. The variable is read on
+/// every call; the machine's count once per process, since asking for it
+/// reads cgroup files on Linux.
 pub fn worker_threads() -> usize {
+    static MACHINE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     thread_override().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
@@ -43,34 +44,44 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    par_map_with(len, min_chunk, || (), |_, i| f(i))
+}
+
+/// [`par_map_indexed`] with per-worker state: each worker makes one `S`
+/// with `init` and lends it to `f` for every item of its chunk, so
+/// scratch buffers are reused across items instead of reallocated.
+pub fn par_map_with<S, R, I, F>(len: usize, min_chunk: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let workers = match thread_override() {
         Some(n) => n.min(len),
         None => worker_threads().min(len.div_ceil(min_chunk.max(1))),
     }
     .max(1);
     if workers <= 1 {
-        return (0..len).map(f).collect();
+        let mut state = init();
+        return (0..len).map(|i| f(&mut state, i)).collect();
     }
     let chunk = len.div_ceil(workers);
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let f = &f;
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(len);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
+                let (f, init) = (&f, &init);
+                let range = w * chunk..((w + 1) * chunk).min(len);
+                scope.spawn(move || {
+                    let mut state = init();
+                    range.map(|i| f(&mut state, i)).collect::<Vec<R>>()
+                })
             })
             .collect();
-        for h in handles {
-            chunks.push(h.join().expect("worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(len);
-    for c in chunks {
-        out.extend(c);
-    }
-    out
+        // joined in spawn order, so outputs keep input order
+        (handles.into_iter())
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
 }
 
 /// Map `f` over a slice deterministically, possibly in parallel.
@@ -105,5 +116,41 @@ mod tests {
     fn thread_env_override_respected() {
         // worker_threads is a positive number regardless of env
         assert!(worker_threads() >= 1);
+    }
+
+    #[test]
+    fn thread_env_change_after_first_call_takes_effect() {
+        // the machine's count is cached; the variable must not be
+        let before = std::env::var("NLRM_THREADS").ok();
+        std::env::remove_var("NLRM_THREADS");
+        let machine = worker_threads();
+        std::env::set_var("NLRM_THREADS", "3");
+        assert_eq!(worker_threads(), 3);
+        std::env::set_var("NLRM_THREADS", "5");
+        assert_eq!(worker_threads(), 5);
+        std::env::remove_var("NLRM_THREADS");
+        assert_eq!(worker_threads(), machine);
+        if let Some(v) = before {
+            std::env::set_var("NLRM_THREADS", v);
+        }
+    }
+
+    #[test]
+    fn per_worker_state_is_reused_within_a_chunk() {
+        // each worker counts the items it has seen; the output keeps order
+        let out = par_map_with(
+            10,
+            1,
+            || 0usize,
+            |seen, i| {
+                *seen += 1;
+                (i, *seen)
+            },
+        );
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
+        );
+        assert!(out.iter().any(|&(_, seen)| seen > 1));
     }
 }

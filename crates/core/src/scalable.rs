@@ -28,10 +28,8 @@
 //!   `fmin_pool` the same relaxation over the pool alone; the
 //!   `cap(pool) − pc_v` clamp keeps `v` from counting twice once `n`
 //!   exceeds the pool (a zero-capacity `v` is not in its candidate and
-//!   takes `fmin_pool(min(n, cap(pool)))`). One parallel pass over switches
-//!   computes it; each pool is dropped once its starts are bounded. The
-//!   compute bound is the larger of the two. It holds for any objective
-//!   monotone in `C_G`.
+//!   takes `fmin_pool(min(n, cap(pool)))`). The compute bound is the
+//!   larger of the two. It holds for any objective monotone in `C_G`.
 //! * **Network term** — a group of `g ≥ g_min` nodes has at least `g_min−1`
 //!   edges incident to `v`, each `≥ min_u NL(v,u)`; `g_min` follows from
 //!   `pc_max`. For a zero-capacity start (not itself in the group) the
@@ -55,10 +53,11 @@
 //! The search is organised around *switch classes*: over several switches
 //! the starts of one switch form a class (they share one foreign prefix);
 //! on one switch (a central derivation) each start is its own class, so
-//! a class is never the whole universe. Classes
-//! ascend by their least member's `(bound, id)`, found in one scan; a
-//! class's starts are sorted by `(bound, id)` only once a wave reaches
-//! it. Classes are expanded in waves of 1, 2, 4, 8, …
+//! a class is never the whole universe. One parallel pass over switches
+//! builds each switch's pool in per-worker buffers, bounds its starts and
+//! finds the class's least member by `(bound, id)`; classes ascend by it,
+//! and a class's starts are sorted by `(bound, id)` only once a wave
+//! reaches it. Classes are expanded in waves of 1, 2, 4, 8, …
 //! classes. The incumbent is fixed when a wave begins: a class whose first
 //! bound strictly exceeds it is skipped, and a class stops at its first
 //! start whose bound does. The wave's per-class bests merge by
@@ -79,7 +78,7 @@
 //! the per-wave incumbent do not depend on the thread count, so neither
 //! the winner nor the `expanded`/`pruned` counts do.
 
-use crate::candidate::{generate_candidate, Candidate, TieredBuckets};
+use crate::candidate::{generate_candidate, Candidate, PrefixScratch, TieredBuckets};
 use crate::loads::Loads;
 use crate::par;
 use crate::select::{compute_term, group_compute_load, group_network_load, network_term};
@@ -108,7 +107,7 @@ pub struct PrunedSelection {
 
 /// Fractional-knapsack lower bound on `Σ CL` needed to cover `p` processes:
 /// nodes sorted by `CL/pc` density, prefix sums, partial last node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FracMin {
     /// `pc_cum[i]` = Σ pc of the `i` densest-first entries.
     pc_cum: Vec<u64>,
@@ -125,32 +124,39 @@ pub(crate) struct FracMin {
 impl FracMin {
     /// Build over `(CL, pc)` entries; zero-capacity entries are ignored.
     pub(crate) fn build(items: impl IntoIterator<Item = (f64, u32)>) -> FracMin {
-        let mut entries: Vec<(f64, f64, u32)> = items
-            .into_iter()
-            .filter(|&(_, pc)| pc > 0)
-            .map(|(cl, pc)| (cl / pc as f64, cl, pc))
-            .collect();
+        let mut frac = FracMin::default();
+        frac.rebuild(items, &mut Vec::new());
+        frac
+    }
+
+    /// [`Self::build`] in place, with `entries` as the sort buffer, so a
+    /// worker that rebuilds one `FracMin` per pool allocates only while
+    /// its buffers grow. The sort is stable: equal densities keep their
+    /// input order, which fixes the order of every partial sum.
+    fn rebuild(
+        &mut self,
+        items: impl IntoIterator<Item = (f64, u32)>,
+        entries: &mut Vec<(f64, f64, u32)>,
+    ) {
+        entries.clear();
+        let usable = items.into_iter().filter(|&(_, pc)| pc > 0);
+        entries.extend(usable.map(|(cl, pc)| (cl / pc as f64, cl, pc)));
         entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut pc_cum = Vec::with_capacity(entries.len() + 1);
-        let mut cl_cum = Vec::with_capacity(entries.len() + 1);
-        let mut density = Vec::with_capacity(entries.len());
         let (mut total_pc, mut total_cl) = (0u64, 0.0f64);
-        pc_cum.push(total_pc);
-        cl_cum.push(total_cl);
-        for (d, cl, pc) in entries {
+        self.pc_cum.clear();
+        self.cl_cum.clear();
+        self.density.clear();
+        self.pc_cum.push(total_pc);
+        self.cl_cum.push(total_cl);
+        for &(d, cl, pc) in entries.iter() {
             total_pc += pc as u64;
             total_cl += cl;
-            pc_cum.push(total_pc);
-            cl_cum.push(total_cl);
-            density.push(d);
+            self.pc_cum.push(total_pc);
+            self.cl_cum.push(total_cl);
+            self.density.push(d);
         }
-        FracMin {
-            pc_cum,
-            cl_cum,
-            density,
-            total_pc,
-            total_cl,
-        }
+        self.total_pc = total_pc;
+        self.total_cl = total_cl;
     }
 
     /// Minimum fractional `Σ CL` covering `p` processes (clamped to the
@@ -169,6 +175,10 @@ impl FracMin {
     }
 }
 
+/// What one worker reuses from one switch pool to the next: the prefix
+/// scratch, the sort buffer and the pool's `FracMin`.
+type PoolScratch = (PrefixScratch, Vec<(f64, f64, u32)>, FracMin);
+
 /// `x` less [`BOUND_MARGIN`] of its magnitude.
 fn deflate(x: f64) -> f64 {
     x - x.abs() * BOUND_MARGIN
@@ -183,15 +193,24 @@ pub fn start_bounds(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Vec<f64> {
     lower_bounds(loads, n, alpha, beta).1
 }
 
+/// `(bound, usable position)` by bound, ties by node id.
+fn by_bound(loads: &Loads) -> impl Fn(&(f64, usize), &(f64, usize)) -> std::cmp::Ordering + '_ {
+    |a, b| {
+        a.0.total_cmp(&b.0)
+            .then(loads.usable[a.1].cmp(&loads.usable[b.1]))
+    }
+}
+
 /// The switch buckets (over more than one switch), the per-start lower
-/// bounds on `group_cost` (see the module doc), and the smallest NL
-/// between two usable nodes (∞ for a lone node).
+/// bounds on `group_cost` (see the module doc), and the switch classes
+/// (one per start on one switch) as `(bound, position)` of their least
+/// `(bound, id)` member, unordered.
 fn lower_bounds(
     loads: &Loads,
     n: u32,
     alpha: f64,
     beta: f64,
-) -> (Option<TieredBuckets<'_>>, Vec<f64>, f64) {
+) -> (Option<TieredBuckets<'_>>, Vec<f64>, Vec<(f64, usize)>) {
     let buckets = TieredBuckets::build(loads, n, alpha, beta);
     let c_all = loads.total_compute_load();
     let n_all = loads.total_network_load();
@@ -200,9 +219,6 @@ fn lower_bounds(
     let npos = loads.pc.iter().filter(|&&pc| pc > 0).count() as u64;
     let pc_max = loads.pc.iter().copied().max().unwrap_or(0).max(1) as u64;
     let (min_inc, global_min_inc) = loads.min_incident();
-    let pool_lb = buckets
-        .as_ref()
-        .map_or_else(Vec::new, |b| pool_bounds(loads, b, n));
     // a negative weight bounds its term by the term's largest share
     // instead: with every input ≥ 0 a group's load is at most the
     // universe's (inflated for rounding), and nothing bounds it otherwise
@@ -214,16 +230,15 @@ fn lower_bounds(
     let c_cap = share_cap(c_all, alpha >= 0.0 || loads.cl.iter().all(|&c| c >= 0.0));
     let n_cap = share_cap(n_all, global_min_inc >= 0.0);
 
-    let bound_of = |i: usize| -> f64 {
+    // start i's bound, given its switch-pool compute bound
+    let bound_of = |i: usize, pool: Option<f64>| -> f64 {
         let pc_v = loads.pc[i] as u64;
-        let mut lb_c = if pc_v > 0 {
+        let lb_c = if pc_v > 0 {
             fmin_neff.max(loads.cl[i])
         } else {
             fmin_neff
         };
-        if let Some(&pool) = pool_lb.get(i) {
-            lb_c = lb_c.max(pool);
-        }
+        let lb_c = pool.map_or(lb_c, |pool| lb_c.max(pool));
         let g_min = if pc_v > 0 {
             (1 + (n as u64).saturating_sub(pc_v).div_ceil(pc_max)).min(npos)
         } else {
@@ -264,42 +279,52 @@ fn lower_bounds(
         };
         alpha * c_term + beta * n_term
     };
-    let bounds = (0..loads.usable.len()).map(bound_of).collect();
-    (buckets, bounds, global_min_inc)
-}
-
-/// The switch-pool compute bound of every start, in `loads.usable` order:
-/// `CL_v + fmin_pool(min(n − pc_v, cap(pool) − pc_v))`, or
-/// `fmin_pool(min(n, cap(pool)))` for a zero-capacity start. One worker
-/// item per switch; a pool lives only while its switch's starts are
-/// bounded.
-fn pool_bounds(loads: &Loads, b: &TieredBuckets, n: u32) -> Vec<f64> {
+    let Some(b) = &buckets else {
+        let bounds: Vec<f64> = (0..loads.usable.len()).map(|i| bound_of(i, None)).collect();
+        let classes = bounds.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        return (buckets, bounds, classes);
+    };
+    // one worker item per switch: its pool, its starts' full bounds
+    // (see the module doc; one pool query per run of equal arguments)
+    // and the class's least member
     let active: Vec<u32> = b.start_switches().collect();
     let min_chunk = (par::MIN_CHUNK * active.len()).div_ceil(loads.usable.len().max(1));
-    let per_switch = par::par_map_indexed(active.len(), min_chunk, |k| {
-        let sv = active[k];
-        let n = n as u64;
-        let pool = FracMin::build(b.pool(sv));
-        b.starts_on(sv)
-            .iter()
-            .map(|&i| match loads.pc[i] as u64 {
-                0 => pool.query(n.min(pool.total_pc)),
-                pc_v => {
-                    let rest = n
-                        .saturating_sub(pc_v)
-                        .min(pool.total_pc.saturating_sub(pc_v));
-                    loads.cl[i] + pool.query(rest)
-                }
+    let per_switch = par::par_map_with(active.len(), min_chunk, PoolScratch::default, |s, k| {
+        let (prefix, entries, frac) = s;
+        frac.rebuild(b.pool(active[k], prefix), entries);
+        let (n, mut last) = (n as u64, (u64::MAX, 0.0));
+        let mut query = |p: u64| {
+            if last.0 != p {
+                last = (p, frac.query(p));
+            }
+            last.1
+        };
+        let starts = b.starts_on(active[k]);
+        let bounds: Vec<f64> = (starts.iter())
+            .map(|&i| {
+                let pool = match loads.pc[i] as u64 {
+                    0 => query(n.min(frac.total_pc)),
+                    pc_v => {
+                        let rest = n.saturating_sub(pc_v);
+                        loads.cl[i] + query(rest.min(frac.total_pc.saturating_sub(pc_v)))
+                    }
+                };
+                bound_of(i, Some(pool))
             })
-            .collect::<Vec<f64>>()
+            .collect();
+        let least = bounds.iter().copied().zip(starts.iter().copied());
+        let least = least.min_by(by_bound(loads));
+        (bounds, least)
     });
-    let mut out = vec![0.0; loads.usable.len()];
-    for (&sv, lbs) in active.iter().zip(per_switch) {
+    let mut bounds = vec![0.0; loads.usable.len()];
+    let mut classes = Vec::with_capacity(active.len());
+    for (&sv, (lbs, least)) in active.iter().zip(per_switch) {
         for (&i, lb) in b.starts_on(sv).iter().zip(lbs) {
-            out[i] = lb;
+            bounds[i] = lb;
         }
+        classes.extend(least);
     }
-    out
+    (buckets, bounds, classes)
 }
 
 /// Allocate for `n` processes with bound-pruned, switch-class expansion.
@@ -322,42 +347,28 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
     if n == 0 || loads.usable.is_empty() || loads.total_capacity() == 0 {
         return None;
     }
-    let (buckets, bounds, min_nl) = lower_bounds(loads, n, alpha, beta);
+    let (buckets, bounds, mut classes) = lower_bounds(loads, n, alpha, beta);
     // the network term is ≥ 0 when every NL is and β ≥ 0, so a compute
     // term alone above the bar already loses
-    let skip_network = beta >= 0.0 && min_nl >= 0.0;
+    let skip_network = beta >= 0.0 && loads.min_incident().1 >= 0.0;
 
-    // switch classes (one per start on one switch) as (bound, position,
-    // switch) of their least (bound, id) member, ascending; a class's
-    // members are sorted only once a wave reaches it
-    let by_bound = |a: &(f64, usize), b: &(f64, usize)| {
-        a.0.total_cmp(&b.0)
-            .then(loads.usable[a.1].cmp(&loads.usable[b.1]))
-    };
-    let mut classes: Vec<(f64, usize, u32)> = match &buckets {
-        Some(b) => b
-            .start_switches()
-            .filter_map(|sv| {
-                let starts = b.starts_on(sv).iter().map(|&i| (bounds[i], i));
-                let (bound, i) = starts.min_by(by_bound)?;
-                Some((bound, i, sv))
-            })
-            .collect(),
-        None => bounds.iter().enumerate().map(|(i, &b)| (b, i, 0)).collect(),
-    };
-    classes.sort_by(|a, b| by_bound(&(a.0, a.1), &(b.0, b.1)));
+    // classes ascend by their least member; a class's members are sorted
+    // only once a wave reaches it
+    let by_bound = by_bound(loads);
+    classes.sort_by(&by_bound);
 
     // expand one class against a fixed incumbent: its best
     // (cost, start, candidate) and how many starts it generated
     let by_cost = |a: &(f64, NodeId, Candidate), b: &(f64, NodeId, Candidate)| {
         a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
     };
-    let run_class = |&(_, first, sv): &(f64, usize, u32), incumbent: f64| {
+    let run_class = |&(_, first): &(f64, usize), incumbent: f64| {
+        let sv = loads.nl.switch_of_node(loads.usable[first]);
         let mut class: Vec<(f64, usize)> = match &buckets {
             Some(b) => b.starts_on(sv).iter().map(|&i| (bounds[i], i)).collect(),
             None => vec![(bounds[first], first)],
         };
-        class.sort_by(by_bound);
+        class.sort_by(&by_bound);
         // a bound *equal* to the incumbent must still expand — its
         // candidate could tie on cost and win on start id
         let live = class
@@ -610,6 +621,109 @@ mod tests {
     }
 
     #[test]
+    fn pool_rebuild_is_frac_min_build_bit_for_bit() {
+        // 12 switches of 16 nodes, CLs in quarters and pc ∈ {1, 2, 4}:
+        // densities tie across pc, so which entry a tie keeps first
+        // decides the partial sums, and mixed pc leaves own streams out of
+        // density order; one scratch serves every pool, as in a worker
+        use nlrm_sim_core::rng::splitmix64;
+        let h = |x: u64, salt: u64| splitmix64(x ^ salt);
+        let v = 12 * 16u32;
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let switch_of: Vec<u32> = (0..v).map(|u| u / 16).collect();
+        let nl = crate::TieredNl::from_fns(
+            &nodes,
+            &switch_of,
+            12,
+            |a, b| 0.05 + 0.01 * (h(u64::from(a.0) << 20 | u64::from(b.0), 3) % 8) as f64,
+            |s, t| 0.2 + 0.05 * (h(u64::from(s) << 20 | u64::from(t), 4) % 4) as f64,
+        );
+        let cl = (0..v)
+            .map(|u| 0.25 * (1 + h(u64::from(u), 1) % 4) as f64)
+            .collect();
+        let pc = (0..v)
+            .map(|u| [1, 2, 4][(h(u64::from(u), 2) % 3) as usize])
+            .collect();
+        let l = Loads::from_parts(nodes, cl, nl, pc);
+        // the pool of switch sv from first principles: its nodes with
+        // capacity in (α·CL, id) order, then every other node with
+        // capacity in (cost, id) order up to the one that covers n
+        let pool_of = |sv: u32, n: u32, a: f64, b: f64| {
+            let (mut own, mut foreign) = (Vec::new(), Vec::new());
+            for (i, &u) in l.usable.iter().enumerate().filter(|&(i, _)| l.pc[i] > 0) {
+                let s = l.nl.switch_of_node(u);
+                if s == sv {
+                    own.push((a * l.cl[i], u, l.cl[i], l.pc[i]));
+                } else {
+                    let cost = a * l.cl[i] + b * l.nl.inter_value(sv, s);
+                    foreign.push((cost, u, l.cl[i], l.pc[i]));
+                }
+            }
+            let key = |x: &(f64, NodeId, f64, u32), y: &(f64, NodeId, f64, u32)| {
+                x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
+            };
+            own.sort_by(key);
+            foreign.sort_by(key);
+            let mut covered = 0u64;
+            let end = foreign.iter().position(|f| {
+                covered += u64::from(f.3);
+                covered >= u64::from(n)
+            });
+            foreign.truncate(end.map_or(foreign.len(), |e| e + 1));
+            let pool = own.into_iter().chain(foreign);
+            pool.map(|(_, _, cl, pc)| (cl, pc))
+                .collect::<Vec<(f64, u32)>>()
+        };
+        // the reference `FracMin`: a stable density sort of the pool,
+        // then prefix sums in that order
+        let reference = |pool: &[(f64, u32)]| {
+            let mut e: Vec<(f64, f64, u32)> = pool
+                .iter()
+                .map(|&(cl, pc)| (cl / pc as f64, cl, pc))
+                .collect();
+            e.sort_by(|x, y| x.0.total_cmp(&y.0));
+            let mut f = FracMin {
+                pc_cum: vec![0],
+                cl_cum: vec![0.0],
+                ..FracMin::default()
+            };
+            for (d, cl, pc) in e {
+                f.total_pc += pc as u64;
+                f.total_cl += cl;
+                f.pc_cum.push(f.total_pc);
+                f.cl_cum.push(f.total_cl);
+                f.density.push(d);
+            }
+            f
+        };
+        let bits = |f: &FracMin| {
+            let b = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            let totals = (f.total_pc, f.total_cl.to_bits());
+            (f.pc_cum.clone(), b(&f.cl_cum), b(&f.density), totals)
+        };
+        let density = |x: &(f64, u32)| x.0 / x.1 as f64;
+        let (mut s, mut unsorted) = (PoolScratch::default(), 0);
+        for n in [1, 6, 33, 200] {
+            for (a, b) in [(0.3, 0.7), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)] {
+                let buckets = TieredBuckets::build(&l, n, a, b).unwrap();
+                for sv in buckets.start_switches() {
+                    let pool = pool_of(sv, n, a, b);
+                    let own = &pool[..buckets.starts_on(sv).len()]; // every pc > 0
+                    unsorted += usize::from(!own.is_sorted_by(|x, y| density(x) <= density(y)));
+                    let want = reference(&pool);
+                    let (prefix, entries, got) = &mut s;
+                    got.rebuild(buckets.pool(sv, prefix), entries);
+                    assert_eq!(bits(got), bits(&want), "n {n} α {a} β {b} switch {sv}");
+                    for p in 0..=want.total_pc + 1 {
+                        assert_eq!(got.query(p).to_bits(), want.query(p).to_bits(), "p {p}");
+                    }
+                }
+            }
+        }
+        assert!(unsorted > 0, "every own stream was in density order");
+    }
+
+    #[test]
     fn zero_capacity_returns_none() {
         let l = loads(5, 7);
         let starved = Loads::from_parts(
@@ -671,5 +785,61 @@ mod tests {
                 .map(|(&cl, _)| cl)
                 .sum();
         assert!((frac.query(l.total_capacity() + 10) - all).abs() < 1e-9);
+    }
+
+    #[test]
+    fn neighbourhood_scale_search_shape_is_pinned() {
+        // `mega-alloc`'s shape at 136 switches of 48 nodes, wider than one
+        // neighbourhood: pc 4, its value ranges and its 12-request cycle
+        use crate::candidate::TieredBuckets;
+        use nlrm_sim_core::rng::{frac, splitmix64};
+        let (v, per_switch, seed) = (136 * 48u32, 48u32, 0x4E16);
+        let nodes: Vec<NodeId> = (0..v).map(NodeId).collect();
+        let switch_of: Vec<u32> = (0..v).map(|u| u / per_switch).collect();
+        let nl = crate::TieredNl::from_fns(
+            &nodes,
+            &switch_of,
+            (v / per_switch) as usize,
+            |a, b| 0.05 + 0.3 * frac(splitmix64(seed ^ (a.0 as u64 * 1_000_003 + b.0 as u64))),
+            |s, t| 0.2 + 0.6 * frac(splitmix64(seed ^ ((s as u64) << 32 | t as u64))),
+        );
+        let cl = (0..v)
+            .map(|u| 0.1 + 0.8 * frac(splitmix64(seed ^ (u as u64 + 17))))
+            .collect();
+        let l = Loads::from_parts(nodes, cl, nl, vec![4; v as usize]);
+        // (n, α, β, cost bits, winner, expanded, pruned)
+        let shape: [(u32, f64, f64, u64, u32, usize, usize); 12] = [
+            (32, 0.3, 0.7, 0x3f15e810bc3b3401, 4122, 457, 6071),
+            (64, 0.4, 0.6, 0x3f2d477e689bb7e6, 330, 228, 6300),
+            (128, 0.7, 0.3, 0x3f48ff1142284f9c, 2118, 63, 6465),
+            (256, 0.3, 0.7, 0x3f4b1d982a004603, 2149, 881, 5647),
+            (32, 0.4, 0.6, 0x3f1ced4b78ca5d23, 4056, 279, 6249),
+            (64, 0.7, 0.3, 0x3f37f6f1e0a814e5, 4351, 57, 6471),
+            (128, 0.3, 0.7, 0x3f38626b243eca4c, 2149, 396, 6132),
+            (256, 0.4, 0.6, 0x3f50f88aa0d7a84b, 2149, 477, 6051),
+            (32, 0.7, 0.3, 0x3f27b16eaea84260, 5865, 66, 6462),
+            (64, 0.3, 0.7, 0x3f271e4382f08117, 4122, 651, 5877),
+            (128, 0.4, 0.6, 0x3f3f99fb3405d941, 774, 415, 6113),
+            (256, 0.7, 0.3, 0x3f5aa2eaf90200ac, 1354, 128, 6400),
+        ];
+        let mut certified = false;
+        for &(n, a, b, cost, start, expanded, pruned) in &shape {
+            let buckets = TieredBuckets::build(&l, n, a, b).unwrap();
+            certified |= buckets
+                .start_switches()
+                .any(|sv| buckets.seeds_from_neighbourhood(sv));
+            let got = allocate_pruned(&l, n, a, b).unwrap();
+            assert_eq!(
+                (
+                    got.cost.to_bits(),
+                    got.winner.start.0,
+                    got.expanded,
+                    got.pruned
+                ),
+                (cost, start, expanded, pruned),
+                "n {n} α {a} β {b}"
+            );
+        }
+        assert!(certified, "no prefix took the neighbourhood cut");
     }
 }
