@@ -21,7 +21,8 @@
 //! 2. **Root cause** — [`nlrm_obs::rca::analyze`] on the trigger event
 //!    must rank the injected cause first;
 //! 3. **Recording overhead** — wall-clock spent inside recorder calls
-//!    must stay under 5% of the scenario runtime.
+//!    must stay under 5% of the scenario runtime, the median of three
+//!    timed runs of the storyline.
 //!
 //! Output:
 //!
@@ -226,11 +227,21 @@ fn run_storyline(progress: &Progress, story: Storyline) -> Outcome {
     let replayed = scenario::rerun_from(record);
     let replay = replay::compare(record, replayed.record.as_ref().expect("replay records"));
 
-    let overhead_frac = if run.wall_secs > 0.0 {
-        (run.obs.recorder.wall_nanos() as f64 / 1e9) / run.wall_secs
-    } else {
-        0.0
+    // one short run on a slow stretch of the host can read well past the
+    // recorder's share, so the gated figure is the median of three runs
+    let frac = |run: &ScenarioRun| {
+        if run.wall_secs > 0.0 {
+            (run.obs.recorder.wall_nanos() as f64 / 1e9) / run.wall_secs
+        } else {
+            0.0
+        }
     };
+    let mut fracs = [frac(&run), 0.0, 0.0];
+    for f in &mut fracs[1..] {
+        *f = frac(&scenario::run(&story.spec));
+    }
+    fracs.sort_by(f64::total_cmp);
+    let overhead_frac = fracs[1];
 
     progress.kv("detector_fired", detector_fired);
     progress.kv(

@@ -31,9 +31,9 @@
 //! (quick: 8/5), replayed [`REPLAYS`] times — and reports
 //! allocations/sec, p50/p99 decision latency with min and max over every
 //! replay, and the mean expanded and pruned starts. It records the
-//! resident set after the cluster build, after the monitor and after the
-//! snapshot repeats next to the peak, so a memory cut shows at its
-//! stage. The first decision on the fresh `Loads`, which builds its
+//! resident set after the cluster build, after the monitor, after the
+//! snapshot repeats and after the derive repeats (the snapshot and one
+//! `Loads` alive) next to the peak, so a memory cut shows at its stage. The first decision on the fresh `Loads`, which builds its
 //! memoized bound inputs and foreign-switch neighbourhoods, is timed
 //! apart and kept out of the stream's figures. Every decision must
 //! expand or prune each usable start exactly once, and the snapshot must
@@ -252,6 +252,7 @@ struct ChainRow {
     rss_cluster_mb: f64,
     rss_monitor_mb: f64,
     rss_snapshot_mb: f64,
+    rss_derive_mb: f64,
     peak_rss_mb: f64,
     threads: usize,
     host_cores: usize,
@@ -282,6 +283,7 @@ impl ChainRow {
             self.rss_cluster_mb.to_string(),
             self.rss_monitor_mb.to_string(),
             self.rss_snapshot_mb.to_string(),
+            self.rss_derive_mb.to_string(),
             self.peak_rss_mb.to_string(),
             self.threads.to_string(),
             self.host_cores.to_string(),
@@ -318,6 +320,7 @@ impl ChainRow {
             rss_cluster_mb: num(),
             rss_monitor_mb: num(),
             rss_snapshot_mb: num(),
+            rss_derive_mb: num(),
             peak_rss_mb: num(),
             threads: num() as usize,
             host_cores: num() as usize,
@@ -408,6 +411,7 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
     let (derive, loads) = timed(repeats, || {
         Loads::derive_with_policy(&snap, &cw, &nw, Some(4), &policy).expect("derive")
     });
+    let rss_derive_mb = report::rss_mb();
 
     let usable = loads.usable.len();
     let decide = |j: usize| {
@@ -450,6 +454,7 @@ fn chain_at(clusters: usize, jobs: usize) -> ChainRow {
         rss_cluster_mb,
         rss_monitor_mb,
         rss_snapshot_mb,
+        rss_derive_mb,
         peak_rss_mb: report::peak_rss_mb(),
         threads: nlrm_core::par::worker_threads(),
         host_cores: host_cores(),
@@ -674,6 +679,7 @@ fn main() {
         "rss_cluster_MB",
         "rss_monitor_MB",
         "rss_snapshot_MB",
+        "rss_derive_MB",
         "peak_rss_MB",
         "threads",
         "host_cores",
@@ -697,6 +703,7 @@ fn main() {
             format!("{:.1}", c.rss_cluster_mb),
             format!("{:.1}", c.rss_monitor_mb),
             format!("{:.1}", c.rss_snapshot_mb),
+            format!("{:.1}", c.rss_derive_mb),
             format!("{:.1}", c.peak_rss_mb),
             c.threads.to_string(),
             c.host_cores.to_string(),
@@ -791,6 +798,7 @@ fn main() {
                 ("rss_cluster_mb", json::num(c.rss_cluster_mb)),
                 ("rss_monitor_mb", json::num(c.rss_monitor_mb)),
                 ("rss_snapshot_mb", json::num(c.rss_snapshot_mb)),
+                ("rss_derive_mb", json::num(c.rss_derive_mb)),
                 ("peak_rss_mb", json::num(c.peak_rss_mb)),
                 ("threads", c.threads.to_string()),
                 ("host_cores", c.host_cores.to_string()),

@@ -9,14 +9,15 @@
 //! Eq. 2's sums over the usable pairs are exact sums, rounded once, that
 //! add each input times the number of pairs reading it, so both shapes
 //! derive the same NL values by construction, in O(Σ m_s² + S²) adds on
-//! blocks.
+//! blocks. The column they fill holds each input once, Σ m_s(m_s−1)/2 +
+//! S(S−1)/2 cells, and becomes the [`TieredNl`]'s storage by move.
 
 use crate::candidate::{ForeignIndex, SwitchStreams};
 use crate::exact;
 use crate::request::AllocError;
 use crate::saw::{saw_scores, Column, Criterion};
 use crate::scalable::FracMin;
-use crate::tiered::TieredNl;
+use crate::tiered::{BucketPairs, TieredNl};
 use crate::weights::{ComputeWeights, NetworkWeights};
 use nlrm_monitor::{pair_index, BlockPairs, ClusterSnapshot, LatencyStat, PairSource};
 use nlrm_sim_core::time::Duration;
@@ -615,14 +616,15 @@ fn network_load(
 }
 
 /// Eq. 2 on a dense snapshot, the central monitor's shape: one bucket
-/// in the [`BucketPairs`] layout, one input per usable pair.
+/// in the [`BucketPairs`] layout, one input per usable pair; the `lat`
+/// column becomes the [`TieredNl`].
 fn central_network_load(
     snap: &ClusterSnapshot,
     usable: &[NodeId],
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) -> TieredNl {
-    let order = BucketPairs::new(1, usable, |_| 0);
+    let order = BucketPairs::new(1, usable.iter().map(|&u| (u, 0)));
     let mut lat = Vec::with_capacity(order.len());
     let mut cbw = Vec::with_capacity(order.len());
     // once, not per walk: the Eq. 2 sums walk the stretches three times
@@ -640,7 +642,7 @@ fn central_network_load(
         .enumerate()
         .map(|(x, &(l, b))| (x..x + 1, 1, l, b));
     network_load(snap, &mut lat, &mut cbw, stretches, weights, policy);
-    order.into_tiered(&lat)
+    order.into_tiered(lat)
 }
 
 /// Eq. 2 on a block snapshot, straight into a [`TieredNl`] with no V×V
@@ -649,7 +651,7 @@ fn central_network_load(
 /// reads its block's triangle (the last bucket's pairs are unmeasured).
 /// Every cross pair of a bucket pair reads the same estimate cell at the
 /// same ages, so it is one input counted `m_a·m_b` times. The columns
-/// take the [`BucketPairs`] layout.
+/// take the [`BucketPairs`] layout, and `lat` becomes the [`TieredNl`].
 fn block_network_load(
     snap: &ClusterSnapshot,
     blocks: &BlockPairs,
@@ -659,7 +661,8 @@ fn block_network_load(
 ) -> TieredNl {
     let shards = blocks.blocks();
     let k = shards.len() + 1;
-    let order = BucketPairs::new(k, usable, |u| blocks.slot(u).map_or(k - 1, |(b, _)| b));
+    let bucket = |u: NodeId| blocks.slot(u).map_or(k - 1, |(b, _)| b);
+    let order = BucketPairs::new(k, usable.iter().map(|&u| (u, bucket(u))));
     let members = &order.members;
     let (mut lat, mut cbw) = (vec![0.0; order.len()], vec![0.0; order.len()]);
     for (b, ms) in members.iter().enumerate() {
@@ -709,84 +712,7 @@ fn block_network_load(
         weights,
         policy,
     );
-    order.into_tiered(&lat)
-}
-
-/// The usable pairs of a bucketed universe, laid out as one column: each
-/// bucket's strict upper triangle over its members' positions, then the
-/// strict upper triangle of bucket pairs, both indexed by [`pair_index`].
-/// A cross pair reads its bucket pair's entry.
-struct BucketPairs {
-    /// Usable members per bucket, in usable order.
-    members: Vec<Vec<NodeId>>,
-    /// Start of each bucket's triangle; `tri[k]` starts the bucket pairs.
-    tri: Vec<usize>,
-}
-
-impl BucketPairs {
-    /// `k` buckets over `usable`, `bucket_of` placing each node.
-    fn new(k: usize, usable: &[NodeId], bucket_of: impl Fn(NodeId) -> usize) -> BucketPairs {
-        let mut members = vec![Vec::new(); k];
-        for &u in usable {
-            members[bucket_of(u)].push(u);
-        }
-        let mut tri = vec![0];
-        for ms in &members {
-            tri.push(tri[tri.len() - 1] + ms.len() * ms.len().saturating_sub(1) / 2);
-        }
-        BucketPairs { members, tri }
-    }
-
-    /// Column length.
-    fn len(&self) -> usize {
-        let k = self.members.len();
-        self.tri[k] + k * k.saturating_sub(1) / 2
-    }
-
-    /// Column entry of the bucket pair `a ≠ b`.
-    fn cross(&self, a: usize, b: usize) -> usize {
-        let k = self.members.len();
-        self.tri[k] + pair_index(k, a, b)
-    }
-
-    /// The bucket pairs `a < b` with usable members on both sides.
-    fn bucket_pairs(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
-        let k = self.members.len();
-        let occupied = |b: &usize| !self.members[*b].is_empty();
-        (0..k)
-            .filter(occupied)
-            .flat_map(move |a| ((a + 1)..k).filter(occupied).map(move |b| (a, b)))
-    }
-
-    /// The [`TieredNl`] holding `column`.
-    fn into_tiered(self, column: &[f64]) -> TieredNl {
-        let k = self.members.len();
-        let intra = self
-            .members
-            .iter()
-            .zip(&self.tri)
-            .map(|(ms, &at)| {
-                let m = ms.len();
-                let mut mat = vec![0.0; m * m];
-                let mut x = at;
-                for i in 0..m {
-                    for j in (i + 1)..m {
-                        (mat[i * m + j], mat[j * m + i]) = (column[x], column[x]);
-                        x += 1;
-                    }
-                }
-                mat
-            })
-            .collect();
-        let mut inter = vec![0.0; k * k];
-        for a in 0..k {
-            for b in (a + 1)..k {
-                let x = column[self.cross(a, b)];
-                (inter[a * k + b], inter[b * k + a]) = (x, x);
-            }
-        }
-        TieredNl::from_parts(self.members, intra, inter)
-    }
+    order.into_tiered(lat)
 }
 
 #[cfg(test)]
