@@ -3,7 +3,8 @@
 //! The scale story (`monitor_sweep`'s chain rows, 1k → 100k nodes on the
 //! real monitor → snapshot → derive chain) measures whole decisions; this file
 //! isolates the three kernels that dominate them — `group_cost` over a
-//! candidate's node set, `generate_candidate` from a single start node,
+//! candidate's node set, `generate_candidate` (the switch generator's
+//! one-start case, buckets included) from a single start node,
 //! and `select_best` over a full candidate slate — so per-kernel
 //! regressions show up independently of each other. One whole
 //! `allocate_pruned` decision (4,096 tiered nodes, 64 processes) guards
@@ -66,7 +67,9 @@ fn bench_group_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// Algorithm 1 from a single start node: the bounded-heap greedy walk.
+/// Algorithm 1 from a single start node: the one-start case of the switch
+/// generator, which on this one-switch universe builds the buckets and
+/// walks a bounded heap over every node.
 fn bench_generate_candidate(c: &mut Criterion) {
     let mut group = c.benchmark_group("generate_candidate");
     group.sample_size(30);

@@ -8,6 +8,7 @@
 use crate::policies::{NetworkLoadAwarePolicy, Policy};
 use crate::request::{AllocError, Allocation, AllocationRequest};
 use nlrm_monitor::ClusterSnapshot;
+use nlrm_topology::NodeId;
 
 /// Thresholds for the wait recommendation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,8 +59,24 @@ impl Advice {
     }
 }
 
+/// The §6 load check's measure over `nodes`: Σ 1-min CPU load / Σ logical
+/// cores (0 without cores), or the first node with no sample in `snap`.
+pub(crate) fn load_per_core(
+    snap: &ClusterSnapshot,
+    nodes: impl IntoIterator<Item = NodeId>,
+) -> Result<f64, NodeId> {
+    let (mut load, mut cores) = (0.0, 0.0);
+    for u in nodes {
+        let info = snap.info(u).ok_or(u)?;
+        load += info.sample.cpu_load.m1;
+        cores += info.sample.spec.cores as f64;
+    }
+    Ok(if cores > 0.0 { load / cores } else { 0.0 })
+}
+
 /// Run the network-and-load-aware allocator, then judge whether even its
-/// best group is too loaded to be worth running on.
+/// best group is too loaded to be worth running on. A winner node with no
+/// sample in `snap` advises waiting.
 pub fn advise(
     snap: &ClusterSnapshot,
     req: &AllocationRequest,
@@ -67,17 +84,9 @@ pub fn advise(
 ) -> Result<Advice, AllocError> {
     let alloc = NetworkLoadAwarePolicy::new().allocate(snap, req)?;
 
-    // mean CPU load per logical core over the chosen group (1-min means)
-    let mut load = 0.0;
-    let mut cores = 0.0;
+    let selected = alloc.node_list();
     let mut bw_frac_sum = 0.0;
     let mut bw_pairs = 0usize;
-    let selected = alloc.node_list();
-    for &u in &selected {
-        let info = snap.info(u).expect("selected node has sample");
-        load += info.sample.cpu_load.m1;
-        cores += info.sample.spec.cores as f64;
-    }
     for (i, &u) in selected.iter().enumerate() {
         for &v in &selected[i + 1..] {
             let peak = snap.peak_bandwidth_bps(u, v);
@@ -88,35 +97,31 @@ pub fn advise(
             }
         }
     }
-    let load_per_core = if cores > 0.0 { load / cores } else { 0.0 };
     let bw_frac = if bw_pairs > 0 {
         bw_frac_sum / bw_pairs as f64
     } else {
         1.0
     };
 
-    if load_per_core > config.max_load_per_core {
-        return Ok(Advice::Wait {
-            best_available: alloc,
-            reason: format!(
-                "best group's CPU load per core is {load_per_core:.2} \
-                 (> {:.2}); not enough lightly loaded processors",
-                config.max_load_per_core
-            ),
-        });
-    }
-    if bw_frac < config.min_bandwidth_fraction {
-        return Ok(Advice::Wait {
-            best_available: alloc,
-            reason: format!(
-                "best group's mean available bandwidth is {:.1}% of peak \
-                 (< {:.1}%); the network is saturated",
-                bw_frac * 100.0,
-                config.min_bandwidth_fraction * 100.0
-            ),
-        });
-    }
-    Ok(Advice::Allocate(alloc))
+    let reason = match load_per_core(snap, selected.iter().copied()) {
+        Err(u) => format!("node {u} has no sample in the snapshot"),
+        Ok(load_per_core) if load_per_core > config.max_load_per_core => format!(
+            "best group's CPU load per core is {load_per_core:.2} \
+             (> {:.2}); not enough lightly loaded processors",
+            config.max_load_per_core
+        ),
+        Ok(_) if bw_frac < config.min_bandwidth_fraction => format!(
+            "best group's mean available bandwidth is {:.1}% of peak \
+             (< {:.1}%); the network is saturated",
+            bw_frac * 100.0,
+            config.min_bandwidth_fraction * 100.0
+        ),
+        Ok(_) => return Ok(Advice::Allocate(alloc)),
+    };
+    Ok(Advice::Wait {
+        best_available: alloc,
+        reason,
+    })
 }
 
 #[cfg(test)]

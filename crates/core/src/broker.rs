@@ -31,6 +31,7 @@
 //! left over once the head starts. Priority aging is the second backstop:
 //! every second of queue wait adds [`BrokerConfig::aging_rate`] points.
 
+use crate::advisor::load_per_core;
 use crate::loads::Loads;
 use crate::policies::place;
 use crate::request::{AllocError, Allocation, AllocationRequest};
@@ -945,18 +946,12 @@ impl Broker {
         // missing from the snapshot (its node-state record vanished after
         // the universe was derived) defers rather than panics.
         if let Some(limit) = self.config.max_load_per_core {
-            let mut load = 0.0;
-            let mut cores = 0.0;
-            for &(node, _) in &allocation.nodes {
-                let Some(info) = snap.info(node) else {
-                    return Err(PlaceFailure::Advisory(format!(
-                        "node {node} has no sample in the snapshot (stale or partial view)"
-                    )));
-                };
-                load += info.sample.cpu_load.m1;
-                cores += info.sample.spec.cores as f64;
-            }
-            let per_core = if cores > 0.0 { load / cores } else { 0.0 };
+            let nodes = allocation.nodes.iter().map(|&(node, _)| node);
+            let per_core = load_per_core(snap, nodes).map_err(|node| {
+                PlaceFailure::Advisory(format!(
+                    "node {node} has no sample in the snapshot (stale or partial view)"
+                ))
+            })?;
             if per_core > limit {
                 return Err(PlaceFailure::Advisory(format!(
                     "cluster too loaded: best group at {per_core:.2} load/core (> {limit})"

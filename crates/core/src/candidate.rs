@@ -10,21 +10,23 @@
 //!
 //! The paper sorts all `V` addition costs per start node — O(V log V) each,
 //! O(V² log V) for the full candidate set. This module keeps the *output*
-//! identical while cutting the work:
+//! identical while cutting the work. Every network load is a switch tree
+//! ([`TieredNl`]; a central derivation is its one-switch case), and every
+//! node of a foreign switch shares the same `NL(v,·)` term, so one
+//! generator, `TieredBuckets`, serves every universe:
 //!
-//! * [`generate_candidate`] heapifies the addition costs in O(V) and pops
-//!   only until `n` processes are covered — a bounded partial selection,
-//!   O(V + k log V) per start node.
-//! * On a network load over more than one switch ([`TieredNl`]),
-//!   [`generate_all_candidates`] exploits that every node of a foreign
-//!   switch shares the same `NL(v,·)` term, so every start on one switch
-//!   visits the foreign nodes in the same order: one *foreign prefix* per
-//!   switch, the foreign nodes in `(cost, id)` order until their capacity
-//!   covers `n`. It is cut, not merged: the `k`-th cheapest stream head
-//!   (`k` heads cover `n`) bounds every prefix cost, so only the streams
-//!   whose head costs at most that cut are scanned, each up to its first
-//!   item above it, and the scanned items are sorted and cut at `n`. Each
-//!   start merges its own switch's exact costs against the prefix.
+//! * Every start on one switch visits the foreign nodes in the same
+//!   order: one *foreign prefix* per switch, the foreign nodes in
+//!   `(cost, id)` order until their capacity covers `n`. It is cut, not
+//!   merged: the `k`-th cheapest stream head (`k` heads cover `n`) bounds
+//!   every prefix cost, so only the streams whose head costs at most that
+//!   cut are scanned, each up to its first item above it, and the scanned
+//!   items are sorted and cut at `n`. On one switch the prefix is empty.
+//! * Each start heapifies its own switch's exact costs in O(m) and pops
+//!   them, ties by id, against the prefix only until `n` processes are
+//!   covered: O(m + k log m) for an `m`-node switch. On one switch that is
+//!   a bounded partial selection over the whole universe, O(V + k log V)
+//!   per start. [`generate_candidate`] is the one-start case.
 //! * Costing all S − 1 heads for each of S switches is O(S²) per
 //!   decision, so the `Loads` keeps, built once on first use, a
 //!   `ForeignIndex`: per switch its L = 128 foreign switches with the
@@ -83,11 +85,11 @@ impl Candidate {
 
 /// A `(cost, node)` entry ordered ascending by cost, ties by node id — the
 /// total order Algorithm 1's sort used, so heap pops reproduce it exactly.
-/// `at`, the node's usable position, never breaks a tie.
+/// `pc`, the node's capacity, never breaks a tie.
 struct CostEntry {
     cost: f64,
     node: NodeId,
-    at: usize,
+    pc: u32,
 }
 
 impl PartialEq for CostEntry {
@@ -130,85 +132,40 @@ fn distribute_remainder(procs: &mut [u32], allocated: u64, n: u32) {
     }
 }
 
-/// Walk entries in `(cost, id)` order, assigning processes greedily until
-/// `n` are covered; shared by the heap and the bucketed paths.
-struct GreedyTake {
-    nodes: Vec<NodeId>,
-    procs: Vec<u32>,
-    allocated: u64,
-    n: u64,
-}
-
-impl GreedyTake {
-    fn new(n: u32) -> Self {
-        GreedyTake {
-            nodes: Vec::new(),
-            procs: Vec::new(),
-            allocated: 0,
-            n: n as u64,
-        }
-    }
-
-    fn satisfied(&self) -> bool {
-        self.allocated >= self.n
-    }
-
-    /// Offer the next-cheapest node; returns `false` once the request is
-    /// covered and the walk can stop.
-    fn offer(&mut self, node: NodeId, pc: u32) -> bool {
-        if self.satisfied() {
-            return false;
-        }
-        let take = (pc as u64).min(self.n - self.allocated) as u32;
+/// Algorithm 1's greedy walk: each `(node, pc)` of `order` in turn takes
+/// up to its `pc` processes until `n` are covered (no further item is
+/// drawn), and leftover demand round-robins over the taken nodes. The
+/// candidate generator walks addition costs, the baseline policies their
+/// own orders.
+pub(crate) fn greedy_take(
+    order: impl IntoIterator<Item = (NodeId, u32)>,
+    n: u32,
+) -> (Vec<NodeId>, Vec<u32>) {
+    let (mut nodes, mut procs, mut allocated) = (Vec::new(), Vec::new(), 0u64);
+    for (node, pc) in order {
+        let take = (pc as u64).min(n as u64 - allocated) as u32;
         if take > 0 {
-            self.nodes.push(node);
-            self.procs.push(take);
-            self.allocated += take as u64;
+            nodes.push(node);
+            procs.push(take);
+            allocated += take as u64;
         }
-        !self.satisfied()
-    }
-
-    fn finish(mut self, start: NodeId, n: u32) -> Candidate {
-        distribute_remainder(&mut self.procs, self.allocated, n);
-        Candidate {
-            start,
-            nodes: self.nodes,
-            procs: self.procs,
-        }
-    }
-}
-
-/// Generate the candidate sub-graph for start node `v` (Algorithm 1).
-///
-/// `n` is the requested process count. Ties in `A_v(u)` break by node id so
-/// candidate generation is deterministic. Internally a bounded partial
-/// selection: the addition costs are heapified in O(V) and popped only
-/// until `n` processes are covered, instead of fully sorting all V costs.
-pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f64) -> Candidate {
-    debug_assert!(loads.index(v).is_some(), "start node must be usable");
-    // addition cost per usable node; A_v(v) = 0 so v always joins first
-    let nl_from_v = loads.nl.row(v);
-    let entries: Vec<Reverse<CostEntry>> = loads
-        .usable
-        .iter()
-        .enumerate()
-        .map(|(at, &u)| {
-            let cost = if u == v {
-                0.0
-            } else {
-                alpha * loads.cl[at] + beta * nl_from_v(u)
-            };
-            Reverse(CostEntry { cost, node: u, at })
-        })
-        .collect();
-    let mut heap = BinaryHeap::from(entries);
-    let mut take = GreedyTake::new(n);
-    while let Some(Reverse(e)) = heap.pop() {
-        if !take.offer(e.node, loads.pc[e.at]) {
+        if allocated >= n as u64 {
             break;
         }
     }
-    take.finish(v, n)
+    distribute_remainder(&mut procs, allocated, n);
+    (nodes, procs)
+}
+
+/// Generate the candidate sub-graph for start node `v` (Algorithm 1), which
+/// must be usable in `loads`.
+///
+/// `n` is the requested process count. Ties in `A_v(u)` break by node id so
+/// candidate generation is deterministic. The one-start case of the
+/// switch generator (see the module doc).
+pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f64) -> Candidate {
+    debug_assert!(loads.index(v).is_some(), "start node must be usable");
+    TieredBuckets::build(loads, n, alpha, beta).candidate(v)
 }
 
 /// All candidates, one per usable start node (§3.3.2: "we find candidate
@@ -217,17 +174,24 @@ pub fn generate_candidate(loads: &Loads, v: NodeId, n: u32, alpha: f64, beta: f6
 /// universe) are dropped; an empty return therefore means the request is
 /// unsatisfiable.
 ///
-/// Start nodes are evaluated on worker threads with a deterministic
-/// reduction (outputs keep input order), and a network load over more
-/// than one switch switches to bucketed per-switch generation — both
-/// paths produce byte-identical candidates to the serial per-start path.
+/// Each start switch's foreign prefix is built once, and the starts are
+/// evaluated on worker threads with a deterministic reduction (outputs
+/// keep input order), so the candidates are byte-identical to a serial
+/// loop over the starts.
 pub fn generate_all_candidates(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Vec<Candidate> {
-    let cands: Vec<Candidate> = match TieredBuckets::build(loads, n, alpha, beta) {
-        Some(buckets) => generate_all_tiered(loads, &buckets),
-        None => par::par_map(&loads.usable, |&v| {
-            generate_candidate(loads, v, n, alpha, beta)
-        }),
-    };
+    let buckets = TieredBuckets::build(loads, n, alpha, beta);
+    let t = buckets.t;
+    let prefixes = par::par_map_indexed(t.num_switches(), par::MIN_CHUNK, |s| {
+        let s = s as u32;
+        if buckets.starts_on(s).is_empty() {
+            Vec::new()
+        } else {
+            buckets.prefix(s)
+        }
+    });
+    let cands = par::par_map(&loads.usable, |&v| {
+        buckets.merge_for(v, &prefixes[t.switch_of_node(v) as usize])
+    });
     cands
         .into_iter()
         .filter(|c| c.total_procs() as u64 >= n as u64)
@@ -385,7 +349,9 @@ impl SwitchStreams {
 
 /// Per-switch streams of usable nodes with spare capacity, in `(α·CL, id)`
 /// order — the order any *foreign* start node visits them in, since the
-/// tiered `NL(v, u)` term is constant across a foreign switch.
+/// tiered `NL(v, u)` term is constant across a foreign switch. One
+/// decision's Algorithm 1 over any universe; on one switch there is one
+/// stream, every foreign prefix is empty and there is no neighbourhood.
 pub(crate) struct TieredBuckets<'a> {
     t: &'a TieredNl,
     alpha: f64,
@@ -441,14 +407,9 @@ pub(crate) struct PrefixScratch {
 }
 
 impl<'a> TieredBuckets<'a> {
-    /// The buckets of one decision over `loads`; `None` on one switch
-    /// (a central derivation), where every foreign prefix is empty and
-    /// the per-start heap path prunes by start, not by switch.
-    pub(crate) fn build(loads: &'a Loads, n: u32, alpha: f64, beta: f64) -> Option<Self> {
+    /// The buckets of one decision over `loads`.
+    pub(crate) fn build(loads: &'a Loads, n: u32, alpha: f64, beta: f64) -> Self {
         let t: &TieredNl = &loads.nl;
-        if t.num_switches() == 1 {
-            return None;
-        }
         let memo = loads.switch_streams();
         // a stream's cost is α·CL + const(switch), so (α·CL, id) is its
         // cost order; ties in α·CL (notably the whole stream when α = 0)
@@ -484,7 +445,7 @@ impl<'a> TieredBuckets<'a> {
             .flatten()
             .filter(|ix| (alpha * ix.max_abs).is_finite() && (beta * ix.max_abs).is_finite())
             .map(|index| (index, h_min));
-        Some(TieredBuckets {
+        TieredBuckets {
             t,
             alpha,
             beta,
@@ -496,7 +457,12 @@ impl<'a> TieredBuckets<'a> {
             k,
             rising: (alpha * memo.max_abs_cl).is_finite(),
             near,
-        })
+        }
+    }
+
+    /// Whether the universe sits on one switch (a central derivation).
+    pub(crate) fn one_switch(&self) -> bool {
+        self.head_cl.len() == 1
     }
 
     /// Switches carrying at least one start node, ascending.
@@ -516,8 +482,8 @@ impl<'a> TieredBuckets<'a> {
 
     /// The cost of a node with compute load `cl` on switch `s`, as a
     /// start node on switch `sv` sees it. Computed with the exact same
-    /// float expression as the per-start path so the order is
-    /// bit-identical.
+    /// float expression as a full sort of `α·CL(u) + β·NL(v, u)`, so the
+    /// order is bit-identical.
     fn foreign_cost(&self, sv: u32, s: u32, cl: f64) -> f64 {
         self.alpha * cl + self.beta * self.t.inter_value(sv, s)
     }
@@ -648,60 +614,60 @@ impl<'a> TieredBuckets<'a> {
         own.chain(foreign.map(|f| (f.cl, f.pc)))
     }
 
+    /// The foreign prefix of switch `sv`, in a buffer of its own.
+    fn prefix(&self, sv: u32) -> Vec<ForeignItem> {
+        let mut scratch = PrefixScratch::default();
+        self.foreign_prefix(sv, &mut scratch);
+        scratch.items
+    }
+
     /// Candidates for `starts`, all on switch `sv`, in input order: the
-    /// one tiered Algorithm 1, behind both [`generate_all_candidates`] and
-    /// the pruned allocator. The foreign prefix is built once for the
-    /// whole switch; each start then merges it with its own switch's
-    /// exact costs.
+    /// foreign prefix is built once for the whole switch, then each start
+    /// merges it with its own switch's exact costs.
     pub(crate) fn generate_switch<'s>(
         &'s self,
         sv: u32,
         starts: impl IntoIterator<Item = NodeId> + 's,
     ) -> impl Iterator<Item = Candidate> + 's {
-        let mut scratch = PrefixScratch::default();
-        self.foreign_prefix(sv, &mut scratch);
-        let prefix = scratch.items;
+        let prefix = self.prefix(sv);
         starts.into_iter().map(move |v| self.merge_for(v, &prefix))
     }
 
+    /// The candidate for the one start `v`.
+    pub(crate) fn candidate(&self, v: NodeId) -> Candidate {
+        self.merge_for(v, &self.prefix(self.t.switch_of_node(v)))
+    }
+
     /// The candidate for start `v`: its own switch's exact addition costs,
-    /// sorted, merged against the switch's foreign prefix and fed to the
-    /// greedy walk. Covering `k` processes costs O(m log m + k) for an
-    /// `m`-node switch.
+    /// heapified and popped in `(cost, id)` order against the switch's
+    /// foreign prefix, into the greedy walk. Covering `k` processes costs
+    /// O(m + k log m) for an `m`-node switch.
     fn merge_for(&self, v: NodeId, prefix: &[ForeignItem]) -> Candidate {
-        let sv = self.t.switch_of_node(v);
         let nl_from_v = self.t.row(v);
-        let mut own: Vec<(f64, NodeId, u32)> = self
-            .stream(sv)
-            .iter()
-            .map(|&(cl, pc, u)| {
-                let cost = if u == v {
+        let own = self.stream(self.t.switch_of_node(v)).iter();
+        let mut own: BinaryHeap<Reverse<CostEntry>> = own
+            .map(|&(cl, pc, node)| {
+                let cost = if node == v {
                     0.0
                 } else {
-                    self.alpha * cl + self.beta * nl_from_v(u)
+                    self.alpha * cl + self.beta * nl_from_v(node)
                 };
-                (cost, u, pc)
+                Reverse(CostEntry { cost, node, pc })
             })
             .collect();
-        own.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut take = GreedyTake::new(self.n);
         let mut foreign = prefix.iter().peekable();
-        for &(cost, node, pc) in &own {
-            while let Some(f) = foreign.next_if(|f| f.precedes(cost, node)) {
-                if !take.offer(f.node, f.pc) {
-                    return take.finish(v, self.n);
-                }
+        let merged = std::iter::from_fn(|| match own.peek() {
+            Some(Reverse(e)) if !foreign.peek().is_some_and(|f| f.precedes(e.cost, e.node)) => {
+                own.pop().map(|Reverse(e)| (e.node, e.pc))
             }
-            if !take.offer(node, pc) {
-                return take.finish(v, self.n);
-            }
+            _ => foreign.next().map(|f| (f.node, f.pc)),
+        });
+        let (nodes, procs) = greedy_take(merged, self.n);
+        Candidate {
+            start: v,
+            nodes,
+            procs,
         }
-        for f in foreign {
-            if !take.offer(f.node, f.pc) {
-                break;
-            }
-        }
-        take.finish(v, self.n)
     }
 }
 
@@ -734,24 +700,6 @@ fn cover(items: &mut Vec<ForeignItem>, n: u64, k: usize) {
         items[sorted..].sort_unstable_by(key);
         sorted = items.len();
     }
-}
-
-/// Bucketed generation over several switches: one foreign prefix per
-/// switch, switches fanned out across workers. Output is in
-/// `loads.usable` order.
-fn generate_all_tiered(loads: &Loads, buckets: &TieredBuckets) -> Vec<Candidate> {
-    let active: Vec<u32> = buckets.start_switches().collect();
-    let per_switch: Vec<Vec<Candidate>> = par::par_map(&active, |&sv| {
-        let starts = buckets.starts_on(sv).iter().map(|&i| loads.usable[i]);
-        buckets.generate_switch(sv, starts).collect()
-    });
-    let mut out: Vec<(usize, Candidate)> = active
-        .iter()
-        .zip(per_switch)
-        .flat_map(|(&sv, group)| buckets.starts_on(sv).iter().copied().zip(group))
-        .collect();
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, c)| c).collect()
 }
 
 /// A tiered universe wider than one neighbourhood, for the tests of the
@@ -831,7 +779,7 @@ mod tests {
     }
 
     /// The original full-sort Algorithm 1, kept as the test oracle for the
-    /// bounded-heap and bucketed paths.
+    /// switch generator.
     fn generate_candidate_reference(
         loads: &Loads,
         v: NodeId,
@@ -852,13 +800,12 @@ mod tests {
             })
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut take = GreedyTake::new(n);
-        for &(_, u) in &order {
-            if !take.offer(u, loads.pc_of(u)) {
-                break;
-            }
+        let (nodes, procs) = greedy_take(order.iter().map(|&(_, u)| (u, loads.pc_of(u))), n);
+        Candidate {
+            start: v,
+            nodes,
+            procs,
         }
-        take.finish(v, n)
     }
 
     #[test]
@@ -977,7 +924,7 @@ mod tests {
         for (what, l) in [("collided", &collided()), ("nan", &nan)] {
             let t = &l.nl;
             for alpha in [0.0, -0.0, -0.3, 1e-300, 0.3, 1e300] {
-                let b = TieredBuckets::build(l, 8, alpha, 0.7).unwrap();
+                let b = TieredBuckets::build(l, 8, alpha, 0.7);
                 // α ≤ 0 and the rounding ties must take the copy; α = 0.3
                 // and the collided universe's other α must borrow the memo
                 let copied = alpha <= 0.0 || (what == "nan" && alpha != 0.3);
@@ -1008,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_prefix_generator_matches_heap_reference_on_ties() {
+    fn shared_prefix_generator_matches_full_sort_reference_on_ties() {
         // α = 0 (or one CL for every node), one inter value for every
         // switch pair: all of a start's foreign nodes cost the same, so
         // the order rests on the id tie-break across interleaved streams
@@ -1028,10 +975,9 @@ mod tests {
             for n in [1, 3, 8, 17, 44, 45, 200] {
                 for &(a, b) in &[(0.0, 1.0), (0.0, 0.0), (0.3, 0.7), (1.0, 0.0)] {
                     let tiered = generate_all_candidates(l, n, a, b);
-                    let reference: Vec<Candidate> = l
-                        .usable
-                        .iter()
-                        .map(|&s| generate_candidate(l, s, n, a, b))
+                    let reference: Vec<Candidate> = (l.usable.iter())
+                        .map(|&s| generate_candidate_reference(l, s, n, a, b))
+                        .filter(|c| c.total_procs() as u64 >= n as u64)
                         .collect();
                     assert_eq!(tiered, reference, "{what} n {n} α {a} β {b}");
                 }
@@ -1040,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbourhood_prefix_matches_per_start_reference() {
+    fn neighbourhood_prefix_matches_full_sort_reference() {
         // 320 switches: random values, coarsely quantized ones (cost ties
         // across the neighbourhood edge), and one-node switches with one
         // pc, where the k-th cheapest head is exactly the last one needed
@@ -1055,7 +1001,7 @@ mod tests {
             for n in [1, 7, 32, 100] {
                 for a in [0.0, 0.3, 0.7, 1.0] {
                     for b in [0.0, 0.7, 1.0] {
-                        let buckets = TieredBuckets::build(l, n, a, b).unwrap();
+                        let buckets = TieredBuckets::build(l, n, a, b);
                         via_neighbourhood += buckets
                             .start_switches()
                             .filter(|&sv| buckets.seeds_from_neighbourhood(sv))
@@ -1067,7 +1013,7 @@ mod tests {
                         combo += 1;
                         for sv in buckets.start_switches().filter(|sv| (sv + combo) % 3 == 0) {
                             let v = l.usable[buckets.starts_on(sv)[0]];
-                            let want = generate_candidate(l, v, n, a, b);
+                            let want = generate_candidate_reference(l, v, n, a, b);
                             let got = tiered.iter().find(|c| c.start == v);
                             if want.total_procs() as u64 >= n as u64 {
                                 assert_eq!(got, Some(&want), "{what} n {n} α {a} β {b}");
@@ -1128,7 +1074,7 @@ mod tests {
             .map(|u| if u % 10 == 0 { 4 } else { 1 })
             .collect();
         let l = universe(switch_of, cl, pc, |_, _| 0.5);
-        let b = TieredBuckets::build(&l, 16, 0.3, 0.7).unwrap();
+        let b = TieredBuckets::build(&l, 16, 0.3, 0.7);
         let prefix = b.foreign_prefix(39, &mut PrefixScratch::default()).len();
         assert_eq!((b.k, prefix), (4, 11), "shape");
         let weights = [(0.3, 0.7), (1.0, 0.0), (0.5, 0.5)];
@@ -1145,7 +1091,7 @@ mod tests {
         let cl = (0..60).map(|u| (1 + h(u, 1) % 8) as f64 / 8.0).collect();
         let pc = (0..60).map(|u| 1 + (h(u, 2) % 3) as u32).collect();
         let l = universe(switch_of, cl, pc, |s, t| 0.2 + 0.125 * f64::from(s + t));
-        let b = TieredBuckets::build(&l, 30, 0.3, 0.7).unwrap();
+        let b = TieredBuckets::build(&l, 30, 0.3, 0.7);
         assert!(b.k > b.heads.len() - 1, "shape: k {}", b.k);
         let weights = [(0.3, 0.7), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)];
         assert_matches_full_sort("few heads", &l, &[1, 7, 30, 79, 80, 81, 200], &weights);
@@ -1184,6 +1130,39 @@ mod tests {
         let l = universe(switch_of, cl, pc, inter);
         let weights = [(0.3, 0.7), (0.0, 1.0), (1.0, 0.0), (-0.3, 0.7)];
         assert_matches_full_sort("non-finite", &l, &[1, 6, 20, 100], &weights);
+    }
+
+    #[test]
+    fn one_switch_matches_full_sort() {
+        // a central derivation: 24 nodes on one switch, pc 0–3 (a quarter
+        // of the starts host nothing; capacity 36), and CLs that are NaN of
+        // either sign, ±∞, or tied in fifths
+        let non_finite: fn(u32) -> f64 = |u| match u % 7 {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            _ => 0.2 * f64::from(u % 3),
+        };
+        let ties: fn(u32) -> f64 = |u| 0.2 * f64::from(u % 3);
+        let weights = [
+            (0.0, 1.0),
+            (-0.0, 1.0),
+            (0.3, 0.0),
+            (0.3, -0.0),
+            (0.3, 0.7),
+            (-0.3, 0.7),
+            (0.3, -0.7),
+            (-0.5, -0.5),
+        ];
+        for (what, cl) in [("non-finite", non_finite), ("ties", ties)] {
+            let (cl, pc) = ((0..24).map(cl).collect(), (0..24).map(|u| u % 4).collect());
+            let l = universe(vec![0; 24], cl, pc, |_, _| unreachable!("one switch"));
+            let b = TieredBuckets::build(&l, 20, 0.3, 0.7);
+            let prefix = b.foreign_prefix(0, &mut PrefixScratch::default()).len();
+            assert!(b.one_switch() && b.near.is_none() && prefix == 0, "shape");
+            assert_matches_full_sort(what, &l, &[1, 5, 20, 36, 37, 100], &weights);
+        }
     }
 
     #[test]

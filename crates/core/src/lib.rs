@@ -14,7 +14,9 @@
 //!    normalization and complementing of maximization attributes.
 //! 3. [`loads`] — per-node compute load `CL_v` (Eq. 1), pairwise network
 //!    load `NL_(u,v)` (Eq. 2), and effective processor counts `pc_v` (Eq. 3).
-//! 4. [`candidate`] — Algorithm 1: greedy candidate sub-graph per start node.
+//! 4. [`candidate`] — Algorithm 1: greedy candidate sub-graph per start node,
+//!    one switch generator for every universe (a central derivation is its
+//!    one-switch case).
 //! 5. [`select`] — Algorithm 2: total cost `T_G` (Eq. 4) and best-candidate
 //!    selection.
 //! 6. [`policies`] — the four allocation policies compared in §5 (random,

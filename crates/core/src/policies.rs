@@ -11,7 +11,7 @@
 //!   by [`place`], the one placement stage the policy, the broker and the
 //!   SLURM adapter share.
 
-use crate::candidate::{generate_all_candidates, generate_candidate};
+use crate::candidate::{generate_all_candidates, greedy_take, TieredBuckets};
 use crate::loads::Loads;
 use crate::request::{AllocError, Allocation, AllocationRequest, Diagnostics};
 use crate::select::{explain_selection, group_cost, group_mean_network_load, select_best};
@@ -36,33 +36,11 @@ pub trait Policy {
     ) -> Result<Allocation, AllocError>;
 }
 
-/// Walk `order`, giving each node up to its `pc_v` processes, until `n` are
-/// placed; leftover demand round-robins over the selected nodes (the same
-/// overflow rule as Algorithm 1).
+/// Algorithm 1's greedy walk over a baseline's `order`: each node takes up
+/// to its `pc_v` processes until `n` are placed, and leftover demand
+/// round-robins over the selected nodes.
 fn pack(loads: &Loads, order: &[NodeId], n: u32) -> Vec<(NodeId, u32)> {
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut procs: Vec<u32> = Vec::new();
-    let mut allocated: u64 = 0;
-    for &u in order {
-        if allocated >= n as u64 {
-            break;
-        }
-        let take = (loads.pc_of(u) as u64).min(n as u64 - allocated) as u32;
-        if take == 0 {
-            continue;
-        }
-        nodes.push(u);
-        procs.push(take);
-        allocated += take as u64;
-    }
-    if allocated < n as u64 && !nodes.is_empty() {
-        let mut i = 0usize;
-        while allocated < n as u64 {
-            procs[i] += 1;
-            allocated += 1;
-            i = (i + 1) % nodes.len();
-        }
-    }
+    let (nodes, procs) = greedy_take(order.iter().map(|&u| (u, loads.pc_of(u))), n);
     nodes.into_iter().zip(procs).collect()
 }
 
@@ -95,11 +73,12 @@ fn build_allocation(
 /// Eq. 4 → explain trace → [`Allocation`], over an already-derived (and
 /// possibly [restricted](Loads::restrict)) `view`.
 ///
-/// `starts` pins Algorithm 1's start nodes (SLURM `--nodelist`); each must
-/// be usable in `view`. `None` grows one candidate from every usable node.
-/// Candidates that cannot place all `req.procs` never reach selection, and
-/// when none is left the stage fails with [`AllocError::NoCapacity`] — its
-/// only error.
+/// `starts` pins Algorithm 1's start nodes (SLURM `--nodelist`); one that
+/// is not usable in `view` fails the stage with
+/// [`AllocError::InvalidRequest`]. `None` grows one candidate from every
+/// usable node. Candidates that cannot place all `req.procs` never reach
+/// selection, and when none is left the stage fails with
+/// [`AllocError::NoCapacity`].
 pub fn place(
     view: &Loads,
     req: &AllocationRequest,
@@ -108,11 +87,17 @@ pub fn place(
 ) -> Result<Allocation, AllocError> {
     let candidates = match starts {
         None => generate_all_candidates(view, req.procs, req.alpha, req.beta),
-        Some(starts) => starts
-            .iter()
-            .map(|&v| generate_candidate(view, v, req.procs, req.alpha, req.beta))
-            .filter(|c| c.total_procs() as u64 >= req.procs as u64)
-            .collect(),
+        Some(starts) => {
+            if let Some(v) = starts.iter().find(|&&v| view.index(v).is_none()) {
+                return Err(AllocError::InvalidRequest(format!(
+                    "start node {v} is not usable"
+                )));
+            }
+            let buckets = TieredBuckets::build(view, req.procs, req.alpha, req.beta);
+            (starts.iter().map(|&v| buckets.candidate(v)))
+                .filter(|c| c.total_procs() as u64 >= req.procs as u64)
+                .collect()
+        }
     };
     if candidates.is_empty() {
         return Err(AllocError::NoCapacity);
@@ -567,6 +552,42 @@ mod tests {
             h_cost <= o_cost * 1.5 + 1e-9,
             "heuristic gap too large: {h_cost} vs {o_cost}"
         );
+    }
+
+    #[test]
+    fn pack_spreads_a_request_near_u32_max_in_closed_form() {
+        // 4 nodes of pc 4 leave u32::MAX − 23 processes to round-robin: in
+        // closed form, not ~4·10⁹ loop steps of one process each
+        let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let nl = nlrm_monitor::SymMatrix::new(4, 0.1);
+        let l = Loads::from_parts(nodes.clone(), vec![0.5; 4], nl, vec![4; 4]);
+        let n = u32::MAX - 7;
+        let packed = pack(&l, &nodes, n);
+        assert_eq!(packed.iter().map(|&(u, _)| u).collect::<Vec<_>>(), nodes);
+        let counts: Vec<u64> = packed.iter().map(|&(_, p)| p as u64).collect();
+        assert_eq!(counts.iter().sum::<u64>(), n as u64);
+        let (max, min) = (counts.iter().max().unwrap(), counts.iter().min().unwrap());
+        assert!(max - min <= 1, "unbalanced: {counts:?}");
+    }
+
+    #[test]
+    fn place_refuses_a_pinned_start_that_is_not_usable() {
+        let snap = snapshot(8, 3);
+        let r = req(8);
+        let loads = derive(&snap, &r).unwrap();
+        let dropped = loads.usable[2];
+        let view = loads.restrict(|node, pc| if node == dropped { 0 } else { pc });
+        let first = view.usable[0];
+        // restricted away, and past the id range
+        for start in [dropped, NodeId(1_000)] {
+            let got = place(&view, &r, Some(&[first, start]), "pinned");
+            assert!(
+                matches!(got, Err(AllocError::InvalidRequest(_))),
+                "{start}: {got:?}"
+            );
+        }
+        let pinned = place(&view, &r, Some(&[first]), "pinned").unwrap();
+        assert_eq!(pinned.nodes[0].0, first, "the pinned start joins first");
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!   `cap(pool) − pc_v` clamp keeps `v` from counting twice once `n`
 //!   exceeds the pool (a zero-capacity `v` is not in its candidate and
 //!   takes `fmin_pool(min(n, cap(pool)))`). The compute bound is the
-//!   larger of the two. It holds for any objective monotone in `C_G`.
+//!   larger of the two. On one switch (a central derivation) the pool is
+//!   the whole universe and only the first bound is taken. It holds for
+//!   any objective monotone in `C_G`.
 //! * **Network term** — a group of `g ≥ g_min` nodes has at least `g_min−1`
 //!   edges incident to `v`, each `≥ min_u NL(v,u)`; `g_min` follows from
 //!   `pc_max`. For a zero-capacity start (not itself in the group) the
@@ -52,8 +54,9 @@
 //!
 //! The search is organised around *switch classes*: over several switches
 //! the starts of one switch form a class (they share one foreign prefix);
-//! on one switch (a central derivation) each start is its own class, so
-//! a class is never the whole universe. One parallel pass over switches
+//! on one switch each start is its own class, so a class is never the
+//! whole universe. Either way a class's candidates come from the one
+//! switch generator. One parallel pass over switches
 //! builds each switch's pool in per-worker buffers, bounds its starts and
 //! finds the class's least member by `(bound, id)`; classes ascend by it,
 //! and a class's starts are sorted by `(bound, id)` only once a wave
@@ -78,7 +81,7 @@
 //! the per-wave incumbent do not depend on the thread count, so neither
 //! the winner nor the `expanded`/`pruned` counts do.
 
-use crate::candidate::{generate_candidate, Candidate, PrefixScratch, TieredBuckets};
+use crate::candidate::{Candidate, PrefixScratch, TieredBuckets};
 use crate::loads::Loads;
 use crate::par;
 use crate::select::{compute_term, group_compute_load, group_network_load, network_term};
@@ -201,17 +204,16 @@ fn by_bound(loads: &Loads) -> impl Fn(&(f64, usize), &(f64, usize)) -> std::cmp:
     }
 }
 
-/// The switch buckets (over more than one switch), the per-start lower
-/// bounds on `group_cost` (see the module doc), and the switch classes
-/// (one per start on one switch) as `(bound, position)` of their least
-/// `(bound, id)` member, unordered.
+/// The switch buckets, the per-start lower bounds on `group_cost` (see
+/// the module doc), and the switch classes (one per start on one switch)
+/// as `(bound, position)` of their least `(bound, id)` member, unordered.
 fn lower_bounds(
     loads: &Loads,
     n: u32,
     alpha: f64,
     beta: f64,
-) -> (Option<TieredBuckets<'_>>, Vec<f64>, Vec<(f64, usize)>) {
-    let buckets = TieredBuckets::build(loads, n, alpha, beta);
+) -> (TieredBuckets<'_>, Vec<f64>, Vec<(f64, usize)>) {
+    let b = TieredBuckets::build(loads, n, alpha, beta);
     let c_all = loads.total_compute_load();
     let n_all = loads.total_network_load();
     let neff = (n as u64).min(loads.total_capacity());
@@ -279,11 +281,11 @@ fn lower_bounds(
         };
         alpha * c_term + beta * n_term
     };
-    let Some(b) = &buckets else {
+    if b.one_switch() {
         let bounds: Vec<f64> = (0..loads.usable.len()).map(|i| bound_of(i, None)).collect();
         let classes = bounds.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        return (buckets, bounds, classes);
-    };
+        return (b, bounds, classes);
+    }
     // one worker item per switch: its pool, its starts' full bounds
     // (see the module doc; one pool query per run of equal arguments)
     // and the class's least member
@@ -324,7 +326,7 @@ fn lower_bounds(
         }
         classes.extend(least);
     }
-    (buckets, bounds, classes)
+    (b, bounds, classes)
 }
 
 /// Allocate for `n` processes with bound-pruned, switch-class expansion.
@@ -364,9 +366,14 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
     };
     let run_class = |&(_, first): &(f64, usize), incumbent: f64| {
         let sv = loads.nl.switch_of_node(loads.usable[first]);
-        let mut class: Vec<(f64, usize)> = match &buckets {
-            Some(b) => b.starts_on(sv).iter().map(|&i| (bounds[i], i)).collect(),
-            None => vec![(bounds[first], first)],
+        let mut class: Vec<(f64, usize)> = if buckets.one_switch() {
+            vec![(bounds[first], first)]
+        } else {
+            buckets
+                .starts_on(sv)
+                .iter()
+                .map(|&i| (bounds[i], i))
+                .collect()
         };
         class.sort_by(&by_bound);
         // a bound *equal* to the incumbent must still expand — its
@@ -379,10 +386,7 @@ fn allocate_pruned_inner(loads: &Loads, n: u32, alpha: f64, beta: f64) -> Option
             return (None, 0);
         }
         let starts = class[..live].iter().map(|&(_, i)| loads.usable[i]);
-        let cands: Box<dyn Iterator<Item = Candidate>> = match &buckets {
-            Some(b) => Box::new(b.generate_switch(sv, starts)),
-            None => Box::new(starts.map(|v| generate_candidate(loads, v, n, alpha, beta))),
-        };
+        let cands = buckets.generate_switch(sv, starts);
         let mut best: Option<(f64, NodeId, Candidate)> = None;
         // a zero-capacity start universe cannot satisfy the request
         for c in cands.filter(|c| c.total_procs() as u64 >= n as u64) {
@@ -597,7 +601,7 @@ mod tests {
         let mut via_neighbourhood = false;
         for &(what, n, a, b, cost, start, expanded) in &shape {
             let l = &universes.iter().find(|u| u.0 == what).unwrap().1;
-            let buckets = TieredBuckets::build(l, n, a, b).unwrap();
+            let buckets = TieredBuckets::build(l, n, a, b);
             let near = buckets
                 .start_switches()
                 .any(|sv| buckets.seeds_from_neighbourhood(sv));
@@ -705,7 +709,7 @@ mod tests {
         let (mut s, mut unsorted) = (PoolScratch::default(), 0);
         for n in [1, 6, 33, 200] {
             for (a, b) in [(0.3, 0.7), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)] {
-                let buckets = TieredBuckets::build(&l, n, a, b).unwrap();
+                let buckets = TieredBuckets::build(&l, n, a, b);
                 for sv in buckets.start_switches() {
                     let pool = pool_of(sv, n, a, b);
                     let own = &pool[..buckets.starts_on(sv).len()]; // every pc > 0
@@ -824,7 +828,7 @@ mod tests {
         ];
         let mut certified = false;
         for &(n, a, b, cost, start, expanded, pruned) in &shape {
-            let buckets = TieredBuckets::build(&l, n, a, b).unwrap();
+            let buckets = TieredBuckets::build(&l, n, a, b);
             certified |= buckets
                 .start_switches()
                 .any(|sv| buckets.seeds_from_neighbourhood(sv));

@@ -17,7 +17,7 @@
 
 use nlrm::core::broker::{Broker, BrokerConfig, BrokerEvent, SubmitOptions};
 use nlrm::core::slurm::{JobDescriptor, NlrmSelect, NodeBitmap, SelectPlugin};
-use nlrm::core::{AllocError, Allocation};
+use nlrm::core::{AllocError, Allocation, BruteForcePolicy};
 use nlrm::obs::{install, DigestFold};
 use nlrm::prelude::*;
 use nlrm::topology::NodeId;
@@ -111,6 +111,53 @@ fn nla_policy_seed_4_allocates_golden_groups() {
         nla_digest(4),
         17781271242102347778,
         "NLA seed 4 allocations moved"
+    );
+}
+
+/// The four baselines' allocations on one warm snapshot: random and
+/// sequential (seeded with `seed`) and load-aware over request sizes up to
+/// oversubscription (the iitk cluster hosts 240 processes at ppn 4), and
+/// brute force over the sizes its subset budget admits. Folds each
+/// allocation's nodes and process counts, or the error text.
+fn baseline_digest(seed: u64) -> u64 {
+    let (_, snap) = warm(seed);
+    let mut fold = DigestFold::new();
+    let mut run = |policy: &mut dyn Policy, procs: &[u32], weights: &[(f64, f64)]| {
+        for &n in procs {
+            for &ppn in &[Some(4u32), None] {
+                for &(alpha, beta) in weights {
+                    let req = AllocationRequest::new(n, ppn, alpha, beta);
+                    match policy.allocate(&snap, &req) {
+                        Ok(a) => {
+                            fold.bytes(a.policy.as_bytes()).u64(a.nodes.len() as u64);
+                            for &(node, p) in &a.nodes {
+                                fold.u64(node.index() as u64).u64(p as u64);
+                            }
+                        }
+                        Err(e) => fold_error(&mut fold, &e),
+                    }
+                }
+            }
+        }
+    };
+    let sizes = [1u32, 4, 16, 37, 64, 120, 241, 300];
+    run(&mut RandomPolicy::new(seed), &sizes, &[(0.3, 0.7)]);
+    run(&mut SequentialPolicy::new(seed), &sizes, &[(0.3, 0.7)]);
+    run(&mut LoadAwarePolicy::new(), &sizes, &[(0.3, 0.7)]);
+    let weights = [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)];
+    run(&mut BruteForcePolicy::new(), &[4, 10, 12], &weights);
+    fold.value()
+}
+
+/// The baselines feed every gain the policy comparison reports; these
+/// digests were captured before their packing became Algorithm 1's
+/// greedy walk, which must leave every group and count where it was.
+#[test]
+fn baseline_policies_allocate_golden_groups() {
+    assert_eq!(
+        (baseline_digest(1), baseline_digest(4)),
+        (7749339059490496951, 10244453174112784783),
+        "baseline allocations moved"
     );
 }
 
