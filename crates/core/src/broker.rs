@@ -16,8 +16,8 @@
 //! queued job. It scores the first [`BrokerConfig::max_per_tick`] jobs of
 //! the priority order against that shared derivation and commits starts
 //! greedily against the reservation ledger. Each placement scores a
-//! reservation-restricted [`Loads::restrict`] view, which is O(V) and
-//! shares the derivation's network load instead of copying it.
+//! [`Loads::restrict`] view cut to the derivation's free column (kept
+//! current per start), which is O(V) and shares its network load.
 //!
 //! # Starvation and the head reservation
 //!
@@ -39,7 +39,8 @@ use nlrm_monitor::ClusterSnapshot;
 use nlrm_obs::span::{SpanId, TraceId};
 use nlrm_sim_core::time::{Duration, SimTime};
 use nlrm_topology::NodeId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
 
 /// Histogram bucket bounds (seconds) for job queue-wait time.
 const JOB_WAIT_BOUNDS: &[f64] = &[0.0, 10.0, 30.0, 60.0, 120.0, 300.0, 900.0, 3600.0];
@@ -233,6 +234,36 @@ struct HeadReservation {
     /// Capacity beyond the head's need at the shadow time — backfill jobs
     /// that outlive the shadow are charged against this.
     extra: u64,
+}
+
+/// A derivation the cycle places jobs on, and its free column: each usable
+/// node's `pc − reserved` (saturating), kept current as jobs start, so a
+/// placement looks no node up in the reservation map.
+struct Base<'a> {
+    loads: Cow<'a, Loads>,
+    free: Vec<u32>,
+}
+
+impl<'a> Base<'a> {
+    fn new(loads: Cow<'a, Loads>, reserved: &BTreeMap<NodeId, u32>) -> Base<'a> {
+        let free = loads.pc.clone();
+        let mut base = Base { loads, free };
+        base.take(reserved.iter().map(|(&node, &procs)| (node, procs)));
+        base
+    }
+
+    /// Take `procs` off each listed node the derivation can use.
+    fn take(&mut self, held: impl IntoIterator<Item = (NodeId, u32)>) {
+        for (node, procs) in held {
+            if let Some(i) = self.loads.index(node) {
+                self.free[i] = self.free[i].saturating_sub(procs);
+            }
+        }
+    }
+
+    fn free_capacity(&self) -> u64 {
+        self.free.iter().map(|&f| f as u64).sum()
+    }
 }
 
 /// Request shape: the inputs of [`Loads::derive`] that vary per job. Two
@@ -558,15 +589,30 @@ impl Broker {
     /// The lease's id must not collide with a queued or running job, and
     /// `next_id` is bumped past it so no future submission can collide
     /// either (a colliding submit used to overwrite the adopted lease in
-    /// `running`, permanently leaking its reservations).
+    /// `running`, permanently leaking its reservations). A lease listing a
+    /// node twice, or pushing a reservation past `u32::MAX`, is refused
+    /// too, and a refused lease leaves the books as they were.
     pub fn adopt_lease(&mut self, lease: Lease) -> Result<(), AllocError> {
-        if self.running.contains_key(&lease.id) || self.queue.iter().any(|j| j.id == lease.id) {
-            return Err(AllocError::InvalidRequest(format!(
-                "cannot adopt lease: job id {} is already known to the broker",
-                lease.id.0
-            )));
+        let id = lease.id.0;
+        let known = self.running.contains_key(&lease.id) || self.queue.iter().any(|j| j.id.0 == id);
+        let mut nodes: Vec<NodeId> = lease.allocation.nodes.iter().map(|&(n, _)| n).collect();
+        nodes.sort_unstable();
+        let overflows = |&&(n, p): &&(NodeId, u32)| self.reserved_on(n).checked_add(p).is_none();
+        let why = if known {
+            format!("cannot adopt lease: job id {id} is already known to the broker")
+        } else if id == u64::MAX {
+            format!("cannot adopt lease: job id {id} is the last id")
+        } else if let Some(w) = nodes.windows(2).find(|w| w[0] == w[1]) {
+            format!("cannot adopt lease: node {} is listed twice", w[0])
+        } else if let Some((n, _)) = lease.allocation.nodes.iter().find(overflows) {
+            format!("cannot adopt lease: node {n}'s reservation would overflow")
+        } else {
+            String::new()
+        };
+        if !why.is_empty() {
+            return Err(AllocError::InvalidRequest(why));
         }
-        self.next_id = self.next_id.max(lease.id.0 + 1);
+        self.next_id = self.next_id.max(id + 1);
         for &(node, procs) in &lease.allocation.nodes {
             *self.reserved.entry(node).or_insert(0) += procs;
         }
@@ -582,10 +628,11 @@ impl Broker {
         let lease = self.running.remove(&id)?;
         self.run_meta.remove(&id);
         for &(node, procs) in &lease.allocation.nodes {
-            let r = self.reserved.get_mut(&node).expect("reservation exists");
-            *r -= procs.min(*r);
-            if *r == 0 {
-                self.reserved.remove(&node);
+            if let btree_map::Entry::Occupied(mut r) = self.reserved.entry(node) {
+                *r.get_mut() -= procs.min(*r.get());
+                if *r.get() == 0 {
+                    r.remove();
+                }
             }
         }
         Some(lease)
@@ -671,6 +718,7 @@ impl Broker {
     /// every shape.
     fn cycle(&mut self, snap: &ClusterSnapshot, base_override: Option<&Loads>) -> Vec<BrokerEvent> {
         let observed = nlrm_obs::ctx::is_active();
+        let stage = nlrm_obs::ctx::stage_start();
         let now = snap.taken_at;
         self.cycles += 1;
         let cycle = self.cycles;
@@ -693,8 +741,11 @@ impl Broker {
         });
 
         let batch = jobs.len().min(self.config.max_per_tick.max(1));
-        // one derivation per request shape per tick
-        let mut bases: HashMap<ShapeKey, Result<Loads, String>> = HashMap::new();
+        // one derivation per request shape per tick, or the caller's
+        let mut bases: HashMap<Option<ShapeKey>, Result<Base, AllocError>> = HashMap::new();
+        if let Some(b) = base_override {
+            bases.insert(None, Ok(Base::new(Cow::Borrowed(b), &self.reserved)));
+        }
         let mut head_res: Option<HeadReservation> = None;
         let mut started = vec![false; jobs.len()];
 
@@ -734,33 +785,23 @@ impl Broker {
             }
 
             // resolve the shared derivation for this job's shape
-            let key = ShapeKey::of(&jobs[idx].request);
-            let base: &Loads = match base_override {
-                Some(b) => b,
-                None => {
-                    if !bases.contains_key(&key) {
-                        let req = &jobs[idx].request;
-                        let derived = Loads::derive(
-                            snap,
-                            &req.compute_weights,
-                            &req.network_weights,
-                            req.ppn,
-                        )
-                        .map_err(|e| e.to_string());
-                        bases.insert(key.clone(), derived);
+            let req = &jobs[idx].request;
+            let key = base_override.is_none().then(|| ShapeKey::of(req));
+            let base = bases.entry(key).or_insert_with(|| {
+                let (cw, nw) = (&req.compute_weights, &req.network_weights);
+                let loads = Loads::derive(snap, cw, nw, req.ppn)?;
+                Ok(Base::new(Cow::Owned(loads), &self.reserved))
+            });
+            let base = match base {
+                Ok(b) => &*b,
+                Err(e) => {
+                    let reason = e.to_string();
+                    let job = &jobs[idx];
+                    if observed {
+                        observe_defer(job, &reason, now, cycle);
                     }
-                    match bases.get(&key).expect("just inserted") {
-                        Ok(b) => b,
-                        Err(e) => {
-                            let reason = e.clone();
-                            let job = &jobs[idx];
-                            if observed {
-                                observe_defer(job, &reason, now, cycle);
-                            }
-                            events.push(BrokerEvent::Deferred { id: job.id, reason });
-                            continue;
-                        }
-                    }
+                    events.push(BrokerEvent::Deferred { id: job.id, reason });
+                    continue;
                 }
             };
 
@@ -778,7 +819,11 @@ impl Broker {
                         }
                     }
                     events.push(BrokerEvent::Started(Box::new(lease.clone())));
+                    for b in bases.values_mut().flatten() {
+                        b.take(lease.allocation.nodes.iter().copied());
+                    }
                     self.commit_start(&jobs[idx], lease, now);
+                    debug_assert!(bases.values().flatten().all(|b| self.free_in_step(b)));
                     started[idx] = true;
                 }
                 Err(fail) => {
@@ -794,8 +839,8 @@ impl Broker {
                     // cluster, which completions cannot cure
                     if head_res.is_none() && capacity_blocked {
                         let need = job.request.procs as u64;
-                        if need <= base.total_capacity() {
-                            let free = self.free_capacity(base);
+                        if need <= base.loads.total_capacity() {
+                            let free = base.free_capacity();
                             let (shadow, extra) = self.head_forecast(need, free, now);
                             head_res = Some(HeadReservation {
                                 job: job.id,
@@ -820,9 +865,9 @@ impl Broker {
                 "broker_head_reserved_procs",
                 head_res.map(|r| r.need as f64).unwrap_or(0.0),
             );
-            let base = base_override.or_else(|| bases.values().find_map(|r| r.as_ref().ok()));
-            self.publish_queue_gauges(now, base);
+            self.publish_queue_gauges(now, bases.values().find_map(|r| r.as_ref().ok()));
             nlrm_obs::ctx::telemetry_tick(now);
+            nlrm_obs::ctx::stage_end("broker_cycle", stage);
         }
         events
     }
@@ -848,7 +893,7 @@ impl Broker {
     /// when the scheduling pass produced one; the capacity gauges keep
     /// their previous values otherwise (a tick with nothing queued
     /// derives nothing, and a stale reading beats a fabricated zero).
-    fn publish_queue_gauges(&self, now: SimTime, base: Option<&Loads>) {
+    fn publish_queue_gauges(&self, now: SimTime, base: Option<&Base>) {
         nlrm_obs::ctx::set_gauge("broker_queue_depth", self.queue.len() as f64);
         nlrm_obs::ctx::set_gauge("broker_running_jobs", self.running.len() as f64);
         let mut by_class = [0u64; 3];
@@ -869,27 +914,18 @@ impl Broker {
         nlrm_obs::ctx::set_gauge("broker_queue_depth_urgent", by_class[2] as f64);
         nlrm_obs::ctx::set_gauge("broker_oldest_wait_secs", oldest);
         if let Some(base) = base {
-            let mut free = 0u64;
-            let mut largest = 0u64;
-            for (&n, &pc) in base.usable.iter().zip(&base.pc) {
-                let f = pc.saturating_sub(self.reserved_on(n)) as u64;
-                free += f;
-                largest = largest.max(f);
-            }
-            nlrm_obs::ctx::set_gauge("broker_total_capacity", base.total_capacity() as f64);
-            nlrm_obs::ctx::set_gauge("broker_free_procs", free as f64);
+            let largest = base.free.iter().copied().max().unwrap_or(0);
+            let total = base.loads.total_capacity() as f64;
+            nlrm_obs::ctx::set_gauge("broker_total_capacity", total);
+            nlrm_obs::ctx::set_gauge("broker_free_procs", base.free_capacity() as f64);
             nlrm_obs::ctx::set_gauge("broker_largest_free_block", largest as f64);
         }
     }
 
-    /// Free capacity across the derived universe under current
-    /// reservations.
-    fn free_capacity(&self, base: &Loads) -> u64 {
-        base.usable
-            .iter()
-            .zip(&base.pc)
-            .map(|(&n, &pc)| pc.saturating_sub(self.reserved_on(n)) as u64)
-            .sum()
+    /// Whether `base`'s free column matches the books on every node.
+    fn free_in_step(&self, base: &Base) -> bool {
+        let usable = base.loads.usable.iter().zip(&base.loads.pc);
+        (usable.zip(&base.free)).all(|((&n, &pc), &f)| f == pc.saturating_sub(self.reserved_on(n)))
     }
 
     /// EASY shadow-time forecast for a head needing `need` procs with
@@ -922,12 +958,12 @@ impl Broker {
     /// (fully-booked nodes dropped).
     fn place_on(
         &self,
-        base: &Loads,
+        base: &Base,
         job: &QueuedJob,
         snap: &ClusterSnapshot,
     ) -> Result<Lease, PlaceFailure> {
         let req = &job.request;
-        let free_capacity = self.free_capacity(base);
+        let free_capacity = base.free_capacity();
         if free_capacity == 0 {
             return Err(PlaceFailure::Capacity("all nodes fully reserved".into()));
         }
@@ -937,7 +973,10 @@ impl Broker {
                 req.procs
             )));
         }
-        let view = base.restrict(|node, pc| pc.saturating_sub(self.reserved_on(node)));
+        let mut free = base.free.iter();
+        let view = base
+            .loads
+            .restrict(|_, _| *free.next().expect("one free count per usable node"));
         let allocation = place(&view, req, None, "network-load-aware/broker").map_err(|_| {
             PlaceFailure::Capacity("no candidate group can host the request".into())
         })?;
@@ -1275,6 +1314,117 @@ mod tests {
         // and ids resume past the adopted one
         let id = broker.submit("next", req(4)).unwrap();
         assert_eq!(id, JobId(8));
+    }
+
+    /// A lease with no rank map, so a huge proc count costs nothing.
+    fn bare_lease(id: u64, nodes: Vec<(NodeId, u32)>) -> Lease {
+        let mut lease = external_lease(id, Vec::new());
+        lease.allocation.nodes = nodes;
+        lease
+    }
+
+    #[test]
+    fn adoption_refuses_repeated_nodes_and_overflow_leaving_the_books() {
+        let mut broker = Broker::new(no_defer());
+        let far = NodeId(u32::MAX - 1);
+        for twice in [
+            vec![(far, 0), (far, 0)],
+            vec![(NodeId(2), 1), (NodeId(2), 3)],
+        ] {
+            let err = broker.adopt_lease(bare_lease(1, twice)).unwrap_err();
+            assert!(matches!(err, AllocError::InvalidRequest(_)), "{err:?}");
+        }
+        assert!(broker.running().is_empty());
+        assert!(broker.complete(JobId(1)).is_none());
+        assert_eq!(broker.total_reserved(), 0);
+
+        broker
+            .adopt_lease(bare_lease(2, vec![(far, u32::MAX)]))
+            .unwrap();
+        let err = broker
+            .adopt_lease(bare_lease(3, vec![(NodeId(0), 1), (far, 2)]))
+            .unwrap_err();
+        assert!(matches!(err, AllocError::InvalidRequest(_)), "{err:?}");
+        let mut last = bare_lease(0, vec![]);
+        last.id = JobId(u64::MAX);
+        let err = broker.adopt_lease(last).unwrap_err();
+        assert!(matches!(err, AllocError::InvalidRequest(_)), "{err:?}");
+        // the refused leases reserved nothing and took no id
+        assert_eq!(broker.reserved_on(far), u32::MAX);
+        assert_eq!(broker.reserved_on(NodeId(0)), 0);
+        assert_eq!(broker.running().len(), 1);
+        assert_eq!(broker.submit("next", req(4)).unwrap(), JobId(3));
+        assert!(broker.complete(JobId(2)).is_some());
+        assert_eq!(broker.total_reserved(), 0);
+    }
+
+    #[test]
+    fn free_columns_track_the_books_after_every_start() {
+        // several starts per tick over three request shapes, before and
+        // after adopted leases, one of them on an id past the universe
+        let mut snap = snapshot(8, 3);
+        let mut broker = Broker::new(no_defer());
+        broker
+            .adopt_lease(external_lease(100, vec![(NodeId(1), 3), (NodeId(6), 4)]))
+            .unwrap();
+        let shapes = [Some(4), Some(2), None];
+        let mut starts = Vec::new();
+        for round in 0..2u64 {
+            if round == 1 {
+                for id in starts.drain(..) {
+                    broker.complete(id);
+                }
+                // a lease adopted between ticks, one node past the universe
+                let nodes = vec![(NodeId(3), 2), (NodeId(u32::MAX - 1), 9)];
+                broker.adopt_lease(bare_lease(200, nodes)).unwrap();
+                let later = snap.taken_at + Duration::from_secs(60);
+                advance(&mut snap, later);
+            }
+            for i in 0..6 {
+                let shape = AllocationRequest::new(3, shapes[i % 3], 0.3, 0.7);
+                broker.submit(format!("r{round}-{i}"), shape).unwrap();
+            }
+            let events = broker.tick(&snap);
+            let started = events.iter().filter_map(|e| match e {
+                BrokerEvent::Started(l) => Some(l.id),
+                _ => None,
+            });
+            starts.extend(started);
+            assert!(starts.len() >= 3, "round {round}: {events:?}");
+        }
+        // debug builds check every in-place update inside the cycle; the
+        // fill from the books is checked here in any build
+        for ppn in shapes {
+            let w = AllocationRequest::new(3, ppn, 0.3, 0.7);
+            let loads = Loads::derive(&snap, &w.compute_weights, &w.network_weights, ppn).unwrap();
+            assert!(broker.free_in_step(&Base::new(Cow::Owned(loads), &broker.reserved)));
+        }
+    }
+
+    #[test]
+    fn an_observed_tick_records_stage_times() {
+        let snap = snapshot(8, 3);
+        let mut broker = Broker::new(no_defer());
+        broker.submit("j", req(8)).unwrap();
+        let obs = Obs::new();
+        let guard = install(&obs);
+        broker.tick(&snap);
+        drop(guard);
+        for name in ["stage_seconds_derive", "stage_seconds_broker_cycle"] {
+            let h = obs.metrics.histogram_snapshot(name);
+            assert!(h.is_some_and(|h| h.count() == 1), "{name}");
+        }
+        // wall time stays out of the replay digest
+        let digested = nlrm_obs::recorder::Recorder::NONDETERMINISTIC_METRICS;
+        assert!(!obs
+            .metrics
+            .to_json_excluding(digested)
+            .contains("stage_seconds"));
+        // an unobserved tick records nothing anywhere
+        broker.submit("k", req(8)).unwrap();
+        broker.tick(&snap);
+        let h = obs.metrics.histogram_snapshot("stage_seconds_broker_cycle");
+        assert!(h.is_some_and(|h| h.count() == 1));
     }
 
     #[test]

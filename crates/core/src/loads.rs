@@ -19,7 +19,9 @@ use crate::saw::{saw_scores, Column, Criterion};
 use crate::scalable::FracMin;
 use crate::tiered::{BucketPairs, TieredNl};
 use crate::weights::{ComputeWeights, NetworkWeights};
-use nlrm_monitor::{pair_index, BlockPairs, ClusterSnapshot, LatencyStat, PairSource};
+use nlrm_monitor::{
+    pair_index, BlockPairs, ClusterSnapshot, LatencyStat, NodeSample, PairSource, ShardBlock,
+};
 use nlrm_sim_core::time::Duration;
 use nlrm_sim_core::window::WindowedValue;
 use nlrm_topology::{NodeId, SwitchIndex};
@@ -172,11 +174,14 @@ impl Loads {
         // counted so schedulers can prove how often they pay for Eq. 2
         // (the broker's batched-cycle test relies on it)
         nlrm_obs::ctx::inc("loads_derive_total");
-        let mut usable: Vec<NodeId> = Vec::new();
+        // the usable nodes' records, in the snapshot's id order
+        let mut infos = Vec::new();
         let mut excluded = 0usize;
         let observed = nlrm_obs::ctx::is_active();
-        for n in snap.usable_nodes() {
-            if snap.info(n).is_some_and(|i| i.sample.spec.cores == 0) {
+        let stage = nlrm_obs::ctx::stage_start();
+        for info in snap.nodes.iter().filter(|i| i.live) {
+            let n = info.node;
+            if info.sample.spec.cores == 0 {
                 // a malformed sample (the store takes any writer's bytes):
                 // Eq. 3 has no processor count to give the node
                 if observed {
@@ -186,26 +191,20 @@ impl Loads {
                 }
                 continue;
             }
-            let age = snap.sample_age(n);
-            if age.is_some_and(|a| a <= policy.max_sample_age) {
-                usable.push(n);
+            let age = snap.taken_at.since(info.sample.taken_at);
+            if age <= policy.max_sample_age {
+                infos.push(info);
             } else {
                 excluded += 1;
                 if observed {
-                    // over-age (or missing) sample: the node leaves the
-                    // universe
-                    nlrm_obs::ctx::emit(
-                        nlrm_obs::Severity::Warn,
-                        snap.taken_at,
-                        nlrm_obs::EventKind::StaleNodeExcluded {
-                            node: n,
-                            age: age.unwrap_or(Duration::MAX),
-                        },
-                    );
+                    // over-age sample: the node leaves the universe
+                    let event = nlrm_obs::EventKind::StaleNodeExcluded { node: n, age };
+                    nlrm_obs::ctx::emit(nlrm_obs::Severity::Warn, snap.taken_at, event);
                     nlrm_obs::ctx::inc("loads_stale_node_excluded_total");
                 }
             }
         }
+        let usable: Vec<NodeId> = infos.iter().map(|i| i.node).collect();
         if observed {
             if let Some(age) = snap.max_sample_age() {
                 nlrm_obs::ctx::observe(
@@ -230,10 +229,6 @@ impl Loads {
         if usable.is_empty() {
             return Err(AllocError::NoUsableNodes);
         }
-        let infos: Vec<_> = usable
-            .iter()
-            .map(|&n| snap.info(n).expect("usable implies sample"))
-            .collect();
         if observed {
             let mean_load = infos
                 .iter()
@@ -245,62 +240,25 @@ impl Loads {
 
         // --- Eq. 1: compute load via SAW over Table 1 attributes ---
         let w = compute_weights;
-        let columns = vec![
-            Column {
-                values: infos
-                    .iter()
-                    .map(|i| windowed_rep(&i.sample.cpu_load))
-                    .collect(),
-                criterion: Criterion::Minimize,
-                weight: w.cpu_load,
-            },
-            Column {
-                values: infos
-                    .iter()
-                    .map(|i| windowed_rep(&i.sample.cpu_util))
-                    .collect(),
-                criterion: Criterion::Minimize,
-                weight: w.cpu_util,
-            },
-            Column {
-                values: infos
-                    .iter()
-                    .map(|i| windowed_rep(&i.sample.flow_rate_mbps))
-                    .collect(),
-                criterion: Criterion::Minimize,
-                weight: w.flow_rate,
-            },
-            Column {
-                values: infos
-                    .iter()
-                    .map(|i| {
-                        i.sample
-                            .available_mem_gb(windowed_rep(&i.sample.mem_used_frac))
-                    })
-                    .collect(),
-                criterion: Criterion::Maximize,
-                weight: w.memory,
-            },
-            Column {
-                values: infos.iter().map(|i| i.sample.spec.cores as f64).collect(),
-                criterion: Criterion::Maximize,
-                weight: w.core_count,
-            },
-            Column {
-                values: infos.iter().map(|i| i.sample.spec.freq_ghz).collect(),
-                criterion: Criterion::Maximize,
-                weight: w.cpu_freq,
-            },
-            Column {
-                values: infos.iter().map(|i| i.sample.spec.total_mem_gb).collect(),
-                criterion: Criterion::Maximize,
-                weight: w.total_mem,
-            },
-            Column {
-                values: infos.iter().map(|i| i.sample.users as f64).collect(),
-                criterion: Criterion::Minimize,
-                weight: w.users,
-            },
+        let (min, max) = (Criterion::Minimize, Criterion::Maximize);
+        let column = |value: fn(&NodeSample) -> f64, criterion, weight| Column {
+            values: infos.iter().map(|i| value(&i.sample)).collect(),
+            criterion,
+            weight,
+        };
+        let columns = [
+            column(|s| windowed_rep(&s.cpu_load), min, w.cpu_load),
+            column(|s| windowed_rep(&s.cpu_util), min, w.cpu_util),
+            column(|s| windowed_rep(&s.flow_rate_mbps), min, w.flow_rate),
+            column(
+                |s| s.available_mem_gb(windowed_rep(&s.mem_used_frac)),
+                max,
+                w.memory,
+            ),
+            column(|s| s.spec.cores as f64, max, w.core_count),
+            column(|s| s.spec.freq_ghz, max, w.cpu_freq),
+            column(|s| s.spec.total_mem_gb, max, w.total_mem),
+            column(|s| s.users as f64, min, w.users),
         ];
         let mut cl = saw_scores(&columns);
 
@@ -328,6 +286,7 @@ impl Loads {
             })
             .collect();
 
+        nlrm_obs::ctx::stage_end("derive", stage);
         Ok(Loads::from_parts(usable, cl, nl, pc))
     }
 
@@ -346,9 +305,9 @@ impl Loads {
     /// `capacity(node, pc)` gives each usable node its new processor
     /// count, and 0 drops the node. The view shares this derivation's NL
     /// representation (no copy) and has the universe totals over the kept
-    /// nodes, exactly as [`Loads::from_parts`] would. Restricting
-    /// to nothing yields an empty universe; callers map that to their own
-    /// error.
+    /// nodes, exactly as [`Loads::from_parts`] would. `capacity` is called
+    /// once per usable node, in `usable` order. Restricting to nothing
+    /// yields an empty universe; callers map that to their own error.
     pub fn restrict(&self, mut capacity: impl FnMut(NodeId, u32) -> u32) -> Loads {
         let mut usable = Vec::new();
         let mut cl = Vec::new();
@@ -495,31 +454,38 @@ pub fn effective_pc(core_count: u32, load_m1: f64) -> u32 {
     core_count - load % core_count
 }
 
-/// 10× a column's worst measured value: the unmeasured penalty.
-fn penalty(column: &[f64]) -> f64 {
-    let max_finite = column
+/// The unmeasured penalties of two columns, in one pass: 10× each
+/// column's worst measured value.
+fn penalties(lat: &[f64], cbw: &[f64]) -> (f64, f64) {
+    let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
+    let (lat_max, cbw_max) = lat
         .iter()
-        .cloned()
-        .filter(|v| v.is_finite())
-        .fold(0.0f64, f64::max);
-    if max_finite > 0.0 {
-        max_finite * 10.0
-    } else {
-        1.0
-    }
+        .zip(cbw)
+        .fold((0.0f64, 0.0f64), |(l, c), (&x, &y)| {
+            (l.max(finite(x)), c.max(finite(y)))
+        });
+    let penalty = |max: f64| if max > 0.0 { max * 10.0 } else { 1.0 };
+    (penalty(lat_max), penalty(cbw_max))
 }
 
-/// An unmeasured (non-finite) entry becomes the penalty, and one whose
-/// rows are older than `policy.max_pair_age` (or unknown) is blended
-/// toward it, so fresh < stale < unmeasured. True if blended.
-fn settle(value: &mut f64, penalty: f64, age: Option<Duration>, policy: &StalenessPolicy) -> bool {
+/// An unmeasured (non-finite) entry becomes the penalty, and a `stale`
+/// one is blended toward it by `blend`, so fresh < stale < unmeasured.
+/// True if blended.
+fn settle(value: &mut f64, penalty: f64, stale: bool, blend: f64) -> bool {
     if !value.is_finite() {
         *value = penalty;
-    } else if age.is_none_or(|a| a > policy.max_pair_age) {
-        *value += policy.stale_blend * (penalty - *value).max(0.0);
+    } else if stale {
+        *value += blend * (penalty - *value).max(0.0);
         return true;
     }
     false
+}
+
+/// A fresh stretch's settling: its unmeasured inputs become the penalty.
+fn unmeasured(column: &mut [f64], penalty: f64) {
+    for x in column.iter_mut().filter(|x| !x.is_finite()) {
+        *x = penalty;
+    }
 }
 
 /// `saw::normalize_sum`'s entry for a column summing to `sum`.
@@ -572,7 +538,8 @@ type Stretch = (Range<usize>, usize, Option<Duration>, Option<Duration>);
 /// `w_lt`/`w_bw` into `lat`, which is rescaled to unit mean over the
 /// usable pairs. Each sum over the usable pairs is exact, an input taken
 /// `count` times, so every input gets the value a derivation with one
-/// input per pair gives it.
+/// input per pair gives it. Staleness is decided once per stretch: a
+/// fresh one only has its unmeasured inputs replaced.
 fn network_load(
     snap: &ClusterSnapshot,
     lat: &mut [f64],
@@ -581,14 +548,21 @@ fn network_load(
     weights: &NetworkWeights,
     policy: &StalenessPolicy,
 ) {
-    let (lat_penalty, cbw_penalty) = (penalty(lat), penalty(cbw));
+    let (lat_penalty, cbw_penalty) = penalties(lat, cbw);
+    let stale = |age: Option<Duration>| age.is_none_or(|a| a > policy.max_pair_age);
     let (mut pairs, mut blended) = (0, 0);
     for (range, count, lat_age, bw_age) in stretches.clone() {
-        for x in range {
-            let l = settle(&mut lat[x], lat_penalty, lat_age, policy);
-            let c = settle(&mut cbw[x], cbw_penalty, bw_age, policy);
+        pairs += range.len() * count;
+        let (lat_stale, bw_stale) = (stale(lat_age), stale(bw_age));
+        if !(lat_stale || bw_stale) {
+            unmeasured(&mut lat[range.clone()], lat_penalty);
+            unmeasured(&mut cbw[range], cbw_penalty);
+            continue;
+        }
+        for (l, c) in lat[range.clone()].iter_mut().zip(&mut cbw[range]) {
+            let l = settle(l, lat_penalty, lat_stale, policy.stale_blend);
+            let c = settle(c, cbw_penalty, bw_stale, policy.stale_blend);
             blended += if l || c { count } else { 0 };
-            pairs += count;
         }
     }
     if blended > 0 && nlrm_obs::ctx::is_active() {
@@ -645,6 +619,17 @@ fn central_network_load(
     order.into_tiered(lat)
 }
 
+/// Append block cells `cells` to the columns: a latency as its point
+/// value (its own 1-minute mean and instant), a bandwidth as its
+/// complement.
+fn copy_cells(block: &ShardBlock, lat: &mut Vec<f64>, cbw: &mut Vec<f64>, cells: Range<usize>) {
+    lat.extend_from_slice(&block.lat_s[cells.clone()]);
+    let bw = block.peak_bps[cells.clone()]
+        .iter()
+        .zip(&block.avail_bps[cells]);
+    cbw.extend(bw.map(|(&peak, &avail)| complement(peak, avail)));
+}
+
 /// Eq. 2 on a block snapshot, straight into a [`TieredNl`] with no V×V
 /// structure. Bucket `b` holds shard block `b`'s usable members and the
 /// last bucket the usable nodes no shard lists. An intra-bucket pair
@@ -664,30 +649,44 @@ fn block_network_load(
     let bucket = |u: NodeId| blocks.slot(u).map_or(k - 1, |(b, _)| b);
     let order = BucketPairs::new(k, usable.iter().map(|&u| (u, bucket(u))));
     let members = &order.members;
-    let (mut lat, mut cbw) = (vec![0.0; order.len()], vec![0.0; order.len()]);
+    // the triangles bucket by bucket, then room for the bucket pairs
+    let len = order.len();
+    let (mut lat, mut cbw) = (Vec::with_capacity(len), Vec::with_capacity(len));
     for (b, ms) in members.iter().enumerate() {
-        let tri = order.tri[b]..order.tri[b + 1];
-        let (lat, cbw) = (&mut lat[tri.clone()], &mut cbw[tri]);
+        let pairs = order.tri[b + 1] - order.tri[b];
         let Some(block) = shards.get(b) else {
-            lat.fill(f64::INFINITY);
-            cbw.fill(f64::INFINITY);
+            lat.resize(lat.len() + pairs, f64::INFINITY);
+            cbw.resize(cbw.len() + pairs, f64::INFINITY);
             continue;
         };
         let at: Vec<usize> = ms
             .iter()
             .map(|&u| blocks.slot(u).expect("bucketed by its slot").1)
             .collect();
-        let mut x = 0;
+        let m = block.members.len();
+        if at.iter().copied().eq(0..m) {
+            // every member usable, in block order: the block's triangle
+            copy_cells(block, &mut lat, &mut cbw, 0..pairs);
+            continue;
+        }
+        // member `p`'s row: a run of later positions `q, q + 1, …` is a
+        // stretch of its triangle row, an earlier position a column cell
         for (i, &p) in at.iter().enumerate() {
-            for &q in &at[i + 1..] {
-                let c = pair_index(block.members.len(), p, q);
-                // a point value: its own 1-minute mean and instant
-                lat[x] = block.lat_s[c];
-                cbw[x] = complement(block.peak_bps[c], block.avail_bps[c]);
-                x += 1;
+            let mut rest = &at[i + 1..];
+            while let Some(&q) = rest.first() {
+                let run = if q > p {
+                    rest.iter().zip(q..).take_while(|&(&r, s)| r == s).count()
+                } else {
+                    1
+                };
+                let c = pair_index(m, p, q);
+                copy_cells(block, &mut lat, &mut cbw, c..c + run);
+                rest = &rest[run..];
             }
         }
     }
+    lat.resize(len, 0.0);
+    cbw.resize(len, 0.0);
     for (a, b) in order.bucket_pairs() {
         let (u, v) = (members[a][0], members[b][0]);
         let x = order.cross(a, b);
@@ -1001,6 +1000,38 @@ mod tests {
             stale < unmeasured,
             "stale pair still beats unmeasured: stale={stale} unmeasured={unmeasured}"
         );
+    }
+
+    #[test]
+    fn stale_bandwidth_rows_blend_only_the_bandwidth_column() {
+        // bandwidth rows aged past max_pair_age, latency rows fresh: each
+        // column settles by its own rows' age
+        let fresh = snapshot(6, 7);
+        let mut stale = fresh.clone();
+        for age in stale.densify().bandwidth_row_age.iter_mut() {
+            *age = Some(Duration::from_secs(2000));
+        }
+        let weighted = |snap: &ClusterSnapshot, latency: f64| {
+            let bandwidth = 1.0 - latency;
+            let w = NetworkWeights { latency, bandwidth };
+            Loads::derive(snap, &ComputeWeights::paper_default(), &w, Some(4)).unwrap()
+        };
+        let obs = nlrm_obs::Obs::new();
+        let guard = nlrm_obs::ctx::install(&obs);
+        let (lat_only, bw_only) = (weighted(&stale, 1.0), weighted(&stale, 0.0));
+        drop(guard);
+        let blended = obs.metrics.counter_value("loads_stale_pairs_blended_total");
+        assert_eq!(blended, 2 * 15, "every pair blends, in both derivations");
+        let (lat_ref, bw_ref) = (weighted(&fresh, 1.0), weighted(&fresh, 0.0));
+        let mut moved = 0;
+        for (i, &u) in lat_ref.usable.iter().enumerate() {
+            for &v in &lat_ref.usable[i + 1..] {
+                let bits = |l: &Loads| l.nl_between(u, v).to_bits();
+                assert_eq!(bits(&lat_only), bits(&lat_ref), "latency nl({u},{v})");
+                moved += usize::from(bits(&bw_only) != bits(&bw_ref));
+            }
+        }
+        assert!(moved > 0, "the stale bandwidth column blended nothing");
     }
 
     #[test]

@@ -293,6 +293,84 @@ fn a_member_beyond_the_id_space_is_ignored() {
 }
 
 #[test]
+fn unusable_members_between_usable_ones_match_the_reference() {
+    // a stale sample and a zero-core sample inside a block split its
+    // usable members' triangle rows into runs
+    let (_, mut snap) = sharded(3, 8, 5);
+    let PairSource::Blocks(b) = &snap.pairs else {
+        unreachable!()
+    };
+    let members = b.blocks()[1].members.clone();
+    let (stale, zero) = (members[2], members[5]);
+    for info in &mut snap.nodes {
+        if info.node == stale {
+            info.sample.taken_at = SimTime::ZERO;
+        } else if info.node == zero {
+            std::sync::Arc::make_mut(&mut info.sample.spec).cores = 0;
+        }
+    }
+    let req = AllocationRequest::minimd(8);
+    let loads = derive(&snap, &req, &StalenessPolicy::default()).unwrap();
+    for (u, usable) in [
+        (members[1], true),
+        (stale, false),
+        (zero, false),
+        (members[6], true),
+    ] {
+        assert_eq!(loads.index(u).is_some(), usable, "node {u}");
+    }
+    check(
+        &snap,
+        &StalenessPolicy::default(),
+        &[8, 32],
+        "gaps in a block",
+    );
+}
+
+#[test]
+fn a_shard_listing_members_out_of_id_order_matches_the_reference() {
+    // members recorded in descending id order: every usable pair of the
+    // block reads a column cell of the triangle, not a row run
+    let (rt, snap) = sharded(3, 8, 5);
+    let PairSource::Blocks(b) = &snap.pairs else {
+        unreachable!()
+    };
+    let path = paths::shard_nl(b.blocks()[0].shard);
+    let rec = rt.store().get(&path).unwrap();
+    let Ok(MonitorRecord::ShardNl {
+        shard,
+        epoch,
+        taken_at,
+        mut members,
+        lat_s,
+        avail_bps,
+        peak_bps,
+        probe_bytes,
+    }) = decode(&rec.data)
+    else {
+        panic!("shard record");
+    };
+    members.reverse();
+    let rec2 = MonitorRecord::ShardNl {
+        shard,
+        epoch,
+        taken_at,
+        members,
+        lat_s,
+        avail_bps,
+        peak_bps,
+        probe_bytes,
+    };
+    rt.store().put(&path, rec.written_at, encode(&rec2));
+    check(
+        &reassemble(&rt, &snap),
+        &StalenessPolicy::default(),
+        &[8, 32],
+        "members out of id order",
+    );
+}
+
+#[test]
 fn a_stale_shard_blends_exactly_like_the_reference() {
     let (rt, snap) = sharded(3, 8, 5);
     let PairSource::Blocks(b) = &snap.pairs else {

@@ -3,8 +3,8 @@
 //! books must balance.
 
 use nlrm_cluster::iitk::small_cluster;
-use nlrm_core::broker::{Broker, BrokerConfig, BrokerEvent, JobId};
-use nlrm_core::AllocationRequest;
+use nlrm_core::broker::{Broker, BrokerConfig, BrokerEvent, JobId, Lease};
+use nlrm_core::{AllocError, Allocation, AllocationRequest};
 use nlrm_monitor::{ClusterSnapshot, MonitorRuntime};
 use nlrm_sim_core::time::Duration;
 use nlrm_topology::NodeId;
@@ -28,6 +28,9 @@ enum Action {
     CompleteOldest,
     CancelNewestQueued,
     CancelOldestRunning,
+    /// Adopt an external lease of `(node, procs)`: nodes may repeat (the
+    /// broker must refuse the lease) and may lie past the cluster.
+    Adopt(Vec<(u32, u32)>),
 }
 
 fn arb_action() -> impl Strategy<Value = Action> {
@@ -37,6 +40,7 @@ fn arb_action() -> impl Strategy<Value = Action> {
         Just(Action::CompleteOldest),
         Just(Action::CancelNewestQueued),
         Just(Action::CancelOldestRunning),
+        proptest::collection::vec((0..NODES as u32 + 2, 0..=PPN), 1..4).prop_map(Action::Adopt),
     ]
 }
 
@@ -57,12 +61,15 @@ proptest! {
             ..BrokerConfig::default()
         });
         let mut running: Vec<JobId> = Vec::new();
+        // one past every id the broker has handed out or adopted
+        let mut fresh = 0u64;
         for action in actions {
             match action {
                 Action::Submit(procs) => {
-                    broker
+                    let id = broker
                         .submit("j", AllocationRequest::new(procs, Some(PPN), 0.3, 0.7))
                         .unwrap();
+                    fresh = fresh.max(id.0 + 1);
                 }
                 Action::Tick => {
                     for ev in broker.tick(&snap) {
@@ -89,10 +96,44 @@ proptest! {
                         prop_assert!(broker.complete(id).is_none(), "cancel released the lease");
                     }
                 }
+                Action::Adopt(nodes) => {
+                    // procs clipped to what each node has free, so the
+                    // per-node bound below still holds
+                    let nodes: Vec<(NodeId, u32)> = nodes
+                        .into_iter()
+                        .map(|(n, p)| (NodeId(n), p.min(PPN - broker.reserved_on(NodeId(n)))))
+                        .collect();
+                    let mut ids: Vec<NodeId> = nodes.iter().map(|&(n, _)| n).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    let repeats = ids.len() < nodes.len();
+                    let before = broker.total_reserved();
+                    let id = JobId(fresh);
+                    fresh += 1;
+                    let got = broker.adopt_lease(Lease {
+                        id,
+                        name: "adopted".into(),
+                        trace: id.trace(),
+                        root_span: None,
+                        allocation: Allocation {
+                            policy: "external".into(),
+                            rank_map: Allocation::block_rank_map(&nodes),
+                            nodes: nodes.clone(),
+                            diagnostics: Default::default(),
+                        },
+                    });
+                    if repeats {
+                        prop_assert!(matches!(got, Err(AllocError::InvalidRequest(_))));
+                        prop_assert_eq!(broker.total_reserved(), before, "a refused lease booked");
+                    } else {
+                        prop_assert!(got.is_ok(), "{:?}", got);
+                        running.push(id);
+                    }
+                }
             }
             // invariants after every step
             let mut total_reserved = 0u32;
-            for i in 0..NODES as u32 {
+            for i in 0..NODES as u32 + 2 {
                 let r = broker.reserved_on(NodeId(i));
                 prop_assert!(r <= PPN, "node {i} over-reserved: {r}");
                 total_reserved += r;
@@ -111,7 +152,7 @@ proptest! {
         for id in running {
             broker.complete(id);
         }
-        for i in 0..NODES as u32 {
+        for i in 0..NODES as u32 + 2 {
             prop_assert_eq!(broker.reserved_on(NodeId(i)), 0);
         }
     }

@@ -155,6 +155,25 @@ pub fn observe(name: &str, bounds: &[f64], v: f64) {
     with(|obs| obs.metrics.observe(name, bounds, v));
 }
 
+/// Bucket bounds (seconds) of the `stage_seconds_*` histograms.
+pub const STAGE_SECONDS_BOUNDS: &[f64] = &[1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
+
+/// Start timing a pipeline stage on the wall clock; `None` (no clock
+/// read) unless an observer is installed.
+pub fn stage_start() -> Option<std::time::Instant> {
+    is_active().then(std::time::Instant::now)
+}
+
+/// Record the wall time since [`stage_start`] in the `stage_seconds_<stage>`
+/// histogram. Wall time differs between a recording and its replay, so the
+/// flight recorder leaves the family out of its digest.
+pub fn stage_end(stage: &str, started: Option<std::time::Instant>) {
+    if let Some(t) = started {
+        let name = format!("stage_seconds_{stage}");
+        observe(&name, STAGE_SECONDS_BOUNDS, t.elapsed().as_secs_f64());
+    }
+}
+
 /// Offer the installed telemetry loop a tick at virtual time `now` (no-op
 /// when inactive or telemetry is disabled; cadence-gated internally, so
 /// callers may invoke this on every event-loop iteration).

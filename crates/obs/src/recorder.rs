@@ -574,10 +574,11 @@ impl Recorder {
     }
 
     /// Metric-name fragments excluded from the final metrics digest:
-    /// wall-clock measurements (tick/decision latencies in real time)
-    /// legitimately differ between a recording and its replay.
+    /// wall-clock measurements (tick/decision latencies and stage times
+    /// in real time) legitimately differ between a recording and its
+    /// replay.
     pub const NONDETERMINISTIC_METRICS: &'static [&'static str] =
-        &["wall", "alloc_decision_seconds"];
+        &["wall", "alloc_decision_seconds", "stage_seconds"];
 
     /// Seal the record: digest the final `metrics` registry (wall-clock
     /// families excluded, see [`Recorder::NONDETERMINISTIC_METRICS`]) and
